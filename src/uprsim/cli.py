@@ -18,6 +18,7 @@ import numpy as np
 
 from . import scheduler as sched
 from .harness import (
+    SWEEP_PARAMS,
     ConfigError,
     ExperimentConfig,
     run,
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--param", required=True, choices=["eps_max", "jitter_sigma", "head_displacement"])
+    p.add_argument("--param", required=True, choices=sorted(SWEEP_PARAMS))
     p.add_argument("--values", required=True, help="comma-separated numeric values")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)

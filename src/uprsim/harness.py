@@ -5,6 +5,14 @@ face tracking for UPR, scheduler-gated for AAUPR, none for FUPR/DPR),
 accounts time against the cost model, and evaluates pointing error against
 a target set on the scene plane.
 
+Each mode runs in two passes. The closed loop (_run_mode) is sequential and
+owns the state: scheduler state, RNG draws and face-tracker results still
+pending on latency. It fills per-frame columns (estimated eye, decision,
+reason, E, dE, tracking charge). The geometry is stateless, so pointing
+error then runs as one numpy pass over frames x targets
+(viewgen.pointing_errors). A mode's result is one ModeRecord of columns;
+summaries and CSV writers read those columns.
+
 WORLD LAYOUT
 ============
 The scene plane (installed screen) is the world z = 0 plane with normal +z;
@@ -20,9 +28,10 @@ Per front-camera frame and mode:
 
 where the charges are flow_ms for every AAUPR frame plus a face-tracking
 cost for every invocation. An invocation made at frame k is charged to the
-frame where its result arrives (k + latency_frames; charges still pending
-when the trace ends are billed to the final frame so that totals always
-equal invocations x cost). Tracking time totals count the same charges.
+frame where its result arrives (k + latency_frames), and renders from that
+frame on. Results due after the trace ends are never rendered, but their
+charges are billed to the final frame, so totals always equal invocations x
+cost. Tracking time totals count the same charges.
 
 Pointing error is evaluated at dwell frames only by default (touches happen
 at rest, not mid-motion); set errors_dwell_only = false for every frame.
@@ -39,7 +48,6 @@ from . import scheduler as sched
 from .geometry import (
     DisplayModel,
     EyeState,
-    GeometryError,
     PinholeCamera,
     RigidTransform,
     ScenePlane,
@@ -58,7 +66,7 @@ from .tracksim import (
     generate_trace,
     read_trace_csv,
 )
-from .viewgen import FitPolicy, FuprCalibration, RenderMode, fupr_eye, pointing_error
+from .viewgen import FitPolicy, FuprCalibration, RenderMode, fupr_eye, pointing_errors
 
 
 class ConfigError(ValueError):
@@ -308,20 +316,24 @@ def benchmark_config(**overrides) -> ExperimentConfig:
     return replace(ExperimentConfig(), **overrides)
 
 
-@dataclass
-class FrameRecord:
-    frame: int
+@dataclass(frozen=True)
+class ModeRecord:
+    """One mode's run as per-frame columns; row i is trace frame i."""
+
     mode: str
-    decision: str      # AAUPR only; empty otherwise
-    reason: str
-    e_px: float
-    delta_e_px: float
-    est_eye_mm: tuple[float, float, float]  # NaN for DPR
-    true_eye_mm: tuple[float, float, float]
-    errors_mm: list[float]  # one per target; NaN when not evaluated / no-hit
-    tracking_charge_ms: float
-    cumulative_tracking_ms: float
-    frame_time_ms: float
+    decision: np.ndarray                # (F,) str; AAUPR only, empty otherwise
+    reason: np.ndarray                  # (F,) str
+    e_px: np.ndarray                    # (F,)
+    delta_e_px: np.ndarray              # (F,)
+    est_eye_mm: np.ndarray              # (F, 3) eye rendered from; NaN for DPR
+    true_eye_mm: np.ndarray             # (F, 3)
+    errors_mm: np.ndarray               # (F, T); NaN when not evaluated / no-hit
+    tracking_charge_ms: np.ndarray      # (F,)
+    cumulative_tracking_ms: np.ndarray  # (F,)
+    frame_time_ms: np.ndarray           # (F,)
+
+    def __len__(self) -> int:
+        return len(self.tracking_charge_ms)
 
 
 @dataclass(frozen=True)
@@ -337,7 +349,7 @@ class Summary:
 
 @dataclass(frozen=True)
 class RunResult:
-    records: dict[str, list[FrameRecord]]
+    records: dict[str, ModeRecord]
     summaries: dict[str, Summary]
     trace: HeadTrace
 
@@ -360,107 +372,87 @@ def run(config: ExperimentConfig) -> RunResult:
     fit = config.fit_policy()
     tcfg = config.threshold_config()
     cost = config.cost_model()
-    targets_2d = config.target_points()
-    targets_world = plane.from_plane_2d(targets_2d)
+    targets_world = plane.from_plane_2d(config.target_points())
     cal_eye = fupr_eye(config.fupr_calibration(), ipd_mm=config.ipd_mm)
-    dwell = trace.dwell_mask()
+    evaluate = trace.dwell_mask() if config.errors_dwell_only else np.ones(len(trace), bool)
     face_cost = cost.face_cost(config.cost_resolution)
+    true_eye = np.array([fr.true_eye.cyclopean_mm for fr in trace.frames])
 
-    records: dict[str, list[FrameRecord]] = {}
+    records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
     for mode in modes:
-        recs = _run_mode(mode, config, trace, display, plane, front, back, fit,
-                         tcfg, cost, face_cost, targets_world, cal_eye, dwell)
-        records[mode.value] = recs
-        summaries[mode.value] = _summarize(mode, recs, len(trace))
+        cols = _run_mode(mode, config, trace, front, tcfg, cost, face_cost, cal_eye)
+        errors = np.full((len(trace), len(targets_world)), np.nan)
+        errors[evaluate] = pointing_errors(mode, targets_world, cols["est_eye_mm"][evaluate],
+                                           true_eye[evaluate], display, plane,
+                                           back_cam=back, fit=fit)
+        charge = cols["tracking_charge_ms"]
+        rec = ModeRecord(mode=mode.value, true_eye_mm=true_eye, errors_mm=errors,
+                         cumulative_tracking_ms=np.cumsum(charge),
+                         frame_time_ms=cost.render_base_ms + charge, **cols)
+        records[mode.value] = rec
+        summaries[mode.value] = _summarize(mode, rec)
     return RunResult(records=records, summaries=summaries, trace=trace)
 
 
-def _run_mode(mode, config, trace, display, plane, front, back, fit, tcfg,
-              cost, face_cost, targets_world, cal_eye, dwell) -> list[FrameRecord]:
+def _run_mode(mode, config, trace, front, tcfg, cost, face_cost,
+              cal_eye) -> dict[str, np.ndarray]:
+    """Step the closed loop for one mode: flow proxy, scheduler, face
+    tracker and results pending on latency. Returns the per-frame columns
+    the loop owns, keyed by ModeRecord field name."""
+    n = len(trace)
+    cols = {"decision": np.full(n, "", dtype=object),
+            "reason": np.full(n, "", dtype=object),
+            "e_px": np.full(n, np.nan),
+            "delta_e_px": np.full(n, np.nan),
+            "est_eye_mm": np.full((n, 3), np.nan),
+            "tracking_charge_ms": np.zeros(n)}
+    if mode is RenderMode.FUPR:
+        cols["est_eye_mm"][:] = cal_eye.cyclopean_mm
+    if mode not in (RenderMode.UPR, RenderMode.AAUPR):
+        return cols  # no sensing, no charges
+
+    decision_col, reason_col = cols["decision"], cols["reason"]
+    e_col, de_col = cols["e_px"], cols["delta_e_px"]
+    est_col, charge = cols["est_eye_mm"], cols["tracking_charge_ms"]
+    latency = config.noise_latency_frames
     flow_rng, face_rng = _mode_rngs(config.seed, mode)
     flow_sim = FlowSimulator(front, config.noise_flow_sigma_px,
                              config.noise_drift_px_per_frame,
                              config.noise_p_fail, flow_rng)
     proxy = FaceTrackerProxy(jitter_sigma_mm=config.noise_jitter_sigma_mm,
-                             latency_frames=config.noise_latency_frames,
-                             cost_ms=face_cost,
+                             latency_frames=latency, cost_ms=face_cost,
                              max_rate_hz=trace.frame_rate_hz)
     tracker = FaceTracker(proxy, face_rng)
 
     state = sched.initial_state(tcfg)
-    current_est: EyeState | None = cal_eye if mode in (RenderMode.UPR, RenderMode.AAUPR) else None
+    current_est = cal_eye
     pending: list[tuple[int, EyeState, float]] = []  # (arrival frame, estimate, charge)
-    cumulative = 0.0
-    n = len(trace)
-    recs: list[FrameRecord] = []
-
     for i, fr in enumerate(trace.frames):
-        charge = 0.0
-        decision_str, reason_str = "", ""
-        e_px = delta_e_px = float("nan")
-
-        # Results whose latency has elapsed arrive (and are billed) now;
-        # anything still pending at the final frame arrives there.
-        arrived = [p for p in pending if p[0] <= i or i == n - 1]
-        pending = [p for p in pending if p[0] > i and i != n - 1]
-        for _, est, c in arrived:
-            current_est = est
-            charge += c
-
         if mode is RenderMode.UPR:
-            est, c = tracker.track(fr.true_eye, fr.t_ms)
-            pending.append((i + config.noise_latency_frames, est, c))
-            if config.noise_latency_frames == 0:
-                current_est, charge = est, charge + c
-                pending.pop()
-        elif mode is RenderMode.AAUPR:
-            charge += cost.flow_ms
+            pending.append((i + latency, *tracker.track(fr.true_eye, fr.t_ms)))
+        else:
+            charge[i] = cost.flow_ms
             meas = flow_sim.measure(fr.true_eye)
             flow_input = sched.FLOW_FAILURE if meas.failed else meas.eye_px
             decision, state = sched.step(state, flow_input, tcfg)
-            decision_str = decision.kind.value
-            reason_str = decision.reason.value if decision.reason else ""
-            e_px, delta_e_px = decision.e_px, decision.delta_e_px
+            decision_col[i] = decision.kind.value
+            reason_col[i] = decision.reason.value if decision.reason else ""
+            e_col[i], de_col[i] = decision.e_px, decision.delta_e_px
             if decision.kind is sched.DecisionKind.RECALCULATE:
                 est, c = tracker.track(fr.true_eye, fr.t_ms)
-                eye_proj = _project_eyes(front, est)
-                state = sched.apply_recalculation(state, eye_proj, tcfg)
+                state = sched.apply_recalculation(state, _project_eyes(front, est), tcfg)
                 flow_sim.reset_drift()
-                pending.append((i + config.noise_latency_frames, est, c))
-                if config.noise_latency_frames == 0:
-                    current_est, charge = est, charge + c
-                    pending.pop()
-
-        est_for_render = current_est if mode in (RenderMode.UPR, RenderMode.AAUPR) else (
-            cal_eye if mode is RenderMode.FUPR else None)
-
-        evaluate = dwell[i] or not config.errors_dwell_only
-        errors = []
-        for target in targets_world:
-            if not evaluate:
-                errors.append(float("nan"))
-                continue
-            try:
-                err = pointing_error(mode, target, est_for_render, fr.true_eye,
-                                     display, plane, back_cam=back, fit=fit)
-            except GeometryError:
-                err = float("nan")  # per-frame no-hit marker, not an abort
-            errors.append(err)
-
-        cumulative += charge
-        est_tuple = (tuple(est_for_render.cyclopean_mm) if est_for_render is not None
-                     else (float("nan"),) * 3)
-        recs.append(FrameRecord(
-            frame=i, mode=mode.value, decision=decision_str, reason=reason_str,
-            e_px=e_px, delta_e_px=delta_e_px,
-            est_eye_mm=est_tuple, true_eye_mm=tuple(fr.true_eye.cyclopean_mm),
-            errors_mm=errors, tracking_charge_ms=charge,
-            cumulative_tracking_ms=cumulative,
-            frame_time_ms=cost.render_base_ms + charge))
-    recs_invocations = tracker.invocations
-    assert mode in (RenderMode.UPR, RenderMode.AAUPR) or recs_invocations == 0
-    return recs
+                pending.append((i + latency, est, c))
+        # Results whose latency has elapsed arrive, and are billed, now.
+        while pending and pending[0][0] <= i:
+            _, current_est, c = pending.pop(0)
+            charge[i] += c
+        est_col[i] = current_est.cyclopean_mm
+    # Results due after the trace ends are billed to the final frame.
+    for _, _, c in pending:
+        charge[-1] += c
+    return cols
 
 
 def _project_eyes(front: PinholeCamera, eyes: EyeState) -> np.ndarray:
@@ -468,27 +460,27 @@ def _project_eyes(front: PinholeCamera, eyes: EyeState) -> np.ndarray:
     return project_pinhole(front, pts)
 
 
-def _summarize(mode: RenderMode, recs: list[FrameRecord], n_frames: int) -> Summary:
-    errs = np.array([e for r in recs for e in r.errors_mm])
+def _summarize(mode: RenderMode, rec: ModeRecord) -> Summary:
+    # Row-major, so the mean sums the same cells in the same order as a
+    # reader of the frame CSV.
+    errs = rec.errors_mm.ravel()
     errs = errs[~np.isnan(errs)]
     mean_err = float(errs.mean()) if errs.size else float("nan")
     sd_err = float(errs.std(ddof=1)) if errs.size > 1 else float("nan")
-    invocations = sum(1 for r in recs if r.decision == "recalculate") \
+    n_frames = len(rec)
+    invocations = int(np.count_nonzero(rec.decision == "recalculate")) \
         if mode is RenderMode.AAUPR else (n_frames if mode is RenderMode.UPR else 0)
-    total_tracking = recs[-1].cumulative_tracking_ms if recs else 0.0
-    mean_ft = float(np.mean([r.frame_time_ms for r in recs])) if recs else float("nan")
     return Summary(mode=mode.value, mean_error_mm=mean_err, sd_error_mm=sd_err,
-                   invocations=invocations,
-                   invocation_fraction=invocations / n_frames if n_frames else 0.0,
-                   total_tracking_ms=total_tracking, mean_frame_time_ms=mean_ft)
+                   invocations=invocations, invocation_fraction=invocations / n_frames,
+                   total_tracking_ms=float(rec.cumulative_tracking_ms[-1]),
+                   mean_frame_time_ms=float(rec.frame_time_ms.mean()))
 
 
 # ---- CSV output --------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return "nan" if math.isnan(x) else repr(x)
-    return str(x)
+def _fmt(x: float) -> str:
+    """Shortest round-tripping text of a float; 'nan' for NaN."""
+    return repr(float(x))
 
 
 def frame_csv_header(n_targets: int) -> str:
@@ -504,35 +496,37 @@ SUMMARY_CSV_HEADER = ("mode,mean_error_mm,sd_error_mm,invocations,"
                       "invocation_fraction,total_tracking_ms,mean_frame_time_ms")
 
 
-def write_frame_csv(recs: list[FrameRecord], path) -> None:
-    n_targets = len(recs[0].errors_mm) if recs else 0
+def write_frame_csv(rec: ModeRecord, path) -> None:
+    # tolist() gives Python floats, whose str is the repr _fmt writes.
+    n = len(rec)
+    columns = [range(n), [rec.mode] * n, rec.decision.tolist(), rec.reason.tolist(),
+               rec.e_px.tolist(), rec.delta_e_px.tolist(),
+               *rec.est_eye_mm.T.tolist(), *rec.true_eye_mm.T.tolist(),
+               *rec.errors_mm.T.tolist(), rec.tracking_charge_ms.tolist(),
+               rec.cumulative_tracking_ms.tolist(), rec.frame_time_ms.tolist()]
     with open(path, "w", newline="") as f:
-        f.write(frame_csv_header(n_targets) + "\n")
-        for r in recs:
-            row = ([r.frame, r.mode, r.decision, r.reason,
-                    _fmt(r.e_px), _fmt(r.delta_e_px)]
-                   + [_fmt(v) for v in r.est_eye_mm]
-                   + [_fmt(v) for v in r.true_eye_mm]
-                   + [_fmt(v) for v in r.errors_mm]
-                   + [_fmt(r.tracking_charge_ms), _fmt(r.cumulative_tracking_ms),
-                      _fmt(r.frame_time_ms)])
-            f.write(",".join(str(v) for v in row) + "\n")
+        f.write(frame_csv_header(rec.errors_mm.shape[1]) + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns))
+
+
+def _summary_cells(s: Summary) -> list[str]:
+    return [s.mode, _fmt(s.mean_error_mm), _fmt(s.sd_error_mm), str(s.invocations),
+            _fmt(s.invocation_fraction), _fmt(s.total_tracking_ms),
+            _fmt(s.mean_frame_time_ms)]
 
 
 def write_summary_csv(summaries: dict[str, Summary], path) -> None:
     with open(path, "w", newline="") as f:
         f.write(SUMMARY_CSV_HEADER + "\n")
         for s in summaries.values():
-            f.write(",".join([s.mode, _fmt(s.mean_error_mm), _fmt(s.sd_error_mm),
-                              str(s.invocations), _fmt(s.invocation_fraction),
-                              _fmt(s.total_tracking_ms), _fmt(s.mean_frame_time_ms)]) + "\n")
+            f.write(",".join(_summary_cells(s)) + "\n")
 
 
 def write_outputs(result: RunResult, outdir) -> None:
     import os
     os.makedirs(outdir, exist_ok=True)
-    for mode, recs in result.records.items():
-        write_frame_csv(recs, os.path.join(outdir, f"frames_{mode}.csv"))
+    for mode, rec in result.records.items():
+        write_frame_csv(rec, os.path.join(outdir, f"frames_{mode}.csv"))
     write_summary_csv(result.summaries, os.path.join(outdir, "summary.csv"))
 
 
@@ -567,7 +561,4 @@ def write_sweep_csv(rows: list[tuple[float, Summary]], parameter: str, path) -> 
     with open(path, "w", newline="") as f:
         f.write("parameter,value," + SUMMARY_CSV_HEADER + "\n")
         for v, s in rows:
-            f.write(",".join([parameter, _fmt(float(v)), s.mode,
-                              _fmt(s.mean_error_mm), _fmt(s.sd_error_mm),
-                              str(s.invocations), _fmt(s.invocation_fraction),
-                              _fmt(s.total_tracking_ms), _fmt(s.mean_frame_time_ms)]) + "\n")
+            f.write(",".join([parameter, _fmt(v)] + _summary_cells(s)) + "\n")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    PARALLEL_TOL,
     DegenerateViewError,
     DisplayModel,
     EyeState,
@@ -241,6 +242,58 @@ def pointing_error(mode: RenderMode, target_world, estimated_eye: EyeState | Non
     return float(np.linalg.norm(perceived - target_2d))
 
 
-def error_mm_to_px(error_mm: float, px_per_mm: float) -> float:
-    """Optional on-plane px conversion for a configured pixel density."""
-    return error_mm * px_per_mm
+def pointing_errors(mode: RenderMode, targets_world, estimated_eyes_mm,
+                    true_eyes_mm, display: DisplayModel, plane: ScenePlane,
+                    back_cam: PinholeCamera | None = None,
+                    fit: FitPolicy = FitPolicy.STRETCH) -> np.ndarray:
+    """pointing_error over frames x targets in one pass.
+
+    targets_world is (T, 3); the eyes are (F, 3) cyclopean positions in the
+    display frame (estimated_eyes_mm is unused for DPR). Returns (F, T)
+    errors in mm, NaN in every cell where pointing_error raises
+    GeometryError.
+    """
+    targets = np.asarray(targets_world, dtype=float)
+    target_disp = display.pose_world.invert().apply(targets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if mode is RenderMode.DPR:
+            drawn_px = _dpr_target_px(target_disp, display, back_cam, fit)[None]
+        else:
+            drawn_px = _eye_target_px(np.asarray(estimated_eyes_mm, dtype=float),
+                                      target_disp, display)
+        # Perceived point: the true-eye ray through the drawn pixel, as in
+        # intersect_ray_plane. NaN pixels propagate into the miss mask.
+        eye_world = display.pose_world.apply(np.asarray(true_eyes_mm, dtype=float))[:, None]
+        d = display.pose_world.apply(display.px_to_mm(drawn_px)) - eye_world
+        d = d / np.linalg.norm(d, axis=-1, keepdims=True)
+        denom = d @ plane.normal_world
+        t = ((plane.point_world - eye_world) @ plane.normal_world) / denom
+        perceived = plane.to_plane_2d(eye_world + t[..., None] * d)
+        err = np.linalg.norm(perceived - plane.to_plane_2d(targets), axis=-1)
+        hit = (np.abs(denom) >= PARALLEL_TOL) & (t >= 0)
+    return np.where(hit, err, np.nan)
+
+
+def _eye_target_px(eyes_mm: np.ndarray, target_disp: np.ndarray,
+                   display: DisplayModel) -> np.ndarray:
+    """(F, T, 2) batch of _display_px_for_target_from_eye; NaN where it raises."""
+    ez = eyes_mm[:, None, 2]
+    tz = target_disp[None, :, 2]
+    t = ez / (ez - tz)
+    hit = eyes_mm[:, None] + t[..., None] * (target_disp[None] - eyes_mm[:, None])
+    px = display.mm_to_px(hit)
+    px[(np.abs(tz - ez) < 1e-12) | (ez <= 0) | ~(t > 0)] = np.nan
+    return px
+
+
+def _dpr_target_px(target_disp: np.ndarray, display: DisplayModel,
+                   back_cam: PinholeCamera | None, fit: FitPolicy) -> np.ndarray:
+    """(T, 2) batch of the DPR branch of render_target_px; NaN for targets
+    at or behind the back camera."""
+    if back_cam is None:
+        raise ValueError("DPR requires a back camera")
+    target_cam = back_cam.extrinsic.apply(target_disp)
+    ahead = target_cam[:, 2] > 0
+    cam_px = np.full((len(target_cam), 2), np.nan)
+    cam_px[ahead] = project_pinhole(back_cam, target_cam[ahead])
+    return cam_px_to_display_px(cam_px, display, back_cam, fit)

@@ -4,6 +4,7 @@ import pytest
 from uprsim.geometry import (
     DisplayModel,
     EyeState,
+    GeometryError,
     PinholeCamera,
     Ray,
     RigidTransform,
@@ -23,6 +24,7 @@ from uprsim.viewgen import (
     fupr_eye,
     perceived_plane_point,
     pointing_error,
+    pointing_errors,
     render_target_px,
     upr_display_to_plane,
 )
@@ -305,3 +307,68 @@ def test_fupr_error_monotone_in_head_displacement():
         errors.append(pointing_error(RenderMode.FUPR, target, cal_eye, true_eye,
                                      display, plane))
     assert all(b >= a - 1e-9 for a, b in zip(errors, errors[1:]))
+
+
+def test_pointing_errors_match_scalar_any_pose():
+    # Tilted, offset displays on either side of a tilted plane, with the
+    # estimated and true eyes drawn independently: cells cover every way
+    # the scalar path can raise, including a perceived ray that points away
+    # from the plane after the drawn point resolved.
+    rng = np.random.default_rng(31)
+    misses = hits = 0
+    for k in range(40):
+        display = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform.from_quaternion(
+            [1.0, *rng.normal(scale=0.2, size=3)],
+            [*rng.normal(scale=30.0, size=2), rng.uniform(-400.0, 400.0)]))
+        normal = np.array([*rng.normal(scale=0.2, size=2), 1.0])
+        plane = ScenePlane([0.0, 0.0, 0.0], normal / np.linalg.norm(normal), (3000.0, 3000.0))
+        targets = plane.from_plane_2d(rng.uniform(-300.0, 300.0, size=(4, 2)))
+        est = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(6, 3))
+        true = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(6, 3))
+        back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
+        fit = (FitPolicy.STRETCH, FitPolicy.LETTERBOX)[k % 2]
+        for mode in RenderMode:
+            batch = pointing_errors(mode, targets, est, true, display, plane,
+                                    back_cam=back, fit=fit)
+            assert batch.shape == (6, 4)
+            for i in range(6):
+                est_eye = None if mode is RenderMode.DPR else EyeState.from_cyclopean(est[i])
+                for t in range(4):
+                    try:
+                        ref = pointing_error(mode, targets[t], est_eye,
+                                             EyeState.from_cyclopean(true[i]),
+                                             display, plane, back_cam=back, fit=fit)
+                    except GeometryError:
+                        assert np.isnan(batch[i, t])
+                        misses += 1
+                        continue
+                    # Grazing rays give errors of tens of metres, where
+                    # float64 holds ~1e-12 relative, not 1e-9 mm absolute.
+                    assert batch[i, t] == pytest.approx(ref, rel=1e-12, abs=1e-9)
+                    hits += 1
+    assert misses > 0 and hits > 0
+
+
+def test_pointing_errors_degenerate_cells_are_nan():
+    plane = ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], (3000.0, 3000.0))
+    target = np.array([[0.0, 100.0, 0.0]])
+    # Panel turned upright (display y -> world z): the true eye sits level
+    # with the drawn point, so its ray runs parallel to the plane.
+    upright = RigidTransform(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
+                             [0.0, 0.0, 300.0])
+    display = DisplayModel(109.0, 61.0, 1080, 608, upright)
+    est, true = [0.0, 0.0, 200.0], [0.0, -200.0, 50.0]
+    with pytest.raises(GeometryError):
+        pointing_error(RenderMode.UPR, target[0], EyeState.from_cyclopean(est),
+                       EyeState.from_cyclopean(true), display, plane)
+    assert np.isnan(pointing_errors(RenderMode.UPR, target, [est], [true], display, plane)).all()
+    # Panel below the plane, so the target is 150 mm in front of it: an eye
+    # level with the target never crosses the panel; an eye behind the panel
+    # is rejected even though its line to the target would cross it.
+    display = flat_display(z_world=-150.0)
+    level = EyeState.from_cyclopean([0.0, 0.0, 150.0])
+    with pytest.raises(GeometryError):
+        pointing_error(RenderMode.UPR, target[0], level, level, display, plane)
+    errs = pointing_errors(RenderMode.UPR, target, [[0.0, 0.0, 150.0], [0.0, 0.0, -10.0]],
+                           [[0.0, 0.0, 150.0], [0.0, 0.0, 200.0]], display, plane)
+    assert np.isnan(errs).all()
