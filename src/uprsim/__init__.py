@@ -1,7 +1,7 @@
 """uprsim: deterministic simulator for adaptive user-perspective rendering
 on handheld AR devices.
 
-Subpackages:
+Modules:
   geometry  - rigid transforms, pinhole cameras, off-axis projection.
   viewgen   - the four render modes and on-plane pointing error.
   scheduler - dual thresholding of head-pose recomputation.
@@ -40,7 +40,6 @@ from .scheduler import (
 from .tracksim import (
     CostModel,
     FaceTracker,
-    FaceTrackerProxy,
     FlowSimulator,
     HeadTrace,
     TraceSpec,
@@ -53,7 +52,6 @@ from .viewgen import (
     FuprCalibration,
     Homography,
     RenderMode,
-    dpr_display_to_plane,
     fupr_eye,
     perceived_plane_point,
     pointing_error,

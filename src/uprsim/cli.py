@@ -21,12 +21,13 @@ from .harness import (
     SWEEP_PARAMS,
     ConfigError,
     ExperimentConfig,
+    checked,
     run,
     sweep,
     write_outputs,
     write_sweep_csv,
 )
-from .tracksim import generate_trace, write_trace_csv
+from .tracksim import write_trace_csv
 
 
 def _cmd_simulate(args) -> int:
@@ -45,7 +46,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    values = [float(v) for v in args.values.split(",")]
+    values = [checked("--values", float, v) for v in args.values.split(",")]
     rows = sweep(config, args.param, values)
     import os
     os.makedirs(args.out, exist_ok=True)
@@ -70,7 +71,7 @@ _TRUTHTABLE_SCRIPT = [
 
 
 def _cmd_truthtable(args) -> int:
-    cfg = sched.ThresholdConfig(eps_max_px=args.eps)
+    cfg = checked("--eps", sched.ThresholdConfig, eps_max_px=args.eps)
     state = sched.initial_state(cfg)
     print(f"eps = {args.eps} px, refine factor = {cfg.refine_factor}, policy = verbatim")
     print(f"{'frame':>5} {'E_px':>8} {'dE_px':>8} {'decision':>12} {'reason':>12}")

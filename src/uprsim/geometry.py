@@ -20,7 +20,6 @@ No implicit unit conversion anywhere.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,11 +187,6 @@ class DisplayModel:
         return self.mm_to_px(self.corners_mm())
 
 
-class CameraFacing(enum.Enum):
-    FRONT = "front"
-    BACK = "back"
-
-
 @dataclass(frozen=True)
 class PinholeCamera:
     """Intrinsic + extrinsic pinhole model.
@@ -209,7 +203,6 @@ class PinholeCamera:
     width_px: int
     height_px: int
     extrinsic: RigidTransform = field(default_factory=RigidTransform.identity)
-    facing: CameraFacing = CameraFacing.FRONT
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
@@ -235,8 +228,7 @@ def front_camera(fx: float = 300.0, fy: float = 300.0,
     r = np.diag([-1.0, -1.0, 1.0])
     return PinholeCamera(fx=fx, fy=fy, cx=width_px / 2.0, cy=height_px / 2.0,
                          width_px=width_px, height_px=height_px,
-                         extrinsic=RigidTransform(r, np.zeros(3)),
-                         facing=CameraFacing.FRONT)
+                         extrinsic=RigidTransform(r, np.zeros(3)))
 
 
 def back_camera(offset_mm=(45.0, -25.0, -8.0), fx: float = 400.0, fy: float = 400.0,
@@ -250,8 +242,7 @@ def back_camera(offset_mm=(45.0, -25.0, -8.0), fx: float = 400.0, fy: float = 40
     c = _as_vec3(offset_mm)
     return PinholeCamera(fx=fx, fy=fy, cx=width_px / 2.0, cy=height_px / 2.0,
                          width_px=width_px, height_px=height_px,
-                         extrinsic=RigidTransform(r, -r @ c),
-                         facing=CameraFacing.BACK)
+                         extrinsic=RigidTransform(r, -r @ c))
 
 
 @dataclass(frozen=True)

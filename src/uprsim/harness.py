@@ -28,10 +28,15 @@ Per front-camera frame and mode:
 
 where the charges are flow_ms for every AAUPR frame plus a face-tracking
 cost for every invocation. An invocation made at frame k is charged to the
-frame where its result arrives (k + latency_frames), and renders from that
-frame on. Results due after the trace ends are never rendered, but their
-charges are billed to the final frame, so totals always equal invocations x
-cost. Tracking time totals count the same charges.
+frame where its result arrives (k + noise_latency_frames), and renders from
+that frame on. Results due after the trace ends are never rendered, but
+their charges are billed to the final frame, so totals always equal
+invocations x cost. Tracking time totals count the same charges.
+
+Latency model: an AAUPR recomputation requested at frame k is computed from
+frame k's eye, and the scheduler re-anchors on that estimate at frame k
+(apply_recalculation), so E from frame k+1 on is measured against it. The
+renderer shows the estimate only from frame k + noise_latency_frames on.
 
 Pointing error is evaluated at dwell frames only by default (touches happen
 at rest, not mid-motion); set errors_dwell_only = false for every frame.
@@ -40,7 +45,7 @@ at rest, not mid-motion); set errors_dwell_only = false for every frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -58,7 +63,6 @@ from .geometry import (
 from .tracksim import (
     CostModel,
     FaceTracker,
-    FaceTrackerProxy,
     FlowSimulator,
     Generator,
     HeadTrace,
@@ -151,7 +155,6 @@ class ExperimentConfig:
 
     # Semicolon-separated "x,y" pairs, plane-frame mm.
     targets: str = "0,0;150,80;-150,80;150,-80;-150,-80"
-    targets_radius_mm: float = 20.0
 
     errors_dwell_only: bool = True
     errors_px_per_mm: float = 0.0  # 0 -> report mm only
@@ -174,7 +177,7 @@ class ExperimentConfig:
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, val, known[key], lineno)
+            values[key] = checked(f"line {lineno}: {key}", _PARSERS[known[key]], val)
         return cls(**values)
 
     @classmethod
@@ -187,66 +190,50 @@ class ExperimentConfig:
     def mode_list(self) -> list[RenderMode]:
         out = []
         for name in self.modes.split(","):
-            name = name.strip()
-            try:
-                out.append(RenderMode(name))
-            except ValueError:
-                raise ConfigError(f"modes: unknown render mode {name!r}")
-        if not out:
-            raise ConfigError("modes: at least one render mode required")
+            out.append(checked("modes: render mode", RenderMode, name.strip()))
         return out
 
     def display(self) -> DisplayModel:
         pose = RigidTransform(np.eye(3), [0.0, 0.0, self.display_z_world_mm])
-        return DisplayModel(self.display_width_mm, self.display_height_mm,
-                            self.display_width_px, self.display_height_px, pose)
+        return checked("display_*", DisplayModel, self.display_width_mm,
+                       self.display_height_mm, self.display_width_px,
+                       self.display_height_px, pose)
 
     def plane(self) -> ScenePlane:
-        return ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                          (self.plane_width_mm, self.plane_height_mm))
+        return checked("plane_*", ScenePlane, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                       (self.plane_width_mm, self.plane_height_mm))
 
     def front_cam(self) -> PinholeCamera:
-        return front_camera(self.front_cam_fx, self.front_cam_fy,
-                            self.front_cam_width_px, self.front_cam_height_px)
+        return checked("front_cam_*", front_camera, self.front_cam_fx, self.front_cam_fy,
+                       self.front_cam_width_px, self.front_cam_height_px)
 
     def back_cam(self) -> PinholeCamera:
-        return back_camera((self.back_cam_offset_x_mm, self.back_cam_offset_y_mm,
-                            self.back_cam_offset_z_mm),
-                           self.back_cam_fx, self.back_cam_fy,
-                           self.back_cam_width_px, self.back_cam_height_px)
+        return checked("back_cam_*", back_camera,
+                       (self.back_cam_offset_x_mm, self.back_cam_offset_y_mm,
+                        self.back_cam_offset_z_mm),
+                       self.back_cam_fx, self.back_cam_fy,
+                       self.back_cam_width_px, self.back_cam_height_px)
 
     def fit_policy(self) -> FitPolicy:
-        try:
-            return FitPolicy(self.dpr_fit)
-        except ValueError:
-            raise ConfigError(f"dpr_fit: unknown policy {self.dpr_fit!r}")
+        return checked("dpr_fit", FitPolicy, self.dpr_fit)
 
     def threshold_config(self) -> sched.ThresholdConfig:
         eps = self.threshold_eps_max_px or sched.epsilon_default(self.front_cam())
-        try:
-            policy = sched.Policy(self.threshold_policy)
-        except ValueError:
-            raise ConfigError(f"threshold_policy: unknown policy {self.threshold_policy!r}")
-        try:
-            metric = sched.EyeMetric(self.threshold_metric)
-        except ValueError:
-            raise ConfigError(f"threshold_metric: unknown metric {self.threshold_metric!r}")
-        try:
-            return sched.ThresholdConfig(
-                eps_max_px=eps, refine_factor=self.threshold_refine_factor,
-                policy=policy, decay_rate=self.threshold_decay_rate,
-                eps_min_px=self.threshold_eps_min_px or None, metric=metric)
-        except ValueError as exc:
-            raise ConfigError(f"threshold config: {exc}")
+        policy = checked("threshold_policy", sched.Policy, self.threshold_policy)
+        metric = checked("threshold_metric", sched.EyeMetric, self.threshold_metric)
+        return checked("threshold_*", sched.ThresholdConfig,
+                       eps_max_px=eps, refine_factor=self.threshold_refine_factor,
+                       policy=policy, decay_rate=self.threshold_decay_rate,
+                       eps_min_px=self.threshold_eps_min_px or None, metric=metric)
 
     def cost_model(self) -> CostModel:
-        return CostModel(face_track_ms={"320x240": self.cost_face_track_320x240_ms,
-                                        "640x480": self.cost_face_track_640x480_ms},
-                         flow_ms=self.cost_flow_ms,
-                         render_base_ms=self.cost_render_base_ms)
+        return checked("cost_*", CostModel,
+                       face_track_ms={"320x240": self.cost_face_track_320x240_ms,
+                                      "640x480": self.cost_face_track_640x480_ms},
+                       flow_ms=self.cost_flow_ms, render_base_ms=self.cost_render_base_ms)
 
     def fupr_calibration(self) -> FuprCalibration:
-        return FuprCalibration(self.fupr_distance_mm)
+        return checked("fupr_distance_mm", FuprCalibration, self.fupr_distance_mm)
 
     def target_points(self) -> np.ndarray:
         pts = []
@@ -270,11 +257,8 @@ class ExperimentConfig:
 
     def build_trace(self) -> HeadTrace:
         if self.trace_file:
-            return read_trace_csv(self.trace_file)
-        try:
-            gen = Generator(self.trace_generator)
-        except ValueError:
-            raise ConfigError(f"trace_generator: unknown generator {self.trace_generator!r}")
+            return checked("trace_file", read_trace_csv, self.trace_file)
+        gen = checked("trace_generator", Generator, self.trace_generator)
         spec = TraceSpec(
             generator=gen, n_frames=self.trace_n_frames,
             frame_rate_hz=self.trace_frame_rate_hz,
@@ -285,28 +269,35 @@ class ExperimentConfig:
             dwell_frames=self.trace_dwell_frames,
             transition_frames=self.trace_transition_frames,
             sway_period_s=self.trace_sway_period_s, seed=self.seed)
-        try:
-            return generate_trace(spec)
-        except ValueError as exc:
-            raise ConfigError(f"trace: {exc}")
+        return checked("trace_*", generate_trace, spec)
 
 
-def _coerce(key: str, val: str, typ, lineno: int):
-    typ = str(typ)
+def checked(key: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError (GeometryError included)
+    raised as a ConfigError that names the config key or CLI flag."""
     try:
-        if "bool" in typ:
-            if val.lower() in ("true", "1", "yes"):
-                return True
-            if val.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {val!r}")
-        if "int" in typ:
-            return int(val)
-        if "float" in typ:
-            return float(val)
-        return val
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {key}: {exc}")
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _parse_bool(val: str) -> bool:
+    if val.lower() in ("true", "1", "yes"):
+        return True
+    if val.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {val!r}")
+
+
+def _parse_float(val: str) -> float:
+    x = float(val)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {val!r}")
+    return x
+
+
+#: Config-file value parser per ExperimentConfig field type.
+_PARSERS = {"bool": _parse_bool, "int": int, "float": _parse_float, "str": str}
 
 
 def benchmark_config(**overrides) -> ExperimentConfig:
@@ -373,9 +364,11 @@ def run(config: ExperimentConfig) -> RunResult:
     tcfg = config.threshold_config()
     cost = config.cost_model()
     targets_world = plane.from_plane_2d(config.target_points())
-    cal_eye = fupr_eye(config.fupr_calibration(), ipd_mm=config.ipd_mm)
+    cal_eye = checked("ipd_mm", fupr_eye, config.fupr_calibration(), ipd_mm=config.ipd_mm)
     evaluate = trace.dwell_mask() if config.errors_dwell_only else np.ones(len(trace), bool)
-    face_cost = cost.face_cost(config.cost_resolution)
+    face_cost = checked("cost_resolution", cost.face_cost, config.cost_resolution)
+    if config.noise_latency_frames < 0:
+        raise ConfigError("noise_latency_frames: must be nonnegative")
     true_eye = np.array([fr.true_eye.cyclopean_mm for fr in trace.frames])
 
     records: dict[str, ModeRecord] = {}
@@ -420,10 +413,8 @@ def _run_mode(mode, config, trace, front, tcfg, cost, face_cost,
     flow_sim = FlowSimulator(front, config.noise_flow_sigma_px,
                              config.noise_drift_px_per_frame,
                              config.noise_p_fail, flow_rng)
-    proxy = FaceTrackerProxy(jitter_sigma_mm=config.noise_jitter_sigma_mm,
-                             latency_frames=latency, cost_ms=face_cost,
-                             max_rate_hz=trace.frame_rate_hz)
-    tracker = FaceTracker(proxy, face_rng)
+    tracker = FaceTracker(config.noise_jitter_sigma_mm, face_cost,
+                          trace.frame_rate_hz, face_rng)
 
     state = sched.initial_state(tcfg)
     current_est = cal_eye

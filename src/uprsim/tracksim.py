@@ -87,7 +87,7 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
 
 def generate_trace(spec: TraceSpec) -> HeadTrace:
     """Deterministic synthetic head-motion trace per the generator spec."""
-    if spec.frame_rate_hz <= 0:
+    if not spec.frame_rate_hz > 0:
         raise ValueError("frame rate must be positive")
     base = np.asarray(spec.base_eye_mm, dtype=float)
 
@@ -140,16 +140,13 @@ TRACE_CSV_HEADER = ("frame,t_ms,eye_x_mm,eye_y_mm,eye_z_mm,ipd_mm,"
 
 def write_trace_csv(trace: HeadTrace, path) -> None:
     """Full-precision CSV export (floats via repr, so import round-trips)."""
+    # tolist() gives Python floats, whose str is their repr.
+    rows = np.array([[fr.t_ms, *fr.true_eye.cyclopean_mm, fr.true_eye.ipd_mm,
+                      *fr.device_pose.quaternion(), *fr.device_pose.translation]
+                     for fr in trace.frames]).tolist()
     with open(path, "w", newline="") as f:
         f.write(TRACE_CSV_HEADER + "\n")
-        for i, fr in enumerate(trace.frames):
-            q = fr.device_pose.quaternion()
-            t = fr.device_pose.translation
-            e = fr.true_eye.cyclopean_mm
-            row = [i, fr.t_ms, e[0], e[1], e[2], fr.true_eye.ipd_mm,
-                   q[0], q[1], q[2], q[3], t[0], t[1], t[2]]
-            f.write(",".join(repr(float(x)) if isinstance(x, float) or hasattr(x, "dtype")
-                             else str(x) for x in row) + "\n")
+        f.writelines(",".join(map(str, [i, *row])) + "\n" for i, row in enumerate(rows))
 
 
 def read_trace_csv(path) -> HeadTrace:
@@ -179,8 +176,6 @@ class FlowMeasurement:
     """Flow-tracked eye pixels for one front-camera frame, or a failure."""
 
     eye_px: np.ndarray | None  # (2, 2): rows left/right, or None on failure
-    noise_sigma_px: float
-    drift_px: np.ndarray | None  # accumulated bias actually applied
 
     @property
     def failed(self) -> bool:
@@ -221,30 +216,22 @@ class FlowSimulator:
         pts_cam = self.front_cam.extrinsic.apply(
             np.stack([true_eye.left_mm, true_eye.right_mm]))
         if np.any(pts_cam[:, 2] <= 0):
-            return FlowMeasurement(None, self.noise_sigma_px, None)
+            return FlowMeasurement(None)
         px = project_pinhole(self.front_cam, pts_cam)
         if not all(self.front_cam.contains(p) for p in px):
-            return FlowMeasurement(None, self.noise_sigma_px, None)
+            return FlowMeasurement(None)
         if self.p_fail > 0 and self.rng.random() < self.p_fail:
-            return FlowMeasurement(None, self.noise_sigma_px, None)
+            return FlowMeasurement(None)
         self._drift_frames += 1
         drift = self._drift_dir * (self.drift_px_per_frame * self._drift_frames)
         px = px + drift
         if self.noise_sigma_px > 0:
             px = px + self.rng.normal(0.0, self.noise_sigma_px, size=px.shape)
-        return FlowMeasurement(px, self.noise_sigma_px, drift)
+        return FlowMeasurement(px)
 
 
 class RateCeilingError(RuntimeError):
     """Face tracker invoked faster than its rate ceiling allows."""
-
-
-@dataclass(frozen=True)
-class FaceTrackerProxy:
-    jitter_sigma_mm: float = 5.0
-    latency_frames: int = 0
-    cost_ms: float = 30.094
-    max_rate_hz: float = DEFAULT_FRAME_RATE_HZ
 
 
 class FaceTracker:
@@ -255,27 +242,31 @@ class FaceTracker:
     bounded by max_rate_hz against the supplied timestamps.
     """
 
-    def __init__(self, proxy: FaceTrackerProxy, rng: np.random.Generator | None = None):
-        self.proxy = proxy
+    def __init__(self, jitter_sigma_mm: float = 5.0, cost_ms: float = 30.094,
+                 max_rate_hz: float = DEFAULT_FRAME_RATE_HZ,
+                 rng: np.random.Generator | None = None):
+        self.jitter_sigma_mm = jitter_sigma_mm
+        self.cost_ms = cost_ms
+        self.max_rate_hz = max_rate_hz
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._last_t_ms: float | None = None
         self.invocations = 0
         self.total_charge_ms = 0.0
 
     def track(self, true_eye: EyeState, t_ms: float) -> tuple[EyeState, float]:
-        min_dt = 1000.0 / self.proxy.max_rate_hz
+        min_dt = 1000.0 / self.max_rate_hz
         if self._last_t_ms is not None and (t_ms - self._last_t_ms) < min_dt - 1e-9:
             raise RateCeilingError(
                 f"face tracker invoked after {t_ms - self._last_t_ms:.3f} ms, "
                 f"ceiling requires >= {min_dt:.3f} ms")
         self._last_t_ms = t_ms
         self.invocations += 1
-        self.total_charge_ms += self.proxy.cost_ms
-        if self.proxy.jitter_sigma_mm > 0:
-            offset = self.rng.normal(0.0, self.proxy.jitter_sigma_mm, size=3)
+        self.total_charge_ms += self.cost_ms
+        if self.jitter_sigma_mm > 0:
+            offset = self.rng.normal(0.0, self.jitter_sigma_mm, size=3)
         else:
             offset = np.zeros(3)
-        return true_eye.translated(offset), self.proxy.cost_ms
+        return true_eye.translated(offset), self.cost_ms
 
 
 @dataclass(frozen=True)
@@ -294,7 +285,8 @@ class CostModel:
         if any(v < 0 for v in self.face_track_ms.values()):
             raise ValueError("face_track_ms entries must be nonnegative")
         if self.flow_ms < 0 or self.render_base_ms < 0:
-            raise ValueError("cost entries must be nonnegative")
+            raise ValueError(f"flow_ms ({self.flow_ms}) and render_base_ms "
+                             f"({self.render_base_ms}) must be nonnegative")
 
     def face_cost(self, resolution: str) -> float:
         try:

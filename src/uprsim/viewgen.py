@@ -32,7 +32,6 @@ from .geometry import (
     ScenePlane,
     intersect_ray_plane,
     project_pinhole,
-    unproject_ray,
 )
 
 
@@ -85,9 +84,6 @@ class Homography:
         q = np.concatenate([p, ones], axis=-1) @ self.h.T
         return q[..., :2] / q[..., 2:3]
 
-    def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self.h))
-
 
 def _homography_from_points(src: np.ndarray, dst: np.ndarray) -> Homography:
     """Exact homography from four point correspondences (DLT, 8x8 solve)."""
@@ -129,18 +125,6 @@ def upr_display_to_plane(eye: EyeState, display: DisplayModel, plane: ScenePlane
     return _homography_from_points(corners_px, np.array(dst))
 
 
-def display_px_to_cam_px(display_px, display: DisplayModel, cam: PinholeCamera,
-                         fit: FitPolicy = FitPolicy.STRETCH) -> np.ndarray:
-    """Which camera pixel is shown at a display pixel under the fit policy."""
-    p = np.asarray(display_px, dtype=float)
-    if fit is FitPolicy.STRETCH:
-        return p * [cam.width_px / display.width_px, cam.height_px / display.height_px]
-    s = min(cam.width_px / display.width_px, cam.height_px / display.height_px)
-    disp_c = np.array([display.width_px / 2.0, display.height_px / 2.0])
-    cam_c = np.array([cam.cx, cam.cy])
-    return s * (p - disp_c) + cam_c
-
-
 def cam_px_to_display_px(cam_px, display: DisplayModel, cam: PinholeCamera,
                          fit: FitPolicy = FitPolicy.STRETCH) -> np.ndarray:
     p = np.asarray(cam_px, dtype=float)
@@ -150,34 +134,6 @@ def cam_px_to_display_px(cam_px, display: DisplayModel, cam: PinholeCamera,
     disp_c = np.array([display.width_px / 2.0, display.height_px / 2.0])
     cam_c = np.array([cam.cx, cam.cy])
     return (p - cam_c) / s + disp_c
-
-
-@dataclass(frozen=True)
-class DprMapping:
-    """Display pixel -> plane point under device-perspective rendering:
-    display px -> back-camera px (fit policy) -> unprojected ray -> plane."""
-
-    back_cam: PinholeCamera
-    display: DisplayModel
-    plane: ScenePlane
-    fit: FitPolicy = FitPolicy.STRETCH
-
-    def plane_point(self, display_px) -> np.ndarray | None:
-        cam_px = display_px_to_cam_px(display_px, self.display, self.back_cam, self.fit)
-        ray_cam = unproject_ray(self.back_cam, cam_px)
-        cam_to_display = self.back_cam.extrinsic.invert()
-        origin = self.display.pose_world.apply(cam_to_display.apply(ray_cam.origin))
-        direction = self.display.pose_world.apply_direction(
-            cam_to_display.apply_direction(ray_cam.direction))
-        hit = intersect_ray_plane(Ray(origin, direction), self.plane)
-        if hit is None:
-            return None
-        return self.plane.to_plane_2d(hit)
-
-
-def dpr_display_to_plane(back_cam: PinholeCamera, display: DisplayModel,
-                         plane: ScenePlane, fit: FitPolicy = FitPolicy.STRETCH) -> DprMapping:
-    return DprMapping(back_cam, display, plane, fit)
 
 
 def perceived_plane_point(display_px, true_eye: EyeState, display: DisplayModel,

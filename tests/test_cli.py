@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from uprsim.cli import main
 
@@ -67,3 +68,30 @@ def test_gen_trace_round_trip(tmp_path):
     from uprsim.tracksim import read_trace_csv
     trace = read_trace_csv(out)
     assert len(trace) == 25
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    ("display_width_mm = -5", None, "DisplayModel.width_mm"),
+    ("fupr_distance_mm = 0", None, "fupr_distance_mm"),
+    ("cost_flow_ms = -1", None, "flow_ms"),
+    ("trace_file = {bad_csv}", None, "trace_file"),
+    ("trace_frame_rate_hz = nan", None, "trace_frame_rate_hz"),
+    ("threshold_eps_max_px = inf", None, "threshold_eps_max_px"),
+    ("noise_latency_frames = -1", None, "noise_latency_frames"),
+    ("", ["sweep", "--param", "eps_max", "--values", "1,abc"], "--values"),
+    ("", ["truthtable", "--eps", "-1"], "--eps"),
+])
+def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("frame,t\n0,0.0\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config.format(bad_csv=bad_csv) + "\n")
+    if argv is None:
+        argv = ["simulate"]
+    if argv[0] != "truthtable":
+        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert named in err

@@ -2,8 +2,11 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uprsim.geometry import EyeState, GeometryError
+from uprsim import scheduler as sched
+from uprsim.geometry import EyeState, GeometryError, project_pinhole
 from uprsim.harness import (
     ConfigError,
     ExperimentConfig,
@@ -242,6 +245,51 @@ def test_tracking_total_is_invocations_times_cost(mode, latency):
     assert s.total_tracking_ms == pytest.approx(owed, abs=1e-6)
     # An invocation made on the final frame is billed there.
     assert res.records[mode].tracking_charge_ms[-1] >= face_cost
+
+
+@pytest.mark.parametrize("policy", ["verbatim", "latched", "decaying"])
+@pytest.mark.parametrize("latency", range(6))
+@settings(derandomize=True, deadline=None, max_examples=3)
+@given(seed=st.integers(1, 2**31 - 1), p_fail=st.floats(0.0, 0.2),
+       jitter_mm=st.floats(0.0, 20.0), amplitude_mm=st.floats(0.0, 300.0))
+def test_tracking_total_property(policy, latency, seed, p_fail, jitter_mm, amplitude_mm):
+    # Total tracking time is invocations x face cost (plus flow cost on
+    # every AAUPR frame), whatever the latency, policy and noise.
+    cfg = benchmark_config(modes="UPR,AAUPR", seed=seed, threshold_policy=policy,
+                           noise_latency_frames=latency, noise_p_fail=p_fail,
+                           noise_jitter_sigma_mm=jitter_mm, trace_amplitude_mm=amplitude_mm,
+                           trace_dwell_frames=20, trace_transition_frames=10)
+    res = run(cfg)
+    cm = cfg.cost_model()
+    for mode, s in res.summaries.items():
+        owed = s.invocations * cm.face_cost(cfg.cost_resolution)
+        if mode == "AAUPR":
+            owed += len(res.trace) * cm.flow_ms
+        assert s.total_tracking_ms == pytest.approx(owed, rel=1e-12, abs=1e-9)
+
+
+def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
+    # A recomputation requested at frame k re-anchors the scheduler at k, so
+    # E at k+1 is measured against the new estimate; the renderer shows that
+    # estimate only from frame k + latency on.
+    cfg = quiet_config(modes="AAUPR", threshold_policy="latched", noise_latency_frames=2)
+    rec = run(cfg).records["AAUPR"]
+    k = int(np.flatnonzero(rec.reason == "spatial")[0])
+    # No earlier request is still in flight at k+1 or k+2.
+    assert rec.decision[k - 2:k].tolist() == ["skip", "skip"]
+    front = cfg.front_cam()
+
+    def eye_px(eye_mm):
+        eye = EyeState.from_cyclopean(eye_mm, ipd_mm=cfg.ipd_mm)
+        return project_pinhole(front, front.extrinsic.apply(np.stack([eye.left_mm, eye.right_mm])))
+
+    flow = eye_px(rec.true_eye_mm[k + 1])
+    assert rec.e_px[k + 1] == pytest.approx(
+        sched.eye_distance_px(eye_px(rec.true_eye_mm[k]), flow), abs=1e-9)
+    assert abs(rec.e_px[k + 1] - sched.eye_distance_px(eye_px(rec.est_eye_mm[k + 1]), flow)) > 1.0
+    assert np.array_equal(rec.est_eye_mm[k + 1], rec.est_eye_mm[k])
+    assert np.allclose(rec.est_eye_mm[k + 2], rec.true_eye_mm[k], rtol=0, atol=1e-12)
+    assert not np.allclose(rec.est_eye_mm[k + 1], rec.est_eye_mm[k + 2])
 
 
 def test_trace_file_input(tmp_path):

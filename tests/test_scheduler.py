@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uprsim.geometry import PinholeCamera
 from uprsim.scheduler import (
@@ -245,6 +247,24 @@ def test_recalculate_reasons_justified():
                     or d.e_px > eps
                     or (d.delta_e_px < c.refine_factor * eps and not prior_precise))
             s = apply_recalculation(s, flow if flow is not None else eyes(0.0), c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(moves=st.lists(st.none() | st.floats(-6.0, 6.0), min_size=1, max_size=80),
+       decay_rate=st.floats(0.01, 1.0), floor_frac=st.floats(0.01, 1.0))
+def test_decaying_eps_floor_and_reset(moves, decay_rate, floor_frac):
+    # moves: per-frame eye motion in px, None for a flow failure.
+    c = cfg(policy=Policy.DECAYING, decay_rate=decay_rate, eps_min_px=24.0 * floor_frac)
+    s = initial_state(c)
+    x = 0.0
+    for move in moves:
+        x += move or 0.0
+        flow = None if move is None else eyes(x)
+        d, s = step(s, flow, c)
+        assert s.eps_current_px >= c.floor_px
+        if d.kind is DecisionKind.RECALCULATE:
+            s = apply_recalculation(s, eyes(x), c)
+            assert s.eps_current_px == c.eps_max_px
 
 
 def test_determinism():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from uprsim.geometry import EyeState, RigidTransform, front_camera, project_pinhole
 from uprsim.tracksim import (
     CostModel,
     FaceTracker,
-    FaceTrackerProxy,
     FlowSimulator,
     Generator,
     RateCeilingError,
@@ -76,13 +77,31 @@ def test_invalid_specs_rejected():
 
 # ---- trace CSV ---------------------------------------------------------
 
-def test_trace_csv_round_trip_bytes(tmp_path):
-    trace = generate_trace(spec(generator=Generator.RANDOM_WALK, seed=3,
-                                amplitude_mm=4.0, n_frames=40))
+# Each example overwrites the same two files, so sharing tmp_path is safe.
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(generator=st.sampled_from(Generator), n_frames=st.integers(1, 60),
+       rate_hz=st.floats(1.0, 120.0), amplitude_mm=st.floats(0.0, 200.0),
+       depth_mm=st.floats(0.0, 100.0), seed=st.integers(0, 2**32 - 1),
+       base_eye_mm=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+                             st.floats(60.0, 500.0)))
+@example(generator=Generator.RANDOM_WALK, n_frames=40, rate_hz=15.0, amplitude_mm=4.0,
+         depth_mm=0.0, seed=3, base_eye_mm=(0.0, 0.0, 300.0))
+def test_trace_csv_round_trip_bytes(tmp_path, generator, n_frames, rate_hz, amplitude_mm,
+                                    depth_mm, seed, base_eye_mm):
+    trace = generate_trace(spec(generator=generator, n_frames=n_frames, frame_rate_hz=rate_hz,
+                                amplitude_mm=amplitude_mm, depth_amplitude_mm=depth_mm,
+                                dwell_frames=5, transition_frames=3, seed=seed,
+                                base_eye_mm=base_eye_mm))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(trace, p1)
-    write_trace_csv(read_trace_csv(p1), p2)
+    back = read_trace_csv(p1)
+    write_trace_csv(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # Full precision: the values read back are the values written.
+    assert [f.t_ms for f in back.frames] == [f.t_ms for f in trace.frames]
+    assert np.array_equal([f.true_eye.cyclopean_mm for f in back.frames],
+                          [f.true_eye.cyclopean_mm for f in trace.frames])
 
 
 def test_trace_csv_rejects_wrong_header(tmp_path):
@@ -150,7 +169,7 @@ def test_flow_failure_probability():
 # ---- face tracker proxy ------------------------------------------------
 
 def test_face_tracker_exact_without_jitter():
-    tracker = FaceTracker(FaceTrackerProxy(jitter_sigma_mm=0.0, cost_ms=30.094))
+    tracker = FaceTracker(jitter_sigma_mm=0.0, cost_ms=30.094)
     eye = eye_at([5.0, 5.0, 200.0])
     est, charge = tracker.track(eye, 0.0)
     assert np.array_equal(est.cyclopean_mm, eye.cyclopean_mm)
@@ -158,7 +177,7 @@ def test_face_tracker_exact_without_jitter():
 
 
 def test_face_tracker_cost_accumulation():
-    tracker = FaceTracker(FaceTrackerProxy(jitter_sigma_mm=0.0, cost_ms=30.094))
+    tracker = FaceTracker(jitter_sigma_mm=0.0, cost_ms=30.094)
     eye = eye_at([0.0, 0.0, 200.0])
     dt = 1000.0 / 15.0
     for i in range(1000):
@@ -168,7 +187,7 @@ def test_face_tracker_cost_accumulation():
 
 
 def test_face_tracker_jitter_statistical():
-    tracker = FaceTracker(FaceTrackerProxy(jitter_sigma_mm=5.0, max_rate_hz=1e12),
+    tracker = FaceTracker(jitter_sigma_mm=5.0, max_rate_hz=1e12,
                           rng=np.random.default_rng(11))
     eye = eye_at([0.0, 0.0, 300.0])
     offsets = np.array([tracker.track(eye, float(i))[0].cyclopean_mm - eye.cyclopean_mm
@@ -180,7 +199,7 @@ def test_face_tracker_jitter_statistical():
 
 
 def test_face_tracker_rate_ceiling():
-    tracker = FaceTracker(FaceTrackerProxy(max_rate_hz=15.0))
+    tracker = FaceTracker(max_rate_hz=15.0)
     eye = eye_at([0.0, 0.0, 200.0])
     tracker.track(eye, 0.0)
     with pytest.raises(RateCeilingError):

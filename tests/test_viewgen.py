@@ -19,8 +19,6 @@ from uprsim.viewgen import (
     FuprCalibration,
     RenderMode,
     cam_px_to_display_px,
-    display_px_to_cam_px,
-    dpr_display_to_plane,
     fupr_eye,
     perceived_plane_point,
     pointing_error,
@@ -147,7 +145,8 @@ def test_upr_homography_randomized_equivalence():
 
 def test_dpr_equals_upr_at_coincident_viewpoint():
     # Back camera on the display axis with FOV chosen so the image exactly
-    # spans the panel: DPR reproduces UPR for an eye at the optical center.
+    # spans the panel: DPR draws every target where UPR does for an eye at
+    # the optical center.
     display = flat_display()
     plane = plane_below()
     z = 50.0
@@ -155,31 +154,24 @@ def test_dpr_equals_upr_at_coincident_viewpoint():
                         cx=320.0, cy=240.0, width_px=640, height_px=480,
                         extrinsic=RigidTransform(np.diag([1.0, -1.0, -1.0]),
                                                  -np.diag([1.0, -1.0, -1.0]) @ np.array([0.0, 0.0, z])))
-    dpr = dpr_display_to_plane(cam, display, plane, FitPolicy.STRETCH)
     eye = EyeState.from_cyclopean([0.0, 0.0, z])
-    h = upr_display_to_plane(eye, display, plane)
-    for px in ([540.0, 304.0], [100.0, 80.0], [1000.0, 550.0]):
-        assert np.allclose(dpr.plane_point(px), h.apply(px), atol=1e-6)
+    for uv in ([0.0, 0.0], [-150.0, 80.0], [250.0, -140.0]):
+        target = plane.from_plane_2d(uv)
+        p_dpr = render_target_px(RenderMode.DPR, target, None, display, back_cam=cam)
+        p_upr = render_target_px(RenderMode.UPR, target, eye, display)
+        assert np.allclose(p_dpr, p_upr, atol=1e-6)
 
 
 def test_dpr_corner_camera_differs_from_upr():
     display = flat_display()
     plane = plane_below()
     cam = back_camera(offset_mm=(50.0, -30.0, 0.0))
-    dpr = dpr_display_to_plane(cam, display, plane)
     eye = EyeState.from_cyclopean([0.0, 0.0, 300.0])
-    h = upr_display_to_plane(eye, display, plane)
-    center = [540.0, 304.0]
-    p_dpr = dpr.plane_point(center)
-    p_upr = h.apply(center)
+    target = plane.from_plane_2d([0.0, 0.0])
+    p_dpr = render_target_px(RenderMode.DPR, target, None, display, back_cam=cam)
+    p_upr = render_target_px(RenderMode.UPR, target, eye, display)
+    assert np.allclose(p_upr, [540.0, 304.0])
     assert np.linalg.norm(p_dpr - p_upr) > 1.0
-    # Oracle: recompute the DPR point by casting the camera ray by hand.
-    cam_px = display_px_to_cam_px(center, display, cam)
-    ray = unproject_ray(cam, cam_px)
-    inv = cam.extrinsic.invert()
-    hit = intersect_ray_plane(Ray(inv.apply(ray.origin), inv.apply_direction(ray.direction)),
-                              plane)
-    assert np.allclose(p_dpr, plane.to_plane_2d(hit), atol=1e-9)
 
 
 def test_fit_policies():
@@ -188,17 +180,15 @@ def test_fit_policies():
     display = DisplayModel(160.0, 90.0, 1600, 900)
     cam = PinholeCamera(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
                         width_px=640, height_px=480)
-    p = np.array([700.0, 300.0])
+    p = np.array([300.0, 200.0])
     for fit, isotropic in ((FitPolicy.LETTERBOX, True), (FitPolicy.STRETCH, False)):
-        dx = display_px_to_cam_px(p + [1, 0], display, cam, fit) - display_px_to_cam_px(p, display, cam, fit)
-        dy = display_px_to_cam_px(p + [0, 1], display, cam, fit) - display_px_to_cam_px(p, display, cam, fit)
+        p0 = cam_px_to_display_px(p, display, cam, fit)
+        dx = cam_px_to_display_px(p + [1, 0], display, cam, fit) - p0
+        dy = cam_px_to_display_px(p + [0, 1], display, cam, fit) - p0
         if isotropic:
             assert abs(np.linalg.norm(dx) - np.linalg.norm(dy)) < 1e-9
         else:
             assert abs(np.linalg.norm(dx) - np.linalg.norm(dy)) > 1e-3
-        # Both fits invert exactly.
-        assert np.allclose(cam_px_to_display_px(
-            display_px_to_cam_px(p, display, cam, fit), display, cam, fit), p, atol=1e-9)
 
 
 # ---- perceived_plane_point ---------------------------------------------
