@@ -105,27 +105,6 @@ class RigidTransform:
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
 
-    def quaternion(self) -> np.ndarray:
-        """Unit quaternion (w, x, y, z) with w >= 0, for serialization."""
-        r = self.rotation
-        t = np.trace(r)
-        if t > 0:
-            s = np.sqrt(t + 1.0) * 2.0
-            q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
-                          (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-        else:
-            i = int(np.argmax(np.diag(r)))
-            j, k = (i + 1) % 3, (i + 2) % 3
-            s = np.sqrt(1.0 + r[i, i] - r[j, j] - r[k, k]) * 2.0
-            q = np.empty(4)
-            q[0] = (r[k, j] - r[j, k]) / s
-            q[1 + i] = 0.25 * s
-            q[1 + j] = (r[j, i] + r[i, j]) / s
-            q[1 + k] = (r[k, i] + r[i, k]) / s
-        if q[0] < 0:
-            q = -q
-        return q / np.linalg.norm(q)
-
     @classmethod
     def from_quaternion(cls, q, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
         w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
@@ -274,11 +253,6 @@ class EyeState:
         c = _as_vec3(cyclopean_mm)
         half = np.array([ipd_mm / 2.0, 0.0, 0.0])
         return cls(c, c - half, c + half, ipd_mm)
-
-    def translated(self, offset_mm) -> "EyeState":
-        d = _as_vec3(offset_mm)
-        return EyeState(self.cyclopean_mm + d, self.left_mm + d,
-                        self.right_mm + d, self.ipd_mm)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ import numpy as np
 from . import scheduler as sched
 from .geometry import (
     DisplayModel,
-    EyeState,
     PinholeCamera,
     RigidTransform,
     ScenePlane,
@@ -67,6 +66,7 @@ from .tracksim import (
     Generator,
     HeadTrace,
     TraceSpec,
+    eye_points,
     generate_trace,
     read_trace_csv,
 )
@@ -369,7 +369,6 @@ def run(config: ExperimentConfig) -> RunResult:
     face_cost = checked("cost_resolution", cost.face_cost, config.cost_resolution)
     if config.noise_latency_frames < 0:
         raise ConfigError("noise_latency_frames: must be nonnegative")
-    true_eye = np.array([fr.true_eye.cyclopean_mm for fr in trace.frames])
 
     records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
@@ -377,10 +376,10 @@ def run(config: ExperimentConfig) -> RunResult:
         cols = _run_mode(mode, config, trace, front, tcfg, cost, face_cost, cal_eye)
         errors = np.full((len(trace), len(targets_world)), np.nan)
         errors[evaluate] = pointing_errors(mode, targets_world, cols["est_eye_mm"][evaluate],
-                                           true_eye[evaluate], display, plane,
+                                           trace.eye_mm[evaluate], display, plane,
                                            back_cam=back, fit=fit)
         charge = cols["tracking_charge_ms"]
-        rec = ModeRecord(mode=mode.value, true_eye_mm=true_eye, errors_mm=errors,
+        rec = ModeRecord(mode=mode.value, true_eye_mm=trace.eye_mm, errors_mm=errors,
                          cumulative_tracking_ms=np.cumsum(charge),
                          frame_time_ms=cost.render_base_ms + charge, **cols)
         records[mode.value] = rec
@@ -417,38 +416,38 @@ def _run_mode(mode, config, trace, front, tcfg, cost, face_cost,
                           trace.frame_rate_hz, face_rng)
 
     state = sched.initial_state(tcfg)
-    current_est = cal_eye
-    pending: list[tuple[int, EyeState, float]] = []  # (arrival frame, estimate, charge)
-    for i, fr in enumerate(trace.frames):
-        if mode is RenderMode.UPR:
-            pending.append((i + latency, *tracker.track(fr.true_eye, fr.t_ms)))
-        else:
+    current_est = cal_eye.cyclopean_mm
+    pending: list[tuple[int, np.ndarray, float]] = []  # (arrival frame, estimate, charge)
+    eyes = eye_points(trace.eye_mm, trace.ipd_mm)
+    for i, t_ms in enumerate(trace.t_ms.tolist()):
+        recalculate = mode is RenderMode.UPR
+        if not recalculate:
             charge[i] = cost.flow_ms
-            meas = flow_sim.measure(fr.true_eye)
+            meas = flow_sim.measure(eyes[i])
             flow_input = sched.FLOW_FAILURE if meas.failed else meas.eye_px
             decision, state = sched.step(state, flow_input, tcfg)
             decision_col[i] = decision.kind.value
             reason_col[i] = decision.reason.value if decision.reason else ""
             e_col[i], de_col[i] = decision.e_px, decision.delta_e_px
-            if decision.kind is sched.DecisionKind.RECALCULATE:
-                est, c = tracker.track(fr.true_eye, fr.t_ms)
-                state = sched.apply_recalculation(state, _project_eyes(front, est), tcfg)
+            recalculate = decision.kind is sched.DecisionKind.RECALCULATE
+        if recalculate:
+            est, c = tracker.track(eyes[i], t_ms)
+            if est[0, 2] <= 0:
+                raise ConfigError(f"noise_jitter_sigma_mm: frame {i}: estimate behind the panel")
+            if mode is RenderMode.AAUPR:
+                eye_px = project_pinhole(front, front.extrinsic.apply(est[1:]))
+                state = sched.apply_recalculation(state, eye_px, tcfg)
                 flow_sim.reset_drift()
-                pending.append((i + latency, est, c))
+            pending.append((i + latency, est[0], c))
         # Results whose latency has elapsed arrive, and are billed, now.
         while pending and pending[0][0] <= i:
             _, current_est, c = pending.pop(0)
             charge[i] += c
-        est_col[i] = current_est.cyclopean_mm
+        est_col[i] = current_est
     # Results due after the trace ends are billed to the final frame.
     for _, _, c in pending:
         charge[-1] += c
     return cols
-
-
-def _project_eyes(front: PinholeCamera, eyes: EyeState) -> np.ndarray:
-    pts = front.extrinsic.apply(np.stack([eyes.left_mm, eyes.right_mm]))
-    return project_pinhole(front, pts)
 
 
 def _summarize(mode: RenderMode, rec: ModeRecord) -> Summary:

@@ -72,8 +72,8 @@ class ThresholdConfig:
     metric: EyeMetric = EyeMetric.MAX
 
     def __post_init__(self):
-        if self.eps_max_px <= 0:
-            raise ValueError("eps_max_px must be positive")
+        if not 0 < self.eps_max_px < np.inf:
+            raise ValueError("eps_max_px must be positive and finite")
         if not 0 < self.refine_factor < 1:
             raise ValueError("refine_factor must be in (0, 1)")
         if self.policy is Policy.DECAYING:

@@ -1,7 +1,9 @@
-"""Synthetic sensing stack: head-motion traces, a flow-based eye tracker
-proxy (noisy projections of the two eye points, standing in for sparse
-feature tracking), a costed and jittered 3D face-tracker proxy, and the
-per-invocation cost model.
+"""Synthetic sensing stack: head-motion traces (validated columns with no
+device pose, since the display is fixed above the scene), a flow-based eye
+tracker proxy (noisy projections of the two eye points, standing in for
+sparse feature tracking), a costed and jittered 3D face-tracker proxy, and
+the per-invocation cost model. The proxies take one frame's eye points as a
+(3, 3) array (eye_points).
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EyeState, PinholeCamera, RigidTransform, project_pinhole
+from .geometry import PinholeCamera, project_pinhole
 
 DEFAULT_FRAME_RATE_HZ = 15.0  # front-camera hardware limit
 
@@ -26,43 +28,65 @@ class Generator(enum.Enum):
     RANDOM_WALK = "random_walk"
 
 
-@dataclass(frozen=True)
-class TraceFrame:
-    t_ms: float
-    true_eye: EyeState          # display frame
-    device_pose: RigidTransform  # display frame -> world frame
+class TraceError(ValueError):
+    """A head trace breaks an invariant at one frame; args are (frame, reason)."""
+
+    def __str__(self) -> str:
+        return "frame %d: %s" % self.args
 
 
 @dataclass(frozen=True)
 class HeadTrace:
-    frames: tuple[TraceFrame, ...]
+    """Per-frame columns: t_ms (F,), eye_mm (F, 3) cyclopean eye in the
+    display frame, ipd_mm (F,). The arrays are read-only."""
+
+    t_ms: np.ndarray
+    eye_mm: np.ndarray
+    ipd_mm: np.ndarray
     frame_rate_hz: float
 
     def __post_init__(self):
-        if len(self.frames) == 0:
+        for name in ("t_ms", "eye_mm", "ipd_mm"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        t, eye, ipd = self.t_ms, self.eye_mm, self.ipd_mm
+        if len(t) == 0:
             raise ValueError("trace must contain at least one frame")
-        t = np.array([f.t_ms for f in self.frames])
-        if len(t) > 1:
-            dt = np.diff(t)
-            if np.any(dt <= 0):
-                raise ValueError("timestamps must be strictly increasing")
-            expected = 1000.0 / self.frame_rate_hz
-            if np.abs(dt - expected).max() > 1e-6:
-                raise ValueError("frame spacing inconsistent with frame rate")
+        dt = np.diff(t)
+        checks = [
+            (~np.isfinite(np.column_stack([t, eye, ipd])).all(axis=1), "values must be finite"),
+            (eye[:, 2] <= 0, "eye must be in front of the panel (z > 0)"),
+            (ipd < 0, "ipd_mm must be nonnegative"),
+            (np.r_[False, dt <= 0], "timestamps must be strictly increasing"),
+            (np.r_[False, np.abs(dt - 1000.0 / self.frame_rate_hz) > 1e-6],
+             "frame spacing inconsistent with frame rate"),
+        ]
+        for bad, reason in checks:
+            if bad.any():
+                raise TraceError(int(np.argmax(bad)), reason)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.t_ms)
 
     def dwell_mask(self, tol_mm: float = 0.5) -> np.ndarray:
         """Frames where the head is effectively at rest relative to the
         device, derived from the trace data itself (a frame dwells when the
         eye moved less than tol_mm since the previous frame)."""
-        eyes = np.array([f.true_eye.cyclopean_mm for f in self.frames])
-        still = np.linalg.norm(np.diff(eyes, axis=0), axis=1) <= tol_mm
-        mask = np.empty(len(eyes), dtype=bool)
+        still = np.linalg.norm(np.diff(self.eye_mm, axis=0), axis=1) <= tol_mm
+        mask = np.empty(len(self), dtype=bool)
         mask[1:] = still
         mask[0] = still[0] if len(still) else True
         return mask
+
+
+def eye_points(eye_mm, ipd_mm) -> np.ndarray:
+    """(..., 3, 3) eye points, rows cyclopean, left, right: the eyes split
+    symmetrically along the display x-axis, as EyeState.from_cyclopean
+    splits them."""
+    c = np.asarray(eye_mm, dtype=float)
+    half = np.multiply.outer(np.asarray(ipd_mm) / 2.0, [1.0, 0.0, 0.0])
+    return np.stack([c, c - half, c + half], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -78,7 +102,6 @@ class TraceSpec:
     transition_frames: int = 20
     sway_period_s: float = 4.0
     seed: int = 0
-    device_pose: RigidTransform = field(default_factory=RigidTransform.identity)
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -119,13 +142,9 @@ def generate_trace(spec: TraceSpec) -> HeadTrace:
     else:
         raise ValueError(f"unknown generator {spec.generator}")
 
-    dt = 1000.0 / spec.frame_rate_hz
-    frames = tuple(
-        TraceFrame(t_ms=i * dt,
-                   true_eye=EyeState.from_cyclopean(positions[i], ipd_mm=spec.ipd_mm),
-                   device_pose=spec.device_pose)
-        for i in range(len(positions)))
-    return HeadTrace(frames=frames, frame_rate_hz=spec.frame_rate_hz)
+    n = len(positions)
+    return HeadTrace(t_ms=np.arange(n) * (1000.0 / spec.frame_rate_hz), eye_mm=positions,
+                     ipd_mm=np.full(n, spec.ipd_mm), frame_rate_hz=spec.frame_rate_hz)
 
 
 def _require_frames(spec: TraceSpec) -> int:
@@ -138,37 +157,49 @@ TRACE_CSV_HEADER = ("frame,t_ms,eye_x_mm,eye_y_mm,eye_z_mm,ipd_mm,"
                     "dev_qw,dev_qx,dev_qy,dev_qz,dev_tx_mm,dev_ty_mm,dev_tz_mm")
 
 
+#: The dev_* columns: the identity pose, the only one a trace may hold.
+IDENTITY_POSE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 def write_trace_csv(trace: HeadTrace, path) -> None:
     """Full-precision CSV export (floats via repr, so import round-trips)."""
     # tolist() gives Python floats, whose str is their repr.
-    rows = np.array([[fr.t_ms, *fr.true_eye.cyclopean_mm, fr.true_eye.ipd_mm,
-                      *fr.device_pose.quaternion(), *fr.device_pose.translation]
-                     for fr in trace.frames]).tolist()
+    rows = np.column_stack([trace.t_ms, trace.eye_mm, trace.ipd_mm]).tolist()
     with open(path, "w", newline="") as f:
         f.write(TRACE_CSV_HEADER + "\n")
-        f.writelines(",".join(map(str, [i, *row])) + "\n" for i, row in enumerate(rows))
+        f.writelines(",".join(map(str, [i, *row, *IDENTITY_POSE])) + "\n"
+                     for i, row in enumerate(rows))
 
 
 def read_trace_csv(path) -> HeadTrace:
-    frames = []
+    """Errors name the file line of the first offending row."""
+    n_cols = TRACE_CSV_HEADER.count(",") + 1
+    lines, rows = [], []
     with open(path) as f:
         header = f.readline().strip()
         if header != TRACE_CSV_HEADER:
             raise ValueError(f"unexpected trace CSV header: {header!r}")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            vals = line.strip().split(",")
-            (_, t_ms, ex, ey, ez, ipd, qw, qx, qy, qz, tx, ty, tz) = (float(v) for v in vals)
-            pose = RigidTransform.from_quaternion([qw, qx, qy, qz], [tx, ty, tz])
-            frames.append(TraceFrame(t_ms=t_ms,
-                                     true_eye=EyeState.from_cyclopean([ex, ey, ez], ipd_mm=ipd),
-                                     device_pose=pose))
-    if len(frames) < 2:
-        rate = DEFAULT_FRAME_RATE_HZ
-    else:
-        rate = 1000.0 / (frames[1].t_ms - frames[0].t_ms)
-    return HeadTrace(frames=tuple(frames), frame_rate_hz=rate)
+            vals = line.split(",")
+            if len(vals) != n_cols:
+                raise ValueError(f"line {lineno}: expected {n_cols} values, got {len(vals)}")
+            rows.append([float(v) for v in vals])
+            lines.append(lineno)
+    data = np.array(rows).reshape(-1, n_cols)
+    for bad, reason in [
+            (~np.isfinite(data).all(axis=1), "values must be finite"),
+            (np.any(data[:, 6:] != IDENTITY_POSE, axis=1), "dev_* pose must be the identity")]:
+        if bad.any():
+            raise ValueError(f"line {lines[np.argmax(bad)]}: {reason}")
+    t = data[:, 1]
+    rate = 1000.0 / (t[1] - t[0]) if len(t) > 1 and t[1] > t[0] else DEFAULT_FRAME_RATE_HZ
+    try:
+        return HeadTrace(t_ms=t, eye_mm=data[:, 2:5], ipd_mm=data[:, 5], frame_rate_hz=rate)
+    except TraceError as exc:
+        frame, reason = exc.args
+        raise ValueError(f"line {lines[frame]}: {reason}") from None
 
 
 @dataclass(frozen=True)
@@ -212,9 +243,8 @@ class FlowSimulator:
         self._drift_frames = 0
         self._drift_dir = self._new_drift_dir()
 
-    def measure(self, true_eye: EyeState) -> FlowMeasurement:
-        pts_cam = self.front_cam.extrinsic.apply(
-            np.stack([true_eye.left_mm, true_eye.right_mm]))
+    def measure(self, eyes: np.ndarray) -> FlowMeasurement:
+        pts_cam = self.front_cam.extrinsic.apply(eyes[1:])
         if np.any(pts_cam[:, 2] <= 0):
             return FlowMeasurement(None)
         px = project_pinhole(self.front_cam, pts_cam)
@@ -237,8 +267,8 @@ class RateCeilingError(RuntimeError):
 class FaceTracker:
     """Costed, jittered stand-in for 3D face tracking.
 
-    Returns the true eyes rigidly displaced by an isotropic Gaussian draw on
-    the cyclopean position. Each invocation charges cost_ms; invocations are
+    Returns the true eye points, (3, 3), rigidly displaced by one isotropic
+    Gaussian draw. Each invocation charges cost_ms; invocations are
     bounded by max_rate_hz against the supplied timestamps.
     """
 
@@ -250,23 +280,19 @@ class FaceTracker:
         self.max_rate_hz = max_rate_hz
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._last_t_ms: float | None = None
-        self.invocations = 0
-        self.total_charge_ms = 0.0
 
-    def track(self, true_eye: EyeState, t_ms: float) -> tuple[EyeState, float]:
+    def track(self, eyes: np.ndarray, t_ms: float) -> tuple[np.ndarray, float]:
         min_dt = 1000.0 / self.max_rate_hz
         if self._last_t_ms is not None and (t_ms - self._last_t_ms) < min_dt - 1e-9:
             raise RateCeilingError(
                 f"face tracker invoked after {t_ms - self._last_t_ms:.3f} ms, "
                 f"ceiling requires >= {min_dt:.3f} ms")
         self._last_t_ms = t_ms
-        self.invocations += 1
-        self.total_charge_ms += self.cost_ms
         if self.jitter_sigma_mm > 0:
             offset = self.rng.normal(0.0, self.jitter_sigma_mm, size=3)
         else:
             offset = np.zeros(3)
-        return true_eye.translated(offset), self.cost_ms
+        return eyes + offset, self.cost_ms
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
 from uprsim.cli import main
+from uprsim.tracksim import TRACE_CSV_HEADER
 
 
 CONFIG = """
@@ -70,6 +70,15 @@ def test_gen_trace_round_trip(tmp_path):
     assert len(trace) == 25
 
 
+def trace_csv(line: int, old: str, new: str) -> str:
+    """A valid three-frame trace CSV with old replaced by new on file line
+    `line` (the header is line 1)."""
+    lines = [TRACE_CSV_HEADER] + [f"{i},{i * 1000 / 15},0.0,0.0,150.0,63.0,"
+                                  "1.0,0.0,0.0,0.0,0.0,0.0,0.0" for i in range(3)]
+    lines[line - 1] = lines[line - 1].replace(old, new)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("config, argv, named", [
     ("display_width_mm = -5", None, "DisplayModel.width_mm"),
     ("fupr_distance_mm = 0", None, "fupr_distance_mm"),
@@ -80,12 +89,24 @@ def test_gen_trace_round_trip(tmp_path):
     ("noise_latency_frames = -1", None, "noise_latency_frames"),
     ("", ["sweep", "--param", "eps_max", "--values", "1,abc"], "--values"),
     ("", ["truthtable", "--eps", "-1"], "--eps"),
+    ("", ["truthtable", "--eps", "nan"], "--eps"),
+    ("", ["truthtable", "--eps", "inf"], "--eps"),
+    ("trace_file = {nan_csv}", None, "trace_file: line 3"),
+    ("trace_file = {behind_csv}", None, "trace_file: line 2"),
+    ("trace_file = {posed_csv}", None, "trace_file: line 4"),
+    ("noise_jitter_sigma_mm = 200", None, "noise_jitter_sigma_mm: frame"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
-    bad_csv = tmp_path / "bad.csv"
-    bad_csv.write_text("frame,t\n0,0.0\n")
+    csvs = {"bad_csv": "frame,t\n0,0.0\n",
+            "nan_csv": trace_csv(3, ",150.0,", ",nan,"),
+            "behind_csv": trace_csv(2, ",150.0,", ",0.0,"),
+            "posed_csv": trace_csv(4, ",63.0,1.0,", ",63.0,0.0,")}
+    paths = {}
+    for name, text in csvs.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(config.format(bad_csv=bad_csv) + "\n")
+    cfg.write_text(config.format(**paths) + "\n")
     if argv is None:
         argv = ["simulate"]
     if argv[0] != "truthtable":

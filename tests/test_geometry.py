@@ -68,12 +68,15 @@ def test_rejects_non_rotation():
         RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
-def test_quaternion_round_trip():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        t = random_transform(rng)
-        back = RigidTransform.from_quaternion(t.quaternion(), t.translation)
-        assert np.allclose(back.rotation, t.rotation, atol=1e-9)
+def test_from_quaternion_matches_axis_rotations():
+    h = np.sqrt(0.5)  # cos and sin of 45 degrees: a 90-degree turn
+    for q, axis in [((h, h, 0.0, 0.0), RigidTransform.from_rotation_x),
+                    ((h, 0.0, h, 0.0), RigidTransform.from_rotation_y),
+                    ((h, 0.0, 0.0, h), RigidTransform.from_rotation_z)]:
+        expected = axis(np.pi / 2, (1.0, -2.0, 3.0))
+        t = RigidTransform.from_quaternion(q, (1.0, -2.0, 3.0))
+        assert np.allclose(t.rotation, expected.rotation, rtol=0, atol=1e-12)
+        assert np.array_equal(t.translation, expected.translation)
 
 
 # ---- Display model -----------------------------------------------------

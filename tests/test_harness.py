@@ -200,13 +200,13 @@ def scalar_errors(cfg: ExperimentConfig, res, mode: str) -> np.ndarray:
     rec = res.records[mode]
     evaluate = res.trace.dwell_mask() if cfg.errors_dwell_only else np.ones(len(rec), bool)
     out = np.full(rec.errors_mm.shape, np.nan)
-    for i, fr in enumerate(res.trace.frames):
-        if not evaluate[i]:
-            continue
+    trace = res.trace
+    for i in np.flatnonzero(evaluate):
         est = None if mode == "DPR" else EyeState.from_cyclopean(rec.est_eye_mm[i], cfg.ipd_mm)
+        true = EyeState.from_cyclopean(trace.eye_mm[i], trace.ipd_mm[i])
         for t, target in enumerate(targets):
             try:
-                out[i, t] = pointing_error(RenderMode(mode), target, est, fr.true_eye,
+                out[i, t] = pointing_error(RenderMode(mode), target, est, true,
                                            display, plane, back_cam=back, fit=fit)
             except GeometryError:
                 pass
@@ -266,6 +266,14 @@ def test_tracking_total_property(policy, latency, seed, p_fail, jitter_mm, ampli
         if mode == "AAUPR":
             owed += len(res.trace) * cm.flow_ms
         assert s.total_tracking_ms == pytest.approx(owed, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["UPR", "AAUPR"])
+def test_estimate_behind_panel_is_config_error(mode):
+    # A jitter draw that puts the face-tracker estimate at z <= 0 names the
+    # config key and the frame instead of failing deep in the geometry.
+    with pytest.raises(ConfigError, match=r"noise_jitter_sigma_mm: frame \d+: estimate behind"):
+        run(benchmark_config(modes=mode, noise_jitter_sigma_mm=200.0))
 
 
 def test_latency_reanchors_scheduler_at_request_renders_at_arrival():

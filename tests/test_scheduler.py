@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from uprsim.geometry import PinholeCamera
 from uprsim.scheduler import (
     FLOW_FAILURE,
-    Decision,
     DecisionKind,
     EyeMetric,
     Policy,

@@ -1,16 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from uprsim.geometry import EyeState, RigidTransform, front_camera, project_pinhole
+from uprsim.geometry import EyeState, front_camera, project_pinhole
 from uprsim.tracksim import (
     CostModel,
     FaceTracker,
     FlowSimulator,
     Generator,
+    HeadTrace,
     RateCeilingError,
+    TraceError,
     TraceSpec,
+    eye_points,
     generate_trace,
     read_trace_csv,
     write_trace_csv,
@@ -27,7 +32,7 @@ def spec(**kw) -> TraceSpec:
 
 def test_stationary_trace():
     trace = generate_trace(spec())
-    eyes = np.array([f.true_eye.cyclopean_mm for f in trace.frames])
+    eyes = trace.eye_mm
     assert len(trace) == 100
     assert np.ptp(eyes, axis=0).max() == 0.0
     assert trace.dwell_mask().all()
@@ -37,7 +42,7 @@ def test_step_move_dwells():
     trace = generate_trace(TraceSpec(generator=Generator.STEP_MOVE,
                                      amplitude_mm=200.0, depth_amplitude_mm=0.0,
                                      dwell_frames=50, transition_frames=20))
-    eyes = np.array([f.true_eye.cyclopean_mm for f in trace.frames])
+    eyes = trace.eye_mm
     assert len(trace) == 120
     assert np.ptp(eyes[:50], axis=0).max() == 0.0
     assert np.ptp(eyes[-50:], axis=0).max() == 0.0
@@ -49,23 +54,48 @@ def test_step_move_dwells():
 
 def test_timestamps_match_rate():
     trace = generate_trace(spec(frame_rate_hz=15.0))
-    t = np.array([f.t_ms for f in trace.frames])
-    assert np.allclose(np.diff(t), 1000.0 / 15.0)
+    assert np.allclose(np.diff(trace.t_ms), 1000.0 / 15.0)
 
 
 def test_random_walk_deterministic():
     a = generate_trace(spec(generator=Generator.RANDOM_WALK, seed=42, amplitude_mm=5.0))
     b = generate_trace(spec(generator=Generator.RANDOM_WALK, seed=42, amplitude_mm=5.0))
-    for fa, fb in zip(a.frames, b.frames):
-        assert np.array_equal(fa.true_eye.cyclopean_mm, fb.true_eye.cyclopean_mm)
+    assert np.array_equal(a.eye_mm, b.eye_mm)
 
 
 def test_sway_is_periodic_lateral():
     trace = generate_trace(spec(generator=Generator.SWAY, n_frames=61,
                                 amplitude_mm=100.0, sway_period_s=4.0))
-    eyes = np.array([f.true_eye.cyclopean_mm for f in trace.frames])
+    eyes = trace.eye_mm
     assert abs(eyes[:, 0]).max() == pytest.approx(100.0, abs=1.0)
     assert np.ptp(eyes[:, 1]) == 0.0 and np.ptp(eyes[:, 2]) == 0.0
+
+
+@pytest.mark.parametrize("column, index, value, reason", [
+    ("eye_mm", (2, 0), np.nan, "values must be finite"),
+    ("t_ms", 2, np.inf, "values must be finite"),
+    ("ipd_mm", 2, -np.inf, "values must be finite"),
+    ("eye_mm", (2, 2), 0.0, "in front of the panel"),
+    ("ipd_mm", 2, -1.0, "ipd_mm must be nonnegative"),
+    ("t_ms", 2, 100.0, "strictly increasing"),
+    ("t_ms", 2, 250.0, "frame spacing"),
+])
+def test_head_trace_rejects_bad_frame(column, index, value, reason):
+    cols = {"t_ms": np.arange(4) * 100.0, "eye_mm": np.tile([0.0, 0.0, 300.0], (4, 1)),
+            "ipd_mm": np.full(4, 63.0)}
+    cols[column][index] = value
+    with pytest.raises(TraceError, match=reason) as exc:
+        HeadTrace(frame_rate_hz=10.0, **cols)
+    assert exc.value.args[0] == 2
+
+
+def test_head_trace_columns_are_read_only_copies():
+    eye = np.tile([0.0, 0.0, 300.0], (2, 1))
+    trace = HeadTrace(t_ms=[0.0, 100.0], eye_mm=eye, ipd_mm=[63.0, 63.0], frame_rate_hz=10.0)
+    eye[0, 0] = 5.0
+    assert trace.eye_mm[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        trace.eye_mm[0, 0] = 5.0
 
 
 def test_invalid_specs_rejected():
@@ -99,9 +129,8 @@ def test_trace_csv_round_trip_bytes(tmp_path, generator, n_frames, rate_hz, ampl
     write_trace_csv(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
     # Full precision: the values read back are the values written.
-    assert [f.t_ms for f in back.frames] == [f.t_ms for f in trace.frames]
-    assert np.array_equal([f.true_eye.cyclopean_mm for f in back.frames],
-                          [f.true_eye.cyclopean_mm for f in trace.frames])
+    assert back.t_ms.tolist() == trace.t_ms.tolist()
+    assert np.array_equal(back.eye_mm, trace.eye_mm)
 
 
 def test_trace_csv_rejects_wrong_header(tmp_path):
@@ -111,10 +140,40 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
         read_trace_csv(p)
 
 
+@pytest.mark.parametrize("line, old, new, message", [
+    (3, "300.0", "inf", "line 3: values must be finite"),
+    (2, "300.0", "-5.0", "line 2: eye must be in front of the panel"),
+    (2, "63.0", "-1.0", "line 2: ipd_mm must be nonnegative"),
+    (4, "0.0,0.0,0.0\n", "0.0,0.0,5.0\n", "line 4: dev_* pose must be the identity"),
+    (3, "66.66666666666667", "0.0", "line 3: timestamps must be strictly increasing"),
+    (4, "133.33333333333334", "150.0", "line 4: frame spacing inconsistent"),
+    (2, "63.0,", "63.0,7,", "line 2: expected 13 values, got 14"),
+])
+def test_trace_csv_rejects_bad_row(tmp_path, line, old, new, message):
+    p = tmp_path / "trace.csv"
+    write_trace_csv(generate_trace(spec(n_frames=3)), p)
+    lines = p.read_text().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace(old, new, 1)
+    p.write_text("".join(lines))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_trace_csv(p)
+
+
 # ---- flow simulator ----------------------------------------------------
 
-def eye_at(pos) -> EyeState:
-    return EyeState.from_cyclopean(pos)
+def eye_at(pos) -> np.ndarray:
+    """(3, 3) eye points, rows cyclopean, left, right."""
+    return eye_points(pos, 63.0)
+
+
+def test_eye_points_match_eye_state():
+    pos = np.array([[10.0, -5.0, 250.0], [-0.0, 3.25, 1e-3]])
+    ipd = np.array([63.0, 58.5])
+    eyes = eye_points(pos, ipd)
+    assert eyes.shape == (2, 3, 3)
+    for p, d, e in zip(pos, ipd, eyes):
+        ref = EyeState.from_cyclopean(p, ipd_mm=d)
+        assert np.array_equal(e, [ref.cyclopean_mm, ref.left_mm, ref.right_mm])
 
 
 def test_noise_free_flow_is_exact_projection():
@@ -122,8 +181,7 @@ def test_noise_free_flow_is_exact_projection():
     sim = FlowSimulator(cam)
     eye = eye_at([10.0, -5.0, 250.0])
     m = sim.measure(eye)
-    expected = project_pinhole(cam, cam.extrinsic.apply(
-        np.stack([eye.left_mm, eye.right_mm])))
+    expected = project_pinhole(cam, cam.extrinsic.apply(eye[1:]))
     assert not m.failed
     assert np.abs(m.eye_px - expected).max() == 0.0
 
@@ -148,8 +206,7 @@ def test_flow_drift_accumulates_and_resets():
     cam = front_camera()
     sim = FlowSimulator(cam, drift_px_per_frame=0.1, rng=np.random.default_rng(7))
     eye = eye_at([0.0, 0.0, 300.0])
-    exact = project_pinhole(cam, cam.extrinsic.apply(
-        np.stack([eye.left_mm, eye.right_mm])))
+    exact = project_pinhole(cam, cam.extrinsic.apply(eye[1:]))
     for i in range(1, 30):
         m = sim.measure(eye)
         assert np.linalg.norm(m.eye_px[0] - exact[0]) == pytest.approx(0.1 * i, abs=1e-9)
@@ -172,7 +229,7 @@ def test_face_tracker_exact_without_jitter():
     tracker = FaceTracker(jitter_sigma_mm=0.0, cost_ms=30.094)
     eye = eye_at([5.0, 5.0, 200.0])
     est, charge = tracker.track(eye, 0.0)
-    assert np.array_equal(est.cyclopean_mm, eye.cyclopean_mm)
+    assert np.array_equal(est, eye)
     assert charge == 30.094
 
 
@@ -180,22 +237,21 @@ def test_face_tracker_cost_accumulation():
     tracker = FaceTracker(jitter_sigma_mm=0.0, cost_ms=30.094)
     eye = eye_at([0.0, 0.0, 200.0])
     dt = 1000.0 / 15.0
-    for i in range(1000):
-        tracker.track(eye, i * dt)
-    assert tracker.invocations == 1000
-    assert tracker.total_charge_ms == pytest.approx(30094.0, abs=1e-6)
+    charges = [tracker.track(eye, i * dt)[1] for i in range(1000)]
+    assert len(charges) == 1000
+    assert sum(charges) == pytest.approx(30094.0, abs=1e-6)
 
 
 def test_face_tracker_jitter_statistical():
     tracker = FaceTracker(jitter_sigma_mm=5.0, max_rate_hz=1e12,
                           rng=np.random.default_rng(11))
     eye = eye_at([0.0, 0.0, 300.0])
-    offsets = np.array([tracker.track(eye, float(i))[0].cyclopean_mm - eye.cyclopean_mm
+    offsets = np.array([tracker.track(eye, float(i))[0][0] - eye[0]
                         for i in range(10_000)])
     assert abs(offsets.std() - 5.0) / 5.0 < 0.05
     # Both eyes displaced rigidly.
     est, _ = tracker.track(eye, 1e7)
-    assert np.allclose(est.right_mm - est.left_mm, eye.right_mm - eye.left_mm)
+    assert np.allclose(est[2] - est[1], eye[2] - eye[1])
 
 
 def test_face_tracker_rate_ceiling():

@@ -11,7 +11,6 @@ from uprsim.geometry import (
     ScenePlane,
     back_camera,
     intersect_ray_plane,
-    project_pinhole,
     unproject_ray,
 )
 from uprsim.viewgen import (
