@@ -192,9 +192,11 @@ class PinholeCamera:
     def diagonal_px(self) -> float:
         return float(np.hypot(self.width_px, self.height_px))
 
-    def contains(self, px) -> bool:
-        u, v = np.asarray(px, dtype=float)
-        return 0.0 <= u <= self.width_px and 0.0 <= v <= self.height_px
+    def contains(self, px) -> np.ndarray:
+        """Whether each (..., 2) pixel lies in the image, edges included;
+        NaN pixels do not."""
+        p = np.asarray(px, dtype=float)
+        return ((0.0 <= p) & (p <= (self.width_px, self.height_px))).all(axis=-1)
 
 
 def front_camera(fx: float = 300.0, fy: float = 300.0,
@@ -331,11 +333,10 @@ def project_pinhole(cam: PinholeCamera, point_cam) -> np.ndarray:
     Raises for points at or behind the camera plane.
     """
     p = np.asarray(point_cam, dtype=float)
-    z = p[..., 2]
-    if np.any(z <= 0):
+    z = p[..., 2:]
+    if (z <= 0).any():
         raise GeometryError("point is behind the camera (z <= 0)")
-    return np.stack([cam.fx * p[..., 0] / z + cam.cx,
-                     cam.fy * p[..., 1] / z + cam.cy], axis=-1)
+    return p[..., :2] * (cam.fx, cam.fy) / z + (cam.cx, cam.cy)
 
 
 def unproject_ray(cam: PinholeCamera, px) -> Ray:

@@ -5,13 +5,16 @@ face tracking for UPR, scheduler-gated for AAUPR, none for FUPR/DPR),
 accounts time against the cost model, and evaluates pointing error against
 a target set on the scene plane.
 
-Each mode runs in two passes. The closed loop (_run_mode) is sequential and
-owns the state: scheduler state, RNG draws and face-tracker results still
-pending on latency. It fills per-frame columns (estimated eye, decision,
-reason, E, dE, tracking charge). The geometry is stateless, so pointing
-error then runs as one numpy pass over frames x targets
-(viewgen.pointing_errors). A mode's result is one ModeRecord of columns;
-summaries and CSV writers read those columns.
+Each mode's geometry is stateless, so it runs as numpy passes over the whole
+trace: the flow proxy's exact eye pixels and visibility
+(FlowSimulator.project) before the loop, and pointing error over frames x
+targets (viewgen.pointing_errors) after it. The closed loop (_run_mode)
+between them is sequential and only draws and decides: it owns the
+scheduler state, the RNG draws and face-tracker results still pending on
+latency, and fills per-frame columns (estimated eye, decision, reason, E,
+dE, tracking charge). A mode's result is one ModeRecord of columns;
+summaries and CSV writers read those columns. A sweep whose parameter does
+not shape the trace builds the trace once and shares it across its cells.
 
 WORLD LAYOUT
 ============
@@ -57,7 +60,6 @@ from .geometry import (
     ScenePlane,
     back_camera,
     front_camera,
-    project_pinhole,
 )
 from .tracksim import (
     CostModel,
@@ -345,17 +347,26 @@ class RunResult:
     trace: HeadTrace
 
 
-def _mode_rngs(seed: int, mode: RenderMode) -> tuple[np.random.Generator, np.random.Generator]:
+def _proxies(config: ExperimentConfig, mode: RenderMode, front: PinholeCamera,
+             face_cost: float, rate_hz: float) -> tuple[FlowSimulator, FaceTracker]:
+    """A mode's flow and face-tracker proxies, each on its own seeded stream.
+    Only UPR and AAUPR use them."""
     idx = list(RenderMode).index(mode)
-    return (np.random.default_rng([seed, idx, 0]),
-            np.random.default_rng([seed, idx, 1]))
+    flow = checked("noise_*", FlowSimulator, front, config.noise_flow_sigma_px,
+                   config.noise_drift_px_per_frame, config.noise_p_fail,
+                   np.random.default_rng([config.seed, idx, 0]))
+    face = checked("noise_jitter_sigma_mm", FaceTracker, config.noise_jitter_sigma_mm,
+                   face_cost, rate_hz, np.random.default_rng([config.seed, idx, 1]))
+    return flow, face
 
 
-def run(config: ExperimentConfig) -> RunResult:
-    """Run every configured mode over the configured trace. Deterministic
+def run(config: ExperimentConfig, trace: HeadTrace | None = None) -> RunResult:
+    """Run every configured mode over the configured trace, or over `trace`
+    when given (it must be the one config.build_trace() returns). Deterministic
     for a fixed config and seed."""
     modes = config.mode_list()
-    trace = config.build_trace()
+    if trace is None:
+        trace = config.build_trace()
     display = config.display()
     plane = config.plane()
     front = config.front_cam()
@@ -369,11 +380,13 @@ def run(config: ExperimentConfig) -> RunResult:
     face_cost = checked("cost_resolution", cost.face_cost, config.cost_resolution)
     if config.noise_latency_frames < 0:
         raise ConfigError("noise_latency_frames: must be nonnegative")
+    # Built before any mode runs, so that a bad noise setting fails first.
+    proxies = [_proxies(config, mode, front, face_cost, trace.frame_rate_hz) for mode in modes]
 
     records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
-    for mode in modes:
-        cols = _run_mode(mode, config, trace, front, tcfg, cost, face_cost, cal_eye)
+    for mode, (flow_sim, tracker) in zip(modes, proxies):
+        cols = _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim, tracker)
         errors = np.full((len(trace), len(targets_world)), np.nan)
         errors[evaluate] = pointing_errors(mode, targets_world, cols["est_eye_mm"][evaluate],
                                            trace.eye_mm[evaluate], display, plane,
@@ -387,9 +400,9 @@ def run(config: ExperimentConfig) -> RunResult:
     return RunResult(records=records, summaries=summaries, trace=trace)
 
 
-def _run_mode(mode, config, trace, front, tcfg, cost, face_cost,
-              cal_eye) -> dict[str, np.ndarray]:
-    """Step the closed loop for one mode: flow proxy, scheduler, face
+def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
+              tracker) -> dict[str, np.ndarray]:
+    """Step the closed loop for one mode: flow draws, scheduler, face
     tracker and results pending on latency. Returns the per-frame columns
     the loop owns, keyed by ModeRecord field name."""
     n = len(trace)
@@ -408,22 +421,19 @@ def _run_mode(mode, config, trace, front, tcfg, cost, face_cost,
     e_col, de_col = cols["e_px"], cols["delta_e_px"]
     est_col, charge = cols["est_eye_mm"], cols["tracking_charge_ms"]
     latency = config.noise_latency_frames
-    flow_rng, face_rng = _mode_rngs(config.seed, mode)
-    flow_sim = FlowSimulator(front, config.noise_flow_sigma_px,
-                             config.noise_drift_px_per_frame,
-                             config.noise_p_fail, flow_rng)
-    tracker = FaceTracker(config.noise_jitter_sigma_mm, face_cost,
-                          trace.frame_rate_hz, face_rng)
 
     state = sched.initial_state(tcfg)
     current_est = cal_eye.cyclopean_mm
     pending: list[tuple[int, np.ndarray, float]] = []  # (arrival frame, estimate, charge)
     eyes = eye_points(trace.eye_mm, trace.ipd_mm)
+    if mode is RenderMode.AAUPR:
+        flow_px, visible = flow_sim.project(eyes)
+        visible = visible.tolist()
     for i, t_ms in enumerate(trace.t_ms.tolist()):
         recalculate = mode is RenderMode.UPR
         if not recalculate:
             charge[i] = cost.flow_ms
-            meas = flow_sim.measure(eyes[i])
+            meas = flow_sim.measure(flow_px[i], visible[i])
             flow_input = sched.FLOW_FAILURE if meas.failed else meas.eye_px
             decision, state = sched.step(state, flow_input, tcfg)
             decision_col[i] = decision.kind.value
@@ -435,8 +445,7 @@ def _run_mode(mode, config, trace, front, tcfg, cost, face_cost,
             if est[0, 2] <= 0:
                 raise ConfigError(f"noise_jitter_sigma_mm: frame {i}: estimate behind the panel")
             if mode is RenderMode.AAUPR:
-                eye_px = project_pinhole(front, front.extrinsic.apply(est[1:]))
-                state = sched.apply_recalculation(state, eye_px, tcfg)
+                state = sched.apply_recalculation(state, flow_sim.project(est)[0], tcfg)
                 flow_sim.reset_drift()
             pending.append((i + latency, est[0], c))
         # Results whose latency has elapsed arrive, and are billed, now.
@@ -531,7 +540,8 @@ SWEEP_PARAMS = {
 
 def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float, Summary]]:
     """One run per value (same seed per cell); returns (value, Summary) rows
-    for every configured mode."""
+    for every configured mode. Cells share the first cell's trace unless the
+    parameter shapes the trace."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {sorted(SWEEP_PARAMS)}")
     values = list(values)
@@ -539,9 +549,15 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float,
         raise ConfigError("sweep values must be nonempty")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError("sweep values must be finite")
+    key = SWEEP_PARAMS[parameter]
+    # build_trace reads only trace_* keys, ipd_mm and seed.
+    shares_trace = not key.startswith("trace_")
+    trace = None
     rows: list[tuple[float, Summary]] = []
     for v in values:
-        result = run(replace(config, **{SWEEP_PARAMS[parameter]: v}))
+        result = run(replace(config, **{key: v}), trace)
+        if shares_trace:
+            trace = result.trace
         for s in result.summaries.values():
             rows.append((v, s))
     return rows

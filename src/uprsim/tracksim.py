@@ -2,8 +2,9 @@
 device pose, since the display is fixed above the scene), a flow-based eye
 tracker proxy (noisy projections of the two eye points, standing in for
 sparse feature tracking), a costed and jittered 3D face-tracker proxy, and
-the per-invocation cost model. The proxies take one frame's eye points as a
-(3, 3) array (eye_points).
+the per-invocation cost model. Eye points are (..., 3, 3) arrays
+(eye_points). The flow proxy projects a whole trace's eyes in one batch
+pass (FlowSimulator.project); its per-frame measure only draws.
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
@@ -216,16 +217,24 @@ class FlowMeasurement:
 class FlowSimulator:
     """Stand-in for sparse feature tracking of the two eye points.
 
-    Projects the true eyes through the front camera, then adds accumulated
-    drift (a slowly growing bias in a per-segment random direction, reset on
-    every pose recomputation) and i.i.d. Gaussian pixel noise. Tracking
-    fails with probability p_fail per frame, and always fails when an eye
-    leaves the front camera's field of view.
+    project gives the exact front-camera pixels of the eyes and whether the
+    camera sees both; it is stateless, so it runs over any number of frames
+    at once. measure then turns one frame's exact pixels into a measurement:
+    tracking fails with probability p_fail per frame, and always fails when
+    an eye is out of view; otherwise it adds accumulated drift (a slowly
+    growing bias in a per-segment random direction, reset on every pose
+    recomputation) and i.i.d. Gaussian pixel noise.
     """
 
     def __init__(self, front_cam: PinholeCamera, noise_sigma_px: float = 0.0,
                  drift_px_per_frame: float = 0.0, p_fail: float = 0.0,
                  rng: np.random.Generator | None = None):
+        for name, value in (("noise_sigma_px", noise_sigma_px),
+                            ("drift_px_per_frame", drift_px_per_frame)):
+            if not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+        if not 0 <= p_fail <= 1:
+            raise ValueError(f"p_fail must be in [0, 1], got {p_fail}")
         self.front_cam = front_cam
         self.noise_sigma_px = noise_sigma_px
         self.drift_px_per_frame = drift_px_per_frame
@@ -243,12 +252,21 @@ class FlowSimulator:
         self._drift_frames = 0
         self._drift_dir = self._new_drift_dir()
 
-    def measure(self, eyes: np.ndarray) -> FlowMeasurement:
-        pts_cam = self.front_cam.extrinsic.apply(eyes[1:])
-        if np.any(pts_cam[:, 2] <= 0):
-            return FlowMeasurement(None)
-        px = project_pinhole(self.front_cam, pts_cam)
-        if not all(self.front_cam.contains(p) for p in px):
+    def project(self, eyes) -> tuple[np.ndarray, np.ndarray]:
+        """Exact front-camera pixels of the left and right eyes of (..., 3, 3)
+        eye points, as (..., 2, 2), and a (...,) mask: both eyes in front of
+        the camera and inside the image. An eye behind the camera projects
+        as NaN, which no bounds test passes."""
+        cam = self.front_cam
+        pts = cam.extrinsic.apply(np.asarray(eyes, dtype=float)[..., 1:, :])
+        px = project_pinhole(cam, np.where(pts[..., 2:] > 0, pts, np.nan))
+        return px, cam.contains(px).all(axis=-1)
+
+    def measure(self, px: np.ndarray, visible: bool) -> FlowMeasurement:
+        """One frame's measurement from its exact (2, 2) pixels and
+        visibility, as project returns them. Draws from the rng only for a
+        visible frame: the failure draw, then the noise."""
+        if not visible:
             return FlowMeasurement(None)
         if self.p_fail > 0 and self.rng.random() < self.p_fail:
             return FlowMeasurement(None)
@@ -275,6 +293,8 @@ class FaceTracker:
     def __init__(self, jitter_sigma_mm: float = 5.0, cost_ms: float = 30.094,
                  max_rate_hz: float = DEFAULT_FRAME_RATE_HZ,
                  rng: np.random.Generator | None = None):
+        if not jitter_sigma_mm >= 0:
+            raise ValueError(f"jitter_sigma_mm must be nonnegative, got {jitter_sigma_mm}")
         self.jitter_sigma_mm = jitter_sigma_mm
         self.cost_ms = cost_ms
         self.max_rate_hz = max_rate_hz

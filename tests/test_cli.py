@@ -95,6 +95,11 @@ def trace_csv(line: int, old: str, new: str) -> str:
     ("trace_file = {behind_csv}", None, "trace_file: line 2"),
     ("trace_file = {posed_csv}", None, "trace_file: line 4"),
     ("noise_jitter_sigma_mm = 200", None, "noise_jitter_sigma_mm: frame"),
+    ("noise_jitter_sigma_mm = -5", None, "noise_jitter_sigma_mm: jitter_sigma_mm"),
+    ("noise_flow_sigma_px = -3", None, "noise_*: noise_sigma_px"),
+    ("noise_p_fail = 7", None, "noise_*: p_fail"),
+    ("noise_p_fail = -0.5", None, "noise_*: p_fail"),
+    ("noise_drift_px_per_frame = -2", None, "noise_*: drift_px_per_frame"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
     csvs = {"bad_csv": "frame,t\n0,0.0\n",

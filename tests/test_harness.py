@@ -1,13 +1,16 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uprsim import harness
 from uprsim import scheduler as sched
 from uprsim.geometry import EyeState, GeometryError, project_pinhole
 from uprsim.harness import (
+    SWEEP_PARAMS,
     ConfigError,
     ExperimentConfig,
     benchmark_config,
@@ -386,3 +389,35 @@ def test_sweep_validation():
         sweep(cfg, "eps_max", [])
     with pytest.raises(ConfigError):
         sweep(cfg, "eps_max", [float("inf")])
+
+
+@pytest.mark.parametrize("parameter, values", [
+    ("eps_max", [8.0, 24.0, 48.0]),
+    ("jitter_sigma", [0.0, 5.0, 10.0]),
+    ("head_displacement", [50.0, 150.0, 250.0]),
+])
+def test_sweep_rows_equal_per_cell_runs(parameter, values):
+    # Cells that share the first cell's trace, and head_displacement cells
+    # that each build their own, give exactly their stand-alone runs.
+    cfg = benchmark_config(modes="UPR,FUPR,AAUPR", trace_dwell_frames=40,
+                           trace_transition_frames=10)
+    expected = [(v, s) for v in values for s in
+                run(replace(cfg, **{SWEEP_PARAMS[parameter]: v})).summaries.values()]
+    assert repr(sweep(cfg, parameter, values)) == repr(expected)
+
+
+def test_eps_sweep_reads_trace_file_once(tmp_path, monkeypatch):
+    from uprsim.tracksim import read_trace_csv, write_trace_csv
+    path = tmp_path / "trace.csv"
+    write_trace_csv(benchmark_config().build_trace(), path)
+    calls = []
+
+    def counting_read(p):
+        calls.append(p)
+        return read_trace_csv(p)
+
+    monkeypatch.setattr(harness, "read_trace_csv", counting_read)
+    rows = sweep(benchmark_config(modes="AAUPR", trace_file=str(path)), "eps_max",
+                 [8.0, 16.0, 24.0, 32.0])
+    assert len(rows) == 4
+    assert calls == [str(path)]

@@ -296,6 +296,21 @@ def test_eye_distance_metrics():
     assert eye_distance_px(a, b, EyeMetric.MEAN) == pytest.approx(2.5)
 
 
+eye_pair = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(a=eye_pair, b=eye_pair, metric=st.sampled_from(EyeMetric))
+def test_eye_distance_bit_equals_norm(a, b, metric):
+    # The float arithmetic must reproduce the np.linalg.norm formulation
+    # exactly, overflow to inf included, or AAUPR decisions could flip.
+    d = np.linalg.norm(a - b, axis=-1)
+    expected = float(d.max() if metric is EyeMetric.MAX else d.mean())
+    assert eye_distance_px(a, b, metric) == expected
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ThresholdConfig(eps_max_px=0.0)

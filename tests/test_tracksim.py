@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from uprsim.geometry import EyeState, front_camera, project_pinhole
+from uprsim.geometry import EyeState, PinholeCamera, RigidTransform, front_camera, project_pinhole
 from uprsim.tracksim import (
     CostModel,
     FaceTracker,
@@ -176,11 +176,77 @@ def test_eye_points_match_eye_state():
         assert np.array_equal(e, [ref.cyclopean_mm, ref.left_mm, ref.right_mm])
 
 
+def per_frame_projection(cam, eyes):
+    """The per-frame oracle for FlowSimulator.project: the two eyes' pixels
+    (None when an eye is at or behind the camera) and visibility."""
+    pts = cam.extrinsic.apply(eyes[1:])
+    if np.any(pts[:, 2] <= 0):
+        return None, False
+    px = project_pinhole(cam, pts)
+    return px, all(0 <= u <= cam.width_px and 0 <= v <= cam.height_px for u, v in px)
+
+
+def assert_project_matches_per_frame(cam, eyes):
+    px, visible = FlowSimulator(cam).project(eyes)
+    assert px.shape == eyes.shape[:-2] + (2, 2)
+    assert visible.shape == eyes.shape[:-2]
+    for e, p, vis in zip(eyes, px, visible):
+        expected, expected_vis = per_frame_projection(cam, e)
+        assert vis == expected_vis
+        if expected is None:
+            behind = cam.extrinsic.apply(e[1:])[:, 2] <= 0
+            assert np.isnan(p[behind]).all()
+        else:
+            assert np.array_equal(p, expected)
+
+
+def test_project_edges_behind_and_off_image():
+    # front_camera(250, 250, 640, 480) at z = 250 mm: u = 320 - x, v = 240 - y.
+    cam = front_camera(250.0, 250.0, 640, 480)
+    frames = eye_points([[0.0, 0.0, 250.0],       # centre
+                         [-320.0, 0.0, 250.0],    # u = 640, right edge
+                         [320.0, 0.0, 250.0],     # u = 0, left edge
+                         [0.0, 240.0, 250.0],     # v = 0, top edge
+                         [0.0, -240.0, 250.0],    # v = 480, bottom edge
+                         [-320.5, 0.0, 250.0],    # u = 640.5, just off the image
+                         [5000.0, 0.0, 100.0],    # far off the image
+                         [0.0, 0.0, 0.0],         # in the camera plane
+                         [0.0, 0.0, -100.0]],     # behind the camera
+                        0.0)
+    one_behind = eye_points([0.0, 0.0, 250.0], 63.0)
+    one_behind[2, 2] = -1.0                       # right eye alone behind
+    eyes = np.concatenate([frames, one_behind[None]])
+    _, visible = FlowSimulator(cam).project(eyes)
+    assert visible.tolist() == [True] * 5 + [False] * 5
+    assert_project_matches_per_frame(cam, eyes)
+
+
+coord_mm = st.floats(-3000.0, 3000.0, allow_nan=False)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(fx=st.floats(10.0, 2000.0), fy=st.floats(10.0, 2000.0),
+       width=st.integers(1, 2000), height=st.integers(1, 2000),
+       tilt=st.floats(-0.5, 0.5), ipd=st.floats(0.0, 80.0),
+       eye_mm=st.lists(st.tuples(coord_mm, coord_mm, st.floats(-500.0, 3000.0)),
+                       min_size=1, max_size=12))
+def test_project_bit_equals_per_frame_projection(fx, fy, width, height, tilt, ipd, eye_mm):
+    # The batch pass over frames gives exactly the per-frame pixels and
+    # visibility, for the front camera and for a tilted one.
+    eyes = eye_points(np.array(eye_mm), ipd)
+    cam = front_camera(fx, fy, width, height)
+    assert_project_matches_per_frame(cam, eyes)
+    tilted = PinholeCamera(fx, fy, width / 2.0, height / 2.0, width, height,
+                           RigidTransform.from_rotation_y(tilt, (5.0, -3.0, 1.0)))
+    assert_project_matches_per_frame(tilted, eyes)
+
+
 def test_noise_free_flow_is_exact_projection():
     cam = front_camera()
     sim = FlowSimulator(cam)
     eye = eye_at([10.0, -5.0, 250.0])
-    m = sim.measure(eye)
+    m = sim.measure(*sim.project(eye))
     expected = project_pinhole(cam, cam.extrinsic.apply(eye[1:]))
     assert not m.failed
     assert np.abs(m.eye_px - expected).max() == 0.0
@@ -189,14 +255,14 @@ def test_noise_free_flow_is_exact_projection():
 def test_flow_fails_when_eye_leaves_view():
     cam = front_camera()
     sim = FlowSimulator(cam)
-    assert sim.measure(eye_at([5000.0, 0.0, 100.0])).failed
+    assert sim.measure(*sim.project(eye_at([5000.0, 0.0, 100.0]))).failed
 
 
 def test_flow_noise_sigma_statistical():
     cam = front_camera()
     sim = FlowSimulator(cam, noise_sigma_px=2.0, rng=np.random.default_rng(5))
     eye = eye_at([0.0, 0.0, 300.0])
-    samples = np.array([sim.measure(eye).eye_px for _ in range(10_000)])
+    samples = np.array([sim.measure(*sim.project(eye)).eye_px for _ in range(10_000)])
     resid = samples - samples.mean(axis=0)
     sample_sigma = resid.std()
     assert abs(sample_sigma - 2.0) / 2.0 < 0.05
@@ -208,10 +274,10 @@ def test_flow_drift_accumulates_and_resets():
     eye = eye_at([0.0, 0.0, 300.0])
     exact = project_pinhole(cam, cam.extrinsic.apply(eye[1:]))
     for i in range(1, 30):
-        m = sim.measure(eye)
+        m = sim.measure(*sim.project(eye))
         assert np.linalg.norm(m.eye_px[0] - exact[0]) == pytest.approx(0.1 * i, abs=1e-9)
     sim.reset_drift()
-    m = sim.measure(eye)
+    m = sim.measure(*sim.project(eye))
     assert np.linalg.norm(m.eye_px[0] - exact[0]) == pytest.approx(0.1, abs=1e-9)
 
 
@@ -219,7 +285,7 @@ def test_flow_failure_probability():
     cam = front_camera()
     sim = FlowSimulator(cam, p_fail=0.5, rng=np.random.default_rng(9))
     eye = eye_at([0.0, 0.0, 300.0])
-    fails = sum(sim.measure(eye).failed for _ in range(2000))
+    fails = sum(sim.measure(*sim.project(eye)).failed for _ in range(2000))
     assert 900 < fails < 1100
 
 
