@@ -7,14 +7,15 @@ a target set on the scene plane.
 
 Each mode's geometry is stateless, so it runs as numpy passes over the whole
 trace: the flow proxy's exact eye pixels and visibility
-(FlowSimulator.project) before the loop, and pointing error over frames x
-targets (viewgen.pointing_errors) after it. The closed loop (_run_mode)
-between them is sequential and only draws and decides: it owns the
-scheduler state, the RNG draws and face-tracker results still pending on
-latency, and fills per-frame columns (estimated eye, decision, reason, E,
-dE, tracking charge). A mode's result is one ModeRecord of columns;
-summaries and CSV writers read those columns. A sweep whose parameter does
-not shape the trace builds the trace once and shares it across its cells.
+(FlowSimulator.project) before AAUPR's closed loop, and pointing error over
+frames x targets (viewgen.pointing_errors) after it. Face tracking is a
+list of request frames: every frame for UPR, the frames AAUPR's loop
+recalculated at. That loop is the only sequential part: it owns the
+scheduler state and flow draws, and fills the decision, reason, E and dE
+columns. One numpy pass over the requests then builds the estimated-eye
+and charge columns (_run_mode). A mode's result is one ModeRecord of
+columns; summaries and CSV writers read those columns. A sweep whose
+parameter does not shape the trace builds the trace once and shares it.
 
 WORLD LAYOUT
 ============
@@ -30,11 +31,13 @@ Per front-camera frame and mode:
     frame_time_ms = render_base_ms + charges arriving this frame
 
 where the charges are flow_ms for every AAUPR frame plus a face-tracking
-cost for every invocation. An invocation made at frame k is charged to the
-frame where its result arrives (k + noise_latency_frames), and renders from
-that frame on. Results due after the trace ends are never rendered, but
-their charges are billed to the final frame, so totals always equal
-invocations x cost. Tracking time totals count the same charges.
+cost for every invocation. A request made at frame k arrives at frame
+k + noise_latency_frames, is charged there, and renders from that frame on:
+the estimated-eye column is forward-filled from the arrival frames, and
+holds the calibration eye before the first arrival. Results due after the
+trace ends are never rendered, but their charges are billed to the final
+frame, so totals always equal invocations x cost. Tracking time totals
+count the same charges.
 
 Latency model: an AAUPR recomputation requested at frame k is computed from
 frame k's eye, and the scheduler re-anchors on that estimate at frame k
@@ -160,6 +163,10 @@ class ExperimentConfig:
 
     errors_dwell_only: bool = True
     errors_px_per_mm: float = 0.0  # 0 -> report mm only
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
 
     # ---- parsing -------------------------------------------------------
 
@@ -348,7 +355,7 @@ class RunResult:
 
 
 def _proxies(config: ExperimentConfig, mode: RenderMode, front: PinholeCamera,
-             face_cost: float, rate_hz: float) -> tuple[FlowSimulator, FaceTracker]:
+             face_cost: float) -> tuple[FlowSimulator, FaceTracker]:
     """A mode's flow and face-tracker proxies, each on its own seeded stream.
     Only UPR and AAUPR use them."""
     idx = list(RenderMode).index(mode)
@@ -356,7 +363,7 @@ def _proxies(config: ExperimentConfig, mode: RenderMode, front: PinholeCamera,
                    config.noise_drift_px_per_frame, config.noise_p_fail,
                    np.random.default_rng([config.seed, idx, 0]))
     face = checked("noise_jitter_sigma_mm", FaceTracker, config.noise_jitter_sigma_mm,
-                   face_cost, rate_hz, np.random.default_rng([config.seed, idx, 1]))
+                   face_cost, np.random.default_rng([config.seed, idx, 1]))
     return flow, face
 
 
@@ -381,7 +388,7 @@ def run(config: ExperimentConfig, trace: HeadTrace | None = None) -> RunResult:
     if config.noise_latency_frames < 0:
         raise ConfigError("noise_latency_frames: must be nonnegative")
     # Built before any mode runs, so that a bad noise setting fails first.
-    proxies = [_proxies(config, mode, front, face_cost, trace.frame_rate_hz) for mode in modes]
+    proxies = [_proxies(config, mode, front, face_cost) for mode in modes]
 
     records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
@@ -402,9 +409,10 @@ def run(config: ExperimentConfig, trace: HeadTrace | None = None) -> RunResult:
 
 def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
               tracker) -> dict[str, np.ndarray]:
-    """Step the closed loop for one mode: flow draws, scheduler, face
-    tracker and results pending on latency. Returns the per-frame columns
-    the loop owns, keyed by ModeRecord field name."""
+    """One mode's sensing columns, keyed by ModeRecord field name. UPR
+    requests a face-tracker result on every frame; AAUPR's closed loop
+    (flow measure, scheduler step, re-anchor) chooses its request frames.
+    One pass over the requests then builds the estimate and charge columns."""
     n = len(trace)
     cols = {"decision": np.full(n, "", dtype=object),
             "reason": np.full(n, "", dtype=object),
@@ -417,45 +425,41 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
     if mode not in (RenderMode.UPR, RenderMode.AAUPR):
         return cols  # no sensing, no charges
 
-    decision_col, reason_col = cols["decision"], cols["reason"]
-    e_col, de_col = cols["e_px"], cols["delta_e_px"]
-    est_col, charge = cols["est_eye_mm"], cols["tracking_charge_ms"]
-    latency = config.noise_latency_frames
-
-    state = sched.initial_state(tcfg)
-    current_est = cal_eye.cyclopean_mm
-    pending: list[tuple[int, np.ndarray, float]] = []  # (arrival frame, estimate, charge)
+    charge = cols["tracking_charge_ms"]
     eyes = eye_points(trace.eye_mm, trace.ipd_mm)
-    if mode is RenderMode.AAUPR:
+    offsets = tracker.offsets(n)  # the k-th request uses offsets[k]
+    if mode is RenderMode.UPR:
+        requests = np.arange(n)
+    else:
+        charge[:] = cost.flow_ms
+        state = sched.initial_state(tcfg)
         flow_px, visible = flow_sim.project(eyes)
-        visible = visible.tolist()
-    for i, t_ms in enumerate(trace.t_ms.tolist()):
-        recalculate = mode is RenderMode.UPR
-        if not recalculate:
-            charge[i] = cost.flow_ms
-            meas = flow_sim.measure(flow_px[i], visible[i])
+        recalcs: list[int] = []
+        for i, vis in enumerate(visible.tolist()):
+            meas = flow_sim.measure(flow_px[i], vis)
             flow_input = sched.FLOW_FAILURE if meas.failed else meas.eye_px
             decision, state = sched.step(state, flow_input, tcfg)
-            decision_col[i] = decision.kind.value
-            reason_col[i] = decision.reason.value if decision.reason else ""
-            e_col[i], de_col[i] = decision.e_px, decision.delta_e_px
-            recalculate = decision.kind is sched.DecisionKind.RECALCULATE
-        if recalculate:
-            est, c = tracker.track(eyes[i], t_ms)
-            if est[0, 2] <= 0:
-                raise ConfigError(f"noise_jitter_sigma_mm: frame {i}: estimate behind the panel")
-            if mode is RenderMode.AAUPR:
-                state = sched.apply_recalculation(state, flow_sim.project(est)[0], tcfg)
+            cols["decision"][i] = decision.kind.value
+            cols["reason"][i] = decision.reason.value if decision.reason else ""
+            cols["e_px"][i], cols["delta_e_px"][i] = decision.e_px, decision.delta_e_px
+            if decision.kind is sched.DecisionKind.RECALCULATE:
+                est_px = flow_sim.project(eyes[i] + offsets[len(recalcs)])[0]
+                state = sched.apply_recalculation(state, est_px, tcfg)
                 flow_sim.reset_drift()
-            pending.append((i + latency, est[0], c))
-        # Results whose latency has elapsed arrive, and are billed, now.
-        while pending and pending[0][0] <= i:
-            _, current_est, c = pending.pop(0)
-            charge[i] += c
-        est_col[i] = current_est
-    # Results due after the trace ends are billed to the final frame.
-    for _, _, c in pending:
-        charge[-1] += c
+                recalcs.append(i)
+        requests = np.array(recalcs, dtype=int)
+
+    est = eyes[requests, 0] + offsets[:len(requests)]
+    behind = est[:, 2] <= 0
+    if behind.any():
+        raise ConfigError(f"noise_jitter_sigma_mm: frame {requests[np.argmax(behind)]}: "
+                          "estimate behind the panel")
+    arrival = requests + config.noise_latency_frames
+    # Unbuffered and in request order, so each frame sums as a queue would.
+    np.add.at(charge, np.minimum(arrival, n - 1), tracker.cost_ms)
+    # Frame j renders the latest estimate arrived by j; arrivals ascend.
+    latest = np.searchsorted(arrival, np.arange(n), side="right") - 1
+    cols["est_eye_mm"][:] = np.where(latest[:, None] >= 0, est[latest], cal_eye.cyclopean_mm)
     return cols
 
 

@@ -4,7 +4,8 @@ tracker proxy (noisy projections of the two eye points, standing in for
 sparse feature tracking), a costed and jittered 3D face-tracker proxy, and
 the per-invocation cost model. Eye points are (..., 3, 3) arrays
 (eye_points). The flow proxy projects a whole trace's eyes in one batch
-pass (FlowSimulator.project); its per-frame measure only draws.
+pass (FlowSimulator.project); its per-frame measure only draws. The face
+tracker draws all its jitter at once (FaceTracker.offsets).
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
@@ -278,41 +279,29 @@ class FlowSimulator:
         return FlowMeasurement(px)
 
 
-class RateCeilingError(RuntimeError):
-    """Face tracker invoked faster than its rate ceiling allows."""
-
-
 class FaceTracker:
     """Costed, jittered stand-in for 3D face tracking.
 
-    Returns the true eye points, (3, 3), rigidly displaced by one isotropic
-    Gaussian draw. Each invocation charges cost_ms; invocations are
-    bounded by max_rate_hz against the supplied timestamps.
+    Its k-th invocation returns the true eye points, (3, 3), rigidly
+    displaced by offsets(n)[k], one isotropic Gaussian draw, and charges
+    cost_ms.
     """
 
     def __init__(self, jitter_sigma_mm: float = 5.0, cost_ms: float = 30.094,
-                 max_rate_hz: float = DEFAULT_FRAME_RATE_HZ,
                  rng: np.random.Generator | None = None):
         if not jitter_sigma_mm >= 0:
             raise ValueError(f"jitter_sigma_mm must be nonnegative, got {jitter_sigma_mm}")
         self.jitter_sigma_mm = jitter_sigma_mm
         self.cost_ms = cost_ms
-        self.max_rate_hz = max_rate_hz
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._last_t_ms: float | None = None
 
-    def track(self, eyes: np.ndarray, t_ms: float) -> tuple[np.ndarray, float]:
-        min_dt = 1000.0 / self.max_rate_hz
-        if self._last_t_ms is not None and (t_ms - self._last_t_ms) < min_dt - 1e-9:
-            raise RateCeilingError(
-                f"face tracker invoked after {t_ms - self._last_t_ms:.3f} ms, "
-                f"ceiling requires >= {min_dt:.3f} ms")
-        self._last_t_ms = t_ms
+    def offsets(self, n: int) -> np.ndarray:
+        """(n, 3) displacements of the first n invocations, in one draw that
+        is bit-equal to n sequential size-3 draws; zeros, drawing nothing,
+        without jitter."""
         if self.jitter_sigma_mm > 0:
-            offset = self.rng.normal(0.0, self.jitter_sigma_mm, size=3)
-        else:
-            offset = np.zeros(3)
-        return eyes + offset, self.cost_ms
+            return self.rng.normal(0.0, self.jitter_sigma_mm, size=(n, 3))
+        return np.zeros((n, 3))
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,9 @@ def trace_csv(line: int, old: str, new: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
+
+
 @pytest.mark.parametrize("config, argv, named", [
     ("display_width_mm = -5", None, "DisplayModel.width_mm"),
     ("fupr_distance_mm = 0", None, "fupr_distance_mm"),
@@ -100,6 +103,10 @@ def trace_csv(line: int, old: str, new: str) -> str:
     ("noise_p_fail = 7", None, "noise_*: p_fail"),
     ("noise_p_fail = -0.5", None, "noise_*: p_fail"),
     ("noise_drift_px_per_frame = -2", None, "noise_*: drift_px_per_frame"),
+    ("modes = DPR\nseed = -1", None, "seed: must be nonnegative"),
+    (WALK + "seed = -1", ["gen-trace"], "seed: must be nonnegative"),
+    (WALK + "seed = -1", ["sweep", "--param", "eps_max", "--values", "8"],
+     "seed: must be nonnegative"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
     csvs = {"bad_csv": "frame,t\n0,0.0\n",
@@ -115,9 +122,23 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
     if argv is None:
         argv = ["simulate"]
     if argv[0] != "truthtable":
-        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        flag = "--spec" if argv[0] == "gen-trace" else "--config"
+        argv = argv + [flag, str(cfg), "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert named in err
+
+
+def test_trace_with_timestamp_jitter_runs(tmp_path, capsys):
+    # Frame spacing off by up to 5e-7 ms, inside the trace check's 1e-6 ms:
+    # UPR and AAUPR run it, whatever the spacing between invocations.
+    rows = [f"{i},{t},0.0,0.0,150.0,63.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0" for i, t in
+            enumerate(["0", "66.6666667", "133.3333329", "200.0000001"])]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join([TRACE_CSV_HEADER] + rows) + "\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"modes = UPR,AAUPR\ntrace_file = {trace}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "4 face-tracker invocations" in capsys.readouterr().out

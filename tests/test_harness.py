@@ -303,6 +303,62 @@ def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
     assert not np.allclose(rec.est_eye_mm[k + 1], rec.est_eye_mm[k + 2])
 
 
+def pending_queue_reference(cfg: ExperimentConfig, res, mode: str):
+    """est_eye_mm and tracking_charge_ms built frame by frame with a queue of
+    pending results, from the request frames the run recorded: a request at
+    frame k draws its jitter then, arrives and is billed at k + latency, and
+    results still queued when the trace ends are billed to its final frame."""
+    rec, n = res.records[mode], len(res.trace)
+    cm = cfg.cost_model()
+    face_cost = cm.face_cost(cfg.cost_resolution)
+    rng = harness._proxies(cfg, RenderMode(mode), cfg.front_cam(), face_cost)[1].rng
+    requests = set(range(n)) if mode == "UPR" else \
+        set(np.flatnonzero(rec.decision == "recalculate").tolist())
+    eyes = harness.eye_points(res.trace.eye_mm, res.trace.ipd_mm)
+    sigma = cfg.noise_jitter_sigma_mm
+    est_col, charge = np.full((n, 3), np.nan), np.zeros(n)
+    current = harness.fupr_eye(cfg.fupr_calibration(), ipd_mm=cfg.ipd_mm).cyclopean_mm
+    pending = []
+    for i in range(n):
+        if mode == "AAUPR":
+            charge[i] = cm.flow_ms
+        if i in requests:
+            offset = rng.normal(0.0, sigma, size=3) if sigma > 0 else np.zeros(3)
+            pending.append((i + cfg.noise_latency_frames, (eyes[i] + offset)[0], face_cost))
+        while pending and pending[0][0] <= i:
+            _, current, c = pending.pop(0)
+            charge[i] += c
+        est_col[i] = current
+    for _, _, c in pending:
+        charge[-1] += c
+    return est_col, charge
+
+
+@pytest.mark.parametrize("latency", range(7))
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**31 - 1), n_frames=st.integers(1, 30),
+       jitter_mm=st.one_of(st.just(0.0), st.floats(0.01, 20.0)),
+       amplitude_mm=st.floats(0.0, 200.0), p_fail=st.floats(0.0, 0.3),
+       policy=st.sampled_from(["verbatim", "latched", "decaying"]),
+       flow_ms=st.floats(0.0, 2.0), face_ms=st.floats(1.0, 60.0))
+def test_request_events_equal_pending_queue(latency, seed, n_frames, jitter_mm, amplitude_mm,
+                                            p_fail, policy, flow_ms, face_ms):
+    # The one pass over request frames gives the sequential queue's columns
+    # bit for bit, traces no longer than the latency included. Drawn costs
+    # make the final frame's sum sensitive to its order.
+    cfg = benchmark_config(modes="UPR,AAUPR", seed=seed, trace_generator="sway",
+                           trace_n_frames=n_frames, trace_sway_period_s=2.0,
+                           trace_amplitude_mm=amplitude_mm, noise_p_fail=p_fail,
+                           noise_jitter_sigma_mm=jitter_mm, threshold_policy=policy,
+                           noise_latency_frames=latency, cost_flow_ms=flow_ms,
+                           cost_face_track_640x480_ms=face_ms)
+    res = run(cfg)
+    for mode in ("UPR", "AAUPR"):
+        est, charge = pending_queue_reference(cfg, res, mode)
+        assert np.array_equal(res.records[mode].est_eye_mm, est), mode
+        assert np.array_equal(res.records[mode].tracking_charge_ms, charge), mode
+
+
 def test_trace_file_input(tmp_path):
     from uprsim.tracksim import write_trace_csv
     cfg = quiet_config(modes="FUPR")

@@ -12,7 +12,6 @@ from uprsim.tracksim import (
     FlowSimulator,
     Generator,
     HeadTrace,
-    RateCeilingError,
     TraceError,
     TraceSpec,
     eye_points,
@@ -294,39 +293,40 @@ def test_flow_failure_probability():
 def test_face_tracker_exact_without_jitter():
     tracker = FaceTracker(jitter_sigma_mm=0.0, cost_ms=30.094)
     eye = eye_at([5.0, 5.0, 200.0])
-    est, charge = tracker.track(eye, 0.0)
+    state = tracker.rng.bit_generator.state
+    est = eye + tracker.offsets(1)[0]
     assert np.array_equal(est, eye)
-    assert charge == 30.094
+    assert tracker.cost_ms == 30.094
+    assert tracker.rng.bit_generator.state == state  # nothing drawn
 
 
 def test_face_tracker_cost_accumulation():
     tracker = FaceTracker(jitter_sigma_mm=0.0, cost_ms=30.094)
-    eye = eye_at([0.0, 0.0, 200.0])
-    dt = 1000.0 / 15.0
-    charges = [tracker.track(eye, i * dt)[1] for i in range(1000)]
+    charges = np.full(len(tracker.offsets(1000)), tracker.cost_ms)
     assert len(charges) == 1000
     assert sum(charges) == pytest.approx(30094.0, abs=1e-6)
 
 
 def test_face_tracker_jitter_statistical():
-    tracker = FaceTracker(jitter_sigma_mm=5.0, max_rate_hz=1e12,
-                          rng=np.random.default_rng(11))
+    tracker = FaceTracker(jitter_sigma_mm=5.0, rng=np.random.default_rng(11))
     eye = eye_at([0.0, 0.0, 300.0])
-    offsets = np.array([tracker.track(eye, float(i))[0][0] - eye[0]
-                        for i in range(10_000)])
+    offsets = np.array([(eye + o)[0] - eye[0] for o in tracker.offsets(10_000)])
     assert abs(offsets.std() - 5.0) / 5.0 < 0.05
     # Both eyes displaced rigidly.
-    est, _ = tracker.track(eye, 1e7)
+    est = eye + tracker.offsets(1)[0]
     assert np.allclose(est[2] - est[1], eye[2] - eye[1])
 
 
-def test_face_tracker_rate_ceiling():
-    tracker = FaceTracker(max_rate_hz=15.0)
-    eye = eye_at([0.0, 0.0, 200.0])
-    tracker.track(eye, 0.0)
-    with pytest.raises(RateCeilingError):
-        tracker.track(eye, 10.0)
-    tracker.track(eye, 1000.0 / 15.0)  # exactly at the ceiling is allowed
+@pytest.mark.parametrize("n", [0, 1, 7, 500])
+@pytest.mark.parametrize("sigma", [1e-3, 5.0, 40.0])
+def test_face_tracker_offsets_bit_equal_sequential_draws(n, sigma):
+    # One (n, 3) draw is n size-3 draws in order, and leaves the stream
+    # where they would.
+    tracker = FaceTracker(jitter_sigma_mm=sigma, rng=np.random.default_rng([1, 3, 1]))
+    ref = np.random.default_rng([1, 3, 1])
+    sequential = [ref.normal(0.0, sigma, size=3) for _ in range(n)]
+    assert np.array_equal(tracker.offsets(n), np.reshape(sequential, (n, 3)))
+    assert tracker.rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---- cost model --------------------------------------------------------

@@ -12,10 +12,14 @@ any difference.
 
 The command set: `simulate` on the default config; `simulate` with latency
 2, letterbox fit, errors at all frames and the decaying policy; `simulate`
-on a 3000-frame sway (UPR and AAUPR); `sweep --param eps_max` over a
-random-walk trace CSV that each tree writes itself; and `gen-trace` for all
-four generators. Commands run with the output directory as working
-directory and relative paths, so printed paths match.
+on a 3000-frame sway (UPR and AAUPR); `simulate` of UPR and AAUPR on a
+4-frame stationary trace with latency 5 and no jitter, so no jitter is
+drawn, every frame renders the calibration eye and every charge is billed
+to the final frame;
+`sweep --param eps_max` over a random-walk trace CSV that each tree writes
+itself; and `gen-trace` for all four generators. Commands run with the
+output directory as working directory and relative paths, so printed paths
+match.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ CONFIGS = {
                     "errors_dwell_only = false\nthreshold_policy = decaying\n"),
     "sway.cfg": ("modes = UPR,AAUPR\ntrace_generator = sway\ntrace_n_frames = 3000\n"
                  "trace_amplitude_mm = 120\n"),
+    "late.cfg": ("modes = UPR,AAUPR\ntrace_generator = stationary\ntrace_n_frames = 4\n"
+                 "trace_base_eye_z_mm = 250\nnoise_latency_frames = 5\n"
+                 "noise_jitter_sigma_mm = 0\n"),
     "walk_spec.cfg": ("trace_generator = random_walk\ntrace_n_frames = 1000\n"
                       "trace_amplitude_mm = 1.0\ntrace_base_eye_z_mm = 150\nseed = 7\n"),
     "walk_sweep.cfg": ("modes = AAUPR\ntrace_file = walk.csv\nthreshold_policy = decaying\n"
@@ -52,6 +59,7 @@ COMMANDS = [
     ("simulate_default", ["simulate", "--config", "default.cfg", "--out", "default"]),
     ("simulate_latency", ["simulate", "--config", "latency.cfg", "--out", "latency"]),
     ("simulate_sway", ["simulate", "--config", "sway.cfg", "--out", "sway"]),
+    ("simulate_late", ["simulate", "--config", "late.cfg", "--out", "late"]),
     ("gen_walk", ["gen-trace", "--spec", "walk_spec.cfg", "--out", "walk.csv"]),
     ("sweep_eps_max", ["sweep", "--config", "walk_sweep.cfg", "--param", "eps_max",
                        "--values", "8,16,24,32", "--out", "sweep"]),
