@@ -2,7 +2,7 @@
 on handheld AR devices.
 
 Modules:
-  geometry  - rigid transforms, pinhole cameras, off-axis projection.
+  geometry  - rigid transforms, pinhole cameras, rays and planes.
   viewgen   - the four render modes and on-plane pointing error.
   scheduler - dual thresholding of head-pose recomputation.
   tracksim  - synthetic head traces, flow/face-tracker proxies, cost model.
@@ -17,12 +17,9 @@ from .geometry import (
     RigidTransform,
     ScenePlane,
     back_camera,
-    compose,
     front_camera,
     intersect_ray_plane,
-    offaxis_frustum,
     project_pinhole,
-    unproject_ray,
 )
 from .harness import ExperimentConfig, RunResult, Summary, benchmark_config, run, sweep
 from .scheduler import (

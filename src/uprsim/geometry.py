@@ -1,5 +1,5 @@
-"""Rigid transforms, pinhole cameras, the physical display model, and the
-off-axis projection used for head-coupled rendering on a handheld display.
+"""Rigid transforms, pinhole cameras, the physical display model, eyes, and
+ray/plane intersection for head-coupled rendering on a handheld display.
 
 COORDINATE CONVENTIONS
 ======================
@@ -36,10 +36,6 @@ class GeometryError(ValueError):
     """Invalid or degenerate geometric input."""
 
 
-class DegenerateViewError(GeometryError):
-    """Viewpoint or configuration cannot produce a valid projection."""
-
-
 def _as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(3)
     a.flags.writeable = False
@@ -50,7 +46,7 @@ def _as_vec3(v) -> np.ndarray:
 class RigidTransform:
     """A 6-DOF rigid transform: p_out = rotation @ p_in + translation.
 
-    Rotations are stored as orthonormal matrices so that compose/invert stay
+    Rotations are stored as orthonormal matrices so that invert stays
     exact; slight numeric drift (below 1e-6) is re-orthonormalized on
     construction, anything larger is rejected.
     """
@@ -77,29 +73,10 @@ class RigidTransform:
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_rotation_z(cls, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        c, s = np.cos(angle_rad), np.sin(angle_rad)
-        return cls(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), translation)
-
-    @classmethod
-    def from_rotation_x(cls, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        c, s = np.cos(angle_rad), np.sin(angle_rad)
-        return cls(np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]), translation)
-
-    @classmethod
-    def from_rotation_y(cls, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        c, s = np.cos(angle_rad), np.sin(angle_rad)
-        return cls(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]), translation)
-
     def apply(self, points) -> np.ndarray:
         """Apply to a 3-vector or an (N, 3) array of points."""
         p = np.asarray(points, dtype=float)
         return p @ self.rotation.T + self.translation
-
-    def apply_direction(self, direction) -> np.ndarray:
-        """Rotate a direction vector (no translation)."""
-        return np.asarray(direction, dtype=float) @ self.rotation.T
 
     def invert(self) -> "RigidTransform":
         rt = self.rotation.T
@@ -114,12 +91,6 @@ class RigidTransform:
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ])
         return cls(r, translation)
-
-
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Transform applying b first, then a."""
-    return RigidTransform(a.rotation @ b.rotation,
-                          a.rotation @ b.translation + a.translation)
 
 
 @dataclass(frozen=True)
@@ -156,14 +127,11 @@ class DisplayModel:
         v = (0.5 - p[..., 1] / self.height_mm) * self.height_px
         return np.stack([u, v], axis=-1)
 
-    def corners_mm(self) -> np.ndarray:
-        """The four panel corners in the display frame (z = 0), ordered
-        (+x,+y), (-x,+y), (-x,-y), (+x,-y)."""
-        w, h = self.width_mm / 2.0, self.height_mm / 2.0
-        return np.array([[w, h, 0.0], [-w, h, 0.0], [-w, -h, 0.0], [w, -h, 0.0]])
-
     def corners_px(self) -> np.ndarray:
-        return self.mm_to_px(self.corners_mm())
+        """The four panel corners in pixels, ordered (+x,+y), (-x,+y),
+        (-x,-y), (+x,-y) in the display frame."""
+        w, h = self.width_mm / 2.0, self.height_mm / 2.0
+        return self.mm_to_px(np.array([[w, h], [-w, h], [-w, -h], [w, -h]]))
 
 
 @dataclass(frozen=True)
@@ -276,6 +244,8 @@ class ScenePlane:
         n = _as_vec3(self.normal_world)
         if abs(np.linalg.norm(n) - 1.0) > 1e-9:
             raise GeometryError("normal_world must have unit norm")
+        if not all(b > 0 for b in self.bounds_mm):
+            raise GeometryError(f"bounds_mm must be strictly positive, got {self.bounds_mm}")
         object.__setattr__(self, "point_world", p)
         object.__setattr__(self, "normal_world", n)
         up = np.array([0.0, 1.0, 0.0])
@@ -339,13 +309,6 @@ def project_pinhole(cam: PinholeCamera, point_cam) -> np.ndarray:
     return p[..., :2] * (cam.fx, cam.fy) / z + (cam.cx, cam.cy)
 
 
-def unproject_ray(cam: PinholeCamera, px) -> Ray:
-    """Camera-frame ray through a pixel. Any pixel, in bounds or not."""
-    u, v = np.asarray(px, dtype=float)
-    d = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
-    return Ray(np.zeros(3), d)
-
-
 def intersect_ray_plane(ray: Ray, plane: ScenePlane) -> np.ndarray | None:
     """Forward intersection of a ray with the plane; None when the ray is
     parallel to the plane or the hit lies behind the origin."""
@@ -356,35 +319,3 @@ def intersect_ray_plane(ray: Ray, plane: ScenePlane) -> np.ndarray | None:
     if t < 0:
         return None
     return ray.at(t)
-
-
-def offaxis_frustum(eye_mm, display: DisplayModel, near_mm: float, far_mm: float) -> np.ndarray:
-    """Off-axis projection-view matrix for an eye in the display frame.
-
-    The returned 4x4 maps display-frame points to clip space such that the
-    four physical panel corners land on the corners of the projection window:
-    corner (+w/2, +h/2, 0) maps to normalized (+1, +1) after the perspective
-    divide, and any point on the ray from the eye through a panel point
-    projects to that panel point's normalized coordinates.
-    """
-    e = _as_vec3(eye_mm)
-    if e[2] <= 0:
-        raise DegenerateViewError("eye must have positive z in the display frame")
-    if not (0 < near_mm < far_mm):
-        raise GeometryError("require 0 < near_mm < far_mm")
-    w, h = display.width_mm / 2.0, display.height_mm / 2.0
-    # Frustum extents on the near plane, scaled back from the panel at
-    # distance e_z to the near plane at distance near_mm.
-    s = near_mm / e[2]
-    left, right = (-w - e[0]) * s, (w - e[0]) * s
-    bottom, top = (-h - e[1]) * s, (h - e[1]) * s
-    n, f = near_mm, far_mm
-    proj = np.array([
-        [2 * n / (right - left), 0.0, (right + left) / (right - left), 0.0],
-        [0.0, 2 * n / (top - bottom), (top + bottom) / (top - bottom), 0.0],
-        [0.0, 0.0, -(f + n) / (f - n), -2 * f * n / (f - n)],
-        [0.0, 0.0, -1.0, 0.0],
-    ])
-    view = np.eye(4)
-    view[:3, 3] = -e
-    return proj @ view

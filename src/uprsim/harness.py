@@ -167,6 +167,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
+        if not self.ipd_mm >= 0:
+            raise ConfigError(f"ipd_mm: must be nonnegative, got {self.ipd_mm}")
 
     # ---- parsing -------------------------------------------------------
 

@@ -118,6 +118,8 @@ def generate_trace(spec: TraceSpec) -> HeadTrace:
 
     if spec.generator is Generator.STEP_MOVE:
         # Dwell at the base pose, transition, dwell at the displaced pose.
+        if spec.n_frames < 0:
+            raise ValueError("n_frames must be nonnegative (0 derives the length)")
         n = spec.n_frames or (2 * spec.dwell_frames + spec.transition_frames)
         if spec.dwell_frames < 1 or spec.transition_frames < 1:
             raise ValueError("step_move needs at least one dwell and transition frame")
@@ -132,11 +134,15 @@ def generate_trace(spec: TraceSpec) -> HeadTrace:
         positions = np.tile(base, (n, 1))
     elif spec.generator is Generator.SWAY:
         n = _require_frames(spec)
+        if not spec.sway_period_s > 0:
+            raise ValueError("sway_period_s must be positive")
         t_s = np.arange(n) / spec.frame_rate_hz
         x = spec.amplitude_mm * np.sin(2.0 * np.pi * t_s / spec.sway_period_s)
         positions = base + np.outer(x, [1.0, 0.0, 0.0])
     elif spec.generator is Generator.RANDOM_WALK:
         n = _require_frames(spec)
+        if not spec.amplitude_mm >= 0:
+            raise ValueError("amplitude_mm must be nonnegative for random_walk")
         rng = np.random.default_rng(spec.seed)
         steps = rng.normal(0.0, spec.amplitude_mm, size=(n - 1, 3)) if n > 1 else np.zeros((0, 3))
         positions = base + np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])

@@ -23,7 +23,6 @@ import numpy as np
 
 from .geometry import (
     PARALLEL_TOL,
-    DegenerateViewError,
     DisplayModel,
     EyeState,
     GeometryError,
@@ -74,7 +73,7 @@ class Homography:
     def __post_init__(self):
         m = np.asarray(self.h, dtype=float).reshape(3, 3)
         if abs(np.linalg.det(m)) <= 1e-12:
-            raise DegenerateViewError("homography is singular")
+            raise GeometryError("homography is singular")
         m.flags.writeable = False
         object.__setattr__(self, "h", m)
 
@@ -97,7 +96,7 @@ def _homography_from_points(src: np.ndarray, dst: np.ndarray) -> Homography:
     try:
         sol = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateViewError("degenerate display/plane configuration") from exc
+        raise GeometryError("degenerate display/plane configuration") from exc
     return Homography(np.append(sol, 1.0).reshape(3, 3))
 
 
@@ -120,7 +119,7 @@ def upr_display_to_plane(eye: EyeState, display: DisplayModel, plane: ScenePlane
     for px in corners_px:
         hit = intersect_ray_plane(_eye_ray_through_panel(eye_world, display, px), plane)
         if hit is None:
-            raise DegenerateViewError("display corner ray misses the scene plane")
+            raise GeometryError("display corner ray misses the scene plane")
         dst.append(plane.to_plane_2d(hit))
     return _homography_from_points(corners_px, np.array(dst))
 
@@ -155,10 +154,10 @@ def _display_px_for_target_from_eye(eye_mm: np.ndarray, target_world,
     target_disp = display.pose_world.invert().apply(np.asarray(target_world, dtype=float))
     dz = target_disp[2] - eye_mm[2]
     if abs(dz) < 1e-12 or eye_mm[2] <= 0:
-        raise DegenerateViewError("eye-to-target line does not cross the panel")
+        raise GeometryError("eye-to-target line does not cross the panel")
     t = eye_mm[2] / (eye_mm[2] - target_disp[2])
     if t <= 0:
-        raise DegenerateViewError("target is on the eye's side of the panel")
+        raise GeometryError("target is on the eye's side of the panel")
     hit = eye_mm + t * (target_disp - eye_mm)
     return display.mm_to_px(hit)
 

@@ -107,6 +107,13 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
     (WALK + "seed = -1", ["gen-trace"], "seed: must be nonnegative"),
     (WALK + "seed = -1", ["sweep", "--param", "eps_max", "--values", "8"],
      "seed: must be nonnegative"),
+    ("trace_generator = sway\ntrace_n_frames = 10\ntrace_sway_period_s = 0", None,
+     "trace_*: sway_period_s"),
+    (WALK + "trace_amplitude_mm = -5", None, "trace_*: amplitude_mm"),
+    ("trace_generator = step_move\ntrace_n_frames = -4", None, "trace_*: n_frames"),
+    ("plane_width_mm = 0", None, "plane_*: bounds_mm"),
+    ("targets = 0,0\nplane_width_mm = 0", None, "plane_*: bounds_mm"),
+    ("ipd_mm = -5", None, "error: ipd_mm:"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
     csvs = {"bad_csv": "frame,t\n0,0.0\n",

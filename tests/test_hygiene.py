@@ -1,6 +1,10 @@
-"""Every imported name is referenced in the file that imports it. No linter
-is installed, so this AST scan is the guard. Package __init__ files are
-exempt: their imports are the public re-exports."""
+"""AST scans that stand in for a linter, which is not installed.
+
+Every imported name is referenced in the file that imports it. Every def in
+src/uprsim is reached from the simulator, demos, perfbench or tools, so
+code only tests call does not stay in src/. Package __init__ files are
+exempt from both: their imports are the public re-exports.
+"""
 
 import ast
 from pathlib import Path
@@ -35,3 +39,58 @@ def test_scanner_finds_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+#: Defs that only tests call, kept as named oracles: acceptance criterion 8
+#: checks the UPR display-to-plane map on quaternion-posed displays.
+ORACLES = {"upr_display_to_plane", "RigidTransform.from_quaternion"}
+
+#: Where a reference keeps a def in src/uprsim alive.
+CALLERS = ("src/uprsim", "demos", "perfbench", "tools")
+
+
+def defined_names(source: str) -> list[str]:
+    """Module-level defs and classes, and the non-dunder methods of those
+    classes, as `name` or `Class.method`."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, ast.FunctionDef)
+                      and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read as a Name, an attribute or an import alias."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rpartition(".")[2])
+    return refs
+
+
+def test_def_scanner():
+    source = ("class A:\n    def __init__(self): pass\n    def m(self): pass\n"
+              "def f(): pass\nimport p.q\nx.m\n")
+    assert defined_names(source) == ["A", "A.m", "f"]
+    assert referenced_names(source) == {"q", "x", "m"}
+
+
+def test_src_defs_are_reached_outside_tests():
+    refs = set()
+    for d in CALLERS:
+        for path in (ROOT / d).rglob("*.py"):
+            if path.name != "__init__.py":
+                refs |= referenced_names(path.read_text())
+    unreached = {name for path in (ROOT / "src/uprsim").glob("*.py")
+                 if path.name != "__init__.py"
+                 for name in defined_names(path.read_text())
+                 if name.rpartition(".")[2] not in refs}
+    assert unreached == ORACLES

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from rotations import rotation_y
 
-from uprsim.geometry import EyeState, PinholeCamera, RigidTransform, front_camera, project_pinhole
+from uprsim.geometry import EyeState, PinholeCamera, front_camera, project_pinhole
 from uprsim.tracksim import (
     CostModel,
     FaceTracker,
@@ -237,7 +238,7 @@ def test_project_bit_equals_per_frame_projection(fx, fy, width, height, tilt, ip
     cam = front_camera(fx, fy, width, height)
     assert_project_matches_per_frame(cam, eyes)
     tilted = PinholeCamera(fx, fy, width / 2.0, height / 2.0, width, height,
-                           RigidTransform.from_rotation_y(tilt, (5.0, -3.0, 1.0)))
+                           rotation_y(tilt, (5.0, -3.0, 1.0)))
     assert_project_matches_per_frame(tilted, eyes)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from rotations import rotation_x, rotation_y
 
 from uprsim.geometry import (
     DisplayModel,
@@ -11,7 +12,6 @@ from uprsim.geometry import (
     ScenePlane,
     back_camera,
     intersect_ray_plane,
-    unproject_ray,
 )
 from uprsim.viewgen import (
     FitPolicy,
@@ -95,17 +95,18 @@ def test_upr_homography_matches_independent_camera():
     rng = np.random.default_rng(3)
     for _ in range(25):
         px = rng.uniform([0, 0], [1080, 608])
-        # Camera route: unproject (camera y is down, display y up, camera
-        # z points from the eye toward the plane i.e. display -z).
-        ray_cam = unproject_ray(cam, px)
-        d = ray_cam.direction * [1.0, -1.0, -1.0]
+        # Camera route: back-project the pixel by hand (camera y is down,
+        # display y up, camera z points from the eye toward the plane i.e.
+        # display -z).
+        u, v = px
+        d = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0]) * [1.0, -1.0, -1.0]
         hit = intersect_ray_plane(Ray(eye.cyclopean_mm, d), plane)
         assert np.allclose(h.apply(px), plane.to_plane_2d(hit), atol=1e-6)
 
 
 def test_upr_homography_oblique_raycast_oracle():
     display = DisplayModel(109.0, 61.0, 1080, 608,
-                           RigidTransform.from_rotation_x(np.deg2rad(30.0), [0.0, 0.0, 0.0]))
+                           rotation_x(np.deg2rad(30.0), [0.0, 0.0, 0.0]))
     plane = plane_below(-300.0)
     eye = EyeState.from_cyclopean([40.0, -20.0, 350.0])
     h = upr_display_to_plane(eye, display, plane)
@@ -202,7 +203,7 @@ def test_perceived_center_collinear():
 
 def test_perceived_is_raycast():
     display = DisplayModel(109.0, 61.0, 1080, 608,
-                           RigidTransform.from_rotation_y(0.2, [10.0, 5.0, 0.0]))
+                           rotation_y(0.2, [10.0, 5.0, 0.0]))
     plane = plane_below()
     eye = EyeState.from_cyclopean([30.0, -40.0, 280.0])
     px = [200.0, 450.0]

@@ -17,7 +17,8 @@ on a 3000-frame sway (UPR and AAUPR); `simulate` of UPR and AAUPR on a
 drawn, every frame renders the calibration eye and every charge is billed
 to the final frame;
 `sweep --param eps_max` over a random-walk trace CSV that each tree writes
-itself; and `gen-trace` for all four generators. Commands run with the
+itself; `gen-trace` for all four generators; and `truthtable --eps 24`,
+the scheduler's decision table on stdout. Commands run with the
 output directory as working directory and relative paths, so printed paths
 match.
 """
@@ -64,7 +65,9 @@ COMMANDS = [
     ("sweep_eps_max", ["sweep", "--config", "walk_sweep.cfg", "--param", "eps_max",
                        "--values", "8,16,24,32", "--out", "sweep"]),
 ] + [(f"gen_{g}", ["gen-trace", "--spec", f"gen_{g}.cfg", "--out", f"gen_{g}.csv"])
-     for g in ("stationary", "step_move", "sway", "random_walk")]
+     for g in ("stationary", "step_move", "sway", "random_walk")] + [
+    ("truthtable", ["truthtable", "--eps", "24"]),
+]
 
 
 def run_commands(src: Path, out: Path) -> None:
