@@ -17,6 +17,10 @@ and charge columns (_run_mode). A mode's result is one ModeRecord of
 columns; summaries and CSV writers read those columns. A sweep whose
 parameter does not shape the trace builds the trace once and shares it.
 
+A config key's own domain is declared on its ExperimentConfig field and
+checked, with finiteness for every float, when a config is built; rules
+across keys fail where their objects are built, under checked's label.
+
 WORLD LAYOUT
 ============
 The scene plane (installed screen) is the world z = 0 plane with normal +z;
@@ -51,7 +55,8 @@ at rest, not mid-motion); set errors_dwell_only = false for every frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -90,85 +95,104 @@ class ConfigError(ValueError):
 BENCHMARK_JITTER_CROSSOVER_MM = 8.0
 
 
+def _within(default, domain: str, ok):
+    """A config field whose value must pass ok; domain words that bound."""
+    return field(default=default, metadata={"domain": (domain, ok)})
+
+
+_positive = partial(_within, domain="positive", ok=lambda v: v > 0)
+_nonnegative = partial(_within, domain="nonnegative", ok=lambda v: v >= 0)
+
+
+def _one_of(default, choices):
+    names = [c.value for c in choices]
+    return _within(default, "one of " + ", ".join(names), names.__contains__)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment configuration. Field names double as the config-file
     keys (one `key = value` per line); see README for the full schema."""
 
-    modes: str = "DPR,UPR,FUPR,AAUPR"
-    seed: int = 1
+    modes: str = _within("DPR,UPR,FUPR,AAUPR",
+                         "comma-separated render modes (DPR, UPR, FUPR, AAUPR)",
+                         lambda v: all(m.strip() in RenderMode.__members__ for m in v.split(",")))
+    seed: int = _nonnegative(1)
 
     # Trace: either a generator spec or an external CSV file.
     trace_file: str = ""
-    trace_generator: str = "step_move"
-    trace_n_frames: int = 0
-    trace_frame_rate_hz: float = 15.0
+    trace_generator: str = _one_of("step_move", Generator)
+    trace_n_frames: int = _nonnegative(0)
+    trace_frame_rate_hz: float = _positive(15.0)
     trace_base_eye_x_mm: float = 0.0
     trace_base_eye_y_mm: float = 0.0
     trace_base_eye_z_mm: float = 150.0
     trace_amplitude_mm: float = 250.0
     trace_depth_amplitude_mm: float = 100.0
-    trace_dwell_frames: int = 150
-    trace_transition_frames: int = 30
-    trace_sway_period_s: float = 4.0
+    trace_dwell_frames: int = _within(150, "at least 1", lambda v: v >= 1)
+    trace_transition_frames: int = _within(30, "at least 1", lambda v: v >= 1)
+    trace_sway_period_s: float = _positive(4.0)
 
-    ipd_mm: float = 63.0
+    ipd_mm: float = _nonnegative(63.0)
 
-    display_width_mm: float = 109.0
-    display_height_mm: float = 61.0
-    display_width_px: int = 1080
-    display_height_px: int = 608
+    display_width_mm: float = _positive(109.0)
+    display_height_mm: float = _positive(61.0)
+    display_width_px: int = _positive(1080)
+    display_height_px: int = _positive(608)
     display_z_world_mm: float = 300.0
 
-    plane_width_mm: float = 506.0
-    plane_height_mm: float = 287.0
+    plane_width_mm: float = _positive(506.0)
+    plane_height_mm: float = _positive(287.0)
 
-    front_cam_fx: float = 250.0
-    front_cam_fy: float = 250.0
-    front_cam_width_px: int = 640
-    front_cam_height_px: int = 480
+    front_cam_fx: float = _positive(250.0)
+    front_cam_fy: float = _positive(250.0)
+    front_cam_width_px: int = _positive(640)
+    front_cam_height_px: int = _positive(480)
 
-    back_cam_fx: float = 400.0
-    back_cam_fy: float = 400.0
-    back_cam_width_px: int = 640
-    back_cam_height_px: int = 480
+    back_cam_fx: float = _positive(400.0)
+    back_cam_fy: float = _positive(400.0)
+    back_cam_width_px: int = _positive(640)
+    back_cam_height_px: int = _positive(480)
     back_cam_offset_x_mm: float = 45.0
     back_cam_offset_y_mm: float = -25.0
     back_cam_offset_z_mm: float = -8.0
 
-    dpr_fit: str = "stretch"
-    fupr_distance_mm: float = 150.0
+    dpr_fit: str = _one_of("stretch", FitPolicy)
+    fupr_distance_mm: float = _positive(150.0)
 
-    threshold_eps_max_px: float = 0.0  # 0 -> 3% of front image diagonal
-    threshold_refine_factor: float = 0.1
-    threshold_policy: str = "verbatim"
-    threshold_decay_rate: float = 0.98
-    threshold_eps_min_px: float = 0.0  # 0 -> 0.1 * eps_max
-    threshold_metric: str = "max"
+    threshold_eps_max_px: float = _nonnegative(0.0)  # 0 -> 3% of front image diagonal
+    threshold_refine_factor: float = _within(0.1, "in (0, 1)", lambda v: 0 < v < 1)
+    threshold_policy: str = _one_of("verbatim", sched.Policy)
+    threshold_decay_rate: float = _within(0.98, "in (0, 1]", lambda v: 0 < v <= 1)
+    threshold_eps_min_px: float = _nonnegative(0.0)  # 0 -> 0.1 * eps_max
+    threshold_metric: str = _one_of("max", sched.EyeMetric)
 
-    noise_flow_sigma_px: float = 1.0
-    noise_drift_px_per_frame: float = 0.05
-    noise_p_fail: float = 0.001
-    noise_jitter_sigma_mm: float = 5.0
-    noise_latency_frames: int = 0
+    noise_flow_sigma_px: float = _nonnegative(1.0)
+    noise_drift_px_per_frame: float = _nonnegative(0.05)
+    noise_p_fail: float = _within(0.001, "in [0, 1]", lambda v: 0 <= v <= 1)
+    noise_jitter_sigma_mm: float = _nonnegative(5.0)
+    noise_latency_frames: int = _nonnegative(0)
 
-    cost_resolution: str = "640x480"
-    cost_face_track_320x240_ms: float = 14.080
-    cost_face_track_640x480_ms: float = 30.094
-    cost_flow_ms: float = 0.5
-    cost_render_base_ms: float = 20.733
+    cost_resolution: str = _within("640x480", "320x240 or 640x480",
+                                   lambda v: v in ("320x240", "640x480"))
+    cost_face_track_320x240_ms: float = _nonnegative(14.080)
+    cost_face_track_640x480_ms: float = _nonnegative(30.094)
+    cost_flow_ms: float = _nonnegative(0.5)
+    cost_render_base_ms: float = _nonnegative(20.733)
 
     # Semicolon-separated "x,y" pairs, plane-frame mm.
     targets: str = "0,0;150,80;-150,80;150,-80;-150,-80"
 
     errors_dwell_only: bool = True
-    errors_px_per_mm: float = 0.0  # 0 -> report mm only
+    errors_px_per_mm: float = _nonnegative(0.0)  # 0 -> report mm only
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
-        if not self.ipd_mm >= 0:
-            raise ConfigError(f"ipd_mm: must be nonnegative, got {self.ipd_mm}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            domains = [("finite", math.isfinite)] if f.type == "float" else []
+            for domain, ok in domains + list(f.metadata.values()):
+                if not ok(value):
+                    raise ConfigError(f"{f.name}: must be {domain}, got {value!r}")
 
     # ---- parsing -------------------------------------------------------
 
@@ -188,7 +212,7 @@ class ExperimentConfig:
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-            values[key] = checked(f"line {lineno}: {key}", _PARSERS[known[key]], val)
+            values[key] = checked(f"{key}: line {lineno}", _PARSERS[known[key]], val)
         return cls(**values)
 
     @classmethod
@@ -199,52 +223,39 @@ class ExperimentConfig:
     # ---- derived objects ----------------------------------------------
 
     def mode_list(self) -> list[RenderMode]:
-        out = []
-        for name in self.modes.split(","):
-            out.append(checked("modes: render mode", RenderMode, name.strip()))
-        return out
+        return [RenderMode(name.strip()) for name in self.modes.split(",")]
 
     def display(self) -> DisplayModel:
         pose = RigidTransform(np.eye(3), [0.0, 0.0, self.display_z_world_mm])
-        return checked("display_*", DisplayModel, self.display_width_mm,
-                       self.display_height_mm, self.display_width_px,
-                       self.display_height_px, pose)
+        return DisplayModel(self.display_width_mm, self.display_height_mm,
+                            self.display_width_px, self.display_height_px, pose)
 
     def plane(self) -> ScenePlane:
-        return checked("plane_*", ScenePlane, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                       (self.plane_width_mm, self.plane_height_mm))
+        return ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                          (self.plane_width_mm, self.plane_height_mm))
 
     def front_cam(self) -> PinholeCamera:
-        return checked("front_cam_*", front_camera, self.front_cam_fx, self.front_cam_fy,
-                       self.front_cam_width_px, self.front_cam_height_px)
+        return front_camera(self.front_cam_fx, self.front_cam_fy,
+                            self.front_cam_width_px, self.front_cam_height_px)
 
     def back_cam(self) -> PinholeCamera:
-        return checked("back_cam_*", back_camera,
-                       (self.back_cam_offset_x_mm, self.back_cam_offset_y_mm,
-                        self.back_cam_offset_z_mm),
-                       self.back_cam_fx, self.back_cam_fy,
-                       self.back_cam_width_px, self.back_cam_height_px)
+        return back_camera((self.back_cam_offset_x_mm, self.back_cam_offset_y_mm,
+                            self.back_cam_offset_z_mm), self.back_cam_fx, self.back_cam_fy,
+                           self.back_cam_width_px, self.back_cam_height_px)
 
     def fit_policy(self) -> FitPolicy:
-        return checked("dpr_fit", FitPolicy, self.dpr_fit)
+        return FitPolicy(self.dpr_fit)
 
     def threshold_config(self) -> sched.ThresholdConfig:
         eps = self.threshold_eps_max_px or sched.epsilon_default(self.front_cam())
-        policy = checked("threshold_policy", sched.Policy, self.threshold_policy)
-        metric = checked("threshold_metric", sched.EyeMetric, self.threshold_metric)
-        return checked("threshold_*", sched.ThresholdConfig,
-                       eps_max_px=eps, refine_factor=self.threshold_refine_factor,
-                       policy=policy, decay_rate=self.threshold_decay_rate,
-                       eps_min_px=self.threshold_eps_min_px or None, metric=metric)
+        return checked("threshold_*", sched.ThresholdConfig, eps, self.threshold_refine_factor,
+                       sched.Policy(self.threshold_policy), self.threshold_decay_rate,
+                       self.threshold_eps_min_px or None, sched.EyeMetric(self.threshold_metric))
 
     def cost_model(self) -> CostModel:
-        return checked("cost_*", CostModel,
-                       face_track_ms={"320x240": self.cost_face_track_320x240_ms,
-                                      "640x480": self.cost_face_track_640x480_ms},
-                       flow_ms=self.cost_flow_ms, render_base_ms=self.cost_render_base_ms)
-
-    def fupr_calibration(self) -> FuprCalibration:
-        return checked("fupr_distance_mm", FuprCalibration, self.fupr_distance_mm)
+        return CostModel(face_track_ms={"320x240": self.cost_face_track_320x240_ms,
+                                        "640x480": self.cost_face_track_640x480_ms},
+                         flow_ms=self.cost_flow_ms, render_base_ms=self.cost_render_base_ms)
 
     def target_points(self) -> np.ndarray:
         pts = []
@@ -269,9 +280,8 @@ class ExperimentConfig:
     def build_trace(self) -> HeadTrace:
         if self.trace_file:
             return checked("trace_file", read_trace_csv, self.trace_file)
-        gen = checked("trace_generator", Generator, self.trace_generator)
         spec = TraceSpec(
-            generator=gen, n_frames=self.trace_n_frames,
+            generator=Generator(self.trace_generator), n_frames=self.trace_n_frames,
             frame_rate_hz=self.trace_frame_rate_hz,
             base_eye_mm=(self.trace_base_eye_x_mm, self.trace_base_eye_y_mm,
                          self.trace_base_eye_z_mm),
@@ -284,11 +294,11 @@ class ExperimentConfig:
 
 
 def checked(key: str, make, *args, **kwargs):
-    """make(*args, **kwargs), with a ValueError (GeometryError included)
-    raised as a ConfigError that names the config key or CLI flag."""
+    """make(*args, **kwargs), with a ValueError (GeometryError included) or
+    an OSError raised as a ConfigError that names the config key or CLI flag."""
     try:
         return make(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -300,15 +310,8 @@ def _parse_bool(val: str) -> bool:
     raise ValueError(f"not a boolean: {val!r}")
 
 
-def _parse_float(val: str) -> float:
-    x = float(val)
-    if not math.isfinite(x):
-        raise ValueError(f"not a finite number: {val!r}")
-    return x
-
-
 #: Config-file value parser per ExperimentConfig field type.
-_PARSERS = {"bool": _parse_bool, "int": int, "float": _parse_float, "str": str}
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 
 
 def benchmark_config(**overrides) -> ExperimentConfig:
@@ -361,11 +364,10 @@ def _proxies(config: ExperimentConfig, mode: RenderMode, front: PinholeCamera,
     """A mode's flow and face-tracker proxies, each on its own seeded stream.
     Only UPR and AAUPR use them."""
     idx = list(RenderMode).index(mode)
-    flow = checked("noise_*", FlowSimulator, front, config.noise_flow_sigma_px,
-                   config.noise_drift_px_per_frame, config.noise_p_fail,
-                   np.random.default_rng([config.seed, idx, 0]))
-    face = checked("noise_jitter_sigma_mm", FaceTracker, config.noise_jitter_sigma_mm,
-                   face_cost, np.random.default_rng([config.seed, idx, 1]))
+    flow = FlowSimulator(front, config.noise_flow_sigma_px, config.noise_drift_px_per_frame,
+                         config.noise_p_fail, np.random.default_rng([config.seed, idx, 0]))
+    face = FaceTracker(config.noise_jitter_sigma_mm, face_cost,
+                       np.random.default_rng([config.seed, idx, 1]))
     return flow, face
 
 
@@ -384,17 +386,14 @@ def run(config: ExperimentConfig, trace: HeadTrace | None = None) -> RunResult:
     tcfg = config.threshold_config()
     cost = config.cost_model()
     targets_world = plane.from_plane_2d(config.target_points())
-    cal_eye = checked("ipd_mm", fupr_eye, config.fupr_calibration(), ipd_mm=config.ipd_mm)
+    cal_eye = fupr_eye(FuprCalibration(config.fupr_distance_mm), ipd_mm=config.ipd_mm)
     evaluate = trace.dwell_mask() if config.errors_dwell_only else np.ones(len(trace), bool)
-    face_cost = checked("cost_resolution", cost.face_cost, config.cost_resolution)
-    if config.noise_latency_frames < 0:
-        raise ConfigError("noise_latency_frames: must be nonnegative")
-    # Built before any mode runs, so that a bad noise setting fails first.
-    proxies = [_proxies(config, mode, front, face_cost) for mode in modes]
+    face_cost = cost.face_cost(config.cost_resolution)
 
     records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
-    for mode, (flow_sim, tracker) in zip(modes, proxies):
+    for mode in modes:
+        flow_sim, tracker = _proxies(config, mode, front, face_cost)
         cols = _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim, tracker)
         errors = np.full((len(trace), len(targets_world)), np.nan)
         errors[evaluate] = pointing_errors(mode, targets_world, cols["est_eye_mm"][evaluate],
@@ -553,8 +552,6 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float,
     values = list(values)
     if not values:
         raise ConfigError("sweep values must be nonempty")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError("sweep values must be finite")
     key = SWEEP_PARAMS[parameter]
     # build_trace reads only trace_* keys, ipd_mm and seed.
     shares_trace = not key.startswith("trace_")

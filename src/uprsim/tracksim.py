@@ -56,12 +56,14 @@ class HeadTrace:
         if len(t) == 0:
             raise ValueError("trace must contain at least one frame")
         dt = np.diff(t)
+        # 1e-6 ms, or the float resolution of timestamps too large for it.
+        slack = 1e-6 + 2 * np.spacing(np.abs(t[1:]))
         checks = [
             (~np.isfinite(np.column_stack([t, eye, ipd])).all(axis=1), "values must be finite"),
             (eye[:, 2] <= 0, "eye must be in front of the panel (z > 0)"),
             (ipd < 0, "ipd_mm must be nonnegative"),
             (np.r_[False, dt <= 0], "timestamps must be strictly increasing"),
-            (np.r_[False, np.abs(dt - 1000.0 / self.frame_rate_hz) > 1e-6],
+            (np.r_[False, np.abs(dt - 1000.0 / self.frame_rate_hz) > slack],
              "frame spacing inconsistent with frame rate"),
         ]
         for bad, reason in checks:

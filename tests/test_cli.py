@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from uprsim.cli import main
+from uprsim.harness import ExperimentConfig
 from uprsim.tracksim import TRACE_CSV_HEADER
 
 
@@ -83,7 +86,7 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
 
 
 @pytest.mark.parametrize("config, argv, named", [
-    ("display_width_mm = -5", None, "DisplayModel.width_mm"),
+    ("display_width_mm = -5", None, "display_width_mm"),
     ("fupr_distance_mm = 0", None, "fupr_distance_mm"),
     ("cost_flow_ms = -1", None, "flow_ms"),
     ("trace_file = {bad_csv}", None, "trace_file"),
@@ -98,22 +101,23 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
     ("trace_file = {behind_csv}", None, "trace_file: line 2"),
     ("trace_file = {posed_csv}", None, "trace_file: line 4"),
     ("noise_jitter_sigma_mm = 200", None, "noise_jitter_sigma_mm: frame"),
-    ("noise_jitter_sigma_mm = -5", None, "noise_jitter_sigma_mm: jitter_sigma_mm"),
-    ("noise_flow_sigma_px = -3", None, "noise_*: noise_sigma_px"),
-    ("noise_p_fail = 7", None, "noise_*: p_fail"),
-    ("noise_p_fail = -0.5", None, "noise_*: p_fail"),
-    ("noise_drift_px_per_frame = -2", None, "noise_*: drift_px_per_frame"),
+    ("noise_jitter_sigma_mm = -5", None, "noise_jitter_sigma_mm:"),
+    ("noise_flow_sigma_px = -3", None, "noise_flow_sigma_px"),
+    ("noise_p_fail = 7", None, "noise_p_fail"),
+    ("noise_p_fail = -0.5", None, "noise_p_fail"),
+    ("noise_drift_px_per_frame = -2", None, "noise_drift_px_per_frame"),
     ("modes = DPR\nseed = -1", None, "seed: must be nonnegative"),
     (WALK + "seed = -1", ["gen-trace"], "seed: must be nonnegative"),
     (WALK + "seed = -1", ["sweep", "--param", "eps_max", "--values", "8"],
      "seed: must be nonnegative"),
     ("trace_generator = sway\ntrace_n_frames = 10\ntrace_sway_period_s = 0", None,
-     "trace_*: sway_period_s"),
+     "trace_sway_period_s"),
     (WALK + "trace_amplitude_mm = -5", None, "trace_*: amplitude_mm"),
-    ("trace_generator = step_move\ntrace_n_frames = -4", None, "trace_*: n_frames"),
-    ("plane_width_mm = 0", None, "plane_*: bounds_mm"),
-    ("targets = 0,0\nplane_width_mm = 0", None, "plane_*: bounds_mm"),
+    ("trace_generator = step_move\ntrace_n_frames = -4", None, "trace_n_frames"),
+    ("plane_width_mm = 0", None, "plane_width_mm"),
+    ("targets = 0,0\nplane_width_mm = 0", None, "plane_width_mm"),
     ("ipd_mm = -5", None, "error: ipd_mm:"),
+    ("errors_px_per_mm = -3", None, "error: errors_px_per_mm:"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
     csvs = {"bad_csv": "frame,t\n0,0.0\n",
@@ -136,6 +140,31 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert named in err
+
+
+#: The fuzz runs' base config: a 20-frame stationary trace, three modes.
+FUZZ_BASE = "modes = DPR,FUPR,AAUPR\ntrace_generator = stationary\ntrace_n_frames = 20\n"
+
+#: Fuzzed values inside their key's own domain that break a rule across
+#: keys, which fails under its own label: the stationary trace needs frames
+#: and an eye in front of the panel, a 5 mm jitter puts the estimate of an
+#: eye 1e-9 mm from the panel behind it, and the targets leave a 1e-9 mm plane.
+CROSS_KEY = {("trace_n_frames", "0"): "trace_*",
+             **{("trace_base_eye_z_mm", v): "trace_*" for v in ("0", "-1", "-1e6")},
+             ("trace_base_eye_z_mm", "1e-9"): "noise_jitter_sigma_mm",
+             ("plane_width_mm", "1e-9"): "targets", ("plane_height_mm", "1e-9"): "targets"}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e6", "-1e6", "1e-9", "", "abc", "nan"])
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+def test_any_one_value_runs_or_names_its_key(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.chdir(tmp_path)  # so that no trace_file value names a file
+    (tmp_path / "exp.cfg").write_text(FUZZ_BASE + f"{key} = {value}\n")
+    code = main(["simulate", "--config", "exp.cfg", "--out", "out"])
+    err = capsys.readouterr().err
+    assert (code, err.count("\n")) in ((0, 0), (1, 1))
+    if code:
+        assert err.startswith(f"error: {CROSS_KEY.get((key, value), key)}:")
 
 
 def test_trace_with_timestamp_jitter_runs(tmp_path, capsys):

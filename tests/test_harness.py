@@ -1,5 +1,5 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -317,7 +317,8 @@ def pending_queue_reference(cfg: ExperimentConfig, res, mode: str):
     eyes = harness.eye_points(res.trace.eye_mm, res.trace.ipd_mm)
     sigma = cfg.noise_jitter_sigma_mm
     est_col, charge = np.full((n, 3), np.nan), np.zeros(n)
-    current = harness.fupr_eye(cfg.fupr_calibration(), ipd_mm=cfg.ipd_mm).cyclopean_mm
+    current = harness.fupr_eye(harness.FuprCalibration(cfg.fupr_distance_mm),
+                               ipd_mm=cfg.ipd_mm).cyclopean_mm
     pending = []
     for i in range(n):
         if mode == "AAUPR":
@@ -443,8 +444,19 @@ def test_sweep_validation():
         sweep(cfg, "nonsense", [1.0])
     with pytest.raises(ConfigError):
         sweep(cfg, "eps_max", [])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^threshold_eps_max_px: must be finite"):
         sweep(cfg, "eps_max", [float("inf")])
+    with pytest.raises(ConfigError, match="^threshold_eps_max_px: must be finite"):
+        sweep(cfg, "eps_max", [float("nan")])
+    with pytest.raises(ConfigError, match="^noise_jitter_sigma_mm: must be nonnegative"):
+        sweep(cfg, "jitter_sigma", [-5.0])
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if f.type == "float"])
+def test_library_route_rejects_nonfinite_floats(key):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite, got {value}$"):
+            benchmark_config(**{key: value})
 
 
 @pytest.mark.parametrize("parameter, values", [
