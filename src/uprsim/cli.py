@@ -12,7 +12,9 @@ Exit code 0 on success, nonzero with a message on any config/IO error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,10 +32,15 @@ from .harness import (
 from .tracksim import write_trace_csv
 
 
+def _read_config(flag: str, path: str) -> ExperimentConfig:
+    """The config file at path; a failed read names the flag, a bad key its key."""
+    return ExperimentConfig.from_text(checked(flag, Path(path).read_text))
+
+
 def _cmd_simulate(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    config = _read_config("--config", args.config)
     result = run(config)
-    write_outputs(result, args.out)
+    checked("--out", write_outputs, result, args.out)
     for s in result.summaries.values():
         err = f"mean error {s.mean_error_mm:.2f} mm"
         if config.errors_px_per_mm > 0:
@@ -45,13 +52,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    config = _read_config("--config", args.config)
     values = [checked("--values", float, v) for v in args.values.split(",")]
     rows = sweep(config, args.param, values)
-    import os
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
-    write_sweep_csv(rows, args.param, path)
+    checked("--out", os.makedirs, args.out, exist_ok=True)
+    checked("--out", write_sweep_csv, rows, args.param, path)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -90,9 +96,9 @@ def _cmd_truthtable(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
-    config = ExperimentConfig.from_file(args.spec)
+    config = _read_config("--spec", args.spec)
     trace = config.build_trace()
-    write_trace_csv(trace, args.out)
+    checked("--out", write_trace_csv, trace, args.out)
     print(f"wrote {len(trace)} frames to {args.out}")
     return 0
 

@@ -14,7 +14,7 @@ recalculated at. That loop is the only sequential part: it owns the
 scheduler state and flow draws, and fills the decision, reason, E and dE
 columns. One numpy pass over the requests then builds the estimated-eye
 and charge columns (_run_mode). A mode's result is one ModeRecord of
-columns; summaries and CSV writers read those columns. A sweep whose
+columns; summaries and the CSV output read those columns. A sweep whose
 parameter does not shape the trace builds the trace once and shares it.
 
 A config key's own domain is declared on its ExperimentConfig field and
@@ -55,7 +55,8 @@ at rest, not mid-motion); set errors_dwell_only = false for every frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+import os
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -79,6 +80,7 @@ from .tracksim import (
     eye_points,
     generate_trace,
     read_trace_csv,
+    write_csv,
 )
 from .viewgen import FitPolicy, FuprCalibration, RenderMode, fupr_eye, pointing_errors
 
@@ -104,6 +106,11 @@ _positive = partial(_within, domain="positive", ok=lambda v: v > 0)
 _nonnegative = partial(_within, domain="nonnegative", ok=lambda v: v >= 0)
 
 
+def _distinct_modes(modes: str) -> bool:
+    names = [m.strip() for m in modes.split(",")]
+    return len(set(names)) == len(names) and set(names) <= RenderMode.__members__.keys()
+
+
 def _one_of(default, choices):
     names = [c.value for c in choices]
     return _within(default, "one of " + ", ".join(names), names.__contains__)
@@ -115,8 +122,8 @@ class ExperimentConfig:
     keys (one `key = value` per line); see README for the full schema."""
 
     modes: str = _within("DPR,UPR,FUPR,AAUPR",
-                         "comma-separated render modes (DPR, UPR, FUPR, AAUPR)",
-                         lambda v: all(m.strip() in RenderMode.__members__ for m in v.split(",")))
+                         "comma-separated distinct render modes (DPR, UPR, FUPR, AAUPR)",
+                         _distinct_modes)
     seed: int = _nonnegative(1)
 
     # Trace: either a generator spec or an external CSV file.
@@ -482,11 +489,6 @@ def _summarize(mode: RenderMode, rec: ModeRecord) -> Summary:
 
 # ---- CSV output --------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    """Shortest round-tripping text of a float; 'nan' for NaN."""
-    return repr(float(x))
-
-
 def frame_csv_header(n_targets: int) -> str:
     cols = ["frame", "mode", "decision", "reason", "e_px", "delta_e_px",
             "est_eye_x_mm", "est_eye_y_mm", "est_eye_z_mm",
@@ -496,42 +498,25 @@ def frame_csv_header(n_targets: int) -> str:
     return ",".join(cols)
 
 
-SUMMARY_CSV_HEADER = ("mode,mean_error_mm,sd_error_mm,invocations,"
-                      "invocation_fraction,total_tracking_ms,mean_frame_time_ms")
-
-
-def write_frame_csv(rec: ModeRecord, path) -> None:
-    # tolist() gives Python floats, whose str is the repr _fmt writes.
-    n = len(rec)
-    columns = [range(n), [rec.mode] * n, rec.decision.tolist(), rec.reason.tolist(),
-               rec.e_px.tolist(), rec.delta_e_px.tolist(),
-               *rec.est_eye_mm.T.tolist(), *rec.true_eye_mm.T.tolist(),
-               *rec.errors_mm.T.tolist(), rec.tracking_charge_ms.tolist(),
-               rec.cumulative_tracking_ms.tolist(), rec.frame_time_ms.tolist()]
-    with open(path, "w", newline="") as f:
-        f.write(frame_csv_header(rec.errors_mm.shape[1]) + "\n")
-        f.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns))
-
-
-def _summary_cells(s: Summary) -> list[str]:
-    return [s.mode, _fmt(s.mean_error_mm), _fmt(s.sd_error_mm), str(s.invocations),
-            _fmt(s.invocation_fraction), _fmt(s.total_tracking_ms),
-            _fmt(s.mean_frame_time_ms)]
-
-
-def write_summary_csv(summaries: dict[str, Summary], path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(SUMMARY_CSV_HEADER + "\n")
-        for s in summaries.values():
-            f.write(",".join(_summary_cells(s)) + "\n")
+SUMMARY_CSV_HEADER = ",".join(f.name for f in fields(Summary))
 
 
 def write_outputs(result: RunResult, outdir) -> None:
-    import os
+    """frames_<mode>.csv per mode and summary.csv in outdir."""
     os.makedirs(outdir, exist_ok=True)
     for mode, rec in result.records.items():
-        write_frame_csv(rec, os.path.join(outdir, f"frames_{mode}.csv"))
-    write_summary_csv(result.summaries, os.path.join(outdir, "summary.csv"))
+        n = len(rec)
+        # The rows are built in the call, so one mode's cell lists are
+        # freed before the next mode's are made.
+        write_csv(os.path.join(outdir, f"frames_{mode}.csv"),
+                  frame_csv_header(rec.errors_mm.shape[1]),
+                  zip(range(n), [rec.mode] * n, rec.decision.tolist(), rec.reason.tolist(),
+                      rec.e_px.tolist(), rec.delta_e_px.tolist(),
+                      *rec.est_eye_mm.T.tolist(), *rec.true_eye_mm.T.tolist(),
+                      *rec.errors_mm.T.tolist(), rec.tracking_charge_ms.tolist(),
+                      rec.cumulative_tracking_ms.tolist(), rec.frame_time_ms.tolist()))
+    write_csv(os.path.join(outdir, "summary.csv"), SUMMARY_CSV_HEADER,
+              map(astuple, result.summaries.values()))
 
 
 # ---- parameter sweeps --------------------------------------------------
@@ -567,7 +552,5 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float,
 
 
 def write_sweep_csv(rows: list[tuple[float, Summary]], parameter: str, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write("parameter,value," + SUMMARY_CSV_HEADER + "\n")
-        for v, s in rows:
-            f.write(",".join([parameter, _fmt(v)] + _summary_cells(s)) + "\n")
+    write_csv(path, "parameter,value," + SUMMARY_CSV_HEADER,
+              ((parameter, float(v), *astuple(s)) for v, s in rows))

@@ -5,7 +5,8 @@ sparse feature tracking), a costed and jittered 3D face-tracker proxy, and
 the per-invocation cost model. Eye points are (..., 3, 3) arrays
 (eye_points). The flow proxy projects a whole trace's eyes in one batch
 pass (FlowSimulator.project); its per-frame measure only draws. The face
-tracker draws all its jitter at once (FaceTracker.offsets).
+tracker draws all its jitter at once (FaceTracker.offsets). write_csv is
+the one CSV writer; harness writes its tables through it too.
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
@@ -171,14 +172,22 @@ TRACE_CSV_HEADER = ("frame,t_ms,eye_x_mm,eye_y_mm,eye_z_mm,ipd_mm,"
 IDENTITY_POSE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def write_trace_csv(trace: HeadTrace, path) -> None:
-    """Full-precision CSV export (floats via repr, so import round-trips)."""
-    # tolist() gives Python floats, whose str is their repr.
-    rows = np.column_stack([trace.t_ms, trace.eye_mm, trace.ipd_mm]).tolist()
+def write_csv(path, header: str, rows) -> None:
+    """Write header, then each row of cells as one comma-separated line.
+
+    Each cell is written as str() of a Python value, never of a numpy
+    scalar: a float as its shortest round-trip repr, NaN as `nan`. So equal
+    values give equal bytes, and every float reads back exactly."""
     with open(path, "w", newline="") as f:
-        f.write(TRACE_CSV_HEADER + "\n")
-        f.writelines(",".join(map(str, [i, *row, *IDENTITY_POSE])) + "\n"
-                     for i, row in enumerate(rows))
+        f.write(header + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_trace_csv(trace: HeadTrace, path) -> None:
+    """Full-precision CSV export: read_trace_csv gives the trace back."""
+    rows = np.column_stack([trace.t_ms, trace.eye_mm, trace.ipd_mm]).tolist()
+    write_csv(path, TRACE_CSV_HEADER,
+              ([i, *row, *IDENTITY_POSE] for i, row in enumerate(rows)))
 
 
 def read_trace_csv(path) -> HeadTrace:

@@ -40,6 +40,15 @@ def test_simulate_bad_config_exit_code(tmp_path, capsys):
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: --config: ")
+    assert main(["gen-trace", "--spec", str(tmp_path / "nope.cfg"),
+                 "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: --spec: ")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG)
+    # An existing file cannot become the output directory.
+    assert main(["simulate", "--config", str(cfg), "--out", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: --out: ")
 
 
 def test_sweep(tmp_path, capsys):
@@ -118,6 +127,9 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
     ("targets = 0,0\nplane_width_mm = 0", None, "plane_width_mm"),
     ("ipd_mm = -5", None, "error: ipd_mm:"),
     ("errors_px_per_mm = -3", None, "error: errors_px_per_mm:"),
+    ("modes = UPR,UPR", None,
+     "error: modes: must be comma-separated distinct render modes (DPR, UPR, FUPR, AAUPR), "
+     "got 'UPR,UPR'"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
     csvs = {"bad_csv": "frame,t\n0,0.0\n",

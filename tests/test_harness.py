@@ -17,7 +17,9 @@ from uprsim.harness import (
     run,
     sweep,
     write_outputs,
+    write_sweep_csv,
 )
+from uprsim.tracksim import write_trace_csv
 from uprsim.viewgen import RenderMode, pointing_error
 
 
@@ -361,7 +363,6 @@ def test_request_events_equal_pending_queue(latency, seed, n_frames, jitter_mm, 
 
 
 def test_trace_file_input(tmp_path):
-    from uprsim.tracksim import write_trace_csv
     cfg = quiet_config(modes="FUPR")
     trace = cfg.build_trace()
     p = tmp_path / "trace.csv"
@@ -400,16 +401,27 @@ def test_csv_schemas(tmp_path):
     assert len(summary) == 5  # four modes
 
 
-def test_frame_csv_cells_are_plain_floats(tmp_path):
-    write_outputs(run(benchmark_config(seed=3)), tmp_path)
-    paths = sorted(tmp_path.glob("frames_*.csv"))
-    assert len(paths) == 4
+@pytest.mark.parametrize("table", ["frames", "summary", "sweep", "trace"])
+def test_frame_csv_cells_are_plain_floats(tmp_path, table):
+    if table in ("frames", "summary"):
+        write_outputs(run(benchmark_config(seed=3)), tmp_path)
+        paths = sorted(tmp_path.glob(f"{table}*.csv"))
+        assert len(paths) == (4 if table == "frames" else 1)
+    elif table == "sweep":
+        # A library caller may pass ints and numpy scalars as sweep values.
+        cfg = benchmark_config(modes="UPR,AAUPR", trace_dwell_frames=20,
+                               trace_transition_frames=5)
+        paths = [tmp_path / "sweep.csv"]
+        write_sweep_csv(sweep(cfg, "eps_max", [24, np.float64(12.5)]), "eps_max", paths[0])
+    else:
+        paths = [tmp_path / "trace.csv"]
+        write_trace_csv(benchmark_config(seed=3).build_trace(), paths[0])
     for path in paths:
         with open(path, newline="") as f:
             for row in csv.DictReader(f):
                 for key, cell in row.items():
                     assert "np." not in cell, (path.name, key, cell)
-                    if key not in ("mode", "decision", "reason"):
+                    if key not in ("mode", "decision", "reason", "parameter"):
                         float(cell)
 
 
@@ -475,7 +487,7 @@ def test_sweep_rows_equal_per_cell_runs(parameter, values):
 
 
 def test_eps_sweep_reads_trace_file_once(tmp_path, monkeypatch):
-    from uprsim.tracksim import read_trace_csv, write_trace_csv
+    from uprsim.tracksim import read_trace_csv
     path = tmp_path / "trace.csv"
     write_trace_csv(benchmark_config().build_trace(), path)
     calls = []

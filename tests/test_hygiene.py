@@ -3,7 +3,9 @@
 Every imported name is referenced in the file that imports it. Every def in
 src/uprsim is reached from the simulator, demos, perfbench or tools, so
 code only tests call does not stay in src/. Package __init__ files are
-exempt from both: their imports are the public re-exports.
+exempt from both: their imports are the public re-exports. One function in
+src/uprsim opens files for writing, so one place decides what a CSV cell
+looks like.
 """
 
 import ast
@@ -94,3 +96,29 @@ def test_src_defs_are_reached_outside_tests():
                  for name in defined_names(path.read_text())
                  if name.rpartition(".")[2] not in refs}
     assert unreached == ORACLES
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    """open(...) or x.open(...) given a mode string that writes."""
+    if getattr(call.func, "id", getattr(call.func, "attr", None)) != "open":
+        return False
+    args = call.args + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(isinstance(a, ast.Constant) and isinstance(a.value, str)
+               and set(a.value) <= set("rwxabt+") and set(a.value) & set("wxa+")
+               for a in args)
+
+
+def file_writers(source: str) -> list[str]:
+    """Functions, by name, with a call that opens a file for writing."""
+    return [fn.name for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(c, ast.Call) and opens_for_writing(c) for c in ast.walk(fn))]
+
+
+def test_one_function_opens_files_for_writing():
+    source = ("def r(p): open(p)\ndef w(p): open(p, 'w', newline='')\n"
+              "def m(p): p.open(mode='a')\ndef s(p): open(p, 'rb')\n")
+    assert file_writers(source) == ["w", "m"]
+    writers = [f"{path.stem}.{name}" for path in sorted((ROOT / "src/uprsim").glob("*.py"))
+               for name in file_writers(path.read_text())]
+    assert writers == ["tracksim.write_csv"]
