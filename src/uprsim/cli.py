@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -32,15 +31,18 @@ from .harness import (
 from .tracksim import write_trace_csv
 
 
-def _read_config(flag: str, path: str) -> ExperimentConfig:
-    """The config file at path; a failed read names the flag, a bad key its key."""
-    return ExperimentConfig.from_text(checked(flag, Path(path).read_text))
+def _file_io(flag: str, make, *args, **kwargs):
+    """make(*args, **kwargs); only a failed file read or write names the flag."""
+    try:
+        return make(*args, **kwargs)
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:
-    config = _read_config("--config", args.config)
+    config = _file_io("--config", ExperimentConfig.from_file, args.config)
     result = run(config)
-    checked("--out", write_outputs, result, args.out)
+    _file_io("--out", write_outputs, result, args.out)
     for s in result.summaries.values():
         err = f"mean error {s.mean_error_mm:.2f} mm"
         if config.errors_px_per_mm > 0:
@@ -52,12 +54,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _read_config("--config", args.config)
+    config = _file_io("--config", ExperimentConfig.from_file, args.config)
     values = [checked("--values", float, v) for v in args.values.split(",")]
     rows = sweep(config, args.param, values)
     path = os.path.join(args.out, "sweep.csv")
-    checked("--out", os.makedirs, args.out, exist_ok=True)
-    checked("--out", write_sweep_csv, rows, args.param, path)
+    _file_io("--out", os.makedirs, args.out, exist_ok=True)
+    _file_io("--out", write_sweep_csv, rows, args.param, path)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -96,9 +98,8 @@ def _cmd_truthtable(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
-    config = _read_config("--spec", args.spec)
-    trace = config.build_trace()
-    checked("--out", write_trace_csv, trace, args.out)
+    trace = _file_io("--spec", ExperimentConfig.from_file, args.spec).build_trace()
+    _file_io("--out", write_trace_csv, trace, args.out)
     print(f"wrote {len(trace)} frames to {args.out}")
     return 0
 

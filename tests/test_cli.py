@@ -51,6 +51,18 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --out: ")
 
 
+def test_output_bug_is_not_an_out_error(tmp_path, monkeypatch):
+    # Only a failed file write is the --out flag's fault; a ValueError while
+    # building the rows is the program's and keeps its traceback.
+    def broken(result, outdir):
+        raise ValueError("row bug")
+    monkeypatch.setattr("uprsim.cli.write_outputs", broken)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG)
+    with pytest.raises(ValueError, match="row bug"):
+        main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
 def test_sweep(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CONFIG)
