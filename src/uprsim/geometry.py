@@ -16,11 +16,18 @@ Display pixel coordinates:
 
 Units: all lengths in millimeters, all image coordinates in pixels.
 No implicit unit conversion anywhere.
+
+Every module's value objects, and harness's ExperimentConfig, declare each
+field's bound on the field (within, positive, nonnegative) and call
+check_fields in __post_init__, which also requires every float to be finite.
+Vectors must be finite too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +43,30 @@ class GeometryError(ValueError):
     """Invalid or degenerate geometric input."""
 
 
-def _as_vec3(v) -> np.ndarray:
+def within(domain: str, ok, default=MISSING):
+    """A dataclass field whose value must pass ok; domain words the bound."""
+    return field(default=default, metadata={"domain": (domain, ok)})
+
+
+positive = partial(within, "positive", lambda v: v > 0)
+nonnegative = partial(within, "nonnegative", lambda v: v >= 0)
+
+
+def check_fields(obj, error=ValueError) -> None:
+    """Raise error naming the first field of the dataclass obj that is outside
+    its declared domain; every float field must also be finite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        domains = [("finite", math.isfinite)] if f.type == "float" else []
+        for domain, ok in domains + list(f.metadata.values()):
+            if not ok(value):
+                raise error(f"{f.name}: must be {domain}, got {value!r}")
+
+
+def _as_vec3(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(3)
+    if not np.isfinite(a).all():
+        raise GeometryError(f"{name}: must be finite, got {a!r}")
     a.flags.writeable = False
     return a
 
@@ -56,9 +85,9 @@ class RigidTransform:
 
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        t = _as_vec3(self.translation)
+        t = _as_vec3(self.translation, "translation")
         err = np.abs(r @ r.T - np.eye(3)).max()
-        if err > _ORTHO_REJECT:
+        if not err <= _ORTHO_REJECT:  # NaN fails every comparison
             raise GeometryError(f"rotation is not orthonormal (error {err:.3g})")
         if err > _ORTHO_TOL:
             u, _, vt = np.linalg.svd(r)
@@ -100,16 +129,14 @@ class DisplayModel:
     pose_world maps display-frame coordinates into the world frame.
     """
 
-    width_mm: float
-    height_mm: float
-    width_px: int
-    height_px: int
+    width_mm: float = positive()
+    height_mm: float = positive()
+    width_px: int = positive()
+    height_px: int = positive()
     pose_world: RigidTransform = field(default_factory=RigidTransform.identity)
 
     def __post_init__(self):
-        for name in ("width_mm", "height_mm", "width_px", "height_px"):
-            if getattr(self, name) <= 0:
-                raise GeometryError(f"DisplayModel.{name} must be strictly positive")
+        check_fields(self, GeometryError)
 
     def px_to_mm(self, px) -> np.ndarray:
         """Display pixel (u right, v down, origin top-left) to a 3D point on
@@ -143,19 +170,16 @@ class PinholeCamera:
     in a corner on the back of the device.
     """
 
-    fx: float
-    fy: float
+    fx: float = positive()
+    fy: float = positive()
     cx: float
     cy: float
-    width_px: int
-    height_px: int
+    width_px: int = positive()
+    height_px: int = positive()
     extrinsic: RigidTransform = field(default_factory=RigidTransform.identity)
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise GeometryError("focal lengths must be strictly positive")
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise GeometryError("image size must be strictly positive")
+        check_fields(self, GeometryError)
 
     def diagonal_px(self) -> float:
         return float(np.hypot(self.width_px, self.height_px))
@@ -188,7 +212,7 @@ def back_camera(offset_mm=(45.0, -25.0, -8.0), fx: float = 400.0, fy: float = 40
     it in a corner on the back of the device.
     """
     r = np.diag([1.0, -1.0, -1.0])  # 180-degree turn about display x
-    c = _as_vec3(offset_mm)
+    c = _as_vec3(offset_mm, "offset_mm")
     return PinholeCamera(fx=fx, fy=fy, cx=width_px / 2.0, cy=height_px / 2.0,
                          width_px=width_px, height_px=height_px,
                          extrinsic=RigidTransform(r, -r @ c))
@@ -201,12 +225,13 @@ class EyeState:
     cyclopean_mm: np.ndarray
     left_mm: np.ndarray
     right_mm: np.ndarray
-    ipd_mm: float
+    ipd_mm: float = nonnegative()
 
     def __post_init__(self):
-        c = _as_vec3(self.cyclopean_mm)
-        l = _as_vec3(self.left_mm)
-        r = _as_vec3(self.right_mm)
+        check_fields(self, GeometryError)
+        c = _as_vec3(self.cyclopean_mm, "cyclopean_mm")
+        l = _as_vec3(self.left_mm, "left_mm")
+        r = _as_vec3(self.right_mm, "right_mm")
         object.__setattr__(self, "cyclopean_mm", c)
         object.__setattr__(self, "left_mm", l)
         object.__setattr__(self, "right_mm", r)
@@ -220,7 +245,7 @@ class EyeState:
     @classmethod
     def from_cyclopean(cls, cyclopean_mm, ipd_mm: float = 63.0) -> "EyeState":
         """Eyes split symmetrically along the display x-axis."""
-        c = _as_vec3(cyclopean_mm)
+        c = _as_vec3(cyclopean_mm, "cyclopean_mm")
         half = np.array([ipd_mm / 2.0, 0.0, 0.0])
         return cls(c, c - half, c + half, ipd_mm)
 
@@ -237,15 +262,15 @@ class ScenePlane:
 
     point_world: np.ndarray
     normal_world: np.ndarray
-    bounds_mm: tuple[float, float]
+    bounds_mm: tuple[float, float] = within("positive and finite",
+                                            lambda b: all(0 < x < math.inf for x in b))
 
     def __post_init__(self):
-        p = _as_vec3(self.point_world)
-        n = _as_vec3(self.normal_world)
+        check_fields(self, GeometryError)
+        p = _as_vec3(self.point_world, "point_world")
+        n = _as_vec3(self.normal_world, "normal_world")
         if abs(np.linalg.norm(n) - 1.0) > 1e-9:
             raise GeometryError("normal_world must have unit norm")
-        if not all(b > 0 for b in self.bounds_mm):
-            raise GeometryError(f"bounds_mm must be strictly positive, got {self.bounds_mm}")
         object.__setattr__(self, "point_world", p)
         object.__setattr__(self, "normal_world", n)
         up = np.array([0.0, 1.0, 0.0])
@@ -282,7 +307,7 @@ class Ray:
     direction: np.ndarray
 
     def __post_init__(self):
-        o = _as_vec3(self.origin)
+        o = _as_vec3(self.origin, "origin")
         d = np.asarray(self.direction, dtype=float).reshape(3)
         n = np.linalg.norm(d)
         if n == 0:

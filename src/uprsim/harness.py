@@ -18,8 +18,9 @@ columns; summaries and the CSV output read those columns. A sweep whose
 parameter does not shape the trace builds the trace once and shares it.
 
 A config key's own domain is declared on its ExperimentConfig field and
-checked, with finiteness for every float, when a config is built; rules
-across keys fail where their objects are built, under checked's label.
+checked, with finiteness for every float, when a config is built, by the
+check_fields loop that the library's value objects use (see geometry);
+rules across keys fail where their objects are built, under checked's label.
 
 WORLD LAYOUT
 ============
@@ -54,10 +55,8 @@ at rest, not mid-motion); set errors_dwell_only = false for every frame.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import astuple, dataclass, field, fields, replace
-from functools import partial
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -68,7 +67,11 @@ from .geometry import (
     RigidTransform,
     ScenePlane,
     back_camera,
+    check_fields,
     front_camera,
+    nonnegative,
+    positive,
+    within,
 )
 from .tracksim import (
     CostModel,
@@ -97,15 +100,6 @@ class ConfigError(ValueError):
 BENCHMARK_JITTER_CROSSOVER_MM = 8.0
 
 
-def _within(default, domain: str, ok):
-    """A config field whose value must pass ok; domain words that bound."""
-    return field(default=default, metadata={"domain": (domain, ok)})
-
-
-_positive = partial(_within, domain="positive", ok=lambda v: v > 0)
-_nonnegative = partial(_within, domain="nonnegative", ok=lambda v: v >= 0)
-
-
 def _distinct_modes(modes: str) -> bool:
     names = [m.strip() for m in modes.split(",")]
     return len(set(names)) == len(names) and set(names) <= RenderMode.__members__.keys()
@@ -113,7 +107,7 @@ def _distinct_modes(modes: str) -> bool:
 
 def _one_of(default, choices):
     names = [c.value for c in choices]
-    return _within(default, "one of " + ", ".join(names), names.__contains__)
+    return within("one of " + ", ".join(names), names.__contains__, default)
 
 
 @dataclass(frozen=True)
@@ -121,85 +115,79 @@ class ExperimentConfig:
     """Flat experiment configuration. Field names double as the config-file
     keys (one `key = value` per line); see README for the full schema."""
 
-    modes: str = _within("DPR,UPR,FUPR,AAUPR",
-                         "comma-separated distinct render modes (DPR, UPR, FUPR, AAUPR)",
-                         _distinct_modes)
-    seed: int = _nonnegative(1)
+    modes: str = within("comma-separated distinct render modes (DPR, UPR, FUPR, AAUPR)",
+                        _distinct_modes, "DPR,UPR,FUPR,AAUPR")
+    seed: int = nonnegative(1)
 
     # Trace: either a generator spec or an external CSV file.
     trace_file: str = ""
     trace_generator: str = _one_of("step_move", Generator)
-    trace_n_frames: int = _nonnegative(0)
-    trace_frame_rate_hz: float = _positive(15.0)
+    trace_n_frames: int = nonnegative(0)
+    trace_frame_rate_hz: float = positive(15.0)
     trace_base_eye_x_mm: float = 0.0
     trace_base_eye_y_mm: float = 0.0
     trace_base_eye_z_mm: float = 150.0
     trace_amplitude_mm: float = 250.0
     trace_depth_amplitude_mm: float = 100.0
-    trace_dwell_frames: int = _within(150, "at least 1", lambda v: v >= 1)
-    trace_transition_frames: int = _within(30, "at least 1", lambda v: v >= 1)
-    trace_sway_period_s: float = _positive(4.0)
+    trace_dwell_frames: int = within("at least 1", lambda v: v >= 1, 150)
+    trace_transition_frames: int = within("at least 1", lambda v: v >= 1, 30)
+    trace_sway_period_s: float = positive(4.0)
 
-    ipd_mm: float = _nonnegative(63.0)
+    ipd_mm: float = nonnegative(63.0)
 
-    display_width_mm: float = _positive(109.0)
-    display_height_mm: float = _positive(61.0)
-    display_width_px: int = _positive(1080)
-    display_height_px: int = _positive(608)
+    display_width_mm: float = positive(109.0)
+    display_height_mm: float = positive(61.0)
+    display_width_px: int = positive(1080)
+    display_height_px: int = positive(608)
     display_z_world_mm: float = 300.0
 
-    plane_width_mm: float = _positive(506.0)
-    plane_height_mm: float = _positive(287.0)
+    plane_width_mm: float = positive(506.0)
+    plane_height_mm: float = positive(287.0)
 
-    front_cam_fx: float = _positive(250.0)
-    front_cam_fy: float = _positive(250.0)
-    front_cam_width_px: int = _positive(640)
-    front_cam_height_px: int = _positive(480)
+    front_cam_fx: float = positive(250.0)
+    front_cam_fy: float = positive(250.0)
+    front_cam_width_px: int = positive(640)
+    front_cam_height_px: int = positive(480)
 
-    back_cam_fx: float = _positive(400.0)
-    back_cam_fy: float = _positive(400.0)
-    back_cam_width_px: int = _positive(640)
-    back_cam_height_px: int = _positive(480)
+    back_cam_fx: float = positive(400.0)
+    back_cam_fy: float = positive(400.0)
+    back_cam_width_px: int = positive(640)
+    back_cam_height_px: int = positive(480)
     back_cam_offset_x_mm: float = 45.0
     back_cam_offset_y_mm: float = -25.0
     back_cam_offset_z_mm: float = -8.0
 
     dpr_fit: str = _one_of("stretch", FitPolicy)
-    fupr_distance_mm: float = _positive(150.0)
+    fupr_distance_mm: float = positive(150.0)
 
-    threshold_eps_max_px: float = _nonnegative(0.0)  # 0 -> 3% of front image diagonal
-    threshold_refine_factor: float = _within(0.1, "in (0, 1)", lambda v: 0 < v < 1)
+    threshold_eps_max_px: float = nonnegative(0.0)  # 0 -> 3% of front image diagonal
+    threshold_refine_factor: float = within("in (0, 1)", lambda v: 0 < v < 1, 0.1)
     threshold_policy: str = _one_of("verbatim", sched.Policy)
-    threshold_decay_rate: float = _within(0.98, "in (0, 1]", lambda v: 0 < v <= 1)
-    threshold_eps_min_px: float = _nonnegative(0.0)  # 0 -> 0.1 * eps_max
+    threshold_decay_rate: float = within("in (0, 1]", lambda v: 0 < v <= 1, 0.98)
+    threshold_eps_min_px: float = nonnegative(0.0)  # 0 -> 0.1 * eps_max
     threshold_metric: str = _one_of("max", sched.EyeMetric)
 
-    noise_flow_sigma_px: float = _nonnegative(1.0)
-    noise_drift_px_per_frame: float = _nonnegative(0.05)
-    noise_p_fail: float = _within(0.001, "in [0, 1]", lambda v: 0 <= v <= 1)
-    noise_jitter_sigma_mm: float = _nonnegative(5.0)
-    noise_latency_frames: int = _nonnegative(0)
+    noise_flow_sigma_px: float = nonnegative(1.0)
+    noise_drift_px_per_frame: float = nonnegative(0.05)
+    noise_p_fail: float = within("in [0, 1]", lambda v: 0 <= v <= 1, 0.001)
+    noise_jitter_sigma_mm: float = nonnegative(5.0)
+    noise_latency_frames: int = nonnegative(0)
 
-    cost_resolution: str = _within("640x480", "320x240 or 640x480",
-                                   lambda v: v in ("320x240", "640x480"))
-    cost_face_track_320x240_ms: float = _nonnegative(14.080)
-    cost_face_track_640x480_ms: float = _nonnegative(30.094)
-    cost_flow_ms: float = _nonnegative(0.5)
-    cost_render_base_ms: float = _nonnegative(20.733)
+    cost_resolution: str = within("320x240 or 640x480",
+                                  lambda v: v in ("320x240", "640x480"), "640x480")
+    cost_face_track_320x240_ms: float = nonnegative(14.080)
+    cost_face_track_640x480_ms: float = nonnegative(30.094)
+    cost_flow_ms: float = nonnegative(0.5)
+    cost_render_base_ms: float = nonnegative(20.733)
 
     # Semicolon-separated "x,y" pairs, plane-frame mm.
     targets: str = "0,0;150,80;-150,80;150,-80;-150,-80"
 
     errors_dwell_only: bool = True
-    errors_px_per_mm: float = _nonnegative(0.0)  # 0 -> report mm only
+    errors_px_per_mm: float = nonnegative(0.0)  # 0 -> report mm only
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            domains = [("finite", math.isfinite)] if f.type == "float" else []
-            for domain, ok in domains + list(f.metadata.values()):
-                if not ok(value):
-                    raise ConfigError(f"{f.name}: must be {domain}, got {value!r}")
+        check_fields(self, ConfigError)
 
     # ---- parsing -------------------------------------------------------
 

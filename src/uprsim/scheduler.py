@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PinholeCamera
+from .geometry import PinholeCamera, check_fields, positive, within
 
 #: Flow-tracker failure marker accepted by step() in place of eye positions.
 FLOW_FAILURE = None
@@ -65,23 +65,17 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThresholdConfig:
-    eps_max_px: float
-    refine_factor: float = 0.1
+    eps_max_px: float = positive()
+    refine_factor: float = within("in (0, 1)", lambda v: 0 < v < 1, 0.1)
     policy: Policy = Policy.VERBATIM
-    decay_rate: float = 0.98
+    decay_rate: float = within("in (0, 1]", lambda v: 0 < v <= 1, 0.98)
     eps_min_px: float | None = None  # defaults to 0.1 * eps_max_px
     metric: EyeMetric = EyeMetric.MAX
 
     def __post_init__(self):
-        if not 0 < self.eps_max_px < np.inf:
-            raise ValueError("eps_max_px must be positive and finite")
-        if not 0 < self.refine_factor < 1:
-            raise ValueError("refine_factor must be in (0, 1)")
-        if self.policy is Policy.DECAYING:
-            if not 0 < self.decay_rate <= 1:
-                raise ValueError("decay_rate must be in (0, 1]")
-            if not 0 < self.floor_px <= self.eps_max_px:
-                raise ValueError("eps_min_px must be in (0, eps_max_px]")
+        check_fields(self)
+        if self.policy is Policy.DECAYING and not 0 < self.floor_px <= self.eps_max_px:
+            raise ValueError("eps_min_px must be in (0, eps_max_px]")
 
     @property
     def floor_px(self) -> float:

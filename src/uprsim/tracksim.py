@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PinholeCamera, project_pinhole
+from .geometry import PinholeCamera, check_fields, nonnegative, positive, project_pinhole, within
 
 DEFAULT_FRAME_RATE_HZ = 15.0  # front-camera hardware limit
 
@@ -46,9 +46,10 @@ class HeadTrace:
     t_ms: np.ndarray
     eye_mm: np.ndarray
     ipd_mm: np.ndarray
-    frame_rate_hz: float
+    frame_rate_hz: float = positive()
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("t_ms", "eye_mm", "ipd_mm"):
             a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
@@ -97,16 +98,19 @@ def eye_points(eye_mm, ipd_mm) -> np.ndarray:
 @dataclass(frozen=True)
 class TraceSpec:
     generator: Generator
-    n_frames: int = 0  # derived for step_move when 0
-    frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
+    n_frames: int = nonnegative(0)  # derived for step_move when 0
+    frame_rate_hz: float = positive(DEFAULT_FRAME_RATE_HZ)
     base_eye_mm: tuple[float, float, float] = (0.0, 0.0, 300.0)
-    ipd_mm: float = 63.0
+    ipd_mm: float = nonnegative(63.0)
     amplitude_mm: float = 200.0      # lateral travel (step_move, sway) / step sigma
     depth_amplitude_mm: float = 0.0  # additional travel along display z (step_move)
-    dwell_frames: int = 50
-    transition_frames: int = 20
-    sway_period_s: float = 4.0
-    seed: int = 0
+    dwell_frames: int = within("at least 1", lambda v: v >= 1, 50)
+    transition_frames: int = within("at least 1", lambda v: v >= 1, 20)
+    sway_period_s: float = positive(4.0)
+    seed: int = nonnegative(0)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -115,17 +119,11 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
 
 def generate_trace(spec: TraceSpec) -> HeadTrace:
     """Deterministic synthetic head-motion trace per the generator spec."""
-    if not spec.frame_rate_hz > 0:
-        raise ValueError("frame rate must be positive")
     base = np.asarray(spec.base_eye_mm, dtype=float)
 
     if spec.generator is Generator.STEP_MOVE:
         # Dwell at the base pose, transition, dwell at the displaced pose.
-        if spec.n_frames < 0:
-            raise ValueError("n_frames must be nonnegative (0 derives the length)")
         n = spec.n_frames or (2 * spec.dwell_frames + spec.transition_frames)
-        if spec.dwell_frames < 1 or spec.transition_frames < 1:
-            raise ValueError("step_move needs at least one dwell and transition frame")
         offset = np.array([spec.amplitude_mm, 0.0, spec.depth_amplitude_mm])
         frac = np.zeros(n)
         t0, t1 = spec.dwell_frames, spec.dwell_frames + spec.transition_frames
@@ -137,8 +135,6 @@ def generate_trace(spec: TraceSpec) -> HeadTrace:
         positions = np.tile(base, (n, 1))
     elif spec.generator is Generator.SWAY:
         n = _require_frames(spec)
-        if not spec.sway_period_s > 0:
-            raise ValueError("sway_period_s must be positive")
         t_s = np.arange(n) / spec.frame_rate_hz
         x = spec.amplitude_mm * np.sin(2.0 * np.pi * t_s / spec.sway_period_s)
         positions = base + np.outer(x, [1.0, 0.0, 0.0])
@@ -232,6 +228,7 @@ class FlowMeasurement:
         return self.eye_px is None
 
 
+@dataclass(eq=False)
 class FlowSimulator:
     """Stand-in for sparse feature tracking of the two eye points.
 
@@ -244,20 +241,14 @@ class FlowSimulator:
     recomputation) and i.i.d. Gaussian pixel noise.
     """
 
-    def __init__(self, front_cam: PinholeCamera, noise_sigma_px: float = 0.0,
-                 drift_px_per_frame: float = 0.0, p_fail: float = 0.0,
-                 rng: np.random.Generator | None = None):
-        for name, value in (("noise_sigma_px", noise_sigma_px),
-                            ("drift_px_per_frame", drift_px_per_frame)):
-            if not value >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
-        if not 0 <= p_fail <= 1:
-            raise ValueError(f"p_fail must be in [0, 1], got {p_fail}")
-        self.front_cam = front_cam
-        self.noise_sigma_px = noise_sigma_px
-        self.drift_px_per_frame = drift_px_per_frame
-        self.p_fail = p_fail
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+    front_cam: PinholeCamera
+    noise_sigma_px: float = nonnegative(0.0)
+    drift_px_per_frame: float = nonnegative(0.0)
+    p_fail: float = within("in [0, 1]", lambda v: 0 <= v <= 1, 0.0)
+    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+
+    def __post_init__(self):
+        check_fields(self)
         self._drift_frames = 0
         self._drift_dir = self._new_drift_dir()
 
@@ -296,6 +287,7 @@ class FlowSimulator:
         return FlowMeasurement(px)
 
 
+@dataclass(frozen=True)
 class FaceTracker:
     """Costed, jittered stand-in for 3D face tracking.
 
@@ -304,13 +296,12 @@ class FaceTracker:
     cost_ms.
     """
 
-    def __init__(self, jitter_sigma_mm: float = 5.0, cost_ms: float = 30.094,
-                 rng: np.random.Generator | None = None):
-        if not jitter_sigma_mm >= 0:
-            raise ValueError(f"jitter_sigma_mm must be nonnegative, got {jitter_sigma_mm}")
-        self.jitter_sigma_mm = jitter_sigma_mm
-        self.cost_ms = cost_ms
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+    jitter_sigma_mm: float = nonnegative(5.0)
+    cost_ms: float = nonnegative(30.094)
+    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+
+    def __post_init__(self):
+        check_fields(self)
 
     def offsets(self, n: int) -> np.ndarray:
         """(n, 3) displacements of the first n invocations, in one draw that
@@ -330,15 +321,13 @@ class CostModel:
 
     face_track_ms: dict[str, float] = field(
         default_factory=lambda: {"320x240": 14.080, "640x480": 30.094})
-    flow_ms: float = 0.5
-    render_base_ms: float = 20.733
+    flow_ms: float = nonnegative(0.5)
+    render_base_ms: float = nonnegative(20.733)
 
     def __post_init__(self):
-        if any(v < 0 for v in self.face_track_ms.values()):
-            raise ValueError("face_track_ms entries must be nonnegative")
-        if self.flow_ms < 0 or self.render_base_ms < 0:
-            raise ValueError(f"flow_ms ({self.flow_ms}) and render_base_ms "
-                             f"({self.render_base_ms}) must be nonnegative")
+        check_fields(self)
+        if not all(0 <= v < np.inf for v in self.face_track_ms.values()):
+            raise ValueError("face_track_ms: entries must be nonnegative and finite")
 
     def face_cost(self, resolution: str) -> float:
         try:

@@ -29,7 +29,9 @@ from .geometry import (
     PinholeCamera,
     Ray,
     ScenePlane,
+    check_fields,
     intersect_ray_plane,
+    positive,
     project_pinhole,
 )
 
@@ -53,11 +55,10 @@ class FuprCalibration:
     """One-time head-to-device distance; the implied eye sits on the
     perpendicular through the display center and is never updated."""
 
-    distance_mm: float
+    distance_mm: float = positive()
 
     def __post_init__(self):
-        if self.distance_mm <= 0:
-            raise ValueError("calibration distance must be positive")
+        check_fields(self)
 
 
 def fupr_eye(cal: FuprCalibration, ipd_mm: float = 63.0) -> EyeState:

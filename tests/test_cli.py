@@ -115,9 +115,9 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
     ("threshold_eps_max_px = inf", None, "threshold_eps_max_px"),
     ("noise_latency_frames = -1", None, "noise_latency_frames"),
     ("", ["sweep", "--param", "eps_max", "--values", "1,abc"], "--values"),
-    ("", ["truthtable", "--eps", "-1"], "--eps"),
-    ("", ["truthtable", "--eps", "nan"], "--eps"),
-    ("", ["truthtable", "--eps", "inf"], "--eps"),
+    ("", ["truthtable", "--eps", "-1"], "--eps: eps_max_px: must be"),
+    ("", ["truthtable", "--eps", "nan"], "--eps: eps_max_px: must be"),
+    ("", ["truthtable", "--eps", "inf"], "--eps: eps_max_px: must be"),
     ("trace_file = {nan_csv}", None, "trace_file: line 3"),
     ("trace_file = {behind_csv}", None, "trace_file: line 2"),
     ("trace_file = {posed_csv}", None, "trace_file: line 4"),

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from rotations import rotation_x, rotation_y, rotation_z
@@ -15,6 +17,9 @@ from uprsim.geometry import (
     intersect_ray_plane,
     project_pinhole,
 )
+from uprsim.scheduler import ThresholdConfig
+from uprsim.tracksim import CostModel, FaceTracker, FlowSimulator, Generator, HeadTrace, TraceSpec
+from uprsim.viewgen import FuprCalibration
 
 
 def random_transform(rng) -> RigidTransform:
@@ -50,6 +55,8 @@ def test_rejects_non_rotation():
         RigidTransform(np.eye(3) * 2.0, np.zeros(3))
     with pytest.raises(GeometryError):
         RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+    with pytest.raises(GeometryError, match="not orthonormal"):
+        RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
 
 
 def test_from_quaternion_matches_axis_rotations():
@@ -95,6 +102,10 @@ def test_eye_state_invariants():
         EyeState([0.0, 0.0, 150.0], [-40.0, 0.0, 150.0], [40.0, 0.0, 150.0], 63.0)
     with pytest.raises(GeometryError):
         EyeState.from_cyclopean([0.0, 0.0, -10.0])
+    with pytest.raises(GeometryError, match="^cyclopean_mm: must be finite"):
+        EyeState.from_cyclopean([np.nan, 0.0, 150.0])
+    with pytest.raises(GeometryError, match="^left_mm: must be finite"):
+        EyeState([0.0, 0.0, 150.0], [-np.inf, 0.0, 150.0], [31.5, 0.0, 150.0], 63.0)
 
 
 # ---- Pinhole projection ------------------------------------------------
@@ -205,6 +216,56 @@ def test_plane_2d_round_trip():
 def test_plane_rejects_non_unit_normal():
     with pytest.raises(GeometryError):
         ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 2.0], (100.0, 100.0))
+    with pytest.raises(GeometryError, match="^normal_world: must be finite"):
+        ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, np.nan], (100.0, 100.0))
+
+
+def test_plane_rejects_nonfinite_point_and_bounds():
+    with pytest.raises(GeometryError, match="^point_world: must be finite"):
+        ScenePlane([0.0, np.inf, 0.0], [0.0, 0.0, 1.0], (100.0, 100.0))
+    # An infinite plane would contain every target.
+    for bounds in [(np.inf, 100.0), (100.0, np.nan), (0.0, 100.0)]:
+        with pytest.raises(GeometryError, match="^bounds_mm: must be positive and finite"):
+            ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], bounds)
+
+
+#: A constructor per vector argument, by argument name, given one component.
+VECTORS = {
+    "translation": lambda v: RigidTransform(np.eye(3), [0.0, v, 0.0]),
+    "origin": lambda v: Ray([v, 0.0, 0.0], [0.0, 0.0, 1.0]),
+    "offset_mm": lambda v: back_camera(offset_mm=(0.0, 0.0, v)),
+}
+
+
+@pytest.mark.parametrize("name", VECTORS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_vectors_reject_nonfinite(name, bad):
+    with pytest.raises(GeometryError, match=f"^{name}: must be finite"):
+        VECTORS[name](bad)
+
+
+#: One valid instance of every value object with float fields.
+VALUE_OBJECTS = [
+    DisplayModel(109.0, 61.0, 1080, 608),
+    PinholeCamera(fx=500.0, fy=480.0, cx=320.0, cy=240.0, width_px=640, height_px=480),
+    EyeState.from_cyclopean([0.0, 0.0, 150.0]),
+    FuprCalibration(150.0),
+    ThresholdConfig(24.0),
+    CostModel(),
+    TraceSpec(Generator.SWAY),
+    FlowSimulator(front_camera()),
+    FaceTracker(),
+    HeadTrace(t_ms=[0.0], eye_mm=[[0.0, 0.0, 150.0]], ipd_mm=[63.0], frame_rate_hz=15.0),
+]
+
+
+@pytest.mark.parametrize("obj, name", [
+    (obj, f.name) for obj in VALUE_OBJECTS for f in fields(obj) if f.type == "float"],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_value_objects_reject_nonfinite(obj, name, bad):
+    with pytest.raises(ValueError, match=f"^{name}: must be finite"):
+        replace(obj, **{name: bad})
 
 
 # ---- Camera factories --------------------------------------------------

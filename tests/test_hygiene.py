@@ -5,7 +5,8 @@ src/uprsim is reached from the simulator, demos, perfbench or tools, so
 code only tests call does not stay in src/. Package __init__ files are
 exempt from both: their imports are the public re-exports. One function in
 src/uprsim opens files for writing, so one place decides what a CSV cell
-looks like.
+looks like. Every value object with a number field checks its declared
+domains through geometry.check_fields.
 """
 
 import ast
@@ -122,3 +123,39 @@ def test_one_function_opens_files_for_writing():
     writers = [f"{path.stem}.{name}" for path in sorted((ROOT / "src/uprsim").glob("*.py"))
                for name in file_writers(path.read_text())]
     assert writers == ["tracksim.write_csv"]
+
+
+#: Dataclasses with number fields that are outputs of the program, never
+#: built from outside input, so they declare no domains.
+UNCHECKED = {"SchedulerState", "Decision", "Summary"}
+
+
+def unchecked_dataclasses(source: str) -> list[str]:
+    """Dataclasses with an int or float field whose __post_init__ does not
+    call check_fields."""
+    names = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+            continue
+        if not any(isinstance(s, ast.AnnAssign) and ast.unparse(s.annotation) in ("int", "float")
+                   for s in cls.body):
+            continue
+        post = [f for f in cls.body if isinstance(f, ast.FunctionDef)
+                and f.name == "__post_init__"]
+        if not any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "check_fields"
+                   for f in post for c in ast.walk(f)):
+            names.append(cls.name)
+    return names
+
+
+def test_value_objects_check_fields():
+    source = ("@dataclass\nclass A:\n    x: int\n"
+              "@dataclass(frozen=True)\nclass B:\n    x: float\n"
+              "    def __post_init__(self): check_fields(self)\n"
+              "@dataclass\nclass C:\n    x: str\n"
+              "class D:\n    x: int\n")
+    assert unchecked_dataclasses(source) == ["A"]
+    unchecked = [name for path in (ROOT / "src/uprsim").glob("*.py")
+                 for name in unchecked_dataclasses(path.read_text())]
+    assert sorted(unchecked) == sorted(UNCHECKED)

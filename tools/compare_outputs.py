@@ -18,9 +18,10 @@ drawn, every frame renders the calibration eye and every charge is billed
 to the final frame;
 `sweep --param eps_max` over a random-walk trace CSV that each tree writes
 itself; `gen-trace` for all four generators; and `truthtable --eps 24`,
-the scheduler's decision table on stdout. Commands run with the
-output directory as working directory and relative paths, so printed paths
-match.
+the scheduler's decision table on stdout; and eight bad inputs
+(ERROR_CONFIGS), each a one-line error on stderr with exit code 1. Commands
+run with the output directory as working directory and relative paths, so
+printed paths match.
 """
 
 from __future__ import annotations
@@ -56,6 +57,23 @@ CONFIGS = {
     "gen_random_walk.cfg": "trace_generator = random_walk\ntrace_n_frames = 200\nseed = 3\n",
 }
 
+#: Bad inputs, by name: keys outside their domain, and rules that only the
+#: objects built from the config check (the decaying floor, a sway trace's
+#: frame count, a random walk's amplitude).
+ERROR_CONFIGS = {
+    "refine_factor": "threshold_refine_factor = 1.5\n",
+    "eps_floor": ("threshold_policy = decaying\nthreshold_eps_max_px = 10\n"
+                  "threshold_eps_min_px = 20\n"),
+    "display_width": "display_width_mm = nan\n",
+    "sway_frames": "trace_generator = sway\ntrace_n_frames = 0\n",
+    "walk_amplitude": ("trace_generator = random_walk\ntrace_n_frames = 5\n"
+                       "trace_amplitude_mm = -1\n"),
+    "front_fx": "front_cam_fx = 0\n",
+    "fupr_distance": "fupr_distance_mm = inf\n",
+    "p_fail": "noise_p_fail = 2\n",
+}
+CONFIGS.update({f"error_{name}.cfg": text for name, text in ERROR_CONFIGS.items()})
+
 COMMANDS = [
     ("simulate_default", ["simulate", "--config", "default.cfg", "--out", "default"]),
     ("simulate_latency", ["simulate", "--config", "latency.cfg", "--out", "latency"]),
@@ -67,7 +85,8 @@ COMMANDS = [
 ] + [(f"gen_{g}", ["gen-trace", "--spec", f"gen_{g}.cfg", "--out", f"gen_{g}.csv"])
      for g in ("stationary", "step_move", "sway", "random_walk")] + [
     ("truthtable", ["truthtable", "--eps", "24"]),
-]
+] + [(f"error_{name}", ["simulate", "--config", f"error_{name}.cfg", "--out", f"error_{name}"])
+     for name in ERROR_CONFIGS]
 
 
 def run_commands(src: Path, out: Path) -> None:
