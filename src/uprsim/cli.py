@@ -86,9 +86,8 @@ def _cmd_truthtable(args) -> int:
     for i, flow in enumerate(_TRUTHTABLE_SCRIPT):
         decision, state = sched.step(state, flow, cfg)
         if decision.kind is sched.DecisionKind.RECALCULATE:
-            eyes = np.asarray(flow, dtype=float) if flow is not None else state.pos_eye_calc
-            if eyes is None:  # failure before any recomputation
-                eyes = np.zeros((2, 2))
+            # The flow, else the last anchor, else zeros (failure before any anchor).
+            eyes = flow or state.pos_eye_calc or (0.0,) * 4
             state = sched.apply_recalculation(state, eyes, cfg)
         e = "-" if np.isnan(decision.e_px) else f"{decision.e_px:.2f}"
         de = "-" if np.isnan(decision.delta_e_px) else f"{decision.delta_e_px:.2f}"

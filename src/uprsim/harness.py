@@ -10,12 +10,13 @@ trace: the flow proxy's exact eye pixels and visibility
 (FlowSimulator.project) before AAUPR's closed loop, and pointing error over
 frames x targets (viewgen.pointing_errors) after it. Face tracking is a
 list of request frames: every frame for UPR, the frames AAUPR's loop
-recalculated at. That loop is the only sequential part: it owns the
-scheduler state and flow draws, and fills the decision, reason, E and dE
-columns. One numpy pass over the requests then builds the estimated-eye
-and charge columns (_run_mode). A mode's result is one ModeRecord of
-columns; summaries and the CSV output read those columns. A sweep whose
-parameter does not shape the trace builds the trace once and shares it.
+recalculated at. That loop is the only sequential part, and it runs on
+Python floats: it owns the scheduler state and flow draws, re-anchors
+through FlowSimulator.project_frame (not project), and fills the decision,
+reason, E and dE columns. One numpy pass over the requests then builds the
+estimated-eye and charge columns (_run_mode). A mode's result is one
+ModeRecord of columns; summaries and the CSV output read those columns. A
+sweep whose parameter does not shape the trace builds the trace once.
 
 A config key's own domain is declared on its ExperimentConfig field and
 checked, with finiteness for every float, when a config is built, by the
@@ -407,7 +408,8 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
               tracker) -> dict[str, np.ndarray]:
     """One mode's sensing columns, keyed by ModeRecord field name. UPR
     requests a face-tracker result on every frame; AAUPR's closed loop
-    (flow measure, scheduler step, re-anchor) chooses its request frames.
+    (flow measure, scheduler step, re-anchor with project_frame) runs on
+    Python floats after one project pass, and chooses its request frames.
     One pass over the requests then builds the estimate and charge columns."""
     n = len(trace)
     cols = {"decision": np.full(n, "", dtype=object),
@@ -430,19 +432,20 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
         charge[:] = cost.flow_ms
         state = sched.initial_state(tcfg)
         flow_px, visible = flow_sim.project(eyes)
-        recalcs: list[int] = []
-        for i, vis in enumerate(visible.tolist()):
-            meas = flow_sim.measure(flow_px[i], vis)
-            flow_input = sched.FLOW_FAILURE if meas.failed else meas.eye_px
-            decision, state = sched.step(state, flow_input, tcfg)
-            cols["decision"][i] = decision.kind.value
-            cols["reason"][i] = decision.reason.value if decision.reason else ""
-            cols["e_px"][i], cols["delta_e_px"][i] = decision.e_px, decision.delta_e_px
+        decisions, recalcs = [], []  # recalcs: the request frames
+        for i, (px, vis) in enumerate(zip(flow_px.reshape(n, 4).tolist(), visible.tolist())):
+            # A failed measurement's eye_px is None, which is sched.FLOW_FAILURE.
+            decision, state = sched.step(state, flow_sim.measure(px, vis).eye_px, tcfg)
+            decisions.append(decision)
             if decision.kind is sched.DecisionKind.RECALCULATE:
-                est_px = flow_sim.project(eyes[i] + offsets[len(recalcs)])[0]
+                est_px = flow_sim.project_frame(eyes[i] + offsets[len(recalcs)])
                 state = sched.apply_recalculation(state, est_px, tcfg)
                 flow_sim.reset_drift()
                 recalcs.append(i)
+        cols["decision"][:] = [d.kind.value for d in decisions]
+        cols["reason"][:] = [d.reason.value if d.reason else "" for d in decisions]
+        cols["e_px"][:] = [d.e_px for d in decisions]
+        cols["delta_e_px"][:] = [d.delta_e_px for d in decisions]
         requests = np.array(recalcs, dtype=int)
 
     est = eyes[requests, 0] + offsets[:len(requests)]

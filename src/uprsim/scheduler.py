@@ -86,12 +86,12 @@ class ThresholdConfig:
 class SchedulerState:
     """Value threaded through step/apply_recalculation; no interior mutation.
 
-    pos_eye_calc: eye pixels recorded at the last precise recomputation.
-    pos_eye_flow_last: previous frame's flow-tracked eye pixels.
+    pos_eye_calc: eye pixels (left u, v, right u, v) at the last precise recomputation.
+    pos_eye_flow_last: previous frame's flow-tracked eye pixels, the same 4 floats.
     """
 
-    pos_eye_calc: np.ndarray | None
-    pos_eye_flow_last: np.ndarray | None
+    pos_eye_calc: tuple[float, float, float, float] | None
+    pos_eye_flow_last: tuple[float, float, float, float] | None
     is_precise: bool
     frames_since_update: int
     eps_current_px: float
@@ -110,16 +110,22 @@ def epsilon_default(front_cam: PinholeCamera) -> float:
     return 0.03 * front_cam.diagonal_px()
 
 
+def _px4(px) -> tuple[float, float, float, float]:
+    """Four floats from four values or any (2, 2)-shaped eye pixels."""
+    return tuple(map(float, px if len(px) == 4 else np.reshape(px, 4)))
+
+
 def eye_distance_px(a, b, metric: EyeMetric = EyeMetric.MAX) -> float:
-    """Reduce per-eye pixel displacements between two eye pairs to a scalar.
+    """Reduce per-eye pixel displacements between two eye pairs, each a
+    4-tuple (left u, v, right u, v), to a scalar.
 
     Default is the maximum over the two eyes (conservative: triggers on
     either eye moving). Each distance is sqrt(dx*dx + dy*dy) on Python
     floats: np.linalg.norm's operations in its order, so the two agree bit
     for bit at a fraction of the cost."""
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    d = [math.sqrt(dx * dx + dy * dy) for dx, dy in diff.tolist()]
-    return max(d) if metric is EyeMetric.MAX else sum(d) / len(d)
+    dx0, dy0, dx1, dy1 = a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]
+    d0, d1 = math.sqrt(dx0 * dx0 + dy0 * dy0), math.sqrt(dx1 * dx1 + dy1 * dy1)
+    return max(d0, d1) if metric is EyeMetric.MAX else (d0 + d1) / 2
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,7 @@ class Decision:
 
 
 def _recalc(state: SchedulerState, reason: Reason, e: float, de: float,
-            flow: np.ndarray | None) -> tuple[Decision, SchedulerState]:
+            flow: tuple | None) -> tuple[Decision, SchedulerState]:
     new = SchedulerState(state.pos_eye_calc,
                          flow if flow is not None else state.pos_eye_flow_last,
                          state.is_precise, state.frames_since_update,
@@ -142,9 +148,9 @@ def _recalc(state: SchedulerState, reason: Reason, e: float, de: float,
 def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Decision, SchedulerState]:
     """One scheduling decision for one front-camera frame.
 
-    pos_eye_flow is a (2, 2) array of flow-tracked eye pixels, or
-    FLOW_FAILURE when the flow tracker lost the eyes (which forces a
-    recomputation; failure is a valid input, not an error).
+    pos_eye_flow is the flow-tracked eye pixels, (2, 2)-shaped or four
+    values (left u, v, right u, v), or FLOW_FAILURE when the flow tracker
+    lost the eyes (which forces a recomputation; failure is a valid input).
 
     A Recalculate decision must be completed with apply_recalculation before
     the next step.
@@ -153,7 +159,7 @@ def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Dec
         raise ProtocolError("previous Recalculate decision was never applied")
     if pos_eye_flow is FLOW_FAILURE:
         return _recalc(state, Reason.FLOW_FAILURE, float("nan"), float("nan"), None)
-    flow = np.asarray(pos_eye_flow, dtype=float).reshape(2, 2)
+    flow = _px4(pos_eye_flow)
     if state.pos_eye_calc is None:
         return _recalc(state, Reason.INITIAL, float("nan"), float("nan"), flow)
 
@@ -168,13 +174,8 @@ def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Dec
         return _recalc(state, Reason.REFINE, e, de, flow)
 
     # Skip branch.
-    if cfg.policy is Policy.LATCHED:
-        precise = state.is_precise and e <= cfg.refine_factor * eps
-    else:
-        precise = False
-    eps_next = eps
-    if cfg.policy is Policy.DECAYING:
-        eps_next = max(cfg.floor_px, eps * cfg.decay_rate)
+    precise = cfg.policy is Policy.LATCHED and state.is_precise and e <= cfg.refine_factor * eps
+    eps_next = max(cfg.floor_px, eps * cfg.decay_rate) if cfg.policy is Policy.DECAYING else eps
     new = SchedulerState(state.pos_eye_calc, flow, precise,
                          state.frames_since_update + 1, eps_next)
     return Decision(DecisionKind.SKIP, None, e, de), new
@@ -182,10 +183,10 @@ def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Dec
 
 def apply_recalculation(state: SchedulerState, new_eye_px, cfg: ThresholdConfig) -> SchedulerState:
     """Complete a Recalculate decision with the recomputed eyes' front-camera
-    projections. Resets the threshold to its maximum."""
+    projections, in any form step takes. Resets the threshold to its max."""
     if not state.pending_recalc:
         raise ProtocolError("apply_recalculation called after a Skip decision")
-    eyes = np.asarray(new_eye_px, dtype=float).reshape(2, 2)
+    eyes = _px4(new_eye_px)
     flow_last = state.pos_eye_flow_last if state.pos_eye_flow_last is not None else eyes
     return SchedulerState(pos_eye_calc=eyes, pos_eye_flow_last=flow_last,
                           is_precise=True, frames_since_update=0,

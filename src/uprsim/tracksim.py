@@ -3,8 +3,9 @@ device pose, since the display is fixed above the scene), a flow-based eye
 tracker proxy (noisy projections of the two eye points, standing in for
 sparse feature tracking), a costed and jittered 3D face-tracker proxy, and
 the per-invocation cost model. Eye points are (..., 3, 3) arrays
-(eye_points). The flow proxy projects a whole trace's eyes in one batch
-pass (FlowSimulator.project); its per-frame measure only draws. The face
+(eye_points). The flow proxy projects a whole trace's eyes in one numpy
+pass (FlowSimulator.project); project_frame (one frame) and measure (drift
+and noise) work on four Python floats: left u, v, right u, v. The face
 tracker draws all its jitter at once (FaceTracker.offsets). write_csv is
 the one CSV writer; harness writes its tables through it too.
 
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import nan
+from operator import add
 
 import numpy as np
 
@@ -221,7 +224,7 @@ def read_trace_csv(path) -> HeadTrace:
 class FlowMeasurement:
     """Flow-tracked eye pixels for one front-camera frame, or a failure."""
 
-    eye_px: np.ndarray | None  # (2, 2): rows left/right, or None on failure
+    eye_px: tuple[float, float, float, float] | None  # left u, v, right u, v
 
     @property
     def failed(self) -> bool:
@@ -234,11 +237,12 @@ class FlowSimulator:
 
     project gives the exact front-camera pixels of the eyes and whether the
     camera sees both; it is stateless, so it runs over any number of frames
-    at once. measure then turns one frame's exact pixels into a measurement:
-    tracking fails with probability p_fail per frame, and always fails when
-    an eye is out of view; otherwise it adds accumulated drift (a slowly
-    growing bias in a per-segment random direction, reset on every pose
-    recomputation) and i.i.d. Gaussian pixel noise.
+    at once; project_frame gives one frame's as four floats. measure turns
+    one frame's exact pixels into a measurement on Python floats: tracking
+    fails with probability p_fail per frame, and always fails when an eye is
+    out of view; otherwise it adds accumulated drift (a slowly growing bias
+    in a per-segment random direction, reset on every pose recomputation)
+    and i.i.d. Gaussian pixel noise.
     """
 
     front_cam: PinholeCamera
@@ -249,17 +253,14 @@ class FlowSimulator:
 
     def __post_init__(self):
         check_fields(self)
-        self._drift_frames = 0
-        self._drift_dir = self._new_drift_dir()
-
-    def _new_drift_dir(self) -> np.ndarray:
-        theta = self.rng.uniform(0.0, 2.0 * np.pi)
-        return np.array([np.cos(theta), np.sin(theta)])
+        self.reset_drift()
 
     def reset_drift(self) -> None:
         """Called when the pose recomputation re-initializes motion estimation."""
         self._drift_frames = 0
-        self._drift_dir = self._new_drift_dir()
+        theta = self.rng.uniform(0.0, 2.0 * np.pi)
+        # numpy's cos and sin: math's need not give the same bits.
+        self._drift_dir = (float(np.cos(theta)), float(np.sin(theta)))
 
     def project(self, eyes) -> tuple[np.ndarray, np.ndarray]:
         """Exact front-camera pixels of the left and right eyes of (..., 3, 3)
@@ -271,19 +272,30 @@ class FlowSimulator:
         px = project_pinhole(cam, np.where(pts[..., 2:] > 0, pts, np.nan))
         return px, cam.contains(px).all(axis=-1)
 
-    def measure(self, px: np.ndarray, visible: bool) -> FlowMeasurement:
-        """One frame's measurement from its exact (2, 2) pixels and
-        visibility, as project returns them. Draws from the rng only for a
-        visible frame: the failure draw, then the noise."""
+    def project_frame(self, eyes) -> tuple[float, float, float, float]:
+        """project's pixels of one frame's (3, 3) eye points, bit for bit, as
+        four floats (left u, v, right u, v): the camera transform in numpy,
+        then project's divide and behind-camera NaN on Python floats."""
+        cam, px = self.front_cam, []
+        for x, y, z in cam.extrinsic.apply(eyes[1:]).tolist():
+            px += (x * cam.fx / z + cam.cx, y * cam.fy / z + cam.cy) if z > 0 else (nan, nan)
+        return tuple(px)
+
+    def measure(self, px, visible: bool) -> FlowMeasurement:
+        """One frame's measurement from its four exact pixels (left u, v,
+        right u, v) and visibility, as project gives them per frame. Draws
+        from the rng only for a visible frame: the failure draw, then the
+        noise, four values in one draw."""
         if not visible:
             return FlowMeasurement(None)
         if self.p_fail > 0 and self.rng.random() < self.p_fail:
             return FlowMeasurement(None)
         self._drift_frames += 1
-        drift = self._drift_dir * (self.drift_px_per_frame * self._drift_frames)
-        px = px + drift
+        scale = self.drift_px_per_frame * self._drift_frames
+        dx, dy = self._drift_dir[0] * scale, self._drift_dir[1] * scale
+        px = (px[0] + dx, px[1] + dy, px[2] + dx, px[3] + dy)
         if self.noise_sigma_px > 0:
-            px = px + self.rng.normal(0.0, self.noise_sigma_px, size=px.shape)
+            px = tuple(map(add, px, self.rng.normal(0.0, self.noise_sigma_px, size=4).tolist()))
         return FlowMeasurement(px)
 
 

@@ -56,7 +56,7 @@ def criterion(number, text, max_seconds=None):
 
 
 def scheduler_state(calc_x, flow_last_x, precise):
-    pair = lambda x: np.array([[x, 100.0], [x + 60.0, 100.0]])
+    pair = lambda x: (x, 100.0, x + 60.0, 100.0)  # a state holds 4-tuples
     return SchedulerState(pos_eye_calc=pair(calc_x), pos_eye_flow_last=pair(flow_last_x),
                           is_precise=precise, frames_since_update=1, eps_current_px=24.0)
 

@@ -1,4 +1,5 @@
 import csv
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from uprsim.harness import (
     write_outputs,
     write_sweep_csv,
 )
-from uprsim.tracksim import write_trace_csv
+from uprsim.tracksim import FlowSimulator, write_trace_csv
 from uprsim.viewgen import RenderMode, pointing_error
 
 
@@ -294,7 +295,8 @@ def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
 
     def eye_px(eye_mm):
         eye = EyeState.from_cyclopean(eye_mm, ipd_mm=cfg.ipd_mm)
-        return project_pinhole(front, front.extrinsic.apply(np.stack([eye.left_mm, eye.right_mm])))
+        px = project_pinhole(front, front.extrinsic.apply(np.stack([eye.left_mm, eye.right_mm])))
+        return tuple(px.reshape(4).tolist())
 
     flow = eye_px(rec.true_eye_mm[k + 1])
     assert rec.e_px[k + 1] == pytest.approx(
@@ -360,6 +362,31 @@ def test_request_events_equal_pending_queue(latency, seed, n_frames, jitter_mm, 
         est, charge = pending_queue_reference(cfg, res, mode)
         assert np.array_equal(res.records[mode].est_eye_mm, est), mode
         assert np.array_equal(res.records[mode].tracking_charge_ms, charge), mode
+
+
+def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
+    # The closed loop runs on Python floats: one project pass over the
+    # trace, and no np.asarray inside the scheduler on any frame.
+    project_calls, asarray_callers = [], []
+    project, asarray = FlowSimulator.project, np.asarray
+
+    def counting_project(self, eyes):
+        project_calls.append(np.shape(eyes))
+        return project(self, eyes)
+
+    def counting_asarray(*args, **kwargs):
+        frame = sys._getframe(1)
+        asarray_callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        return asarray(*args, **kwargs)
+
+    monkeypatch.setattr(FlowSimulator, "project", counting_project)
+    monkeypatch.setattr(np, "asarray", counting_asarray)
+    rec = run(benchmark_config(modes="AAUPR", trace_generator="sway", trace_n_frames=300,
+                               trace_amplitude_mm=120.0)).records["AAUPR"]
+    assert {"recalculate", "skip"} <= set(rec.decision.tolist())
+    assert project_calls == [(300, 3, 3)]
+    assert ("uprsim.geometry", "apply") in asarray_callers  # the counter sees calls
+    assert [c for c in asarray_callers if c[0] == sched.__name__] == []
 
 
 def test_trace_file_input(tmp_path):

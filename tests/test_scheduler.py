@@ -31,8 +31,13 @@ def eyes(x: float, y: float = 100.0) -> np.ndarray:
     return np.array([[x, y], [x + 60.0, y]])
 
 
+def px4(a) -> tuple:
+    """Eye pixels in the 4-tuple form a SchedulerState holds."""
+    return tuple(np.ravel(a).tolist())
+
+
 def state_with(calc, flow_last, precise, eps=24.0) -> SchedulerState:
-    return SchedulerState(pos_eye_calc=calc, pos_eye_flow_last=flow_last,
+    return SchedulerState(pos_eye_calc=px4(calc), pos_eye_flow_last=px4(flow_last),
                           is_precise=precise, frames_since_update=3,
                           eps_current_px=eps)
 
@@ -201,7 +206,7 @@ def test_decaying_policy_shrinks_eps_on_skip():
         d, s = step(s, eyes(5.0), c)
         assert d.kind is DecisionKind.SKIP
         assert s.eps_current_px == pytest.approx(expected)
-        s = SchedulerState(s.pos_eye_calc, eyes(-5.0), False,
+        s = SchedulerState(s.pos_eye_calc, px4(eyes(-5.0)), False,
                            s.frames_since_update, s.eps_current_px)
 
 
@@ -290,14 +295,13 @@ def test_monotone_spatial_gating():
 # ---- metric and config validation --------------------------------------
 
 def test_eye_distance_metrics():
-    a = np.array([[0.0, 0.0], [10.0, 0.0]])
-    b = np.array([[3.0, 4.0], [10.0, 0.0]])
+    a = (0.0, 0.0, 10.0, 0.0)
+    b = (3.0, 4.0, 10.0, 0.0)
     assert eye_distance_px(a, b, EyeMetric.MAX) == pytest.approx(5.0)
     assert eye_distance_px(a, b, EyeMetric.MEAN) == pytest.approx(2.5)
 
 
-eye_pair = st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                    min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2)))
+eye_pair = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -306,7 +310,7 @@ eye_pair = st.lists(st.floats(allow_nan=False, allow_infinity=False),
 def test_eye_distance_bit_equals_norm(a, b, metric):
     # The float arithmetic must reproduce the np.linalg.norm formulation
     # exactly, overflow to inf included, or AAUPR decisions could flip.
-    d = np.linalg.norm(a - b, axis=-1)
+    d = np.linalg.norm(np.reshape(a, (2, 2)) - np.reshape(b, (2, 2)), axis=-1)
     expected = float(d.max() if metric is EyeMetric.MAX else d.mean())
     assert eye_distance_px(a, b, metric) == expected
 

@@ -242,27 +242,60 @@ def test_project_bit_equals_per_frame_projection(fx, fy, width, height, tilt, ip
     assert_project_matches_per_frame(tilted, eyes)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(fx=st.floats(10.0, 2000.0), fy=st.floats(10.0, 2000.0),
+       width=st.integers(1, 2000), height=st.integers(1, 2000),
+       tilt=st.floats(-0.5, 0.5), ipd=st.floats(0.0, 80.0),
+       eye_mm=st.tuples(coord_mm, coord_mm, st.floats(-500.0, 3000.0)),
+       offset=st.tuples(coord_mm, coord_mm, coord_mm))
+@example(fx=250.0, fy=250.0, width=640, height=480, tilt=0.0, ipd=63.0,
+         eye_mm=(0.0, 0.0, 20.0), offset=(0.0, 0.0, -100.0))  # both eyes behind
+@example(fx=250.0, fy=250.0, width=640, height=480, tilt=0.0, ipd=63.0,
+         eye_mm=(0.0, 0.0, 20.0), offset=(0.0, 0.0, -20.0))  # in the camera plane
+@example(fx=250.0, fy=250.0, width=640, height=480, tilt=0.3, ipd=63.0,
+         eye_mm=(0.0, 0.0, 0.5), offset=(0.0, 0.0, 0.0))  # tilt puts one eye behind
+def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_mm, offset):
+    # The re-anchor's one-frame projection of an estimate (the true eye plus
+    # a face-tracker offset) is project's, bit for bit, NaN included, for
+    # the front camera and for a tilted, translated one.
+    est = eye_points(np.array(eye_mm), ipd) + offset
+    tilted = PinholeCamera(fx, fy, width / 2.0, height / 2.0, width, height,
+                           rotation_y(tilt, (5.0, -3.0, 1.0)))
+    for cam in (front_camera(fx, fy, width, height), tilted):
+        sim = FlowSimulator(cam)
+        got = np.array(sim.project_frame(est))
+        expected = sim.project(est)[0].reshape(4)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def measure_frame(sim, eye):
+    """sim.measure of one frame's (3, 3) eye points, through project."""
+    px, visible = sim.project(eye)
+    return sim.measure(px.reshape(4).tolist(), bool(visible))
+
+
 def test_noise_free_flow_is_exact_projection():
     cam = front_camera()
     sim = FlowSimulator(cam)
     eye = eye_at([10.0, -5.0, 250.0])
-    m = sim.measure(*sim.project(eye))
+    m = measure_frame(sim, eye)
     expected = project_pinhole(cam, cam.extrinsic.apply(eye[1:]))
     assert not m.failed
-    assert np.abs(m.eye_px - expected).max() == 0.0
+    assert np.abs(np.reshape(m.eye_px, (2, 2)) - expected).max() == 0.0
 
 
 def test_flow_fails_when_eye_leaves_view():
     cam = front_camera()
     sim = FlowSimulator(cam)
-    assert sim.measure(*sim.project(eye_at([5000.0, 0.0, 100.0]))).failed
+    assert measure_frame(sim, eye_at([5000.0, 0.0, 100.0])).failed
 
 
 def test_flow_noise_sigma_statistical():
     cam = front_camera()
     sim = FlowSimulator(cam, noise_sigma_px=2.0, rng=np.random.default_rng(5))
     eye = eye_at([0.0, 0.0, 300.0])
-    samples = np.array([sim.measure(*sim.project(eye)).eye_px for _ in range(10_000)])
+    samples = np.array([measure_frame(sim, eye).eye_px for _ in range(10_000)])
     resid = samples - samples.mean(axis=0)
     sample_sigma = resid.std()
     assert abs(sample_sigma - 2.0) / 2.0 < 0.05
@@ -274,19 +307,76 @@ def test_flow_drift_accumulates_and_resets():
     eye = eye_at([0.0, 0.0, 300.0])
     exact = project_pinhole(cam, cam.extrinsic.apply(eye[1:]))
     for i in range(1, 30):
-        m = sim.measure(*sim.project(eye))
-        assert np.linalg.norm(m.eye_px[0] - exact[0]) == pytest.approx(0.1 * i, abs=1e-9)
+        m = measure_frame(sim, eye)
+        left = m.eye_px[:2]
+        assert np.linalg.norm(np.subtract(left, exact[0])) == pytest.approx(0.1 * i, abs=1e-9)
     sim.reset_drift()
-    m = sim.measure(*sim.project(eye))
-    assert np.linalg.norm(m.eye_px[0] - exact[0]) == pytest.approx(0.1, abs=1e-9)
+    m = measure_frame(sim, eye)
+    assert np.linalg.norm(np.subtract(m.eye_px[:2], exact[0])) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_flow_failure_probability():
     cam = front_camera()
     sim = FlowSimulator(cam, p_fail=0.5, rng=np.random.default_rng(9))
     eye = eye_at([0.0, 0.0, 300.0])
-    fails = sum(sim.measure(*sim.project(eye)).failed for _ in range(2000))
+    fails = sum(measure_frame(sim, eye).failed for _ in range(2000))
     assert 900 < fails < 1100
+
+
+class NumpyFlowOracle:
+    """measure's former numpy formulation: (2, 2) pixels plus a (2,) drift
+    direction array, then a (2, 2) noise draw."""
+
+    def __init__(self, sigma, drift, p_fail, rng):
+        self.sigma, self.drift, self.p_fail, self.rng = sigma, drift, p_fail, rng
+        self.reset_drift()
+
+    def reset_drift(self):
+        self.frames = 0
+        theta = self.rng.uniform(0.0, 2.0 * np.pi)
+        self.direction = np.array([np.cos(theta), np.sin(theta)])
+
+    def measure(self, px, visible):
+        if not visible:
+            return None
+        if self.p_fail > 0 and self.rng.random() < self.p_fail:
+            return None
+        self.frames += 1
+        px = px + self.direction * (self.drift * self.frames)
+        if self.sigma > 0:
+            px = px + self.rng.normal(0.0, self.sigma, size=px.shape)
+        return px
+
+
+pixel = st.floats(-1e4, 1e4)
+flow_ops = st.lists(st.one_of(
+    st.just("reset"),
+    st.tuples(st.lists(pixel, min_size=4, max_size=4), st.booleans()),
+    st.just(([np.nan] * 4, False))), max_size=40)  # an eye behind the camera
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sigma=st.just(0.0) | st.floats(1e-3, 50.0), drift=st.just(0.0) | st.floats(1e-4, 2.0),
+       p_fail=st.just(0.0) | st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1), ops=flow_ops)
+def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
+    # The float measure makes the same draws in the same order as the numpy
+    # one and gives the same bits, through failures, invisible frames and
+    # drift resets.
+    sim = FlowSimulator(front_camera(), sigma, drift, p_fail, np.random.default_rng(seed))
+    oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng(seed))
+    for op in ops:
+        if op == "reset":
+            sim.reset_drift()
+            oracle.reset_drift()
+            continue
+        px, visible = op
+        got = sim.measure(px, visible).eye_px
+        expected = oracle.measure(np.reshape(px, (2, 2)), visible)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert np.array_equal(np.array(got).view(np.uint64),
+                                  expected.reshape(4).view(np.uint64))
+    assert sim.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
 # ---- face tracker proxy ------------------------------------------------
