@@ -7,7 +7,7 @@ for a full head-pose recomputation and why.
 Run: python3 demos/02_dual_thresholding.py
 """
 
-import numpy as np
+import math
 
 from uprsim.scheduler import (
     FLOW_FAILURE,
@@ -20,7 +20,8 @@ from uprsim.scheduler import (
 
 
 def eyes(x):
-    return np.array([[x, 240.0], [x + 60.0, 240.0]])
+    """Flow-tracked eye pixels: left u, v, right u, v."""
+    return (x, 240.0, x + 60.0, 240.0)
 
 
 # Eye x-position over time: hold, sweep right, settle, dropout, hold.
@@ -45,9 +46,9 @@ for i, flow in enumerate(script):
         what = f"RECALCULATE ({decision.reason.value})"
     else:
         what = "skip"
-    x = "lost" if flow is None else f"{flow[0][0]:.1f}"
-    e = "-" if np.isnan(decision.e_px) else f"{decision.e_px:.1f}"
-    de = "-" if np.isnan(decision.delta_e_px) else f"{decision.delta_e_px:.1f}"
+    x = "lost" if flow is None else f"{flow[0]:.1f}"
+    e = "-" if math.isnan(decision.e_px) else f"{decision.e_px:.1f}"
+    de = "-" if math.isnan(decision.delta_e_px) else f"{decision.delta_e_px:.1f}"
     print(f"{i:>5} {x:>8} {e:>7} {de:>7}  {what}")
 
 print()

@@ -12,10 +12,9 @@ Exit code 0 on success, nonzero with a message on any config/IO error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import scheduler as sched
 from .harness import (
@@ -67,14 +66,14 @@ def _cmd_sweep(args) -> int:
 #: Scripted eye-pixel inputs exercising each decision path: stationary hold,
 #: a jump past the spatial threshold, settling (refine), and a flow failure.
 _TRUTHTABLE_SCRIPT = [
-    [[100.0, 100.0], [160.0, 100.0]],
-    [[100.0, 100.0], [160.0, 100.0]],
-    [[100.0, 100.0], [160.0, 100.0]],
-    [[140.0, 100.0], [200.0, 100.0]],  # jump: spatial trigger
-    [[141.0, 100.0], [201.0, 100.0]],  # settling: refine trigger once imprecise
-    [[141.5, 100.0], [201.5, 100.0]],
-    None,                              # flow failure
-    [[141.5, 100.0], [201.5, 100.0]],
+    (100.0, 100.0, 160.0, 100.0),
+    (100.0, 100.0, 160.0, 100.0),
+    (100.0, 100.0, 160.0, 100.0),
+    (140.0, 100.0, 200.0, 100.0),  # jump: spatial trigger
+    (141.0, 100.0, 201.0, 100.0),  # settling: refine trigger once imprecise
+    (141.5, 100.0, 201.5, 100.0),
+    None,                          # flow failure
+    (141.5, 100.0, 201.5, 100.0),
 ]
 
 
@@ -89,8 +88,8 @@ def _cmd_truthtable(args) -> int:
             # The flow, else the last anchor, else zeros (failure before any anchor).
             eyes = flow or state.pos_eye_calc or (0.0,) * 4
             state = sched.apply_recalculation(state, eyes, cfg)
-        e = "-" if np.isnan(decision.e_px) else f"{decision.e_px:.2f}"
-        de = "-" if np.isnan(decision.delta_e_px) else f"{decision.delta_e_px:.2f}"
+        e = "-" if math.isnan(decision.e_px) else f"{decision.e_px:.2f}"
+        de = "-" if math.isnan(decision.delta_e_px) else f"{decision.delta_e_px:.2f}"
         reason = decision.reason.value if decision.reason else "-"
         print(f"{i:>5} {e:>8} {de:>8} {decision.kind.value:>12} {reason:>12}")
     return 0

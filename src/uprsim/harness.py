@@ -246,7 +246,7 @@ class ExperimentConfig:
         eps = self.threshold_eps_max_px or sched.epsilon_default(self.front_cam())
         return checked("threshold_*", sched.ThresholdConfig, eps, self.threshold_refine_factor,
                        sched.Policy(self.threshold_policy), self.threshold_decay_rate,
-                       self.threshold_eps_min_px or None, sched.EyeMetric(self.threshold_metric))
+                       self.threshold_eps_min_px, sched.EyeMetric(self.threshold_metric))
 
     def cost_model(self) -> CostModel:
         return CostModel(face_track_ms={"320x240": self.cost_face_track_320x240_ms,
@@ -433,7 +433,7 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
         state = sched.initial_state(tcfg)
         flow_px, visible = flow_sim.project(eyes)
         decisions, recalcs = [], []  # recalcs: the request frames
-        for i, (px, vis) in enumerate(zip(flow_px.reshape(n, 4).tolist(), visible.tolist())):
+        for i, (px, vis) in enumerate(zip(flow_px.tolist(), visible.tolist())):
             # A failed measurement's eye_px is None, which is sched.FLOW_FAILURE.
             decision, state = sched.step(state, flow_sim.measure(px, vis).eye_px, tcfg)
             decisions.append(decision)

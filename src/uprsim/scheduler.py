@@ -1,7 +1,8 @@
 """Dual thresholding: gate expensive 3D head-pose recomputation behind cheap
 image-space eye motion.
 
-Per front-camera frame, with eye pixel positions from the flow tracker:
+Per front-camera frame, with eye pixel positions from the flow tracker as
+four floats (left u, v, right u, v):
 
     E  = |pos_eye_calc - pos_eye_flow|       (motion since last recomputation)
     dE = |pos_eye_flow_last - pos_eye_flow|  (motion since last frame)
@@ -26,9 +27,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import PinholeCamera, check_fields, positive, within
+from .geometry import PinholeCamera, check_fields, nonnegative, positive, within
 
 #: Flow-tracker failure marker accepted by step() in place of eye positions.
 FLOW_FAILURE = None
@@ -65,11 +64,13 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThresholdConfig:
+    """step's thresholds. eps_min_px floors the decaying eps; 0 means 0.1 * eps_max_px."""
+
     eps_max_px: float = positive()
     refine_factor: float = within("in (0, 1)", lambda v: 0 < v < 1, 0.1)
     policy: Policy = Policy.VERBATIM
     decay_rate: float = within("in (0, 1]", lambda v: 0 < v <= 1, 0.98)
-    eps_min_px: float | None = None  # defaults to 0.1 * eps_max_px
+    eps_min_px: float = nonnegative(0.0)  # 0 -> 0.1 * eps_max_px
     metric: EyeMetric = EyeMetric.MAX
 
     def __post_init__(self):
@@ -79,12 +80,12 @@ class ThresholdConfig:
 
     @property
     def floor_px(self) -> float:
-        return self.eps_min_px if self.eps_min_px is not None else 0.1 * self.eps_max_px
+        return self.eps_min_px or 0.1 * self.eps_max_px
 
 
 @dataclass(frozen=True)
 class SchedulerState:
-    """Value threaded through step/apply_recalculation; no interior mutation.
+    """What the next decision reads, threaded through step/apply_recalculation.
 
     pos_eye_calc: eye pixels (left u, v, right u, v) at the last precise recomputation.
     pos_eye_flow_last: previous frame's flow-tracked eye pixels, the same 4 floats.
@@ -93,16 +94,13 @@ class SchedulerState:
     pos_eye_calc: tuple[float, float, float, float] | None
     pos_eye_flow_last: tuple[float, float, float, float] | None
     is_precise: bool
-    frames_since_update: int
     eps_current_px: float
     pending_recalc: bool = False
 
 
 def initial_state(cfg: ThresholdConfig) -> SchedulerState:
     """State before any recomputation; the first step forces Recalculate."""
-    return SchedulerState(pos_eye_calc=None, pos_eye_flow_last=None,
-                          is_precise=False, frames_since_update=0,
-                          eps_current_px=cfg.eps_max_px)
+    return SchedulerState(None, None, is_precise=False, eps_current_px=cfg.eps_max_px)
 
 
 def epsilon_default(front_cam: PinholeCamera) -> float:
@@ -111,8 +109,12 @@ def epsilon_default(front_cam: PinholeCamera) -> float:
 
 
 def _px4(px) -> tuple[float, float, float, float]:
-    """Four floats from four values or any (2, 2)-shaped eye pixels."""
-    return tuple(map(float, px if len(px) == 4 else np.reshape(px, 4)))
+    """Four floats from four values (left u, v, right u, v)."""
+    try:
+        u0, v0, u1, v1 = map(float, px)
+    except (TypeError, ValueError):
+        raise ValueError("eye pixels must be four values (left u, v, right u, v)") from None
+    return u0, v0, u1, v1
 
 
 def eye_distance_px(a, b, metric: EyeMetric = EyeMetric.MAX) -> float:
@@ -138,19 +140,17 @@ class Decision:
 
 def _recalc(state: SchedulerState, reason: Reason, e: float, de: float,
             flow: tuple | None) -> tuple[Decision, SchedulerState]:
-    new = SchedulerState(state.pos_eye_calc,
-                         flow if flow is not None else state.pos_eye_flow_last,
-                         state.is_precise, state.frames_since_update,
-                         state.eps_current_px, pending_recalc=True)
+    new = SchedulerState(state.pos_eye_calc, state.pos_eye_flow_last if flow is None else flow,
+                         state.is_precise, state.eps_current_px, pending_recalc=True)
     return Decision(DecisionKind.RECALCULATE, reason, e, de), new
 
 
 def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Decision, SchedulerState]:
     """One scheduling decision for one front-camera frame.
 
-    pos_eye_flow is the flow-tracked eye pixels, (2, 2)-shaped or four
-    values (left u, v, right u, v), or FLOW_FAILURE when the flow tracker
-    lost the eyes (which forces a recomputation; failure is a valid input).
+    pos_eye_flow is the flow-tracked eye pixels, four values (left u, v,
+    right u, v), or FLOW_FAILURE when the flow tracker lost the eyes (which
+    forces a recomputation; failure is a valid input); else ValueError.
 
     A Recalculate decision must be completed with apply_recalculation before
     the next step.
@@ -176,18 +176,15 @@ def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Dec
     # Skip branch.
     precise = cfg.policy is Policy.LATCHED and state.is_precise and e <= cfg.refine_factor * eps
     eps_next = max(cfg.floor_px, eps * cfg.decay_rate) if cfg.policy is Policy.DECAYING else eps
-    new = SchedulerState(state.pos_eye_calc, flow, precise,
-                         state.frames_since_update + 1, eps_next)
+    new = SchedulerState(state.pos_eye_calc, flow, precise, eps_next)
     return Decision(DecisionKind.SKIP, None, e, de), new
 
 
 def apply_recalculation(state: SchedulerState, new_eye_px, cfg: ThresholdConfig) -> SchedulerState:
     """Complete a Recalculate decision with the recomputed eyes' front-camera
-    projections, in any form step takes. Resets the threshold to its max."""
+    projections, four values as step takes. Resets the threshold to its max."""
     if not state.pending_recalc:
         raise ProtocolError("apply_recalculation called after a Skip decision")
     eyes = _px4(new_eye_px)
     flow_last = state.pos_eye_flow_last if state.pos_eye_flow_last is not None else eyes
-    return SchedulerState(pos_eye_calc=eyes, pos_eye_flow_last=flow_last,
-                          is_precise=True, frames_since_update=0,
-                          eps_current_px=cfg.eps_max_px, pending_recalc=False)
+    return SchedulerState(eyes, flow_last, is_precise=True, eps_current_px=cfg.eps_max_px)

@@ -3,9 +3,9 @@ device pose, since the display is fixed above the scene), a flow-based eye
 tracker proxy (noisy projections of the two eye points, standing in for
 sparse feature tracking), a costed and jittered 3D face-tracker proxy, and
 the per-invocation cost model. Eye points are (..., 3, 3) arrays
-(eye_points). The flow proxy projects a whole trace's eyes in one numpy
-pass (FlowSimulator.project); project_frame (one frame) and measure (drift
-and noise) work on four Python floats: left u, v, right u, v. The face
+(eye_points). Eye pixels are left u, v, right u, v: the flow proxy projects
+a whole trace's eyes to (..., 4) rows in one numpy pass (FlowSimulator.project);
+project_frame (one frame) and measure work on four Python floats. The face
 tracker draws all its jitter at once (FaceTracker.offsets). write_csv is
 the one CSV writer; harness writes its tables through it too.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import nan
+from math import isfinite, nan
 from operator import add
 
 import numpy as np
@@ -103,7 +103,8 @@ class TraceSpec:
     generator: Generator
     n_frames: int = nonnegative(0)  # derived for step_move when 0
     frame_rate_hz: float = positive(DEFAULT_FRAME_RATE_HZ)
-    base_eye_mm: tuple[float, float, float] = (0.0, 0.0, 300.0)
+    base_eye_mm: tuple[float, float, float] = within(
+        "three finite values", lambda v: len(v) == 3 and all(map(isfinite, v)), (0.0, 0.0, 300.0))
     ipd_mm: float = nonnegative(63.0)
     amplitude_mm: float = 200.0      # lateral travel (step_move, sway) / step sigma
     depth_amplitude_mm: float = 0.0  # additional travel along display z (step_move)
@@ -203,7 +204,10 @@ def read_trace_csv(path) -> HeadTrace:
             vals = line.split(",")
             if len(vals) != n_cols:
                 raise ValueError(f"line {lineno}: expected {n_cols} values, got {len(vals)}")
-            rows.append([float(v) for v in vals])
+            try:
+                rows.append([float(v) for v in vals])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             lines.append(lineno)
     data = np.array(rows).reshape(-1, n_cols)
     for bad, reason in [
@@ -235,14 +239,14 @@ class FlowMeasurement:
 class FlowSimulator:
     """Stand-in for sparse feature tracking of the two eye points.
 
-    project gives the exact front-camera pixels of the eyes and whether the
-    camera sees both; it is stateless, so it runs over any number of frames
-    at once; project_frame gives one frame's as four floats. measure turns
-    one frame's exact pixels into a measurement on Python floats: tracking
-    fails with probability p_fail per frame, and always fails when an eye is
-    out of view; otherwise it adds accumulated drift (a slowly growing bias
-    in a per-segment random direction, reset on every pose recomputation)
-    and i.i.d. Gaussian pixel noise.
+    project gives the eyes' exact front-camera pixels, (..., 4) rows, and
+    whether the camera sees both; it is stateless, so it runs over any
+    number of frames at once; project_frame gives one frame's row as four
+    floats. measure turns one frame's exact pixels into a measurement on
+    Python floats: tracking fails with probability p_fail per frame, and
+    always fails when an eye is out of view; otherwise it adds accumulated
+    drift (a slowly growing bias in a per-segment random direction, reset
+    on every pose recomputation) and i.i.d. Gaussian pixel noise.
     """
 
     front_cam: PinholeCamera
@@ -264,16 +268,16 @@ class FlowSimulator:
 
     def project(self, eyes) -> tuple[np.ndarray, np.ndarray]:
         """Exact front-camera pixels of the left and right eyes of (..., 3, 3)
-        eye points, as (..., 2, 2), and a (...,) mask: both eyes in front of
-        the camera and inside the image. An eye behind the camera projects
-        as NaN, which no bounds test passes."""
+        eye points, as (..., 4) rows (left u, v, right u, v), and a (...,)
+        mask: both eyes in front of the camera and inside the image. An eye
+        behind the camera projects as NaN, which no bounds test passes."""
         cam = self.front_cam
         pts = cam.extrinsic.apply(np.asarray(eyes, dtype=float)[..., 1:, :])
         px = project_pinhole(cam, np.where(pts[..., 2:] > 0, pts, np.nan))
-        return px, cam.contains(px).all(axis=-1)
+        return px.reshape(px.shape[:-2] + (4,)), cam.contains(px).all(axis=-1)
 
     def project_frame(self, eyes) -> tuple[float, float, float, float]:
-        """project's pixels of one frame's (3, 3) eye points, bit for bit, as
+        """project's row of one frame's (3, 3) eye points, bit for bit, as
         four floats (left u, v, right u, v): the camera transform in numpy,
         then project's divide and behind-camera NaN on Python floats."""
         cam, px = self.front_cam, []

@@ -55,17 +55,20 @@ def criterion(number, text, max_seconds=None):
     return deco
 
 
+def pair(x):
+    """Eye pixels 60 px apart: left u, v, right u, v."""
+    return (x, 100.0, x + 60.0, 100.0)
+
+
 def scheduler_state(calc_x, flow_last_x, precise):
-    pair = lambda x: (x, 100.0, x + 60.0, 100.0)  # a state holds 4-tuples
     return SchedulerState(pos_eye_calc=pair(calc_x), pos_eye_flow_last=pair(flow_last_x),
-                          is_precise=precise, frames_since_update=1, eps_current_px=24.0)
+                          is_precise=precise, eps_current_px=24.0)
 
 
 @criterion(1, "scheduler truth table (spatial / refine / precise-skip / skip / failure)",
            max_seconds=1.0)
 def test_criterion_1_truth_table():
     cfg = ThresholdConfig(eps_max_px=24.0)
-    pair = lambda x: np.array([[x, 100.0], [x + 60.0, 100.0]])
 
     d, _ = step(scheduler_state(0.0, 25.0, True), pair(30.0), cfg)
     assert d.kind is DecisionKind.RECALCULATE and d.reason is Reason.SPATIAL

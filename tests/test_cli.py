@@ -142,10 +142,12 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
     ("modes = UPR,UPR", None,
      "error: modes: must be comma-separated distinct render modes (DPR, UPR, FUPR, AAUPR), "
      "got 'UPR,UPR'"),
+    ("trace_file = {text_csv}", None, "trace_file: line 3"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
     csvs = {"bad_csv": "frame,t\n0,0.0\n",
             "nan_csv": trace_csv(3, ",150.0,", ",nan,"),
+            "text_csv": trace_csv(3, ",150.0,", ",abc,"),
             "behind_csv": trace_csv(2, ",150.0,", ",0.0,"),
             "posed_csv": trace_csv(4, ",63.0,1.0,", ",63.0,0.0,")}
     paths = {}

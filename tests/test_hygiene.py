@@ -6,7 +6,8 @@ code only tests call does not stay in src/. Package __init__ files are
 exempt from both: their imports are the public re-exports. One function in
 src/uprsim opens files for writing, so one place decides what a CSV cell
 looks like. Every value object with a number field checks its declared
-domains through geometry.check_fields.
+domains through geometry.check_fields. The scheduler imports no numpy, so
+AAUPR's per-frame decisions stay on Python floats.
 """
 
 import ast
@@ -159,3 +160,20 @@ def test_value_objects_check_fields():
     unchecked = [name for path in (ROOT / "src/uprsim").glob("*.py")
                  for name in unchecked_dataclasses(path.read_text())]
     assert sorted(unchecked) == sorted(UNCHECKED)
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level packages of the absolute imports in source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_scheduler_imports_no_numpy():
+    source = "import numpy.linalg as la\nfrom math import sqrt\nfrom .geometry import f\n"
+    assert imported_modules(source) == {"numpy", "math"}
+    assert "numpy" not in imported_modules((ROOT / "src/uprsim/scheduler.py").read_text())

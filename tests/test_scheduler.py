@@ -26,20 +26,14 @@ def cfg(**kw) -> ThresholdConfig:
     return ThresholdConfig(**kw)
 
 
-def eyes(x: float, y: float = 100.0) -> np.ndarray:
-    """Two eye points, 60 px apart horizontally."""
-    return np.array([[x, y], [x + 60.0, y]])
-
-
-def px4(a) -> tuple:
-    """Eye pixels in the 4-tuple form a SchedulerState holds."""
-    return tuple(np.ravel(a).tolist())
+def eyes(x: float, y: float = 100.0) -> tuple:
+    """Two eye points, 60 px apart horizontally: left u, v, right u, v."""
+    return (x, y, x + 60.0, y)
 
 
 def state_with(calc, flow_last, precise, eps=24.0) -> SchedulerState:
-    return SchedulerState(pos_eye_calc=px4(calc), pos_eye_flow_last=px4(flow_last),
-                          is_precise=precise, frames_since_update=3,
-                          eps_current_px=eps)
+    return SchedulerState(pos_eye_calc=calc, pos_eye_flow_last=flow_last,
+                          is_precise=precise, eps_current_px=eps)
 
 
 # ---- epsilon default ---------------------------------------------------
@@ -81,7 +75,6 @@ def test_precise_skip_drops_precision():
     d, s = step(state_with(eyes(0.0), eyes(4.0), precise=True), eyes(5.0), cfg())
     assert d.kind is DecisionKind.SKIP and d.reason is None
     assert s.is_precise is False
-    assert s.frames_since_update == 4
 
 
 def test_neither_disjunct_skip():
@@ -106,7 +99,7 @@ def test_recalculation_resets_state():
     c = cfg()
     d, s = step(state_with(eyes(0.0), eyes(25.0), precise=False), eyes(30.0), c)
     s = apply_recalculation(s, eyes(30.0), c)
-    assert s.is_precise and s.frames_since_update == 0
+    assert s.is_precise
     assert s.eps_current_px == c.eps_max_px
     # Next-frame E is zero after reseeding with the flow positions.
     d2, _ = step(s, eyes(30.0), c)
@@ -135,7 +128,6 @@ def test_consecutive_recalculations_idempotent():
     s3 = apply_recalculation(s3, eyes(31.0), c)
     assert np.array_equal(s2.pos_eye_calc, s3.pos_eye_calc)
     assert s2.is_precise == s3.is_precise
-    assert s2.frames_since_update == s3.frames_since_update
     assert s2.eps_current_px == s3.eps_current_px
 
 
@@ -206,8 +198,7 @@ def test_decaying_policy_shrinks_eps_on_skip():
         d, s = step(s, eyes(5.0), c)
         assert d.kind is DecisionKind.SKIP
         assert s.eps_current_px == pytest.approx(expected)
-        s = SchedulerState(s.pos_eye_calc, px4(eyes(-5.0)), False,
-                           s.frames_since_update, s.eps_current_px)
+        s = SchedulerState(s.pos_eye_calc, eyes(-5.0), False, s.eps_current_px)
 
 
 # ---- properties --------------------------------------------------------
@@ -324,3 +315,25 @@ def test_config_validation():
         ThresholdConfig(eps_max_px=24.0, policy=Policy.DECAYING, decay_rate=1.5)
     with pytest.raises(ValueError):
         ThresholdConfig(eps_max_px=24.0, policy=Policy.DECAYING, eps_min_px=30.0)
+
+
+@pytest.mark.parametrize("policy", Policy)
+@pytest.mark.parametrize("bad, domain", [(np.nan, "finite"), (np.inf, "finite"),
+                                         (-5.0, "nonnegative")])
+def test_eps_floor_checked_under_every_policy(policy, bad, domain):
+    with pytest.raises(ValueError, match=f"^eps_min_px: must be {domain}"):
+        ThresholdConfig(24.0, policy=policy, eps_min_px=bad)
+
+
+def test_eps_floor_zero_is_tenth_of_max():
+    assert ThresholdConfig(24.0, eps_min_px=0.0).floor_px == pytest.approx(2.4)
+
+
+def test_eye_pixels_are_four_values():
+    c = cfg()
+    two_by_two = np.array([[0.0, 100.0], [60.0, 100.0]])
+    with pytest.raises(ValueError, match="four values"):
+        step(initial_state(c), two_by_two, c)
+    _, s = step(initial_state(c), eyes(0.0), c)
+    with pytest.raises(ValueError, match="four values"):
+        apply_recalculation(s, two_by_two, c)

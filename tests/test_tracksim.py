@@ -105,6 +105,13 @@ def test_invalid_specs_rejected():
         generate_trace(spec(frame_rate_hz=0.0))
 
 
+@pytest.mark.parametrize("base", [(np.nan, 0.0, 150.0), (0.0, np.inf, 150.0), (0.0, 150.0)])
+def test_spec_rejects_bad_base_eye(base):
+    # Checked where the spec is built, not a frame later in generate_trace.
+    with pytest.raises(ValueError, match=r"^base_eye_mm: must be three finite values"):
+        TraceSpec(Generator.SWAY, n_frames=5, base_eye_mm=base)
+
+
 # ---- trace CSV ---------------------------------------------------------
 
 # Each example overwrites the same two files, so sharing tmp_path is safe.
@@ -148,6 +155,7 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
     (3, "66.66666666666667", "0.0", "line 3: timestamps must be strictly increasing"),
     (4, "133.33333333333334", "150.0", "line 4: frame spacing inconsistent"),
     (2, "63.0,", "63.0,7,", "line 2: expected 13 values, got 14"),
+    (3, "300.0", "abc", "line 3: could not convert string to float: 'abc'"),
 ])
 def test_trace_csv_rejects_bad_row(tmp_path, line, old, new, message):
     p = tmp_path / "trace.csv"
@@ -178,24 +186,25 @@ def test_eye_points_match_eye_state():
 
 def per_frame_projection(cam, eyes):
     """The per-frame oracle for FlowSimulator.project: the two eyes' pixels
-    (None when an eye is at or behind the camera) and visibility."""
+    as one row, left u, v, right u, v (None when an eye is at or behind the
+    camera), and visibility."""
     pts = cam.extrinsic.apply(eyes[1:])
     if np.any(pts[:, 2] <= 0):
         return None, False
     px = project_pinhole(cam, pts)
-    return px, all(0 <= u <= cam.width_px and 0 <= v <= cam.height_px for u, v in px)
+    return px.ravel(), all(0 <= u <= cam.width_px and 0 <= v <= cam.height_px for u, v in px)
 
 
 def assert_project_matches_per_frame(cam, eyes):
     px, visible = FlowSimulator(cam).project(eyes)
-    assert px.shape == eyes.shape[:-2] + (2, 2)
+    assert px.shape == eyes.shape[:-2] + (4,)
     assert visible.shape == eyes.shape[:-2]
     for e, p, vis in zip(eyes, px, visible):
         expected, expected_vis = per_frame_projection(cam, e)
         assert vis == expected_vis
         if expected is None:
-            behind = cam.extrinsic.apply(e[1:])[:, 2] <= 0
-            assert np.isnan(p[behind]).all()
+            behind = cam.extrinsic.apply(e[1:])[:, 2] <= 0  # per eye
+            assert np.isnan(p[np.repeat(behind, 2)]).all()
         else:
             assert np.array_equal(p, expected)
 
@@ -265,14 +274,14 @@ def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_
     for cam in (front_camera(fx, fy, width, height), tilted):
         sim = FlowSimulator(cam)
         got = np.array(sim.project_frame(est))
-        expected = sim.project(est)[0].reshape(4)
+        expected = sim.project(est)[0]
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def measure_frame(sim, eye):
     """sim.measure of one frame's (3, 3) eye points, through project."""
     px, visible = sim.project(eye)
-    return sim.measure(px.reshape(4).tolist(), bool(visible))
+    return sim.measure(px.tolist(), bool(visible))
 
 
 def test_noise_free_flow_is_exact_projection():
