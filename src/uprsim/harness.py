@@ -497,17 +497,15 @@ def write_outputs(result: RunResult, outdir) -> None:
     os.makedirs(outdir, exist_ok=True)
     for mode, rec in result.records.items():
         n = len(rec)
-        # The rows are built in the call, so one mode's cell lists are
-        # freed before the next mode's are made.
+        # write_csv formats one mode's cells and frees them when it returns.
         write_csv(os.path.join(outdir, f"frames_{mode}.csv"),
                   frame_csv_header(rec.errors_mm.shape[1]),
-                  zip(range(n), [rec.mode] * n, rec.decision.tolist(), rec.reason.tolist(),
-                      rec.e_px.tolist(), rec.delta_e_px.tolist(),
-                      *rec.est_eye_mm.T.tolist(), *rec.true_eye_mm.T.tolist(),
-                      *rec.errors_mm.T.tolist(), rec.tracking_charge_ms.tolist(),
-                      rec.cumulative_tracking_ms.tolist(), rec.frame_time_ms.tolist()))
+                  [range(n), [rec.mode] * n, rec.decision, rec.reason,
+                   rec.e_px, rec.delta_e_px, *rec.est_eye_mm.T, *rec.true_eye_mm.T,
+                   *rec.errors_mm.T, rec.tracking_charge_ms, rec.cumulative_tracking_ms,
+                   rec.frame_time_ms])
     write_csv(os.path.join(outdir, "summary.csv"), SUMMARY_CSV_HEADER,
-              map(astuple, result.summaries.values()))
+              zip(*map(astuple, result.summaries.values())))
 
 
 # ---- parameter sweeps --------------------------------------------------
@@ -544,4 +542,5 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float,
 
 def write_sweep_csv(rows: list[tuple[float, Summary]], parameter: str, path) -> None:
     write_csv(path, "parameter,value," + SUMMARY_CSV_HEADER,
-              ((parameter, float(v), *astuple(s)) for v, s in rows))
+              [[parameter] * len(rows), [float(v) for v, _ in rows],
+               *zip(*(astuple(s) for _, s in rows))])

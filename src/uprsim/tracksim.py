@@ -6,8 +6,8 @@ the per-invocation cost model. Eye points are (..., 3, 3) arrays
 (eye_points). Eye pixels are left u, v, right u, v: the flow proxy projects
 a whole trace's eyes to (..., 4) rows in one numpy pass (FlowSimulator.project);
 project_frame (one frame) and measure work on four Python floats. The face
-tracker draws all its jitter at once (FaceTracker.offsets). write_csv is
-the one CSV writer; harness writes its tables through it too.
+tracker draws all its jitter at once (FaceTracker.offsets). write_csv, the
+one CSV writer (harness writes through it too), takes a table as columns.
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import isfinite, nan
+from math import isfinite, nan, pi
 from operator import add
 
 import numpy as np
@@ -172,22 +172,33 @@ TRACE_CSV_HEADER = ("frame,t_ms,eye_x_mm,eye_y_mm,eye_z_mm,ipd_mm,"
 IDENTITY_POSE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Write header, then each row of cells as one comma-separated line.
+def write_csv(path, header: str, columns) -> None:
+    """Write header, then one comma-separated line per row of the columns.
 
-    Each cell is written as str() of a Python value, never of a numpy
-    scalar: a float as its shortest round-trip repr, NaN as `nan`. So equal
-    values give equal bytes, and every float reads back exactly."""
+    Each cell is str() of a Python value, never of a numpy scalar: a float
+    as its shortest round-trip repr, NaN as `nan`. So equal values give
+    equal bytes, and every float reads back exactly. A float64 array is
+    formatted once per distinct bit pattern (not value: -0.0 is not 0.0)."""
+    cells = []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype == np.float64:
+            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            text = list(map(str, bits.view(np.float64).tolist()))
+            cells.append([text[i] for i in inverse.tolist()])
+        else:
+            cells.append(list(map(str, col.tolist() if isinstance(col, np.ndarray) else col)))
+    if len(set(map(len, cells))) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in cells]}")
     with open(path, "w", newline="") as f:
         f.write(header + "\n")
-        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        f.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_trace_csv(trace: HeadTrace, path) -> None:
     """Full-precision CSV export: read_trace_csv gives the trace back."""
-    rows = np.column_stack([trace.t_ms, trace.eye_mm, trace.ipd_mm]).tolist()
-    write_csv(path, TRACE_CSV_HEADER,
-              ([i, *row, *IDENTITY_POSE] for i, row in enumerate(rows)))
+    n = len(trace)
+    write_csv(path, TRACE_CSV_HEADER, [range(n), trace.t_ms, *trace.eye_mm.T, trace.ipd_mm,
+                                       *([v] * n for v in IDENTITY_POSE)])
 
 
 def read_trace_csv(path) -> HeadTrace:
@@ -262,7 +273,8 @@ class FlowSimulator:
     def reset_drift(self) -> None:
         """Called when the pose recomputation re-initializes motion estimation."""
         self._drift_frames = 0
-        theta = self.rng.uniform(0.0, 2.0 * np.pi)
+        # rng.uniform(0.0, 2 pi)'s bits and stream position, at a third of its cost.
+        theta = 2.0 * pi * self.rng.random()
         # numpy's cos and sin: math's need not give the same bits.
         self._drift_dir = (float(np.cos(theta)), float(np.sin(theta)))
 

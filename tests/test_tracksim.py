@@ -18,6 +18,7 @@ from uprsim.tracksim import (
     eye_points,
     generate_trace,
     read_trace_csv,
+    write_csv,
     write_trace_csv,
 )
 
@@ -138,6 +139,62 @@ def test_trace_csv_round_trip_bytes(tmp_path, generator, n_frames, rate_hz, ampl
     # Full precision: the values read back are the values written.
     assert back.t_ms.tolist() == trace.t_ms.tolist()
     assert np.array_equal(back.eye_mm, trace.eye_mm)
+
+
+def write_rows_oracle(header, columns) -> str:
+    """The row-at-a-time formatter write_csv replaced: str() of each Python
+    value, one row at a time."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns))
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+#: Bit patterns whose cells a value-based dedup would get wrong or that
+#: format unusually: +-0, NaNs with other payloads and signs, +-inf,
+#: subnormals, and a value next to 1.0.
+SPECIAL_BITS = [0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000, 1,
+                0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF, 0x3FF0000000000000, 0x3FF0000000000001]
+
+
+@st.composite
+def csv_columns(draw, n):
+    kind = draw(st.sampled_from(["float", "float_view", "int", "range", "str"]))
+    if kind.startswith("float"):
+        # A small pool drawn from heavily gives the repeats dedup relies on.
+        pool = draw(st.lists(st.sampled_from(SPECIAL_BITS), min_size=1, max_size=4)) + draw(
+            st.lists(st.integers(0, 2**64 - 1) | st.floats().map(
+                lambda v: int(np.float64(v).view(np.uint64))), max_size=3))
+        bits = draw(st.lists(st.sampled_from(pool), min_size=2 * n, max_size=2 * n))
+        arr = np.array(bits, dtype=np.uint64).view(np.float64)
+        # arr.reshape(n, 2).T[k] is a strided view, not a contiguous array.
+        return arr[:n] if kind == "float" else arr.reshape(n, 2).T[draw(st.integers(0, 1))]
+    if kind == "int":
+        ints = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+        return draw(st.sampled_from([ints, np.array(ints, dtype=np.int64)]))
+    if kind == "range":
+        return range(n)
+    text = draw(st.lists(st.text(st.characters(blacklist_characters=",\n\r")),
+                         min_size=n, max_size=n))
+    return draw(st.sampled_from([text, np.array(text, dtype=object)]))
+
+
+# Each example overwrites the same file, so sharing tmp_path is safe.
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(0, 12), n_cols=st.integers(1, 6))
+def test_write_csv_bytes_equal_row_formatter(tmp_path, data, n, n_cols):
+    # The columnar writer formats each distinct float64 bit pattern once;
+    # its bytes are the row formatter's, -0.0 next to 0.0 included.
+    columns = [data.draw(csv_columns(n)) for _ in range(n_cols)]
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    write_csv(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_text() == write_rows_oracle(header, columns)
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match=re.escape("columns differ in length: [3, 2]")):
+        write_csv(tmp_path / "t.csv", "a,b", [range(3), np.zeros(2)])
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_trace_csv_rejects_wrong_header(tmp_path):
@@ -386,6 +443,22 @@ def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
             assert np.array_equal(np.array(got).view(np.uint64),
                                   expected.reshape(4).view(np.uint64))
     assert sim.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**64 - 1), n_resets=st.integers(1, 60))
+def test_reset_drift_bit_equals_uniform_draw(seed, n_resets):
+    # reset_drift's 2 pi * random() gives the direction and the stream
+    # position of rng.uniform(0.0, 2 pi).
+    sim = FlowSimulator(front_camera(), rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for k in range(n_resets):
+        if k:
+            sim.reset_drift()
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        expected = np.array([np.cos(theta), np.sin(theta)])
+        assert np.array_equal(np.array(sim._drift_dir).view(np.uint64), expected.view(np.uint64))
+        assert sim.rng.bit_generator.state == rng.bit_generator.state
 
 
 # ---- face tracker proxy ------------------------------------------------
