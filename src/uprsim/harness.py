@@ -11,12 +11,13 @@ trace: the flow proxy's exact eye pixels and visibility
 frames x targets (viewgen.pointing_errors) after it. Face tracking is a
 list of request frames: every frame for UPR, the frames AAUPR's loop
 recalculated at. That loop is the only sequential part, and it runs on
-Python floats: it owns the scheduler state and flow draws, re-anchors
-through FlowSimulator.project_frame (not project), and fills the decision,
-reason, E and dE columns. One numpy pass over the requests then builds the
-estimated-eye and charge columns (_run_mode). A mode's result is one
-ModeRecord of columns; summaries and the CSV output read those columns. A
-sweep whose parameter does not shape the trace builds the trace once.
+Python floats and NamedTuples: it owns the scheduler state and flow draws,
+re-anchors through FlowSimulator.project_frame (not project), and fills
+the decision, reason, E and dE columns once it ends. One numpy pass over
+the requests then builds the estimated-eye and charge columns (_run_mode).
+A mode's result is one ModeRecord of columns; summaries and the CSV output
+read those columns. A sweep whose parameter does not shape the trace
+builds the trace once.
 
 A config key's own domain is declared on its ExperimentConfig field and
 checked, with finiteness for every float, when a config is built, by the
@@ -82,6 +83,7 @@ from .tracksim import (
     HeadTrace,
     TraceSpec,
     eye_points,
+    format_column,
     generate_trace,
     read_trace_csv,
     write_csv,
@@ -432,20 +434,22 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
         charge[:] = cost.flow_ms
         state = sched.initial_state(tcfg)
         flow_px, visible = flow_sim.project(eyes)
+        step, measure, recalculate = sched.step, flow_sim.measure, sched.DecisionKind.RECALCULATE
         decisions, recalcs = [], []  # recalcs: the request frames
         for i, (px, vis) in enumerate(zip(flow_px.tolist(), visible.tolist())):
             # A failed measurement's eye_px is None, which is sched.FLOW_FAILURE.
-            decision, state = sched.step(state, flow_sim.measure(px, vis).eye_px, tcfg)
+            decision, state = step(state, measure(px, vis).eye_px, tcfg)
             decisions.append(decision)
-            if decision.kind is sched.DecisionKind.RECALCULATE:
-                est_px = flow_sim.project_frame(eyes[i] + offsets[len(recalcs)])
+            if decision.kind is recalculate:
+                est_px = flow_sim.project_frame(eyes[i, 1:] + offsets[len(recalcs)])
                 state = sched.apply_recalculation(state, est_px, tcfg)
                 flow_sim.reset_drift()
                 recalcs.append(i)
-        cols["decision"][:] = [d.kind.value for d in decisions]
-        cols["reason"][:] = [d.reason.value if d.reason else "" for d in decisions]
-        cols["e_px"][:] = [d.e_px for d in decisions]
-        cols["delta_e_px"][:] = [d.delta_e_px for d in decisions]
+        kinds, reasons, e_px, delta_e_px = zip(*decisions)
+        text = {None: "", **{m: m.value for cls in (sched.DecisionKind, sched.Reason) for m in cls}}
+        cols["decision"][:] = list(map(text.__getitem__, kinds))
+        cols["reason"][:] = list(map(text.__getitem__, reasons))
+        cols["e_px"][:], cols["delta_e_px"][:] = e_px, delta_e_px
         requests = np.array(recalcs, dtype=int)
 
     est = eyes[requests, 0] + offsets[:len(requests)]
@@ -495,13 +499,14 @@ SUMMARY_CSV_HEADER = ",".join(f.name for f in fields(Summary))
 def write_outputs(result: RunResult, outdir) -> None:
     """frames_<mode>.csv per mode and summary.csv in outdir."""
     os.makedirs(outdir, exist_ok=True)
+    n = len(result.trace)
+    # The frame and true-eye columns are every mode's: format them once.
+    frame, *true_eye = map(format_column, [range(n), *result.trace.eye_mm.T])
     for mode, rec in result.records.items():
-        n = len(rec)
-        # write_csv formats one mode's cells and frees them when it returns.
         write_csv(os.path.join(outdir, f"frames_{mode}.csv"),
                   frame_csv_header(rec.errors_mm.shape[1]),
-                  [range(n), [rec.mode] * n, rec.decision, rec.reason,
-                   rec.e_px, rec.delta_e_px, *rec.est_eye_mm.T, *rec.true_eye_mm.T,
+                  [frame, [rec.mode] * n, rec.decision, rec.reason,
+                   rec.e_px, rec.delta_e_px, *rec.est_eye_mm.T, *true_eye,
                    *rec.errors_mm.T, rec.tracking_charge_ms, rec.cumulative_tracking_ms,
                    rec.frame_time_ms])
     write_csv(os.path.join(outdir, "summary.csv"), SUMMARY_CSV_HEADER,

@@ -19,13 +19,17 @@ Three policies for the skip branch:
              which quiesces a stationary stream after one recomputation.
   decaying - like verbatim, plus eps decays multiplicatively on every skip
              toward a floor, and resets to its maximum on recomputation.
+
+step runs once per frame, so its state and decision are immutable
+NamedTuples, built once each per call, not frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from math import inf, nan, sqrt
+from typing import NamedTuple
 
 from .geometry import PinholeCamera, check_fields, nonnegative, positive, within
 
@@ -83,9 +87,9 @@ class ThresholdConfig:
         return self.eps_min_px or 0.1 * self.eps_max_px
 
 
-@dataclass(frozen=True)
-class SchedulerState:
+class SchedulerState(NamedTuple):
     """What the next decision reads, threaded through step/apply_recalculation.
+    An immutable NamedTuple: it equals a plain tuple of its fields.
 
     pos_eye_calc: eye pixels (left u, v, right u, v) at the last precise recomputation.
     pos_eye_flow_last: previous frame's flow-tracked eye pixels, the same 4 floats.
@@ -96,6 +100,21 @@ class SchedulerState:
     is_precise: bool
     eps_current_px: float
     pending_recalc: bool = False
+
+
+class Decision(NamedTuple):
+    """One frame's decision, an immutable NamedTuple; reason is None on Skip."""
+
+    kind: DecisionKind
+    reason: Reason | None
+    e_px: float
+    delta_e_px: float
+
+
+# Bound once: step runs per frame, and an enum member lookup costs a descriptor call.
+_MAX, _LATCHED, _DECAYING = EyeMetric.MAX, Policy.LATCHED, Policy.DECAYING
+_RECALCULATE, _SKIP, _FAILED = DecisionKind.RECALCULATE, DecisionKind.SKIP, Reason.FLOW_FAILURE
+_SPATIAL, _REFINE, _INITIAL = Reason.SPATIAL, Reason.REFINE, Reason.INITIAL
 
 
 def initial_state(cfg: ThresholdConfig) -> SchedulerState:
@@ -117,7 +136,7 @@ def _px4(px) -> tuple[float, float, float, float]:
     return u0, v0, u1, v1
 
 
-def eye_distance_px(a, b, metric: EyeMetric = EyeMetric.MAX) -> float:
+def eye_distance_px(a, b, metric: EyeMetric = _MAX) -> float:
     """Reduce per-eye pixel displacements between two eye pairs, each a
     4-tuple (left u, v, right u, v), to a scalar.
 
@@ -126,23 +145,8 @@ def eye_distance_px(a, b, metric: EyeMetric = EyeMetric.MAX) -> float:
     floats: np.linalg.norm's operations in its order, so the two agree bit
     for bit at a fraction of the cost."""
     dx0, dy0, dx1, dy1 = a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]
-    d0, d1 = math.sqrt(dx0 * dx0 + dy0 * dy0), math.sqrt(dx1 * dx1 + dy1 * dy1)
-    return max(d0, d1) if metric is EyeMetric.MAX else (d0 + d1) / 2
-
-
-@dataclass(frozen=True)
-class Decision:
-    kind: DecisionKind
-    reason: Reason | None
-    e_px: float
-    delta_e_px: float
-
-
-def _recalc(state: SchedulerState, reason: Reason, e: float, de: float,
-            flow: tuple | None) -> tuple[Decision, SchedulerState]:
-    new = SchedulerState(state.pos_eye_calc, state.pos_eye_flow_last if flow is None else flow,
-                         state.is_precise, state.eps_current_px, pending_recalc=True)
-    return Decision(DecisionKind.RECALCULATE, reason, e, de), new
+    d0, d1 = sqrt(dx0 * dx0 + dy0 * dy0), sqrt(dx1 * dx1 + dy1 * dy1)
+    return max(d0, d1) if metric is _MAX else (d0 + d1) / 2
 
 
 def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Decision, SchedulerState]:
@@ -155,29 +159,29 @@ def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Dec
     A Recalculate decision must be completed with apply_recalculation before
     the next step.
     """
-    if state.pending_recalc:
+    calc, flow_last, is_precise, eps, pending = state
+    if pending:
         raise ProtocolError("previous Recalculate decision was never applied")
     if pos_eye_flow is FLOW_FAILURE:
-        return _recalc(state, Reason.FLOW_FAILURE, float("nan"), float("nan"), None)
-    flow = _px4(pos_eye_flow)
-    if state.pos_eye_calc is None:
-        return _recalc(state, Reason.INITIAL, float("nan"), float("nan"), flow)
-
-    e = eye_distance_px(state.pos_eye_calc, flow, cfg.metric)
-    de = (eye_distance_px(state.pos_eye_flow_last, flow, cfg.metric)
-          if state.pos_eye_flow_last is not None else float("inf"))
-    eps = state.eps_current_px
-
-    if e > eps:
-        return _recalc(state, Reason.SPATIAL, e, de, flow)
-    if de < cfg.refine_factor * eps and not state.is_precise:
-        return _recalc(state, Reason.REFINE, e, de, flow)
-
-    # Skip branch.
-    precise = cfg.policy is Policy.LATCHED and state.is_precise and e <= cfg.refine_factor * eps
-    eps_next = max(cfg.floor_px, eps * cfg.decay_rate) if cfg.policy is Policy.DECAYING else eps
-    new = SchedulerState(state.pos_eye_calc, flow, precise, eps_next)
-    return Decision(DecisionKind.SKIP, None, e, de), new
+        reason, e, de, flow = _FAILED, nan, nan, flow_last
+    else:
+        flow = _px4(pos_eye_flow)
+        if calc is None:
+            reason, e, de = _INITIAL, nan, nan
+        else:
+            metric, refine = cfg.metric, cfg.refine_factor * eps
+            e = eye_distance_px(calc, flow, metric)
+            de = eye_distance_px(flow_last, flow, metric) if flow_last is not None else inf
+            if e > eps:
+                reason = _SPATIAL
+            elif de < refine and not is_precise:
+                reason = _REFINE
+            else:  # Skip.
+                policy = cfg.policy
+                precise = policy is _LATCHED and is_precise and e <= refine
+                eps_next = max(cfg.floor_px, eps * cfg.decay_rate) if policy is _DECAYING else eps
+                return Decision(_SKIP, None, e, de), SchedulerState(calc, flow, precise, eps_next)
+    return Decision(_RECALCULATE, reason, e, de), SchedulerState(calc, flow, is_precise, eps, True)
 
 
 def apply_recalculation(state: SchedulerState, new_eye_px, cfg: ThresholdConfig) -> SchedulerState:
@@ -186,5 +190,5 @@ def apply_recalculation(state: SchedulerState, new_eye_px, cfg: ThresholdConfig)
     if not state.pending_recalc:
         raise ProtocolError("apply_recalculation called after a Skip decision")
     eyes = _px4(new_eye_px)
-    flow_last = state.pos_eye_flow_last if state.pos_eye_flow_last is not None else eyes
-    return SchedulerState(eyes, flow_last, is_precise=True, eps_current_px=cfg.eps_max_px)
+    flow_last = state.pos_eye_flow_last
+    return SchedulerState(eyes, eyes if flow_last is None else flow_last, True, cfg.eps_max_px)

@@ -5,9 +5,10 @@ sparse feature tracking), a costed and jittered 3D face-tracker proxy, and
 the per-invocation cost model. Eye points are (..., 3, 3) arrays
 (eye_points). Eye pixels are left u, v, right u, v: the flow proxy projects
 a whole trace's eyes to (..., 4) rows in one numpy pass (FlowSimulator.project);
-project_frame (one frame) and measure work on four Python floats. The face
-tracker draws all its jitter at once (FaceTracker.offsets). write_csv, the
-one CSV writer (harness writes through it too), takes a table as columns.
+project_frame (one frame) and measure (into a FlowMeasurement NamedTuple)
+work on four Python floats. The face tracker draws all its jitter at once
+(FaceTracker.offsets). write_csv, the one CSV writer (harness writes
+through it too), takes a table as columns, each as format_column gives it.
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import isfinite, nan, pi
-from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,21 +173,22 @@ TRACE_CSV_HEADER = ("frame,t_ms,eye_x_mm,eye_y_mm,eye_z_mm,ipd_mm,"
 IDENTITY_POSE = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write header, then one comma-separated line per row of the columns.
+def format_column(col) -> list[str]:
+    """A column's cells: str() of each Python value, never of a numpy
+    scalar: a float as its shortest round-trip repr, NaN as `nan`. So equal
+    values give equal bytes, and every float reads back exactly. A float64
+    array is formatted once per distinct bit pattern (not value: -0.0 is
+    not 0.0). A list of str gives itself back, cell for cell."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = list(map(str, bits.view(np.float64).tolist()))
+        return [text[i] for i in inverse.tolist()]
+    return list(map(str, col.tolist() if isinstance(col, np.ndarray) else col))
 
-    Each cell is str() of a Python value, never of a numpy scalar: a float
-    as its shortest round-trip repr, NaN as `nan`. So equal values give
-    equal bytes, and every float reads back exactly. A float64 array is
-    formatted once per distinct bit pattern (not value: -0.0 is not 0.0)."""
-    cells = []
-    for col in columns:
-        if isinstance(col, np.ndarray) and col.dtype == np.float64:
-            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            text = list(map(str, bits.view(np.float64).tolist()))
-            cells.append([text[i] for i in inverse.tolist()])
-        else:
-            cells.append(list(map(str, col.tolist() if isinstance(col, np.ndarray) else col)))
+
+def write_csv(path, header: str, columns) -> None:
+    """Write header, then one comma-separated line per row of the columns."""
+    cells = list(map(format_column, columns))
     if len(set(map(len, cells))) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in cells]}")
     with open(path, "w", newline="") as f:
@@ -204,7 +206,7 @@ def write_trace_csv(trace: HeadTrace, path) -> None:
 def read_trace_csv(path) -> HeadTrace:
     """Errors name the file line of the first offending row."""
     n_cols = TRACE_CSV_HEADER.count(",") + 1
-    lines, rows = [], []
+    lines, vals = [], []  # vals: every row's values, one flat list
     with open(path) as f:
         header = f.readline().strip()
         if header != TRACE_CSV_HEADER:
@@ -212,15 +214,15 @@ def read_trace_csv(path) -> HeadTrace:
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            vals = line.split(",")
-            if len(vals) != n_cols:
-                raise ValueError(f"line {lineno}: expected {n_cols} values, got {len(vals)}")
+            cols = line.split(",")
+            if len(cols) != n_cols:
+                raise ValueError(f"line {lineno}: expected {n_cols} values, got {len(cols)}")
             try:
-                rows.append([float(v) for v in vals])
+                vals.extend(map(float, cols))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             lines.append(lineno)
-    data = np.array(rows).reshape(-1, n_cols)
+    data = np.array(vals).reshape(-1, n_cols)
     for bad, reason in [
             (~np.isfinite(data).all(axis=1), "values must be finite"),
             (np.any(data[:, 6:] != IDENTITY_POSE, axis=1), "dev_* pose must be the identity")]:
@@ -235,9 +237,8 @@ def read_trace_csv(path) -> HeadTrace:
         raise ValueError(f"line {lines[frame]}: {reason}") from None
 
 
-@dataclass(frozen=True)
-class FlowMeasurement:
-    """Flow-tracked eye pixels for one front-camera frame, or a failure."""
+class FlowMeasurement(NamedTuple):
+    """Flow-tracked eye pixels for one frame, or a failure; an immutable NamedTuple."""
 
     eye_px: tuple[float, float, float, float] | None  # left u, v, right u, v
 
@@ -288,12 +289,12 @@ class FlowSimulator:
         px = project_pinhole(cam, np.where(pts[..., 2:] > 0, pts, np.nan))
         return px.reshape(px.shape[:-2] + (4,)), cam.contains(px).all(axis=-1)
 
-    def project_frame(self, eyes) -> tuple[float, float, float, float]:
-        """project's row of one frame's (3, 3) eye points, bit for bit, as
-        four floats (left u, v, right u, v): the camera transform in numpy,
-        then project's divide and behind-camera NaN on Python floats."""
+    def project_frame(self, left_right) -> tuple[float, float, float, float]:
+        """project's row of one frame, bit for bit, from its (2, 3) left and
+        right eye points, as four floats (left u, v, right u, v): the camera
+        transform in numpy, then project's divide and NaN on Python floats."""
         cam, px = self.front_cam, []
-        for x, y, z in cam.extrinsic.apply(eyes[1:]).tolist():
+        for x, y, z in cam.extrinsic.apply(left_right).tolist():
             px += (x * cam.fx / z + cam.cx, y * cam.fy / z + cam.cy) if z > 0 else (nan, nan)
         return tuple(px)
 
@@ -309,10 +310,11 @@ class FlowSimulator:
         self._drift_frames += 1
         scale = self.drift_px_per_frame * self._drift_frames
         dx, dy = self._drift_dir[0] * scale, self._drift_dir[1] * scale
-        px = (px[0] + dx, px[1] + dy, px[2] + dx, px[3] + dy)
+        u0, v0, u1, v1 = px
         if self.noise_sigma_px > 0:
-            px = tuple(map(add, px, self.rng.normal(0.0, self.noise_sigma_px, size=4).tolist()))
-        return FlowMeasurement(px)
+            n0, n1, n2, n3 = self.rng.normal(0.0, self.noise_sigma_px, size=4).tolist()
+            return FlowMeasurement(((u0 + dx) + n0, (v0 + dy) + n1, (u1 + dx) + n2, (v1 + dy) + n3))
+        return FlowMeasurement((u0 + dx, v0 + dy, u1 + dx, v1 + dy))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
+import math
+from dataclasses import dataclass, fields
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uprsim.geometry import PinholeCamera
 from uprsim.scheduler import (
     FLOW_FAILURE,
+    Decision,
     DecisionKind,
     EyeMetric,
     Policy,
@@ -19,6 +23,7 @@ from uprsim.scheduler import (
     initial_state,
     step,
 )
+from uprsim.tracksim import FlowMeasurement
 
 
 def cfg(**kw) -> ThresholdConfig:
@@ -337,3 +342,141 @@ def test_eye_pixels_are_four_values():
     _, s = step(initial_state(c), eyes(0.0), c)
     with pytest.raises(ValueError, match="four values"):
         apply_recalculation(s, two_by_two, c)
+
+
+# ---- the tuple-backed values -------------------------------------------
+
+def test_values_are_immutable_and_keep_their_fields():
+    c = cfg()
+    d, s = step(initial_state(c), eyes(0.0), c)
+    m = FlowMeasurement(eyes(0.0))
+    for value, name in [(s, "is_precise"), (s, "pending_recalc"), (d, "kind"), (d, "reason"),
+                        (m, "eye_px")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    # perfbench's traced pass reads these.
+    assert (d.kind, d.reason) == (DecisionKind.RECALCULATE, Reason.INITIAL)
+    assert not m.failed and FlowMeasurement(None).failed
+    assert initial_state(c).pending_recalc is False
+
+
+class DataclassSchedulerOracle:
+    """step and apply_recalculation as they were on frozen dataclasses,
+    before SchedulerState and Decision became NamedTuples."""
+
+    @dataclass(frozen=True)
+    class State:
+        pos_eye_calc: tuple | None
+        pos_eye_flow_last: tuple | None
+        is_precise: bool
+        eps_current_px: float
+        pending_recalc: bool = False
+
+    @dataclass(frozen=True)
+    class Decision:
+        kind: DecisionKind
+        reason: Reason | None
+        e_px: float
+        delta_e_px: float
+
+    @staticmethod
+    def distance(a, b, metric):
+        dx0, dy0, dx1, dy1 = a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]
+        d0, d1 = math.sqrt(dx0 * dx0 + dy0 * dy0), math.sqrt(dx1 * dx1 + dy1 * dy1)
+        return max(d0, d1) if metric is EyeMetric.MAX else (d0 + d1) / 2
+
+    @classmethod
+    def initial_state(cls, cfg):
+        return cls.State(None, None, is_precise=False, eps_current_px=cfg.eps_max_px)
+
+    @classmethod
+    def _recalc(cls, state, reason, e, de, flow):
+        new = cls.State(state.pos_eye_calc, state.pos_eye_flow_last if flow is None else flow,
+                        state.is_precise, state.eps_current_px, pending_recalc=True)
+        return cls.Decision(DecisionKind.RECALCULATE, reason, e, de), new
+
+    @classmethod
+    def step(cls, state, pos_eye_flow, cfg):
+        assert not state.pending_recalc
+        if pos_eye_flow is None:
+            return cls._recalc(state, Reason.FLOW_FAILURE, float("nan"), float("nan"), None)
+        flow = tuple(map(float, pos_eye_flow))
+        if state.pos_eye_calc is None:
+            return cls._recalc(state, Reason.INITIAL, float("nan"), float("nan"), flow)
+        e = cls.distance(state.pos_eye_calc, flow, cfg.metric)
+        de = (cls.distance(state.pos_eye_flow_last, flow, cfg.metric)
+              if state.pos_eye_flow_last is not None else float("inf"))
+        eps = state.eps_current_px
+        if e > eps:
+            return cls._recalc(state, Reason.SPATIAL, e, de, flow)
+        if de < cfg.refine_factor * eps and not state.is_precise:
+            return cls._recalc(state, Reason.REFINE, e, de, flow)
+        precise = (cfg.policy is Policy.LATCHED and state.is_precise
+                   and e <= cfg.refine_factor * eps)
+        eps_next = (max(cfg.floor_px, eps * cfg.decay_rate) if cfg.policy is Policy.DECAYING
+                    else eps)
+        return cls.Decision(DecisionKind.SKIP, None, e, de), cls.State(
+            state.pos_eye_calc, flow, precise, eps_next)
+
+    @classmethod
+    def apply_recalculation(cls, state, new_eye_px, cfg):
+        assert state.pending_recalc
+        eyes = tuple(map(float, new_eye_px))
+        flow_last = state.pos_eye_flow_last if state.pos_eye_flow_last is not None else eyes
+        return cls.State(eyes, flow_last, is_precise=True, eps_current_px=cfg.eps_max_px)
+
+
+def same_fields(value, oracle) -> bool:
+    """Field by field equal, NaN equal to NaN: repr is exact for floats."""
+    return repr(tuple(value)) == repr(tuple(getattr(oracle, f.name) for f in fields(oracle)))
+
+
+# A frame: FLOW_FAILURE, or both eyes moved by one power-of-two step (so,
+# with the power-of-two thresholds below, E and dE often land exactly on a
+# threshold) or by arbitrary floats; then the re-anchor's offset from the
+# flow, used if the frame recalculates.
+power_of_two = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+frame_op = st.tuples(
+    st.none() | st.tuples(power_of_two, st.just(0.0) | power_of_two).map(lambda d: d + d)
+    | st.tuples(*[st.floats(-40.0, 40.0)] * 4),
+    st.just((0.0,) * 4) | st.tuples(*[st.floats(-3.0, 3.0)] * 4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(policy=st.sampled_from(Policy), metric=st.sampled_from(EyeMetric),
+       eps=st.sampled_from([4.0, 8.0, 16.0]) | st.floats(0.5, 50.0),
+       refine_factor=st.sampled_from([0.125, 0.25, 0.5]) | st.floats(0.01, 0.99),
+       decay_rate=st.sampled_from([0.5, 1.0]) | st.floats(0.01, 1.0),
+       floor_frac=st.just(0.0) | st.floats(0.01, 1.0),
+       ops=st.lists(frame_op, min_size=10, max_size=40))
+@example(policy=Policy.VERBATIM, metric=EyeMetric.MAX, eps=8.0, refine_factor=0.25,
+         decay_rate=1.0, floor_frac=0.0,  # dE on the refine threshold, then E on eps
+         ops=[(move, (0.0,) * 4) for move in [(0.0,) * 4, (0.0,) * 4, (2.0, 0.0) * 2,
+                                              (6.0, 0.0) * 2]])
+@example(policy=Policy.LATCHED, metric=EyeMetric.MEAN, eps=8.0, refine_factor=0.25,
+         decay_rate=1.0, floor_frac=0.0,  # E on the latch's refine threshold
+         ops=[(move, (0.0,) * 4) for move in [(0.0,) * 4, (2.0, 0.0) * 2]])
+def test_step_equals_dataclass_oracle(policy, metric, eps, refine_factor, decay_rate,
+                                      floor_frac, ops):
+    # Every decision and every state field equal the frozen-dataclass
+    # formulation's, through failures, re-anchors and all three policies.
+    assert SchedulerState._fields == tuple(f.name for f in fields(
+        DataclassSchedulerOracle.State))
+    assert Decision._fields == tuple(f.name for f in fields(DataclassSchedulerOracle.Decision))
+    c = cfg(eps_max_px=eps, refine_factor=refine_factor, policy=policy, metric=metric,
+            decay_rate=decay_rate, eps_min_px=floor_frac * eps)
+    oracle = DataclassSchedulerOracle
+    s, o = initial_state(c), oracle.initial_state(c)
+    last = eyes(0.0)
+    for move, anchor_offset in ops:
+        flow = FLOW_FAILURE if move is None else tuple(map(sum, zip(last, move)))
+        d, s = step(s, flow, c)
+        od, o = oracle.step(o, flow, c)
+        assert same_fields(d, od) and same_fields(s, o)
+        if d.kind is DecisionKind.RECALCULATE:
+            last = flow or last
+            anchor = tuple(map(sum, zip(last, anchor_offset)))
+            s, o = apply_recalculation(s, anchor, c), oracle.apply_recalculation(o, anchor, c)
+            assert same_fields(s, o)
+        elif flow is not FLOW_FAILURE:
+            last = flow
