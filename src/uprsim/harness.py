@@ -6,18 +6,18 @@ accounts time against the cost model, and evaluates pointing error against
 a target set on the scene plane.
 
 Each mode's geometry is stateless, so it runs as numpy passes over the whole
-trace: the flow proxy's exact eye pixels and visibility
+trace: the flow proxy's exact pixels of the left/right eye points
 (FlowSimulator.project) before AAUPR's closed loop, and pointing error over
 frames x targets (viewgen.pointing_errors) after it. Face tracking is a
-list of request frames: every frame for UPR, the frames AAUPR's loop
-recalculated at. That loop is the only sequential part, and it runs on
-Python floats and NamedTuples: it owns the scheduler state and flow draws,
-re-anchors through FlowSimulator.project_frame (not project), and fills
-the decision, reason, E and dE columns once it ends. One numpy pass over
-the requests then builds the estimated-eye and charge columns (_run_mode).
-A mode's result is one ModeRecord of columns; summaries and the CSV output
-read those columns. A sweep whose parameter does not shape the trace
-builds the trace once.
+list of request frames (ModeRecord.requests, which summaries count): none
+for DPR and FUPR, every frame for UPR, the frames AAUPR's loop recalculated
+at. That loop is the only sequential part, and it runs on Python floats and
+NamedTuples: it owns the scheduler state and flow draws, re-anchors through
+FlowSimulator.project_frame (not project), and fills the decision, reason,
+E and dE columns once it ends. One numpy pass over the requests then builds
+the estimated-eye and charge columns (_run_mode). A mode's result is one
+ModeRecord of columns; summaries and the CSV output read those columns.
+A sweep whose parameter does not shape the trace builds the trace once.
 
 A config key's own domain is declared on its ExperimentConfig field and
 checked, with finiteness for every float, when a config is built, by the
@@ -324,12 +324,12 @@ class ModeRecord:
     """One mode's run as per-frame columns; row i is trace frame i."""
 
     mode: str
+    requests: np.ndarray                # (R,) int, ascending: face-tracker request frames
     decision: np.ndarray                # (F,) str; AAUPR only, empty otherwise
     reason: np.ndarray                  # (F,) str
     e_px: np.ndarray                    # (F,)
     delta_e_px: np.ndarray              # (F,)
     est_eye_mm: np.ndarray              # (F, 3) eye rendered from; NaN for DPR
-    true_eye_mm: np.ndarray             # (F, 3)
     errors_mm: np.ndarray               # (F, T); NaN when not evaluated / no-hit
     tracking_charge_ms: np.ndarray      # (F,)
     cumulative_tracking_ms: np.ndarray  # (F,)
@@ -360,7 +360,7 @@ class RunResult:
 def _proxies(config: ExperimentConfig, mode: RenderMode, front: PinholeCamera,
              face_cost: float) -> tuple[FlowSimulator, FaceTracker]:
     """A mode's flow and face-tracker proxies, each on its own seeded stream.
-    Only UPR and AAUPR use them."""
+    Only UPR and AAUPR build them."""
     idx = list(RenderMode).index(mode)
     flow = FlowSimulator(front, config.noise_flow_sigma_px, config.noise_drift_px_per_frame,
                          config.noise_p_fail, np.random.default_rng([config.seed, idx, 0]))
@@ -391,30 +391,29 @@ def run(config: ExperimentConfig, trace: HeadTrace | None = None) -> RunResult:
     records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
     for mode in modes:
-        flow_sim, tracker = _proxies(config, mode, front, face_cost)
-        cols = _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim, tracker)
+        cols = _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost)
         errors = np.full((len(trace), len(targets_world)), np.nan)
         errors[evaluate] = pointing_errors(mode, targets_world, cols["est_eye_mm"][evaluate],
                                            trace.eye_mm[evaluate], display, plane,
                                            back_cam=back, fit=fit)
         charge = cols["tracking_charge_ms"]
-        rec = ModeRecord(mode=mode.value, true_eye_mm=trace.eye_mm, errors_mm=errors,
-                         cumulative_tracking_ms=np.cumsum(charge),
+        rec = ModeRecord(mode.value, errors_mm=errors, cumulative_tracking_ms=np.cumsum(charge),
                          frame_time_ms=cost.render_base_ms + charge, **cols)
         records[mode.value] = rec
-        summaries[mode.value] = _summarize(mode, rec)
+        summaries[mode.value] = _summarize(rec)
     return RunResult(records=records, summaries=summaries, trace=trace)
 
 
-def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
-              tracker) -> dict[str, np.ndarray]:
+def _run_mode(mode, config, trace, tcfg, cost, cal_eye, front,
+              face_cost) -> dict[str, np.ndarray]:
     """One mode's sensing columns, keyed by ModeRecord field name. UPR
     requests a face-tracker result on every frame; AAUPR's closed loop
     (flow measure, scheduler step, re-anchor with project_frame) runs on
     Python floats after one project pass, and chooses its request frames.
     One pass over the requests then builds the estimate and charge columns."""
     n = len(trace)
-    cols = {"decision": np.full(n, "", dtype=object),
+    cols = {"requests": np.arange(0),
+            "decision": np.full(n, "", dtype=object),
             "reason": np.full(n, "", dtype=object),
             "e_px": np.full(n, np.nan),
             "delta_e_px": np.full(n, np.nan),
@@ -425,14 +424,15 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
     if mode not in (RenderMode.UPR, RenderMode.AAUPR):
         return cols  # no sensing, no charges
 
+    flow_sim, tracker = _proxies(config, mode, front, face_cost)
     charge = cols["tracking_charge_ms"]
-    eyes = eye_points(trace.eye_mm, trace.ipd_mm)
     offsets = tracker.offsets(n)  # the k-th request uses offsets[k]
     if mode is RenderMode.UPR:
         requests = np.arange(n)
     else:
         charge[:] = cost.flow_ms
         state = sched.initial_state(tcfg)
+        eyes = eye_points(trace.eye_mm, trace.ipd_mm)
         flow_px, visible = flow_sim.project(eyes)
         step, measure, recalculate = sched.step, flow_sim.measure, sched.DecisionKind.RECALCULATE
         decisions, recalcs = [], []  # recalcs: the request frames
@@ -441,7 +441,7 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
             decision, state = step(state, measure(px, vis).eye_px, tcfg)
             decisions.append(decision)
             if decision.kind is recalculate:
-                est_px = flow_sim.project_frame(eyes[i, 1:] + offsets[len(recalcs)])
+                est_px = flow_sim.project_frame(eyes[i] + offsets[len(recalcs)])
                 state = sched.apply_recalculation(state, est_px, tcfg)
                 flow_sim.reset_drift()
                 recalcs.append(i)
@@ -452,7 +452,8 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
         cols["e_px"][:], cols["delta_e_px"][:] = e_px, delta_e_px
         requests = np.array(recalcs, dtype=int)
 
-    est = eyes[requests, 0] + offsets[:len(requests)]
+    cols["requests"] = requests
+    est = trace.eye_mm[requests] + offsets[:len(requests)]
     behind = est[:, 2] <= 0
     if behind.any():
         raise ConfigError(f"noise_jitter_sigma_mm: frame {requests[np.argmax(behind)]}: "
@@ -466,32 +467,21 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, flow_sim,
     return cols
 
 
-def _summarize(mode: RenderMode, rec: ModeRecord) -> Summary:
+def _summarize(rec: ModeRecord) -> Summary:
     # Row-major, so the mean sums the same cells in the same order as a
     # reader of the frame CSV.
     errs = rec.errors_mm.ravel()
     errs = errs[~np.isnan(errs)]
     mean_err = float(errs.mean()) if errs.size else float("nan")
     sd_err = float(errs.std(ddof=1)) if errs.size > 1 else float("nan")
-    n_frames = len(rec)
-    invocations = int(np.count_nonzero(rec.decision == "recalculate")) \
-        if mode is RenderMode.AAUPR else (n_frames if mode is RenderMode.UPR else 0)
-    return Summary(mode=mode.value, mean_error_mm=mean_err, sd_error_mm=sd_err,
+    n_frames, invocations = len(rec), len(rec.requests)
+    return Summary(mode=rec.mode, mean_error_mm=mean_err, sd_error_mm=sd_err,
                    invocations=invocations, invocation_fraction=invocations / n_frames,
                    total_tracking_ms=float(rec.cumulative_tracking_ms[-1]),
                    mean_frame_time_ms=float(rec.frame_time_ms.mean()))
 
 
 # ---- CSV output --------------------------------------------------------
-
-def frame_csv_header(n_targets: int) -> str:
-    cols = ["frame", "mode", "decision", "reason", "e_px", "delta_e_px",
-            "est_eye_x_mm", "est_eye_y_mm", "est_eye_z_mm",
-            "true_eye_x_mm", "true_eye_y_mm", "true_eye_z_mm"]
-    cols += [f"err_target_{i}_mm" for i in range(n_targets)]
-    cols += ["tracking_charge_ms", "cumulative_tracking_ms", "frame_time_ms"]
-    return ",".join(cols)
-
 
 SUMMARY_CSV_HEADER = ",".join(f.name for f in fields(Summary))
 
@@ -503,12 +493,16 @@ def write_outputs(result: RunResult, outdir) -> None:
     # The frame and true-eye columns are every mode's: format them once.
     frame, *true_eye = map(format_column, [range(n), *result.trace.eye_mm.T])
     for mode, rec in result.records.items():
-        write_csv(os.path.join(outdir, f"frames_{mode}.csv"),
-                  frame_csv_header(rec.errors_mm.shape[1]),
-                  [frame, [rec.mode] * n, rec.decision, rec.reason,
-                   rec.e_px, rec.delta_e_px, *rec.est_eye_mm.T, *true_eye,
-                   *rec.errors_mm.T, rec.tracking_charge_ms, rec.cumulative_tracking_ms,
-                   rec.frame_time_ms])
+        columns = {"frame": frame, "mode": [rec.mode] * n, "decision": rec.decision,
+                   "reason": rec.reason, "e_px": rec.e_px, "delta_e_px": rec.delta_e_px,
+                   **{f"est_eye_{a}_mm": c for a, c in zip("xyz", rec.est_eye_mm.T)},
+                   **{f"true_eye_{a}_mm": c for a, c in zip("xyz", true_eye)},
+                   **{f"err_target_{i}_mm": c for i, c in enumerate(rec.errors_mm.T)},
+                   "tracking_charge_ms": rec.tracking_charge_ms,
+                   "cumulative_tracking_ms": rec.cumulative_tracking_ms,
+                   "frame_time_ms": rec.frame_time_ms}
+        write_csv(os.path.join(outdir, f"frames_{mode}.csv"), ",".join(columns),
+                  columns.values())
     write_csv(os.path.join(outdir, "summary.csv"), SUMMARY_CSV_HEADER,
               zip(*map(astuple, result.summaries.values())))
 

@@ -2,7 +2,7 @@
 device pose, since the display is fixed above the scene), a flow-based eye
 tracker proxy (noisy projections of the two eye points, standing in for
 sparse feature tracking), a costed and jittered 3D face-tracker proxy, and
-the per-invocation cost model. Eye points are (..., 3, 3) arrays
+the per-invocation cost model. Eye points are (..., 2, 3) left/right arrays
 (eye_points). Eye pixels are left u, v, right u, v: the flow proxy projects
 a whole trace's eyes to (..., 4) rows in one numpy pass (FlowSimulator.project);
 project_frame (one frame) and measure (into a FlowMeasurement NamedTuple)
@@ -26,6 +26,7 @@ import numpy as np
 from .geometry import PinholeCamera, check_fields, nonnegative, positive, project_pinhole, within
 
 DEFAULT_FRAME_RATE_HZ = 15.0  # front-camera hardware limit
+DWELL_TOL_MM = 0.5  # eye travel per frame (mm) at or below which the head is at rest
 
 
 class Generator(enum.Enum):
@@ -79,11 +80,11 @@ class HeadTrace:
     def __len__(self) -> int:
         return len(self.t_ms)
 
-    def dwell_mask(self, tol_mm: float = 0.5) -> np.ndarray:
+    def dwell_mask(self) -> np.ndarray:
         """Frames where the head is effectively at rest relative to the
         device, derived from the trace data itself (a frame dwells when the
-        eye moved less than tol_mm since the previous frame)."""
-        still = np.linalg.norm(np.diff(self.eye_mm, axis=0), axis=1) <= tol_mm
+        eye moved at most DWELL_TOL_MM since the previous frame)."""
+        still = np.linalg.norm(np.diff(self.eye_mm, axis=0), axis=1) <= DWELL_TOL_MM
         mask = np.empty(len(self), dtype=bool)
         mask[1:] = still
         mask[0] = still[0] if len(still) else True
@@ -91,12 +92,12 @@ class HeadTrace:
 
 
 def eye_points(eye_mm, ipd_mm) -> np.ndarray:
-    """(..., 3, 3) eye points, rows cyclopean, left, right: the eyes split
+    """(..., 2, 3) eye points, rows left, right: the cyclopean eye_mm split
     symmetrically along the display x-axis, as EyeState.from_cyclopean
-    splits them."""
+    splits it."""
     c = np.asarray(eye_mm, dtype=float)
     half = np.multiply.outer(np.asarray(ipd_mm) / 2.0, [1.0, 0.0, 0.0])
-    return np.stack([c, c - half, c + half], axis=-2)
+    return np.stack([c - half, c + half], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -280,12 +281,12 @@ class FlowSimulator:
         self._drift_dir = (float(np.cos(theta)), float(np.sin(theta)))
 
     def project(self, eyes) -> tuple[np.ndarray, np.ndarray]:
-        """Exact front-camera pixels of the left and right eyes of (..., 3, 3)
-        eye points, as (..., 4) rows (left u, v, right u, v), and a (...,)
-        mask: both eyes in front of the camera and inside the image. An eye
-        behind the camera projects as NaN, which no bounds test passes."""
+        """Exact front-camera pixels of (..., 2, 3) left/right eye points,
+        as (..., 4) rows (left u, v, right u, v), and a (...,) mask: both
+        eyes in front of the camera and inside the image. An eye behind the
+        camera projects as NaN, which no bounds test passes."""
         cam = self.front_cam
-        pts = cam.extrinsic.apply(np.asarray(eyes, dtype=float)[..., 1:, :])
+        pts = cam.extrinsic.apply(eyes)
         px = project_pinhole(cam, np.where(pts[..., 2:] > 0, pts, np.nan))
         return px.reshape(px.shape[:-2] + (4,)), cam.contains(px).all(axis=-1)
 
@@ -321,9 +322,9 @@ class FlowSimulator:
 class FaceTracker:
     """Costed, jittered stand-in for 3D face tracking.
 
-    Its k-th invocation returns the true eye points, (3, 3), rigidly
-    displaced by offsets(n)[k], one isotropic Gaussian draw, and charges
-    cost_ms.
+    Its k-th invocation returns the true eye, a cyclopean (3,) point or
+    (2, 3) left/right points, rigidly displaced by offsets(n)[k], one
+    isotropic Gaussian draw, and charges cost_ms.
     """
 
     jitter_sigma_mm: float = nonnegative(5.0)

@@ -274,6 +274,23 @@ def test_tracking_total_property(policy, latency, seed, p_fail, jitter_mm, ampli
         assert s.total_tracking_ms == pytest.approx(owed, rel=1e-12, abs=1e-9)
 
 
+@pytest.mark.parametrize("p_fail", [0.0, 0.2])
+@pytest.mark.parametrize("policy", ["verbatim", "latched", "decaying"])
+@pytest.mark.parametrize("latency", [0, 3])
+def test_invocations_are_the_request_frames(latency, policy, p_fail):
+    # Each mode's request frames ascend: none for DPR and FUPR, every frame
+    # for UPR, the recalculations for AAUPR; its summary counts them.
+    cfg = benchmark_config(trace_generator="sway", trace_n_frames=60, noise_p_fail=p_fail,
+                           threshold_policy=policy, noise_latency_frames=latency)
+    res = run(cfg)
+    n = len(res.trace)
+    for mode, rec in res.records.items():
+        assert np.all(np.diff(rec.requests) > 0), mode
+        expected = {"UPR": np.arange(n), "AAUPR": np.flatnonzero(rec.decision == "recalculate")}
+        assert np.array_equal(rec.requests, expected.get(mode, [])), mode
+        assert res.summaries[mode].invocations == len(rec.requests), mode
+
+
 @pytest.mark.parametrize("mode", ["UPR", "AAUPR"])
 def test_estimate_behind_panel_is_config_error(mode):
     # A jitter draw that puts the face-tracker estimate at z <= 0 names the
@@ -287,7 +304,8 @@ def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
     # E at k+1 is measured against the new estimate; the renderer shows that
     # estimate only from frame k + latency on.
     cfg = quiet_config(modes="AAUPR", threshold_policy="latched", noise_latency_frames=2)
-    rec = run(cfg).records["AAUPR"]
+    res = run(cfg)
+    rec, true_eye = res.records["AAUPR"], res.trace.eye_mm
     k = int(np.flatnonzero(rec.reason == "spatial")[0])
     # No earlier request is still in flight at k+1 or k+2.
     assert rec.decision[k - 2:k].tolist() == ["skip", "skip"]
@@ -298,12 +316,12 @@ def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
         px = project_pinhole(front, front.extrinsic.apply(np.stack([eye.left_mm, eye.right_mm])))
         return tuple(px.reshape(4).tolist())
 
-    flow = eye_px(rec.true_eye_mm[k + 1])
+    flow = eye_px(true_eye[k + 1])
     assert rec.e_px[k + 1] == pytest.approx(
-        sched.eye_distance_px(eye_px(rec.true_eye_mm[k]), flow), abs=1e-9)
+        sched.eye_distance_px(eye_px(true_eye[k]), flow), abs=1e-9)
     assert abs(rec.e_px[k + 1] - sched.eye_distance_px(eye_px(rec.est_eye_mm[k + 1]), flow)) > 1.0
     assert np.array_equal(rec.est_eye_mm[k + 1], rec.est_eye_mm[k])
-    assert np.allclose(rec.est_eye_mm[k + 2], rec.true_eye_mm[k], rtol=0, atol=1e-12)
+    assert np.allclose(rec.est_eye_mm[k + 2], true_eye[k], rtol=0, atol=1e-12)
     assert not np.allclose(rec.est_eye_mm[k + 1], rec.est_eye_mm[k + 2])
 
 
@@ -318,7 +336,6 @@ def pending_queue_reference(cfg: ExperimentConfig, res, mode: str):
     rng = harness._proxies(cfg, RenderMode(mode), cfg.front_cam(), face_cost)[1].rng
     requests = set(range(n)) if mode == "UPR" else \
         set(np.flatnonzero(rec.decision == "recalculate").tolist())
-    eyes = harness.eye_points(res.trace.eye_mm, res.trace.ipd_mm)
     sigma = cfg.noise_jitter_sigma_mm
     est_col, charge = np.full((n, 3), np.nan), np.zeros(n)
     current = harness.fupr_eye(harness.FuprCalibration(cfg.fupr_distance_mm),
@@ -329,7 +346,7 @@ def pending_queue_reference(cfg: ExperimentConfig, res, mode: str):
             charge[i] = cm.flow_ms
         if i in requests:
             offset = rng.normal(0.0, sigma, size=3) if sigma > 0 else np.zeros(3)
-            pending.append((i + cfg.noise_latency_frames, (eyes[i] + offset)[0], face_cost))
+            pending.append((i + cfg.noise_latency_frames, res.trace.eye_mm[i] + offset, face_cost))
         while pending and pending[0][0] <= i:
             _, current, c = pending.pop(0)
             charge[i] += c
@@ -384,7 +401,7 @@ def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
     rec = run(benchmark_config(modes="AAUPR", trace_generator="sway", trace_n_frames=300,
                                trace_amplitude_mm=120.0)).records["AAUPR"]
     assert {"recalculate", "skip"} <= set(rec.decision.tolist())
-    assert project_calls == [(300, 3, 3)]
+    assert project_calls == [(300, 2, 3)]
     assert ("uprsim.geometry", "apply") in asarray_callers  # the counter sees calls
     assert [c for c in asarray_callers if c[0] == sched.__name__] == []
 

@@ -7,10 +7,12 @@ exempt from both: their imports are the public re-exports. One function in
 src/uprsim opens files for writing, so one place decides what a CSV cell
 looks like. Every value object with a number field checks its declared
 domains through geometry.check_fields. The scheduler imports no numpy, so
-AAUPR's per-frame decisions stay on Python floats.
+AAUPR's per-frame decisions stay on Python floats. perfbench's span targets
+still name the program's attributes.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -177,3 +179,18 @@ def test_scheduler_imports_no_numpy():
     source = "import numpy.linalg as la\nfrom math import sqrt\nfrom .geometry import f\n"
     assert imported_modules(source) == {"numpy", "math"}
     assert "numpy" not in imported_modules((ROOT / "src/uprsim/scheduler.py").read_text())
+
+
+#: Span targets in perfbench/spans.py that name no attribute of the program
+#: any more; each records no calls. The known ones, until the benchmark
+#: drops them.
+DEAD_SPAN_TARGETS = ["harness.FaceTracker.track", "harness.pointing_error"]
+
+
+def test_perfbench_span_targets_resolve():
+    # spans.py wraps attributes by name, so a rename in src/uprsim silently
+    # empties a span; no further target may go dead.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench/spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.Recorder().missing == DEAD_SPAN_TARGETS

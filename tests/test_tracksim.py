@@ -227,7 +227,7 @@ def test_trace_csv_rejects_bad_row(tmp_path, line, old, new, message):
 # ---- flow simulator ----------------------------------------------------
 
 def eye_at(pos) -> np.ndarray:
-    """(3, 3) eye points, rows cyclopean, left, right."""
+    """(2, 3) eye points, rows left, right."""
     return eye_points(pos, 63.0)
 
 
@@ -235,17 +235,17 @@ def test_eye_points_match_eye_state():
     pos = np.array([[10.0, -5.0, 250.0], [-0.0, 3.25, 1e-3]])
     ipd = np.array([63.0, 58.5])
     eyes = eye_points(pos, ipd)
-    assert eyes.shape == (2, 3, 3)
+    assert eyes.shape == (2, 2, 3)
     for p, d, e in zip(pos, ipd, eyes):
         ref = EyeState.from_cyclopean(p, ipd_mm=d)
-        assert np.array_equal(e, [ref.cyclopean_mm, ref.left_mm, ref.right_mm])
+        assert np.array_equal(e, [ref.left_mm, ref.right_mm])
 
 
 def per_frame_projection(cam, eyes):
     """The per-frame oracle for FlowSimulator.project: the two eyes' pixels
     as one row, left u, v, right u, v (None when an eye is at or behind the
     camera), and visibility."""
-    pts = cam.extrinsic.apply(eyes[1:])
+    pts = cam.extrinsic.apply(eyes)
     if np.any(pts[:, 2] <= 0):
         return None, False
     px = project_pinhole(cam, pts)
@@ -260,7 +260,7 @@ def assert_project_matches_per_frame(cam, eyes):
         expected, expected_vis = per_frame_projection(cam, e)
         assert vis == expected_vis
         if expected is None:
-            behind = cam.extrinsic.apply(e[1:])[:, 2] <= 0  # per eye
+            behind = cam.extrinsic.apply(e)[:, 2] <= 0  # per eye
             assert np.isnan(p[np.repeat(behind, 2)]).all()
         else:
             assert np.array_equal(p, expected)
@@ -280,7 +280,7 @@ def test_project_edges_behind_and_off_image():
                          [0.0, 0.0, -100.0]],     # behind the camera
                         0.0)
     one_behind = eye_points([0.0, 0.0, 250.0], 63.0)
-    one_behind[2, 2] = -1.0                       # right eye alone behind
+    one_behind[1, 2] = -1.0                       # right eye alone behind
     eyes = np.concatenate([frames, one_behind[None]])
     _, visible = FlowSimulator(cam).project(eyes)
     assert visible.tolist() == [True] * 5 + [False] * 5
@@ -330,13 +330,13 @@ def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_
                            rotation_y(tilt, (5.0, -3.0, 1.0)))
     for cam in (front_camera(fx, fy, width, height), tilted):
         sim = FlowSimulator(cam)
-        got = np.array(sim.project_frame(est[1:]))
+        got = np.array(sim.project_frame(est))
         expected = sim.project(est)[0]
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def measure_frame(sim, eye):
-    """sim.measure of one frame's (3, 3) eye points, through project."""
+    """sim.measure of one frame's (2, 3) eye points, through project."""
     px, visible = sim.project(eye)
     return sim.measure(px.tolist(), bool(visible))
 
@@ -346,7 +346,7 @@ def test_noise_free_flow_is_exact_projection():
     sim = FlowSimulator(cam)
     eye = eye_at([10.0, -5.0, 250.0])
     m = measure_frame(sim, eye)
-    expected = project_pinhole(cam, cam.extrinsic.apply(eye[1:]))
+    expected = project_pinhole(cam, cam.extrinsic.apply(eye))
     assert not m.failed
     assert np.abs(np.reshape(m.eye_px, (2, 2)) - expected).max() == 0.0
 
@@ -371,7 +371,7 @@ def test_flow_drift_accumulates_and_resets():
     cam = front_camera()
     sim = FlowSimulator(cam, drift_px_per_frame=0.1, rng=np.random.default_rng(7))
     eye = eye_at([0.0, 0.0, 300.0])
-    exact = project_pinhole(cam, cam.extrinsic.apply(eye[1:]))
+    exact = project_pinhole(cam, cam.extrinsic.apply(eye))
     for i in range(1, 30):
         m = measure_frame(sim, eye)
         left = m.eye_px[:2]
@@ -487,7 +487,7 @@ def test_face_tracker_jitter_statistical():
     assert abs(offsets.std() - 5.0) / 5.0 < 0.05
     # Both eyes displaced rigidly.
     est = eye + tracker.offsets(1)[0]
-    assert np.allclose(est[2] - est[1], eye[2] - eye[1])
+    assert np.allclose(est[1] - est[0], eye[1] - eye[0])
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 500])
