@@ -2,7 +2,7 @@
 on handheld AR devices.
 
 Modules:
-  geometry  - rigid transforms, pinhole cameras, rays and planes.
+  geometry  - rigid transforms, pinhole cameras, planes, the batch ray/plane hit.
   viewgen   - the four render modes and on-plane pointing error.
   scheduler - dual thresholding of head-pose recomputation.
   tracksim  - synthetic head traces, flow/face-tracker proxies, cost model.
@@ -13,7 +13,6 @@ from .geometry import (
     DisplayModel,
     EyeState,
     PinholeCamera,
-    Ray,
     RigidTransform,
     ScenePlane,
     back_camera,
@@ -50,7 +49,6 @@ from .viewgen import (
     Homography,
     RenderMode,
     fupr_eye,
-    perceived_plane_point,
     pointing_error,
     upr_display_to_plane,
 )

@@ -1,5 +1,5 @@
 """Rigid transforms, pinhole cameras, the physical display model, eyes, and
-ray/plane intersection for head-coupled rendering on a handheld display.
+batch ray/plane intersection for head-coupled rendering on a handheld display.
 
 COORDINATE CONVENTIONS
 ======================
@@ -299,28 +299,6 @@ class ScenePlane:
         return abs(u) <= self.bounds_mm[0] / 2.0 and abs(v) <= self.bounds_mm[1] / 2.0
 
 
-@dataclass(frozen=True)
-class Ray:
-    """origin + t * direction, t >= 0; direction is unit norm."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        o = _as_vec3(self.origin, "origin")
-        d = np.asarray(self.direction, dtype=float).reshape(3)
-        n = np.linalg.norm(d)
-        if n == 0:
-            raise GeometryError("ray direction must be nonzero")
-        d = d / n
-        d.flags.writeable = False
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-
-    def at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
-
-
 def project_pinhole(cam: PinholeCamera, point_cam) -> np.ndarray:
     """Project a camera-frame point to pixel coordinates.
 
@@ -334,13 +312,18 @@ def project_pinhole(cam: PinholeCamera, point_cam) -> np.ndarray:
     return p[..., :2] * (cam.fx, cam.fy) / z + (cam.cx, cam.cy)
 
 
-def intersect_ray_plane(ray: Ray, plane: ScenePlane) -> np.ndarray | None:
-    """Forward intersection of a ray with the plane; None when the ray is
-    parallel to the plane or the hit lies behind the origin."""
-    denom = float(ray.direction @ plane.normal_world)
-    if abs(denom) < PARALLEL_TOL:
-        return None
-    t = float((plane.point_world - ray.origin) @ plane.normal_world) / denom
-    if t < 0:
-        return None
-    return ray.at(t)
+def intersect_ray_plane(origins, directions, plane: ScenePlane) -> tuple[np.ndarray, np.ndarray]:
+    """Forward hits of the rays origin + t * direction, t >= 0, with the
+    plane. Origins (..., 3) and directions (..., 3), which need not be unit
+    norm, broadcast. Returns the (..., 3) hit points and the (...) hit mask,
+    False where a ray is parallel to the plane, the hit lies behind its
+    origin, or an input is NaN; the points there are NaN."""
+    origins = np.asarray(origins, dtype=float)
+    d = np.asarray(directions, dtype=float)
+    with np.errstate(all="ignore"):
+        d = d / np.linalg.norm(d, axis=-1, keepdims=True)
+        denom = d @ plane.normal_world
+        t = ((plane.point_world - origins) @ plane.normal_world) / denom
+        hit = (np.abs(denom) >= PARALLEL_TOL) & (t >= 0)
+        points = origins + t[..., None] * d
+    return np.where(hit[..., None], points, np.nan), hit

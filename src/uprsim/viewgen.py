@@ -10,8 +10,10 @@ Render modes:
 
 Pointing error is the on-plane Euclidean distance between a target and the
 point a user (looking from the true eye position) perceives the drawn target
-to be at. The perceived point is the true-eye ray through the drawn pixel;
-no motor noise term is added.
+to be at. The perceived point is where the true-eye ray through the drawn
+pixel meets the plane (geometry.intersect_ray_plane, the one ray/plane hit);
+no motor noise term is added. pointing_errors evaluates frames x targets in
+one pass, and pointing_error is its one-cell form.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    PARALLEL_TOL,
     DisplayModel,
     EyeState,
     GeometryError,
     PinholeCamera,
-    Ray,
     ScenePlane,
     check_fields,
     intersect_ray_plane,
@@ -101,11 +101,6 @@ def _homography_from_points(src: np.ndarray, dst: np.ndarray) -> Homography:
     return Homography(np.append(sol, 1.0).reshape(3, 3))
 
 
-def _eye_ray_through_panel(eye_world: np.ndarray, display: DisplayModel, px) -> Ray:
-    panel_world = display.pose_world.apply(display.px_to_mm(px))
-    return Ray(eye_world, panel_world - eye_world)
-
-
 def upr_display_to_plane(eye: EyeState, display: DisplayModel, plane: ScenePlane) -> Homography:
     """Homography taking display pixels to 2D scene-plane coordinates (mm)
     under user-perspective rendering from the cyclopean eye.
@@ -114,15 +109,12 @@ def upr_display_to_plane(eye: EyeState, display: DisplayModel, plane: ScenePlane
     projection between two planes, four correspondences determine the map
     exactly. Raises when any corner ray misses the plane forward.
     """
-    eye_world = display.pose_world.apply(eye.cyclopean_mm)
     corners_px = display.corners_px()
-    dst = []
-    for px in corners_px:
-        hit = intersect_ray_plane(_eye_ray_through_panel(eye_world, display, px), plane)
-        if hit is None:
-            raise GeometryError("display corner ray misses the scene plane")
-        dst.append(plane.to_plane_2d(hit))
-    return _homography_from_points(corners_px, np.array(dst))
+    dst, hit = perceived_points(display.pose_world.apply(eye.cyclopean_mm), corners_px,
+                                display, plane)
+    if not hit.all():
+        raise GeometryError("display corner ray misses the scene plane")
+    return _homography_from_points(corners_px, dst)
 
 
 def cam_px_to_display_px(cam_px, display: DisplayModel, cam: PinholeCamera,
@@ -136,78 +128,30 @@ def cam_px_to_display_px(cam_px, display: DisplayModel, cam: PinholeCamera,
     return (p - cam_c) / s + disp_c
 
 
-def perceived_plane_point(display_px, true_eye: EyeState, display: DisplayModel,
-                          plane: ScenePlane) -> np.ndarray | None:
-    """Plane point (2D, mm) a user at true_eye perceives behind a display
-    pixel, i.e. where the true-eye ray through the pixel's physical location
-    meets the plane. None when the ray misses the plane forward."""
-    eye_world = display.pose_world.apply(true_eye.cyclopean_mm)
-    hit = intersect_ray_plane(_eye_ray_through_panel(eye_world, display, display_px), plane)
-    if hit is None:
-        return None
-    return plane.to_plane_2d(hit)
-
-
-def _display_px_for_target_from_eye(eye_mm: np.ndarray, target_world,
-                                    display: DisplayModel) -> np.ndarray:
-    """Pixel where an eye-based mode draws a world target: the intersection
-    of the eye-to-target segment with the panel surface (z = 0)."""
-    target_disp = display.pose_world.invert().apply(np.asarray(target_world, dtype=float))
-    dz = target_disp[2] - eye_mm[2]
-    if abs(dz) < 1e-12 or eye_mm[2] <= 0:
-        raise GeometryError("eye-to-target line does not cross the panel")
-    t = eye_mm[2] / (eye_mm[2] - target_disp[2])
-    if t <= 0:
-        raise GeometryError("target is on the eye's side of the panel")
-    hit = eye_mm + t * (target_disp - eye_mm)
-    return display.mm_to_px(hit)
-
-
-def render_target_px(mode: RenderMode, target_world, estimated_eye: EyeState | None,
-                     display: DisplayModel, back_cam: PinholeCamera | None = None,
-                     fit: FitPolicy = FitPolicy.STRETCH) -> np.ndarray:
-    """Display pixel where the given mode draws a world-frame target.
-
-    UPR/AAUPR use the supplied eye estimate, FUPR the fixed calibration eye
-    (passed in as estimated_eye by the caller), DPR the back camera.
-    """
-    if mode is RenderMode.DPR:
-        if back_cam is None:
-            raise ValueError("DPR requires a back camera")
-        target_disp = display.pose_world.invert().apply(np.asarray(target_world, dtype=float))
-        target_cam = back_cam.extrinsic.apply(target_disp)
-        cam_px = project_pinhole(back_cam, target_cam)
-        return cam_px_to_display_px(cam_px, display, back_cam, fit)
-    if estimated_eye is None:
-        raise ValueError(f"{mode.value} requires an eye estimate")
-    return _display_px_for_target_from_eye(estimated_eye.cyclopean_mm, target_world, display)
-
-
-def pointing_error(mode: RenderMode, target_world, estimated_eye: EyeState | None,
-                   true_eye: EyeState, display: DisplayModel, plane: ScenePlane,
-                   back_cam: PinholeCamera | None = None,
-                   fit: FitPolicy = FitPolicy.STRETCH) -> float:
-    """On-plane distance (mm) between a target and where the user perceives
-    the drawn target, looking from the true eye. Raises GeometryError when
-    any involved ray fails to resolve."""
-    p_display = render_target_px(mode, target_world, estimated_eye, display, back_cam, fit)
-    perceived = perceived_plane_point(p_display, true_eye, display, plane)
-    if perceived is None:
-        raise GeometryError("perceived ray misses the scene plane")
-    target_2d = plane.to_plane_2d(np.asarray(target_world, dtype=float))
-    return float(np.linalg.norm(perceived - target_2d))
+def perceived_points(eyes_world, display_px, display: DisplayModel,
+                     plane: ScenePlane) -> tuple[np.ndarray, np.ndarray]:
+    """Where the ray from each world-frame eye (..., 3) through its drawn
+    display pixel (..., 2) meets the plane: the (..., 2) plane points (mm)
+    and the (...) hit mask, False (points NaN) where the ray misses the plane
+    forward or the pixel is NaN. Eyes and pixels broadcast."""
+    panel_world = display.pose_world.apply(display.px_to_mm(display_px))
+    hits, hit = intersect_ray_plane(eyes_world, panel_world - eyes_world, plane)
+    return plane.to_plane_2d(hits), hit
 
 
 def pointing_errors(mode: RenderMode, targets_world, estimated_eyes_mm,
                     true_eyes_mm, display: DisplayModel, plane: ScenePlane,
                     back_cam: PinholeCamera | None = None,
                     fit: FitPolicy = FitPolicy.STRETCH) -> np.ndarray:
-    """pointing_error over frames x targets in one pass.
+    """On-plane distances (mm) between targets and where a user perceives
+    them drawn, over frames x targets in one pass.
 
     targets_world is (T, 3); the eyes are (F, 3) cyclopean positions in the
-    display frame (estimated_eyes_mm is unused for DPR). Returns (F, T)
-    errors in mm, NaN in every cell where pointing_error raises
-    GeometryError.
+    display frame. The mode draws each target from the estimated eye (UPR,
+    FUPR, AAUPR) or from the back camera (DPR, which ignores
+    estimated_eyes_mm), and the user looks from the true eye. Returns (F, T)
+    errors, NaN in every cell where the drawing or the perceived ray does
+    not resolve.
     """
     targets = np.asarray(targets_world, dtype=float)
     target_disp = display.pose_world.invert().apply(targets)
@@ -217,22 +161,33 @@ def pointing_errors(mode: RenderMode, targets_world, estimated_eyes_mm,
         else:
             drawn_px = _eye_target_px(np.asarray(estimated_eyes_mm, dtype=float),
                                       target_disp, display)
-        # Perceived point: the true-eye ray through the drawn pixel, as in
-        # intersect_ray_plane. NaN pixels propagate into the miss mask.
-        eye_world = display.pose_world.apply(np.asarray(true_eyes_mm, dtype=float))[:, None]
-        d = display.pose_world.apply(display.px_to_mm(drawn_px)) - eye_world
-        d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        denom = d @ plane.normal_world
-        t = ((plane.point_world - eye_world) @ plane.normal_world) / denom
-        perceived = plane.to_plane_2d(eye_world + t[..., None] * d)
-        err = np.linalg.norm(perceived - plane.to_plane_2d(targets), axis=-1)
-        hit = (np.abs(denom) >= PARALLEL_TOL) & (t >= 0)
-    return np.where(hit, err, np.nan)
+    eye_world = display.pose_world.apply(np.asarray(true_eyes_mm, dtype=float))[:, None]
+    perceived, _ = perceived_points(eye_world, drawn_px, display, plane)
+    return np.linalg.norm(perceived - plane.to_plane_2d(targets), axis=-1)
+
+
+def pointing_error(mode: RenderMode, target_world, estimated_eye: EyeState | None,
+                   true_eye: EyeState, display: DisplayModel, plane: ScenePlane,
+                   back_cam: PinholeCamera | None = None,
+                   fit: FitPolicy = FitPolicy.STRETCH) -> float:
+    """pointing_errors for one target and one frame's eyes. Raises
+    GeometryError where that cell is NaN, and ValueError when the mode's
+    eye estimate or back camera is missing."""
+    if mode is not RenderMode.DPR and estimated_eye is None:
+        raise ValueError(f"{mode.value} requires an eye estimate")
+    est = None if estimated_eye is None else [estimated_eye.cyclopean_mm]
+    err = pointing_errors(mode, [target_world], est, [true_eye.cyclopean_mm],
+                          display, plane, back_cam, fit)[0, 0]
+    if np.isnan(err):
+        raise GeometryError("drawn target or perceived ray misses the scene plane")
+    return float(err)
 
 
 def _eye_target_px(eyes_mm: np.ndarray, target_disp: np.ndarray,
                    display: DisplayModel) -> np.ndarray:
-    """(F, T, 2) batch of _display_px_for_target_from_eye; NaN where it raises."""
+    """(F, T, 2) pixels where each estimated eye's line to each display-frame
+    target crosses the panel surface (z = 0); NaN where the eye is not in
+    front of the panel or the line does not cross it toward the target."""
     ez = eyes_mm[:, None, 2]
     tz = target_disp[None, :, 2]
     t = ez / (ez - tz)
@@ -244,8 +199,9 @@ def _eye_target_px(eyes_mm: np.ndarray, target_disp: np.ndarray,
 
 def _dpr_target_px(target_disp: np.ndarray, display: DisplayModel,
                    back_cam: PinholeCamera | None, fit: FitPolicy) -> np.ndarray:
-    """(T, 2) batch of the DPR branch of render_target_px; NaN for targets
-    at or behind the back camera."""
+    """(T, 2) pixels where DPR draws each display-frame target: its back
+    camera projection, fitted to the display; NaN for targets at or behind
+    the back camera."""
     if back_cam is None:
         raise ValueError("DPR requires a back camera")
     target_cam = back_cam.extrinsic.apply(target_disp)

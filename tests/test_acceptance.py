@@ -7,16 +7,15 @@ import time
 
 import numpy as np
 import pytest
+from raycast import Ray, intersect_ray_plane, pointing_error
 
 from uprsim.geometry import (
     DisplayModel,
     EyeState,
     PinholeCamera,
-    Ray,
     RigidTransform,
     ScenePlane,
     back_camera,
-    intersect_ray_plane,
 )
 from uprsim.harness import (
     BENCHMARK_JITTER_CROSSOVER_MM,
@@ -33,7 +32,7 @@ from uprsim.scheduler import (
     epsilon_default,
     step,
 )
-from uprsim.viewgen import RenderMode, fupr_eye, pointing_error, upr_display_to_plane
+from uprsim.viewgen import RenderMode, fupr_eye, upr_display_to_plane
 from uprsim.viewgen import FuprCalibration
 
 

@@ -2,6 +2,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import raycast
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from rotations import rotation_x, rotation_y, rotation_z
 
 from uprsim.geometry import (
@@ -9,7 +12,6 @@ from uprsim.geometry import (
     EyeState,
     GeometryError,
     PinholeCamera,
-    Ray,
     RigidTransform,
     ScenePlane,
     back_camera,
@@ -162,29 +164,30 @@ def unit_plane(point, normal, bounds=(1000.0, 1000.0)) -> ScenePlane:
 
 def test_axis_ray_perpendicular_plane():
     plane = unit_plane([0.0, 0.0, 500.0], [0.0, 0.0, -1.0])
-    hit = intersect_ray_plane(Ray([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]), plane)
+    hit, ok = intersect_ray_plane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], plane)
+    assert ok
     assert np.allclose(hit, [0.0, 0.0, 500.0])
 
 
 def test_parallel_ray_no_hit():
     plane = unit_plane([0.0, 0.0, 500.0], [0.0, 0.0, -1.0])
-    assert intersect_ray_plane(Ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), plane) is None
+    assert not intersect_ray_plane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], plane)[1]
 
 
 def test_behind_origin_no_hit():
     plane = unit_plane([0.0, 0.0, -10.0], [0.0, 0.0, 1.0])
-    assert intersect_ray_plane(Ray([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]), plane) is None
+    assert not intersect_ray_plane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], plane)[1]
 
 
 def test_oblique_ray_substitution_oracle():
     # 45-degree ray onto an offset plane; verify by substitution into the
     # plane equation and by forwardness.
     plane = unit_plane([10.0, -5.0, 300.0], [0.1, 0.2, -1.0])
-    ray = Ray([0.0, 0.0, 0.0], [1.0, 0.0, 1.0])
-    hit = intersect_ray_plane(ray, plane)
-    assert hit is not None
+    origin, direction = np.zeros(3), np.array([1.0, 0.0, 1.0])
+    hit, ok = intersect_ray_plane(origin, direction, plane)
+    assert ok
     assert abs((hit - plane.point_world) @ plane.normal_world) < 1e-6
-    t = (hit - ray.origin) @ ray.direction
+    t = (hit - origin) @ direction
     assert t > 0
 
 
@@ -194,16 +197,55 @@ def test_frame_consistency():
     rng = np.random.default_rng(11)
     for _ in range(50):
         plane = unit_plane(rng.normal(scale=100, size=3), rng.normal(size=3))
-        ray = Ray(rng.normal(scale=50, size=3), rng.normal(size=3))
-        hit = intersect_ray_plane(ray, plane)
-        if hit is None:
+        origin, direction = rng.normal(scale=50, size=3), rng.normal(size=3)
+        hit, ok = intersect_ray_plane(origin, direction, plane)
+        if not ok:
             continue
         t = random_transform(rng)
         plane_t = ScenePlane(t.apply(plane.point_world),
                              plane.normal_world @ t.rotation.T, plane.bounds_mm)
-        ray_t = Ray(t.apply(ray.origin), ray.direction @ t.rotation.T)
-        hit_t = intersect_ray_plane(ray_t, plane_t)
+        hit_t, ok_t = intersect_ray_plane(t.apply(origin), direction @ t.rotation.T, plane_t)
+        assert ok_t
         assert np.abs(hit_t - t.apply(hit)).max() < 1e-6
+
+
+units = st.floats(-1.0, 1.0)
+coords = st.floats(-100.0, 100.0)
+#: One ray relative to a plane: in-plane offset (x, y) and height h of the
+#: origin, in-plane direction (a, b), and its kind. A "free" ray leaves the
+#: plane at slope c with |c| >= 1e-3, so it hits the plane forward or behind
+#: its origin at most ~1e5 mm away; a "parallel" ray has no normal component.
+rays = st.tuples(coords, coords, st.floats(1.0, 100.0) | st.floats(-100.0, -1.0),
+                 units, st.floats(0.1, 1.0),
+                 st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3),
+                 st.sampled_from(["free", "parallel", "nan"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=st.tuples(coords, coords, coords),
+       normal=st.tuples(units, units, units).filter(lambda n: np.linalg.norm(n) > 0.1),
+       drawn=st.lists(rays, min_size=1, max_size=8))
+def test_intersect_matches_scalar_oracle(point, normal, drawn):
+    plane = unit_plane(point, normal)
+    u, v, n = plane.u_axis, plane.v_axis, plane.normal_world
+    origins = np.array([plane.point_world + x * u + y * v + h * n
+                        for x, y, h, *_ in drawn])
+    directions = np.array([a * u + b * v + (0.0 if kind == "parallel" else c) * n
+                           for *_, a, b, c, kind in drawn])
+    directions[[kind == "nan" for *_, kind in drawn], 1] = np.nan
+    points, hit = intersect_ray_plane(origins, directions, plane)
+    assert points.shape == (len(drawn), 3) and hit.shape == (len(drawn),)
+    for i in range(len(drawn)):
+        ref = raycast.intersect_ray_plane(raycast.Ray(origins[i], directions[i]), plane)
+        # The oracle returns a NaN point for a NaN direction (NaN fails both
+        # of its tests); that is a miss.
+        ref_hit = ref is not None and np.isfinite(ref).all()
+        assert hit[i] == ref_hit
+        if ref_hit:
+            assert np.abs(points[i] - ref).max() < 1e-6
+        else:
+            assert np.isnan(points[i]).all()
+    assert hit[[kind == "parallel" for *_, kind in drawn]].sum() == 0
 
 
 def test_plane_2d_round_trip():
@@ -232,7 +274,7 @@ def test_plane_rejects_nonfinite_point_and_bounds():
 #: A constructor per vector argument, by argument name, given one component.
 VECTORS = {
     "translation": lambda v: RigidTransform(np.eye(3), [0.0, v, 0.0]),
-    "origin": lambda v: Ray([v, 0.0, 0.0], [0.0, 0.0, 1.0]),
+    "origin": lambda v: raycast.Ray([v, 0.0, 0.0], [0.0, 0.0, 1.0]),
     "offset_mm": lambda v: back_camera(offset_mm=(0.0, 0.0, v)),
 }
 

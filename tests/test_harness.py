@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from raycast import pointing_error
 
 from uprsim import harness
 from uprsim import scheduler as sched
@@ -21,7 +22,7 @@ from uprsim.harness import (
     write_sweep_csv,
 )
 from uprsim.tracksim import FlowSimulator, write_trace_csv
-from uprsim.viewgen import RenderMode, pointing_error
+from uprsim.viewgen import RenderMode
 
 
 def quiet_config(**kw) -> ExperimentConfig:
@@ -200,7 +201,7 @@ def random_config(case: int) -> ExperimentConfig:
 
 def scalar_errors(cfg: ExperimentConfig, res, mode: str) -> np.ndarray:
     """The (F, T) error table recomputed cell by cell with the scalar
-    pointing_error, from the eyes the loop recorded."""
+    ray-cast oracle's pointing_error, from the eyes the loop recorded."""
     display, plane, back, fit = cfg.display(), cfg.plane(), cfg.back_cam(), cfg.fit_policy()
     targets = plane.from_plane_2d(cfg.target_points())
     rec = res.records[mode]
@@ -523,7 +524,7 @@ def test_library_route_rejects_nonfinite_floats(key):
 def test_sweep_rows_equal_per_cell_runs(parameter, values):
     # Cells that share the first cell's trace, and head_displacement cells
     # that each build their own, give exactly their stand-alone runs.
-    cfg = benchmark_config(modes="UPR,FUPR,AAUPR", trace_dwell_frames=40,
+    cfg = benchmark_config(modes="DPR,UPR,FUPR,AAUPR", trace_dwell_frames=40,
                            trace_transition_frames=10)
     expected = [(v, s) for v in values for s in
                 run(replace(cfg, **{SWEEP_PARAMS[parameter]: v})).summaries.values()]

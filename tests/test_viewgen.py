@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+import raycast
+from raycast import Ray, intersect_ray_plane, render_target_px
 from rotations import rotation_x, rotation_y
 
 from uprsim.geometry import (
@@ -7,11 +11,9 @@ from uprsim.geometry import (
     EyeState,
     GeometryError,
     PinholeCamera,
-    Ray,
     RigidTransform,
     ScenePlane,
     back_camera,
-    intersect_ray_plane,
 )
 from uprsim.viewgen import (
     FitPolicy,
@@ -19,10 +21,9 @@ from uprsim.viewgen import (
     RenderMode,
     cam_px_to_display_px,
     fupr_eye,
-    perceived_plane_point,
+    perceived_points,
     pointing_error,
     pointing_errors,
-    render_target_px,
     upr_display_to_plane,
 )
 
@@ -141,6 +142,23 @@ def test_upr_homography_randomized_equivalence():
         checked += 1
 
 
+def test_upr_homography_corner_miss_raises_without_warnings():
+    # A plane on the eye's side of the panel: every corner ray points away.
+    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
+    behind_eye = plane_below(400.0)
+    # Panel upright (display y -> world z) with the eye level with its top
+    # edge: two corner rays run exactly parallel to the plane.
+    upright = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform(
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]), [0.0, 0.0, 0.0]))
+    level = EyeState.from_cyclopean([0.0, 30.5, 1.0])
+    for display, plane, e in ((flat_display(), behind_eye, eye),
+                              (upright, plane_below(), level)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="display corner ray misses the scene plane"):
+                upr_display_to_plane(e, display, plane)
+
+
 # ---- DPR mapping -------------------------------------------------------
 
 def test_dpr_equals_upr_at_coincident_viewpoint():
@@ -191,13 +209,20 @@ def test_fit_policies():
             assert abs(np.linalg.norm(dx) - np.linalg.norm(dy)) > 1e-3
 
 
-# ---- perceived_plane_point ---------------------------------------------
+# ---- perceived_points --------------------------------------------------
+
+def perceived_point(display_px, eye, display, plane):
+    """perceived_points for one eye and one pixel; None where it misses."""
+    uv, hit = perceived_points(display.pose_world.apply(eye.cyclopean_mm), display_px,
+                               display, plane)
+    return uv if hit else None
+
 
 def test_perceived_center_collinear():
     display = flat_display()
     plane = plane_below()
     eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
-    assert np.allclose(perceived_plane_point([540.0, 304.0], eye, display, plane),
+    assert np.allclose(perceived_point([540.0, 304.0], eye, display, plane),
                        [0.0, 0.0], atol=1e-9)
 
 
@@ -207,7 +232,7 @@ def test_perceived_is_raycast():
     plane = plane_below()
     eye = EyeState.from_cyclopean([30.0, -40.0, 280.0])
     px = [200.0, 450.0]
-    assert np.allclose(perceived_plane_point(px, eye, display, plane),
+    assert np.allclose(perceived_point(px, eye, display, plane),
                        raycast_plane_point(eye, display, plane, px), atol=1e-9)
 
 
@@ -217,7 +242,7 @@ def test_perceived_no_hit():
     # Eye below the panel looking up: the ray never reaches the plane.
     eye = EyeState.from_cyclopean([0.0, 0.0, 1.0])
     sideways = ScenePlane([0.0, 0.0, 300.0], [0.0, 0.0, 1.0], (100.0, 100.0))
-    assert perceived_plane_point([540.0, 304.0], eye, display, sideways) is None
+    assert perceived_point([540.0, 304.0], eye, display, sideways) is None
 
 
 # ---- pointing_error ----------------------------------------------------
@@ -299,6 +324,46 @@ def test_fupr_error_monotone_in_head_displacement():
     assert all(b >= a - 1e-9 for a, b in zip(errors, errors[1:]))
 
 
+@pytest.mark.parametrize("mode", list(RenderMode))
+def test_pointing_error_is_one_batch_cell(mode):
+    # Tilted, offset displays on either side of a tilted plane: the scalar
+    # call equals its batch cell bit for bit, and raises exactly where the
+    # cell is NaN.
+    rng = np.random.default_rng(47)
+    nan = 0
+    for k in range(40):
+        display = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform.from_quaternion(
+            [1.0, *rng.normal(scale=0.2, size=3)],
+            [*rng.normal(scale=30.0, size=2), rng.uniform(-400.0, 400.0)]))
+        normal = np.array([*rng.normal(scale=0.2, size=2), 1.0])
+        plane = ScenePlane([0.0, 0.0, 0.0], normal / np.linalg.norm(normal), (3000.0, 3000.0))
+        target = plane.from_plane_2d(rng.uniform(-300.0, 300.0, size=2))
+        est, true = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(2, 3))
+        back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
+        fit = (FitPolicy.STRETCH, FitPolicy.LETTERBOX)[k % 2]
+        cell = pointing_errors(mode, [target], [est], [true], display, plane,
+                               back_cam=back, fit=fit)[0, 0]
+        args = (mode, target, EyeState.from_cyclopean(est), EyeState.from_cyclopean(true),
+                display, plane, back)
+        if np.isnan(cell):
+            with pytest.raises(GeometryError):
+                pointing_error(*args, fit=fit)
+            nan += 1
+        else:
+            assert pointing_error(*args, fit=fit) == cell
+    assert 0 < nan < 40
+
+
+def test_pointing_error_requires_eye_estimate_and_back_camera():
+    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
+    target = [0.0, 0.0, -300.0]
+    for mode, est, message in ((RenderMode.UPR, None, "UPR requires an eye estimate"),
+                               (RenderMode.DPR, eye, "DPR requires a back camera")):
+        with pytest.raises(ValueError, match=message) as excinfo:
+            pointing_error(mode, target, est, eye, flat_display(), plane_below())
+        assert excinfo.type is ValueError
+
+
 def test_pointing_errors_match_scalar_any_pose():
     # Tilted, offset displays on either side of a tilted plane, with the
     # estimated and true eyes drawn independently: cells cover every way
@@ -325,9 +390,9 @@ def test_pointing_errors_match_scalar_any_pose():
                 est_eye = None if mode is RenderMode.DPR else EyeState.from_cyclopean(est[i])
                 for t in range(4):
                     try:
-                        ref = pointing_error(mode, targets[t], est_eye,
-                                             EyeState.from_cyclopean(true[i]),
-                                             display, plane, back_cam=back, fit=fit)
+                        ref = raycast.pointing_error(mode, targets[t], est_eye,
+                                                     EyeState.from_cyclopean(true[i]),
+                                                     display, plane, back_cam=back, fit=fit)
                     except GeometryError:
                         assert np.isnan(batch[i, t])
                         misses += 1
@@ -349,8 +414,8 @@ def test_pointing_errors_degenerate_cells_are_nan():
     display = DisplayModel(109.0, 61.0, 1080, 608, upright)
     est, true = [0.0, 0.0, 200.0], [0.0, -200.0, 50.0]
     with pytest.raises(GeometryError):
-        pointing_error(RenderMode.UPR, target[0], EyeState.from_cyclopean(est),
-                       EyeState.from_cyclopean(true), display, plane)
+        raycast.pointing_error(RenderMode.UPR, target[0], EyeState.from_cyclopean(est),
+                               EyeState.from_cyclopean(true), display, plane)
     assert np.isnan(pointing_errors(RenderMode.UPR, target, [est], [true], display, plane)).all()
     # Panel below the plane, so the target is 150 mm in front of it: an eye
     # level with the target never crosses the panel; an eye behind the panel
@@ -358,7 +423,7 @@ def test_pointing_errors_degenerate_cells_are_nan():
     display = flat_display(z_world=-150.0)
     level = EyeState.from_cyclopean([0.0, 0.0, 150.0])
     with pytest.raises(GeometryError):
-        pointing_error(RenderMode.UPR, target[0], level, level, display, plane)
+        raycast.pointing_error(RenderMode.UPR, target[0], level, level, display, plane)
     errs = pointing_errors(RenderMode.UPR, target, [[0.0, 0.0, 150.0], [0.0, 0.0, -10.0]],
                            [[0.0, 0.0, 150.0], [0.0, 0.0, 200.0]], display, plane)
     assert np.isnan(errs).all()
