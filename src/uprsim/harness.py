@@ -13,11 +13,13 @@ list of request frames (ModeRecord.requests, which summaries count): none
 for DPR and FUPR, every frame for UPR, the frames AAUPR's loop recalculated
 at. That loop is the only sequential part, and it runs on Python floats and
 NamedTuples: it owns the scheduler state and flow draws, re-anchors through
-FlowSimulator.project_frame (not project), and fills the decision, reason,
-E and dE columns once it ends. One numpy pass over the requests then builds
-the estimated-eye and charge columns (_run_mode). A mode's result is one
-ModeRecord of columns; summaries and the CSV output read those columns.
-A sweep whose parameter does not shape the trace builds the trace once.
+FlowSimulator.project_frame (not project; for the front camera it calls no
+numpy), and fills the decision, reason, E and dE columns once it ends. One
+numpy pass over the requests then builds the estimated-eye and charge
+columns (_run_mode). A mode's result is one ModeRecord of columns;
+summaries and the CSV output read those columns. A sweep whose parameter
+does not shape the trace builds the trace once and projects it once
+(_project_trace), for every cell's AAUPR loop.
 
 A config key's own domain is declared on its ExperimentConfig field and
 checked, with finiteness for every float, when a config is built, by the
@@ -369,10 +371,12 @@ def _proxies(config: ExperimentConfig, mode: RenderMode, front: PinholeCamera,
     return flow, face
 
 
-def run(config: ExperimentConfig, trace: HeadTrace | None = None) -> RunResult:
+def run(config: ExperimentConfig, trace: HeadTrace | None = None, *,
+        projection: tuple | None = None) -> RunResult:
     """Run every configured mode over the configured trace, or over `trace`
     when given (it must be the one config.build_trace() returns). Deterministic
-    for a fixed config and seed."""
+    for a fixed config and seed. `projection`, which sweep passes, is
+    _project_trace's result for that trace and config's front camera."""
     modes = config.mode_list()
     if trace is None:
         trace = config.build_trace()
@@ -391,7 +395,7 @@ def run(config: ExperimentConfig, trace: HeadTrace | None = None) -> RunResult:
     records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
     for mode in modes:
-        cols = _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost)
+        cols = _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost, projection)
         errors = np.full((len(trace), len(targets_world)), np.nan)
         errors[evaluate] = pointing_errors(mode, targets_world, cols["est_eye_mm"][evaluate],
                                            trace.eye_mm[evaluate], display, plane,
@@ -404,13 +408,23 @@ def run(config: ExperimentConfig, trace: HeadTrace | None = None) -> RunResult:
     return RunResult(records=records, summaries=summaries, trace=trace)
 
 
-def _run_mode(mode, config, trace, tcfg, cost, cal_eye, front,
-              face_cost) -> dict[str, np.ndarray]:
+def _project_trace(flow_sim: FlowSimulator, trace: HeadTrace) -> tuple:
+    """The trace's (F, 2, 3) eye points, and their exact front-camera pixel
+    rows and visibility as lists, in one project pass: what AAUPR's loop
+    reads."""
+    eyes = eye_points(trace.eye_mm, trace.ipd_mm)
+    flow_px, visible = flow_sim.project(eyes)
+    return eyes, flow_px.tolist(), visible.tolist()
+
+
+def _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost,
+              projection=None) -> dict[str, np.ndarray]:
     """One mode's sensing columns, keyed by ModeRecord field name. UPR
     requests a face-tracker result on every frame; AAUPR's closed loop
     (flow measure, scheduler step, re-anchor with project_frame) runs on
-    Python floats after one project pass, and chooses its request frames.
-    One pass over the requests then builds the estimate and charge columns."""
+    Python floats over the trace's projection (_project_trace's, unless
+    given), and chooses its request frames. One pass over the requests then
+    builds the estimate and charge columns."""
     n = len(trace)
     cols = {"requests": np.arange(0),
             "decision": np.full(n, "", dtype=object),
@@ -432,16 +446,19 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, front,
     else:
         charge[:] = cost.flow_ms
         state = sched.initial_state(tcfg)
-        eyes = eye_points(trace.eye_mm, trace.ipd_mm)
-        flow_px, visible = flow_sim.project(eyes)
+        eyes, flow_px, visible = projection or _project_trace(flow_sim, trace)
         step, measure, recalculate = sched.step, flow_sim.measure, sched.DecisionKind.RECALCULATE
+        project_frame = flow_sim.project_frame
         decisions, recalcs = [], []  # recalcs: the request frames
-        for i, (px, vis) in enumerate(zip(flow_px.tolist(), visible.tolist())):
+        for i, (px, vis) in enumerate(zip(flow_px, visible)):
             # A failed measurement's eye_px is None, which is sched.FLOW_FAILURE.
             decision, state = step(state, measure(px, vis).eye_px, tcfg)
             decisions.append(decision)
             if decision.kind is recalculate:
-                est_px = flow_sim.project_frame(eyes[i] + offsets[len(recalcs)])
+                # eyes[i] + offsets[k], added on Python floats.
+                (lx, ly, lz), (rx, ry, rz) = eyes[i].tolist()
+                ox, oy, oz = offsets[len(recalcs)].tolist()
+                est_px = project_frame(((lx + ox, ly + oy, lz + oz), (rx + ox, ry + oy, rz + oz)))
                 state = sched.apply_recalculation(state, est_px, tcfg)
                 flow_sim.reset_drift()
                 recalcs.append(i)
@@ -518,8 +535,8 @@ SWEEP_PARAMS = {
 
 def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float, Summary]]:
     """One run per value (same seed per cell); returns (value, Summary) rows
-    for every configured mode. Cells share the first cell's trace unless the
-    parameter shapes the trace."""
+    for every configured mode. Unless the parameter shapes the trace, cells
+    share the first cell's trace and, for AAUPR, its projection."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {sorted(SWEEP_PARAMS)}")
     values = list(values)
@@ -528,12 +545,15 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float,
     key = SWEEP_PARAMS[parameter]
     # build_trace reads only trace_* keys, ipd_mm and seed.
     shares_trace = not key.startswith("trace_")
-    trace = None
+    trace = projection = None
     rows: list[tuple[float, Summary]] = []
     for v in values:
-        result = run(replace(config, **{key: v}), trace)
-        if shares_trace:
-            trace = result.trace
+        cell = replace(config, **{key: v})
+        if shares_trace and trace is None:
+            trace = cell.build_trace()
+            if RenderMode.AAUPR in cell.mode_list():
+                projection = _project_trace(FlowSimulator(cell.front_cam()), trace)
+        result = run(cell, trace, projection=projection)
         for s in result.summaries.values():
             rows.append((v, s))
     return rows

@@ -55,6 +55,8 @@ COMMANDS = [
     ("gen_walk", ["gen-trace", "--spec", "walk_spec.cfg", "--out", "walk.csv"]),
     ("sweep_eps_max", ["sweep", "--config", "walk_sweep.cfg", "--param", "eps_max",
                        "--values", "8,16,24,32", "--out", "sweep"]),
+    ("sweep_jitter", ["sweep", "--config", "walk_sweep.cfg", "--param", "jitter_sigma",
+                      "--values", "0,5,40", "--out", "sweep_jitter"]),
 ] + [(f"gen_{g}", ["gen-trace", "--spec", f"gen_{g}.cfg", "--out", f"gen_{g}.csv"])
      for g in ("stationary", "step_move", "sway", "random_walk")] + [
     ("truthtable", ["truthtable", "--eps", "24"]),

@@ -1,4 +1,7 @@
-"""Rigid transforms about one display axis, for tilted test fixtures."""
+"""Rigid transforms about one display axis, for tilted test fixtures, and
+the axis-aligned rotations."""
+
+import itertools
 
 import numpy as np
 
@@ -18,3 +21,16 @@ def rotation_y(angle_rad: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform:
 def rotation_z(angle_rad: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform:
     c, s = np.cos(angle_rad), np.sin(angle_rad)
     return RigidTransform(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), translation)
+
+
+def axis_rotations() -> list[np.ndarray]:
+    """The 24 proper rotations whose entries are all -1, 0 or 1: the signed
+    permutation matrices with determinant +1."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((-1.0, 1.0), repeat=3):
+            r = np.zeros((3, 3))
+            r[range(3), perm] = signs
+            if np.linalg.det(r) > 0:
+                out.append(r)
+    return out

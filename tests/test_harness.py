@@ -10,7 +10,7 @@ from raycast import pointing_error
 
 from uprsim import harness
 from uprsim import scheduler as sched
-from uprsim.geometry import EyeState, GeometryError, project_pinhole
+from uprsim.geometry import EyeState, GeometryError, RigidTransform, project_pinhole
 from uprsim.harness import (
     SWEEP_PARAMS,
     ConfigError,
@@ -382,27 +382,106 @@ def test_request_events_equal_pending_queue(latency, seed, n_frames, jitter_mm, 
         assert np.array_equal(res.records[mode].tracking_charge_ms, charge), mode
 
 
-def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
-    # The closed loop runs on Python floats: one project pass over the
-    # trace, and no np.asarray inside the scheduler on any frame.
-    project_calls, asarray_callers = [], []
-    project, asarray = FlowSimulator.project, np.asarray
+def bit_equal(a, b) -> bool:
+    """Same shape and values, floats compared by their bits (NaN equals NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == np.float64 == b.dtype:
+        a, b = a.view(np.uint64), b.view(np.uint64)
+    return a.shape == b.shape and np.array_equal(a, b)
 
-    def counting_project(self, eyes):
-        project_calls.append(np.shape(eyes))
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**31 - 1), n_frames=st.integers(1, 30),
+       walk=st.booleans(), amplitude=st.floats(0.0, 1.0),
+       jitter_mm=st.one_of(st.just(0.0), st.floats(0.01, 20.0)), p_fail=st.floats(0.0, 0.3),
+       policy=st.sampled_from(["verbatim", "latched", "decaying"]))
+def test_latency_shifts_rendering_not_loop(seed, n_frames, walk, amplitude, jitter_mm, p_fail,
+                                           policy):
+    # Latency L moves each estimate L frames later and changes nothing the
+    # loop decides: requests, decisions, reasons, E and dE stay bit-equal.
+    cfg = benchmark_config(modes="UPR,AAUPR", seed=seed, trace_n_frames=n_frames,
+                           trace_generator="random_walk" if walk else "sway",
+                           trace_amplitude_mm=amplitude * (5.0 if walk else 200.0),
+                           noise_jitter_sigma_mm=jitter_mm, noise_p_fail=p_fail,
+                           threshold_policy=policy)
+    at_zero = run(cfg).records
+    cal_eye = harness.fupr_eye(harness.FuprCalibration(cfg.fupr_distance_mm),
+                               ipd_mm=cfg.ipd_mm).cyclopean_mm
+    for latency in range(1, 6):
+        records = run(replace(cfg, noise_latency_frames=latency)).records
+        for mode, rec in records.items():
+            ref = at_zero[mode]
+            for col in ("requests", "decision", "reason", "e_px", "delta_e_px"):
+                assert bit_equal(getattr(rec, col), getattr(ref, col)), (mode, latency, col)
+            shifted = np.vstack([np.tile(cal_eye, (latency, 1)), ref.est_eye_mm])[:n_frames]
+            assert bit_equal(rec.est_eye_mm, shifted), (mode, latency)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**31 - 1), n_frames=st.integers(1, 30),
+       order=st.permutations([m.value for m in RenderMode]),
+       jitter_mm=st.one_of(st.just(0.0), st.floats(0.01, 20.0)), p_fail=st.floats(0.0, 0.3),
+       latency=st.integers(0, 3), policy=st.sampled_from(["verbatim", "latched", "decaying"]))
+def test_modes_are_independent(seed, n_frames, order, jitter_mm, p_fail, latency, policy):
+    # Each mode's record in a four-mode run, in any order, is the record of
+    # a run configured with that mode alone, column for column.
+    cfg = benchmark_config(modes=",".join(order), seed=seed, trace_generator="sway",
+                           trace_n_frames=n_frames, trace_sway_period_s=2.0,
+                           noise_jitter_sigma_mm=jitter_mm, noise_p_fail=p_fail,
+                           noise_latency_frames=latency, threshold_policy=policy,
+                           errors_dwell_only=False)
+    together = run(cfg).records
+    for mode in order:
+        alone = run(replace(cfg, modes=mode)).records[mode]
+        for f in fields(alone):
+            assert bit_equal(getattr(together[mode], f.name), getattr(alone, f.name)), (
+                mode, f.name)
+
+
+def caller(depth=2) -> tuple[str, str]:
+    """(module, function) of the code that called the caller of this."""
+    frame = sys._getframe(depth)
+    return frame.f_globals["__name__"], frame.f_code.co_name
+
+
+def counting_project(monkeypatch) -> list:
+    """Patch FlowSimulator.project to record the shape of each call's eyes."""
+    calls, project = [], FlowSimulator.project
+
+    def counting(self, eyes):
+        calls.append(np.shape(eyes))
         return project(self, eyes)
 
+    monkeypatch.setattr(FlowSimulator, "project", counting)
+    return calls
+
+
+def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
+    # The closed loop runs on Python floats: one project pass over the
+    # trace, the front camera's re-anchor transform without numpy, and no
+    # np.asarray inside the scheduler on any frame.
+    project_calls = counting_project(monkeypatch)
+    apply_callers, asarray_callers = [], []
+    apply, asarray = RigidTransform.apply, np.asarray
+
+    def counting_apply(self, points):
+        apply_callers.append(caller())
+        return apply(self, points)
+
     def counting_asarray(*args, **kwargs):
-        frame = sys._getframe(1)
-        asarray_callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        asarray_callers.append(caller())
         return asarray(*args, **kwargs)
 
-    monkeypatch.setattr(FlowSimulator, "project", counting_project)
+    monkeypatch.setattr(RigidTransform, "apply", counting_apply)
     monkeypatch.setattr(np, "asarray", counting_asarray)
     rec = run(benchmark_config(modes="AAUPR", trace_generator="sway", trace_n_frames=300,
                                trace_amplitude_mm=120.0)).records["AAUPR"]
     assert {"recalculate", "skip"} <= set(rec.decision.tolist())
     assert project_calls == [(300, 2, 3)]
+    # viewgen's pointing-error pass applies the display pose; the flow proxy
+    # applies the camera transform once, in project.
+    assert [c for c in apply_callers if c[0] == "uprsim.tracksim"] == [
+        ("uprsim.tracksim", "project")]
     assert ("uprsim.geometry", "apply") in asarray_callers  # the counter sees calls
     assert [c for c in asarray_callers if c[0] == sched.__name__] == []
 
@@ -516,16 +595,24 @@ def test_library_route_rejects_nonfinite_floats(key):
             benchmark_config(**{key: value})
 
 
-@pytest.mark.parametrize("parameter, values", [
-    ("eps_max", [8.0, 24.0, 48.0]),
-    ("jitter_sigma", [0.0, 5.0, 10.0]),
-    ("head_displacement", [50.0, 150.0, 250.0]),
+#: perfbench's trace_sweep cells, on a generated 1 mm random walk.
+TRACE_SWEEP = dict(modes="AAUPR", threshold_policy="decaying", noise_latency_frames=2,
+                   trace_generator="random_walk", trace_n_frames=300, trace_amplitude_mm=1.0,
+                   trace_base_eye_z_mm=150.0, seed=7)
+
+
+@pytest.mark.parametrize("parameter, values, overrides", [
+    pytest.param("eps_max", [8.0, 24.0, 48.0], {}, id="eps_max-values0"),
+    pytest.param("jitter_sigma", [0.0, 5.0, 10.0], {}, id="jitter_sigma-values1"),
+    pytest.param("head_displacement", [50.0, 150.0, 250.0], {}, id="head_displacement-values2"),
+    pytest.param("eps_max", [8.0, 16.0, 24.0, 32.0], TRACE_SWEEP, id="trace_sweep"),
 ])
-def test_sweep_rows_equal_per_cell_runs(parameter, values):
-    # Cells that share the first cell's trace, and head_displacement cells
-    # that each build their own, give exactly their stand-alone runs.
-    cfg = benchmark_config(modes="DPR,UPR,FUPR,AAUPR", trace_dwell_frames=40,
-                           trace_transition_frames=10)
+def test_sweep_rows_equal_per_cell_runs(parameter, values, overrides):
+    # Cells that share the first cell's trace and projection, and
+    # head_displacement cells that each build their own, give exactly their
+    # stand-alone runs.
+    cfg = benchmark_config(**{"modes": "DPR,UPR,FUPR,AAUPR", "trace_dwell_frames": 40,
+                              "trace_transition_frames": 10, **overrides})
     expected = [(v, s) for v in values for s in
                 run(replace(cfg, **{SWEEP_PARAMS[parameter]: v})).summaries.values()]
     assert repr(sweep(cfg, parameter, values)) == repr(expected)
@@ -546,3 +633,17 @@ def test_eps_sweep_reads_trace_file_once(tmp_path, monkeypatch):
                  [8.0, 16.0, 24.0, 32.0])
     assert len(rows) == 4
     assert calls == [str(path)]
+
+
+def test_sweep_projects_a_shared_trace_once(tmp_path, monkeypatch):
+    # Cells that share a trace share its flow projection; a head_displacement
+    # cell projects its own trace.
+    cfg = benchmark_config(modes="AAUPR", trace_dwell_frames=40, trace_transition_frames=10)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(cfg.build_trace(), path)
+    calls = counting_project(monkeypatch)
+    sweep(replace(cfg, trace_file=str(path)), "eps_max", [8.0, 16.0, 24.0, 32.0])
+    assert calls == [(90, 2, 3)]
+    calls.clear()
+    sweep(cfg, "head_displacement", [50.0, 150.0, 250.0])
+    assert calls == [(90, 2, 3)] * 3

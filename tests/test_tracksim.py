@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from rotations import rotation_y
+from rotations import axis_rotations, rotation_y
 
-from uprsim.geometry import EyeState, PinholeCamera, front_camera, project_pinhole
+from uprsim.geometry import EyeState, PinholeCamera, RigidTransform, front_camera, project_pinhole
 from uprsim.tracksim import (
     CostModel,
     FaceTracker,
@@ -308,31 +308,59 @@ def test_project_bit_equals_per_frame_projection(fx, fy, width, height, tilt, ip
     assert_project_matches_per_frame(tilted, eyes)
 
 
+AXIS_ROTATIONS = axis_rotations()
+signed_zero = st.sampled_from([0.0, -0.0])
+coord_or_zero = st.one_of(signed_zero, coord_mm)
+
+
+def reanchor_example(eye_mm, offset, tilt=0.0, ipd=63.0, centre=(0.0, 0.0)):
+    """An explicit example of test_project_frame_bit_equals_project."""
+    return example(fx=250.0, fy=250.0, width=640, height=480, tilt=tilt, ipd=ipd,
+                   eye_mm=eye_mm, offset=offset, centre=centre)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(fx=st.floats(10.0, 2000.0), fy=st.floats(10.0, 2000.0),
        width=st.integers(1, 2000), height=st.integers(1, 2000),
-       tilt=st.floats(-0.5, 0.5), ipd=st.floats(0.0, 80.0),
-       eye_mm=st.tuples(coord_mm, coord_mm, st.floats(-500.0, 3000.0)),
-       offset=st.tuples(coord_mm, coord_mm, coord_mm))
-@example(fx=250.0, fy=250.0, width=640, height=480, tilt=0.0, ipd=63.0,
-         eye_mm=(0.0, 0.0, 20.0), offset=(0.0, 0.0, -100.0))  # both eyes behind
-@example(fx=250.0, fy=250.0, width=640, height=480, tilt=0.0, ipd=63.0,
-         eye_mm=(0.0, 0.0, 20.0), offset=(0.0, 0.0, -20.0))  # in the camera plane
-@example(fx=250.0, fy=250.0, width=640, height=480, tilt=0.3, ipd=63.0,
-         eye_mm=(0.0, 0.0, 0.5), offset=(0.0, 0.0, 0.0))  # tilt puts one eye behind
-def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_mm, offset):
+       tilt=st.floats(-0.5, 0.5), ipd=st.one_of(signed_zero, st.floats(0.0, 80.0)),
+       eye_mm=st.tuples(coord_or_zero, coord_or_zero,
+                        st.one_of(signed_zero, st.floats(-500.0, 3000.0))),
+       offset=st.tuples(coord_or_zero, coord_or_zero, coord_or_zero),
+       centre=st.tuples(coord_or_zero, coord_or_zero))
+@reanchor_example((0.0, 0.0, 20.0), (0.0, 0.0, -100.0))  # both eyes behind
+@reanchor_example((0.0, 0.0, 20.0), (0.0, 0.0, -20.0))  # in the camera plane
+@reanchor_example((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), tilt=0.3)  # tilt puts one eye behind
+@reanchor_example((-0.0, -0.0, 150.0), (-0.0, -0.0, 0.0))  # signed zeros at the centre
+# The left eye at (+0, -100, -0): where a rotation makes camera z = -y and
+# camera x = -x, every product of camera x is -0.0.
+@reanchor_example((0.0, -100.0, -0.0), (-0.0, -0.0, -0.0), ipd=0.0, centre=(-0.0, -0.0))
+@reanchor_example((1e308, 0.0, 150.0), (1e308, 0.0, 0.0))  # x overflows to inf
+@reanchor_example((-1e308, 0.0, 150.0), (-1e308, 0.0, 0.0))  # x overflows to -inf
+@reanchor_example((0.0, 1e308, 150.0), (0.0, 1e308, 0.0))  # y overflows to inf
+@reanchor_example((0.0, 0.0, 1e308), (0.0, 0.0, 1e308))  # z overflows to inf
+def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_mm, offset,
+                                          centre):
     # The re-anchor's one-frame projection of an estimate (the true eye plus
-    # a face-tracker offset) is project's, bit for bit, NaN included, for
-    # the front camera and for a tilted, translated one.
+    # a face-tracker offset) is project's, bit for bit, NaN and inf included,
+    # for the front camera, a tilted translated one, and all 24 axis-aligned
+    # rotations at a zero translation of either sign. Those cameras sit their
+    # principal point at `centre` (signed zeros included), so that the sign
+    # of a zero camera coordinate reaches the pixel.
     est = eye_points(np.array(eye_mm), ipd) + offset
-    tilted = PinholeCamera(fx, fy, width / 2.0, height / 2.0, width, height,
-                           rotation_y(tilt, (5.0, -3.0, 1.0)))
-    for cam in (front_camera(fx, fy, width, height), tilted):
+    cx, cy = centre
+    cams = [front_camera(fx, fy, width, height),
+            PinholeCamera(fx, fy, width / 2.0, height / 2.0, width, height,
+                          rotation_y(tilt, (5.0, -3.0, 1.0)))]
+    cams += [PinholeCamera(fx, fy, cx, cy, width, height, RigidTransform(r, [zero] * 3))
+             for r in AXIS_ROTATIONS for zero in (0.0, -0.0)]
+    for cam in cams:
         sim = FlowSimulator(cam)
-        got = np.array(sim.project_frame(est))
-        expected = sim.project(est)[0]
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        expected = sim.project(est)[0].view(np.uint64)
+        for frame in (est, est.tolist()):
+            got = np.array(sim.project_frame(frame))
+            assert np.array_equal(got.view(np.uint64), expected), cam
 
 
 def measure_frame(sim, eye):
