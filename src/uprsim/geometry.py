@@ -103,9 +103,18 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points) -> np.ndarray:
-        """Apply to a 3-vector or an (N, 3) array of points."""
+        """Apply to (..., 3) points: coordinate i of the result is
+        r[i][0]*x + r[i][1]*y + r[i][2]*z + t[i], summed left to right.
+
+        Written out, not as a matmul, because numpy's elementwise float64
+        operations round once each and never fuse: the same expression on
+        Python floats (FlowSimulator.project_frame) gives the same bits."""
         p = np.asarray(points, dtype=float)
-        return p @ self.rotation.T + self.translation
+        if p.shape[-1:] != (3,):
+            raise ValueError(f"points must have a last axis of 3, got shape {p.shape}")
+        r = self.rotation
+        return (p[..., :1] * r[:, 0] + p[..., 1:2] * r[:, 1] + p[..., 2:] * r[:, 2]
+                + self.translation)
 
     def invert(self) -> "RigidTransform":
         rt = self.rotation.T

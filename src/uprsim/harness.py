@@ -13,8 +13,8 @@ list of request frames (ModeRecord.requests, which summaries count): none
 for DPR and FUPR, every frame for UPR, the frames AAUPR's loop recalculated
 at. That loop is the only sequential part, and it runs on Python floats and
 NamedTuples: it owns the scheduler state and flow draws, re-anchors through
-FlowSimulator.project_frame (not project; for the front camera it calls no
-numpy), and fills the decision, reason, E and dE columns once it ends. One
+FlowSimulator.project_frame (not project; it calls no numpy), and fills
+the decision, reason, E and dE columns once it ends. One
 numpy pass over the requests then builds the estimated-eye and charge
 columns (_run_mode). A mode's result is one ModeRecord of columns;
 summaries and the CSV output read those columns. A sweep whose parameter
@@ -199,9 +199,10 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         """Parse flat `key = value` lines; '#' starts a comment. Unknown
-        keys are errors."""
+        and repeated keys are errors."""
         known = {f.name: f.type for f in fields(cls)}
         values: dict[str, object] = {}
+        first: dict[str, int] = {}  # the line each key is set on
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -212,6 +213,10 @@ class ExperimentConfig:
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+            if key in first:
+                raise ConfigError(f"line {lineno}: duplicate config key {key!r} "
+                                  f"(first on line {first[key]})")
+            first[key] = lineno
             values[key] = checked(f"{key}: line {lineno}", _PARSERS[known[key]], val)
         return cls(**values)
 

@@ -5,12 +5,11 @@ sparse feature tracking), a costed and jittered 3D face-tracker proxy, and
 the per-invocation cost model. Eye points are (..., 2, 3) left/right arrays
 (eye_points). Eye pixels are left u, v, right u, v: the flow proxy projects
 a whole trace's eyes to (..., 4) rows in one numpy pass (FlowSimulator.project);
-project_frame (one frame) and measure (into a FlowMeasurement NamedTuple)
-work on four Python floats, and project_frame's camera transform does too
-for an axis-aligned camera at the origin, such as the front camera (numpy
-for any other). The face tracker draws all its jitter at once
-(FaceTracker.offsets). write_csv, the one CSV writer (harness writes
-through it too), takes a table as columns, each as format_column gives it.
+project_frame (one frame, the same operations as project's for any camera)
+and measure (into a FlowMeasurement NamedTuple) work on Python floats. The
+face tracker draws all its jitter at once (FaceTracker.offsets). write_csv,
+the one CSV writer (harness writes through it too), takes a table as
+columns, each as format_column gives it.
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import copysign, isfinite, nan, pi
+from math import isfinite, nan, pi
 from typing import NamedTuple
 
 import numpy as np
@@ -273,12 +272,7 @@ class FlowSimulator:
     def __post_init__(self):
         check_fields(self)
         ext = self.front_cam.extrinsic
-        rows = tuple(map(tuple, ext.rotation.tolist()))
-        # Axis-aligned at the origin: every rotation entry -1, 0 or 1, and
-        # every translation +0.0 (copysign tells -0.0 apart).
-        aligned = (all(r in (-1.0, 0.0, 1.0) for row in rows for r in row)
-                   and all(t == 0.0 and copysign(1.0, t) > 0 for t in ext.translation.tolist()))
-        self._axis_rows = rows if aligned else None
+        self._rows, self._t = ext.rotation.tolist(), ext.translation.tolist()
         self.reset_drift()
 
     def reset_drift(self) -> None:
@@ -302,27 +296,15 @@ class FlowSimulator:
     def project_frame(self, left_right) -> tuple[float, float, float, float]:
         """project's row of one frame, bit for bit, from its (2, 3) left and
         right eye points (rows of floats, or an array), as four floats (left
-        u, v, right u, v). project's divide and NaN run on Python floats.
-
-        The camera transform does too when the camera is axis-aligned at the
-        origin, as the front camera is: every product of a rotation entry
-        -1, 0 or 1 is exact, 0 * inf included (NaN), so every sum is exact
-        and equals the matmul's in any order, FMA or not. The zero
-        translation's `+ 0.0` makes a zero sum +0.0, as adding the
-        translation does, whatever sign the matmul gave it. Any other camera
-        transforms in numpy (RigidTransform.apply)."""
-        cam, rows = self.front_cam, self._axis_rows
-        if rows is None:
-            pts = cam.extrinsic.apply(left_right).tolist()
-        else:
-            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-            (lx, ly, lz), (rx, ry, rz) = left_right
-            pts = ((a0 * lx + a1 * ly + a2 * lz + 0.0, b0 * lx + b1 * ly + b2 * lz + 0.0,
-                    c0 * lx + c1 * ly + c2 * lz + 0.0),
-                   (a0 * rx + a1 * ry + a2 * rz + 0.0, b0 * rx + b1 * ry + b2 * rz + 0.0,
-                    c0 * rx + c1 * ry + c2 * rz + 0.0))
+        u, v, right u, v): the operations of RigidTransform.apply and
+        project_pinhole, in their order, on Python floats, for any camera."""
+        cam = self.front_cam
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._rows
+        ta, tb, tc = self._t
         px = []
-        for x, y, z in pts:
+        for x, y, z in left_right:
+            x, y, z = (a0 * x + a1 * y + a2 * z + ta, b0 * x + b1 * y + b2 * z + tb,
+                       c0 * x + c1 * y + c2 * z + tc)
             px += (x * cam.fx / z + cam.cx, y * cam.fy / z + cam.cy) if z > 0 else (nan, nan)
         return tuple(px)
 

@@ -24,6 +24,11 @@ CONFIGS = {
                       "trace_amplitude_mm = 1.0\ntrace_base_eye_z_mm = 150\nseed = 7\n"),
     "walk_sweep.cfg": ("modes = AAUPR\ntrace_file = walk.csv\nthreshold_policy = decaying\n"
                        "noise_latency_frames = 2\n"),
+    # The back camera's translation -r @ c holds -0.0 components, and two
+    # targets sit at signed-zero plane points.
+    "zero_offsets.cfg": ("back_cam_offset_x_mm = 0\nback_cam_offset_y_mm = -0\n"
+                         "back_cam_offset_z_mm = -0.0\ntargets = 0,0;-0,-0\n"
+                         "errors_dwell_only = false\n"),
     "gen_stationary.cfg": "trace_generator = stationary\ntrace_n_frames = 50\n",
     "gen_step_move.cfg": "trace_generator = step_move\n",
     "gen_sway.cfg": "trace_generator = sway\ntrace_n_frames = 200\n",
@@ -52,6 +57,8 @@ COMMANDS = [
     ("simulate_latency", ["simulate", "--config", "latency.cfg", "--out", "latency"]),
     ("simulate_sway", ["simulate", "--config", "sway.cfg", "--out", "sway"]),
     ("simulate_late", ["simulate", "--config", "late.cfg", "--out", "late"]),
+    ("simulate_zero_offsets", ["simulate", "--config", "zero_offsets.cfg",
+                               "--out", "zero_offsets"]),
     ("gen_walk", ["gen-trace", "--spec", "walk_spec.cfg", "--out", "walk.csv"]),
     ("sweep_eps_max", ["sweep", "--config", "walk_sweep.cfg", "--param", "eps_max",
                        "--values", "8,16,24,32", "--out", "sweep"]),

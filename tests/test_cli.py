@@ -1,6 +1,11 @@
+import csv
+import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uprsim.cli import main
 from uprsim.harness import ExperimentConfig
@@ -143,6 +148,7 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
      "error: modes: must be comma-separated distinct render modes (DPR, UPR, FUPR, AAUPR), "
      "got 'UPR,UPR'"),
     ("trace_file = {text_csv}", None, "trace_file: line 3"),
+    ("seed = 3\nseed = 4", None, "line 2: duplicate config key 'seed' (first on line 1)"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
     csvs = {"bad_csv": "frame,t\n0,0.0\n",
@@ -168,8 +174,10 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
     assert named in err
 
 
-#: The fuzz runs' base config: a 20-frame stationary trace, three modes.
-FUZZ_BASE = "modes = DPR,FUPR,AAUPR\ntrace_generator = stationary\ntrace_n_frames = 20\n"
+#: The fuzz runs' base config: a 20-frame stationary trace, three modes. A
+#: fuzzed key given here replaces its base value (a key given twice is an
+#: error).
+FUZZ_BASE = {"modes": "DPR,FUPR,AAUPR", "trace_generator": "stationary", "trace_n_frames": "20"}
 
 #: Fuzzed values inside their key's own domain that break a rule across
 #: keys, which fails under its own label: the stationary trace needs frames
@@ -185,7 +193,8 @@ CROSS_KEY = {("trace_n_frames", "0"): "trace_*",
 @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
 def test_any_one_value_runs_or_names_its_key(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.chdir(tmp_path)  # so that no trace_file value names a file
-    (tmp_path / "exp.cfg").write_text(FUZZ_BASE + f"{key} = {value}\n")
+    (tmp_path / "exp.cfg").write_text(
+        "".join(f"{k} = {v}\n" for k, v in {**FUZZ_BASE, key: value}.items()))
     code = main(["simulate", "--config", "exp.cfg", "--out", "out"])
     err = capsys.readouterr().err
     assert (code, err.count("\n")) in ((0, 0), (1, 1))
@@ -204,3 +213,38 @@ def test_trace_with_timestamp_jitter_runs(tmp_path, capsys):
     cfg.write_text(f"modes = UPR,AAUPR\ntrace_file = {trace}\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert "4 face-tracker invocations" in capsys.readouterr().out
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal bits, with any NaN equal to any NaN."""
+    return (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n_frames=st.integers(1, 30), generator=st.sampled_from(["sway", "random_walk"]),
+       amplitude=st.floats(0.0, 100.0), seed=st.integers(0, 2**31 - 1),
+       modes=st.lists(st.sampled_from(["DPR", "UPR", "FUPR", "AAUPR"]), min_size=1,
+                      max_size=4, unique=True))
+def test_summary_is_recomputed_from_frame_csvs(tmp_path_factory, n_frames, generator, amplitude,
+                                               seed, modes):
+    # Each summary mean and sd is the one a reader of frames_<mode>.csv gets
+    # from its err_target_* cells, read row-major, NaN cells dropped.
+    tmp = tmp_path_factory.mktemp("summary")
+    cfg = tmp / "exp.cfg"
+    cfg.write_text(f"modes = {','.join(modes)}\ntrace_generator = {generator}\n"
+                   f"trace_n_frames = {n_frames}\ntrace_amplitude_mm = {amplitude!r}\n"
+                   f"seed = {seed}\nerrors_dwell_only = false\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp / "out")]) == 0
+    with open(tmp / "out" / "summary.csv") as f:
+        summary = list(csv.DictReader(f))
+    assert [row["mode"] for row in summary] == modes
+    for row in summary:
+        with open(tmp / "out" / f"frames_{row['mode']}.csv") as f:
+            errs = np.array([float(v) for r in csv.DictReader(f) for k, v in r.items()
+                             if k.startswith("err_target_")])
+        errs = errs[~np.isnan(errs)]
+        mean = float(errs.mean()) if errs.size else math.nan
+        sd = float(errs.std(ddof=1)) if errs.size > 1 else math.nan
+        assert same_float(float(row["mean_error_mm"]), mean), row
+        assert same_float(float(row["sd_error_mm"]), sd), row

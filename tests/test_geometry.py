@@ -40,6 +40,12 @@ def test_compose_inverse_is_identity():
         assert np.abs(t.invert().apply(t.apply(p)) - p).max() < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(5, 2), (5, 4), (2,), (4,), ()])
+def test_apply_rejects_a_last_axis_other_than_3(shape):
+    with pytest.raises(ValueError, match="last axis of 3"):
+        RigidTransform.identity().apply(np.zeros(shape))
+
+
 def test_rotation_stays_orthonormal():
     # Drift of about 1e-7 per entry (between the 1e-9 tolerance and the
     # 1e-6 rejection bound) is re-orthonormalized on construction.

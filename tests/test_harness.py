@@ -458,7 +458,7 @@ def counting_project(monkeypatch) -> list:
 
 def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
     # The closed loop runs on Python floats: one project pass over the
-    # trace, the front camera's re-anchor transform without numpy, and no
+    # trace, the re-anchor's camera transform without numpy, and no
     # np.asarray inside the scheduler on any frame.
     project_calls = counting_project(monkeypatch)
     apply_callers, asarray_callers = [], []

@@ -313,10 +313,14 @@ signed_zero = st.sampled_from([0.0, -0.0])
 coord_or_zero = st.one_of(signed_zero, coord_mm)
 
 
-def reanchor_example(eye_mm, offset, tilt=0.0, ipd=63.0, centre=(0.0, 0.0)):
+def reanchor_example(eye_mm, offset, tilt=0.0, ipd=63.0, centre=(0.0, 0.0),
+                     quat=(0.9, 0.3, -0.2, 0.1), shift=(5.0, -3.0, 1.0)):
     """An explicit example of test_project_frame_bit_equals_project."""
     return example(fx=250.0, fy=250.0, width=640, height=480, tilt=tilt, ipd=ipd,
-                   eye_mm=eye_mm, offset=offset, centre=centre)
+                   eye_mm=eye_mm, offset=offset, centre=centre, quat=quat, shift=shift)
+
+
+quaternion = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 1e-3)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -328,7 +332,9 @@ def reanchor_example(eye_mm, offset, tilt=0.0, ipd=63.0, centre=(0.0, 0.0)):
        eye_mm=st.tuples(coord_or_zero, coord_or_zero,
                         st.one_of(signed_zero, st.floats(-500.0, 3000.0))),
        offset=st.tuples(coord_or_zero, coord_or_zero, coord_or_zero),
-       centre=st.tuples(coord_or_zero, coord_or_zero))
+       centre=st.tuples(coord_or_zero, coord_or_zero), quat=quaternion,
+       shift=st.tuples(coord_or_zero, coord_or_zero, coord_or_zero))
+@reanchor_example((12.3, -45.6, 300.7), (1.1, 2.2, 3.3))  # sums that round
 @reanchor_example((0.0, 0.0, 20.0), (0.0, 0.0, -100.0))  # both eyes behind
 @reanchor_example((0.0, 0.0, 20.0), (0.0, 0.0, -20.0))  # in the camera plane
 @reanchor_example((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), tilt=0.3)  # tilt puts one eye behind
@@ -340,19 +346,25 @@ def reanchor_example(eye_mm, offset, tilt=0.0, ipd=63.0, centre=(0.0, 0.0)):
 @reanchor_example((-1e308, 0.0, 150.0), (-1e308, 0.0, 0.0))  # x overflows to -inf
 @reanchor_example((0.0, 1e308, 150.0), (0.0, 1e308, 0.0))  # y overflows to inf
 @reanchor_example((0.0, 0.0, 1e308), (0.0, 0.0, 1e308))  # z overflows to inf
+@reanchor_example((-0.0, -0.0, 150.0), (-0.0, -0.0, 0.0), ipd=0.0, centre=(-0.0, -0.0),
+                  quat=(1.0, 0.0, 0.0, 0.0), shift=(-0.0, -0.0, -0.0))  # identity, -0.0 shift
 def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_mm, offset,
-                                          centre):
+                                          centre, quat, shift):
     # The re-anchor's one-frame projection of an estimate (the true eye plus
     # a face-tracker offset) is project's, bit for bit, NaN and inf included,
-    # for the front camera, a tilted translated one, and all 24 axis-aligned
-    # rotations at a zero translation of either sign. Those cameras sit their
-    # principal point at `centre` (signed zeros included), so that the sign
-    # of a zero camera coordinate reaches the pixel.
+    # for the front camera, a tilted translated one, a general rotation from
+    # a drawn quaternion with a drawn translation (signed zeros included),
+    # and all 24 axis-aligned rotations at a zero translation of either
+    # sign. The last two sit their principal point at `centre` (signed zeros
+    # included), so that the sign of a zero camera coordinate reaches the
+    # pixel.
     est = eye_points(np.array(eye_mm), ipd) + offset
     cx, cy = centre
     cams = [front_camera(fx, fy, width, height),
             PinholeCamera(fx, fy, width / 2.0, height / 2.0, width, height,
-                          rotation_y(tilt, (5.0, -3.0, 1.0)))]
+                          rotation_y(tilt, (5.0, -3.0, 1.0))),
+            PinholeCamera(fx, fy, cx, cy, width, height,
+                          RigidTransform.from_quaternion(quat, shift))]
     cams += [PinholeCamera(fx, fy, cx, cy, width, height, RigidTransform(r, [zero] * 3))
              for r in AXIS_ROTATIONS for zero in (0.0, -0.0)]
     for cam in cams:
@@ -361,6 +373,26 @@ def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_
         for frame in (est, est.tolist()):
             got = np.array(sim.project_frame(frame))
             assert np.array_equal(got.view(np.uint64), expected), cam
+
+
+def test_project_frame_calls_no_apply(monkeypatch):
+    # project_frame transforms on Python floats for any camera, a tilted and
+    # translated one included; project still calls RigidTransform.apply.
+    calls = []
+    apply = RigidTransform.apply
+
+    def counting_apply(self, points):
+        calls.append(np.shape(points))
+        return apply(self, points)
+
+    monkeypatch.setattr(RigidTransform, "apply", counting_apply)
+    sim = FlowSimulator(PinholeCamera(250.0, 250.0, 320.0, 240.0, 640, 480,
+                                      rotation_y(0.3, (5.0, -3.0, 1.0))))
+    eyes = eye_points([10.0, -5.0, 250.0], 63.0)
+    px = sim.project_frame(eyes.tolist())
+    assert calls == []
+    assert px == tuple(sim.project(eyes)[0].tolist())
+    assert calls == [(2, 3)]
 
 
 def measure_frame(sim, eye):
