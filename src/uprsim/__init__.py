@@ -31,6 +31,7 @@ from .scheduler import (
     apply_recalculation,
     epsilon_default,
     initial_state,
+    schedule,
     step,
 )
 from .tracksim import (

@@ -309,16 +309,16 @@ class ScenePlane:
 
 
 def project_pinhole(cam: PinholeCamera, point_cam) -> np.ndarray:
-    """Project a camera-frame point to pixel coordinates.
+    """Project camera-frame points, (..., 3), to pixel coordinates, (..., 2).
 
     The result may lie outside the image bounds; callers check visibility.
-    Raises for points at or behind the camera plane.
+    A point at or behind the camera plane (z <= 0) projects as NaN: the
+    whole point is replaced first, so no sign of a NaN already in it, and no
+    division by zero, reaches the pixel.
     """
     p = np.asarray(point_cam, dtype=float)
-    z = p[..., 2:]
-    if (z <= 0).any():
-        raise GeometryError("point is behind the camera (z <= 0)")
-    return p[..., :2] * (cam.fx, cam.fy) / z + (cam.cx, cam.cy)
+    p = np.where(p[..., 2:] > 0, p, np.nan)
+    return p[..., :2] * (cam.fx, cam.fy) / p[..., 2:] + (cam.cx, cam.cy)
 
 
 def intersect_ray_plane(origins, directions, plane: ScenePlane) -> tuple[np.ndarray, np.ndarray]:

@@ -11,15 +11,15 @@ trace: the flow proxy's exact pixels of the left/right eye points
 frames x targets (viewgen.pointing_errors) after it. Face tracking is a
 list of request frames (ModeRecord.requests, which summaries count): none
 for DPR and FUPR, every frame for UPR, the frames AAUPR's loop recalculated
-at. That loop is the only sequential part, and it runs on Python floats and
-NamedTuples: it owns the scheduler state and flow draws, re-anchors through
-FlowSimulator.project_frame (not project; it calls no numpy), and fills
-the decision, reason, E and dE columns once it ends. One
-numpy pass over the requests then builds the estimated-eye and charge
-columns (_run_mode). A mode's result is one ModeRecord of columns;
-summaries and the CSV output read those columns. A sweep whose parameter
-does not shape the trace builds the trace once and projects it once
-(_project_trace), for every cell's AAUPR loop.
+at. That loop is the only sequential part: scheduler.schedule, which keeps
+the scheduler state in locals, reads the flow draws lazily, one frame at a
+time, and re-anchors through FlowSimulator.project_frame (not project; it
+calls no numpy). It returns the decision, reason, E and dE columns and the
+request frames. One numpy pass over the requests then builds the
+estimated-eye and charge columns (_run_mode). A mode's result is one
+ModeRecord of columns; summaries and the CSV output read those columns. A
+sweep whose parameter does not shape the trace builds the trace once and
+projects it once (_project_trace), for every cell's AAUPR loop.
 
 A config key's own domain is declared on its ExperimentConfig field and
 checked, with finiteness for every float, when a config is built, by the
@@ -50,7 +50,7 @@ count the same charges.
 
 Latency model: an AAUPR recomputation requested at frame k is computed from
 frame k's eye, and the scheduler re-anchors on that estimate at frame k
-(apply_recalculation), so E from frame k+1 on is measured against it. The
+(schedule's recompute call), so E from frame k+1 on is measured against it. The
 renderer shows the estimate only from frame k + noise_latency_frames on.
 
 Pointing error is evaluated at dwell frames only by default (touches happen
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import astuple, dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -426,10 +427,10 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost,
               projection=None) -> dict[str, np.ndarray]:
     """One mode's sensing columns, keyed by ModeRecord field name. UPR
     requests a face-tracker result on every frame; AAUPR's closed loop
-    (flow measure, scheduler step, re-anchor with project_frame) runs on
-    Python floats over the trace's projection (_project_trace's, unless
-    given), and chooses its request frames. One pass over the requests then
-    builds the estimate and charge columns."""
+    (sched.schedule over lazy flow measurements, re-anchoring with
+    project_frame) runs on Python floats over the trace's projection
+    (_project_trace's, unless given), and chooses its request frames. One
+    pass over the requests then builds the estimate and charge columns."""
     n = len(trace)
     cols = {"requests": np.arange(0),
             "decision": np.full(n, "", dtype=object),
@@ -450,28 +451,26 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost,
         requests = np.arange(n)
     else:
         charge[:] = cost.flow_ms
-        state = sched.initial_state(tcfg)
         eyes, flow_px, visible = projection or _project_trace(flow_sim, trace)
-        step, measure, recalculate = sched.step, flow_sim.measure, sched.DecisionKind.RECALCULATE
         project_frame = flow_sim.project_frame
-        decisions, recalcs = [], []  # recalcs: the request frames
-        for i, (px, vis) in enumerate(zip(flow_px, visible)):
-            # A failed measurement's eye_px is None, which is sched.FLOW_FAILURE.
-            decision, state = step(state, measure(px, vis).eye_px, tcfg)
-            decisions.append(decision)
-            if decision.kind is recalculate:
-                # eyes[i] + offsets[k], added on Python floats.
-                (lx, ly, lz), (rx, ry, rz) = eyes[i].tolist()
-                ox, oy, oz = offsets[len(recalcs)].tolist()
-                est_px = project_frame(((lx + ox, ly + oy, lz + oz), (rx + ox, ry + oy, rz + oz)))
-                state = sched.apply_recalculation(state, est_px, tcfg)
-                flow_sim.reset_drift()
-                recalcs.append(i)
-        kinds, reasons, e_px, delta_e_px = zip(*decisions)
-        text = {None: "", **{m: m.value for cls in (sched.DecisionKind, sched.Reason) for m in cls}}
-        cols["decision"][:] = list(map(text.__getitem__, kinds))
-        cols["reason"][:] = list(map(text.__getitem__, reasons))
-        cols["e_px"][:], cols["delta_e_px"][:] = e_px, delta_e_px
+
+        def recompute(i, k):
+            # eyes[i] + offsets[k], added on Python floats.
+            (lx, ly, lz), (rx, ry, rz) = eyes[i].tolist()
+            ox, oy, oz = offsets[k].tolist()
+            est_px = project_frame(((lx + ox, ly + oy, lz + oz), (rx + ox, ry + oy, rz + oz)))
+            flow_sim.reset_drift()
+            return est_px
+
+        # Lazy, so frame i + 1's draws follow frame i's reset_drift. A failed
+        # measurement's eye_px is None, which is sched.FLOW_FAILURE.
+        flows = map(attrgetter("eye_px"), map(flow_sim.measure, flow_px, visible))
+        kinds, reasons, cols["e_px"][:], cols["delta_e_px"][:], recalcs = sched.schedule(
+            flows, tcfg, recompute)
+        # The members' text read as _value_: a dict keyed by member would
+        # hash each one through the Python-level Enum.__hash__.
+        cols["decision"][:] = list(map(attrgetter("_value_"), kinds))
+        cols["reason"][:] = ["" if r is None else r._value_ for r in reasons]
         requests = np.array(recalcs, dtype=int)
 
     cols["requests"] = requests

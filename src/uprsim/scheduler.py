@@ -20,8 +20,11 @@ Three policies for the skip branch:
   decaying - like verbatim, plus eps decays multiplicatively on every skip
              toward a floor, and resets to its maximum on recomputation.
 
-step runs once per frame, so its state and decision are immutable
-NamedTuples, built once each per call, not frozen dataclasses.
+The rule is stated once, in _rule, on plain values, and the state after a
+recomputation once, in _anchor. step and apply_recalculation are the public
+one-frame API on immutable NamedTuples (SchedulerState, Decision).
+schedule runs a whole trace with its state in locals, and is what the
+harness's AAUPR loop calls: one _rule call per frame, no NamedTuple.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import NamedTuple
 
 from .geometry import PinholeCamera, check_fields, nonnegative, positive, within
 
-#: Flow-tracker failure marker accepted by step() in place of eye positions.
+#: Flow-tracker failure marker accepted by step() and schedule() in place of eye positions.
 FLOW_FAILURE = None
 
 
@@ -149,6 +152,34 @@ def eye_distance_px(a, b, metric: EyeMetric = _MAX) -> float:
     return max(d0, d1) if metric is _MAX else (d0 + d1) / 2
 
 
+def _rule(calc, flow_last, is_precise, eps, flow, cfg: ThresholdConfig):
+    """One frame's decision on plain values: (reason, E, dE, and the next
+    flow_last, is_precise and eps). reason is None on Skip; on Recalculate,
+    is_precise and eps come back unchanged, for _anchor to replace. flow is
+    four floats or FLOW_FAILURE, which keeps flow_last."""
+    if flow is FLOW_FAILURE:
+        return _FAILED, nan, nan, flow_last, is_precise, eps
+    if calc is None:
+        return _INITIAL, nan, nan, flow, is_precise, eps
+    metric, refine = cfg.metric, cfg.refine_factor * eps
+    e = eye_distance_px(calc, flow, metric)
+    de = eye_distance_px(flow_last, flow, metric) if flow_last is not None else inf
+    if e > eps:
+        return _SPATIAL, e, de, flow, is_precise, eps
+    if de < refine and not is_precise:
+        return _REFINE, e, de, flow, is_precise, eps
+    policy = cfg.policy
+    precise = policy is _LATCHED and is_precise and e <= refine
+    eps_next = max(cfg.floor_px, eps * cfg.decay_rate) if policy is _DECAYING else eps
+    return None, e, de, flow, precise, eps_next
+
+
+def _anchor(eyes, flow_last, cfg: ThresholdConfig):
+    """(calc, flow_last, is_precise, eps) after a recomputation at eyes:
+    precise, with eps at its max; the first one also seeds flow_last."""
+    return eyes, eyes if flow_last is None else flow_last, True, cfg.eps_max_px
+
+
 def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Decision, SchedulerState]:
     """One scheduling decision for one front-camera frame.
 
@@ -162,26 +193,11 @@ def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Dec
     calc, flow_last, is_precise, eps, pending = state
     if pending:
         raise ProtocolError("previous Recalculate decision was never applied")
-    if pos_eye_flow is FLOW_FAILURE:
-        reason, e, de, flow = _FAILED, nan, nan, flow_last
-    else:
-        flow = _px4(pos_eye_flow)
-        if calc is None:
-            reason, e, de = _INITIAL, nan, nan
-        else:
-            metric, refine = cfg.metric, cfg.refine_factor * eps
-            e = eye_distance_px(calc, flow, metric)
-            de = eye_distance_px(flow_last, flow, metric) if flow_last is not None else inf
-            if e > eps:
-                reason = _SPATIAL
-            elif de < refine and not is_precise:
-                reason = _REFINE
-            else:  # Skip.
-                policy = cfg.policy
-                precise = policy is _LATCHED and is_precise and e <= refine
-                eps_next = max(cfg.floor_px, eps * cfg.decay_rate) if policy is _DECAYING else eps
-                return Decision(_SKIP, None, e, de), SchedulerState(calc, flow, precise, eps_next)
-    return Decision(_RECALCULATE, reason, e, de), SchedulerState(calc, flow, is_precise, eps, True)
+    flow = FLOW_FAILURE if pos_eye_flow is FLOW_FAILURE else _px4(pos_eye_flow)
+    reason, e, de, flow_last, precise, eps_next = _rule(calc, flow_last, is_precise, eps, flow, cfg)
+    if reason is None:
+        return Decision(_SKIP, None, e, de), SchedulerState(calc, flow_last, precise, eps_next)
+    return Decision(_RECALCULATE, reason, e, de), SchedulerState(calc, flow_last, is_precise, eps, True)
 
 
 def apply_recalculation(state: SchedulerState, new_eye_px, cfg: ThresholdConfig) -> SchedulerState:
@@ -189,6 +205,30 @@ def apply_recalculation(state: SchedulerState, new_eye_px, cfg: ThresholdConfig)
     projections, four values as step takes. Resets the threshold to its max."""
     if not state.pending_recalc:
         raise ProtocolError("apply_recalculation called after a Skip decision")
-    eyes = _px4(new_eye_px)
-    flow_last = state.pos_eye_flow_last
-    return SchedulerState(eyes, eyes if flow_last is None else flow_last, True, cfg.eps_max_px)
+    return SchedulerState(*_anchor(_px4(new_eye_px), state.pos_eye_flow_last, cfg))
+
+
+def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tuple, tuple, list]:
+    """A whole trace's decisions: what step and apply_recalculation give
+    frame by frame, with the state in locals.
+
+    flows yields each frame's flow-tracked eye pixels as four floats, or
+    FLOW_FAILURE; it is read one frame at a time, after the previous frame's
+    recompute call. On Recalculate at frame i, recompute(i, k), k the number
+    of earlier recalculations, returns the recomputed eyes' projections as
+    four floats, and the state re-anchors on them. Returns the kind, reason,
+    E and dE columns as tuples and the request (recalculation) frames.
+    """
+    calc, flow_last, is_precise, eps, _ = initial_state(cfg)
+    rows, requests = [], []
+    for i, flow in enumerate(flows):
+        reason, e, de, flow_last, is_precise, eps = _rule(calc, flow_last, is_precise, eps,
+                                                          flow, cfg)
+        if reason is None:
+            rows.append((_SKIP, None, e, de))
+        else:
+            rows.append((_RECALCULATE, reason, e, de))
+            calc, flow_last, is_precise, eps = _anchor(recompute(i, len(requests)), flow_last, cfg)
+            requests.append(i)
+    kinds, reasons, e_px, delta_e_px = zip(*rows) if rows else ((),) * 4
+    return kinds, reasons, e_px, delta_e_px, requests

@@ -6,10 +6,11 @@ the per-invocation cost model. Eye points are (..., 2, 3) left/right arrays
 (eye_points). Eye pixels are left u, v, right u, v: the flow proxy projects
 a whole trace's eyes to (..., 4) rows in one numpy pass (FlowSimulator.project);
 project_frame (one frame, the same operations as project's for any camera)
-and measure (into a FlowMeasurement NamedTuple) work on Python floats. The
-face tracker draws all its jitter at once (FaceTracker.offsets). write_csv,
-the one CSV writer (harness writes through it too), takes a table as
-columns, each as format_column gives it.
+and measure (into a FlowMeasurement NamedTuple, its noise drawn into a
+reused buffer) work on Python floats. The face tracker draws all its
+jitter at once (FaceTracker.offsets). write_csv, the one CSV writer
+(harness writes through it too), takes a table as columns, each as
+format_column gives it.
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
@@ -273,6 +274,7 @@ class FlowSimulator:
         check_fields(self)
         ext = self.front_cam.extrinsic
         self._rows, self._t = ext.rotation.tolist(), ext.translation.tolist()
+        self._z = np.empty(4)  # measure's standard-normal draws
         self.reset_drift()
 
     def reset_drift(self) -> None:
@@ -289,8 +291,7 @@ class FlowSimulator:
         eyes in front of the camera and inside the image. An eye behind the
         camera projects as NaN, which no bounds test passes."""
         cam = self.front_cam
-        pts = cam.extrinsic.apply(eyes)
-        px = project_pinhole(cam, np.where(pts[..., 2:] > 0, pts, np.nan))
+        px = project_pinhole(cam, cam.extrinsic.apply(eyes))
         return px.reshape(px.shape[:-2] + (4,)), cam.contains(px).all(axis=-1)
 
     def project_frame(self, left_right) -> tuple[float, float, float, float]:
@@ -312,7 +313,9 @@ class FlowSimulator:
         """One frame's measurement from its four exact pixels (left u, v,
         right u, v) and visibility, as project gives them per frame. Draws
         from the rng only for a visible frame: the failure draw, then the
-        noise, four values in one draw."""
+        noise, four standard normals in one draw into a reused buffer,
+        scaled as 0.0 + sigma * z, numpy normal's operations, so each value
+        has the bits and stream position of normal(0.0, sigma, size=4)."""
         if not visible:
             return FlowMeasurement(None)
         if self.p_fail > 0 and self.rng.random() < self.p_fail:
@@ -321,9 +324,11 @@ class FlowSimulator:
         scale = self.drift_px_per_frame * self._drift_frames
         dx, dy = self._drift_dir[0] * scale, self._drift_dir[1] * scale
         u0, v0, u1, v1 = px
-        if self.noise_sigma_px > 0:
-            n0, n1, n2, n3 = self.rng.normal(0.0, self.noise_sigma_px, size=4).tolist()
-            return FlowMeasurement(((u0 + dx) + n0, (v0 + dy) + n1, (u1 + dx) + n2, (v1 + dy) + n3))
+        s = self.noise_sigma_px
+        if s > 0:
+            z0, z1, z2, z3 = self.rng.standard_normal(out=self._z).tolist()
+            return FlowMeasurement(((u0 + dx) + (0.0 + s * z0), (v0 + dy) + (0.0 + s * z1),
+                                    (u1 + dx) + (0.0 + s * z2), (v1 + dy) + (0.0 + s * z3)))
         return FlowMeasurement((u0 + dx, v0 + dy, u1 + dx, v1 + dy))
 
 

@@ -205,5 +205,5 @@ def _dpr_target_px(target_disp: np.ndarray, display: DisplayModel,
     if back_cam is None:
         raise ValueError("DPR requires a back camera")
     target_cam = back_cam.extrinsic.apply(target_disp)
-    cam_px = project_pinhole(back_cam, np.where(target_cam[:, 2:] > 0, target_cam, np.nan))
+    cam_px = project_pinhole(back_cam, target_cam)
     return cam_px_to_display_px(cam_px, display, back_cam, fit)

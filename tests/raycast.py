@@ -102,6 +102,8 @@ def render_target_px(mode: RenderMode, target_world, estimated_eye: EyeState | N
             raise ValueError("DPR requires a back camera")
         target_disp = display.pose_world.invert().apply(np.asarray(target_world, dtype=float))
         target_cam = back_cam.extrinsic.apply(target_disp)
+        if target_cam[2] <= 0:
+            raise GeometryError("point is behind the camera (z <= 0)")
         cam_px = project_pinhole(back_cam, target_cam)
         return cam_px_to_display_px(cam_px, display, back_cam, fit)
     if estimated_eye is None:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -134,8 +135,15 @@ def test_unit_pixel_offset():
 
 
 def test_point_behind_camera_rejected():
-    with pytest.raises(GeometryError):
-        project_pinhole(cam(), [0.0, 0.0, -1.0])
+    # A point at or behind the camera plane projects as NaN, with no
+    # divide-by-zero warning at z = 0; points in front are unaffected.
+    c = cam()
+    pts = [[0.0, 0.0, -1.0], [1.0, 2.0, 0.0], [1.0, 2.0, -0.0], [3.0, -4.0, 5.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        px = project_pinhole(c, pts)
+    assert np.isnan(px[:3]).all()
+    assert np.array_equal(px[3], project_pinhole(c, pts[3]))
 
 
 def back_project(c: PinholeCamera, px, z: float) -> np.ndarray:

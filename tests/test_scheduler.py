@@ -21,6 +21,7 @@ from uprsim.scheduler import (
     epsilon_default,
     eye_distance_px,
     initial_state,
+    schedule,
     step,
 )
 from uprsim.tracksim import FlowMeasurement
@@ -480,3 +481,76 @@ def test_step_equals_dataclass_oracle(policy, metric, eps, refine_factor, decay_
             assert same_fields(s, o)
         elif flow is not FLOW_FAILURE:
             last = flow
+
+
+def step_loop(flows, c, recompute):
+    """schedule's oracle: step and apply_recalculation frame by frame."""
+    s = initial_state(c)
+    decisions, requests = [], []
+    for i, flow in enumerate(flows):
+        d, s = step(s, flow, c)
+        decisions.append(d)
+        if d.kind is DecisionKind.RECALCULATE:
+            s = apply_recalculation(s, recompute(i, len(requests)), c)
+            requests.append(i)
+    kinds, reasons, e_px, delta_e_px = zip(*decisions)
+    return kinds, reasons, e_px, delta_e_px, requests
+
+
+def float_bits(column) -> list:
+    """A float column's bit patterns: bitwise equal, NaN equal to NaN."""
+    return np.array(column, dtype=float).view(np.uint64).tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(policy=st.sampled_from(Policy), metric=st.sampled_from(EyeMetric),
+       eps=st.sampled_from([4.0, 8.0, 16.0]) | st.floats(0.5, 50.0),
+       refine_factor=st.sampled_from([0.125, 0.25, 0.5]) | st.floats(0.01, 0.99),
+       decay_rate=st.sampled_from([0.5, 1.0]) | st.floats(0.01, 1.0),
+       floor_frac=st.just(0.0) | st.floats(0.01, 1.0),
+       ops=st.lists(frame_op, min_size=1, max_size=40))
+@example(policy=Policy.VERBATIM, metric=EyeMetric.MAX, eps=8.0, refine_factor=0.25,
+         decay_rate=1.0, floor_frac=0.0,  # failures first, then dE and E on thresholds
+         ops=[(move, (0.0,) * 4) for move in [None, None, (0.0,) * 4, (0.0,) * 4,
+                                              (2.0, 0.0) * 2, (6.0, 0.0) * 2, None]])
+@example(policy=Policy.LATCHED, metric=EyeMetric.MEAN, eps=8.0, refine_factor=0.25,
+         decay_rate=1.0, floor_frac=0.0,  # E on the latch's refine threshold
+         ops=[(move, (0.0,) * 4) for move in [(0.0,) * 4, (2.0, 0.0) * 2, (0.0,) * 4]])
+def test_schedule_equals_step_loop(policy, metric, eps, refine_factor, decay_rate, floor_frac,
+                                   ops):
+    # The whole-trace driver gives step's columns bit for bit and the same
+    # request frames, through failures (on frame 0 too), re-anchors, all
+    # policies and metrics, and E or dE exactly on a threshold. It reads each
+    # frame's flow only after the previous frame's recompute call.
+    c = cfg(eps_max_px=eps, refine_factor=refine_factor, policy=policy, metric=metric,
+            decay_rate=decay_rate, eps_min_px=floor_frac * eps)
+    flows, last = [], eyes(0.0)
+    for move, _ in ops:
+        if move is not None:
+            last = tuple(map(sum, zip(last, move)))
+        flows.append(FLOW_FAILURE if move is None else last)
+
+    def driven(run):
+        events = []
+
+        def read():
+            for i, flow in enumerate(flows):
+                events.append(("flow", i))
+                yield flow
+
+        def recompute(i, k):
+            # The frame's flow plus the drawn offset and k/4 px.
+            events.append(("recompute", i, k))
+            return tuple(b + o + 0.25 * k for b, o in zip(flows[i] or eyes(0.0), ops[i][1]))
+        return run(read(), c, recompute), events
+
+    (kinds, reasons, e_px, delta_e_px, requests), events = driven(schedule)
+    (o_kinds, o_reasons, o_e_px, o_delta_e_px, o_requests), o_events = driven(step_loop)
+    assert kinds == o_kinds and reasons == o_reasons
+    assert float_bits(e_px) == float_bits(o_e_px)
+    assert float_bits(delta_e_px) == float_bits(o_delta_e_px)
+    assert requests == o_requests and events == o_events
+
+
+def test_schedule_of_no_frames():
+    assert schedule(iter(()), cfg(), None) == ((), (), (), (), [])

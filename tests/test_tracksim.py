@@ -482,12 +482,18 @@ flow_ops = st.lists(st.one_of(
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(sigma=st.just(0.0) | st.floats(1e-3, 50.0), drift=st.just(0.0) | st.floats(1e-4, 2.0),
+@given(sigma=st.just(0.0) | st.floats(1e-3, 50.0) | st.floats(5e-324, 2e-308)
+       | st.floats(1e299, 1e300),
+       drift=st.just(0.0) | st.floats(1e-4, 2.0),
        p_fail=st.just(0.0) | st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1), ops=flow_ops)
+# Seed 0's drift direction has cos, sin < 0, so pixel + drift is -0.0 before the noise.
+@example(sigma=5e-324, drift=0.0, p_fail=0.0, seed=0, ops=[([-0.0] * 4, True)] * 8)
 def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
     # The float measure makes the same draws in the same order as the numpy
     # one and gives the same bits, through failures, invisible frames and
-    # drift resets.
+    # drift resets, for any sigma: subnormal (noise that underflows to a
+    # signed zero, which 0.0 + sigma * z makes +0.0, as numpy's normal does)
+    # to ~1e300.
     sim = FlowSimulator(front_camera(), sigma, drift, p_fail, np.random.default_rng(seed))
     oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng(seed))
     for op in ops:
