@@ -9,14 +9,7 @@ Run: python3 demos/02_dual_thresholding.py
 
 import math
 
-from uprsim.scheduler import (
-    FLOW_FAILURE,
-    DecisionKind,
-    ThresholdConfig,
-    apply_recalculation,
-    initial_state,
-    step,
-)
+from uprsim.scheduler import FLOW_FAILURE, DecisionKind, ThresholdConfig, schedule
 
 
 def eyes(x):
@@ -32,23 +25,18 @@ script = ([eyes(100.0)] * 4
           + [eyes(190.7)] * 3)
 
 cfg = ThresholdConfig(eps_max_px=24.0)  # 3% of a 640x480 diagonal
-state = initial_state(cfg)
+# In the real pipeline each recomputation runs the expensive face tracker;
+# here the "recomputed" eyes are just the flow positions.
+kinds, reasons, e_px, delta_e_px, _ = schedule(
+    script, cfg, lambda i, k: script[i] if script[i] is not FLOW_FAILURE else eyes(190.7))
 
 print(f"eps = {cfg.eps_max_px} px, refine condition: dE < {cfg.refine_factor} * eps")
 print(f"{'frame':>5} {'flow x':>8} {'E':>7} {'dE':>7}  decision")
-for i, flow in enumerate(script):
-    decision, state = step(state, flow, cfg)
-    if decision.kind is DecisionKind.RECALCULATE:
-        # In the real pipeline this is where the expensive face tracker
-        # runs; here the "recomputed" eyes are just the flow positions.
-        new_eyes = flow if flow is not None else eyes(190.7)
-        state = apply_recalculation(state, new_eyes, cfg)
-        what = f"RECALCULATE ({decision.reason.value})"
-    else:
-        what = "skip"
+for i, (flow, kind, reason, e, de) in enumerate(zip(script, kinds, reasons, e_px, delta_e_px)):
+    what = f"RECALCULATE ({reason.value})" if kind is DecisionKind.RECALCULATE else "skip"
     x = "lost" if flow is None else f"{flow[0]:.1f}"
-    e = "-" if math.isnan(decision.e_px) else f"{decision.e_px:.1f}"
-    de = "-" if math.isnan(decision.delta_e_px) else f"{decision.delta_e_px:.1f}"
+    e = "-" if math.isnan(e) else f"{e:.1f}"
+    de = "-" if math.isnan(de) else f"{de:.1f}"
     print(f"{i:>5} {x:>8} {e:>7} {de:>7}  {what}")
 
 print()

@@ -22,17 +22,12 @@ from .geometry import (
 )
 from .harness import ExperimentConfig, RunResult, Summary, benchmark_config, run, sweep
 from .scheduler import (
-    Decision,
     DecisionKind,
     Policy,
     Reason,
-    SchedulerState,
     ThresholdConfig,
-    apply_recalculation,
     epsilon_default,
-    initial_state,
     schedule,
-    step,
 )
 from .tracksim import (
     CostModel,

@@ -79,19 +79,21 @@ _TRUTHTABLE_SCRIPT = [
 
 def _cmd_truthtable(args) -> int:
     cfg = checked("--eps", sched.ThresholdConfig, eps_max_px=args.eps)
-    state = sched.initial_state(cfg)
-    print(f"eps = {args.eps} px, refine factor = {cfg.refine_factor}, policy = verbatim")
+    anchors = []
+
+    def recompute(i, k):
+        # The flow, else the last anchor, else zeros (failure before any anchor).
+        anchors.append(_TRUTHTABLE_SCRIPT[i] or (anchors[-1] if k else (0.0,) * 4))
+        return anchors[-1]
+
+    kinds, reasons, e_px, delta_e_px, _ = sched.schedule(_TRUTHTABLE_SCRIPT, cfg, recompute)
+    print(f"eps = {args.eps} px, refine factor = {cfg.refine_factor}, "
+          f"policy = {cfg.policy.value}")
     print(f"{'frame':>5} {'E_px':>8} {'dE_px':>8} {'decision':>12} {'reason':>12}")
-    for i, flow in enumerate(_TRUTHTABLE_SCRIPT):
-        decision, state = sched.step(state, flow, cfg)
-        if decision.kind is sched.DecisionKind.RECALCULATE:
-            # The flow, else the last anchor, else zeros (failure before any anchor).
-            eyes = flow or state.pos_eye_calc or (0.0,) * 4
-            state = sched.apply_recalculation(state, eyes, cfg)
-        e = "-" if math.isnan(decision.e_px) else f"{decision.e_px:.2f}"
-        de = "-" if math.isnan(decision.delta_e_px) else f"{decision.delta_e_px:.2f}"
-        reason = decision.reason.value if decision.reason else "-"
-        print(f"{i:>5} {e:>8} {de:>8} {decision.kind.value:>12} {reason:>12}")
+    for i, (kind, reason, e, de) in enumerate(zip(kinds, reasons, e_px, delta_e_px)):
+        e = "-" if math.isnan(e) else f"{e:.2f}"
+        de = "-" if math.isnan(de) else f"{de:.2f}"
+        print(f"{i:>5} {e:>8} {de:>8} {kind.value:>12} {reason.value if reason else '-':>12}")
     return 0
 
 

@@ -21,10 +21,9 @@ Three policies for the skip branch:
              toward a floor, and resets to its maximum on recomputation.
 
 The rule is stated once, in _rule, on plain values, and the state after a
-recomputation once, in _anchor. step and apply_recalculation are the public
-one-frame API on immutable NamedTuples (SchedulerState, Decision).
-schedule runs a whole trace with its state in locals, and is what the
-harness's AAUPR loop calls: one _rule call per frame, no NamedTuple.
+recomputation once, in _anchor. schedule runs a whole trace, with the state
+(calc, flow_last, is_precise, eps) in locals: one _rule call per frame, and
+one _anchor call per recalculation.
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import inf, nan, sqrt
-from typing import NamedTuple
 
 from .geometry import PinholeCamera, check_fields, nonnegative, positive, within
 
-#: Flow-tracker failure marker accepted by step() and schedule() in place of eye positions.
+#: Flow-tracker failure marker that schedule() accepts in place of eye positions.
 FLOW_FAILURE = None
 
 
@@ -65,13 +63,9 @@ class Reason(enum.Enum):
     INITIAL = "initial"
 
 
-class ProtocolError(RuntimeError):
-    """apply_recalculation called without a preceding Recalculate decision."""
-
-
 @dataclass(frozen=True)
 class ThresholdConfig:
-    """step's thresholds. eps_min_px floors the decaying eps; 0 means 0.1 * eps_max_px."""
+    """The scheduler's thresholds. eps_min_px floors the decaying eps; 0 is 0.1 * eps_max_px."""
 
     eps_max_px: float = positive()
     refine_factor: float = within("in (0, 1)", lambda v: 0 < v < 1, 0.1)
@@ -90,53 +84,15 @@ class ThresholdConfig:
         return self.eps_min_px or 0.1 * self.eps_max_px
 
 
-class SchedulerState(NamedTuple):
-    """What the next decision reads, threaded through step/apply_recalculation.
-    An immutable NamedTuple: it equals a plain tuple of its fields.
-
-    pos_eye_calc: eye pixels (left u, v, right u, v) at the last precise recomputation.
-    pos_eye_flow_last: previous frame's flow-tracked eye pixels, the same 4 floats.
-    """
-
-    pos_eye_calc: tuple[float, float, float, float] | None
-    pos_eye_flow_last: tuple[float, float, float, float] | None
-    is_precise: bool
-    eps_current_px: float
-    pending_recalc: bool = False
-
-
-class Decision(NamedTuple):
-    """One frame's decision, an immutable NamedTuple; reason is None on Skip."""
-
-    kind: DecisionKind
-    reason: Reason | None
-    e_px: float
-    delta_e_px: float
-
-
-# Bound once: step runs per frame, and an enum member lookup costs a descriptor call.
+# Bound once: read on every frame, and an enum member lookup costs a descriptor call.
 _MAX, _LATCHED, _DECAYING = EyeMetric.MAX, Policy.LATCHED, Policy.DECAYING
 _RECALCULATE, _SKIP, _FAILED = DecisionKind.RECALCULATE, DecisionKind.SKIP, Reason.FLOW_FAILURE
 _SPATIAL, _REFINE, _INITIAL = Reason.SPATIAL, Reason.REFINE, Reason.INITIAL
 
 
-def initial_state(cfg: ThresholdConfig) -> SchedulerState:
-    """State before any recomputation; the first step forces Recalculate."""
-    return SchedulerState(None, None, is_precise=False, eps_current_px=cfg.eps_max_px)
-
-
 def epsilon_default(front_cam: PinholeCamera) -> float:
     """Spatial threshold default: 3% of the input image diagonal in pixels."""
     return 0.03 * front_cam.diagonal_px()
-
-
-def _px4(px) -> tuple[float, float, float, float]:
-    """Four floats from four values (left u, v, right u, v)."""
-    try:
-        u0, v0, u1, v1 = map(float, px)
-    except (TypeError, ValueError):
-        raise ValueError("eye pixels must be four values (left u, v, right u, v)") from None
-    return u0, v0, u1, v1
 
 
 def eye_distance_px(a, b, metric: EyeMetric = _MAX) -> float:
@@ -180,37 +136,9 @@ def _anchor(eyes, flow_last, cfg: ThresholdConfig):
     return eyes, eyes if flow_last is None else flow_last, True, cfg.eps_max_px
 
 
-def step(state: SchedulerState, pos_eye_flow, cfg: ThresholdConfig) -> tuple[Decision, SchedulerState]:
-    """One scheduling decision for one front-camera frame.
-
-    pos_eye_flow is the flow-tracked eye pixels, four values (left u, v,
-    right u, v), or FLOW_FAILURE when the flow tracker lost the eyes (which
-    forces a recomputation; failure is a valid input); else ValueError.
-
-    A Recalculate decision must be completed with apply_recalculation before
-    the next step.
-    """
-    calc, flow_last, is_precise, eps, pending = state
-    if pending:
-        raise ProtocolError("previous Recalculate decision was never applied")
-    flow = FLOW_FAILURE if pos_eye_flow is FLOW_FAILURE else _px4(pos_eye_flow)
-    reason, e, de, flow_last, precise, eps_next = _rule(calc, flow_last, is_precise, eps, flow, cfg)
-    if reason is None:
-        return Decision(_SKIP, None, e, de), SchedulerState(calc, flow_last, precise, eps_next)
-    return Decision(_RECALCULATE, reason, e, de), SchedulerState(calc, flow_last, is_precise, eps, True)
-
-
-def apply_recalculation(state: SchedulerState, new_eye_px, cfg: ThresholdConfig) -> SchedulerState:
-    """Complete a Recalculate decision with the recomputed eyes' front-camera
-    projections, four values as step takes. Resets the threshold to its max."""
-    if not state.pending_recalc:
-        raise ProtocolError("apply_recalculation called after a Skip decision")
-    return SchedulerState(*_anchor(_px4(new_eye_px), state.pos_eye_flow_last, cfg))
-
-
 def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tuple, tuple, list]:
-    """A whole trace's decisions: what step and apply_recalculation give
-    frame by frame, with the state in locals.
+    """A whole trace's decisions, with the state in locals. It starts with no
+    anchor, so frame 0 always recalculates (INITIAL, or FLOW_FAILURE).
 
     flows yields each frame's flow-tracked eye pixels as four floats, or
     FLOW_FAILURE; it is read one frame at a time, after the previous frame's
@@ -219,7 +147,8 @@ def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tupl
     four floats, and the state re-anchors on them. Returns the kind, reason,
     E and dE columns as tuples and the request (recalculation) frames.
     """
-    calc, flow_last, is_precise, eps, _ = initial_state(cfg)
+    calc = flow_last = None
+    is_precise, eps = False, cfg.eps_max_px
     rows, requests = [], []
     for i, flow in enumerate(flows):
         reason, e, de, flow_last, is_precise, eps = _rule(calc, flow_last, is_precise, eps,

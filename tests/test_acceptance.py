@@ -23,15 +23,7 @@ from uprsim.harness import (
     run,
     write_outputs,
 )
-from uprsim.scheduler import (
-    FLOW_FAILURE,
-    DecisionKind,
-    Reason,
-    SchedulerState,
-    ThresholdConfig,
-    epsilon_default,
-    step,
-)
+from uprsim.scheduler import FLOW_FAILURE, Reason, ThresholdConfig, _rule, epsilon_default
 from uprsim.viewgen import RenderMode, fupr_eye, upr_display_to_plane
 from uprsim.viewgen import FuprCalibration
 
@@ -60,8 +52,8 @@ def pair(x):
 
 
 def scheduler_state(calc_x, flow_last_x, precise):
-    return SchedulerState(pos_eye_calc=pair(calc_x), pos_eye_flow_last=pair(flow_last_x),
-                          is_precise=precise, eps_current_px=24.0)
+    """(calc, flow_last, is_precise, eps), the state the scheduler's rule reads."""
+    return pair(calc_x), pair(flow_last_x), precise, 24.0
 
 
 @criterion(1, "scheduler truth table (spatial / refine / precise-skip / skip / failure)",
@@ -69,20 +61,21 @@ def scheduler_state(calc_x, flow_last_x, precise):
 def test_criterion_1_truth_table():
     cfg = ThresholdConfig(eps_max_px=24.0)
 
-    d, _ = step(scheduler_state(0.0, 25.0, True), pair(30.0), cfg)
-    assert d.kind is DecisionKind.RECALCULATE and d.reason is Reason.SPATIAL
+    # _rule's reason is None on Skip; its fifth value is the next is_precise.
+    reason, *_ = _rule(*scheduler_state(0.0, 25.0, True), pair(30.0), cfg)
+    assert reason is Reason.SPATIAL
 
-    d, _ = step(scheduler_state(0.0, 4.0, False), pair(5.0), cfg)
-    assert d.kind is DecisionKind.RECALCULATE and d.reason is Reason.REFINE
+    reason, *_ = _rule(*scheduler_state(0.0, 4.0, False), pair(5.0), cfg)
+    assert reason is Reason.REFINE
 
-    d, s = step(scheduler_state(0.0, 4.0, True), pair(5.0), cfg)
-    assert d.kind is DecisionKind.SKIP and s.is_precise is False
+    reason, _, _, _, precise, _ = _rule(*scheduler_state(0.0, 4.0, True), pair(5.0), cfg)
+    assert reason is None and precise is False
 
-    d, _ = step(scheduler_state(0.0, -5.0, False), pair(5.0), cfg)
-    assert d.kind is DecisionKind.SKIP
+    reason, *_ = _rule(*scheduler_state(0.0, -5.0, False), pair(5.0), cfg)
+    assert reason is None
 
-    d, _ = step(scheduler_state(0.0, 0.0, True), FLOW_FAILURE, cfg)
-    assert d.kind is DecisionKind.RECALCULATE and d.reason is Reason.FLOW_FAILURE
+    reason, *_ = _rule(*scheduler_state(0.0, 0.0, True), FLOW_FAILURE, cfg)
+    assert reason is Reason.FLOW_FAILURE
 
 
 def _stationary(policy):

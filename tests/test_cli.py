@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import io
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -200,6 +203,62 @@ def test_any_one_value_runs_or_names_its_key(tmp_path, monkeypatch, capsys, key,
     assert (code, err.count("\n")) in ((0, 0), (1, 1))
     if code:
         assert err.startswith(f"error: {CROSS_KEY.get((key, value), key)}:")
+
+
+#: Each field type's draws: edge values and small ranges, so that an example
+#: runs in milliseconds. A frame count ("*_frames") draws at most 30.
+TYPE_DRAWS = {
+    "float": st.sampled_from([0.0, -0.0, 1e-9, 0.5, 1.0, -1.0, 1e6, -1e6])
+    | st.floats(-1e3, 1e3),
+    "int": st.sampled_from([0, 1, 2]) | st.integers(0, 4096),
+    "frames": st.integers(0, 30),
+    "bool": st.booleans(),
+}
+
+
+def field_values(f):
+    """One ExperimentConfig field's values, from its type and its declared
+    domains (f.metadata["domain"], as check_fields reads them): the default,
+    or a draw, kept if every domain accepts it, else the default. A string
+    field draws comma-separated lists of the words its domain text names
+    that the domain accepts alone, so a choice or the mode list."""
+    domains = [ok for _, ok in f.metadata.values()]
+    accepted = lambda v: all(ok(v) for ok in domains)
+    if f.type == "str":
+        words = sorted({w for text, _ in f.metadata.values()
+                        for w in re.findall(r"\w+", text) if accepted(w)})
+        if not words:
+            return st.just(f.default)
+        draws = st.lists(st.sampled_from(words), min_size=1, max_size=len(words),
+                         unique=True).map(",".join)
+    else:
+        draws = TYPE_DRAWS["frames" if f.name.endswith("_frames") else f.type]
+    return st.just(f.default) | draws.map(lambda v: v if accepted(v) else f.default)
+
+
+def configs():
+    """ExperimentConfigs drawn field by field from the declared domains; a
+    new field is drawn without editing this."""
+    return st.builds(ExperimentConfig, **{f.name: field_values(f)
+                                          for f in fields(ExperimentConfig)})
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(config=configs())
+def test_any_config_runs_or_names_its_key(tmp_path_factory, config):
+    # Through cli.main, a config inside every key's domain runs with empty
+    # stderr, or exits 1 with a one-line error; no other exception escapes.
+    # Python warnings (numpy's overflow on subnormal sizes, for one) go to
+    # pytest's warnings summary, not to this stderr.
+    tmp = tmp_path_factory.mktemp("config")
+    (tmp / "exp.cfg").write_text(
+        "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(config)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(tmp / "exp.cfg"), "--out", str(tmp / "out")])
+    assert (code, err.getvalue().count("\n")) in ((0, 0), (1, 1)), err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_trace_with_timestamp_jitter_runs(tmp_path, capsys):

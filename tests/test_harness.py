@@ -459,13 +459,10 @@ def counting_project(monkeypatch) -> list:
 def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
     # The closed loop runs on Python floats: one project pass over the
     # trace, the re-anchor's camera transform without numpy, and no
-    # np.asarray inside the scheduler on any frame. Its state lives in
-    # sched.schedule's locals: no per-frame step or apply_recalculation.
+    # np.asarray inside the scheduler on any frame.
     project_calls = counting_project(monkeypatch)
-    apply_callers, asarray_callers, one_frame_calls = [], [], []
+    apply_callers, asarray_callers = [], []
     apply, asarray = RigidTransform.apply, np.asarray
-    for name in ("step", "apply_recalculation"):
-        monkeypatch.setattr(sched, name, lambda *args, name=name: one_frame_calls.append(name))
 
     def counting_apply(self, points):
         apply_callers.append(caller())
@@ -487,7 +484,6 @@ def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
         ("uprsim.tracksim", "project")]
     assert ("uprsim.geometry", "apply") in asarray_callers  # the counter sees calls
     assert [c for c in asarray_callers if c[0] == sched.__name__] == []
-    assert one_frame_calls == []
 
 
 def test_trace_file_input(tmp_path):

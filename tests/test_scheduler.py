@@ -9,20 +9,16 @@ from hypothesis import strategies as st
 from uprsim.geometry import PinholeCamera
 from uprsim.scheduler import (
     FLOW_FAILURE,
-    Decision,
     DecisionKind,
     EyeMetric,
     Policy,
-    ProtocolError,
     Reason,
-    SchedulerState,
     ThresholdConfig,
-    apply_recalculation,
+    _anchor,
+    _rule,
     epsilon_default,
     eye_distance_px,
-    initial_state,
     schedule,
-    step,
 )
 from uprsim.tracksim import FlowMeasurement
 
@@ -37,9 +33,17 @@ def eyes(x: float, y: float = 100.0) -> tuple:
     return (x, y, x + 60.0, y)
 
 
-def state_with(calc, flow_last, precise, eps=24.0) -> SchedulerState:
-    return SchedulerState(pos_eye_calc=calc, pos_eye_flow_last=flow_last,
-                          is_precise=precise, eps_current_px=eps)
+def run_stream(stream, c):
+    """Replay a flow stream through schedule; complete every Recalculate with
+    the flow positions themselves (noise-free recomputation), or on a flow
+    failure with the last anchor (eyes(0.0) before any). One (kind, reason,
+    E, dE) row per frame."""
+    anchors = [eyes(0.0)]
+
+    def recompute(i, k):
+        anchors.append(stream[i] or anchors[-1])
+        return anchors[-1]
+    return list(zip(*schedule(stream, c, recompute)[:4]))
 
 
 # ---- epsilon default ---------------------------------------------------
@@ -59,115 +63,85 @@ def test_invalid_camera_rejected_upstream():
         PinholeCamera(fx=500, fy=500, cx=500, cy=0, width_px=1000, height_px=0)
 
 
-# ---- the five step truth-table cases -----------------------------------
+# ---- the five truth-table cases ----------------------------------------
+# _rule on a state (calc, flow_last, is_precise, eps) and a frame's flow
+# returns (reason, E, dE, flow_last, is_precise, eps); reason None is Skip.
 
 def test_spatial_trigger():
     # E = 30 > eps = 24 -> Recalculate(spatial), regardless of dE.
-    d, _ = step(state_with(eyes(0.0), eyes(25.0), precise=True), eyes(30.0), cfg())
-    assert d.kind is DecisionKind.RECALCULATE and d.reason is Reason.SPATIAL
-    assert d.e_px == pytest.approx(30.0)
+    reason, e, *_ = _rule(eyes(0.0), eyes(25.0), True, 24.0, eyes(30.0), cfg())
+    assert reason is Reason.SPATIAL
+    assert e == pytest.approx(30.0)
 
 
 def test_refine_trigger():
     # E = 5, dE = 1 < 2.4, imprecise -> Recalculate(refine).
-    d, _ = step(state_with(eyes(0.0), eyes(4.0), precise=False), eyes(5.0), cfg())
-    assert d.kind is DecisionKind.RECALCULATE and d.reason is Reason.REFINE
-    assert d.e_px == pytest.approx(5.0)
-    assert d.delta_e_px == pytest.approx(1.0)
+    reason, e, de, *_ = _rule(eyes(0.0), eyes(4.0), False, 24.0, eyes(5.0), cfg())
+    assert reason is Reason.REFINE
+    assert e == pytest.approx(5.0)
+    assert de == pytest.approx(1.0)
 
 
 def test_precise_skip_drops_precision():
     # Same E/dE but precise -> Skip, and is_precise falls to False.
-    d, s = step(state_with(eyes(0.0), eyes(4.0), precise=True), eyes(5.0), cfg())
-    assert d.kind is DecisionKind.SKIP and d.reason is None
-    assert s.is_precise is False
+    reason, _, _, _, precise, _ = _rule(eyes(0.0), eyes(4.0), True, 24.0, eyes(5.0), cfg())
+    assert reason is None
+    assert precise is False
 
 
 def test_neither_disjunct_skip():
     # E = 5 <= 24, dE = 10 >= 2.4 -> Skip even while imprecise.
-    d, _ = step(state_with(eyes(0.0), eyes(-5.0), precise=False), eyes(5.0), cfg())
-    assert d.kind is DecisionKind.SKIP
+    reason, *_ = _rule(eyes(0.0), eyes(-5.0), False, 24.0, eyes(5.0), cfg())
+    assert reason is None
 
 
 def test_flow_failure_forces_recalculation():
-    d, _ = step(state_with(eyes(0.0), eyes(0.0), precise=True), FLOW_FAILURE, cfg())
-    assert d.kind is DecisionKind.RECALCULATE and d.reason is Reason.FLOW_FAILURE
+    reason, *_ = _rule(eyes(0.0), eyes(0.0), True, 24.0, FLOW_FAILURE, cfg())
+    assert reason is Reason.FLOW_FAILURE
 
 
 def test_initial_state_forces_recalculation():
-    d, _ = step(initial_state(cfg()), eyes(0.0), cfg())
-    assert d.kind is DecisionKind.RECALCULATE and d.reason is Reason.INITIAL
+    kinds, reasons, *_ = schedule([eyes(0.0)], cfg(), lambda i, k: eyes(0.0))
+    assert kinds == (DecisionKind.RECALCULATE,) and reasons == (Reason.INITIAL,)
 
 
-# ---- apply_recalculation -----------------------------------------------
+# ---- the re-anchor ------------------------------------------------------
 
 def test_recalculation_resets_state():
     c = cfg()
-    d, s = step(state_with(eyes(0.0), eyes(25.0), precise=False), eyes(30.0), c)
-    s = apply_recalculation(s, eyes(30.0), c)
-    assert s.is_precise
-    assert s.eps_current_px == c.eps_max_px
+    reason, _, _, flow_last, _, _ = _rule(eyes(0.0), eyes(25.0), False, 24.0, eyes(30.0), c)
+    assert reason is not None
+    calc, flow_last, precise, eps = _anchor(eyes(30.0), flow_last, c)
+    assert precise
+    assert eps == c.eps_max_px
     # Next-frame E is zero after reseeding with the flow positions.
-    d2, _ = step(s, eyes(30.0), c)
-    assert d2.e_px == pytest.approx(0.0)
+    _, e, *_ = _rule(calc, flow_last, precise, eps, eyes(30.0), c)
+    assert e == pytest.approx(0.0)
 
 
 def test_decaying_eps_restored_to_max():
     c = cfg(policy=Policy.DECAYING, decay_rate=0.5, eps_min_px=2.4)
-    s = state_with(eyes(0.0), eyes(0.5), precise=True, eps=2.4)
-    # Drive a skip first so the pending recalc flag is exercised honestly.
-    d, s = step(s, eyes(30.0), c)
-    assert d.kind is DecisionKind.RECALCULATE
-    s = apply_recalculation(s, eyes(30.0), c)
-    assert s.eps_current_px == c.eps_max_px
+    reason, _, _, flow_last, _, _ = _rule(eyes(0.0), eyes(0.5), True, 2.4, eyes(30.0), c)
+    assert reason is not None
+    _, _, _, eps = _anchor(eyes(30.0), flow_last, c)
+    assert eps == c.eps_max_px
 
 
 def test_consecutive_recalculations_idempotent():
     c = cfg()
-    s0 = state_with(eyes(0.0), eyes(25.0), precise=False)
-    d, s = step(s0, eyes(30.0), c)
-    s = apply_recalculation(s, eyes(30.0), c)
-    d, s2 = step(s, FLOW_FAILURE, c)
-    s2 = apply_recalculation(s2, eyes(31.0), c)
+    _, _, _, flow_last, _, _ = _rule(eyes(0.0), eyes(25.0), False, 24.0, eyes(30.0), c)
+    calc, flow_last, precise, eps = _anchor(eyes(30.0), flow_last, c)
+    _, _, _, flow_last, precise, eps = _rule(calc, flow_last, precise, eps, FLOW_FAILURE, c)
+    calc2, _, precise2, eps2 = _anchor(eyes(31.0), flow_last, c)
     # Identical to a single recalculation with the latest eyes.
-    d3, s3 = step(state_with(eyes(0.0), eyes(25.0), precise=False), eyes(30.0), c)
-    s3 = apply_recalculation(s3, eyes(31.0), c)
-    assert np.array_equal(s2.pos_eye_calc, s3.pos_eye_calc)
-    assert s2.is_precise == s3.is_precise
-    assert s2.eps_current_px == s3.eps_current_px
-
-
-def test_apply_after_skip_is_protocol_violation():
-    c = cfg()
-    d, s = step(state_with(eyes(0.0), eyes(-5.0), precise=False), eyes(5.0), c)
-    assert d.kind is DecisionKind.SKIP
-    with pytest.raises(ProtocolError):
-        apply_recalculation(s, eyes(5.0), c)
-
-
-def test_unapplied_recalculation_detected():
-    c = cfg()
-    d, s = step(initial_state(c), eyes(0.0), c)
-    with pytest.raises(ProtocolError):
-        step(s, eyes(0.0), c)
+    _, _, _, flow_last, _, _ = _rule(eyes(0.0), eyes(25.0), False, 24.0, eyes(30.0), c)
+    calc3, _, precise3, eps3 = _anchor(eyes(31.0), flow_last, c)
+    assert np.array_equal(calc2, calc3)
+    assert precise2 == precise3
+    assert eps2 == eps3
 
 
 # ---- stationary-stream fixtures ----------------------------------------
-
-def run_stream(stream, c):
-    """Replay a flow stream; complete every Recalculate with the flow
-    positions themselves (noise-free recomputation)."""
-    s = initial_state(c)
-    decisions = []
-    for flow in stream:
-        d, s = step(s, flow, c)
-        if d.kind is DecisionKind.RECALCULATE:
-            new_eyes = flow if flow is not None else (
-                s.pos_eye_calc if s.pos_eye_calc is not None else eyes(0.0))
-            s = apply_recalculation(s, new_eyes, c)
-        decisions.append(d)
-    return decisions
-
 
 # Hand-executed trace of the update rule over 10 stationary noise-free
 # frames (verbatim policy): the initial recomputation, then skip/refine
@@ -188,23 +162,22 @@ STATIONARY_10_FRAME_FIXTURE = [
 
 def test_verbatim_stationary_oscillation():
     decisions = run_stream([eyes(0.0)] * 10, cfg())
-    assert [(d.kind, d.reason) for d in decisions] == STATIONARY_10_FRAME_FIXTURE
+    assert [(kind, reason) for kind, reason, _, _ in decisions] == STATIONARY_10_FRAME_FIXTURE
 
 
 def test_latched_stationary_quiescence():
     decisions = run_stream([eyes(0.0)] * 100, cfg(policy=Policy.LATCHED))
-    recalcs = [d for d in decisions if d.kind is DecisionKind.RECALCULATE]
-    assert len(recalcs) == 1 and recalcs[0].reason is Reason.INITIAL
+    recalcs = [reason for kind, reason, _, _ in decisions if kind is DecisionKind.RECALCULATE]
+    assert len(recalcs) == 1 and recalcs[0] is Reason.INITIAL
 
 
 def test_decaying_policy_shrinks_eps_on_skip():
     c = cfg(policy=Policy.DECAYING, decay_rate=0.5, eps_min_px=5.0)
-    s = state_with(eyes(0.0), eyes(-5.0), precise=False)
+    eps = 24.0
     for expected in (12.0, 6.0, 5.0, 5.0):  # floor clamps
-        d, s = step(s, eyes(5.0), c)
-        assert d.kind is DecisionKind.SKIP
-        assert s.eps_current_px == pytest.approx(expected)
-        s = SchedulerState(s.pos_eye_calc, eyes(-5.0), False, s.eps_current_px)
+        reason, _, _, _, _, eps = _rule(eyes(0.0), eyes(-5.0), False, eps, eyes(5.0), c)
+        assert reason is None
+        assert eps == pytest.approx(expected)
 
 
 # ---- properties --------------------------------------------------------
@@ -225,29 +198,31 @@ def test_skip_implies_e_below_eps():
     rng = np.random.default_rng(23)
     for _ in range(10):
         c = cfg()
-        s = initial_state(c)
+        calc = flow_last = None
+        precise, eps = False, c.eps_max_px
         for flow in random_stream(rng):
-            d, s = step(s, flow, c)
-            if d.kind is DecisionKind.SKIP:
-                assert d.e_px <= s.eps_current_px
+            reason, e, _, flow_last, precise, eps = _rule(calc, flow_last, precise, eps, flow, c)
+            if reason is None:
+                assert e <= eps
             else:
-                s = apply_recalculation(
-                    s, flow if flow is not None else eyes(0.0), c)
+                calc, flow_last, precise, eps = _anchor(
+                    flow if flow is not None else eyes(0.0), flow_last, c)
 
 
 def test_recalculate_reasons_justified():
     rng = np.random.default_rng(29)
     c = cfg()
-    s = initial_state(c)
+    calc = flow_last = None
+    precise, eps = False, c.eps_max_px
     for flow in random_stream(rng, 500):
-        prior_precise = s.is_precise
-        eps = s.eps_current_px
-        d, s = step(s, flow, c)
-        if d.kind is DecisionKind.RECALCULATE:
-            assert (d.reason in (Reason.FLOW_FAILURE, Reason.INITIAL)
-                    or d.e_px > eps
-                    or (d.delta_e_px < c.refine_factor * eps and not prior_precise))
-            s = apply_recalculation(s, flow if flow is not None else eyes(0.0), c)
+        prior_precise, prior_eps = precise, eps
+        reason, e, de, flow_last, precise, eps = _rule(calc, flow_last, precise, eps, flow, c)
+        if reason is not None:
+            assert (reason in (Reason.FLOW_FAILURE, Reason.INITIAL)
+                    or e > prior_eps
+                    or (de < c.refine_factor * prior_eps and not prior_precise))
+            calc, flow_last, precise, eps = _anchor(
+                flow if flow is not None else eyes(0.0), flow_last, c)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -256,16 +231,17 @@ def test_recalculate_reasons_justified():
 def test_decaying_eps_floor_and_reset(moves, decay_rate, floor_frac):
     # moves: per-frame eye motion in px, None for a flow failure.
     c = cfg(policy=Policy.DECAYING, decay_rate=decay_rate, eps_min_px=24.0 * floor_frac)
-    s = initial_state(c)
+    calc = flow_last = None
+    precise, eps = False, c.eps_max_px
     x = 0.0
     for move in moves:
         x += move or 0.0
         flow = None if move is None else eyes(x)
-        d, s = step(s, flow, c)
-        assert s.eps_current_px >= c.floor_px
-        if d.kind is DecisionKind.RECALCULATE:
-            s = apply_recalculation(s, eyes(x), c)
-            assert s.eps_current_px == c.eps_max_px
+        reason, _, _, flow_last, precise, eps = _rule(calc, flow_last, precise, eps, flow, c)
+        assert eps >= c.floor_px
+        if reason is not None:
+            calc, flow_last, precise, eps = _anchor(eyes(x), flow_last, c)
+            assert eps == c.eps_max_px
 
 
 def test_determinism():
@@ -273,8 +249,8 @@ def test_determinism():
     stream = random_stream(rng)
     a = run_stream(stream, cfg())
     b = run_stream(stream, cfg())
-    key = lambda d: (d.kind, d.reason, repr(d.e_px), repr(d.delta_e_px))
-    assert [key(d) for d in a] == [key(d) for d in b]
+    key = lambda row: (row[0], row[1], repr(row[2]), repr(row[3]))
+    assert [key(row) for row in a] == [key(row) for row in b]
 
 
 def test_monotone_spatial_gating():
@@ -285,7 +261,7 @@ def test_monotone_spatial_gating():
     counts = []
     for eps in (48.0, 24.0, 12.0, 6.0):
         decisions = run_stream(stream, cfg(eps_max_px=eps))
-        counts.append(sum(1 for d in decisions if d.reason is Reason.SPATIAL))
+        counts.append(sum(1 for _, reason, _, _ in decisions if reason is Reason.SPATIAL))
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
@@ -335,35 +311,20 @@ def test_eps_floor_zero_is_tenth_of_max():
     assert ThresholdConfig(24.0, eps_min_px=0.0).floor_px == pytest.approx(2.4)
 
 
-def test_eye_pixels_are_four_values():
-    c = cfg()
-    two_by_two = np.array([[0.0, 100.0], [60.0, 100.0]])
-    with pytest.raises(ValueError, match="four values"):
-        step(initial_state(c), two_by_two, c)
-    _, s = step(initial_state(c), eyes(0.0), c)
-    with pytest.raises(ValueError, match="four values"):
-        apply_recalculation(s, two_by_two, c)
-
-
 # ---- the tuple-backed values -------------------------------------------
 
 def test_values_are_immutable_and_keep_their_fields():
-    c = cfg()
-    d, s = step(initial_state(c), eyes(0.0), c)
     m = FlowMeasurement(eyes(0.0))
-    for value, name in [(s, "is_precise"), (s, "pending_recalc"), (d, "kind"), (d, "reason"),
-                        (m, "eye_px")]:
-        with pytest.raises(AttributeError):
-            setattr(value, name, None)
-    # perfbench's traced pass reads these.
-    assert (d.kind, d.reason) == (DecisionKind.RECALCULATE, Reason.INITIAL)
+    with pytest.raises(AttributeError):
+        m.eye_px = None
+    # perfbench's traced pass reads this.
     assert not m.failed and FlowMeasurement(None).failed
-    assert initial_state(c).pending_recalc is False
 
 
 class DataclassSchedulerOracle:
-    """step and apply_recalculation as they were on frozen dataclasses,
-    before SchedulerState and Decision became NamedTuples."""
+    """schedule's reference, written apart from _rule and _anchor: the
+    scheduler frame by frame on frozen dataclasses, a step per frame and an
+    apply_recalculation after each Recalculate."""
 
     @dataclass(frozen=True)
     class State:
@@ -427,11 +388,6 @@ class DataclassSchedulerOracle:
         return cls.State(eyes, flow_last, is_precise=True, eps_current_px=cfg.eps_max_px)
 
 
-def same_fields(value, oracle) -> bool:
-    """Field by field equal, NaN equal to NaN: repr is exact for floats."""
-    return repr(tuple(value)) == repr(tuple(getattr(oracle, f.name) for f in fields(oracle)))
-
-
 # A frame: FLOW_FAILURE, or both eyes moved by one power-of-two step (so,
 # with the power-of-two thresholds below, E and dE often land exactly on a
 # threshold) or by arbitrary floats; then the re-anchor's offset from the
@@ -441,6 +397,30 @@ frame_op = st.tuples(
     st.none() | st.tuples(power_of_two, st.just(0.0) | power_of_two).map(lambda d: d + d)
     | st.tuples(*[st.floats(-40.0, 40.0)] * 4),
     st.just((0.0,) * 4) | st.tuples(*[st.floats(-3.0, 3.0)] * 4))
+
+
+def step_loop(flows, c, recompute):
+    """schedule's oracle: DataclassSchedulerOracle's step and
+    apply_recalculation frame by frame, as schedule's columns and request
+    frames."""
+    oracle = DataclassSchedulerOracle
+    s = oracle.initial_state(c)
+    decisions, requests = [], []
+    for i, flow in enumerate(flows):
+        d, s = oracle.step(s, flow, c)
+        decisions.append(d)
+        if d.kind is DecisionKind.RECALCULATE:
+            s = oracle.apply_recalculation(s, recompute(i, len(requests)), c)
+            requests.append(i)
+    columns = (tuple(getattr(d, f.name) for d in decisions) for f in fields(oracle.Decision))
+    return (*columns, requests)
+
+
+def same_fields(values, oracle) -> bool:
+    """Equal to the oracle's leading fields, NaN equal to NaN: repr is exact
+    for floats."""
+    return repr(tuple(values)) == repr(tuple(getattr(oracle, f.name)
+                                             for f in fields(oracle))[:len(values)])
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -459,42 +439,33 @@ frame_op = st.tuples(
          ops=[(move, (0.0,) * 4) for move in [(0.0,) * 4, (2.0, 0.0) * 2]])
 def test_step_equals_dataclass_oracle(policy, metric, eps, refine_factor, decay_rate,
                                       floor_frac, ops):
-    # Every decision and every state field equal the frozen-dataclass
-    # formulation's, through failures, re-anchors and all three policies.
-    assert SchedulerState._fields == tuple(f.name for f in fields(
-        DataclassSchedulerOracle.State))
-    assert Decision._fields == tuple(f.name for f in fields(DataclassSchedulerOracle.Decision))
+    # One frame's step, _rule and then _anchor on Recalculate: every decision
+    # and every state value equal the frozen-dataclass formulation's, through
+    # failures, re-anchors and all three policies.
     c = cfg(eps_max_px=eps, refine_factor=refine_factor, policy=policy, metric=metric,
             decay_rate=decay_rate, eps_min_px=floor_frac * eps)
     oracle = DataclassSchedulerOracle
-    s, o = initial_state(c), oracle.initial_state(c)
+    calc = flow_last = None
+    is_precise, eps_now = False, c.eps_max_px
+    o = oracle.initial_state(c)
+    assert same_fields((calc, flow_last, is_precise, eps_now), o)
     last = eyes(0.0)
     for move, anchor_offset in ops:
         flow = FLOW_FAILURE if move is None else tuple(map(sum, zip(last, move)))
-        d, s = step(s, flow, c)
+        reason, e, de, flow_last, is_precise, eps_now = _rule(calc, flow_last, is_precise,
+                                                              eps_now, flow, c)
+        kind = DecisionKind.SKIP if reason is None else DecisionKind.RECALCULATE
         od, o = oracle.step(o, flow, c)
-        assert same_fields(d, od) and same_fields(s, o)
-        if d.kind is DecisionKind.RECALCULATE:
+        assert same_fields((kind, reason, e, de), od)
+        assert same_fields((calc, flow_last, is_precise, eps_now), o)
+        if kind is DecisionKind.RECALCULATE:
             last = flow or last
             anchor = tuple(map(sum, zip(last, anchor_offset)))
-            s, o = apply_recalculation(s, anchor, c), oracle.apply_recalculation(o, anchor, c)
-            assert same_fields(s, o)
+            calc, flow_last, is_precise, eps_now = _anchor(anchor, flow_last, c)
+            o = oracle.apply_recalculation(o, anchor, c)
+            assert same_fields((calc, flow_last, is_precise, eps_now), o)
         elif flow is not FLOW_FAILURE:
             last = flow
-
-
-def step_loop(flows, c, recompute):
-    """schedule's oracle: step and apply_recalculation frame by frame."""
-    s = initial_state(c)
-    decisions, requests = [], []
-    for i, flow in enumerate(flows):
-        d, s = step(s, flow, c)
-        decisions.append(d)
-        if d.kind is DecisionKind.RECALCULATE:
-            s = apply_recalculation(s, recompute(i, len(requests)), c)
-            requests.append(i)
-    kinds, reasons, e_px, delta_e_px = zip(*decisions)
-    return kinds, reasons, e_px, delta_e_px, requests
 
 
 def float_bits(column) -> list:
@@ -510,6 +481,13 @@ def float_bits(column) -> list:
        floor_frac=st.just(0.0) | st.floats(0.01, 1.0),
        ops=st.lists(frame_op, min_size=1, max_size=40))
 @example(policy=Policy.VERBATIM, metric=EyeMetric.MAX, eps=8.0, refine_factor=0.25,
+         decay_rate=1.0, floor_frac=0.0,  # dE on the refine threshold, then E on eps
+         ops=[(move, (0.0,) * 4) for move in [(0.0,) * 4, (0.0,) * 4, (2.0, 0.0) * 2,
+                                              (6.0, 0.0) * 2]])
+@example(policy=Policy.LATCHED, metric=EyeMetric.MEAN, eps=8.0, refine_factor=0.25,
+         decay_rate=1.0, floor_frac=0.0,  # E on the latch's refine threshold
+         ops=[(move, (0.0,) * 4) for move in [(0.0,) * 4, (2.0, 0.0) * 2]])
+@example(policy=Policy.VERBATIM, metric=EyeMetric.MAX, eps=8.0, refine_factor=0.25,
          decay_rate=1.0, floor_frac=0.0,  # failures first, then dE and E on thresholds
          ops=[(move, (0.0,) * 4) for move in [None, None, (0.0,) * 4, (0.0,) * 4,
                                               (2.0, 0.0) * 2, (6.0, 0.0) * 2, None]])
@@ -518,10 +496,11 @@ def float_bits(column) -> list:
          ops=[(move, (0.0,) * 4) for move in [(0.0,) * 4, (2.0, 0.0) * 2, (0.0,) * 4]])
 def test_schedule_equals_step_loop(policy, metric, eps, refine_factor, decay_rate, floor_frac,
                                    ops):
-    # The whole-trace driver gives step's columns bit for bit and the same
-    # request frames, through failures (on frame 0 too), re-anchors, all
-    # policies and metrics, and E or dE exactly on a threshold. It reads each
-    # frame's flow only after the previous frame's recompute call.
+    # The whole-trace driver gives the frozen-dataclass formulation's columns
+    # bit for bit and the same request frames, through failures (on frame 0
+    # too), re-anchors, all policies and metrics, and E or dE exactly on a
+    # threshold. It reads each frame's flow only after the previous frame's
+    # recompute call.
     c = cfg(eps_max_px=eps, refine_factor=refine_factor, policy=policy, metric=metric,
             decay_rate=decay_rate, eps_min_px=floor_frac * eps)
     flows, last = [], eyes(0.0)

@@ -18,10 +18,11 @@ decaying policy; `simulate` on a 3000-frame sway (UPR and AAUPR);
 and no jitter, so no jitter is drawn, every frame renders the calibration
 eye and every charge is billed to the final frame; `simulate` with the
 back camera at a signed-zero offset, targets at (0, 0) and (-0, -0), and
-errors at all frames; `sweep --param eps_max` over a random-walk trace CSV
-that each tree writes itself; `gen-trace` for all four generators; `truthtable --eps 24`, the scheduler's decision table
-on stdout; and eight bad inputs (ERROR_CONFIGS), each a one-line error on
-stderr with exit code 1.
+errors at all frames; `sweep --param eps_max` and `sweep --param
+jitter_sigma` over a random-walk trace CSV that each tree writes itself;
+`gen-trace` for all four generators; `truthtable --eps 24`, the scheduler's
+decision table on stdout; and eight bad inputs (ERROR_CONFIGS), each a
+one-line error on stderr with exit code 1.
 """
 
 from __future__ import annotations
