@@ -17,15 +17,16 @@ from uprsim import (
     ScenePlane,
     back_camera,
 )
-from uprsim.viewgen import FuprCalibration, RenderMode, fupr_eye, pointing_error
+from uprsim.viewgen import RenderMode, pointing_error
 
 display = DisplayModel(109.0, 61.0, 1080, 608,
                        RigidTransform(np.eye(3), [0.0, 0.0, 300.0]))
 plane = ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], (506.0, 287.0))
 cam = back_camera()  # corner-mounted, looking at the screen
 
-cal = FuprCalibration(150.0)  # head-to-device distance measured once
-calibration_eye = fupr_eye(cal)
+# FUPR's eye: on the display's center axis, at the head-to-device distance
+# measured once.
+calibration_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
 
 print(f"{'head offset':>12} {'DPR':>8} {'UPR':>8} {'FUPR':>8}   (pointing error, mm)")
 for lateral in (0.0, 50.0, 100.0, 150.0, 200.0, 250.0):

@@ -5,7 +5,7 @@ Modules:
   geometry  - rigid transforms, pinhole cameras, planes, the batch ray/plane hit.
   viewgen   - the four render modes and on-plane pointing error.
   scheduler - dual thresholding of head-pose recomputation.
-  tracksim  - synthetic head traces, flow/face-tracker proxies, cost model.
+  tracksim  - synthetic head traces, the flow-tracker proxy, cost model.
   harness   - closed-loop experiment runner, summaries, CSV output.
 """
 
@@ -31,7 +31,6 @@ from .scheduler import (
 )
 from .tracksim import (
     CostModel,
-    FaceTracker,
     FlowSimulator,
     HeadTrace,
     TraceSpec,
@@ -41,10 +40,8 @@ from .tracksim import (
 )
 from .viewgen import (
     FitPolicy,
-    FuprCalibration,
     Homography,
     RenderMode,
-    fupr_eye,
     pointing_error,
     upr_display_to_plane,
 )

@@ -16,14 +16,16 @@ the scheduler state in locals, reads the flow draws lazily, one frame at a
 time, and re-anchors through FlowSimulator.project_frame (not project; it
 calls no numpy). It returns the decision, reason, E and dE columns and the
 request frames. One numpy pass over the requests then builds the
-estimated-eye and charge columns (_run_mode). A mode's result is one
-ModeRecord of columns; summaries and the CSV output read those columns. A
-sweep whose parameter does not shape the trace builds the trace once and
+estimated-eye and charge columns (_run_mode), from the config's face
+tracker (a request gets its frame's true eye plus a jitter draw, and costs
+the face cost) and FUPR eye, (0, 0, fupr_distance_mm). A mode's result is
+one ModeRecord of columns; summaries and the CSV output read them. A sweep
+whose parameter does not shape the trace builds the trace once and
 projects it once (_project_trace), for every cell's AAUPR loop.
 
 A config key's own domain is declared on its ExperimentConfig field and
-checked, with finiteness for every float, when a config is built, by the
-check_fields loop that the library's value objects use (see geometry);
+checked after finiteness and SCALE (floats), when a config is built, by
+the check_fields loop that the library's value objects use (see geometry);
 rules across keys fail where their objects are built, under checked's label.
 
 WORLD LAYOUT
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -79,8 +82,8 @@ from .geometry import (
     within,
 )
 from .tracksim import (
+    MIN_DIVISOR,
     CostModel,
-    FaceTracker,
     FlowSimulator,
     Generator,
     HeadTrace,
@@ -91,7 +94,7 @@ from .tracksim import (
     read_trace_csv,
     write_csv,
 )
-from .viewgen import FitPolicy, FuprCalibration, RenderMode, fupr_eye, pointing_errors
+from .viewgen import FitPolicy, RenderMode, pointing_errors
 
 
 class ConfigError(ValueError):
@@ -104,6 +107,12 @@ class ConfigError(ValueError):
 #: benefits because the spatial threshold evicts bad pose draws after one
 #: frame while good draws are held, which UPR's per-frame resampling cannot do.
 BENCHMARK_JITTER_CROSSOVER_MM = 8.0
+
+
+#: Every float key's physical range, in its unit; with MIN_DIVISOR under what
+#: a run divides by, nothing a run derives from a config overflows.
+SCALE = ("at most 1e6 in magnitude", lambda v: abs(v) <= 1e6)
+divisor = partial(within, f"at least {MIN_DIVISOR:g}", lambda v: v >= MIN_DIVISOR)
 
 
 def _distinct_modes(modes: str) -> bool:
@@ -129,7 +138,7 @@ class ExperimentConfig:
     trace_file: str = ""
     trace_generator: str = _one_of("step_move", Generator)
     trace_n_frames: int = nonnegative(0)
-    trace_frame_rate_hz: float = positive(15.0)
+    trace_frame_rate_hz: float = divisor(15.0)
     trace_base_eye_x_mm: float = 0.0
     trace_base_eye_y_mm: float = 0.0
     trace_base_eye_z_mm: float = 150.0
@@ -137,12 +146,12 @@ class ExperimentConfig:
     trace_depth_amplitude_mm: float = 100.0
     trace_dwell_frames: int = within("at least 1", lambda v: v >= 1, 150)
     trace_transition_frames: int = within("at least 1", lambda v: v >= 1, 30)
-    trace_sway_period_s: float = positive(4.0)
+    trace_sway_period_s: float = divisor(4.0)
 
     ipd_mm: float = nonnegative(63.0)
 
-    display_width_mm: float = positive(109.0)
-    display_height_mm: float = positive(61.0)
+    display_width_mm: float = divisor(109.0)
+    display_height_mm: float = divisor(61.0)
     display_width_px: int = positive(1080)
     display_height_px: int = positive(608)
     display_z_world_mm: float = 300.0
@@ -193,7 +202,7 @@ class ExperimentConfig:
     errors_px_per_mm: float = nonnegative(0.0)  # 0 -> report mm only
 
     def __post_init__(self):
-        check_fields(self, ConfigError)
+        check_fields(self, ConfigError, SCALE)
 
     # ---- parsing -------------------------------------------------------
 
@@ -365,18 +374,6 @@ class RunResult:
     trace: HeadTrace
 
 
-def _proxies(config: ExperimentConfig, mode: RenderMode, front: PinholeCamera,
-             face_cost: float) -> tuple[FlowSimulator, FaceTracker]:
-    """A mode's flow and face-tracker proxies, each on its own seeded stream.
-    Only UPR and AAUPR build them."""
-    idx = list(RenderMode).index(mode)
-    flow = FlowSimulator(front, config.noise_flow_sigma_px, config.noise_drift_px_per_frame,
-                         config.noise_p_fail, np.random.default_rng([config.seed, idx, 0]))
-    face = FaceTracker(config.noise_jitter_sigma_mm, face_cost,
-                       np.random.default_rng([config.seed, idx, 1]))
-    return flow, face
-
-
 def run(config: ExperimentConfig, trace: HeadTrace | None = None, *,
         projection: tuple | None = None) -> RunResult:
     """Run every configured mode over the configured trace, or over `trace`
@@ -388,20 +385,17 @@ def run(config: ExperimentConfig, trace: HeadTrace | None = None, *,
         trace = config.build_trace()
     display = config.display()
     plane = config.plane()
-    front = config.front_cam()
     back = config.back_cam()
     fit = config.fit_policy()
     tcfg = config.threshold_config()
     cost = config.cost_model()
     targets_world = plane.from_plane_2d(config.target_points())
-    cal_eye = fupr_eye(FuprCalibration(config.fupr_distance_mm), ipd_mm=config.ipd_mm)
     evaluate = trace.dwell_mask() if config.errors_dwell_only else np.ones(len(trace), bool)
-    face_cost = cost.face_cost(config.cost_resolution)
 
     records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
     for mode in modes:
-        cols = _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost, projection)
+        cols = _run_mode(mode, config, trace, tcfg, cost, projection)
         errors = np.full((len(trace), len(targets_world)), np.nan)
         errors[evaluate] = pointing_errors(mode, targets_world, cols["est_eye_mm"][evaluate],
                                            trace.eye_mm[evaluate], display, plane,
@@ -423,8 +417,7 @@ def _project_trace(flow_sim: FlowSimulator, trace: HeadTrace) -> tuple:
     return eyes, flow_px.tolist(), visible.tolist()
 
 
-def _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost,
-              projection=None) -> dict[str, np.ndarray]:
+def _run_mode(mode, config, trace, tcfg, cost, projection=None) -> dict[str, np.ndarray]:
     """One mode's sensing columns, keyed by ModeRecord field name. UPR
     requests a face-tracker result on every frame; AAUPR's closed loop
     (sched.schedule over lazy flow measurements, re-anchoring with
@@ -432,6 +425,7 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost,
     (_project_trace's, unless given), and chooses its request frames. One
     pass over the requests then builds the estimate and charge columns."""
     n = len(trace)
+    cal_eye = (0.0, 0.0, config.fupr_distance_mm)
     cols = {"requests": np.arange(0),
             "decision": np.full(n, "", dtype=object),
             "reason": np.full(n, "", dtype=object),
@@ -440,16 +434,22 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost,
             "est_eye_mm": np.full((n, 3), np.nan),
             "tracking_charge_ms": np.zeros(n)}
     if mode is RenderMode.FUPR:
-        cols["est_eye_mm"][:] = cal_eye.cyclopean_mm
+        cols["est_eye_mm"][:] = cal_eye
     if mode not in (RenderMode.UPR, RenderMode.AAUPR):
         return cols  # no sensing, no charges
 
-    flow_sim, tracker = _proxies(config, mode, front, face_cost)
+    idx = list(RenderMode).index(mode)  # each mode draws from its own streams
+    sigma = config.noise_jitter_sigma_mm
+    # Request k's jitter, in one draw equal to n sequential size-3 draws.
+    offsets = (np.random.default_rng([config.seed, idx, 1]).normal(0.0, sigma, size=(n, 3))
+               if sigma > 0 else np.zeros((n, 3)))
     charge = cols["tracking_charge_ms"]
-    offsets = tracker.offsets(n)  # the k-th request uses offsets[k]
     if mode is RenderMode.UPR:
         requests = np.arange(n)
     else:
+        flow_sim = FlowSimulator(config.front_cam(), config.noise_flow_sigma_px,
+                                 config.noise_drift_px_per_frame, config.noise_p_fail,
+                                 np.random.default_rng([config.seed, idx, 0]))
         charge[:] = cost.flow_ms
         eyes, flow_px, visible = projection or _project_trace(flow_sim, trace)
         project_frame = flow_sim.project_frame
@@ -481,10 +481,10 @@ def _run_mode(mode, config, trace, tcfg, cost, cal_eye, front, face_cost,
                           "estimate behind the panel")
     arrival = requests + config.noise_latency_frames
     # Unbuffered and in request order, so each frame sums as a queue would.
-    np.add.at(charge, np.minimum(arrival, n - 1), tracker.cost_ms)
+    np.add.at(charge, np.minimum(arrival, n - 1), cost.face_cost(config.cost_resolution))
     # Frame j renders the latest estimate arrived by j; arrivals ascend.
     latest = np.searchsorted(arrival, np.arange(n), side="right") - 1
-    cols["est_eye_mm"][:] = np.where(latest[:, None] >= 0, est[latest], cal_eye.cyclopean_mm)
+    cols["est_eye_mm"][:] = np.where(latest[:, None] >= 0, est[latest], cal_eye)
     return cols
 
 

@@ -1,16 +1,14 @@
 """Synthetic sensing stack: head-motion traces (validated columns with no
 device pose, since the display is fixed above the scene), a flow-based eye
 tracker proxy (noisy projections of the two eye points, standing in for
-sparse feature tracking), a costed and jittered 3D face-tracker proxy, and
-the per-invocation cost model. Eye points are (..., 2, 3) left/right arrays
-(eye_points). Eye pixels are left u, v, right u, v: the flow proxy projects
-a whole trace's eyes to (..., 4) rows in one numpy pass (FlowSimulator.project);
-project_frame (one frame, the same operations as project's for any camera)
-and measure (into a FlowMeasurement NamedTuple, its noise drawn into a
-reused buffer) work on Python floats. The face tracker draws all its
-jitter at once (FaceTracker.offsets). write_csv, the one CSV writer
-(harness writes through it too), takes a table as columns, each as
-format_column gives it.
+sparse feature tracking), and the per-invocation cost model. Eye points
+are (..., 2, 3) left/right arrays (eye_points). Eye pixels are left u, v,
+right u, v: the flow proxy projects a whole trace's eyes to (..., 4) rows in
+one numpy pass (FlowSimulator.project); project_frame (one frame, the same
+operations as project's for any camera) and measure (into a FlowMeasurement
+NamedTuple, its noise drawn into a reused buffer) work on Python floats.
+write_csv, the one CSV writer (harness writes through it too), takes a
+table as columns, each as format_column gives it.
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
@@ -29,6 +27,7 @@ from .geometry import PinholeCamera, check_fields, nonnegative, positive, projec
 
 DEFAULT_FRAME_RATE_HZ = 15.0  # front-camera hardware limit
 DWELL_TOL_MM = 0.5  # eye travel per frame (mm) at or below which the head is at rest
+MIN_DIVISOR = 1e-9  # least eye z (mm), display size, frame rate, sway period
 
 
 class Generator(enum.Enum):
@@ -69,7 +68,8 @@ class HeadTrace:
         slack = 1e-6 + 2 * np.spacing(np.abs(t[1:]))
         checks = [
             (~np.isfinite(np.column_stack([t, eye, ipd])).all(axis=1), "values must be finite"),
-            (eye[:, 2] <= 0, "eye must be in front of the panel (z > 0)"),
+            (eye[:, 2] < MIN_DIVISOR,
+             f"eye must be in front of the panel (z >= {MIN_DIVISOR:g})"),
             (ipd < 0, "ipd_mm must be nonnegative"),
             (np.r_[False, dt <= 0], "timestamps must be strictly increasing"),
             (np.r_[False, np.abs(dt - 1000.0 / self.frame_rate_hz) > slack],
@@ -330,31 +330,6 @@ class FlowSimulator:
             return FlowMeasurement(((u0 + dx) + (0.0 + s * z0), (v0 + dy) + (0.0 + s * z1),
                                     (u1 + dx) + (0.0 + s * z2), (v1 + dy) + (0.0 + s * z3)))
         return FlowMeasurement((u0 + dx, v0 + dy, u1 + dx, v1 + dy))
-
-
-@dataclass(frozen=True)
-class FaceTracker:
-    """Costed, jittered stand-in for 3D face tracking.
-
-    Its k-th invocation returns the true eye, a cyclopean (3,) point or
-    (2, 3) left/right points, rigidly displaced by offsets(n)[k], one
-    isotropic Gaussian draw, and charges cost_ms.
-    """
-
-    jitter_sigma_mm: float = nonnegative(5.0)
-    cost_ms: float = nonnegative(30.094)
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-
-    def __post_init__(self):
-        check_fields(self)
-
-    def offsets(self, n: int) -> np.ndarray:
-        """(n, 3) displacements of the first n invocations, in one draw that
-        is bit-equal to n sequential size-3 draws; zeros, drawing nothing,
-        without jitter."""
-        if self.jitter_sigma_mm > 0:
-            return self.rng.normal(0.0, self.jitter_sigma_mm, size=(n, 3))
-        return np.zeros((n, 3))
 
 
 @dataclass(frozen=True)

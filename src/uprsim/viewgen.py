@@ -29,9 +29,7 @@ from .geometry import (
     GeometryError,
     PinholeCamera,
     ScenePlane,
-    check_fields,
     intersect_ray_plane,
-    positive,
     project_pinhole,
 )
 
@@ -48,21 +46,6 @@ class FitPolicy(enum.Enum):
 
     STRETCH = "stretch"
     LETTERBOX = "letterbox"
-
-
-@dataclass(frozen=True)
-class FuprCalibration:
-    """One-time head-to-device distance; the implied eye sits on the
-    perpendicular through the display center and is never updated."""
-
-    distance_mm: float = positive()
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-def fupr_eye(cal: FuprCalibration, ipd_mm: float = 63.0) -> EyeState:
-    return EyeState.from_cyclopean([0.0, 0.0, cal.distance_mm], ipd_mm=ipd_mm)
 
 
 @dataclass(frozen=True)
@@ -150,19 +133,19 @@ def pointing_errors(mode: RenderMode, targets_world, estimated_eyes_mm,
     display frame. The mode draws each target from the estimated eye (UPR,
     FUPR, AAUPR) or from the back camera (DPR, which ignores
     estimated_eyes_mm), and the user looks from the true eye. Returns (F, T)
-    errors, NaN in every cell where the drawing or the perceived ray does
-    not resolve.
+    errors, NaN in every cell where the drawing (at an infinite pixel, say)
+    or the perceived ray does not resolve.
     """
     targets = np.asarray(targets_world, dtype=float)
     target_disp = display.pose_world.invert().apply(targets)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if mode is RenderMode.DPR:
             drawn_px = _dpr_target_px(target_disp, display, back_cam, fit)[None]
         else:
             drawn_px = _eye_target_px(np.asarray(estimated_eyes_mm, dtype=float),
                                       target_disp, display)
-    eye_world = display.pose_world.apply(np.asarray(true_eyes_mm, dtype=float))[:, None]
-    perceived, _ = perceived_points(eye_world, drawn_px, display, plane)
+        eye_world = display.pose_world.apply(np.asarray(true_eyes_mm, dtype=float))[:, None]
+        perceived, _ = perceived_points(eye_world, drawn_px, display, plane)
     return np.linalg.norm(perceived - plane.to_plane_2d(targets), axis=-1)
 
 

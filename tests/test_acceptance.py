@@ -24,8 +24,7 @@ from uprsim.harness import (
     write_outputs,
 )
 from uprsim.scheduler import FLOW_FAILURE, Reason, ThresholdConfig, _rule, epsilon_default
-from uprsim.viewgen import RenderMode, fupr_eye, upr_display_to_plane
-from uprsim.viewgen import FuprCalibration
+from uprsim.viewgen import RenderMode, upr_display_to_plane
 
 
 def criterion(number, text, max_seconds=None):
@@ -200,7 +199,7 @@ def test_criterion_10_monotonicity():
             for off in np.arange(0.0, 101.0, 10.0)]
     assert all(b >= a - 1e-9 for a, b in zip(errs, errs[1:]))
 
-    cal_eye = fupr_eye(FuprCalibration(150.0))
+    cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
     errs = [pointing_error(RenderMode.FUPR, [0.0, 0.0, -300.0], cal_eye,
                            EyeState.from_cyclopean([dx, 0.0, 150.0]), display, plane)
             for dx in np.arange(0.0, 201.0, 20.0)]

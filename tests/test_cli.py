@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uprsim.cli import main
-from uprsim.harness import ExperimentConfig
+from uprsim.harness import SCALE, ExperimentConfig
 from uprsim.tracksim import TRACE_CSV_HEADER
 
 
@@ -146,6 +147,9 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
     ("plane_width_mm = 0", None, "plane_width_mm"),
     ("targets = 0,0\nplane_width_mm = 0", None, "plane_width_mm"),
     ("ipd_mm = -5", None, "error: ipd_mm:"),
+    # Nonnegative, as its field declares, but beyond SCALE; an overflow in
+    # the FUPR eye's separation check once escaped main as a traceback.
+    ("ipd_mm = 1e200", None, "error: ipd_mm:"),
     ("errors_px_per_mm = -3", None, "error: errors_px_per_mm:"),
     ("modes = UPR,UPR", None,
      "error: modes: must be comma-separated distinct render modes (DPR, UPR, FUPR, AAUPR), "
@@ -182,17 +186,24 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
 #: error).
 FUZZ_BASE = {"modes": "DPR,FUPR,AAUPR", "trace_generator": "stationary", "trace_n_frames": "20"}
 
+#: A subnormal, the smallest normals and the largest floats.
+EXTREMES = [5e-324, 2.2e-308, 1e-300, 1e300, 1.7e308]
+TINY = [str(v) for v in EXTREMES[:3]]
+
 #: Fuzzed values inside their key's own domain that break a rule across
 #: keys, which fails under its own label: the stationary trace needs frames
-#: and an eye in front of the panel, a 5 mm jitter puts the estimate of an
-#: eye 1e-9 mm from the panel behind it, and the targets leave a 1e-9 mm plane.
+#: and an eye at least 1e-9 mm in front of the panel, a 5 mm jitter puts the
+#: estimate of an eye 1e-9 mm from the panel behind it, and the targets leave
+#: a plane 1e-9 mm or less across.
 CROSS_KEY = {("trace_n_frames", "0"): "trace_*",
-             **{("trace_base_eye_z_mm", v): "trace_*" for v in ("0", "-1", "-1e6")},
+             **{("trace_base_eye_z_mm", v): "trace_*" for v in ("0", "-1", "-1e6", *TINY)},
              ("trace_base_eye_z_mm", "1e-9"): "noise_jitter_sigma_mm",
-             ("plane_width_mm", "1e-9"): "targets", ("plane_height_mm", "1e-9"): "targets"}
+             **{(key, v): "targets" for key in ("plane_width_mm", "plane_height_mm")
+                for v in ("1e-9", *TINY)}}
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "1e6", "-1e6", "1e-9", "", "abc", "nan"])
+@pytest.mark.parametrize("value", ["0", "-1", "1e6", "-1e6", "1e-9", "", "abc", "nan",
+                                   *map(str, EXTREMES)])
 @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
 def test_any_one_value_runs_or_names_its_key(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.chdir(tmp_path)  # so that no trace_file value names a file
@@ -206,9 +217,11 @@ def test_any_one_value_runs_or_names_its_key(tmp_path, monkeypatch, capsys, key,
 
 
 #: Each field type's draws: edge values and small ranges, so that an example
-#: runs in milliseconds. A frame count ("*_frames") draws at most 30.
+#: runs in milliseconds. A frame count ("*_frames") draws at most 30. Of
+#: the float EXTREMES, the large ones lie outside every key's SCALE, so they
+#: draw the key's default; the tiny ones pass wherever no floor stops them.
 TYPE_DRAWS = {
-    "float": st.sampled_from([0.0, -0.0, 1e-9, 0.5, 1.0, -1.0, 1e6, -1e6])
+    "float": st.sampled_from([0.0, -0.0, 1e-9, 0.5, 1.0, -1.0, 1e6, -1e6, *EXTREMES])
     | st.floats(-1e3, 1e3),
     "int": st.sampled_from([0, 1, 2]) | st.integers(0, 4096),
     "frames": st.integers(0, 30),
@@ -218,11 +231,12 @@ TYPE_DRAWS = {
 
 def field_values(f):
     """One ExperimentConfig field's values, from its type and its declared
-    domains (f.metadata["domain"], as check_fields reads them): the default,
-    or a draw, kept if every domain accepts it, else the default. A string
-    field draws comma-separated lists of the words its domain text names
-    that the domain accepts alone, so a choice or the mode list."""
-    domains = [ok for _, ok in f.metadata.values()]
+    domains (f.metadata["domain"] and, for a float, SCALE, as check_fields
+    reads them): the default, or a draw, kept if every domain accepts it,
+    else the default. A string field draws comma-separated lists of the
+    words its domain text names that the domain accepts alone, so a choice
+    or the mode list."""
+    domains = [ok for _, ok in f.metadata.values()] + [SCALE[1]] * (f.type == "float")
     accepted = lambda v: all(ok(v) for ok in domains)
     if f.type == "str":
         words = sorted({w for text, _ in f.metadata.values()
@@ -247,14 +261,16 @@ def configs():
 @given(config=configs())
 def test_any_config_runs_or_names_its_key(tmp_path_factory, config):
     # Through cli.main, a config inside every key's domain runs with empty
-    # stderr, or exits 1 with a one-line error; no other exception escapes.
-    # Python warnings (numpy's overflow on subnormal sizes, for one) go to
-    # pytest's warnings summary, not to this stderr.
+    # stderr and no warning, or exits 1 with a one-line error; no other
+    # exception escapes. A RuntimeWarning (numpy's overflow, say) is raised
+    # as an error, since Python warnings would not reach this stderr.
     tmp = tmp_path_factory.mktemp("config")
     (tmp / "exp.cfg").write_text(
         "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(config)))
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["simulate", "--config", str(tmp / "exp.cfg"), "--out", str(tmp / "out")])
     assert (code, err.getvalue().count("\n")) in ((0, 0), (1, 1)), err.getvalue()
     if code:

@@ -9,6 +9,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+#: sha256 of demo 01's stdout, its pointing-error table per render mode.
+RENDER_MODES_STDOUT_SHA256 = (
+    "b494d1c2c2b1b73ea7a752f82d383a010a865143f944f4991c067b71abf65284")
+
 #: sha256 of demo 02's stdout, its frame-by-frame decision table: a change
 #: to the scheduler or to the demo that alters any printed byte fails here.
 DUAL_THRESHOLDING_STDOUT_SHA256 = (
@@ -27,7 +31,15 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def test_dual_thresholding_demo_output_is_pinned():
-    proc = run_demo(ROOT / "demos" / "02_dual_thresholding.py")
+def stdout_digest(demo: str) -> str:
+    proc = run_demo(ROOT / "demos" / demo)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == DUAL_THRESHOLDING_STDOUT_SHA256
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def test_render_modes_demo_output_is_pinned():
+    assert stdout_digest("01_render_modes.py") == RENDER_MODES_STDOUT_SHA256
+
+
+def test_dual_thresholding_demo_output_is_pinned():
+    assert stdout_digest("02_dual_thresholding.py") == DUAL_THRESHOLDING_STDOUT_SHA256

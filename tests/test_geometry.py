@@ -21,8 +21,7 @@ from uprsim.geometry import (
     project_pinhole,
 )
 from uprsim.scheduler import ThresholdConfig
-from uprsim.tracksim import CostModel, FaceTracker, FlowSimulator, Generator, HeadTrace, TraceSpec
-from uprsim.viewgen import FuprCalibration
+from uprsim.tracksim import CostModel, FlowSimulator, Generator, HeadTrace, TraceSpec
 
 
 def random_transform(rng) -> RigidTransform:
@@ -305,12 +304,10 @@ VALUE_OBJECTS = [
     DisplayModel(109.0, 61.0, 1080, 608),
     PinholeCamera(fx=500.0, fy=480.0, cx=320.0, cy=240.0, width_px=640, height_px=480),
     EyeState.from_cyclopean([0.0, 0.0, 150.0]),
-    FuprCalibration(150.0),
     ThresholdConfig(24.0),
     CostModel(),
     TraceSpec(Generator.SWAY),
     FlowSimulator(front_camera()),
-    FaceTracker(),
     HeadTrace(t_ms=[0.0], eye_mm=[[0.0, 0.0, 150.0]], ipd_mm=[63.0], frame_rate_hz=15.0),
 ]
 

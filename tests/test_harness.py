@@ -334,13 +334,12 @@ def pending_queue_reference(cfg: ExperimentConfig, res, mode: str):
     rec, n = res.records[mode], len(res.trace)
     cm = cfg.cost_model()
     face_cost = cm.face_cost(cfg.cost_resolution)
-    rng = harness._proxies(cfg, RenderMode(mode), cfg.front_cam(), face_cost)[1].rng
+    rng = np.random.default_rng([cfg.seed, list(RenderMode).index(RenderMode(mode)), 1])
     requests = set(range(n)) if mode == "UPR" else \
         set(np.flatnonzero(rec.decision == "recalculate").tolist())
     sigma = cfg.noise_jitter_sigma_mm
     est_col, charge = np.full((n, 3), np.nan), np.zeros(n)
-    current = harness.fupr_eye(harness.FuprCalibration(cfg.fupr_distance_mm),
-                               ipd_mm=cfg.ipd_mm).cyclopean_mm
+    current = np.array([0.0, 0.0, cfg.fupr_distance_mm])
     pending = []
     for i in range(n):
         if mode == "AAUPR":
@@ -405,8 +404,7 @@ def test_latency_shifts_rendering_not_loop(seed, n_frames, walk, amplitude, jitt
                            noise_jitter_sigma_mm=jitter_mm, noise_p_fail=p_fail,
                            threshold_policy=policy)
     at_zero = run(cfg).records
-    cal_eye = harness.fupr_eye(harness.FuprCalibration(cfg.fupr_distance_mm),
-                               ipd_mm=cfg.ipd_mm).cyclopean_mm
+    cal_eye = [0.0, 0.0, cfg.fupr_distance_mm]
     for latency in range(1, 6):
         records = run(replace(cfg, noise_latency_frames=latency)).records
         for mode, rec in records.items():
@@ -484,6 +482,16 @@ def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
         ("uprsim.tracksim", "project")]
     assert ("uprsim.geometry", "apply") in asarray_callers  # the counter sees calls
     assert [c for c in asarray_callers if c[0] == sched.__name__] == []
+
+
+def test_only_aaupr_builds_a_flow_simulator(monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "FlowSimulator",
+                        lambda *args: built.append(args) or FlowSimulator(*args))
+    run(benchmark_config(modes="DPR,UPR,FUPR"))
+    assert built == []
+    run(benchmark_config(modes="AAUPR"))
+    assert len(built) == 1
 
 
 def test_trace_file_input(tmp_path):

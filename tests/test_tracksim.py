@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from rotations import axis_rotations, rotation_y
 
 from uprsim.geometry import EyeState, PinholeCamera, RigidTransform, front_camera, project_pinhole
+from uprsim.harness import benchmark_config, run
 from uprsim.tracksim import (
     CostModel,
-    FaceTracker,
     FlowSimulator,
     Generator,
     HeadTrace,
@@ -527,45 +527,44 @@ def test_reset_drift_bit_equals_uniform_draw(seed, n_resets):
         assert sim.rng.bit_generator.state == rng.bit_generator.state
 
 
-# ---- face tracker proxy ------------------------------------------------
+# ---- face tracker (read from the config by the run) -------------------
+
+def face_run(n_frames, **kw):
+    """A UPR-only run on a stationary trace at (5, 5, 200)."""
+    cfg = benchmark_config(modes="UPR", trace_generator="stationary", trace_n_frames=n_frames,
+                           trace_base_eye_x_mm=5.0, trace_base_eye_y_mm=5.0,
+                           trace_base_eye_z_mm=200.0, **kw)
+    return run(cfg).records["UPR"], np.array([5.0, 5.0, 200.0])
+
 
 def test_face_tracker_exact_without_jitter():
-    tracker = FaceTracker(jitter_sigma_mm=0.0, cost_ms=30.094)
-    eye = eye_at([5.0, 5.0, 200.0])
-    state = tracker.rng.bit_generator.state
-    est = eye + tracker.offsets(1)[0]
-    assert np.array_equal(est, eye)
-    assert tracker.cost_ms == 30.094
-    assert tracker.rng.bit_generator.state == state  # nothing drawn
+    rec, eye = face_run(50, noise_jitter_sigma_mm=0.0)
+    assert np.array_equal(rec.est_eye_mm, np.tile(eye, (50, 1)))
 
 
 def test_face_tracker_cost_accumulation():
-    tracker = FaceTracker(jitter_sigma_mm=0.0, cost_ms=30.094)
-    charges = np.full(len(tracker.offsets(1000)), tracker.cost_ms)
-    assert len(charges) == 1000
-    assert sum(charges) == pytest.approx(30094.0, abs=1e-6)
+    # Each request is billed its resolution tier's face cost.
+    rec, _ = face_run(1000, noise_jitter_sigma_mm=0.0, cost_resolution="320x240")
+    assert np.array_equal(rec.tracking_charge_ms, np.full(1000, 14.080))
+    assert rec.cumulative_tracking_ms[-1] == pytest.approx(14080.0, abs=1e-6)
 
 
 def test_face_tracker_jitter_statistical():
-    tracker = FaceTracker(jitter_sigma_mm=5.0, rng=np.random.default_rng(11))
-    eye = eye_at([0.0, 0.0, 300.0])
-    offsets = np.array([(eye + o)[0] - eye[0] for o in tracker.offsets(10_000)])
-    assert abs(offsets.std() - 5.0) / 5.0 < 0.05
-    # Both eyes displaced rigidly.
-    est = eye + tracker.offsets(1)[0]
-    assert np.allclose(est[1] - est[0], eye[1] - eye[0])
+    rec, eye = face_run(10_000, noise_jitter_sigma_mm=5.0, seed=11)
+    offsets = rec.est_eye_mm - eye
+    assert np.all(np.abs(offsets.std(axis=0) - 5.0) / 5.0 < 0.05)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 500])
 @pytest.mark.parametrize("sigma", [1e-3, 5.0, 40.0])
 def test_face_tracker_offsets_bit_equal_sequential_draws(n, sigma):
-    # One (n, 3) draw is n size-3 draws in order, and leaves the stream
-    # where they would.
-    tracker = FaceTracker(jitter_sigma_mm=sigma, rng=np.random.default_rng([1, 3, 1]))
-    ref = np.random.default_rng([1, 3, 1])
-    sequential = [ref.normal(0.0, sigma, size=3) for _ in range(n)]
-    assert np.array_equal(tracker.offsets(n), np.reshape(sequential, (n, 3)))
-    assert tracker.rng.bit_generator.state == ref.bit_generator.state
+    # With one frame of latency, frame k + 1 renders request k's result:
+    # the true eye plus the k-th of n sequential size-3 draws on UPR's
+    # stream (seed 1, mode index 1); frame 0 renders the calibration eye.
+    rec, eye = face_run(n + 1, noise_jitter_sigma_mm=sigma, noise_latency_frames=1)
+    ref = np.random.default_rng([1, 1, 1])
+    sequential = [eye + ref.normal(0.0, sigma, size=3) for _ in range(n)]
+    assert np.array_equal(rec.est_eye_mm, np.vstack([[0.0, 0.0, 150.0], *sequential]))
 
 
 # ---- cost model --------------------------------------------------------

@@ -15,12 +15,11 @@ from uprsim.geometry import (
     ScenePlane,
     back_camera,
 )
+from uprsim.harness import ConfigError, benchmark_config, run
 from uprsim.viewgen import (
     FitPolicy,
-    FuprCalibration,
     RenderMode,
     cam_px_to_display_px,
-    fupr_eye,
     perceived_points,
     pointing_error,
     pointing_errors,
@@ -53,20 +52,27 @@ def raycast_plane_point(eye_state, display, plane, display_px):
     return None if hit is None else plane.to_plane_2d(hit)
 
 
-# ---- fupr_eye ----------------------------------------------------------
+# ---- FUPR's calibration eye -------------------------------------------
+
+def fupr_eyes(**kw) -> np.ndarray:
+    """The eyes a FUPR run renders from, one per frame."""
+    return run(benchmark_config(modes="FUPR", **kw)).records["FUPR"].est_eye_mm
+
 
 def test_fupr_eye_paper_distance():
-    e = fupr_eye(FuprCalibration(150.0))
-    assert np.allclose(e.cyclopean_mm, [0.0, 0.0, 150.0])
+    # The paper's 150 mm calibration, on the display's center axis, on every
+    # frame of a head that moves.
+    assert np.array_equal(fupr_eyes(), np.tile([0.0, 0.0, 150.0], (330, 1)))
 
 
 def test_fupr_eye_boundary_and_split():
-    assert np.allclose(fupr_eye(FuprCalibration(1.0)).cyclopean_mm, [0.0, 0.0, 1.0])
-    e = fupr_eye(FuprCalibration(150.0), ipd_mm=63.0)
+    assert np.array_equal(fupr_eyes(fupr_distance_mm=1.0)[0], [0.0, 0.0, 1.0])
+    # The calibration eye splits as any cyclopean eye does.
+    e = EyeState.from_cyclopean([0.0, 0.0, 150.0], ipd_mm=63.0)
     assert np.allclose(e.left_mm, [-31.5, 0.0, 150.0])
     assert np.allclose(e.right_mm, [31.5, 0.0, 150.0])
-    with pytest.raises(ValueError):
-        FuprCalibration(0.0)
+    with pytest.raises(ConfigError, match="^fupr_distance_mm: must be positive"):
+        benchmark_config(fupr_distance_mm=0.0)
 
 
 # ---- upr_display_to_plane ----------------------------------------------
@@ -262,7 +268,7 @@ def test_upr_exact_compensation():
 def test_fupr_regression_constant():
     display = flat_display()
     plane = plane_below(-300.0)
-    cal_eye = fupr_eye(FuprCalibration(150.0))
+    cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
     true_eye = EyeState.from_cyclopean([100.0, 0.0, 150.0])
     err = pointing_error(RenderMode.FUPR, [0.0, 0.0, -300.0], cal_eye, true_eye,
                          display, plane)
@@ -286,8 +292,7 @@ def test_mode_coincidence_at_calibration_pose():
     # Stationary head exactly at the calibration pose, noise-free: UPR,
     # FUPR and AAUPR draw every target at the same pixel.
     display = flat_display()
-    cal = FuprCalibration(150.0)
-    eye = fupr_eye(cal)
+    eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
     rng = np.random.default_rng(9)
     for _ in range(20):
         target = [rng.uniform(-150, 150), rng.uniform(-90, 90), -300.0]
@@ -314,7 +319,7 @@ def test_dpr_error_monotone_in_camera_offset():
 def test_fupr_error_monotone_in_head_displacement():
     display = flat_display()
     plane = plane_below()
-    cal_eye = fupr_eye(FuprCalibration(150.0))
+    cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
     target = [0.0, 0.0, -300.0]
     errors = []
     for dx in np.arange(0.0, 201.0, 20.0):

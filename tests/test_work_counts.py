@@ -1,0 +1,64 @@
+"""Work counts, as a tier-1 gate: the cProfile call totals of fixed runs.
+
+Each count is the number of Python and built-in calls cProfile records in
+one run, profiled after one unprofiled warm-up of the same run: the
+benchmark config with all four modes, and each mode alone on a 300-frame,
+120 mm sway. The calls are summed over the profiler's entries, one per code
+object; pstats' total_calls would not do, as it merges the dataclass
+__init__s, which share a file, line and name.
+tests/work_counts.json pins them. A change that makes a run call more (or
+fewer) functions fails here until the file is regenerated; name each
+changed count, old -> new, in CHANGES.md.
+
+The counts hold only for the Python and numpy versions recorded with them;
+under other versions the test fails and names both. To record them again:
+
+    PYTHONPATH=src python tests/test_work_counts.py
+"""
+
+from __future__ import annotations
+
+import cProfile
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
+
+from uprsim.harness import benchmark_config, run
+
+WORK_COUNTS = Path(__file__).with_name("work_counts.json")
+
+#: Each counted run's config; run(config) is what is profiled.
+RUNS = {"benchmark": benchmark_config(),
+        **{f"sway_{mode}": benchmark_config(modes=mode, trace_generator="sway",
+                                            trace_n_frames=300, trace_amplitude_mm=120.0)
+           for mode in ("DPR", "UPR", "FUPR", "AAUPR")}}
+
+
+def versions() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def total_calls(config) -> int:
+    run(config)  # warm-up: first-call imports and caches are not counted
+    prof = cProfile.Profile()
+    prof.runcall(run, config)
+    return sum(entry.callcount for entry in prof.getstats())
+
+
+def work_counts() -> dict[str, int]:
+    return {name: total_calls(config) for name, config in RUNS.items()}
+
+
+def test_work_counts_match_pinned():
+    pinned = json.loads(WORK_COUNTS.read_text())
+    assert pinned["versions"] == versions(), (
+        f"work counts were recorded under {pinned['versions']}, this run is "
+        f"{versions()}; rerun them under the recorded versions")
+    assert work_counts() == pinned["counts"]
+
+
+if __name__ == "__main__":
+    WORK_COUNTS.write_text(json.dumps({"versions": versions(), "counts": work_counts()},
+                                      indent=1, sort_keys=True) + "\n")
