@@ -52,13 +52,15 @@ positive = partial(within, "positive", lambda v: v > 0)
 nonnegative = partial(within, "nonnegative", lambda v: v >= 0)
 
 
-def check_fields(obj, error=ValueError, *float_ranges) -> None:
+def check_fields(obj, error=ValueError, *ranges) -> None:
     """Raise error naming the first field of the dataclass obj that is outside
-    its declared domain; every float field must also be finite, then within
-    each of float_ranges, (domain, ok) pairs."""
+    its declared domain; every float field must also be finite, and every
+    float and int field but a seed (a stream's key, not a quantity) within
+    each of ranges, (domain, ok) pairs."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        domains = [("finite", math.isfinite), *float_ranges] if f.type == "float" else []
+        quantity = f.type in ("float", "int") and f.name != "seed"
+        domains = [("finite", math.isfinite)] * (f.type == "float") + list(ranges) * quantity
         for domain, ok in domains + list(f.metadata.values()):
             if not ok(value):
                 raise error(f"{f.name}: must be {domain}, got {value!r}")

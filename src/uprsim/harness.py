@@ -12,9 +12,9 @@ frames x targets (viewgen.pointing_errors) after it. Face tracking is a
 list of request frames (ModeRecord.requests, which summaries count): none
 for DPR and FUPR, every frame for UPR, the frames AAUPR's loop recalculated
 at. That loop is the only sequential part: scheduler.schedule, which keeps
-the scheduler state in locals, reads the flow draws lazily, one frame at a
-time, and re-anchors through FlowSimulator.project_frame (not project; it
-calls no numpy). It returns the decision, reason, E and dE columns and the
+the scheduler state in locals, reads FlowSimulator.measurements one frame
+at a time, and re-anchors through project_frame (not project; it calls no
+numpy). It returns the decision, reason, E and dE columns and the
 request frames. One numpy pass over the requests then builds the
 estimated-eye and charge columns (_run_mode), from the config's face
 tracker (a request gets its frame's true eye plus a jitter draw, and costs
@@ -24,7 +24,7 @@ whose parameter does not shape the trace builds the trace once and
 projects it once (_project_trace), for every cell's AAUPR loop.
 
 A config key's own domain is declared on its ExperimentConfig field and
-checked after finiteness and SCALE (floats), when a config is built, by
+checked after finiteness and SCALE (not seed), when a config is built, by
 the check_fields loop that the library's value objects use (see geometry);
 rules across keys fail where their objects are built, under checked's label.
 
@@ -83,6 +83,7 @@ from .geometry import (
 )
 from .tracksim import (
     MIN_DIVISOR,
+    SCALE,
     CostModel,
     FlowSimulator,
     Generator,
@@ -109,9 +110,6 @@ class ConfigError(ValueError):
 BENCHMARK_JITTER_CROSSOVER_MM = 8.0
 
 
-#: Every float key's physical range, in its unit; with MIN_DIVISOR under what
-#: a run divides by, nothing a run derives from a config overflows.
-SCALE = ("at most 1e6 in magnitude", lambda v: abs(v) <= 1e6)
 divisor = partial(within, f"at least {MIN_DIVISOR:g}", lambda v: v >= MIN_DIVISOR)
 
 
@@ -420,8 +418,8 @@ def _project_trace(flow_sim: FlowSimulator, trace: HeadTrace) -> tuple:
 def _run_mode(mode, config, trace, tcfg, cost, projection=None) -> dict[str, np.ndarray]:
     """One mode's sensing columns, keyed by ModeRecord field name. UPR
     requests a face-tracker result on every frame; AAUPR's closed loop
-    (sched.schedule over lazy flow measurements, re-anchoring with
-    project_frame) runs on Python floats over the trace's projection
+    (sched.schedule over the flow_sim.measurements generator, re-anchoring
+    with project_frame) runs on Python floats over the trace's projection
     (_project_trace's, unless given), and chooses its request frames. One
     pass over the requests then builds the estimate and charge columns."""
     n = len(trace)
@@ -458,13 +456,11 @@ def _run_mode(mode, config, trace, tcfg, cost, projection=None) -> dict[str, np.
             # eyes[i] + offsets[k], added on Python floats.
             (lx, ly, lz), (rx, ry, rz) = eyes[i].tolist()
             ox, oy, oz = offsets[k].tolist()
-            est_px = project_frame(((lx + ox, ly + oy, lz + oz), (rx + ox, ry + oy, rz + oz)))
-            flow_sim.reset_drift()
-            return est_px
+            flow_sim.reset_drift()  # draws; project_frame does not
+            return project_frame(((lx + ox, ly + oy, lz + oz), (rx + ox, ry + oy, rz + oz)))
 
-        # Lazy, so frame i + 1's draws follow frame i's reset_drift. A failed
-        # measurement's eye_px is None, which is sched.FLOW_FAILURE.
-        flows = map(attrgetter("eye_px"), map(flow_sim.measure, flow_px, visible))
+        # Lazy, so frame i + 1's draws follow frame i's reset_drift.
+        flows = flow_sim.measurements(flow_px, visible)
         kinds, reasons, cols["e_px"][:], cols["delta_e_px"][:], recalcs = sched.schedule(
             flows, tcfg, recompute)
         # The members' text read as _value_: a dict keyed by member would

@@ -20,17 +20,16 @@ Three policies for the skip branch:
   decaying - like verbatim, plus eps decays multiplicatively on every skip
              toward a floor, and resets to its maximum on recomputation.
 
-The rule is stated once, in _rule, on plain values, and the state after a
-recomputation once, in _anchor. schedule runs a whole trace, with the state
-(calc, flow_last, is_precise, eps) in locals: one _rule call per frame, and
-one _anchor call per recalculation.
+The rule is stated once, in schedule, which runs a whole trace with the
+state (calc, flow_last, is_precise, eps) in locals, and the metric once, in
+eye_distance_px, which it calls for E and dE.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import inf, nan, sqrt
+from math import nan, sqrt
 
 from .geometry import PinholeCamera, check_fields, nonnegative, positive, within
 
@@ -84,10 +83,7 @@ class ThresholdConfig:
         return self.eps_min_px or 0.1 * self.eps_max_px
 
 
-# Bound once: read on every frame, and an enum member lookup costs a descriptor call.
-_MAX, _LATCHED, _DECAYING = EyeMetric.MAX, Policy.LATCHED, Policy.DECAYING
-_RECALCULATE, _SKIP, _FAILED = DecisionKind.RECALCULATE, DecisionKind.SKIP, Reason.FLOW_FAILURE
-_SPATIAL, _REFINE, _INITIAL = Reason.SPATIAL, Reason.REFINE, Reason.INITIAL
+_MAX = EyeMetric.MAX  # bound once: an enum member lookup costs a descriptor call
 
 
 def epsilon_default(front_cam: PinholeCamera) -> float:
@@ -108,56 +104,50 @@ def eye_distance_px(a, b, metric: EyeMetric = _MAX) -> float:
     return max(d0, d1) if metric is _MAX else (d0 + d1) / 2
 
 
-def _rule(calc, flow_last, is_precise, eps, flow, cfg: ThresholdConfig):
-    """One frame's decision on plain values: (reason, E, dE, and the next
-    flow_last, is_precise and eps). reason is None on Skip; on Recalculate,
-    is_precise and eps come back unchanged, for _anchor to replace. flow is
-    four floats or FLOW_FAILURE, which keeps flow_last."""
-    if flow is FLOW_FAILURE:
-        return _FAILED, nan, nan, flow_last, is_precise, eps
-    if calc is None:
-        return _INITIAL, nan, nan, flow, is_precise, eps
-    metric, refine = cfg.metric, cfg.refine_factor * eps
-    e = eye_distance_px(calc, flow, metric)
-    de = eye_distance_px(flow_last, flow, metric) if flow_last is not None else inf
-    if e > eps:
-        return _SPATIAL, e, de, flow, is_precise, eps
-    if de < refine and not is_precise:
-        return _REFINE, e, de, flow, is_precise, eps
-    policy = cfg.policy
-    precise = policy is _LATCHED and is_precise and e <= refine
-    eps_next = max(cfg.floor_px, eps * cfg.decay_rate) if policy is _DECAYING else eps
-    return None, e, de, flow, precise, eps_next
-
-
-def _anchor(eyes, flow_last, cfg: ThresholdConfig):
-    """(calc, flow_last, is_precise, eps) after a recomputation at eyes:
-    precise, with eps at its max; the first one also seeds flow_last."""
-    return eyes, eyes if flow_last is None else flow_last, True, cfg.eps_max_px
-
-
 def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tuple, tuple, list]:
     """A whole trace's decisions, with the state in locals. It starts with no
-    anchor, so frame 0 always recalculates (INITIAL, or FLOW_FAILURE).
-
-    flows yields each frame's flow-tracked eye pixels as four floats, or
-    FLOW_FAILURE; it is read one frame at a time, after the previous frame's
-    recompute call. On Recalculate at frame i, recompute(i, k), k the number
-    of earlier recalculations, returns the recomputed eyes' projections as
-    four floats, and the state re-anchors on them. Returns the kind, reason,
-    E and dE columns as tuples and the request (recalculation) frames.
-    """
+    anchor, so frame 0 always recalculates (INITIAL, or FLOW_FAILURE, which
+    keeps flow_last). flows yields each frame's eye pixels as four floats, or
+    FLOW_FAILURE, one frame at a time, after the previous frame's recompute
+    call. On Recalculate at frame i, recompute(i, k), k the number of earlier
+    recalculations, returns the recomputed eyes' pixels, and the state
+    re-anchors on them: precise, eps at its max; the first also seeds
+    flow_last. Returns the kind, reason, E and dE columns and the requests."""
+    eps_max, refine_factor, metric = cfg.eps_max_px, cfg.refine_factor, cfg.metric
+    floor, decay_rate = cfg.floor_px, cfg.decay_rate
+    latched, decaying = cfg.policy is Policy.LATCHED, cfg.policy is Policy.DECAYING
+    recalculate, skip = DecisionKind.RECALCULATE, DecisionKind.SKIP  # bound once, as _MAX
+    spatial, refining = Reason.SPATIAL, Reason.REFINE
+    refine_max = refine_factor * eps_max
     calc = flow_last = None
-    is_precise, eps = False, cfg.eps_max_px
+    is_precise, eps, refine = False, eps_max, refine_max
     rows, requests = [], []
+    append = rows.append
     for i, flow in enumerate(flows):
-        reason, e, de, flow_last, is_precise, eps = _rule(calc, flow_last, is_precise, eps,
-                                                          flow, cfg)
-        if reason is None:
-            rows.append((_SKIP, None, e, de))
+        if flow is FLOW_FAILURE:
+            append((recalculate, Reason.FLOW_FAILURE, nan, nan))
+        elif calc is None:
+            flow_last = flow
+            append((recalculate, Reason.INITIAL, nan, nan))
         else:
-            rows.append((_RECALCULATE, reason, e, de))
-            calc, flow_last, is_precise, eps = _anchor(recompute(i, len(requests)), flow_last, cfg)
-            requests.append(i)
+            e = eye_distance_px(calc, flow, metric)
+            de = eye_distance_px(flow_last, flow, metric)  # each anchor sets flow_last
+            flow_last = flow
+            if e > eps:
+                append((recalculate, spatial, e, de))
+            elif de < refine and not is_precise:
+                append((recalculate, refining, e, de))
+            else:
+                append((skip, None, e, de))
+                is_precise = latched and is_precise and e <= refine
+                if decaying:
+                    eps = max(floor, eps * decay_rate)
+                    refine = refine_factor * eps
+                continue
+        calc = recompute(i, len(requests))
+        if flow_last is None:
+            flow_last = calc
+        is_precise, eps, refine = True, eps_max, refine_max
+        requests.append(i)
     kinds, reasons, e_px, delta_e_px = zip(*rows) if rows else ((),) * 4
     return kinds, reasons, e_px, delta_e_px, requests

@@ -5,8 +5,8 @@ sparse feature tracking), and the per-invocation cost model. Eye points
 are (..., 2, 3) left/right arrays (eye_points). Eye pixels are left u, v,
 right u, v: the flow proxy projects a whole trace's eyes to (..., 4) rows in
 one numpy pass (FlowSimulator.project); project_frame (one frame, the same
-operations as project's for any camera) and measure (into a FlowMeasurement
-NamedTuple, its noise drawn into a reused buffer) work on Python floats.
+operations as project's for any camera) and measurements (one generator for
+a whole trace; measure is its one-frame form) work on Python floats.
 write_csv, the one CSV writer (harness writes through it too), takes a
 table as columns, each as format_column gives it.
 
@@ -28,6 +28,9 @@ from .geometry import PinholeCamera, check_fields, nonnegative, positive, projec
 DEFAULT_FRAME_RATE_HZ = 15.0  # front-camera hardware limit
 DWELL_TOL_MM = 0.5  # eye travel per frame (mm) at or below which the head is at rest
 MIN_DIVISOR = 1e-9  # least eye z (mm), display size, frame rate, sway period
+#: A quantity's range (config keys, a trace file's eye and ipd): with MIN_DIVISOR
+#: under what a run divides by, nothing a run derives from them overflows.
+SCALE = ("at most 1e6 in magnitude", lambda v: abs(v) <= 1e6)
 
 
 class Generator(enum.Enum):
@@ -228,13 +231,16 @@ def read_trace_csv(path) -> HeadTrace:
     data = np.array(vals).reshape(-1, n_cols)
     for bad, reason in [
             (~np.isfinite(data).all(axis=1), "values must be finite"),
+            (~SCALE[1](data[:, 2:6]).all(axis=1), f"eye and ipd values must be {SCALE[0]}"),
             (np.any(data[:, 6:] != IDENTITY_POSE, axis=1), "dev_* pose must be the identity")]:
         if bad.any():
             raise ValueError(f"line {lines[np.argmax(bad)]}: {reason}")
     t = data[:, 1]
-    rate = 1000.0 / (t[1] - t[0]) if len(t) > 1 and t[1] > t[0] else DEFAULT_FRAME_RATE_HZ
+    t0, t1 = t[:2].tolist() if len(t) > 1 else (0.0, 0.0)  # floats: an overflow is inf
+    rate = 1000.0 / (t1 - t0) if t1 > t0 else DEFAULT_FRAME_RATE_HZ
     try:
-        return HeadTrace(t_ms=t, eye_mm=data[:, 2:5], ipd_mm=data[:, 5], frame_rate_hz=rate)
+        with np.errstate(over="ignore"):  # a spacing that overflows is inf: a TraceError
+            return HeadTrace(t_ms=t, eye_mm=data[:, 2:5], ipd_mm=data[:, 5], frame_rate_hz=rate)
     except TraceError as exc:
         frame, reason = exc.args
         raise ValueError(f"line {lines[frame]}: {reason}") from None
@@ -257,8 +263,8 @@ class FlowSimulator:
     project gives the eyes' exact front-camera pixels, (..., 4) rows, and
     whether the camera sees both; it is stateless, so it runs over any
     number of frames at once; project_frame gives one frame's row as four
-    floats. measure turns one frame's exact pixels into a measurement on
-    Python floats: tracking fails with probability p_fail per frame, and
+    floats. measurements turns each frame's exact pixels into a measurement
+    on Python floats: tracking fails with probability p_fail per frame, and
     always fails when an eye is out of view; otherwise it adds accumulated
     drift (a slowly growing bias in a per-segment random direction, reset
     on every pose recomputation) and i.i.d. Gaussian pixel noise.
@@ -274,7 +280,7 @@ class FlowSimulator:
         check_fields(self)
         ext = self.front_cam.extrinsic
         self._rows, self._t = ext.rotation.tolist(), ext.translation.tolist()
-        self._z = np.empty(4)  # measure's standard-normal draws
+        self._z = np.empty(4)  # measurements' standard-normal draws
         self.reset_drift()
 
     def reset_drift(self) -> None:
@@ -309,27 +315,32 @@ class FlowSimulator:
             px += (x * cam.fx / z + cam.cx, y * cam.fy / z + cam.cy) if z > 0 else (nan, nan)
         return tuple(px)
 
+    def measurements(self, flow_px, visible):
+        """Each frame's measurement, lazily, from its exact pixels and
+        visibility as project gives them: four floats, or None
+        (scheduler.FLOW_FAILURE). A visible frame draws the failure, then
+        four standard normals into a reused buffer, scaled as 0.0 + sigma *
+        z: the bits and stream position of normal(0.0, sigma, size=4). A
+        reset_drift between two frames takes effect from the next."""
+        random, standard_normal, z = self.rng.random, self.rng.standard_normal, self._z
+        p_fail, s, rate = self.p_fail, self.noise_sigma_px, self.drift_px_per_frame
+        for (u0, v0, u1, v1), seen in zip(flow_px, visible):
+            if not seen or p_fail > 0 and random() < p_fail:
+                yield None
+                continue
+            self._drift_frames += 1
+            (cos, sin), scale = self._drift_dir, rate * self._drift_frames
+            dx, dy = cos * scale, sin * scale
+            if s > 0:
+                z0, z1, z2, z3 = standard_normal(out=z).tolist()
+                yield ((u0 + dx) + (0.0 + s * z0), (v0 + dy) + (0.0 + s * z1),
+                       (u1 + dx) + (0.0 + s * z2), (v1 + dy) + (0.0 + s * z3))
+            else:
+                yield (u0 + dx, v0 + dy, u1 + dx, v1 + dy)
+
     def measure(self, px, visible: bool) -> FlowMeasurement:
-        """One frame's measurement from its four exact pixels (left u, v,
-        right u, v) and visibility, as project gives them per frame. Draws
-        from the rng only for a visible frame: the failure draw, then the
-        noise, four standard normals in one draw into a reused buffer,
-        scaled as 0.0 + sigma * z, numpy normal's operations, so each value
-        has the bits and stream position of normal(0.0, sigma, size=4)."""
-        if not visible:
-            return FlowMeasurement(None)
-        if self.p_fail > 0 and self.rng.random() < self.p_fail:
-            return FlowMeasurement(None)
-        self._drift_frames += 1
-        scale = self.drift_px_per_frame * self._drift_frames
-        dx, dy = self._drift_dir[0] * scale, self._drift_dir[1] * scale
-        u0, v0, u1, v1 = px
-        s = self.noise_sigma_px
-        if s > 0:
-            z0, z1, z2, z3 = self.rng.standard_normal(out=self._z).tolist()
-            return FlowMeasurement(((u0 + dx) + (0.0 + s * z0), (v0 + dy) + (0.0 + s * z1),
-                                    (u1 + dx) + (0.0 + s * z2), (v1 + dy) + (0.0 + s * z3)))
-        return FlowMeasurement((u0 + dx, v0 + dy, u1 + dx, v1 + dy))
+        """measurements of one frame."""
+        return FlowMeasurement(next(self.measurements((px,), (visible,))))
 
 
 @dataclass(frozen=True)

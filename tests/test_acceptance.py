@@ -23,7 +23,7 @@ from uprsim.harness import (
     run,
     write_outputs,
 )
-from uprsim.scheduler import FLOW_FAILURE, Reason, ThresholdConfig, _rule, epsilon_default
+from uprsim.scheduler import FLOW_FAILURE, Reason, ThresholdConfig, epsilon_default, schedule
 from uprsim.viewgen import RenderMode, upr_display_to_plane
 
 
@@ -50,31 +50,27 @@ def pair(x):
     return (x, 100.0, x + 60.0, 100.0)
 
 
-def scheduler_state(calc_x, flow_last_x, precise):
-    """(calc, flow_last, is_precise, eps), the state the scheduler's rule reads."""
-    return pair(calc_x), pair(flow_last_x), precise, 24.0
-
-
 @criterion(1, "scheduler truth table (spatial / refine / precise-skip / skip / failure)",
            max_seconds=1.0)
 def test_criterion_1_truth_table():
     cfg = ThresholdConfig(eps_max_px=24.0)
 
-    # _rule's reason is None on Skip; its fifth value is the next is_precise.
-    reason, *_ = _rule(*scheduler_state(0.0, 25.0, True), pair(30.0), cfg)
-    assert reason is Reason.SPATIAL
+    def reasons(*xs):
+        """schedule's reasons over flows pair(x), FLOW_FAILURE for None, each
+        recomputation reporting pair(0.0). Frame 0 anchors there, precise,
+        with eps 24; a skip leaves the state imprecise."""
+        flows = [FLOW_FAILURE if x is None else pair(x) for x in xs]
+        return schedule(flows, cfg, lambda i, k: pair(0.0))[1]
 
-    reason, *_ = _rule(*scheduler_state(0.0, 4.0, False), pair(5.0), cfg)
-    assert reason is Reason.REFINE
-
-    reason, _, _, _, precise, _ = _rule(*scheduler_state(0.0, 4.0, True), pair(5.0), cfg)
-    assert reason is None and precise is False
-
-    reason, *_ = _rule(*scheduler_state(0.0, -5.0, False), pair(5.0), cfg)
-    assert reason is None
-
-    reason, *_ = _rule(*scheduler_state(0.0, 0.0, True), FLOW_FAILURE, cfg)
-    assert reason is Reason.FLOW_FAILURE
+    assert reasons(25.0, 30.0)[1] is Reason.SPATIAL  # E = 30 > 24
+    # A skip at 4 (dE = 9), then E = 5, dE = 1 < 2.4 while imprecise.
+    assert reasons(-5.0, 4.0, 5.0)[1:] == (None, Reason.REFINE)
+    # Precise: the same E and dE skip, and is_precise falls to False, so a
+    # still frame then refines.
+    assert reasons(4.0, 5.0, 5.0)[1:] == (None, Reason.REFINE)
+    # Imprecise, E = 5, dE = 10: neither disjunct holds.
+    assert reasons(-20.0, -5.0, 5.0)[1:] == (None, None)
+    assert reasons(0.0, None)[1] is Reason.FLOW_FAILURE
 
 
 def _stationary(policy):

@@ -156,9 +156,32 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
      "got 'UPR,UPR'"),
     ("trace_file = {text_csv}", None, "trace_file: line 3"),
     ("seed = 3\nseed = 4", None, "line 2: duplicate config key 'seed' (first on line 1)"),
+    # An int key beyond SCALE once overflowed numpy's int64 (a traceback) or
+    # failed as a trace array too large to allocate.
+    ("modes = UPR\ntrace_generator = stationary\ntrace_n_frames = 5\n"
+     "noise_latency_frames = 100000000000000000000", None,
+     "error: noise_latency_frames: must be at most 1e6 in magnitude, got 100000000000000000000"),
+    ("trace_dwell_frames = 100000000000000000000", None,
+     "error: trace_dwell_frames: must be at most 1e6 in magnitude"),
+    # Timestamps +-1.7e308 once put a numpy overflow warning before the error,
+    # and named the rate as np.float64(0.0); an eye x of 1e300 ran to exit 0.
+    ("trace_file = {huge_t_csv}", None,
+     "error: trace_file: frame_rate_hz: must be positive, got 0.0\n"),
+    ("trace_file = {far_eye_csv}", None,
+     "error: trace_file: line 4: eye and ipd values must be at most 1e6 in magnitude"),
+    ("trace_file = {split_t_csv}", None,  # a spacing that overflows
+     "error: trace_file: line 4: frame spacing inconsistent with frame rate"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would reach stderr
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
+    pose = ",63.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0\n"
     csvs = {"bad_csv": "frame,t\n0,0.0\n",
+            "huge_t_csv": (f"{TRACE_CSV_HEADER}\n0,-1.7e308,0.0,0.0,150.0{pose}"
+                           f"1,1.7e308,0.0,0.0,150.0{pose}"),
+            "far_eye_csv": trace_csv(4, ",0.0,0.0,150.0,", ",1e300,0.0,150.0,"),
+            "split_t_csv": "".join([f"{TRACE_CSV_HEADER}\n"] + [
+                f"{i},{t},0.0,0.0,150.0{pose}" for i, t in enumerate(
+                    ["-1.7e308", "-1.6e308", "1.7e308"])]),
             "nan_csv": trace_csv(3, ",150.0,", ",nan,"),
             "text_csv": trace_csv(3, ",150.0,", ",abc,"),
             "behind_csv": trace_csv(2, ",150.0,", ",0.0,"),
@@ -220,10 +243,12 @@ def test_any_one_value_runs_or_names_its_key(tmp_path, monkeypatch, capsys, key,
 #: runs in milliseconds. A frame count ("*_frames") draws at most 30. Of
 #: the float EXTREMES, the large ones lie outside every key's SCALE, so they
 #: draw the key's default; the tiny ones pass wherever no floor stops them.
+#: The int 10**20 is outside SCALE too; only seed, which SCALE does not
+#: bound, runs with it.
 TYPE_DRAWS = {
     "float": st.sampled_from([0.0, -0.0, 1e-9, 0.5, 1.0, -1.0, 1e6, -1e6, *EXTREMES])
     | st.floats(-1e3, 1e3),
-    "int": st.sampled_from([0, 1, 2]) | st.integers(0, 4096),
+    "int": st.sampled_from([0, 1, 2, 10**20]) | st.integers(0, 4096),
     "frames": st.integers(0, 30),
     "bool": st.booleans(),
 }
@@ -236,7 +261,8 @@ def field_values(f):
     else the default. A string field draws comma-separated lists of the
     words its domain text names that the domain accepts alone, so a choice
     or the mode list."""
-    domains = [ok for _, ok in f.metadata.values()] + [SCALE[1]] * (f.type == "float")
+    quantity = f.type in ("float", "int") and f.name != "seed"
+    domains = [ok for _, ok in f.metadata.values()] + [SCALE[1]] * quantity
     accepted = lambda v: all(ok(v) for ok in domains)
     if f.type == "str":
         words = sorted({w for text, _ in f.metadata.values()

@@ -48,8 +48,11 @@ def test_no_unused_imports(path):
 
 
 #: Defs that only tests call, kept as named oracles: acceptance criterion 8
-#: checks the UPR display-to-plane map on quaternion-posed displays.
-ORACLES = {"upr_display_to_plane", "RigidTransform.from_quaternion"}
+#: checks the UPR display-to-plane map on quaternion-posed displays, and
+#: FlowSimulator.measure, the one-frame form of the measurements generator,
+#: is what the flow tests drive frame by frame (perfbench's flow span wraps
+#: it too).
+ORACLES = {"upr_display_to_plane", "RigidTransform.from_quaternion", "FlowSimulator.measure"}
 
 #: Where a reference keeps a def in src/uprsim alive.
 CALLERS = ("src/uprsim", "demos", "perfbench", "tools")

@@ -14,8 +14,6 @@ from uprsim.scheduler import (
     Policy,
     Reason,
     ThresholdConfig,
-    _anchor,
-    _rule,
     epsilon_default,
     eye_distance_px,
     schedule,
@@ -33,17 +31,29 @@ def eyes(x: float, y: float = 100.0) -> tuple:
     return (x, y, x + 60.0, y)
 
 
-def run_stream(stream, c):
-    """Replay a flow stream through schedule; complete every Recalculate with
-    the flow positions themselves (noise-free recomputation), or on a flow
-    failure with the last anchor (eyes(0.0) before any). One (kind, reason,
-    E, dE) row per frame."""
-    anchors = [eyes(0.0)]
+def run_stream(stream, c, anchors=()):
+    """Replay a flow stream through schedule. Recalculate k re-anchors on
+    anchors[k]; past their end, on the flow positions themselves (noise-free
+    recomputation), or on a flow failure on the last anchor (eyes(0.0)
+    before any). One (kind, reason, E, dE) row per frame."""
+    done = [eyes(0.0)]
 
     def recompute(i, k):
-        anchors.append(stream[i] or anchors[-1])
-        return anchors[-1]
+        done.append(anchors[k] if k < len(anchors) else stream[i] or done[-1])
+        return done[-1]
     return list(zip(*schedule(stream, c, recompute)[:4]))
+
+
+def assert_eps(stream, c, anchors, eps):
+    """After stream, last re-anchored on eyes(0.0), the spatial threshold is
+    exactly eps: a frame that moves the left eye eps px (E = eps, exactly,
+    under the max metric) takes no spatial trigger, and one float further
+    does."""
+    assert anchors[-1] == eyes(0.0) and c.metric is EyeMetric.MAX
+    for d, spatial in ((eps, False), (math.nextafter(eps, math.inf), True)):
+        _, reason, e, _ = run_stream(stream + [(d, 100.0, 60.0, 100.0)], c, anchors)[-1]
+        assert e == d
+        assert (reason is Reason.SPATIAL) == spatial
 
 
 # ---- epsilon default ---------------------------------------------------
@@ -64,39 +74,49 @@ def test_invalid_camera_rejected_upstream():
 
 
 # ---- the five truth-table cases ----------------------------------------
-# _rule on a state (calc, flow_last, is_precise, eps) and a frame's flow
-# returns (reason, E, dE, flow_last, is_precise, eps); reason None is Skip.
+# Each state (anchor, flow_last, is_precise, eps) is reached through scripted
+# flows: frame 0 recalculates (INITIAL) and re-anchors on eyes(0.0), precise,
+# with eps at its max, 24; a skip then leaves it imprecise (verbatim policy).
 
 def test_spatial_trigger():
-    # E = 30 > eps = 24 -> Recalculate(spatial), regardless of dE.
-    reason, e, *_ = _rule(eyes(0.0), eyes(25.0), True, 24.0, eyes(30.0), cfg())
+    # flow_last eyes(25), precise: E = 30 > eps = 24 -> Recalculate(spatial),
+    # regardless of dE.
+    _, reason, e, _ = run_stream([eyes(25.0), eyes(30.0)], cfg(), [eyes(0.0)])[1]
     assert reason is Reason.SPATIAL
     assert e == pytest.approx(30.0)
 
 
 def test_refine_trigger():
-    # E = 5, dE = 1 < 2.4, imprecise -> Recalculate(refine).
-    reason, e, de, *_ = _rule(eyes(0.0), eyes(4.0), False, 24.0, eyes(5.0), cfg())
+    # A skip at eyes(4) (dE = 9) leaves flow_last eyes(4), imprecise. Then
+    # E = 5, dE = 1 < 2.4 -> Recalculate(refine).
+    rows = run_stream([eyes(-5.0), eyes(4.0), eyes(5.0)], cfg(), [eyes(0.0)])
+    assert rows[1][0] is DecisionKind.SKIP
+    _, reason, e, de = rows[2]
     assert reason is Reason.REFINE
     assert e == pytest.approx(5.0)
     assert de == pytest.approx(1.0)
 
 
 def test_precise_skip_drops_precision():
-    # Same E/dE but precise -> Skip, and is_precise falls to False.
-    reason, _, _, _, precise, _ = _rule(eyes(0.0), eyes(4.0), True, 24.0, eyes(5.0), cfg())
-    assert reason is None
-    assert precise is False
+    # Same E/dE but precise -> Skip, and is_precise falls to False: a still
+    # frame (dE = 0 < 2.4) then refines.
+    rows = run_stream([eyes(4.0), eyes(5.0), eyes(5.0)], cfg(), [eyes(0.0)])
+    kind, reason, e, de = rows[1]
+    assert (kind, reason) == (DecisionKind.SKIP, None)
+    assert (e, de) == (pytest.approx(5.0), pytest.approx(1.0))
+    assert rows[2][1] is Reason.REFINE
 
 
 def test_neither_disjunct_skip():
-    # E = 5 <= 24, dE = 10 >= 2.4 -> Skip even while imprecise.
-    reason, *_ = _rule(eyes(0.0), eyes(-5.0), False, 24.0, eyes(5.0), cfg())
-    assert reason is None
+    # Imprecise after a skip at eyes(-5): E = 5 <= 24, dE = 10 >= 2.4 -> Skip
+    # even while imprecise.
+    rows = run_stream([eyes(-20.0), eyes(-5.0), eyes(5.0)], cfg(), [eyes(0.0)])
+    assert rows[1][0] is DecisionKind.SKIP
+    assert rows[2][:2] == (DecisionKind.SKIP, None)
 
 
 def test_flow_failure_forces_recalculation():
-    reason, *_ = _rule(eyes(0.0), eyes(0.0), True, 24.0, FLOW_FAILURE, cfg())
+    _, reason, _, _ = run_stream([eyes(0.0), FLOW_FAILURE], cfg(), [eyes(0.0)])[1]
     assert reason is Reason.FLOW_FAILURE
 
 
@@ -109,36 +129,50 @@ def test_initial_state_forces_recalculation():
 
 def test_recalculation_resets_state():
     c = cfg()
-    reason, _, _, flow_last, _, _ = _rule(eyes(0.0), eyes(25.0), False, 24.0, eyes(30.0), c)
-    assert reason is not None
-    calc, flow_last, precise, eps = _anchor(eyes(30.0), flow_last, c)
-    assert precise
-    assert eps == c.eps_max_px
-    # Next-frame E is zero after reseeding with the flow positions.
-    _, e, *_ = _rule(calc, flow_last, precise, eps, eyes(30.0), c)
+    # Anchored at eyes(-30), imprecise after a skip at eyes(-10): E = 30 > eps
+    # at eyes(0) recalculates, and the state re-anchors on eyes(0).
+    stream, anchors = [eyes(-40.0), eyes(-10.0), eyes(0.0)], [eyes(-30.0), eyes(0.0)]
+    rows = run_stream(stream, c, anchors)
+    assert rows[1][0] is DecisionKind.SKIP and rows[2][1] is Reason.SPATIAL
+    # Precise: a still frame skips. Next-frame E is zero after reseeding with
+    # the flow positions.
+    kind, _, e, _ = run_stream(stream + [eyes(0.0)], c, anchors)[-1]
+    assert kind is DecisionKind.SKIP
     assert e == pytest.approx(0.0)
+    assert_eps(stream, c, anchors, c.eps_max_px)
 
 
 def test_decaying_eps_restored_to_max():
     c = cfg(policy=Policy.DECAYING, decay_rate=0.5, eps_min_px=2.4)
-    reason, _, _, flow_last, _, _ = _rule(eyes(0.0), eyes(0.5), True, 2.4, eyes(30.0), c)
-    assert reason is not None
-    _, _, _, eps = _anchor(eyes(30.0), flow_last, c)
-    assert eps == c.eps_max_px
+    # Skips at E = 2, dE = 4 take eps from 24 down to its 2.4 floor.
+    stream, anchors = [eyes(-2.0)] + [eyes(2.0), eyes(-2.0)] * 2, [eyes(0.0), eyes(0.0)]
+    assert {row[0] for row in run_stream(stream, c, anchors)[1:]} == {DecisionKind.SKIP}
+    assert_eps(stream, c, anchors, 2.4)
+    # E = 30 recalculates, and the re-anchor restores eps to its max.
+    stream.append(eyes(30.0))
+    assert run_stream(stream, c, anchors)[-1][1] is Reason.SPATIAL
+    assert_eps(stream, c, anchors, c.eps_max_px)
 
 
 def test_consecutive_recalculations_idempotent():
     c = cfg()
-    _, _, _, flow_last, _, _ = _rule(eyes(0.0), eyes(25.0), False, 24.0, eyes(30.0), c)
-    calc, flow_last, precise, eps = _anchor(eyes(30.0), flow_last, c)
-    _, _, _, flow_last, precise, eps = _rule(calc, flow_last, precise, eps, FLOW_FAILURE, c)
-    calc2, _, precise2, eps2 = _anchor(eyes(31.0), flow_last, c)
-    # Identical to a single recalculation with the latest eyes.
-    _, _, _, flow_last, _, _ = _rule(eyes(0.0), eyes(25.0), False, 24.0, eyes(30.0), c)
-    calc3, _, precise3, eps3 = _anchor(eyes(31.0), flow_last, c)
-    assert np.array_equal(calc2, calc3)
-    assert precise2 == precise3
-    assert eps2 == eps3
+    # Anchored at eyes(0), imprecise after a skip at eyes(20): E = 30
+    # recalculates at eyes(30).
+    head = [eyes(-10.0), eyes(20.0), eyes(30.0)]
+    twice = (head + [FLOW_FAILURE], [eyes(0.0), eyes(30.0), eyes(31.0)])
+    once = (head, [eyes(0.0), eyes(31.0)])
+    # A flow failure's recalculation on eyes(31) is identical to a single
+    # recalculation with the latest eyes: the same anchor (a still frame at
+    # eyes(31): E = 0), precision (it skips) and eps (E = 24 skips, and the
+    # next float up, 24 + 2**-47, recalculates), to the bit.
+    for probe, (kind, reason, e) in [
+            (eyes(31.0), (DecisionKind.SKIP, None, 0.0)),
+            (eyes(55.0), (DecisionKind.SKIP, None, 24.0)),
+            (eyes(math.nextafter(55.0, math.inf)), (DecisionKind.RECALCULATE, Reason.SPATIAL,
+                                                    24.0 + 2.0**-47))]:
+        rows = [run_stream(stream + [probe], c, anchors)[-1] for stream, anchors in (twice, once)]
+        assert repr(rows[0]) == repr(rows[1])
+        assert rows[0][:3] == (kind, reason, e)
 
 
 # ---- stationary-stream fixtures ----------------------------------------
@@ -173,11 +207,13 @@ def test_latched_stationary_quiescence():
 
 def test_decaying_policy_shrinks_eps_on_skip():
     c = cfg(policy=Policy.DECAYING, decay_rate=0.5, eps_min_px=5.0)
-    eps = 24.0
+    # Anchored at eyes(0), then skips between eyes(5) and eyes(-5): E = 5,
+    # dE = 10.
+    stream, anchors = [eyes(-5.0)], [eyes(0.0)]
     for expected in (12.0, 6.0, 5.0, 5.0):  # floor clamps
-        reason, _, _, _, _, eps = _rule(eyes(0.0), eyes(-5.0), False, eps, eyes(5.0), c)
-        assert reason is None
-        assert eps == pytest.approx(expected)
+        stream.append(eyes(-stream[-1][0]))
+        assert run_stream(stream, c, anchors)[-1][:2] == (DecisionKind.SKIP, None)
+        assert_eps(stream, c, anchors, expected)
 
 
 # ---- properties --------------------------------------------------------
@@ -195,53 +231,53 @@ def random_stream(rng, n=200):
 
 
 def test_skip_implies_e_below_eps():
+    # Under the verbatim policy eps stays at its max.
     rng = np.random.default_rng(23)
     for _ in range(10):
         c = cfg()
-        calc = flow_last = None
-        precise, eps = False, c.eps_max_px
-        for flow in random_stream(rng):
-            reason, e, _, flow_last, precise, eps = _rule(calc, flow_last, precise, eps, flow, c)
-            if reason is None:
-                assert e <= eps
-            else:
-                calc, flow_last, precise, eps = _anchor(
-                    flow if flow is not None else eyes(0.0), flow_last, c)
+        for kind, _, e, _ in run_stream(random_stream(rng), c):
+            if kind is DecisionKind.SKIP:
+                assert e <= c.eps_max_px
 
 
 def test_recalculate_reasons_justified():
+    # Under the verbatim policy eps stays at its max, and the state is
+    # precise right after a recalculation and imprecise after a skip.
     rng = np.random.default_rng(29)
     c = cfg()
-    calc = flow_last = None
-    precise, eps = False, c.eps_max_px
-    for flow in random_stream(rng, 500):
-        prior_precise, prior_eps = precise, eps
-        reason, e, de, flow_last, precise, eps = _rule(calc, flow_last, precise, eps, flow, c)
-        if reason is not None:
+    prior_precise = False
+    for kind, reason, e, de in run_stream(random_stream(rng, 500), c):
+        if kind is DecisionKind.RECALCULATE:
             assert (reason in (Reason.FLOW_FAILURE, Reason.INITIAL)
-                    or e > prior_eps
-                    or (de < c.refine_factor * prior_eps and not prior_precise))
-            calc, flow_last, precise, eps = _anchor(
-                flow if flow is not None else eyes(0.0), flow_last, c)
+                    or e > c.eps_max_px
+                    or (de < c.refine_factor * c.eps_max_px and not prior_precise))
+        prior_precise = kind is DecisionKind.RECALCULATE
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(moves=st.lists(st.none() | st.floats(-6.0, 6.0), min_size=1, max_size=80),
        decay_rate=st.floats(0.01, 1.0), floor_frac=st.floats(0.01, 1.0))
 def test_decaying_eps_floor_and_reset(moves, decay_rate, floor_frac):
-    # moves: per-frame eye motion in px, None for a flow failure.
+    # moves: per-frame eye motion in px, None for a flow failure. Each
+    # recomputation reports the current eyes. eps, as each decision shows
+    # it (spatial exactly when E > eps), decays on every skip but never
+    # below its floor, and is back at its max after every recalculation.
     c = cfg(policy=Policy.DECAYING, decay_rate=decay_rate, eps_min_px=24.0 * floor_frac)
-    calc = flow_last = None
-    precise, eps = False, c.eps_max_px
-    x = 0.0
+    xs, flows, x = [], [], 0.0
     for move in moves:
         x += move or 0.0
-        flow = None if move is None else eyes(x)
-        reason, _, _, flow_last, precise, eps = _rule(calc, flow_last, precise, eps, flow, c)
-        assert eps >= c.floor_px
-        if reason is not None:
-            calc, flow_last, precise, eps = _anchor(eyes(x), flow_last, c)
-            assert eps == c.eps_max_px
+        xs.append(x)
+        flows.append(None if move is None else eyes(x))
+    rows = zip(*schedule(flows, c, lambda i, k: eyes(xs[i]))[:4])
+    eps = c.eps_max_px
+    for kind, reason, e, _ in rows:
+        if not math.isnan(e):
+            assert (reason is Reason.SPATIAL) == (e > eps)
+        if kind is DecisionKind.SKIP:
+            eps = max(c.floor_px, eps * decay_rate)
+            assert eps >= c.floor_px
+        else:
+            eps = c.eps_max_px
 
 
 def test_determinism():
@@ -322,7 +358,7 @@ def test_values_are_immutable_and_keep_their_fields():
 
 
 class DataclassSchedulerOracle:
-    """schedule's reference, written apart from _rule and _anchor: the
+    """schedule's reference, written apart from it: the
     scheduler frame by frame on frozen dataclasses, a step per frame and an
     apply_recalculation after each Recalculate."""
 
@@ -439,33 +475,35 @@ def same_fields(values, oracle) -> bool:
          ops=[(move, (0.0,) * 4) for move in [(0.0,) * 4, (2.0, 0.0) * 2]])
 def test_step_equals_dataclass_oracle(policy, metric, eps, refine_factor, decay_rate,
                                       floor_frac, ops):
-    # One frame's step, _rule and then _anchor on Recalculate: every decision
-    # and every state value equal the frozen-dataclass formulation's, through
+    # After every frame (step, then apply_recalculation on Recalculate), the
+    # state schedule holds equals the frozen-dataclass formulation's, as a
+    # next frame sees it: probes at the oracle's flow_last (dE = 0, so
+    # imprecision shows as a refine), moved by refine_factor * eps (dE on
+    # the refine threshold), and at its anchor moved by eps (E on the
+    # spatial threshold) get the oracle's decision, bit for bit, through
     # failures, re-anchors and all three policies.
     c = cfg(eps_max_px=eps, refine_factor=refine_factor, policy=policy, metric=metric,
             decay_rate=decay_rate, eps_min_px=floor_frac * eps)
     oracle = DataclassSchedulerOracle
-    calc = flow_last = None
-    is_precise, eps_now = False, c.eps_max_px
-    o = oracle.initial_state(c)
-    assert same_fields((calc, flow_last, is_precise, eps_now), o)
-    last = eyes(0.0)
+    flows, anchors, last = [], [], eyes(0.0)
     for move, anchor_offset in ops:
         flow = FLOW_FAILURE if move is None else tuple(map(sum, zip(last, move)))
-        reason, e, de, flow_last, is_precise, eps_now = _rule(calc, flow_last, is_precise,
-                                                              eps_now, flow, c)
-        kind = DecisionKind.SKIP if reason is None else DecisionKind.RECALCULATE
+        last = flow or last
+        flows.append(flow)
+        anchors.append(tuple(map(sum, zip(last, anchor_offset))))
+    recompute = lambda i, k: anchors[i] if i < len(anchors) else eyes(0.0)
+    shift = lambda p, d: (p[0] + d, p[1], p[2] + d, p[3])
+    o = oracle.initial_state(c)
+    for j, flow in enumerate(flows):
         od, o = oracle.step(o, flow, c)
-        assert same_fields((kind, reason, e, de), od)
-        assert same_fields((calc, flow_last, is_precise, eps_now), o)
-        if kind is DecisionKind.RECALCULATE:
-            last = flow or last
-            anchor = tuple(map(sum, zip(last, anchor_offset)))
-            calc, flow_last, is_precise, eps_now = _anchor(anchor, flow_last, c)
-            o = oracle.apply_recalculation(o, anchor, c)
-            assert same_fields((calc, flow_last, is_precise, eps_now), o)
-        elif flow is not FLOW_FAILURE:
-            last = flow
+        if od.kind is DecisionKind.RECALCULATE:
+            o = oracle.apply_recalculation(o, anchors[j], c)
+        flow_last, eps_now = o.pos_eye_flow_last, o.eps_current_px
+        for probe in (flow_last, shift(flow_last, c.refine_factor * eps_now),
+                      shift(o.pos_eye_calc, eps_now)):
+            rows = list(zip(*schedule(flows[:j + 1] + [probe], c, recompute)[:4]))
+            assert same_fields(rows[j], od)
+            assert same_fields(rows[-1], oracle.step(o, probe, c)[0])
 
 
 def float_bits(column) -> list:

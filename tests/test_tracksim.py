@@ -511,6 +511,39 @@ def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
     assert sim.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sigma=st.just(0.0) | st.floats(1e-3, 50.0), drift=st.just(0.0) | st.floats(1e-4, 2.0),
+       p_fail=st.just(0.0) | st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1),
+       frames=st.lists(st.tuples(
+           st.tuples(st.lists(pixel, min_size=4, max_size=4), st.booleans())
+           | st.just(([np.nan] * 4, False)),  # an eye behind the camera
+           st.booleans()), max_size=40))
+def test_measurements_bit_equal_measure_and_numpy_formulation(sigma, drift, p_fail, seed,
+                                                              frames):
+    # The lazy stream gives sequential measure calls' and the numpy
+    # formulation's values and draws, in their order, for a random
+    # visible/invisible trace, with a reset_drift after some frames, made
+    # between two frames' reads, as AAUPR's recompute makes it.
+    sim, one = (FlowSimulator(front_camera(), sigma, drift, p_fail, np.random.default_rng(seed))
+                for _ in range(2))
+    oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng(seed))
+    stream = sim.measurements([px for (px, _), _ in frames], [v for (_, v), _ in frames])
+    for ((px, visible), reset), got in zip(frames, stream):
+        expected = one.measure(px, visible).eye_px
+        numpy_expected = oracle.measure(np.reshape(px, (2, 2)), visible)
+        assert (got is None) == (expected is None) == (numpy_expected is None)
+        if got is not None:
+            bits = np.array(got).view(np.uint64)
+            assert np.array_equal(bits, np.array(expected).view(np.uint64))
+            assert np.array_equal(bits, numpy_expected.reshape(4).view(np.uint64))
+        if reset:
+            for s in (sim, one, oracle):
+                s.reset_drift()
+    assert next(stream, "end") == "end"
+    state = oracle.rng.bit_generator.state
+    assert sim.rng.bit_generator.state == one.rng.bit_generator.state == state
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(seed=st.integers(0, 2**64 - 1), n_resets=st.integers(1, 60))
 def test_reset_drift_bit_equals_uniform_draw(seed, n_resets):

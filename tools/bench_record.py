@@ -14,13 +14,17 @@ Writes BENCH_N.json at the repository root: per workload and tree, the
 median and interquartile range (IQR) of every metric over the seeds, each
 run's metrics, the seeds, both SHAs (the working tree's marked "+dirty"
 when it differs from HEAD), the run length, the Python and numpy versions
-and the core count.
+and the core count. Per workload and metric it also writes the comparison:
+the ratio of the tree's median to the base's, and on how many seeds the
+tree's run beat the base's run of the same seed, in the direction
+BENCHMARK.json declares better. It prints that table last.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -36,6 +40,8 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SEEDS = (1, 2, 3, 4, 5)  # the fewest that give each IQR quartiles to stand on
+#: Each metric's better direction, "higher" or "lower".
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
 
 
 def git(*args: str) -> str:
@@ -76,6 +82,31 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def compare(base: list[dict], tree: list[dict]) -> dict:
+    """Per metric, from two trees' runs in the same seed order: the ratio of
+    the tree's median to the base's (NaN for a base median of 0), and the
+    number of seeds on which the tree is strictly better."""
+    out = {}
+    for name in base[0]["metrics"]:
+        b, t = ([r["metrics"][name]["value"] for r in runs] for runs in (base, tree))
+        sign = 1 if BETTER[name] == "higher" else -1
+        median = statistics.median(b)
+        out[name] = {"better": BETTER[name],
+                     "ratio": statistics.median(t) / median if median else math.nan,
+                     "tree_better_seeds": sum(sign * (y - x) > 0 for x, y in zip(b, t)),
+                     "seeds": len(b)}
+    return out
+
+
+def table(comparison: dict) -> str:
+    """The comparison of every workload, one metric a line."""
+    lines = [f"{'workload':<14} {'metric':<13} {'better':<6} {'tree/base':>9}  tree better"]
+    for workload, metrics in comparison.items():
+        lines += [f"{workload:<14} {name:<13} {c['better']:<6} {c['ratio']:>9.4f}  "
+                  f"{c['tree_better_seeds']}/{c['seeds']} seeds" for name, c in metrics.items()]
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -113,9 +144,12 @@ def main(argv=None) -> int:
                           for name, r in by_tree.items()}
                       for w, by_tree in runs.items()},
     }
+    record["comparison"] = {w: compare(by_tree["base"], by_tree["tree"])
+                            for w, by_tree in runs.items()}
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
+    print(table(record["comparison"]))
     return 0
 
 
