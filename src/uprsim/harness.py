@@ -8,7 +8,8 @@ a target set on the scene plane.
 Each mode's geometry is stateless, so it runs as numpy passes over the whole
 trace: the flow proxy's exact pixels of the left/right eye points
 (FlowSimulator.project) before AAUPR's closed loop, and pointing error over
-frames x targets (viewgen.pointing_errors) after it. Face tracking is a
+frames x targets (viewgen.pointing_errors, once per run of frames whose
+estimated and true eyes are unchanged) after it. Face tracking is a
 list of request frames (ModeRecord.requests, which summaries count): none
 for DPR and FUPR, every frame for UPR, the frames AAUPR's loop recalculated
 at. That loop is the only sequential part: scheduler.schedule, which keeps
@@ -507,7 +508,8 @@ def write_outputs(result: RunResult, outdir) -> None:
     """frames_<mode>.csv per mode and summary.csv in outdir."""
     os.makedirs(outdir, exist_ok=True)
     n = len(result.trace)
-    # The frame and true-eye columns are every mode's: format them once.
+    # The frame and true-eye columns are every mode's: format them once;
+    # write_csv passes their text through.
     frame, *true_eye = map(format_column, [range(n), *result.trace.eye_mm.T])
     for mode, rec in result.records.items():
         columns = {"frame": frame, "mode": [rec.mode] * n, "decision": rec.decision,

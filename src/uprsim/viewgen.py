@@ -13,7 +13,9 @@ point a user (looking from the true eye position) perceives the drawn target
 to be at. The perceived point is where the true-eye ray through the drawn
 pixel meets the plane (geometry.intersect_ray_plane, the one ray/plane hit);
 no motor noise term is added. pointing_errors evaluates frames x targets in
-one pass, and pointing_error is its one-cell form.
+one pass, once per run of consecutive frames whose eyes are unchanged bit
+for bit (every step is elementwise per frame, so the run's first frame
+gives the others' bits), and pointing_error is its one-cell form.
 """
 
 from __future__ import annotations
@@ -134,19 +136,29 @@ def pointing_errors(mode: RenderMode, targets_world, estimated_eyes_mm,
     FUPR, AAUPR) or from the back camera (DPR, which ignores
     estimated_eyes_mm), and the user looks from the true eye. Returns (F, T)
     errors, NaN in every cell where the drawing (at an infinite pixel, say)
-    or the perceived ray does not resolve.
+    or the perceived ray does not resolve. A frame whose eyes (the true eye
+    alone for DPR) equal the previous frame's bit for bit takes its errors.
     """
     targets = np.asarray(targets_world, dtype=float)
     target_disp = display.pose_world.invert().apply(targets)
+    true_eyes = np.asarray(true_eyes_mm, dtype=float)
+    eyes = [true_eyes] if mode is RenderMode.DPR else [
+        np.asarray(estimated_eyes_mm, dtype=float), true_eyes]
+    # No step below mixes frames (a 3-D stack's matmul runs per frame), so
+    # the first frame of a run of bit-equal eyes gives the whole run's bits.
+    bits = np.concatenate(eyes, axis=1).view(np.int64)
+    starts = np.ones(len(bits), dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    first = starts.nonzero()[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if mode is RenderMode.DPR:
             drawn_px = _dpr_target_px(target_disp, display, back_cam, fit)[None]
         else:
-            drawn_px = _eye_target_px(np.asarray(estimated_eyes_mm, dtype=float),
-                                      target_disp, display)
-        eye_world = display.pose_world.apply(np.asarray(true_eyes_mm, dtype=float))[:, None]
+            drawn_px = _eye_target_px(eyes[0][first], target_disp, display)
+        eye_world = display.pose_world.apply(true_eyes[first])[:, None]
         perceived, _ = perceived_points(eye_world, drawn_px, display, plane)
-    return np.linalg.norm(perceived - plane.to_plane_2d(targets), axis=-1)
+    errors = np.linalg.norm(perceived - plane.to_plane_2d(targets), axis=-1)
+    return errors[starts.cumsum() - 1]
 
 
 def pointing_error(mode: RenderMode, target_world, estimated_eye: EyeState | None,

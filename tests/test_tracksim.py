@@ -9,6 +9,7 @@ from rotations import axis_rotations, rotation_y
 from uprsim.geometry import EyeState, PinholeCamera, RigidTransform, front_camera, project_pinhole
 from uprsim.harness import benchmark_config, run
 from uprsim.tracksim import (
+    WRITE_BLOCK_ROWS,
     CostModel,
     FlowSimulator,
     Generator,
@@ -90,6 +91,16 @@ def test_head_trace_rejects_bad_frame(column, index, value, reason):
     assert exc.value.args[0] == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_head_trace_overflowing_spacing_is_a_trace_error():
+    # The second spacing, 1.7e308 - -1.6e308, overflows to inf: a TraceError,
+    # not a numpy overflow warning first.
+    with pytest.raises(TraceError) as exc:
+        HeadTrace(t_ms=[-1.7e308, -1.6e308, 1.7e308], eye_mm=np.tile([0.0, 0.0, 300.0], (3, 1)),
+                  ipd_mm=np.full(3, 63.0), frame_rate_hz=10.0)
+    assert exc.value.args == (1, "frame spacing inconsistent with frame rate")
+
+
 def test_head_trace_columns_are_read_only_copies():
     eye = np.tile([0.0, 0.0, 300.0], (2, 1))
     trace = HeadTrace(t_ms=[0.0, 100.0], eye_mm=eye, ipd_mm=[63.0, 63.0], frame_rate_hz=10.0)
@@ -158,7 +169,7 @@ SPECIAL_BITS = [0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000
 
 @st.composite
 def csv_columns(draw, n):
-    kind = draw(st.sampled_from(["float", "float_view", "int", "range", "str"]))
+    kind = draw(st.sampled_from(["float", "float_view", "int", "range", "str", "mixed"]))
     if kind.startswith("float"):
         # A small pool drawn from heavily gives the repeats dedup relies on.
         pool = draw(st.lists(st.sampled_from(SPECIAL_BITS), min_size=1, max_size=4)) + draw(
@@ -173,19 +184,40 @@ def csv_columns(draw, n):
         return draw(st.sampled_from([ints, np.array(ints, dtype=np.int64)]))
     if kind == "range":
         return range(n)
-    text = draw(st.lists(st.text(st.characters(blacklist_characters=",\n\r")),
-                         min_size=n, max_size=n))
+    text = st.text(st.characters(blacklist_characters=",\n\r"))
+    if kind == "mixed":  # text among other values: every cell still goes through str()
+        return draw(st.lists(text | st.integers() | st.floats(), min_size=n, max_size=n))
+    text = draw(st.lists(text, min_size=n, max_size=n))
     return draw(st.sampled_from([text, np.array(text, dtype=object)]))
+
+
+@st.composite
+def csv_tables(draw):
+    n = draw(st.integers(0, 12))
+    return [draw(csv_columns(n)) for _ in range(draw(st.integers(1, 6)))]
+
+
+def block_table(n):
+    """n rows that end at, or one row either side of, a block boundary:
+    floats with +-0 and NaN, and text as a list and as an object array."""
+    floats = np.array(SPECIAL_BITS * (n // len(SPECIAL_BITS) + 1), dtype=np.uint64)
+    text = [f"r{i}" for i in range(n)]
+    return [range(n), floats[:n].view(np.float64), text, np.array(text[::-1], dtype=object)]
 
 
 # Each example overwrites the same file, so sharing tmp_path is safe.
 @settings(derandomize=True, deadline=None, max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), n=st.integers(0, 12), n_cols=st.integers(1, 6))
-def test_write_csv_bytes_equal_row_formatter(tmp_path, data, n, n_cols):
-    # The columnar writer formats each distinct float64 bit pattern once;
-    # its bytes are the row formatter's, -0.0 next to 0.0 included.
-    columns = [data.draw(csv_columns(n)) for _ in range(n_cols)]
+@given(columns=csv_tables())
+@example(columns=block_table(0))
+@example(columns=block_table(1))
+@example(columns=block_table(WRITE_BLOCK_ROWS - 1))
+@example(columns=block_table(WRITE_BLOCK_ROWS))
+@example(columns=block_table(WRITE_BLOCK_ROWS + 1))
+def test_write_csv_bytes_equal_row_formatter(tmp_path, columns):
+    # The columnar writer formats each distinct float64 bit pattern once,
+    # passes text cells through and writes rows in blocks; its bytes are
+    # the row formatter's, -0.0 next to 0.0 included, at any row count.
     header = ",".join(f"c{k}" for k in range(len(columns)))
     write_csv(tmp_path / "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_text() == write_rows_oracle(header, columns)

@@ -1,11 +1,16 @@
 import warnings
+from math import nan
+from unittest import mock
 
 import numpy as np
 import pytest
 import raycast
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from raycast import Ray, intersect_ray_plane, render_target_px
 from rotations import rotation_x, rotation_y
 
+from uprsim import viewgen
 from uprsim.geometry import (
     DisplayModel,
     EyeState,
@@ -432,3 +437,64 @@ def test_pointing_errors_degenerate_cells_are_nan():
     errs = pointing_errors(RenderMode.UPR, target, [[0.0, 0.0, 150.0], [0.0, 0.0, -10.0]],
                            [[0.0, 0.0, 150.0], [0.0, 0.0, 200.0]], display, plane)
     assert np.isnan(errs).all()
+
+
+#: Coordinates that repeat, that differ from each other only in the sign of
+#: zero (equal values, other bits), or put an eye behind the panel (z <= 0).
+EYE_COORDS = st.sampled_from([0.0, -0.0, 40.0, -60.0]) | st.floats(-200.0, 200.0)
+EYE_Z = st.sampled_from([0.0, -0.0, -50.0, 150.0, 300.0]) | st.floats(-100.0, 600.0)
+EYE = st.tuples(EYE_COORDS, EYE_COORDS, EYE_Z)
+ZERO, NEG_ZERO, BEHIND = (0.0, 0.0, 200.0), (-0.0, 0.0, 200.0), (10.0, 0.0, -40.0)
+
+
+@st.composite
+def eye_runs(draw):
+    """(est, true) eye rows in runs: runs of repeated rows, drawn from a
+    small pool of rows, NaN estimates among them."""
+    pool = draw(st.lists(st.tuples(EYE | st.just((nan, nan, nan)), EYE), min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 4)), max_size=6))
+    return [row for row, k in runs for _ in range(k)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(rows=eye_runs(), seed=st.integers(0, 2**32 - 1))
+@example(rows=[(ZERO, ZERO)] * 3 + [(NEG_ZERO, ZERO)] * 2 + [(ZERO, NEG_ZERO)], seed=5)
+@example(rows=[((nan, nan, nan), ZERO)] * 2 + [(BEHIND, ZERO), (ZERO, BEHIND), (ZERO, BEHIND)],
+         seed=6)
+@example(rows=[], seed=7)
+def test_pointing_errors_rows_equal_each_row_alone(rows, seed):
+    # Every step of the pointing path is elementwise per row, so evaluating
+    # a run of bit-equal rows once and expanding it changes no bit: each
+    # mode's batch equals every row evaluated alone. DPR ignores its
+    # estimate, so its rows repeat when the true eyes do, whatever the
+    # estimates. A run of identical rows reaches the ray/plane hit as one.
+    rng = np.random.default_rng(seed)
+    display = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform.from_quaternion(
+        [1.0, *rng.normal(scale=0.2, size=3)],
+        [*rng.normal(scale=30.0, size=2), rng.uniform(-200.0, 0.0)]))
+    normal = np.array([*rng.normal(scale=0.2, size=2), 1.0])
+    plane = ScenePlane([0.0, 0.0, -300.0], normal / np.linalg.norm(normal), (3000.0, 3000.0))
+    targets = plane.from_plane_2d(rng.uniform(-300.0, 300.0, size=(3, 2)))
+    back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
+    est, true = np.array(rows, dtype=float).reshape(len(rows), 2, 3).transpose(1, 0, 2)
+    intersect, hit_rows = viewgen.intersect_ray_plane, []
+
+    def spy(origins, directions, plane):
+        hit_rows.append(len(origins))
+        return intersect(origins, directions, plane)
+
+    for mode in RenderMode:
+        key = true if mode is RenderMode.DPR else np.concatenate([est, true], axis=1)
+        bits = key.view(np.int64)
+        runs = int((bits[1:] != bits[:-1]).any(axis=1).sum()) + bool(len(rows))
+        with mock.patch.object(viewgen, "intersect_ray_plane", spy):
+            hit_rows.clear()
+            batch = pointing_errors(mode, targets, est, true, display, plane, back_cam=back)
+        assert hit_rows == [runs]
+        alone = [pointing_errors(mode, targets, est[i:i + 1], true[i:i + 1], display, plane,
+                                 back_cam=back)[0] for i in range(len(rows))]
+        assert batch.shape == (len(rows), 3)
+        assert batch.view(np.int64).tolist() == np.reshape(alone, (-1, 3)).view(np.int64).tolist()
+        if mode is RenderMode.DPR:
+            ignored = pointing_errors(mode, targets, None, true, display, plane, back_cam=back)
+            assert ignored.view(np.int64).tolist() == batch.view(np.int64).tolist()

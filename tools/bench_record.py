@@ -6,18 +6,21 @@ Usage (from anywhere inside the repository):
 
 Unpacks REV (default HEAD, the parent of uncommitted work) with `git archive`
 into a temporary directory, then runs `perfbench/run.py --trace 0`, as it
-is, for BENCHMARK.json's run_seconds, on every workload and on seeds 1 to 5,
-once in each tree, in one session: about 16 minutes. The order alternates:
-base first for seeds 1, 3 and 5, the working tree first for 2 and 4, so
-drift in the host's speed over the session falls on both trees alike.
+is, for BENCHMARK.json's run_seconds, on every workload and on seeds 1 to
+10, once in each tree, in one session: about 26 minutes. The order
+alternates: base first for odd seeds, the working tree first for even ones,
+so drift in the host's speed over the session falls on both trees alike.
 Writes BENCH_N.json at the repository root: per workload and tree, the
 median and interquartile range (IQR) of every metric over the seeds, each
 run's metrics, the seeds, both SHAs (the working tree's marked "+dirty"
 when it differs from HEAD), the run length, the Python and numpy versions
 and the core count. Per workload and metric it also writes the comparison:
-the ratio of the tree's median to the base's, and on how many seeds the
-tree's run beat the base's run of the same seed, in the direction
-BENCHMARK.json declares better. It prints that table last.
+the ratio of the tree's median to the base's, on how many seeds the tree's
+run beat the base's run of the same seed, in the direction BENCHMARK.json
+declares better (ties count for neither), the base's IQR, and whether a gain
+may be claimed: claim_met is true when the tree wins at least 9 of every 10
+pairs and its median is better than the base's by more than the base's IQR.
+It prints that table last.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
-SEEDS = (1, 2, 3, 4, 5)  # the fewest that give each IQR quartiles to stand on
+SEEDS = tuple(range(1, 11))  # ten pairs, of which a claimed gain must win nine
 #: Each metric's better direction, "higher" or "lower".
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
 
@@ -69,13 +72,18 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def iqr(values: list[float]) -> float:
+    """The distance between the first and third quartiles."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def summary(runs: list[dict]) -> dict:
     """Median and IQR of each metric over the runs, and the failure counts."""
     out = {}
     for name, first in runs[0]["metrics"].items():
         values = [r["metrics"][name]["value"] for r in runs]
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[name] = {"median": statistics.median(values), "iqr": q3 - q1,
+        out[name] = {"median": statistics.median(values), "iqr": iqr(values),
                      "unit": first["unit"]}
     out["all_correct"] = all(r["correct"] for r in runs)
     out["failed"] = sum(r["failed"] for r in runs)
@@ -84,26 +92,34 @@ def summary(runs: list[dict]) -> dict:
 
 def compare(base: list[dict], tree: list[dict]) -> dict:
     """Per metric, from two trees' runs in the same seed order: the ratio of
-    the tree's median to the base's (NaN for a base median of 0), and the
-    number of seeds on which the tree is strictly better."""
+    the tree's median to the base's (NaN for a base median of 0), the number
+    of seeds on which the tree is strictly better, the base's IQR, and
+    claim_met: the tree wins at least nine in ten pairs and its median is
+    better than the base's by more than the base's IQR."""
     out = {}
     for name in base[0]["metrics"]:
         b, t = ([r["metrics"][name]["value"] for r in runs] for runs in (base, tree))
         sign = 1 if BETTER[name] == "higher" else -1
-        median = statistics.median(b)
+        median, spread = statistics.median(b), iqr(b)
+        wins = sum(sign * (y - x) > 0 for x, y in zip(b, t))
+        gain = sign * (statistics.median(t) - median)
         out[name] = {"better": BETTER[name],
                      "ratio": statistics.median(t) / median if median else math.nan,
-                     "tree_better_seeds": sum(sign * (y - x) > 0 for x, y in zip(b, t)),
-                     "seeds": len(b)}
+                     "tree_better_seeds": wins,
+                     "seeds": len(b),
+                     "base_iqr": spread,
+                     "claim_met": 10 * wins >= 9 * len(b) and gain > spread}
     return out
 
 
 def table(comparison: dict) -> str:
     """The comparison of every workload, one metric a line."""
-    lines = [f"{'workload':<14} {'metric':<13} {'better':<6} {'tree/base':>9}  tree better"]
+    lines = [f"{'workload':<14} {'metric':<13} {'better':<6} {'tree/base':>9}  "
+             f"tree better    {'base IQR':>10}  claim met"]
     for workload, metrics in comparison.items():
         lines += [f"{workload:<14} {name:<13} {c['better']:<6} {c['ratio']:>9.4f}  "
-                  f"{c['tree_better_seeds']}/{c['seeds']} seeds" for name, c in metrics.items()]
+                  f"{c['tree_better_seeds']:>2}/{c['seeds']:<2} seeds  {c['base_iqr']:>10.4g}  "
+                  f"{'yes' if c['claim_met'] else 'no'}" for name, c in metrics.items()]
     return "\n".join(lines)
 
 
