@@ -232,34 +232,23 @@ def back_camera(offset_mm=(45.0, -25.0, -8.0), fx: float = 400.0, fy: float = 40
 
 @dataclass(frozen=True)
 class EyeState:
-    """Eye positions in the display frame: both eyes plus their midpoint."""
+    """The cyclopean eye in the display frame and the interpupillary
+    distance; tracksim.eye_points splits it into the two eyes."""
 
     cyclopean_mm: np.ndarray
-    left_mm: np.ndarray
-    right_mm: np.ndarray
-    ipd_mm: float = nonnegative()
+    ipd_mm: float = nonnegative(63.0)
 
     def __post_init__(self):
         check_fields(self, GeometryError)
         c = _as_vec3(self.cyclopean_mm, "cyclopean_mm")
-        l = _as_vec3(self.left_mm, "left_mm")
-        r = _as_vec3(self.right_mm, "right_mm")
         object.__setattr__(self, "cyclopean_mm", c)
-        object.__setattr__(self, "left_mm", l)
-        object.__setattr__(self, "right_mm", r)
-        if abs(np.linalg.norm(l - r) - self.ipd_mm) > 1e-6:
-            raise GeometryError("eye separation does not match ipd_mm")
-        if np.abs((l + r) / 2.0 - c).max() > 1e-6:
-            raise GeometryError("cyclopean_mm is not the midpoint of the eyes")
         if c[2] <= 0:
             raise GeometryError("eye must be in front of the panel (z > 0)")
 
     @classmethod
     def from_cyclopean(cls, cyclopean_mm, ipd_mm: float = 63.0) -> "EyeState":
-        """Eyes split symmetrically along the display x-axis."""
-        c = _as_vec3(cyclopean_mm, "cyclopean_mm")
-        half = np.array([ipd_mm / 2.0, 0.0, 0.0])
-        return cls(c, c - half, c + half, ipd_mm)
+        """EyeState(cyclopean_mm, ipd_mm), by name."""
+        return cls(cyclopean_mm, ipd_mm)
 
 
 @dataclass(frozen=True)

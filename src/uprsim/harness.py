@@ -538,13 +538,17 @@ SWEEP_PARAMS = {
 def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float, Summary]]:
     """One run per value (same seed per cell); returns (value, Summary) rows
     for every configured mode. Unless the parameter shapes the trace, cells
-    share the first cell's trace and, for AAUPR, its projection."""
+    share the first cell's trace and, for AAUPR, its projection. A trace
+    that reads no amplitude cannot sweep it (a ConfigError)."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {sorted(SWEEP_PARAMS)}")
     values = list(values)
     if not values:
         raise ConfigError("sweep values must be nonempty")
     key = SWEEP_PARAMS[parameter]
+    source = "trace_file" if config.trace_file else config.trace_generator
+    if key == "trace_amplitude_mm" and source in ("trace_file", Generator.STATIONARY.value):
+        raise ConfigError(f"{parameter}: a {source} trace does not read {key}")
     # build_trace reads only trace_* keys, ipd_mm and seed.
     shares_trace = not key.startswith("trace_")
     trace = projection = None

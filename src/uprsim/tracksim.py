@@ -52,15 +52,13 @@ class TraceError(ValueError):
 @dataclass(frozen=True)
 class HeadTrace:
     """Per-frame columns: t_ms (F,), eye_mm (F, 3) cyclopean eye in the
-    display frame, ipd_mm (F,). The arrays are read-only."""
+    display frame, ipd_mm (F,), all read-only; every t_ms step equals the first."""
 
     t_ms: np.ndarray
     eye_mm: np.ndarray
     ipd_mm: np.ndarray
-    frame_rate_hz: float = positive()
 
     def __post_init__(self):
-        check_fields(self)
         for name in ("t_ms", "eye_mm", "ipd_mm"):
             a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
@@ -68,7 +66,8 @@ class HeadTrace:
         t, eye, ipd = self.t_ms, self.eye_mm, self.ipd_mm
         if len(t) == 0:
             raise ValueError("trace must contain at least one frame")
-        with np.errstate(over="ignore"):  # a spacing that overflows is inf: a TraceError
+        # A spacing that overflows is inf, and inf - inf is NaN: a TraceError.
+        with np.errstate(over="ignore", invalid="ignore"):
             dt = np.diff(t)
             # 1e-6 ms, or the float resolution of timestamps too large for it.
             slack = 1e-6 + 2 * np.spacing(np.abs(t[1:]))
@@ -79,7 +78,7 @@ class HeadTrace:
                  f"eye must be in front of the panel (z >= {MIN_DIVISOR:g})"),
                 (ipd < 0, "ipd_mm must be nonnegative"),
                 (np.r_[False, dt <= 0], "timestamps must be strictly increasing"),
-                (np.r_[False, np.abs(dt - 1000.0 / self.frame_rate_hz) > slack],
+                (np.r_[False, ~(np.abs(dt - dt[:1]) <= slack)],
                  "frame spacing inconsistent with frame rate"),
             ]
         for bad, reason in checks:
@@ -102,8 +101,8 @@ class HeadTrace:
 
 def eye_points(eye_mm, ipd_mm) -> np.ndarray:
     """(..., 2, 3) eye points, rows left, right: the cyclopean eye_mm split
-    symmetrically along the display x-axis, as EyeState.from_cyclopean
-    splits it."""
+    symmetrically along the display x-axis, ipd_mm apart; the one split of
+    a cyclopean eye (an EyeState, a trace row) into two eyes."""
     c = np.asarray(eye_mm, dtype=float)
     half = np.multiply.outer(np.asarray(ipd_mm) / 2.0, [1.0, 0.0, 0.0])
     return np.stack([c - half, c + half], axis=-2)
@@ -166,7 +165,7 @@ def generate_trace(spec: TraceSpec) -> HeadTrace:
 
     n = len(positions)
     return HeadTrace(t_ms=np.arange(n) * (1000.0 / spec.frame_rate_hz), eye_mm=positions,
-                     ipd_mm=np.full(n, spec.ipd_mm), frame_rate_hz=spec.frame_rate_hz)
+                     ipd_mm=np.full(n, spec.ipd_mm))
 
 
 def _require_frames(spec: TraceSpec) -> int:
@@ -252,11 +251,8 @@ def read_trace_csv(path) -> HeadTrace:
             (np.any(data[:, 6:] != IDENTITY_POSE, axis=1), "dev_* pose must be the identity")]:
         if bad.any():
             raise ValueError(f"line {lines[np.argmax(bad)]}: {reason}")
-    t = data[:, 1]
-    t0, t1 = t[:2].tolist() if len(t) > 1 else (0.0, 0.0)  # floats: an overflow is inf
-    rate = 1000.0 / (t1 - t0) if t1 > t0 else DEFAULT_FRAME_RATE_HZ
     try:
-        return HeadTrace(t_ms=t, eye_mm=data[:, 2:5], ipd_mm=data[:, 5], frame_rate_hz=rate)
+        return HeadTrace(t_ms=data[:, 1], eye_mm=data[:, 2:5], ipd_mm=data[:, 5])
     except TraceError as exc:
         frame, reason = exc.args
         raise ValueError(f"line {lines[frame]}: {reason}") from None

@@ -86,17 +86,16 @@ def _homography_from_points(src: np.ndarray, dst: np.ndarray) -> Homography:
     return Homography(np.append(sol, 1.0).reshape(3, 3))
 
 
-def upr_display_to_plane(eye: EyeState, display: DisplayModel, plane: ScenePlane) -> Homography:
+def upr_display_to_plane(eye_mm, display: DisplayModel, plane: ScenePlane) -> Homography:
     """Homography taking display pixels to 2D scene-plane coordinates (mm)
-    under user-perspective rendering from the cyclopean eye.
+    under user-perspective rendering from the cyclopean eye eye_mm (display frame).
 
     Built from the four display-corner rays; since the eye is a center of
     projection between two planes, four correspondences determine the map
     exactly. Raises when any corner ray misses the plane forward.
     """
     corners_px = display.corners_px()
-    dst, hit = perceived_points(display.pose_world.apply(eye.cyclopean_mm), corners_px,
-                                display, plane)
+    dst, hit = perceived_points(display.pose_world.apply(eye_mm), corners_px, display, plane)
     if not hit.all():
         raise GeometryError("display corner ray misses the scene plane")
     return _homography_from_points(corners_px, dst)

@@ -164,13 +164,20 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
     ("trace_dwell_frames = 100000000000000000000", None,
      "error: trace_dwell_frames: must be at most 1e6 in magnitude"),
     # Timestamps +-1.7e308 once put a numpy overflow warning before the error,
-    # and named the rate as np.float64(0.0); an eye x of 1e300 ran to exit 0.
+    # then named a frame rate of 0.0 and no line; an eye x of 1e300 ran to
+    # exit 0.
     ("trace_file = {huge_t_csv}", None,
-     "error: trace_file: frame_rate_hz: must be positive, got 0.0\n"),
+     "error: trace_file: line 3: frame spacing inconsistent with frame rate\n"),
     ("trace_file = {far_eye_csv}", None,
      "error: trace_file: line 4: eye and ipd values must be at most 1e6 in magnitude"),
     ("trace_file = {split_t_csv}", None,  # a spacing that overflows
      "error: trace_file: line 4: frame spacing inconsistent with frame rate"),
+    # Neither trace reads trace_amplitude_mm: every cell once gave the same row.
+    ("trace_file = {good_csv}", ["sweep", "--param", "head_displacement", "--values", "0,100"],
+     "error: head_displacement: a trace_file trace does not read trace_amplitude_mm\n"),
+    ("trace_generator = stationary\ntrace_n_frames = 5",
+     ["sweep", "--param", "head_displacement", "--values", "0,100"],
+     "error: head_displacement: a stationary trace does not read trace_amplitude_mm\n"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would reach stderr
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
@@ -182,6 +189,7 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):
             "split_t_csv": "".join([f"{TRACE_CSV_HEADER}\n"] + [
                 f"{i},{t},0.0,0.0,150.0{pose}" for i, t in enumerate(
                     ["-1.7e308", "-1.6e308", "1.7e308"])]),
+            "good_csv": trace_csv(2, "", ""),  # nothing replaced: a valid trace
             "nan_csv": trace_csv(3, ",150.0,", ",nan,"),
             "text_csv": trace_csv(3, ",150.0,", ",abc,"),
             "behind_csv": trace_csv(2, ",150.0,", ",0.0,"),

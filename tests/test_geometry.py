@@ -21,7 +21,7 @@ from uprsim.geometry import (
     project_pinhole,
 )
 from uprsim.scheduler import ThresholdConfig
-from uprsim.tracksim import CostModel, FlowSimulator, Generator, HeadTrace, TraceSpec
+from uprsim.tracksim import CostModel, FlowSimulator, Generator, TraceSpec, eye_points
 
 
 def random_transform(rng) -> RigidTransform:
@@ -99,21 +99,26 @@ def test_display_rejects_nonpositive():
 # ---- EyeState ----------------------------------------------------------
 
 def test_eye_state_split():
+    # An EyeState holds the cyclopean eye and the ipd; eye_points splits them.
     e = EyeState.from_cyclopean([0.0, 0.0, 150.0], ipd_mm=63.0)
-    assert np.allclose(e.left_mm, [-31.5, 0.0, 150.0])
-    assert np.allclose(e.right_mm, [31.5, 0.0, 150.0])
-    assert abs(np.linalg.norm(e.left_mm - e.right_mm) - e.ipd_mm) < 1e-6
+    assert [f.name for f in fields(e)] == ["cyclopean_mm", "ipd_mm"]
+    assert np.array_equal(e.cyclopean_mm, [0.0, 0.0, 150.0]) and e.ipd_mm == 63.0
+    assert EyeState([0.0, 0.0, 150.0]).ipd_mm == 63.0
+    left, right = eye_points(e.cyclopean_mm, e.ipd_mm)
+    assert np.array_equal(left, [-31.5, 0.0, 150.0])
+    assert np.array_equal(right, [31.5, 0.0, 150.0])
+    assert np.linalg.norm(left - right) == e.ipd_mm
 
 
 def test_eye_state_invariants():
-    with pytest.raises(GeometryError):
-        EyeState([0.0, 0.0, 150.0], [-40.0, 0.0, 150.0], [40.0, 0.0, 150.0], 63.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="^ipd_mm: must be nonnegative"):
+        EyeState([0.0, 0.0, 150.0], -1.0)
+    with pytest.raises(GeometryError, match=r"in front of the panel \(z > 0\)"):
         EyeState.from_cyclopean([0.0, 0.0, -10.0])
     with pytest.raises(GeometryError, match="^cyclopean_mm: must be finite"):
         EyeState.from_cyclopean([np.nan, 0.0, 150.0])
-    with pytest.raises(GeometryError, match="^left_mm: must be finite"):
-        EyeState([0.0, 0.0, 150.0], [-np.inf, 0.0, 150.0], [31.5, 0.0, 150.0], 63.0)
+    with pytest.raises(GeometryError, match="^cyclopean_mm: must be finite"):
+        EyeState([-np.inf, 0.0, 150.0])
 
 
 # ---- Pinhole projection ------------------------------------------------
@@ -308,7 +313,6 @@ VALUE_OBJECTS = [
     CostModel(),
     TraceSpec(Generator.SWAY),
     FlowSimulator(front_camera()),
-    HeadTrace(t_ms=[0.0], eye_mm=[[0.0, 0.0, 150.0]], ipd_mm=[63.0], frame_rate_hz=15.0),
 ]
 
 

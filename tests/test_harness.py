@@ -21,7 +21,7 @@ from uprsim.harness import (
     write_outputs,
     write_sweep_csv,
 )
-from uprsim.tracksim import FlowSimulator, write_trace_csv
+from uprsim.tracksim import FlowSimulator, eye_points, write_trace_csv
 from uprsim.viewgen import RenderMode
 
 
@@ -313,8 +313,7 @@ def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
     front = cfg.front_cam()
 
     def eye_px(eye_mm):
-        eye = EyeState.from_cyclopean(eye_mm, ipd_mm=cfg.ipd_mm)
-        px = project_pinhole(front, front.extrinsic.apply(np.stack([eye.left_mm, eye.right_mm])))
+        px = project_pinhole(front, front.extrinsic.apply(eye_points(eye_mm, cfg.ipd_mm)))
         return tuple(px.reshape(4).tolist())
 
     flow = eye_px(true_eye[k + 1])

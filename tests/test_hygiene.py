@@ -8,7 +8,9 @@ src/uprsim opens files for writing, so one place decides what a CSV cell
 looks like. Every value object with a number field checks its declared
 domains through geometry.check_fields. The scheduler imports no numpy, so
 AAUPR's per-frame decisions stay on Python floats. perfbench's span targets
-still name the program's attributes.
+still name the program's attributes. No test handler of Exception or
+BaseException skips re-raising, so a call that breaks fails its test rather
+than being passed over as, say, a degenerate random draw.
 """
 
 import ast
@@ -199,3 +201,34 @@ def test_perfbench_span_targets_resolve():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     assert spans.Recorder().missing == DEAD_SPAN_TARGETS
+
+
+#: Exceptions so broad that a handler of one also catches a broken call.
+BROAD = {"Exception", "BaseException"}
+
+
+def swallowing_handlers(source: str) -> list[int]:
+    """Lines of the except clauses that catch Exception or BaseException
+    (bare, alone or in a tuple) and hold no raise statement."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = BROAD if node.type is None else {
+            getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+        if caught & BROAD and not any(isinstance(n, ast.Raise)
+                                      for stmt in node.body for n in ast.walk(stmt)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_tests_swallow_no_broad_errors():
+    source = ("try: f()\nexcept Exception: pass\n"
+              "try: f()\nexcept (KeyError, builtins.BaseException) as e: g(e)\n"
+              "try: f()\nexcept: pass\n"
+              "try: f()\nexcept BaseException:\n    log()\n    raise\n"
+              "try: f()\nexcept ValueError: pass\n")
+    assert swallowing_handlers(source) == [2, 4, 6]
+    swallowed = [f"{path.name}:{line}" for path in sorted((ROOT / "tests").rglob("*.py"))
+                 for line in swallowing_handlers(path.read_text())]
+    assert swallowed == []

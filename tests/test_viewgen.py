@@ -30,6 +30,7 @@ from uprsim.viewgen import (
     pointing_errors,
     upr_display_to_plane,
 )
+from uprsim.tracksim import eye_points
 
 # FUPR staleness regression constant for the spec'd scenario below (head
 # displaced 100 mm laterally from a 150 mm calibration, plane 300 mm behind
@@ -37,6 +38,10 @@ from uprsim.viewgen import (
 # the drawn pixel is the display center, the true-eye ray through it reaches
 # the plane at (-200, 0), i.e. 100 * 300 / 150 = 200 mm from the target.
 FUPR_LATERAL_100MM_ERROR_MM = 200.0
+
+#: Random display/plane/eye draws a homography test may take to find its
+#: non-degenerate configs; a call that fails on every draw fails the test.
+MAX_DRAWS = 1000
 
 
 def flat_display(z_world=0.0) -> DisplayModel:
@@ -73,9 +78,8 @@ def test_fupr_eye_paper_distance():
 def test_fupr_eye_boundary_and_split():
     assert np.array_equal(fupr_eyes(fupr_distance_mm=1.0)[0], [0.0, 0.0, 1.0])
     # The calibration eye splits as any cyclopean eye does.
-    e = EyeState.from_cyclopean([0.0, 0.0, 150.0], ipd_mm=63.0)
-    assert np.allclose(e.left_mm, [-31.5, 0.0, 150.0])
-    assert np.allclose(e.right_mm, [31.5, 0.0, 150.0])
+    assert np.array_equal(eye_points([0.0, 0.0, 150.0], 63.0),
+                          [[-31.5, 0.0, 150.0], [31.5, 0.0, 150.0]])
     with pytest.raises(ConfigError, match="^fupr_distance_mm: must be positive"):
         benchmark_config(fupr_distance_mm=0.0)
 
@@ -83,8 +87,7 @@ def test_fupr_eye_boundary_and_split():
 # ---- upr_display_to_plane ----------------------------------------------
 
 def test_upr_homography_parallel_plane_is_similarity():
-    eye = EyeState.from_cyclopean([0.0, 0.0, 400.0])
-    h = upr_display_to_plane(eye, flat_display(), plane_below()).h
+    h = upr_display_to_plane([0.0, 0.0, 400.0], flat_display(), plane_below()).h
     h = h / h[2, 2]
     assert abs(h[2, 0]) < 1e-9 and abs(h[2, 1]) < 1e-9
     # Uniform scale: |h00| == |h11| in mm-per-px terms adjusted for the
@@ -100,7 +103,7 @@ def test_upr_homography_matches_independent_camera():
     display = flat_display()
     plane = plane_below()
     ez = 500.0
-    eye = EyeState.from_cyclopean([0.0, 0.0, ez])
+    eye = np.array([0.0, 0.0, ez])
     h = upr_display_to_plane(eye, display, plane)
     cam = PinholeCamera(fx=ez * 1080 / 109.0, fy=ez * 608 / 61.0,
                         cx=540.0, cy=304.0, width_px=1080, height_px=608)
@@ -112,7 +115,7 @@ def test_upr_homography_matches_independent_camera():
         # display -z).
         u, v = px
         d = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0]) * [1.0, -1.0, -1.0]
-        hit = intersect_ray_plane(Ray(eye.cyclopean_mm, d), plane)
+        hit = intersect_ray_plane(Ray(eye, d), plane)
         assert np.allclose(h.apply(px), plane.to_plane_2d(hit), atol=1e-6)
 
 
@@ -121,7 +124,7 @@ def test_upr_homography_oblique_raycast_oracle():
                            rotation_x(np.deg2rad(30.0), [0.0, 0.0, 0.0]))
     plane = plane_below(-300.0)
     eye = EyeState.from_cyclopean([40.0, -20.0, 350.0])
-    h = upr_display_to_plane(eye, display, plane)
+    h = upr_display_to_plane(eye.cyclopean_mm, display, plane)
     for u in np.linspace(0, 1080, 10):
         for v in np.linspace(0, 608, 10):
             expected = raycast_plane_point(eye, display, plane, [u, v])
@@ -131,7 +134,7 @@ def test_upr_homography_oblique_raycast_oracle():
 def test_upr_homography_randomized_equivalence():
     rng = np.random.default_rng(101)
     checked = 0
-    while checked < 100:
+    for _ in range(MAX_DRAWS):
         display = DisplayModel(
             109.0, 61.0, 1080, 608,
             RigidTransform.from_quaternion(
@@ -142,8 +145,8 @@ def test_upr_homography_randomized_equivalence():
         eye = EyeState.from_cyclopean(
             [rng.uniform(-80, 80), rng.uniform(-80, 80), rng.uniform(200, 500)])
         try:
-            h = upr_display_to_plane(eye, display, plane)
-        except Exception:
+            h = upr_display_to_plane(eye.cyclopean_mm, display, plane)
+        except GeometryError:
             continue  # degenerate draw; only non-degenerate configs count
         for u in np.linspace(0, 1080, 10):
             for v in np.linspace(0, 608, 10):
@@ -151,6 +154,9 @@ def test_upr_homography_randomized_equivalence():
                 assert expected is not None
                 assert np.abs(h.apply([u, v]) - expected).max() < 1e-6
         checked += 1
+        if checked == 100:
+            break
+    assert checked == 100, f"{MAX_DRAWS} draws gave {checked} non-degenerate configs"
 
 
 def test_upr_homography_corner_miss_raises_without_warnings():
@@ -167,7 +173,7 @@ def test_upr_homography_corner_miss_raises_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match="display corner ray misses the scene plane"):
-                upr_display_to_plane(e, display, plane)
+                upr_display_to_plane(e.cyclopean_mm, display, plane)
 
 
 # ---- DPR mapping -------------------------------------------------------

@@ -4,8 +4,9 @@ Usage (from anywhere inside the repository):
 
     python3 tools/compare_outputs.py REV
 
-Unpacks REV with `git archive` into a temporary directory, runs one command
-set with each tree's `src/` on PYTHONPATH, and prints `diff -r` of the two
+Unpacks REV into a temporary directory with bench_record.unpack (`git
+archive`, extracted by tarfile with the "data" filter), runs one command set
+with each tree's `src/` on PYTHONPATH, and prints `diff -r` of the two
 output directories. Every output file is compared, plus each command's exit
 code, stdout and stderr. Exits 0 when the trees agree byte for byte, 1 on
 any difference.
@@ -37,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 
+from bench_record import unpack  # noqa: E402
 from output_commands import COMMANDS, write_inputs  # noqa: E402
 
 RUN_CLI = "import sys; from uprsim.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -62,10 +64,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="uprsim-compare-") as tmp:
         tmp = Path(tmp)
         base = tmp / "rev"
-        base.mkdir()
-        archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        unpack(args.rev, base)
         run_commands(base / "src", tmp / "out_rev")
         run_commands(ROOT / "src", tmp / "out_tree")
         diff = subprocess.run(["diff", "-r", "out_rev", "out_tree"], cwd=tmp,
