@@ -10,38 +10,31 @@ Run: python3 demos/01_render_modes.py
 
 import numpy as np
 
-from uprsim import (
-    DisplayModel,
-    EyeState,
-    RigidTransform,
-    ScenePlane,
-    back_camera,
-)
-from uprsim.viewgen import RenderMode, pointing_error
+from uprsim import DisplayModel, RigidTransform, ScenePlane, back_camera
+from uprsim.viewgen import RenderMode, pointing_errors
 
 display = DisplayModel(109.0, 61.0, 1080, 608,
                        RigidTransform(np.eye(3), [0.0, 0.0, 300.0]))
 plane = ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], (506.0, 287.0))
 cam = back_camera()  # corner-mounted, looking at the screen
+target = plane.from_plane_2d([[100.0, 50.0]])
 
+# One row per head offset: the user's eye, 150 mm from the display.
+laterals = [0.0, 50.0, 100.0, 150.0, 200.0, 250.0]
+true_eyes = np.array([[x, 0.0, 150.0] for x in laterals])
 # FUPR's eye: on the display's center axis, at the head-to-device distance
 # measured once.
-calibration_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
+calibration_eyes = np.tile([0.0, 0.0, 150.0], (len(laterals), 1))
+
+# UPR tracks the head perfectly here; FUPR keeps the calibration eye;
+# DPR uses the back camera and ignores the head entirely.
+errs = {mode: pointing_errors(RenderMode[mode], target, est, true_eyes, display, plane,
+                              back_cam=cam)[:, 0]
+        for mode, est in (("UPR", true_eyes), ("FUPR", calibration_eyes), ("DPR", None))}
 
 print(f"{'head offset':>12} {'DPR':>8} {'UPR':>8} {'FUPR':>8}   (pointing error, mm)")
-for lateral in (0.0, 50.0, 100.0, 150.0, 200.0, 250.0):
-    true_eye = EyeState.from_cyclopean([lateral, 0.0, 150.0])
-    target = plane.from_plane_2d([100.0, 50.0])
-    errs = {}
-    # UPR tracks the head perfectly here; FUPR keeps the calibration eye;
-    # DPR uses the back camera and ignores the head entirely.
-    errs["UPR"] = pointing_error(RenderMode.UPR, target, true_eye, true_eye,
-                                 display, plane)
-    errs["FUPR"] = pointing_error(RenderMode.FUPR, target, calibration_eye,
-                                  true_eye, display, plane)
-    errs["DPR"] = pointing_error(RenderMode.DPR, target, None, true_eye,
-                                 display, plane, back_cam=cam)
-    print(f"{lateral:>9.0f} mm {errs['DPR']:>8.1f} {errs['UPR']:>8.1f} {errs['FUPR']:>8.1f}")
+for row in zip(laterals, errs["DPR"], errs["UPR"], errs["FUPR"]):
+    print("{:>9.0f} mm {:>8.1f} {:>8.1f} {:>8.1f}".format(*row))
 
 print()
 print("UPR compensates exactly; FUPR degrades as the head leaves the")

@@ -5,24 +5,12 @@ face tracking for UPR, scheduler-gated for AAUPR, none for FUPR/DPR),
 accounts time against the cost model, and evaluates pointing error against
 a target set on the scene plane.
 
-Each mode's geometry is stateless, so it runs as numpy passes over the whole
-trace: the flow proxy's exact pixels of the left/right eye points
-(FlowSimulator.project) before AAUPR's closed loop, and pointing error over
-frames x targets (viewgen.pointing_errors, once per run of frames whose
-estimated and true eyes are unchanged) after it. Face tracking is a
-list of request frames (ModeRecord.requests, which summaries count): none
-for DPR and FUPR, every frame for UPR, the frames AAUPR's loop recalculated
-at. That loop is the only sequential part: scheduler.schedule, which keeps
-the scheduler state in locals, reads FlowSimulator.measurements one frame
-at a time, and re-anchors through project_frame (not project; it calls no
-numpy). It returns the decision, reason, E and dE columns and the
-request frames. One numpy pass over the requests then builds the
-estimated-eye and charge columns (_run_mode), from the config's face
-tracker (a request gets its frame's true eye plus a jitter draw, and costs
-the face cost) and FUPR eye, (0, 0, fupr_distance_mm). A mode's result is
-one ModeRecord of columns; summaries and the CSV output read them. A sweep
-whose parameter does not shape the trace builds the trace once and
-projects it once (_project_trace), for every cell's AAUPR loop.
+Face tracking is a list of request frames: none for DPR and FUPR, every
+frame for UPR, and the frames AAUPR's scheduler recalculates at. A request
+gets its frame's true eye plus a jitter draw and costs the face cost; FUPR
+renders from its calibration eye, (0, 0, fupr_distance_mm). A mode's result
+is one ModeRecord of per-frame columns and one Summary row, keyed by mode
+name in a RunResult; the CSV output reads them.
 
 A config key's own domain is declared on its ExperimentConfig field and
 checked after finiteness and SCALE (not seed), when a config is built, by
@@ -63,9 +51,10 @@ at rest, not mid-motion); set errors_dwell_only = false for every frame.
 from __future__ import annotations
 
 import os
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +106,18 @@ divisor = partial(within, f"at least {MIN_DIVISOR:g}", lambda v: v >= MIN_DIVISO
 def _distinct_modes(modes: str) -> bool:
     names = [m.strip() for m in modes.split(",")]
     return len(set(names)) == len(names) and set(names) <= RenderMode.__members__.keys()
+
+
+def _target_pairs(text: str) -> list[tuple[float, ...]]:
+    """The float tuples of text's nonblank ';'-separated, ','-split chunks."""
+    return [tuple(map(float, chunk.split(","))) for chunk in text.split(";") if chunk.strip()]
+
+
+def _are_target_pairs(text: str) -> bool:
+    try:
+        return set(map(len, _target_pairs(text))) == {2}  # empty for no pairs
+    except ValueError:
+        return False
 
 
 def _one_of(default, choices):
@@ -194,8 +195,9 @@ class ExperimentConfig:
     cost_flow_ms: float = nonnegative(0.5)
     cost_render_base_ms: float = nonnegative(20.733)
 
-    # Semicolon-separated "x,y" pairs, plane-frame mm.
-    targets: str = "0,0;150,80;-150,80;150,-80;-150,-80"
+    # Plane-frame mm.
+    targets: str = within("one or more x,y float pairs, separated by ';'", _are_target_pairs,
+                          "0,0;150,80;-150,80;150,-80;-150,-80")
 
     errors_dwell_only: bool = True
     errors_px_per_mm: float = nonnegative(0.0)  # 0 -> report mm only
@@ -272,19 +274,7 @@ class ExperimentConfig:
                          flow_ms=self.cost_flow_ms, render_base_ms=self.cost_render_base_ms)
 
     def target_points(self) -> np.ndarray:
-        pts = []
-        for chunk in self.targets.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                x, y = (float(v) for v in chunk.split(","))
-            except ValueError:
-                raise ConfigError(f"targets: expected 'x,y' pairs, got {chunk!r}")
-            pts.append((x, y))
-        if not pts:
-            raise ConfigError("targets: at least one target required")
-        arr = np.array(pts, dtype=float)
+        arr = np.array(_target_pairs(self.targets), dtype=float)
         plane = self.plane()
         for x, y in arr:
             if not plane.contains_2d((x, y)):
@@ -335,11 +325,9 @@ def benchmark_config(**overrides) -> ExperimentConfig:
     return replace(ExperimentConfig(), **overrides)
 
 
-@dataclass(frozen=True)
-class ModeRecord:
+class ModeRecord(NamedTuple):
     """One mode's run as per-frame columns; row i is trace frame i."""
 
-    mode: str
     requests: np.ndarray                # (R,) int, ascending: face-tracker request frames
     decision: np.ndarray                # (F,) str; AAUPR only, empty otherwise
     reason: np.ndarray                  # (F,) str
@@ -351,12 +339,8 @@ class ModeRecord:
     cumulative_tracking_ms: np.ndarray  # (F,)
     frame_time_ms: np.ndarray           # (F,)
 
-    def __len__(self) -> int:
-        return len(self.tracking_charge_ms)
 
-
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     mode: str
     mean_error_mm: float
     sd_error_mm: float
@@ -366,8 +350,7 @@ class Summary:
     mean_frame_time_ms: float
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     records: dict[str, ModeRecord]
     summaries: dict[str, Summary]
     trace: HeadTrace
@@ -400,10 +383,10 @@ def run(config: ExperimentConfig, trace: HeadTrace | None = None, *,
                                            trace.eye_mm[evaluate], display, plane,
                                            back_cam=back, fit=fit)
         charge = cols["tracking_charge_ms"]
-        rec = ModeRecord(mode.value, errors_mm=errors, cumulative_tracking_ms=np.cumsum(charge),
+        rec = ModeRecord(errors_mm=errors, cumulative_tracking_ms=np.cumsum(charge),
                          frame_time_ms=cost.render_base_ms + charge, **cols)
         records[mode.value] = rec
-        summaries[mode.value] = _summarize(rec)
+        summaries[mode.value] = _summarize(mode.value, rec)
     return RunResult(records=records, summaries=summaries, trace=trace)
 
 
@@ -485,15 +468,15 @@ def _run_mode(mode, config, trace, tcfg, cost, projection=None) -> dict[str, np.
     return cols
 
 
-def _summarize(rec: ModeRecord) -> Summary:
+def _summarize(mode: str, rec: ModeRecord) -> Summary:
     # Row-major, so the mean sums the same cells in the same order as a
     # reader of the frame CSV.
     errs = rec.errors_mm.ravel()
     errs = errs[~np.isnan(errs)]
     mean_err = float(errs.mean()) if errs.size else float("nan")
     sd_err = float(errs.std(ddof=1)) if errs.size > 1 else float("nan")
-    n_frames, invocations = len(rec), len(rec.requests)
-    return Summary(mode=rec.mode, mean_error_mm=mean_err, sd_error_mm=sd_err,
+    n_frames, invocations = len(rec.frame_time_ms), len(rec.requests)
+    return Summary(mode=mode, mean_error_mm=mean_err, sd_error_mm=sd_err,
                    invocations=invocations, invocation_fraction=invocations / n_frames,
                    total_tracking_ms=float(rec.cumulative_tracking_ms[-1]),
                    mean_frame_time_ms=float(rec.frame_time_ms.mean()))
@@ -501,7 +484,7 @@ def _summarize(rec: ModeRecord) -> Summary:
 
 # ---- CSV output --------------------------------------------------------
 
-SUMMARY_CSV_HEADER = ",".join(f.name for f in fields(Summary))
+SUMMARY_CSV_HEADER = ",".join(Summary._fields)
 
 
 def write_outputs(result: RunResult, outdir) -> None:
@@ -512,7 +495,7 @@ def write_outputs(result: RunResult, outdir) -> None:
     # write_csv passes their text through.
     frame, *true_eye = map(format_column, [range(n), *result.trace.eye_mm.T])
     for mode, rec in result.records.items():
-        columns = {"frame": frame, "mode": [rec.mode] * n, "decision": rec.decision,
+        columns = {"frame": frame, "mode": [mode] * n, "decision": rec.decision,
                    "reason": rec.reason, "e_px": rec.e_px, "delta_e_px": rec.delta_e_px,
                    **{f"est_eye_{a}_mm": c for a, c in zip("xyz", rec.est_eye_mm.T)},
                    **{f"true_eye_{a}_mm": c for a, c in zip("xyz", true_eye)},
@@ -523,7 +506,7 @@ def write_outputs(result: RunResult, outdir) -> None:
         write_csv(os.path.join(outdir, f"frames_{mode}.csv"), ",".join(columns),
                   columns.values())
     write_csv(os.path.join(outdir, "summary.csv"), SUMMARY_CSV_HEADER,
-              zip(*map(astuple, result.summaries.values())))
+              zip(*result.summaries.values()))
 
 
 # ---- parameter sweeps --------------------------------------------------
@@ -568,4 +551,4 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float,
 def write_sweep_csv(rows: list[tuple[float, Summary]], parameter: str, path) -> None:
     write_csv(path, "parameter,value," + SUMMARY_CSV_HEADER,
               [[parameter] * len(rows), [float(v) for v, _ in rows],
-               *zip(*(astuple(s) for _, s in rows))])
+               *zip(*(s for _, s in rows))])

@@ -1,15 +1,10 @@
 """Synthetic sensing stack: head-motion traces (validated columns with no
 device pose, since the display is fixed above the scene), a flow-based eye
 tracker proxy (noisy projections of the two eye points, standing in for
-sparse feature tracking), and the per-invocation cost model. Eye points
-are (..., 2, 3) left/right arrays (eye_points). Eye pixels are left u, v,
-right u, v: the flow proxy projects a whole trace's eyes to (..., 4) rows in
-one numpy pass (FlowSimulator.project); project_frame (one frame, the same
-operations as project's for any camera) and measurements (one generator for
-a whole trace; measure is its one-frame form) work on Python floats.
-write_csv, the one CSV writer (harness writes through it too), takes a
-table as columns, each as format_column gives it (one str() per distinct
-float; text passes through), and writes its rows in blocks.
+sparse feature tracking), the per-invocation cost model, and the CSV
+writer. Eye points are (..., 2, 3) left/right arrays (eye_points); eye
+pixels are left u, v, right u, v, and a flow measurement is those four
+floats, or None for a failure.
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
@@ -21,7 +16,6 @@ import enum
 from dataclasses import dataclass, field
 from itertools import islice
 from math import isfinite, nan, pi
-from typing import NamedTuple
 
 import numpy as np
 
@@ -258,16 +252,6 @@ def read_trace_csv(path) -> HeadTrace:
         raise ValueError(f"line {lines[frame]}: {reason}") from None
 
 
-class FlowMeasurement(NamedTuple):
-    """Flow-tracked eye pixels for one frame, or a failure; an immutable NamedTuple."""
-
-    eye_px: tuple[float, float, float, float] | None  # left u, v, right u, v
-
-    @property
-    def failed(self) -> bool:
-        return self.eye_px is None
-
-
 @dataclass(eq=False)
 class FlowSimulator:
     """Stand-in for sparse feature tracking of the two eye points.
@@ -350,9 +334,9 @@ class FlowSimulator:
             else:
                 yield (u0 + dx, v0 + dy, u1 + dx, v1 + dy)
 
-    def measure(self, px, visible: bool) -> FlowMeasurement:
-        """measurements of one frame."""
-        return FlowMeasurement(next(self.measurements((px,), (visible,))))
+    def measure(self, px, visible: bool) -> tuple[float, float, float, float] | None:
+        """measurements of one frame: four floats, or None."""
+        return next(self.measurements((px,), (visible,)))
 
 
 @dataclass(frozen=True)

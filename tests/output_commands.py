@@ -29,6 +29,12 @@ CONFIGS = {
     "zero_offsets.cfg": ("back_cam_offset_x_mm = 0\nback_cam_offset_y_mm = -0\n"
                          "back_cam_offset_z_mm = -0.0\ntargets = 0,0;-0,-0\n"
                          "errors_dwell_only = false\n"),
+    # Non-default rows of the summary and frame CSVs: two modes in a
+    # non-default order, the 320x240 face cost, the latched policy with the
+    # mean eye metric, pixel errors and a narrow ipd.
+    "variants.cfg": ("modes = AAUPR,FUPR\ncost_resolution = 320x240\n"
+                     "threshold_policy = latched\nthreshold_metric = mean\n"
+                     "errors_px_per_mm = 3.78\nipd_mm = 58\n"),
     "gen_stationary.cfg": "trace_generator = stationary\ntrace_n_frames = 50\n",
     "gen_step_move.cfg": "trace_generator = step_move\n",
     "gen_sway.cfg": "trace_generator = sway\ntrace_n_frames = 200\n",
@@ -59,6 +65,7 @@ COMMANDS = [
     ("simulate_late", ["simulate", "--config", "late.cfg", "--out", "late"]),
     ("simulate_zero_offsets", ["simulate", "--config", "zero_offsets.cfg",
                                "--out", "zero_offsets"]),
+    ("simulate_variants", ["simulate", "--config", "variants.cfg", "--out", "variants"]),
     ("gen_walk", ["gen-trace", "--spec", "walk_spec.cfg", "--out", "walk.csv"]),
     ("sweep_eps_max", ["sweep", "--config", "walk_sweep.cfg", "--param", "eps_max",
                        "--values", "8,16,24,32", "--out", "sweep"]),

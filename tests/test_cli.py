@@ -178,6 +178,10 @@ WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
     ("trace_generator = stationary\ntrace_n_frames = 5",
      ["sweep", "--param", "head_displacement", "--values", "0,100"],
      "error: head_displacement: a stationary trace does not read trace_amplitude_mm\n"),
+    # The targets format is checked for every command, not only where a run
+    # reads the targets.
+    ("targets = garbage", ["gen-trace"], "error: targets: must be one or more x,y float pairs"),
+    ("targets = ;;", ["gen-trace"], "error: targets: must be one or more x,y float pairs"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would reach stderr
 def test_bad_input_is_one_line_error(tmp_path, capsys, config, argv, named):

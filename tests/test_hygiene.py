@@ -133,11 +133,6 @@ def test_one_function_opens_files_for_writing():
     assert writers == ["tracksim.write_csv"]
 
 
-#: Dataclasses with number fields that are outputs of the program, never
-#: built from outside input, so they declare no domains.
-UNCHECKED = {"Summary"}
-
-
 def unchecked_dataclasses(source: str) -> list[str]:
     """Dataclasses with an int or float field whose __post_init__ does not
     call check_fields."""
@@ -166,7 +161,7 @@ def test_value_objects_check_fields():
     assert unchecked_dataclasses(source) == ["A"]
     unchecked = [name for path in (ROOT / "src/uprsim").glob("*.py")
                  for name in unchecked_dataclasses(path.read_text())]
-    assert sorted(unchecked) == sorted(UNCHECKED)
+    assert unchecked == []
 
 
 def imported_modules(source: str) -> set[str]:

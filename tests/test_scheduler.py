@@ -18,7 +18,6 @@ from uprsim.scheduler import (
     eye_distance_px,
     schedule,
 )
-from uprsim.tracksim import FlowMeasurement
 
 
 def cfg(**kw) -> ThresholdConfig:
@@ -347,15 +346,7 @@ def test_eps_floor_zero_is_tenth_of_max():
     assert ThresholdConfig(24.0, eps_min_px=0.0).floor_px == pytest.approx(2.4)
 
 
-# ---- the tuple-backed values -------------------------------------------
-
-def test_values_are_immutable_and_keep_their_fields():
-    m = FlowMeasurement(eyes(0.0))
-    with pytest.raises(AttributeError):
-        m.eye_px = None
-    # perfbench's traced pass reads this.
-    assert not m.failed and FlowMeasurement(None).failed
-
+# ---- schedule against a frame-by-frame oracle --------------------------
 
 class DataclassSchedulerOracle:
     """schedule's reference, written apart from it: the

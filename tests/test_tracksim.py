@@ -443,21 +443,21 @@ def test_noise_free_flow_is_exact_projection():
     eye = eye_at([10.0, -5.0, 250.0])
     m = measure_frame(sim, eye)
     expected = project_pinhole(cam, cam.extrinsic.apply(eye))
-    assert not m.failed
-    assert np.abs(np.reshape(m.eye_px, (2, 2)) - expected).max() == 0.0
+    assert m is not None
+    assert np.abs(np.reshape(m, (2, 2)) - expected).max() == 0.0
 
 
 def test_flow_fails_when_eye_leaves_view():
     cam = front_camera()
     sim = FlowSimulator(cam)
-    assert measure_frame(sim, eye_at([5000.0, 0.0, 100.0])).failed
+    assert measure_frame(sim, eye_at([5000.0, 0.0, 100.0])) is None
 
 
 def test_flow_noise_sigma_statistical():
     cam = front_camera()
     sim = FlowSimulator(cam, noise_sigma_px=2.0, rng=np.random.default_rng(5))
     eye = eye_at([0.0, 0.0, 300.0])
-    samples = np.array([measure_frame(sim, eye).eye_px for _ in range(10_000)])
+    samples = np.array([measure_frame(sim, eye) for _ in range(10_000)])
     resid = samples - samples.mean(axis=0)
     sample_sigma = resid.std()
     assert abs(sample_sigma - 2.0) / 2.0 < 0.05
@@ -470,18 +470,18 @@ def test_flow_drift_accumulates_and_resets():
     exact = project_pinhole(cam, cam.extrinsic.apply(eye))
     for i in range(1, 30):
         m = measure_frame(sim, eye)
-        left = m.eye_px[:2]
+        left = m[:2]
         assert np.linalg.norm(np.subtract(left, exact[0])) == pytest.approx(0.1 * i, abs=1e-9)
     sim.reset_drift()
     m = measure_frame(sim, eye)
-    assert np.linalg.norm(np.subtract(m.eye_px[:2], exact[0])) == pytest.approx(0.1, abs=1e-9)
+    assert np.linalg.norm(np.subtract(m[:2], exact[0])) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_flow_failure_probability():
     cam = front_camera()
     sim = FlowSimulator(cam, p_fail=0.5, rng=np.random.default_rng(9))
     eye = eye_at([0.0, 0.0, 300.0])
-    fails = sum(measure_frame(sim, eye).failed for _ in range(2000))
+    fails = sum(measure_frame(sim, eye) is None for _ in range(2000))
     assert 900 < fails < 1100
 
 
@@ -538,7 +538,7 @@ def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
             oracle.reset_drift()
             continue
         px, visible = op
-        got = sim.measure(px, visible).eye_px
+        got = sim.measure(px, visible)
         expected = oracle.measure(np.reshape(px, (2, 2)), visible)
         assert (got is None) == (expected is None)
         if got is not None:
@@ -565,7 +565,7 @@ def test_measurements_bit_equal_measure_and_numpy_formulation(sigma, drift, p_fa
     oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng(seed))
     stream = sim.measurements([px for (px, _), _ in frames], [v for (_, v), _ in frames])
     for ((px, visible), reset), got in zip(frames, stream):
-        expected = one.measure(px, visible).eye_px
+        expected = one.measure(px, visible)
         numpy_expected = oracle.measure(np.reshape(px, (2, 2)), visible)
         assert (got is None) == (expected is None) == (numpy_expected is None)
         if got is not None:

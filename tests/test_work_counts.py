@@ -1,9 +1,9 @@
 """Work counts, as a tier-1 gate: the cProfile call totals of fixed runs.
 
 Each count is the number of Python and built-in calls cProfile records in
-one run, profiled after one unprofiled warm-up of the same run: the
-benchmark config with all four modes, and each mode alone on a 300-frame,
-120 mm sway. The calls are summed over the profiler's entries, one per code
+one run, profiled after one unprofiled warm-up of the same run, with the
+cyclic garbage collector off: the benchmark config with all four modes, and
+each mode alone on a 300-frame, 120 mm sway. The calls are summed over the profiler's entries, one per code
 object; pstats' total_calls would not do, as it merges the dataclass
 __init__s, which share a file, line and name.
 tests/work_counts.json pins them. A change that makes a run call more (or
@@ -19,6 +19,7 @@ under other versions the test fails and names both. To record them again:
 from __future__ import annotations
 
 import cProfile
+import gc
 import json
 import platform
 from pathlib import Path
@@ -43,7 +44,15 @@ def versions() -> dict[str, str]:
 def total_calls(config) -> int:
     run(config)  # warm-up: first-call imports and caches are not counted
     prof = cProfile.Profile()
-    prof.runcall(run, config)
+    # A collection inside the profiled run would count the finalizers it
+    # calls, for garbage that earlier tests left: which tests, and how much
+    # they left, would then shift the count.
+    gc.collect()
+    gc.disable()
+    try:
+        prof.runcall(run, config)
+    finally:
+        gc.enable()
     return sum(entry.callcount for entry in prof.getstats())
 
 

@@ -19,7 +19,9 @@ decaying policy; `simulate` on a 3000-frame sway (UPR and AAUPR);
 and no jitter, so no jitter is drawn, every frame renders the calibration
 eye and every charge is billed to the final frame; `simulate` with the
 back camera at a signed-zero offset, targets at (0, 0) and (-0, -0), and
-errors at all frames; `sweep --param eps_max` and `sweep --param
+errors at all frames; `simulate` of AAUPR then FUPR with the 320x240 face
+cost, the latched policy, the mean eye metric, errors also in pixels and a
+58 mm ipd; `sweep --param eps_max` and `sweep --param
 jitter_sigma` over a random-walk trace CSV that each tree writes itself;
 `gen-trace` for all four generators; `truthtable --eps 24`, the scheduler's
 decision table on stdout; and eight bad inputs (ERROR_CONFIGS), each a
