@@ -9,7 +9,7 @@ Run: python3 demos/02_dual_thresholding.py
 
 import math
 
-from uprsim.scheduler import FLOW_FAILURE, DecisionKind, ThresholdConfig, schedule
+from uprsim.scheduler import FLOW_FAILURE, ThresholdConfig, schedule
 
 
 def eyes(x):
@@ -27,13 +27,13 @@ script = ([eyes(100.0)] * 4
 cfg = ThresholdConfig(eps_max_px=24.0)  # 3% of a 640x480 diagonal
 # In the real pipeline each recomputation runs the expensive face tracker;
 # here the "recomputed" eyes are just the flow positions.
-kinds, reasons, e_px, delta_e_px, _ = schedule(
+reasons, e_px, delta_e_px, _ = schedule(
     script, cfg, lambda i, k: script[i] if script[i] is not FLOW_FAILURE else eyes(190.7))
 
 print(f"eps = {cfg.eps_max_px} px, refine condition: dE < {cfg.refine_factor} * eps")
 print(f"{'frame':>5} {'flow x':>8} {'E':>7} {'dE':>7}  decision")
-for i, (flow, kind, reason, e, de) in enumerate(zip(script, kinds, reasons, e_px, delta_e_px)):
-    what = f"RECALCULATE ({reason.value})" if kind is DecisionKind.RECALCULATE else "skip"
+for i, (flow, reason, e, de) in enumerate(zip(script, reasons, e_px, delta_e_px)):
+    what = f"RECALCULATE ({reason.value})" if reason else "skip"  # a skip has no reason
     x = "lost" if flow is None else f"{flow[0]:.1f}"
     e = "-" if math.isnan(e) else f"{e:.1f}"
     de = "-" if math.isnan(de) else f"{de:.1f}"

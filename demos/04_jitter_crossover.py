@@ -18,10 +18,9 @@ seeds = range(1, 6)
 
 print(f"{'jitter (mm)':>12} {'UPR err':>10} {'AAUPR err':>10}")
 for sigma in (0.0, 2.0, 5.0, 8.0, 12.0, 20.0):
-    upr = np.mean([run(replace(cfg, seed=s, noise_jitter_sigma_mm=sigma))
-                   .summaries["UPR"].mean_error_mm for s in seeds])
-    aaupr = np.mean([run(replace(cfg, seed=s, noise_jitter_sigma_mm=sigma))
-                     .summaries["AAUPR"].mean_error_mm for s in seeds])
+    cells = [run(replace(cfg, seed=s, noise_jitter_sigma_mm=sigma)).summaries for s in seeds]
+    upr = np.mean([c["UPR"].mean_error_mm for c in cells])
+    aaupr = np.mean([c["AAUPR"].mean_error_mm for c in cells])
     marker = "  <- AAUPR ahead" if aaupr <= upr else ""
     print(f"{sigma:>12.1f} {upr:>10.2f} {aaupr:>10.2f}{marker}")
 

@@ -22,7 +22,6 @@ from .geometry import (
 )
 from .harness import ExperimentConfig, RunResult, Summary, benchmark_config, run, sweep
 from .scheduler import (
-    DecisionKind,
     Policy,
     Reason,
     ThresholdConfig,

@@ -86,14 +86,15 @@ def _cmd_truthtable(args) -> int:
         anchors.append(_TRUTHTABLE_SCRIPT[i] or (anchors[-1] if k else (0.0,) * 4))
         return anchors[-1]
 
-    kinds, reasons, e_px, delta_e_px, _ = sched.schedule(_TRUTHTABLE_SCRIPT, cfg, recompute)
+    reasons, e_px, delta_e_px, _ = sched.schedule(_TRUTHTABLE_SCRIPT, cfg, recompute)
     print(f"eps = {args.eps} px, refine factor = {cfg.refine_factor}, "
           f"policy = {cfg.policy.value}")
     print(f"{'frame':>5} {'E_px':>8} {'dE_px':>8} {'decision':>12} {'reason':>12}")
-    for i, (kind, reason, e, de) in enumerate(zip(kinds, reasons, e_px, delta_e_px)):
+    for i, (reason, e, de) in enumerate(zip(reasons, e_px, delta_e_px)):
         e = "-" if math.isnan(e) else f"{e:.2f}"
         de = "-" if math.isnan(de) else f"{de:.2f}"
-        print(f"{i:>5} {e:>8} {de:>8} {kind.value:>12} {reason.value if reason else '-':>12}")
+        kind = "recalculate" if reason else "skip"
+        print(f"{i:>5} {e:>8} {de:>8} {kind:>12} {reason.value if reason else '-':>12}")
     return 0
 
 

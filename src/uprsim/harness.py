@@ -10,7 +10,7 @@ frame for UPR, and the frames AAUPR's scheduler recalculates at. A request
 gets its frame's true eye plus a jitter draw and costs the face cost; FUPR
 renders from its calibration eye, (0, 0, fupr_distance_mm). A mode's result
 is one ModeRecord of per-frame columns and one Summary row, keyed by mode
-name in a RunResult; the CSV output reads them.
+name in a RunResult with the config that ran; the CSV output reads them.
 
 A config key's own domain is declared on its ExperimentConfig field and
 checked after finiteness and SCALE (not seed), when a config is built, by
@@ -53,7 +53,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -92,11 +91,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
-#: Smallest face-tracker jitter sigma (mm) at which AAUPR's mean pointing
-#: error drops to or below UPR's on the benchmark trace, aggregated over
-#: seeds 1..5. Determined empirically from a seeded jitter sweep; AAUPR
-#: benefits because the spatial threshold evicts bad pose draws after one
-#: frame while good draws are held, which UPR's per-frame resampling cannot do.
+#: Smallest face-tracker jitter sigma (mm) on demo 04's grid (0, 2, 5, 8, 12,
+#: 20) at which AAUPR's mean pointing error over seeds 1..5 is at or below
+#: UPR's on the benchmark trace; at 5 it is above, so the exact crossover lies
+#: between. AAUPR benefits because the spatial threshold evicts bad pose draws
+#: after one frame while good draws are held, which per-frame resampling cannot do.
 BENCHMARK_JITTER_CROSSOVER_MM = 8.0
 
 
@@ -328,16 +327,13 @@ def benchmark_config(**overrides) -> ExperimentConfig:
 class ModeRecord(NamedTuple):
     """One mode's run as per-frame columns; row i is trace frame i."""
 
-    requests: np.ndarray                # (R,) int, ascending: face-tracker request frames
-    decision: np.ndarray                # (F,) str; AAUPR only, empty otherwise
-    reason: np.ndarray                  # (F,) str
-    e_px: np.ndarray                    # (F,)
-    delta_e_px: np.ndarray              # (F,)
-    est_eye_mm: np.ndarray              # (F, 3) eye rendered from; NaN for DPR
-    errors_mm: np.ndarray               # (F, T); NaN when not evaluated / no-hit
-    tracking_charge_ms: np.ndarray      # (F,)
-    cumulative_tracking_ms: np.ndarray  # (F,)
-    frame_time_ms: np.ndarray           # (F,)
+    requests: np.ndarray            # (R,) int, ascending: face-tracker request frames
+    reason: np.ndarray              # (F,) str; AAUPR's recalculations only, empty otherwise
+    e_px: np.ndarray                # (F,)
+    delta_e_px: np.ndarray          # (F,)
+    est_eye_mm: np.ndarray          # (F, 3) eye rendered from; NaN for DPR
+    errors_mm: np.ndarray           # (F, T); NaN when not evaluated / no-hit
+    tracking_charge_ms: np.ndarray  # (F,) charges arriving at the frame
 
 
 class Summary(NamedTuple):
@@ -354,6 +350,7 @@ class RunResult(NamedTuple):
     records: dict[str, ModeRecord]
     summaries: dict[str, Summary]
     trace: HeadTrace
+    config: ExperimentConfig  # the config that ran
 
 
 def run(config: ExperimentConfig, trace: HeadTrace | None = None, *,
@@ -382,12 +379,9 @@ def run(config: ExperimentConfig, trace: HeadTrace | None = None, *,
         errors[evaluate] = pointing_errors(mode, targets_world, cols["est_eye_mm"][evaluate],
                                            trace.eye_mm[evaluate], display, plane,
                                            back_cam=back, fit=fit)
-        charge = cols["tracking_charge_ms"]
-        rec = ModeRecord(errors_mm=errors, cumulative_tracking_ms=np.cumsum(charge),
-                         frame_time_ms=cost.render_base_ms + charge, **cols)
-        records[mode.value] = rec
-        summaries[mode.value] = _summarize(mode.value, rec)
-    return RunResult(records=records, summaries=summaries, trace=trace)
+        records[mode.value] = rec = ModeRecord(errors_mm=errors, **cols)
+        summaries[mode.value] = _summarize(mode.value, rec, config.cost_render_base_ms)
+    return RunResult(records=records, summaries=summaries, trace=trace, config=config)
 
 
 def _project_trace(flow_sim: FlowSimulator, trace: HeadTrace) -> tuple:
@@ -409,7 +403,6 @@ def _run_mode(mode, config, trace, tcfg, cost, projection=None) -> dict[str, np.
     n = len(trace)
     cal_eye = (0.0, 0.0, config.fupr_distance_mm)
     cols = {"requests": np.arange(0),
-            "decision": np.full(n, "", dtype=object),
             "reason": np.full(n, "", dtype=object),
             "e_px": np.full(n, np.nan),
             "delta_e_px": np.full(n, np.nan),
@@ -445,11 +438,8 @@ def _run_mode(mode, config, trace, tcfg, cost, projection=None) -> dict[str, np.
 
         # Lazy, so frame i + 1's draws follow frame i's reset_drift.
         flows = flow_sim.measurements(flow_px, visible)
-        kinds, reasons, cols["e_px"][:], cols["delta_e_px"][:], recalcs = sched.schedule(
+        reasons, cols["e_px"][:], cols["delta_e_px"][:], recalcs = sched.schedule(
             flows, tcfg, recompute)
-        # The members' text read as _value_: a dict keyed by member would
-        # hash each one through the Python-level Enum.__hash__.
-        cols["decision"][:] = list(map(attrgetter("_value_"), kinds))
         cols["reason"][:] = ["" if r is None else r._value_ for r in reasons]
         requests = np.array(recalcs, dtype=int)
 
@@ -468,18 +458,18 @@ def _run_mode(mode, config, trace, tcfg, cost, projection=None) -> dict[str, np.
     return cols
 
 
-def _summarize(mode: str, rec: ModeRecord) -> Summary:
+def _summarize(mode: str, rec: ModeRecord, render_base_ms: float) -> Summary:
     # Row-major, so the mean sums the same cells in the same order as a
-    # reader of the frame CSV.
+    # reader of the frame CSV; the tracking total is its last cumulative cell.
     errs = rec.errors_mm.ravel()
     errs = errs[~np.isnan(errs)]
     mean_err = float(errs.mean()) if errs.size else float("nan")
     sd_err = float(errs.std(ddof=1)) if errs.size > 1 else float("nan")
-    n_frames, invocations = len(rec.frame_time_ms), len(rec.requests)
+    charge, invocations = rec.tracking_charge_ms, len(rec.requests)
     return Summary(mode=mode, mean_error_mm=mean_err, sd_error_mm=sd_err,
-                   invocations=invocations, invocation_fraction=invocations / n_frames,
-                   total_tracking_ms=float(rec.cumulative_tracking_ms[-1]),
-                   mean_frame_time_ms=float(rec.frame_time_ms.mean()))
+                   invocations=invocations, invocation_fraction=invocations / len(charge),
+                   total_tracking_ms=float(np.cumsum(charge)[-1]),
+                   mean_frame_time_ms=float((render_base_ms + charge).mean()))
 
 
 # ---- CSV output --------------------------------------------------------
@@ -490,19 +480,22 @@ SUMMARY_CSV_HEADER = ",".join(Summary._fields)
 def write_outputs(result: RunResult, outdir) -> None:
     """frames_<mode>.csv per mode and summary.csv in outdir."""
     os.makedirs(outdir, exist_ok=True)
-    n = len(result.trace)
+    n, base = len(result.trace), result.config.cost_render_base_ms
     # The frame and true-eye columns are every mode's: format them once;
     # write_csv passes their text through.
     frame, *true_eye = map(format_column, [range(n), *result.trace.eye_mm.T])
     for mode, rec in result.records.items():
-        columns = {"frame": frame, "mode": [mode] * n, "decision": rec.decision,
+        charge = rec.tracking_charge_ms
+        decision = (["recalculate" if r else "skip" for r in rec.reason.tolist()]
+                    if mode == RenderMode.AAUPR.value else [""] * n)
+        columns = {"frame": frame, "mode": [mode] * n, "decision": decision,
                    "reason": rec.reason, "e_px": rec.e_px, "delta_e_px": rec.delta_e_px,
                    **{f"est_eye_{a}_mm": c for a, c in zip("xyz", rec.est_eye_mm.T)},
                    **{f"true_eye_{a}_mm": c for a, c in zip("xyz", true_eye)},
                    **{f"err_target_{i}_mm": c for i, c in enumerate(rec.errors_mm.T)},
-                   "tracking_charge_ms": rec.tracking_charge_ms,
-                   "cumulative_tracking_ms": rec.cumulative_tracking_ms,
-                   "frame_time_ms": rec.frame_time_ms}
+                   "tracking_charge_ms": charge,
+                   "cumulative_tracking_ms": np.cumsum(charge),
+                   "frame_time_ms": base + charge}
         write_csv(os.path.join(outdir, f"frames_{mode}.csv"), ",".join(columns),
                   columns.values())
     write_csv(os.path.join(outdir, "summary.csv"), SUMMARY_CSV_HEADER,

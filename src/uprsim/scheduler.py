@@ -50,11 +50,6 @@ class EyeMetric(enum.Enum):
     MEAN = "mean"
 
 
-class DecisionKind(enum.Enum):
-    RECALCULATE = "recalculate"
-    SKIP = "skip"
-
-
 class Reason(enum.Enum):
     SPATIAL = "spatial"        # E > eps
     REFINE = "refine"          # dE small while imprecise
@@ -104,20 +99,20 @@ def eye_distance_px(a, b, metric: EyeMetric = _MAX) -> float:
     return max(d0, d1) if metric is _MAX else (d0 + d1) / 2
 
 
-def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tuple, tuple, list]:
-    """A whole trace's decisions, with the state in locals. It starts with no
-    anchor, so frame 0 always recalculates (INITIAL, or FLOW_FAILURE, which
-    keeps flow_last). flows yields each frame's eye pixels as four floats, or
-    FLOW_FAILURE, one frame at a time, after the previous frame's recompute
-    call. On Recalculate at frame i, recompute(i, k), k the number of earlier
-    recalculations, returns the recomputed eyes' pixels, and the state
-    re-anchors on them: precise, eps at its max; the first also seeds
-    flow_last. Returns the kind, reason, E and dE columns and the requests."""
+def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tuple, list]:
+    """A whole trace's decisions, with the state in locals: a Reason per
+    recalculation, None per skip. Frame 0 has no anchor, so it recalculates
+    (INITIAL, or FLOW_FAILURE, which keeps flow_last). flows yields each
+    frame's eye pixels as four floats, or FLOW_FAILURE, one frame at a time,
+    after the previous frame's recompute call. On a recalculation at frame i,
+    recompute(i, k), k the number of earlier recalculations, returns the
+    recomputed eyes' pixels, and the state re-anchors on them: precise, eps at
+    its max; the first also seeds flow_last. Returns the reason, E and dE
+    columns and the requests."""
     eps_max, refine_factor, metric = cfg.eps_max_px, cfg.refine_factor, cfg.metric
     floor, decay_rate = cfg.floor_px, cfg.decay_rate
     latched, decaying = cfg.policy is Policy.LATCHED, cfg.policy is Policy.DECAYING
-    recalculate, skip = DecisionKind.RECALCULATE, DecisionKind.SKIP  # bound once, as _MAX
-    spatial, refining = Reason.SPATIAL, Reason.REFINE
+    spatial, refining = Reason.SPATIAL, Reason.REFINE  # bound once, as _MAX
     refine_max = refine_factor * eps_max
     calc = flow_last = None
     is_precise, eps, refine = False, eps_max, refine_max
@@ -125,20 +120,20 @@ def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tupl
     append = rows.append
     for i, flow in enumerate(flows):
         if flow is FLOW_FAILURE:
-            append((recalculate, Reason.FLOW_FAILURE, nan, nan))
+            append((Reason.FLOW_FAILURE, nan, nan))
         elif calc is None:
             flow_last = flow
-            append((recalculate, Reason.INITIAL, nan, nan))
+            append((Reason.INITIAL, nan, nan))
         else:
             e = eye_distance_px(calc, flow, metric)
             de = eye_distance_px(flow_last, flow, metric)  # each anchor sets flow_last
             flow_last = flow
             if e > eps:
-                append((recalculate, spatial, e, de))
+                append((spatial, e, de))
             elif de < refine and not is_precise:
-                append((recalculate, refining, e, de))
+                append((refining, e, de))
             else:
-                append((skip, None, e, de))
+                append((None, e, de))
                 is_precise = latched and is_precise and e <= refine
                 if decaying:
                     eps = max(floor, eps * decay_rate)
@@ -149,5 +144,5 @@ def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tupl
             flow_last = calc
         is_precise, eps, refine = True, eps_max, refine_max
         requests.append(i)
-    kinds, reasons, e_px, delta_e_px = zip(*rows) if rows else ((),) * 4
-    return kinds, reasons, e_px, delta_e_px, requests
+    reasons, e_px, delta_e_px = zip(*rows) if rows else ((),) * 3
+    return reasons, e_px, delta_e_px, requests

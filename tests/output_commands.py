@@ -35,6 +35,11 @@ CONFIGS = {
     "variants.cfg": ("modes = AAUPR,FUPR\ncost_resolution = 320x240\n"
                      "threshold_policy = latched\nthreshold_metric = mean\n"
                      "errors_px_per_mm = 3.78\nipd_mm = 58\n"),
+    # Every flow measurement fails, frame 0 included, so the scheduler
+    # takes flow_last from its first anchor.
+    "flow_fail.cfg": "modes = AAUPR\nnoise_p_fail = 1\n",
+    # Flow pixels without noise.
+    "flow_exact.cfg": "modes = AAUPR\nnoise_flow_sigma_px = 0\n",
     "gen_stationary.cfg": "trace_generator = stationary\ntrace_n_frames = 50\n",
     "gen_step_move.cfg": "trace_generator = step_move\n",
     "gen_sway.cfg": "trace_generator = sway\ntrace_n_frames = 200\n",
@@ -66,6 +71,8 @@ COMMANDS = [
     ("simulate_zero_offsets", ["simulate", "--config", "zero_offsets.cfg",
                                "--out", "zero_offsets"]),
     ("simulate_variants", ["simulate", "--config", "variants.cfg", "--out", "variants"]),
+    ("simulate_flow_fail", ["simulate", "--config", "flow_fail.cfg", "--out", "flow_fail"]),
+    ("simulate_flow_exact", ["simulate", "--config", "flow_exact.cfg", "--out", "flow_exact"]),
     ("gen_walk", ["gen-trace", "--spec", "walk_spec.cfg", "--out", "walk.csv"]),
     ("sweep_eps_max", ["sweep", "--config", "walk_sweep.cfg", "--param", "eps_max",
                        "--values", "8,16,24,32", "--out", "sweep"]),

@@ -61,7 +61,7 @@ def test_criterion_1_truth_table():
         recomputation reporting pair(0.0). Frame 0 anchors there, precise,
         with eps 24; a skip leaves the state imprecise."""
         flows = [FLOW_FAILURE if x is None else pair(x) for x in xs]
-        return schedule(flows, cfg, lambda i, k: pair(0.0))[1]
+        return schedule(flows, cfg, lambda i, k: pair(0.0))[0]
 
     assert reasons(25.0, 30.0)[1] is Reason.SPATIAL  # E = 30 > 24
     # A skip at 4 (dE = 9), then E = 5, dE = 1 < 2.4 while imprecise.
@@ -127,14 +127,28 @@ def test_criterion_6_error_ordering():
 @criterion(7, f"jitter crossover: AAUPR <= UPR at sigma = "
               f"{BENCHMARK_JITTER_CROSSOVER_MM} mm over seeds 1..5")
 def test_criterion_7_jitter_crossover():
+    upr, aaupr = jitter_seed_means(BENCHMARK_JITTER_CROSSOVER_MM)
+    assert aaupr <= upr
+
+
+def jitter_seed_means(sigma):
+    """UPR's and AAUPR's mean errors on the benchmark trace at jitter sigma
+    (mm), each averaged over seeds 1..5."""
     upr, aaupr = [], []
     for seed in range(1, 6):
-        s = run(benchmark_config(
-            modes="UPR,AAUPR", seed=seed,
-            noise_jitter_sigma_mm=BENCHMARK_JITTER_CROSSOVER_MM)).summaries
+        s = run(benchmark_config(modes="UPR,AAUPR", seed=seed,
+                                 noise_jitter_sigma_mm=sigma)).summaries
         upr.append(s["UPR"].mean_error_mm)
         aaupr.append(s["AAUPR"].mean_error_mm)
-    assert np.mean(aaupr) <= np.mean(upr)
+    return np.mean(upr), np.mean(aaupr)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0, 5.0])
+def test_jitter_crossover_is_smallest_on_demo_grid(sigma):
+    # The recorded crossover is the smallest sigma of demo 04's grid (0, 2,
+    # 5, 8, 12, 20 mm) at which AAUPR <= UPR: below it, AAUPR is behind.
+    upr, aaupr = jitter_seed_means(sigma)
+    assert aaupr > upr
 
 
 @criterion(8, "homography vs ray-cast oracle: 100 random configs, 10x10 grid, 1e-6 mm",

@@ -18,6 +18,11 @@ RENDER_MODES_STDOUT_SHA256 = (
 DUAL_THRESHOLDING_STDOUT_SHA256 = (
     "b2d41e9a8bb4594dff7f389dce8e567fcab25d629e12addef81f67696347b19d")
 
+#: sha256 of demo 04's stdout, its seed-mean UPR and AAUPR errors per jitter
+#: sigma.
+JITTER_CROSSOVER_STDOUT_SHA256 = (
+    "99fcfd00a37810ce749d6fc9acb10a6f03b4ce0f95810942206049ccb570e164")
+
 
 def run_demo(demo: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -43,3 +48,7 @@ def test_render_modes_demo_output_is_pinned():
 
 def test_dual_thresholding_demo_output_is_pinned():
     assert stdout_digest("02_dual_thresholding.py") == DUAL_THRESHOLDING_STDOUT_SHA256
+
+
+def test_jitter_crossover_demo_output_is_pinned():
+    assert stdout_digest("04_jitter_crossover.py") == JITTER_CROSSOVER_STDOUT_SHA256

@@ -121,27 +121,43 @@ def test_noise_free_upr_error_zero():
     assert res.summaries["UPR"].mean_error_mm < 1e-9
 
 
-def test_frame_time_accounting():
+def frame_rows(outdir, mode) -> list[dict[str, str]]:
+    with open(outdir / f"frames_{mode}.csv", newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_frame_time_accounting(tmp_path):
+    # The frame CSV's running total and frame time follow from each frame's
+    # charge, and the summary is their last cell and mean, to the bit.
     cfg = quiet_config(modes="UPR,AAUPR,FUPR")
     res = run(cfg)
+    assert res.config is cfg  # write_outputs reads the render base time from it
+    write_outputs(res, tmp_path)
     cm = cfg.cost_model()
     for mode, rec in res.records.items():
+        rows = frame_rows(tmp_path, mode)
         cumulative = 0.0
-        for charge, cum, frame_time in zip(rec.tracking_charge_ms,
-                                           rec.cumulative_tracking_ms, rec.frame_time_ms):
+        for charge, row in zip(rec.tracking_charge_ms, rows, strict=True):
+            assert float(row["tracking_charge_ms"]) == charge
             cumulative += charge
-            assert cum == pytest.approx(cumulative)
-            assert frame_time == pytest.approx(cm.render_base_ms + charge)
+            assert float(row["cumulative_tracking_ms"]) == pytest.approx(cumulative)
+            assert float(row["frame_time_ms"]) == pytest.approx(cm.render_base_ms + charge)
+        s = res.summaries[mode]
+        assert s.total_tracking_ms == float(rows[-1]["cumulative_tracking_ms"])
+        assert s.mean_frame_time_ms == np.mean([float(row["frame_time_ms"]) for row in rows])
     # FUPR never charges tracking time.
     assert all(charge == 0.0 for charge in res.records["FUPR"].tracking_charge_ms)
 
 
-def test_aaupr_decisions_recorded():
-    res = run(quiet_config(modes="AAUPR"))
-    rec = res.records["AAUPR"]
-    assert rec.decision[0] == "recalculate" and rec.reason[0] == "initial"
-    assert all(d in ("recalculate", "skip") for d in rec.decision)
-    assert all(d == "" for d in run(quiet_config(modes="UPR")).records["UPR"].decision)
+def test_aaupr_decisions_recorded(tmp_path):
+    # AAUPR's decision column: a recalculation where the frame has a reason,
+    # a skip where it has none. Other modes decide nothing.
+    write_outputs(run(quiet_config(modes="AAUPR,UPR")), tmp_path)
+    rows = frame_rows(tmp_path, "AAUPR")
+    assert (rows[0]["decision"], rows[0]["reason"]) == ("recalculate", "initial")
+    assert {row["decision"] for row in rows} == {"recalculate", "skip"}
+    assert all((row["decision"] == "skip") == (row["reason"] == "") for row in rows)
+    assert {row["decision"] for row in frame_rows(tmp_path, "UPR")} == {""}
 
 
 def test_errors_only_at_dwell_frames_by_default():
@@ -167,7 +183,7 @@ def test_degenerate_geometry_yields_nan_not_abort():
     cfg = benchmark_config(modes="UPR,FUPR", display_z_world_mm=-300.0,
                            trace_depth_amplitude_mm=300.0, errors_dwell_only=False)
     res = run(cfg)  # must not raise
-    assert len(res.records["FUPR"].frame_time_ms) == len(res.trace)
+    assert len(res.records["FUPR"].tracking_charge_ms) == len(res.trace)
     errors = res.records["UPR"].errors_mm
     no_hit = np.isnan(errors)
     assert 0 < no_hit.sum() < errors.size
@@ -289,7 +305,7 @@ def test_invocations_are_the_request_frames(latency, policy, p_fail):
     n = len(res.trace)
     for mode, rec in res.records.items():
         assert np.all(np.diff(rec.requests) > 0), mode
-        expected = {"UPR": np.arange(n), "AAUPR": np.flatnonzero(rec.decision == "recalculate")}
+        expected = {"UPR": np.arange(n), "AAUPR": np.flatnonzero(rec.reason != "")}
         assert np.array_equal(rec.requests, expected.get(mode, [])), mode
         assert res.summaries[mode].invocations == len(rec.requests), mode
 
@@ -311,7 +327,7 @@ def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
     rec, true_eye = res.records["AAUPR"], res.trace.eye_mm
     k = int(np.flatnonzero(rec.reason == "spatial")[0])
     # No earlier request is still in flight at k+1 or k+2.
-    assert rec.decision[k - 2:k].tolist() == ["skip", "skip"]
+    assert rec.reason[k - 2:k].tolist() == ["", ""]  # two skips
     front = cfg.front_cam()
 
     def eye_px(eye_mm):
@@ -337,7 +353,7 @@ def pending_queue_reference(cfg: ExperimentConfig, res, mode: str):
     face_cost = cm.face_cost(cfg.cost_resolution)
     rng = np.random.default_rng([cfg.seed, list(RenderMode).index(RenderMode(mode)), 1])
     requests = set(range(n)) if mode == "UPR" else \
-        set(np.flatnonzero(rec.decision == "recalculate").tolist())
+        set(np.flatnonzero(rec.reason != "").tolist())
     sigma = cfg.noise_jitter_sigma_mm
     est_col, charge = np.full((n, 3), np.nan), np.zeros(n)
     current = np.array([0.0, 0.0, cfg.fupr_distance_mm])
@@ -398,7 +414,7 @@ def bit_equal(a, b) -> bool:
 def test_latency_shifts_rendering_not_loop(seed, n_frames, walk, amplitude, jitter_mm, p_fail,
                                            policy):
     # Latency L moves each estimate L frames later and changes nothing the
-    # loop decides: requests, decisions, reasons, E and dE stay bit-equal.
+    # loop decides: requests, reasons (so skips too), E and dE stay bit-equal.
     cfg = benchmark_config(modes="UPR,AAUPR", seed=seed, trace_n_frames=n_frames,
                            trace_generator="random_walk" if walk else "sway",
                            trace_amplitude_mm=amplitude * (5.0 if walk else 200.0),
@@ -410,7 +426,7 @@ def test_latency_shifts_rendering_not_loop(seed, n_frames, walk, amplitude, jitt
         records = run(replace(cfg, noise_latency_frames=latency)).records
         for mode, rec in records.items():
             ref = at_zero[mode]
-            for col in ("requests", "decision", "reason", "e_px", "delta_e_px"):
+            for col in ("requests", "reason", "e_px", "delta_e_px"):
                 assert bit_equal(getattr(rec, col), getattr(ref, col)), (mode, latency, col)
             shifted = np.vstack([np.tile(cal_eye, (latency, 1)), ref.est_eye_mm])[:n_frames]
             assert bit_equal(rec.est_eye_mm, shifted), (mode, latency)
@@ -474,7 +490,7 @@ def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
     monkeypatch.setattr(np, "asarray", counting_asarray)
     rec = run(benchmark_config(modes="AAUPR", trace_generator="sway", trace_n_frames=300,
                                trace_amplitude_mm=120.0)).records["AAUPR"]
-    assert {"recalculate", "skip"} <= set(rec.decision.tolist())
+    assert "" in rec.reason and len(set(rec.reason.tolist())) > 1  # skips and recalculations
     assert project_calls == [(300, 2, 3)]
     # viewgen's pointing-error pass applies the display pose; the flow proxy
     # applies the camera transform once, in project.

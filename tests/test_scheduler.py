@@ -1,3 +1,4 @@
+import enum
 import math
 from dataclasses import dataclass, fields
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from uprsim.geometry import PinholeCamera
 from uprsim.scheduler import (
     FLOW_FAILURE,
-    DecisionKind,
     EyeMetric,
     Policy,
     Reason,
@@ -34,13 +34,13 @@ def run_stream(stream, c, anchors=()):
     """Replay a flow stream through schedule. Recalculate k re-anchors on
     anchors[k]; past their end, on the flow positions themselves (noise-free
     recomputation), or on a flow failure on the last anchor (eyes(0.0)
-    before any). One (kind, reason, E, dE) row per frame."""
+    before any). One (reason, E, dE) row per frame; a skip's reason is None."""
     done = [eyes(0.0)]
 
     def recompute(i, k):
         done.append(anchors[k] if k < len(anchors) else stream[i] or done[-1])
         return done[-1]
-    return list(zip(*schedule(stream, c, recompute)[:4]))
+    return list(zip(*schedule(stream, c, recompute)[:3]))
 
 
 def assert_eps(stream, c, anchors, eps):
@@ -50,7 +50,7 @@ def assert_eps(stream, c, anchors, eps):
     does."""
     assert anchors[-1] == eyes(0.0) and c.metric is EyeMetric.MAX
     for d, spatial in ((eps, False), (math.nextafter(eps, math.inf), True)):
-        _, reason, e, _ = run_stream(stream + [(d, 100.0, 60.0, 100.0)], c, anchors)[-1]
+        reason, e, _ = run_stream(stream + [(d, 100.0, 60.0, 100.0)], c, anchors)[-1]
         assert e == d
         assert (reason is Reason.SPATIAL) == spatial
 
@@ -80,7 +80,7 @@ def test_invalid_camera_rejected_upstream():
 def test_spatial_trigger():
     # flow_last eyes(25), precise: E = 30 > eps = 24 -> Recalculate(spatial),
     # regardless of dE.
-    _, reason, e, _ = run_stream([eyes(25.0), eyes(30.0)], cfg(), [eyes(0.0)])[1]
+    reason, e, _ = run_stream([eyes(25.0), eyes(30.0)], cfg(), [eyes(0.0)])[1]
     assert reason is Reason.SPATIAL
     assert e == pytest.approx(30.0)
 
@@ -89,8 +89,8 @@ def test_refine_trigger():
     # A skip at eyes(4) (dE = 9) leaves flow_last eyes(4), imprecise. Then
     # E = 5, dE = 1 < 2.4 -> Recalculate(refine).
     rows = run_stream([eyes(-5.0), eyes(4.0), eyes(5.0)], cfg(), [eyes(0.0)])
-    assert rows[1][0] is DecisionKind.SKIP
-    _, reason, e, de = rows[2]
+    assert rows[1][0] is None
+    reason, e, de = rows[2]
     assert reason is Reason.REFINE
     assert e == pytest.approx(5.0)
     assert de == pytest.approx(1.0)
@@ -100,28 +100,28 @@ def test_precise_skip_drops_precision():
     # Same E/dE but precise -> Skip, and is_precise falls to False: a still
     # frame (dE = 0 < 2.4) then refines.
     rows = run_stream([eyes(4.0), eyes(5.0), eyes(5.0)], cfg(), [eyes(0.0)])
-    kind, reason, e, de = rows[1]
-    assert (kind, reason) == (DecisionKind.SKIP, None)
+    reason, e, de = rows[1]
+    assert reason is None
     assert (e, de) == (pytest.approx(5.0), pytest.approx(1.0))
-    assert rows[2][1] is Reason.REFINE
+    assert rows[2][0] is Reason.REFINE
 
 
 def test_neither_disjunct_skip():
     # Imprecise after a skip at eyes(-5): E = 5 <= 24, dE = 10 >= 2.4 -> Skip
     # even while imprecise.
     rows = run_stream([eyes(-20.0), eyes(-5.0), eyes(5.0)], cfg(), [eyes(0.0)])
-    assert rows[1][0] is DecisionKind.SKIP
-    assert rows[2][:2] == (DecisionKind.SKIP, None)
+    assert rows[1][0] is None
+    assert rows[2][0] is None
 
 
 def test_flow_failure_forces_recalculation():
-    _, reason, _, _ = run_stream([eyes(0.0), FLOW_FAILURE], cfg(), [eyes(0.0)])[1]
+    reason, _, _ = run_stream([eyes(0.0), FLOW_FAILURE], cfg(), [eyes(0.0)])[1]
     assert reason is Reason.FLOW_FAILURE
 
 
 def test_initial_state_forces_recalculation():
-    kinds, reasons, *_ = schedule([eyes(0.0)], cfg(), lambda i, k: eyes(0.0))
-    assert kinds == (DecisionKind.RECALCULATE,) and reasons == (Reason.INITIAL,)
+    reasons, *_ = schedule([eyes(0.0)], cfg(), lambda i, k: eyes(0.0))
+    assert reasons == (Reason.INITIAL,)
 
 
 # ---- the re-anchor ------------------------------------------------------
@@ -132,11 +132,11 @@ def test_recalculation_resets_state():
     # at eyes(0) recalculates, and the state re-anchors on eyes(0).
     stream, anchors = [eyes(-40.0), eyes(-10.0), eyes(0.0)], [eyes(-30.0), eyes(0.0)]
     rows = run_stream(stream, c, anchors)
-    assert rows[1][0] is DecisionKind.SKIP and rows[2][1] is Reason.SPATIAL
+    assert rows[1][0] is None and rows[2][0] is Reason.SPATIAL
     # Precise: a still frame skips. Next-frame E is zero after reseeding with
     # the flow positions.
-    kind, _, e, _ = run_stream(stream + [eyes(0.0)], c, anchors)[-1]
-    assert kind is DecisionKind.SKIP
+    reason, e, _ = run_stream(stream + [eyes(0.0)], c, anchors)[-1]
+    assert reason is None
     assert e == pytest.approx(0.0)
     assert_eps(stream, c, anchors, c.eps_max_px)
 
@@ -145,11 +145,11 @@ def test_decaying_eps_restored_to_max():
     c = cfg(policy=Policy.DECAYING, decay_rate=0.5, eps_min_px=2.4)
     # Skips at E = 2, dE = 4 take eps from 24 down to its 2.4 floor.
     stream, anchors = [eyes(-2.0)] + [eyes(2.0), eyes(-2.0)] * 2, [eyes(0.0), eyes(0.0)]
-    assert {row[0] for row in run_stream(stream, c, anchors)[1:]} == {DecisionKind.SKIP}
+    assert {row[0] for row in run_stream(stream, c, anchors)[1:]} == {None}
     assert_eps(stream, c, anchors, 2.4)
     # E = 30 recalculates, and the re-anchor restores eps to its max.
     stream.append(eyes(30.0))
-    assert run_stream(stream, c, anchors)[-1][1] is Reason.SPATIAL
+    assert run_stream(stream, c, anchors)[-1][0] is Reason.SPATIAL
     assert_eps(stream, c, anchors, c.eps_max_px)
 
 
@@ -164,43 +164,32 @@ def test_consecutive_recalculations_idempotent():
     # recalculation with the latest eyes: the same anchor (a still frame at
     # eyes(31): E = 0), precision (it skips) and eps (E = 24 skips, and the
     # next float up, 24 + 2**-47, recalculates), to the bit.
-    for probe, (kind, reason, e) in [
-            (eyes(31.0), (DecisionKind.SKIP, None, 0.0)),
-            (eyes(55.0), (DecisionKind.SKIP, None, 24.0)),
-            (eyes(math.nextafter(55.0, math.inf)), (DecisionKind.RECALCULATE, Reason.SPATIAL,
-                                                    24.0 + 2.0**-47))]:
+    for probe, (reason, e) in [
+            (eyes(31.0), (None, 0.0)),
+            (eyes(55.0), (None, 24.0)),
+            (eyes(math.nextafter(55.0, math.inf)), (Reason.SPATIAL, 24.0 + 2.0**-47))]:
         rows = [run_stream(stream + [probe], c, anchors)[-1] for stream, anchors in (twice, once)]
         assert repr(rows[0]) == repr(rows[1])
-        assert rows[0][:3] == (kind, reason, e)
+        assert rows[0][:2] == (reason, e)
 
 
 # ---- stationary-stream fixtures ----------------------------------------
 
 # Hand-executed trace of the update rule over 10 stationary noise-free
 # frames (verbatim policy): the initial recomputation, then skip/refine
-# alternation because every skip clears is_precise while dE stays at 0.
-STATIONARY_10_FRAME_FIXTURE = [
-    (DecisionKind.RECALCULATE, Reason.INITIAL),
-    (DecisionKind.SKIP, None),
-    (DecisionKind.RECALCULATE, Reason.REFINE),
-    (DecisionKind.SKIP, None),
-    (DecisionKind.RECALCULATE, Reason.REFINE),
-    (DecisionKind.SKIP, None),
-    (DecisionKind.RECALCULATE, Reason.REFINE),
-    (DecisionKind.SKIP, None),
-    (DecisionKind.RECALCULATE, Reason.REFINE),
-    (DecisionKind.SKIP, None),
-]
+# alternation because every skip clears is_precise while dE stays at 0. A
+# skip is a None reason.
+STATIONARY_10_FRAME_FIXTURE = [Reason.INITIAL, None] + [Reason.REFINE, None] * 4
 
 
 def test_verbatim_stationary_oscillation():
     decisions = run_stream([eyes(0.0)] * 10, cfg())
-    assert [(kind, reason) for kind, reason, _, _ in decisions] == STATIONARY_10_FRAME_FIXTURE
+    assert [reason for reason, _, _ in decisions] == STATIONARY_10_FRAME_FIXTURE
 
 
 def test_latched_stationary_quiescence():
     decisions = run_stream([eyes(0.0)] * 100, cfg(policy=Policy.LATCHED))
-    recalcs = [reason for kind, reason, _, _ in decisions if kind is DecisionKind.RECALCULATE]
+    recalcs = [reason for reason, _, _ in decisions if reason is not None]
     assert len(recalcs) == 1 and recalcs[0] is Reason.INITIAL
 
 
@@ -211,7 +200,7 @@ def test_decaying_policy_shrinks_eps_on_skip():
     stream, anchors = [eyes(-5.0)], [eyes(0.0)]
     for expected in (12.0, 6.0, 5.0, 5.0):  # floor clamps
         stream.append(eyes(-stream[-1][0]))
-        assert run_stream(stream, c, anchors)[-1][:2] == (DecisionKind.SKIP, None)
+        assert run_stream(stream, c, anchors)[-1][0] is None
         assert_eps(stream, c, anchors, expected)
 
 
@@ -234,8 +223,8 @@ def test_skip_implies_e_below_eps():
     rng = np.random.default_rng(23)
     for _ in range(10):
         c = cfg()
-        for kind, _, e, _ in run_stream(random_stream(rng), c):
-            if kind is DecisionKind.SKIP:
+        for reason, e, _ in run_stream(random_stream(rng), c):
+            if reason is None:
                 assert e <= c.eps_max_px
 
 
@@ -245,12 +234,12 @@ def test_recalculate_reasons_justified():
     rng = np.random.default_rng(29)
     c = cfg()
     prior_precise = False
-    for kind, reason, e, de in run_stream(random_stream(rng, 500), c):
-        if kind is DecisionKind.RECALCULATE:
+    for reason, e, de in run_stream(random_stream(rng, 500), c):
+        if reason is not None:
             assert (reason in (Reason.FLOW_FAILURE, Reason.INITIAL)
                     or e > c.eps_max_px
                     or (de < c.refine_factor * c.eps_max_px and not prior_precise))
-        prior_precise = kind is DecisionKind.RECALCULATE
+        prior_precise = reason is not None
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -267,12 +256,12 @@ def test_decaying_eps_floor_and_reset(moves, decay_rate, floor_frac):
         x += move or 0.0
         xs.append(x)
         flows.append(None if move is None else eyes(x))
-    rows = zip(*schedule(flows, c, lambda i, k: eyes(xs[i]))[:4])
+    rows = zip(*schedule(flows, c, lambda i, k: eyes(xs[i]))[:3])
     eps = c.eps_max_px
-    for kind, reason, e, _ in rows:
+    for reason, e, _ in rows:
         if not math.isnan(e):
             assert (reason is Reason.SPATIAL) == (e > eps)
-        if kind is DecisionKind.SKIP:
+        if reason is None:
             eps = max(c.floor_px, eps * decay_rate)
             assert eps >= c.floor_px
         else:
@@ -284,7 +273,7 @@ def test_determinism():
     stream = random_stream(rng)
     a = run_stream(stream, cfg())
     b = run_stream(stream, cfg())
-    key = lambda row: (row[0], row[1], repr(row[2]), repr(row[3]))
+    key = lambda row: (row[0], repr(row[1]), repr(row[2]))
     assert [key(row) for row in a] == [key(row) for row in b]
 
 
@@ -296,7 +285,7 @@ def test_monotone_spatial_gating():
     counts = []
     for eps in (48.0, 24.0, 12.0, 6.0):
         decisions = run_stream(stream, cfg(eps_max_px=eps))
-        counts.append(sum(1 for _, reason, _, _ in decisions if reason is Reason.SPATIAL))
+        counts.append(sum(1 for reason, _, _ in decisions if reason is Reason.SPATIAL))
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
@@ -348,6 +337,14 @@ def test_eps_floor_zero_is_tenth_of_max():
 
 # ---- schedule against a frame-by-frame oracle --------------------------
 
+class Kind(enum.Enum):
+    """The oracle's own decision kind: schedule states it only as a reason,
+    or None for a skip."""
+
+    RECALCULATE = "recalculate"
+    SKIP = "skip"
+
+
 class DataclassSchedulerOracle:
     """schedule's reference, written apart from it: the
     scheduler frame by frame on frozen dataclasses, a step per frame and an
@@ -363,10 +360,10 @@ class DataclassSchedulerOracle:
 
     @dataclass(frozen=True)
     class Decision:
-        kind: DecisionKind
         reason: Reason | None
         e_px: float
         delta_e_px: float
+        kind: Kind
 
     @staticmethod
     def distance(a, b, metric):
@@ -382,7 +379,7 @@ class DataclassSchedulerOracle:
     def _recalc(cls, state, reason, e, de, flow):
         new = cls.State(state.pos_eye_calc, state.pos_eye_flow_last if flow is None else flow,
                         state.is_precise, state.eps_current_px, pending_recalc=True)
-        return cls.Decision(DecisionKind.RECALCULATE, reason, e, de), new
+        return cls.Decision(reason, e, de, Kind.RECALCULATE), new
 
     @classmethod
     def step(cls, state, pos_eye_flow, cfg):
@@ -404,7 +401,7 @@ class DataclassSchedulerOracle:
                    and e <= cfg.refine_factor * eps)
         eps_next = (max(cfg.floor_px, eps * cfg.decay_rate) if cfg.policy is Policy.DECAYING
                     else eps)
-        return cls.Decision(DecisionKind.SKIP, None, e, de), cls.State(
+        return cls.Decision(None, e, de, Kind.SKIP), cls.State(
             state.pos_eye_calc, flow, precise, eps_next)
 
     @classmethod
@@ -428,26 +425,27 @@ frame_op = st.tuples(
 
 def step_loop(flows, c, recompute):
     """schedule's oracle: DataclassSchedulerOracle's step and
-    apply_recalculation frame by frame, as schedule's columns and request
-    frames."""
+    apply_recalculation frame by frame, as schedule's columns, the oracle's
+    kind column and the request frames."""
     oracle = DataclassSchedulerOracle
     s = oracle.initial_state(c)
     decisions, requests = [], []
     for i, flow in enumerate(flows):
         d, s = oracle.step(s, flow, c)
         decisions.append(d)
-        if d.kind is DecisionKind.RECALCULATE:
+        if d.kind is Kind.RECALCULATE:
             s = oracle.apply_recalculation(s, recompute(i, len(requests)), c)
             requests.append(i)
     columns = (tuple(getattr(d, f.name) for d in decisions) for f in fields(oracle.Decision))
     return (*columns, requests)
 
 
-def same_fields(values, oracle) -> bool:
-    """Equal to the oracle's leading fields, NaN equal to NaN: repr is exact
-    for floats."""
-    return repr(tuple(values)) == repr(tuple(getattr(oracle, f.name)
-                                             for f in fields(oracle))[:len(values)])
+def same_fields(row, decision) -> bool:
+    """A schedule row (reason, E, dE) equal to the oracle decision's, NaN
+    equal to NaN (repr is exact for floats), and a None reason exactly
+    where the oracle's kind is a skip."""
+    oracle = (decision.reason, decision.e_px, decision.delta_e_px)
+    return repr(tuple(row)) == repr(oracle) and (row[0] is None) == (decision.kind is Kind.SKIP)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -487,12 +485,12 @@ def test_step_equals_dataclass_oracle(policy, metric, eps, refine_factor, decay_
     o = oracle.initial_state(c)
     for j, flow in enumerate(flows):
         od, o = oracle.step(o, flow, c)
-        if od.kind is DecisionKind.RECALCULATE:
+        if od.kind is Kind.RECALCULATE:
             o = oracle.apply_recalculation(o, anchors[j], c)
         flow_last, eps_now = o.pos_eye_flow_last, o.eps_current_px
         for probe in (flow_last, shift(flow_last, c.refine_factor * eps_now),
                       shift(o.pos_eye_calc, eps_now)):
-            rows = list(zip(*schedule(flows[:j + 1] + [probe], c, recompute)[:4]))
+            rows = list(zip(*schedule(flows[:j + 1] + [probe], c, recompute)[:3]))
             assert same_fields(rows[j], od)
             assert same_fields(rows[-1], oracle.step(o, probe, c)[0])
 
@@ -552,13 +550,14 @@ def test_schedule_equals_step_loop(policy, metric, eps, refine_factor, decay_rat
             return tuple(b + o + 0.25 * k for b, o in zip(flows[i] or eyes(0.0), ops[i][1]))
         return run(read(), c, recompute), events
 
-    (kinds, reasons, e_px, delta_e_px, requests), events = driven(schedule)
-    (o_kinds, o_reasons, o_e_px, o_delta_e_px, o_requests), o_events = driven(step_loop)
-    assert kinds == o_kinds and reasons == o_reasons
+    (reasons, e_px, delta_e_px, requests), events = driven(schedule)
+    (o_reasons, o_e_px, o_delta_e_px, o_kinds, o_requests), o_events = driven(step_loop)
+    assert reasons == o_reasons
+    assert [r is None for r in reasons] == [k is Kind.SKIP for k in o_kinds]
     assert float_bits(e_px) == float_bits(o_e_px)
     assert float_bits(delta_e_px) == float_bits(o_delta_e_px)
     assert requests == o_requests and events == o_events
 
 
 def test_schedule_of_no_frames():
-    assert schedule(iter(()), cfg(), None) == ((), (), (), (), [])
+    assert schedule(iter(()), cfg(), None) == ((), (), (), [])

@@ -598,12 +598,15 @@ def test_reset_drift_bit_equals_uniform_draw(seed, n_resets):
 
 # ---- face tracker (read from the config by the run) -------------------
 
+def face_config(n_frames, **kw):
+    """A UPR-only config on a stationary trace at (5, 5, 200)."""
+    return benchmark_config(modes="UPR", trace_generator="stationary", trace_n_frames=n_frames,
+                            trace_base_eye_x_mm=5.0, trace_base_eye_y_mm=5.0,
+                            trace_base_eye_z_mm=200.0, **kw)
+
+
 def face_run(n_frames, **kw):
-    """A UPR-only run on a stationary trace at (5, 5, 200)."""
-    cfg = benchmark_config(modes="UPR", trace_generator="stationary", trace_n_frames=n_frames,
-                           trace_base_eye_x_mm=5.0, trace_base_eye_y_mm=5.0,
-                           trace_base_eye_z_mm=200.0, **kw)
-    return run(cfg).records["UPR"], np.array([5.0, 5.0, 200.0])
+    return run(face_config(n_frames, **kw)).records["UPR"], np.array([5.0, 5.0, 200.0])
 
 
 def test_face_tracker_exact_without_jitter():
@@ -612,10 +615,11 @@ def test_face_tracker_exact_without_jitter():
 
 
 def test_face_tracker_cost_accumulation():
-    # Each request is billed its resolution tier's face cost.
-    rec, _ = face_run(1000, noise_jitter_sigma_mm=0.0, cost_resolution="320x240")
-    assert np.array_equal(rec.tracking_charge_ms, np.full(1000, 14.080))
-    assert rec.cumulative_tracking_ms[-1] == pytest.approx(14080.0, abs=1e-6)
+    # Each request is billed its resolution tier's face cost, and the run's
+    # tracking total accumulates them.
+    res = run(face_config(1000, noise_jitter_sigma_mm=0.0, cost_resolution="320x240"))
+    assert np.array_equal(res.records["UPR"].tracking_charge_ms, np.full(1000, 14.080))
+    assert res.summaries["UPR"].total_tracking_ms == pytest.approx(14080.0, abs=1e-6)
 
 
 def test_face_tracker_jitter_statistical():

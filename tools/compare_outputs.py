@@ -21,9 +21,11 @@ eye and every charge is billed to the final frame; `simulate` with the
 back camera at a signed-zero offset, targets at (0, 0) and (-0, -0), and
 errors at all frames; `simulate` of AAUPR then FUPR with the 320x240 face
 cost, the latched policy, the mean eye metric, errors also in pixels and a
-58 mm ipd; `sweep --param eps_max` and `sweep --param
-jitter_sigma` over a random-walk trace CSV that each tree writes itself;
-`gen-trace` for all four generators; `truthtable --eps 24`, the scheduler's
+58 mm ipd; `simulate` of AAUPR with every flow measurement failing
+(noise_p_fail = 1), frame 0 included; `simulate` of AAUPR with noise-free
+flow pixels (noise_flow_sigma_px = 0); `sweep --param eps_max` and `sweep
+--param jitter_sigma` over a random-walk trace CSV that each tree writes
+itself; `gen-trace` for all four generators; `truthtable --eps 24`, the scheduler's
 decision table on stdout; and eight bad inputs (ERROR_CONFIGS), each a
 one-line error on stderr with exit code 1.
 """
