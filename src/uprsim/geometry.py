@@ -20,13 +20,15 @@ No implicit unit conversion anywhere.
 Every module's value objects, and harness's ExperimentConfig, declare each
 field's bound on the field (within, positive, nonnegative) and call
 check_fields in __post_init__, which also requires every float to be finite.
-Vectors must be finite too.
+Vectors must be finite too. Each subclasses Value (frozen), or Record (the
+mutable FlowSimulator): dataclass reads their fields, and their methods are
+Record's and Value's, written once, so importing uprsim generates none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -66,6 +68,63 @@ def check_fields(obj, error=ValueError, *ranges) -> None:
                 raise error(f"{f.name}: must be {domain}, got {value!r}")
 
 
+class Record:
+    """Base of the value objects: a subclass is a dataclass for its fields
+    alone, and takes these methods, written once instead of generated per
+    class. A Record is mutable and equal only to itself."""
+
+    def __init_subclass__(cls):
+        dataclass(init=False, repr=False, eq=False)(cls)
+
+    def __init__(self, *args, **kwargs):
+        """Bind args in field order, then kwargs; fill defaults; run __post_init__."""
+        fs, name = self.__dataclass_fields__, f"{type(self).__qualname__}.__init__()"
+        if len(args) > len(fs):
+            raise TypeError(f"{name} takes {len(fs) + 1} positional arguments "
+                            f"but {len(args) + 1} were given")
+        given = dict(zip(fs, args))
+        for key in kwargs:
+            if key in given or key not in fs:
+                how = "multiple values for" if key in given else "an unexpected keyword"
+                raise TypeError(f"{name} got {how} argument {key!r}")
+        given.update(kwargs)
+        for key, f in fs.items():
+            if key not in given:
+                if f.default is MISSING and f.default_factory is MISSING:
+                    raise TypeError(f"{name} missing required argument: {key!r}")
+                given[key] = f.default_factory() if f.default is MISSING else f.default
+            # Not through self.__dict__: that gives up CPython's inline attribute
+            # values, and slowed a run's attribute reads by ~30%.
+            object.__setattr__(self, key, given[key])
+        self.__post_init__()
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__dataclass_fields__, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, key) for key in self.__dataclass_fields__])
+
+
+class Value(Record):
+    """A frozen Record, equal to one of its class with equal fields, and
+    hashed by them; __post_init__ sets fields with object.__setattr__."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, key, value):
+        raise FrozenInstanceError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise FrozenInstanceError(f"cannot delete field {key!r}")
+
+
 def _as_vec3(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(3)
     if not np.isfinite(a).all():
@@ -74,8 +133,7 @@ def _as_vec3(v, name: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class RigidTransform:
+class RigidTransform(Value):
     """A 6-DOF rigid transform: p_out = rotation @ p_in + translation.
 
     Rotations are stored as orthonormal matrices so that invert stays
@@ -134,8 +192,7 @@ class RigidTransform:
         return cls(r, translation)
 
 
-@dataclass(frozen=True)
-class DisplayModel:
+class DisplayModel(Value):
     """Physical display panel: metric size, pixel resolution, world pose.
 
     pose_world maps display-frame coordinates into the world frame.
@@ -173,8 +230,7 @@ class DisplayModel:
         return self.mm_to_px(np.array([[w, h], [-w, h], [-w, -h], [w, -h]]))
 
 
-@dataclass(frozen=True)
-class PinholeCamera:
+class PinholeCamera(Value):
     """Intrinsic + extrinsic pinhole model.
 
     extrinsic maps display-frame points into this camera's frame. The front
@@ -230,8 +286,7 @@ def back_camera(offset_mm=(45.0, -25.0, -8.0), fx: float = 400.0, fy: float = 40
                          extrinsic=RigidTransform(r, -r @ c))
 
 
-@dataclass(frozen=True)
-class EyeState:
+class EyeState(Value):
     """The cyclopean eye in the display frame and the interpupillary
     distance; tracksim.eye_points splits it into the two eyes."""
 
@@ -251,8 +306,7 @@ class EyeState:
         return cls(cyclopean_mm, ipd_mm)
 
 
-@dataclass(frozen=True)
-class ScenePlane:
+class ScenePlane(Value):
     """Bounded planar scene surface (e.g. an installed interaction screen).
 
     The plane's own 2D frame has its origin at point_world with orthonormal

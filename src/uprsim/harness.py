@@ -12,7 +12,8 @@ renders from its calibration eye, (0, 0, fupr_distance_mm). A mode's result
 is one ModeRecord of per-frame columns and one Summary row, keyed by mode
 name in a RunResult with the config that ran; the CSV output reads them.
 
-A config key's own domain is declared on its ExperimentConfig field and
+ExperimentConfig is a frozen geometry.Value, declared as the library's value
+objects are. A config key's own domain is declared on its field and
 checked after finiteness and SCALE (not seed), when a config is built, by
 the check_fields loop that the library's value objects use (see geometry);
 rules across keys fail where their objects are built, under checked's label.
@@ -51,7 +52,7 @@ at rest, not mid-motion); set errors_dwell_only = false for every frame.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -63,6 +64,7 @@ from .geometry import (
     PinholeCamera,
     RigidTransform,
     ScenePlane,
+    Value,
     back_camera,
     check_fields,
     front_camera,
@@ -124,8 +126,7 @@ def _one_of(default, choices):
     return within("one of " + ", ".join(names), names.__contains__, default)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Value):
     """Flat experiment configuration. Field names double as the config-file
     keys (one `key = value` per line); see README for the full schema."""
 

@@ -28,10 +28,9 @@ eye_distance_px, which it calls for E and dE.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import nan, sqrt
 
-from .geometry import PinholeCamera, check_fields, nonnegative, positive, within
+from .geometry import PinholeCamera, Value, check_fields, nonnegative, positive, within
 
 #: Flow-tracker failure marker that schedule() accepts in place of eye positions.
 FLOW_FAILURE = None
@@ -57,8 +56,7 @@ class Reason(enum.Enum):
     INITIAL = "initial"
 
 
-@dataclass(frozen=True)
-class ThresholdConfig:
+class ThresholdConfig(Value):
     """The scheduler's thresholds. eps_min_px floors the decaying eps; 0 is 0.1 * eps_max_px."""
 
     eps_max_px: float = positive()

@@ -13,13 +13,14 @@ failure parameters at zero the stack reproduces ground truth exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import islice
 from math import isfinite, nan, pi
 
 import numpy as np
 
-from .geometry import PinholeCamera, check_fields, nonnegative, positive, project_pinhole, within
+from .geometry import (PinholeCamera, Record, Value, check_fields, nonnegative, positive,
+                       project_pinhole, within)
 
 DEFAULT_FRAME_RATE_HZ = 15.0  # front-camera hardware limit
 DWELL_TOL_MM = 0.5  # eye travel per frame (mm) at or below which the head is at rest
@@ -43,8 +44,7 @@ class TraceError(ValueError):
         return "frame %d: %s" % self.args
 
 
-@dataclass(frozen=True)
-class HeadTrace:
+class HeadTrace(Value):
     """Per-frame columns: t_ms (F,), eye_mm (F, 3) cyclopean eye in the
     display frame, ipd_mm (F,), all read-only; every t_ms step equals the first."""
 
@@ -102,8 +102,9 @@ def eye_points(eye_mm, ipd_mm) -> np.ndarray:
     return np.stack([c - half, c + half], axis=-2)
 
 
-@dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(Value):
+    """A synthetic trace's generator and parameters; generate_trace draws it."""
+
     generator: Generator
     n_frames: int = nonnegative(0)  # derived for step_move when 0
     frame_rate_hz: float = positive(DEFAULT_FRAME_RATE_HZ)
@@ -252,8 +253,7 @@ def read_trace_csv(path) -> HeadTrace:
         raise ValueError(f"line {lines[frame]}: {reason}") from None
 
 
-@dataclass(eq=False)
-class FlowSimulator:
+class FlowSimulator(Record):
     """Stand-in for sparse feature tracking of the two eye points.
 
     project gives the eyes' exact front-camera pixels, (..., 4) rows, and
@@ -339,8 +339,7 @@ class FlowSimulator:
         return next(self.measurements((px,), (visible,)))
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Value):
     """Per-invocation timing charges, anchored to measured per-frame means.
 
     face_track_ms is keyed by front-camera resolution tier ("WxH").

@@ -21,7 +21,6 @@ gives the others' bits), and pointing_error is its one-cell form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .geometry import (
     GeometryError,
     PinholeCamera,
     ScenePlane,
+    Value,
     intersect_ray_plane,
     project_pinhole,
 )
@@ -50,8 +50,7 @@ class FitPolicy(enum.Enum):
     LETTERBOX = "letterbox"
 
 
-@dataclass(frozen=True)
-class Homography:
+class Homography(Value):
     """3x3 planar homography, defined up to scale."""
 
     h: np.ndarray

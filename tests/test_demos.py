@@ -21,7 +21,7 @@ DUAL_THRESHOLDING_STDOUT_SHA256 = (
 #: sha256 of demo 04's stdout, its seed-mean UPR and AAUPR errors per jitter
 #: sigma.
 JITTER_CROSSOVER_STDOUT_SHA256 = (
-    "99fcfd00a37810ce749d6fc9acb10a6f03b4ce0f95810942206049ccb570e164")
+    "b27a73ed063912411247b181cc9c8902f3537382e5dfd227e17a7cd7736e01dd")
 
 
 def run_demo(demo: Path) -> subprocess.CompletedProcess:

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +24,17 @@ from uprsim.geometry import (
     intersect_ray_plane,
     project_pinhole,
 )
+from uprsim.harness import ExperimentConfig
 from uprsim.scheduler import ThresholdConfig
-from uprsim.tracksim import CostModel, FlowSimulator, Generator, TraceSpec, eye_points
+from uprsim.tracksim import (
+    CostModel,
+    FlowSimulator,
+    Generator,
+    HeadTrace,
+    TraceSpec,
+    eye_points,
+)
+from uprsim.viewgen import Homography
 
 
 def random_transform(rng) -> RigidTransform:
@@ -323,6 +336,99 @@ VALUE_OBJECTS = [
 def test_value_objects_reject_nonfinite(obj, name, bad):
     with pytest.raises(ValueError, match=f"^{name}: must be finite"):
         replace(obj, **{name: bad})
+
+
+#: One valid instance of every value object, VALUE_OBJECTS and the rest.
+ALL_VALUE_OBJECTS = VALUE_OBJECTS + [
+    RigidTransform.identity(),
+    ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], (400.0, 300.0)),
+    HeadTrace([0.0, 50.0], [[0.0, 0.0, 300.0], [1.0, 0.0, 300.0]], [63.0, 63.0]),
+    Homography(np.eye(3)),
+    ExperimentConfig(),
+]
+
+
+def dataclass_twins(frozen: bool, *objs):
+    """Objects with objs' field values, of one class with their name whose
+    methods dataclass generates: the reference for the written-once methods."""
+    twin = make_dataclass(type(objs[0]).__name__, [f.name for f in fields(objs[0])],
+                          frozen=frozen, eq=frozen)
+    return [twin(**{f.name: getattr(obj, f.name) for f in fields(obj)}) for obj in objs]
+
+
+def outcome(call):
+    """call's result, or the type of the TypeError or ValueError it raises."""
+    try:
+        return call()
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("obj", ALL_VALUE_OBJECTS, ids=lambda obj: type(obj).__name__)
+def test_value_objects_act_as_their_dataclass_twins(obj):
+    frozen = not isinstance(obj, FlowSimulator)  # mutable, and equal only to itself
+    copy = replace(obj)
+    twin, twin_copy = dataclass_twins(frozen, obj, copy)
+    assert repr(obj) == repr(twin)
+    assert outcome(lambda: obj == copy) == outcome(lambda: twin == twin_copy)
+    assert obj.__eq__(twin) is NotImplemented
+    if not frozen:
+        assert obj == obj and obj != copy and hash(obj) == object.__hash__(obj)
+        copy.p_fail = 0.5
+        assert copy.p_fail == 0.5
+        return
+    twin_hash = outcome(lambda: hash(twin))
+    assert outcome(lambda: hash(obj)) == twin_hash
+    if twin_hash is not TypeError:  # every field is hashable
+        assert copy == obj and hash(copy) == hash(obj)
+    for f in fields(obj):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{f.name}'"):
+            setattr(copy, f.name, getattr(obj, f.name))
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{f.name}'"):
+            delattr(copy, f.name)
+    assert repr(copy) == repr(obj)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((109.0, 61.0, 1080), {}, "missing .*argument: 'height_px'"),
+    ((109.0, 61.0), {"width_px": 1080}, "missing .*argument: 'height_px'"),
+    ((109.0, 61.0, 1080, 608), {"pose": None}, "got an unexpected keyword argument 'pose'"),
+    ((109.0, 61.0, 1080, 608), {"width_mm": 1.0}, "got multiple values for argument 'width_mm'"),
+    ((109.0, 61.0, 1080, 608, RigidTransform.identity(), 1), {},
+     "takes .*6 positional arguments but 7 were given"),
+])
+def test_value_object_constructor_names_a_bad_argument(args, kwargs, message):
+    # The messages of the __init__ that dataclass generates, in the parts that name.
+    with pytest.raises(TypeError, match=rf"^DisplayModel\.__init__\(\) {message}$"):
+        DisplayModel(*args, **kwargs)
+
+
+def test_value_objects_bind_arguments_as_dataclass_does():
+    """Positional then keyword arguments in field order; defaults filled,
+    a default_factory called once per object."""
+    a = DisplayModel(109.0, 61.0, height_px=608, width_px=1080)
+    b = DisplayModel(109.0, 61.0, 1080, 608)
+    assert repr(a) == repr(b) and a.pose_world is not b.pose_world
+    assert ThresholdConfig(24.0) == ThresholdConfig(eps_max_px=24.0, decay_rate=0.98)
+
+
+def test_importing_uprsim_generates_no_dataclass_methods():
+    """The value objects share geometry.Record's methods, so importing the
+    CLI has dataclass write and compile none; a frozen dataclass declared
+    after it gets six, which shows the count is live."""
+    code = ("import dataclasses\n"
+            "calls = []\n"
+            "create = dataclasses._create_fn\n"
+            "dataclasses._create_fn = lambda *a, **k: calls.append(a[0]) or create(*a, **k)\n"
+            "import uprsim.cli\n"
+            "print(len(calls))\n"
+            "dataclasses.dataclass(frozen=True)(type('P', (), {'__annotations__': {'x': int}}))\n"
+            "print(len(calls))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "6"]
 
 
 # ---- Camera factories --------------------------------------------------

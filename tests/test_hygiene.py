@@ -10,14 +10,21 @@ domains through geometry.check_fields. The scheduler imports no numpy, so
 AAUPR's per-frame decisions stay on Python floats. perfbench's span targets
 still name the program's attributes. No test handler of Exception or
 BaseException skips re-raising, so a call that breaks fails its test rather
-than being passed over as, say, a degenerate random draw.
+than being passed over as, say, a degenerate random draw. The CI workflow
+installs the Python and numpy that the pinned digests and work counts were
+recorded under.
 """
 
 import ast
+import dataclasses
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
+
+from uprsim import geometry, harness, scheduler, tracksim, viewgen
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src/uprsim", "tests") for p in (ROOT / d).rglob("*.py")
@@ -133,14 +140,22 @@ def test_one_function_opens_files_for_writing():
     assert writers == ["tracksim.write_csv"]
 
 
+#: The bases whose subclasses are dataclasses (geometry.Record and its frozen kind).
+VALUE_BASES = {"Record", "Value"}
+
+
+def dataclass_defs(source: str) -> list[ast.ClassDef]:
+    """Classes declared dataclasses, by a decorator or by a base in VALUE_BASES."""
+    return [cls for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef) and (
+        any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        or any(ast.unparse(b) in VALUE_BASES for b in cls.bases))]
+
+
 def unchecked_dataclasses(source: str) -> list[str]:
     """Dataclasses with an int or float field whose __post_init__ does not
     call check_fields."""
     names = []
-    for cls in ast.walk(ast.parse(source)):
-        if not (isinstance(cls, ast.ClassDef) and any(
-                "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
-            continue
+    for cls in dataclass_defs(source):
         if not any(isinstance(s, ast.AnnAssign) and ast.unparse(s.annotation) in ("int", "float")
                    for s in cls.body):
             continue
@@ -157,11 +172,20 @@ def test_value_objects_check_fields():
               "@dataclass(frozen=True)\nclass B:\n    x: float\n"
               "    def __post_init__(self): check_fields(self)\n"
               "@dataclass\nclass C:\n    x: str\n"
-              "class D:\n    x: int\n")
-    assert unchecked_dataclasses(source) == ["A"]
-    unchecked = [name for path in (ROOT / "src/uprsim").glob("*.py")
-                 for name in unchecked_dataclasses(path.read_text())]
-    assert unchecked == []
+              "class D:\n    x: int\n"
+              "class E(Value):\n    x: float\n    def __post_init__(self): pass\n"
+              "class F(Record):\n    x: int\n"
+              "class G(Value):\n    x: int\n"
+              "    def __post_init__(self): check_fields(self)\n"
+              "class H(Value):\n    x: str\n")
+    assert unchecked_dataclasses(source) == ["A", "E", "F"]
+    sources = [path.read_text() for path in (ROOT / "src/uprsim").glob("*.py")]
+    # The scan sees every dataclass that importing uprsim makes, so it has a subject.
+    scanned = {cls.name for source in sources for cls in dataclass_defs(source)}
+    assert scanned == {name for module in (geometry, harness, scheduler, tracksim, viewgen)
+                       for name, obj in vars(module).items() if isinstance(obj, type)
+                       and dataclasses.is_dataclass(obj)}
+    assert [name for source in sources for name in unchecked_dataclasses(source)] == []
 
 
 def imported_modules(source: str) -> set[str]:
@@ -227,3 +251,12 @@ def test_tests_swallow_no_broad_errors():
     swallowed = [f"{path.name}:{line}" for path in sorted((ROOT / "tests").rglob("*.py"))
                  for line in swallowing_handlers(path.read_text())]
     assert swallowed == []
+
+
+def test_ci_pins_the_recorded_versions():
+    # A plain-text match: CI installs no YAML parser.
+    workflow = (ROOT / ".github/workflows/tier1.yml").read_text()
+    for pinned in ("golden.json", "work_counts.json"):
+        recorded = json.loads((ROOT / "tests" / pinned).read_text())["versions"]
+        assert f'python-version: "{recorded["python"]}"' in workflow, pinned
+        assert re.search(rf'numpy=={re.escape(recorded["numpy"])}(?![\w.])', workflow), pinned

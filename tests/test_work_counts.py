@@ -3,9 +3,11 @@
 Each count is the number of Python and built-in calls cProfile records in
 one run, profiled after one unprofiled warm-up of the same run, with the
 cyclic garbage collector off: the benchmark config with all four modes, and
-each mode alone on a 300-frame, 120 mm sway. The calls are summed over the profiler's entries, one per code
-object; pstats' total_calls would not do, as it merges the dataclass
-__init__s, which share a file, line and name.
+each mode alone on a 300-frame, 120 mm sway. The calls are summed over the
+profiler's entries, one per code object; pstats' total_calls would not do,
+as it merges the NamedTuples' __new__s, which collections.namedtuple
+compiles from one string each and so share a file, line and name. The value
+objects' __init__ is literally one code object, geometry.Record.__init__.
 tests/work_counts.json pins them. A change that makes a run call more (or
 fewer) functions fails here until the file is regenerated; name each
 changed count, old -> new, in CHANGES.md.
