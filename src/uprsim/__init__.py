@@ -37,12 +37,6 @@ from .tracksim import (
     read_trace_csv,
     write_trace_csv,
 )
-from .viewgen import (
-    FitPolicy,
-    Homography,
-    RenderMode,
-    pointing_error,
-    upr_display_to_plane,
-)
+from .viewgen import FitPolicy, RenderMode, pointing_error
 
 __version__ = "0.1.0"

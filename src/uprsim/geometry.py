@@ -38,7 +38,6 @@ import numpy as np
 PARALLEL_TOL = 1e-12
 
 _ORTHO_TOL = 1e-9
-_ORTHO_REJECT = 1e-6
 
 
 class GeometryError(ValueError):
@@ -137,8 +136,8 @@ class RigidTransform(Value):
     """A 6-DOF rigid transform: p_out = rotation @ p_in + translation.
 
     Rotations are stored as orthonormal matrices so that invert stays
-    exact; slight numeric drift (below 1e-6) is re-orthonormalized on
-    construction, anything larger is rejected.
+    exact: a rotation whose r @ r.T is off the identity by more than 1e-9
+    in any entry is rejected, not repaired.
     """
 
     rotation: np.ndarray
@@ -148,11 +147,8 @@ class RigidTransform(Value):
         r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         t = _as_vec3(self.translation, "translation")
         err = np.abs(r @ r.T - np.eye(3)).max()
-        if not err <= _ORTHO_REJECT:  # NaN fails every comparison
+        if not err <= _ORTHO_TOL:  # NaN fails every comparison
             raise GeometryError(f"rotation is not orthonormal (error {err:.3g})")
-        if err > _ORTHO_TOL:
-            u, _, vt = np.linalg.svd(r)
-            r = u @ vt
         if np.linalg.det(r) < 0:
             raise GeometryError("rotation has negative determinant (reflection)")
         r.flags.writeable = False
@@ -180,16 +176,6 @@ class RigidTransform(Value):
     def invert(self) -> "RigidTransform":
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
-
-    @classmethod
-    def from_quaternion(cls, q, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
-        r = np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
-        return cls(r, translation)
 
 
 class DisplayModel(Value):
@@ -222,12 +208,6 @@ class DisplayModel(Value):
         u = (p[..., 0] / self.width_mm + 0.5) * self.width_px
         v = (0.5 - p[..., 1] / self.height_mm) * self.height_px
         return np.stack([u, v], axis=-1)
-
-    def corners_px(self) -> np.ndarray:
-        """The four panel corners in pixels, ordered (+x,+y), (-x,+y),
-        (-x,-y), (+x,-y) in the display frame."""
-        w, h = self.width_mm / 2.0, self.height_mm / 2.0
-        return self.mm_to_px(np.array([[w, h], [-w, h], [-w, -h], [w, -h]]))
 
 
 class PinholeCamera(Value):

@@ -30,7 +30,6 @@ from .geometry import (
     GeometryError,
     PinholeCamera,
     ScenePlane,
-    Value,
     intersect_ray_plane,
     project_pinhole,
 )
@@ -48,56 +47,6 @@ class FitPolicy(enum.Enum):
 
     STRETCH = "stretch"
     LETTERBOX = "letterbox"
-
-
-class Homography(Value):
-    """3x3 planar homography, defined up to scale."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.h, dtype=float).reshape(3, 3)
-        if abs(np.linalg.det(m)) <= 1e-12:
-            raise GeometryError("homography is singular")
-        m.flags.writeable = False
-        object.__setattr__(self, "h", m)
-
-    def apply(self, pts) -> np.ndarray:
-        p = np.asarray(pts, dtype=float)
-        ones = np.ones(p.shape[:-1] + (1,))
-        q = np.concatenate([p, ones], axis=-1) @ self.h.T
-        return q[..., :2] / q[..., 2:3]
-
-
-def _homography_from_points(src: np.ndarray, dst: np.ndarray) -> Homography:
-    """Exact homography from four point correspondences (DLT, 8x8 solve)."""
-    a = np.zeros((8, 8))
-    b = np.zeros(8)
-    for i, ((x, y), (u, v)) in enumerate(zip(src, dst)):
-        a[2 * i] = [x, y, 1, 0, 0, 0, -u * x, -u * y]
-        a[2 * i + 1] = [0, 0, 0, x, y, 1, -v * x, -v * y]
-        b[2 * i] = u
-        b[2 * i + 1] = v
-    try:
-        sol = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError("degenerate display/plane configuration") from exc
-    return Homography(np.append(sol, 1.0).reshape(3, 3))
-
-
-def upr_display_to_plane(eye_mm, display: DisplayModel, plane: ScenePlane) -> Homography:
-    """Homography taking display pixels to 2D scene-plane coordinates (mm)
-    under user-perspective rendering from the cyclopean eye eye_mm (display frame).
-
-    Built from the four display-corner rays; since the eye is a center of
-    projection between two planes, four correspondences determine the map
-    exactly. Raises when any corner ray misses the plane forward.
-    """
-    corners_px = display.corners_px()
-    dst, hit = perceived_points(display.pose_world.apply(eye_mm), corners_px, display, plane)
-    if not hit.all():
-        raise GeometryError("display corner ray misses the scene plane")
-    return _homography_from_points(corners_px, dst)
 
 
 def cam_px_to_display_px(cam_px, display: DisplayModel, cam: PinholeCamera,

@@ -40,6 +40,15 @@ CONFIGS = {
     "flow_fail.cfg": "modes = AAUPR\nnoise_p_fail = 1\n",
     # Flow pixels without noise.
     "flow_exact.cfg": "modes = AAUPR\nnoise_flow_sigma_px = 0\n",
+    # Two valid inputs no other command reads: a trace CSV with blank lines
+    # (the reader skips them), whose head moves, then rests, and a boolean
+    # key spelled out as true (errors at the resting frames only).
+    "blank_lines.cfg": "trace_file = blank_lines.csv\nerrors_dwell_only = true\n",
+    "blank_lines.csv": ("frame,t_ms,eye_x_mm,eye_y_mm,eye_z_mm,ipd_mm,"
+                        "dev_qw,dev_qx,dev_qy,dev_qz,dev_tx_mm,dev_ty_mm,dev_tz_mm\n\n"
+                        + "".join(f"{i},{i * 1000 / 15},{4.0 * min(i, 3)},0.0,300.0,63.0,"
+                                  f"1.0,0.0,0.0,0.0,0.0,0.0,0.0\n" + "\n" * (i % 2)
+                                  for i in range(8)) + "  \n\n"),
     "gen_stationary.cfg": "trace_generator = stationary\ntrace_n_frames = 50\n",
     "gen_step_move.cfg": "trace_generator = step_move\n",
     "gen_sway.cfg": "trace_generator = sway\ntrace_n_frames = 200\n",
@@ -73,6 +82,8 @@ COMMANDS = [
     ("simulate_variants", ["simulate", "--config", "variants.cfg", "--out", "variants"]),
     ("simulate_flow_fail", ["simulate", "--config", "flow_fail.cfg", "--out", "flow_fail"]),
     ("simulate_flow_exact", ["simulate", "--config", "flow_exact.cfg", "--out", "flow_exact"]),
+    ("simulate_blank_lines", ["simulate", "--config", "blank_lines.cfg",
+                              "--out", "blank_lines"]),
     ("gen_walk", ["gen-trace", "--spec", "walk_spec.cfg", "--out", "walk.csv"]),
     ("sweep_eps_max", ["sweep", "--config", "walk_sweep.cfg", "--param", "eps_max",
                        "--values", "8,16,24,32", "--out", "sweep"]),

@@ -1,9 +1,12 @@
-"""The scalar ray-cast chain: one ray per pixel, one target per call.
+"""The scalar ray-cast chain, one ray per pixel and one target per call,
+and the UPR display-to-plane homography built on it.
 
-It is the independent oracle for the simulator's batch geometry
-(viewgen.pointing_errors, upr_display_to_plane, geometry.intersect_ray_plane):
-each step below is written out once per ray, as the simulator computed it
-before its passes were batched.
+They are the independent oracles for the simulator's batch geometry
+(viewgen.pointing_errors, viewgen.perceived_points,
+geometry.intersect_ray_plane): each ray-cast step below is written out once
+per ray, as the simulator computed it before its passes were batched, and
+the homography maps every display pixel to the plane from four corner rays
+alone. The homography is a 3x3 array; apply_homography applies it.
 """
 
 from dataclasses import dataclass
@@ -124,3 +127,42 @@ def pointing_error(mode: RenderMode, target_world, estimated_eye: EyeState | Non
         raise GeometryError("perceived ray misses the scene plane")
     target_2d = plane.to_plane_2d(np.asarray(target_world, dtype=float))
     return float(np.linalg.norm(perceived - target_2d))
+
+
+def homography_from_points(src, dst) -> np.ndarray:
+    """The 3x3 homography, scaled to h[2, 2] = 1, that takes the four
+    points src to dst exactly (DLT, one 8x8 solve)."""
+    a = np.zeros((8, 8))
+    b = np.zeros(8)
+    for i, ((x, y), (u, v)) in enumerate(zip(src, dst)):
+        a[2 * i] = [x, y, 1, 0, 0, 0, -u * x, -u * y]
+        a[2 * i + 1] = [0, 0, 0, x, y, 1, -v * x, -v * y]
+        b[2 * i] = u
+        b[2 * i + 1] = v
+    try:
+        sol = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise GeometryError("degenerate display/plane configuration") from exc
+    return np.append(sol, 1.0).reshape(3, 3)
+
+
+def apply_homography(h: np.ndarray, pts) -> np.ndarray:
+    """Map (..., 2) points through the homography h."""
+    p = np.asarray(pts, dtype=float)
+    q = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1) @ h.T
+    return q[..., :2] / q[..., 2:3]
+
+
+def upr_homography(eye: EyeState, display: DisplayModel, plane: ScenePlane) -> np.ndarray:
+    """The homography taking display pixels to 2D scene-plane points (mm)
+    under user-perspective rendering from eye's cyclopean point.
+
+    The eye is a center of projection between two planes, so the four
+    panel-corner rays fix the map exactly. Raises GeometryError when a
+    corner ray misses the plane forward."""
+    w, h = display.width_px, display.height_px
+    corners = np.array([[w, 0.0], [0.0, 0.0], [0.0, h], [w, h]])
+    dst = [perceived_plane_point(c, eye, display, plane) for c in corners]
+    if any(p is None for p in dst):
+        raise GeometryError("display corner ray misses the scene plane")
+    return homography_from_points(corners, dst)

@@ -7,8 +7,14 @@ import pytest
 import raycast
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from raycast import Ray, intersect_ray_plane, render_target_px
-from rotations import rotation_x, rotation_y
+from raycast import (
+    Ray,
+    apply_homography,
+    intersect_ray_plane,
+    render_target_px,
+    upr_homography,
+)
+from rotations import from_quaternion, rotation_x, rotation_y
 
 from uprsim import viewgen
 from uprsim.geometry import (
@@ -28,7 +34,6 @@ from uprsim.viewgen import (
     perceived_points,
     pointing_error,
     pointing_errors,
-    upr_display_to_plane,
 )
 from uprsim.tracksim import eye_points
 
@@ -38,10 +43,6 @@ from uprsim.tracksim import eye_points
 # the drawn pixel is the display center, the true-eye ray through it reaches
 # the plane at (-200, 0), i.e. 100 * 300 / 150 = 200 mm from the target.
 FUPR_LATERAL_100MM_ERROR_MM = 200.0
-
-#: Random display/plane/eye draws a homography test may take to find its
-#: non-degenerate configs; a call that fails on every draw fails the test.
-MAX_DRAWS = 1000
 
 
 def flat_display(z_world=0.0) -> DisplayModel:
@@ -84,17 +85,32 @@ def test_fupr_eye_boundary_and_split():
         benchmark_config(fupr_distance_mm=0.0)
 
 
-# ---- upr_display_to_plane ----------------------------------------------
+# ---- the UPR homography ------------------------------------------------
+# A run maps each drawn pixel to the plane through perceived_points; the
+# tests' homography maps every pixel from four corner rays, so where both
+# resolve they must agree.
+
+def perceived_grid(eye, display, plane, n=10):
+    """An n x n grid of display pixels, and perceived_points on it."""
+    grid = np.stack(np.meshgrid(np.linspace(0, display.width_px, n),
+                                np.linspace(0, display.height_px, n)), axis=-1).reshape(-1, 2)
+    perceived, hit = perceived_points(display.pose_world.apply(eye.cyclopean_mm), grid,
+                                      display, plane)
+    assert hit.all()
+    return grid, perceived
+
 
 def test_upr_homography_parallel_plane_is_similarity():
-    h = upr_display_to_plane([0.0, 0.0, 400.0], flat_display(), plane_below()).h
-    h = h / h[2, 2]
+    eye = EyeState.from_cyclopean([0.0, 0.0, 400.0])
+    h = upr_homography(eye, flat_display(), plane_below())  # h[2, 2] = 1
     assert abs(h[2, 0]) < 1e-9 and abs(h[2, 1]) < 1e-9
     # Uniform scale: |h00| == |h11| in mm-per-px terms adjusted for the
     # panel's px aspect.
     sx = abs(h[0, 0]) * 1080 / 109.0
     sy = abs(h[1, 1]) * 608 / 61.0
     assert abs(sx - sy) < 1e-9
+    grid, perceived = perceived_grid(eye, flat_display(), plane_below())
+    assert np.abs(apply_homography(h, grid) - perceived).max() < 1e-9
 
 
 def test_upr_homography_matches_independent_camera():
@@ -104,7 +120,7 @@ def test_upr_homography_matches_independent_camera():
     plane = plane_below()
     ez = 500.0
     eye = np.array([0.0, 0.0, ez])
-    h = upr_display_to_plane(eye, display, plane)
+    h = upr_homography(EyeState.from_cyclopean(eye), display, plane)
     cam = PinholeCamera(fx=ez * 1080 / 109.0, fy=ez * 608 / 61.0,
                         cx=540.0, cy=304.0, width_px=1080, height_px=608)
     rng = np.random.default_rng(3)
@@ -115,8 +131,11 @@ def test_upr_homography_matches_independent_camera():
         # display -z).
         u, v = px
         d = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0]) * [1.0, -1.0, -1.0]
-        hit = intersect_ray_plane(Ray(eye, d), plane)
-        assert np.allclose(h.apply(px), plane.to_plane_2d(hit), atol=1e-6)
+        expected = plane.to_plane_2d(intersect_ray_plane(Ray(eye, d), plane))
+        perceived, hit = perceived_points(eye, px, display, plane)
+        assert hit
+        assert np.allclose(perceived, expected, atol=1e-6)
+        assert np.allclose(apply_homography(h, px), expected, atol=1e-6)
 
 
 def test_upr_homography_oblique_raycast_oracle():
@@ -124,39 +143,12 @@ def test_upr_homography_oblique_raycast_oracle():
                            rotation_x(np.deg2rad(30.0), [0.0, 0.0, 0.0]))
     plane = plane_below(-300.0)
     eye = EyeState.from_cyclopean([40.0, -20.0, 350.0])
-    h = upr_display_to_plane(eye.cyclopean_mm, display, plane)
-    for u in np.linspace(0, 1080, 10):
-        for v in np.linspace(0, 608, 10):
-            expected = raycast_plane_point(eye, display, plane, [u, v])
-            assert np.abs(h.apply([u, v]) - expected).max() < 1e-6
-
-
-def test_upr_homography_randomized_equivalence():
-    rng = np.random.default_rng(101)
-    checked = 0
-    for _ in range(MAX_DRAWS):
-        display = DisplayModel(
-            109.0, 61.0, 1080, 608,
-            RigidTransform.from_quaternion(
-                [1.0, *rng.normal(scale=0.15, size=3)], rng.normal(scale=30.0, size=3)))
-        plane = ScenePlane(
-            [*rng.normal(scale=50.0, size=2), rng.uniform(-600.0, -250.0)],
-            [0.0, 0.0, 1.0], (4000.0, 4000.0))
-        eye = EyeState.from_cyclopean(
-            [rng.uniform(-80, 80), rng.uniform(-80, 80), rng.uniform(200, 500)])
-        try:
-            h = upr_display_to_plane(eye.cyclopean_mm, display, plane)
-        except GeometryError:
-            continue  # degenerate draw; only non-degenerate configs count
-        for u in np.linspace(0, 1080, 10):
-            for v in np.linspace(0, 608, 10):
-                expected = raycast_plane_point(eye, display, plane, [u, v])
-                assert expected is not None
-                assert np.abs(h.apply([u, v]) - expected).max() < 1e-6
-        checked += 1
-        if checked == 100:
-            break
-    assert checked == 100, f"{MAX_DRAWS} draws gave {checked} non-degenerate configs"
+    h = upr_homography(eye, display, plane)
+    grid, perceived = perceived_grid(eye, display, plane)
+    for px, uv in zip(grid, perceived):
+        expected = raycast_plane_point(eye, display, plane, px)
+        assert np.abs(uv - expected).max() < 1e-6
+        assert np.abs(apply_homography(h, px) - expected).max() < 1e-6
 
 
 def test_upr_homography_corner_miss_raises_without_warnings():
@@ -168,12 +160,18 @@ def test_upr_homography_corner_miss_raises_without_warnings():
     upright = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform(
         np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]), [0.0, 0.0, 0.0]))
     level = EyeState.from_cyclopean([0.0, 30.5, 1.0])
-    for display, plane, e in ((flat_display(), behind_eye, eye),
-                              (upright, plane_below(), level)):
+    corners = np.array([[1080.0, 0.0], [0.0, 0.0], [0.0, 608.0], [1080.0, 608.0]])
+    # perceived_points marks those rays, and only those, as misses.
+    for display, plane, e, hits in ((flat_display(), behind_eye, eye, [False] * 4),
+                                    (upright, plane_below(), level, [False, False, True, True])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(GeometryError, match="display corner ray misses the scene plane"):
-                upr_display_to_plane(e.cyclopean_mm, display, plane)
+            uv, hit = perceived_points(display.pose_world.apply(e.cyclopean_mm), corners,
+                                       display, plane)
+        assert hit.tolist() == hits
+        assert np.isnan(uv[~hit]).all() and not np.isnan(uv[hit]).any()
+        with pytest.raises(GeometryError, match="display corner ray misses the scene plane"):
+            upr_homography(e, display, plane)
 
 
 # ---- DPR mapping -------------------------------------------------------
@@ -348,7 +346,7 @@ def test_pointing_error_is_one_batch_cell(mode):
     rng = np.random.default_rng(47)
     nan = 0
     for k in range(40):
-        display = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform.from_quaternion(
+        display = DisplayModel(109.0, 61.0, 1080, 608, from_quaternion(
             [1.0, *rng.normal(scale=0.2, size=3)],
             [*rng.normal(scale=30.0, size=2), rng.uniform(-400.0, 400.0)]))
         normal = np.array([*rng.normal(scale=0.2, size=2), 1.0])
@@ -388,7 +386,7 @@ def test_pointing_errors_match_scalar_any_pose():
     rng = np.random.default_rng(31)
     misses = hits = 0
     for k in range(40):
-        display = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform.from_quaternion(
+        display = DisplayModel(109.0, 61.0, 1080, 608, from_quaternion(
             [1.0, *rng.normal(scale=0.2, size=3)],
             [*rng.normal(scale=30.0, size=2), rng.uniform(-400.0, 400.0)]))
         normal = np.array([*rng.normal(scale=0.2, size=2), 1.0])
@@ -475,7 +473,7 @@ def test_pointing_errors_rows_equal_each_row_alone(rows, seed):
     # estimate, so its rows repeat when the true eyes do, whatever the
     # estimates. A run of identical rows reaches the ray/plane hit as one.
     rng = np.random.default_rng(seed)
-    display = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform.from_quaternion(
+    display = DisplayModel(109.0, 61.0, 1080, 608, from_quaternion(
         [1.0, *rng.normal(scale=0.2, size=3)],
         [*rng.normal(scale=30.0, size=2), rng.uniform(-200.0, 0.0)]))
     normal = np.array([*rng.normal(scale=0.2, size=2), 1.0])

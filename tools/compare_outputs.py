@@ -23,7 +23,9 @@ errors at all frames; `simulate` of AAUPR then FUPR with the 320x240 face
 cost, the latched policy, the mean eye metric, errors also in pixels and a
 58 mm ipd; `simulate` of AAUPR with every flow measurement failing
 (noise_p_fail = 1), frame 0 included; `simulate` of AAUPR with noise-free
-flow pixels (noise_flow_sigma_px = 0); `sweep --param eps_max` and `sweep
+flow pixels (noise_flow_sigma_px = 0); `simulate` of an 8-frame trace CSV
+with blank lines, a head that moves then rests, and errors_dwell_only =
+true spelled out; `sweep --param eps_max` and `sweep
 --param jitter_sigma` over a random-walk trace CSV that each tree writes
 itself; `gen-trace` for all four generators; `truthtable --eps 24`, the scheduler's
 decision table on stdout; and eight bad inputs (ERROR_CONFIGS), each a
