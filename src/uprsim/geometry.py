@@ -28,8 +28,10 @@ Record's and Value's, written once, so importing uprsim generates none.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from dataclasses import (_HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError, dataclass, field,
+                         fields)
 from functools import partial
+from inspect import Parameter, Signature
 
 import numpy as np
 
@@ -67,10 +69,27 @@ def check_fields(obj, error=ValueError, *ranges) -> None:
                 raise error(f"{f.name}: must be {domain}, got {value!r}")
 
 
+class _FieldSignature:
+    """Record.__signature__, for inspect.signature and help: the one the
+    __init__ that dataclass generates shows, built from the fields when read."""
+
+    def __get__(self, obj, cls) -> Signature:
+        def default(f):
+            if f.default is not MISSING:
+                return f.default
+            return Parameter.empty if f.default_factory is MISSING else _HAS_DEFAULT_FACTORY
+
+        return Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, default=default(f),
+                                    annotation=f.type) for f in cls.__dataclass_fields__.values()],
+                         return_annotation=None)
+
+
 class Record:
     """Base of the value objects: a subclass is a dataclass for its fields
     alone, and takes these methods, written once instead of generated per
     class. A Record is mutable and equal only to itself."""
+
+    __signature__ = _FieldSignature()
 
     def __init_subclass__(cls):
         dataclass(init=False, repr=False, eq=False)(cls)

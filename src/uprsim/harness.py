@@ -3,7 +3,11 @@
 Drives a head-motion trace through the mode-specific pipelines (per-frame
 face tracking for UPR, scheduler-gated for AAUPR, none for FUPR/DPR),
 accounts time against the cost model, and evaluates pointing error against
-a target set on the scene plane.
+a target set on the scene plane. A run first builds its scene (_Scene): the
+trace, display, plane, back camera, fit policy, cost model, world targets,
+evaluation mask, and AAUPR's front camera and trace projection. A scene reads
+no SWEEP_PARAMS key except through the trace, so cells that share a trace can
+share one scene; the threshold config and every mode's draws are per run.
 
 Face tracking is a list of request frames: none for DPR and FUPR, every
 frame for UPR, and the frames AAUPR's scheduler recalculates at. A request
@@ -83,6 +87,7 @@ from .tracksim import (
     eye_points,
     format_column,
     generate_trace,
+    project_eyes,
     read_trace_csv,
     write_csv,
 )
@@ -354,53 +359,64 @@ class RunResult(NamedTuple):
     config: ExperimentConfig  # the config that ran
 
 
-def run(config: ExperimentConfig, trace: HeadTrace | None = None, *,
-        projection: tuple | None = None) -> RunResult:
-    """Run every configured mode over the configured trace, or over `trace`
-    when given (it must be the one config.build_trace() returns). Deterministic
-    for a fixed config and seed. `projection`, which sweep passes, is
-    _project_trace's result for that trace and config's front camera."""
-    modes = config.mode_list()
-    if trace is None:
-        trace = config.build_trace()
-    display = config.display()
-    plane = config.plane()
-    back = config.back_cam()
-    fit = config.fit_policy()
-    tcfg = config.threshold_config()
-    cost = config.cost_model()
-    targets_world = plane.from_plane_2d(config.target_points())
-    evaluate = trace.dwell_mask() if config.errors_dwell_only else np.ones(len(trace), bool)
+class _Scene(NamedTuple):
+    """A run's config-derived objects (see the module doc); AAUPR's are None without it."""
 
+    trace: HeadTrace
+    display: DisplayModel
+    plane: ScenePlane
+    back_cam: PinholeCamera
+    fit: FitPolicy
+    cost: CostModel
+    targets_world: np.ndarray  # (T, 3)
+    evaluate: np.ndarray       # (F,) bool: the frames whose pointing error is evaluated
+    front_cam: PinholeCamera | None
+    projection: tuple | None   # (F, 2, 3) eyes; their pixel rows and visibility as lists
+
+
+def _scene(config: ExperimentConfig, trace: HeadTrace) -> _Scene:
+    plane, front, projection = config.plane(), None, None
+    if "AAUPR" in config.modes:  # no other mode's name holds it
+        front = config.front_cam()
+        eyes = eye_points(trace.eye_mm, trace.ipd_mm)
+        flow_px, visible = project_eyes(front, eyes)
+        projection = eyes, flow_px.tolist(), visible.tolist()
+    return _Scene(trace, config.display(), plane, config.back_cam(), config.fit_policy(),
+                  config.cost_model(), plane.from_plane_2d(config.target_points()),
+                  trace.dwell_mask() if config.errors_dwell_only else np.ones(len(trace), bool),
+                  front, projection)
+
+
+def run(config: ExperimentConfig, scene: _Scene | None = None) -> RunResult:
+    """Run every configured mode over the configured trace; deterministic for a
+    fixed config and seed. A given scene (sweep's) must come from a config equal
+    to this one in every key a scene reads. The threshold config, and each
+    mode's draws, closed loop, pointing errors and summary, are this run's."""
+    trace = config.build_trace() if scene is None else scene.trace
+    tcfg = config.threshold_config()  # its errors follow the trace's, precede the targets'
+    scene = scene or _scene(config, trace)
     records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
-    for mode in modes:
-        cols = _run_mode(mode, config, trace, tcfg, cost, projection)
+    evaluate, targets_world = scene.evaluate, scene.targets_world
+    for mode in config.mode_list():
+        cols = _run_mode(mode, config, scene, tcfg)
         errors = np.full((len(trace), len(targets_world)), np.nan)
         errors[evaluate] = pointing_errors(mode, targets_world, cols["est_eye_mm"][evaluate],
-                                           trace.eye_mm[evaluate], display, plane,
-                                           back_cam=back, fit=fit)
+                                           trace.eye_mm[evaluate], scene.display, scene.plane,
+                                           back_cam=scene.back_cam, fit=scene.fit)
         records[mode.value] = rec = ModeRecord(errors_mm=errors, **cols)
         summaries[mode.value] = _summarize(mode.value, rec, config.cost_render_base_ms)
     return RunResult(records=records, summaries=summaries, trace=trace, config=config)
 
 
-def _project_trace(flow_sim: FlowSimulator, trace: HeadTrace) -> tuple:
-    """The trace's (F, 2, 3) eye points, and their exact front-camera pixel
-    rows and visibility as lists, in one project pass: what AAUPR's loop
-    reads."""
-    eyes = eye_points(trace.eye_mm, trace.ipd_mm)
-    flow_px, visible = flow_sim.project(eyes)
-    return eyes, flow_px.tolist(), visible.tolist()
-
-
-def _run_mode(mode, config, trace, tcfg, cost, projection=None) -> dict[str, np.ndarray]:
+def _run_mode(mode, config, scene, tcfg) -> dict[str, np.ndarray]:
     """One mode's sensing columns, keyed by ModeRecord field name. UPR
     requests a face-tracker result on every frame; AAUPR's closed loop
     (sched.schedule over the flow_sim.measurements generator, re-anchoring
-    with project_frame) runs on Python floats over the trace's projection
-    (_project_trace's, unless given), and chooses its request frames. One
-    pass over the requests then builds the estimate and charge columns."""
+    with project_frame) runs on Python floats over the scene's projection,
+    and chooses its request frames. One pass over the requests then builds
+    the estimate and charge columns."""
+    trace, cost = scene.trace, scene.cost
     n = len(trace)
     cal_eye = (0.0, 0.0, config.fupr_distance_mm)
     cols = {"requests": np.arange(0),
@@ -423,11 +439,11 @@ def _run_mode(mode, config, trace, tcfg, cost, projection=None) -> dict[str, np.
     if mode is RenderMode.UPR:
         requests = np.arange(n)
     else:
-        flow_sim = FlowSimulator(config.front_cam(), config.noise_flow_sigma_px,
+        flow_sim = FlowSimulator(scene.front_cam, config.noise_flow_sigma_px,
                                  config.noise_drift_px_per_frame, config.noise_p_fail,
                                  np.random.default_rng([config.seed, idx, 0]))
         charge[:] = cost.flow_ms
-        eyes, flow_px, visible = projection or _project_trace(flow_sim, trace)
+        eyes, flow_px, visible = scene.projection
         project_frame = flow_sim.project_frame
 
         def recompute(i, k):
@@ -514,9 +530,9 @@ SWEEP_PARAMS = {
 
 def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float, Summary]]:
     """One run per value (same seed per cell); returns (value, Summary) rows
-    for every configured mode. Unless the parameter shapes the trace, cells
-    share the first cell's trace and, for AAUPR, its projection. A trace
-    that reads no amplitude cannot sweep it (a ConfigError)."""
+    for every configured mode. Unless the parameter shapes the trace, every
+    cell runs in the first cell's scene. A trace that reads no amplitude
+    cannot sweep it (a ConfigError)."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {sorted(SWEEP_PARAMS)}")
     values = list(values)
@@ -527,16 +543,16 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float,
     if key == "trace_amplitude_mm" and source in ("trace_file", Generator.STATIONARY.value):
         raise ConfigError(f"{parameter}: a {source} trace does not read {key}")
     # build_trace reads only trace_* keys, ipd_mm and seed.
-    shares_trace = not key.startswith("trace_")
-    trace = projection = None
+    shares_scene = not key.startswith("trace_")
+    scene = None
     rows: list[tuple[float, Summary]] = []
     for v in values:
         cell = replace(config, **{key: v})
-        if shares_trace and trace is None:
+        if shares_scene and scene is None:
             trace = cell.build_trace()
-            if RenderMode.AAUPR in cell.mode_list():
-                projection = _project_trace(FlowSimulator(cell.front_cam()), trace)
-        result = run(cell, trace, projection=projection)
+            cell.threshold_config()  # raised before the scene's targets error, as run does
+            scene = _scene(cell, trace)
+        result = run(cell, scene)
         for s in result.summaries.values():
             rows.append((v, s))
     return rows

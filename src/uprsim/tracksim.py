@@ -102,6 +102,15 @@ def eye_points(eye_mm, ipd_mm) -> np.ndarray:
     return np.stack([c - half, c + half], axis=-2)
 
 
+def project_eyes(cam: PinholeCamera, eyes) -> tuple[np.ndarray, np.ndarray]:
+    """Exact pixels in cam of (..., 2, 3) left/right eye points, as (..., 4)
+    rows (left u, v, right u, v), and a (...,) mask: both eyes in front of
+    the camera and inside the image. An eye behind the camera projects as
+    NaN, which no bounds test passes. Stateless: any number of frames at once."""
+    px = project_pinhole(cam, cam.extrinsic.apply(eyes))
+    return px.reshape(px.shape[:-2] + (4,)), cam.contains(px).all(axis=-1)
+
+
 class TraceSpec(Value):
     """A synthetic trace's generator and parameters; generate_trace draws it."""
 
@@ -256,9 +265,7 @@ def read_trace_csv(path) -> HeadTrace:
 class FlowSimulator(Record):
     """Stand-in for sparse feature tracking of the two eye points.
 
-    project gives the eyes' exact front-camera pixels, (..., 4) rows, and
-    whether the camera sees both; it is stateless, so it runs over any
-    number of frames at once; project_frame gives one frame's row as four
+    project_frame gives one frame's project_eyes row in front_cam as four
     floats. measurements turns each frame's exact pixels into a measurement
     on Python floats: tracking fails with probability p_fail per frame, and
     always fails when an eye is out of view; otherwise it adds accumulated
@@ -287,20 +294,12 @@ class FlowSimulator(Record):
         # numpy's cos and sin: math's need not give the same bits.
         self._drift_dir = (float(np.cos(theta)), float(np.sin(theta)))
 
-    def project(self, eyes) -> tuple[np.ndarray, np.ndarray]:
-        """Exact front-camera pixels of (..., 2, 3) left/right eye points,
-        as (..., 4) rows (left u, v, right u, v), and a (...,) mask: both
-        eyes in front of the camera and inside the image. An eye behind the
-        camera projects as NaN, which no bounds test passes."""
-        cam = self.front_cam
-        px = project_pinhole(cam, cam.extrinsic.apply(eyes))
-        return px.reshape(px.shape[:-2] + (4,)), cam.contains(px).all(axis=-1)
-
     def project_frame(self, left_right) -> tuple[float, float, float, float]:
-        """project's row of one frame, bit for bit, from its (2, 3) left and
-        right eye points (rows of floats, or an array), as four floats (left
-        u, v, right u, v): the operations of RigidTransform.apply and
-        project_pinhole, in their order, on Python floats, for any camera."""
+        """project_eyes' row of one frame in front_cam, bit for bit, from its
+        (2, 3) left and right eye points (rows of floats, or an array), as
+        four floats (left u, v, right u, v): the operations of
+        RigidTransform.apply and project_pinhole, in their order, on Python
+        floats, for any camera."""
         cam = self.front_cam
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._rows
         ta, tb, tc = self._t
@@ -313,7 +312,7 @@ class FlowSimulator(Record):
 
     def measurements(self, flow_px, visible):
         """Each frame's measurement, lazily, from its exact pixels and
-        visibility as project gives them: four floats, or None
+        visibility as project_eyes gives them: four floats, or None
         (scheduler.FLOW_FAILURE). A visible frame draws the failure, then
         four standard normals into a reused buffer, scaled as 0.0 + sigma *
         z: the bits and stream position of normal(0.0, sigma, size=4). A

@@ -39,6 +39,8 @@ CSVS = {"bad_csv": "frame,t\n0,0.0\n",
 
 WALK = "trace_generator = random_walk\ntrace_n_frames = 5\n"
 SMALL = "modes = UPR\ntrace_generator = stationary\ntrace_n_frames = 5"
+#: A decaying threshold whose floor lies above its maximum.
+FLOOR = "threshold_policy = decaying\nthreshold_eps_max_px = 10\nthreshold_eps_min_px = 20\n"
 
 #: (config text, argv or None for simulate, text the error line holds). The
 #: config and argv may name a file of CSVS as {name}.
@@ -123,6 +125,13 @@ BAD_INPUTS = [
      "frame 0: eye must be in front"),
     # An output directory under a regular file: the failed write names --out.
     (SMALL, ["simulate", "--out", "{good_csv}/x"], "--out: [Errno 20]"),
+    # Errors come in one order, in a run and in a sweep whose cells share a
+    # scene: the trace's, then threshold_*'s, then the targets'.
+    (FLOOR + "targets = 5000,0", None, "error: threshold_*: eps_min_px must be in (0, eps_max_px]"),
+    (FLOOR + "targets = 5000,0", ["sweep", "--param", "jitter_sigma", "--values", "1,2"],
+     "error: threshold_*: eps_min_px must be in (0, eps_max_px]"),
+    (FLOOR + "trace_file = nofile.csv", ["sweep", "--param", "eps_max", "--values", "8"],
+     "error: trace_file: "),
 ]
 
 

@@ -89,6 +89,12 @@ COMMANDS = [
                        "--values", "8,16,24,32", "--out", "sweep"]),
     ("sweep_jitter", ["sweep", "--config", "walk_sweep.cfg", "--param", "jitter_sigma",
                       "--values", "0,5,40", "--out", "sweep_jitter"]),
+    # All four modes: cells that share one scene, and cells that each build one.
+    ("sweep_eps_all_modes", ["sweep", "--config", "default.cfg", "--param", "eps_max",
+                             "--values", "12,24", "--out", "sweep_eps_all_modes"]),
+    ("sweep_head_displacement", ["sweep", "--config", "default.cfg", "--param",
+                                 "head_displacement", "--values", "0,125,250",
+                                 "--out", "sweep_head_displacement"]),
 ] + [(f"gen_{g}", ["gen-trace", "--spec", f"gen_{g}.cfg", "--out", f"gen_{g}.csv"])
      for g in ("stationary", "step_move", "sway", "random_walk")] + [
     ("truthtable", ["truthtable", "--eps", "24"]),

@@ -2,7 +2,8 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
+from dataclasses import FrozenInstanceError, field, fields, make_dataclass, replace
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -349,10 +350,12 @@ ALL_VALUE_OBJECTS = VALUE_OBJECTS + [
 
 
 def dataclass_twins(frozen: bool, *objs):
-    """Objects with objs' field values, of one class with their name whose
-    methods dataclass generates: the reference for the written-once methods."""
-    twin = make_dataclass(type(objs[0]).__name__, [f.name for f in fields(objs[0])],
-                          frozen=frozen, eq=frozen)
+    """Objects with objs' field values, of one class with their name, field
+    types and defaults whose methods dataclass generates: the reference for
+    the written-once methods."""
+    twin = make_dataclass(type(objs[0]).__name__, [
+        (f.name, f.type, field(default=f.default, default_factory=f.default_factory))
+        for f in fields(objs[0])], frozen=frozen, eq=frozen)
     return [twin(**{f.name: getattr(obj, f.name) for f in fields(obj)}) for obj in objs]
 
 
@@ -370,6 +373,7 @@ def test_value_objects_act_as_their_dataclass_twins(obj):
     copy = replace(obj)
     twin, twin_copy = dataclass_twins(frozen, obj, copy)
     assert repr(obj) == repr(twin)
+    assert signature(type(obj)) == signature(type(twin))
     assert outcome(lambda: obj == copy) == outcome(lambda: twin == twin_copy)
     assert obj.__eq__(twin) is NotImplemented
     if not frozen:

@@ -21,7 +21,7 @@ from uprsim.harness import (
     write_outputs,
     write_sweep_csv,
 )
-from uprsim.tracksim import FlowSimulator, eye_points, write_trace_csv
+from uprsim.tracksim import FlowSimulator, eye_points, project_eyes, write_trace_csv
 from uprsim.viewgen import RenderMode
 
 
@@ -459,19 +459,19 @@ def caller(depth=2) -> tuple[str, str]:
 
 
 def counting_project(monkeypatch) -> list:
-    """Patch FlowSimulator.project to record the shape of each call's eyes."""
-    calls, project = [], FlowSimulator.project
+    """Patch the harness's project_eyes to record the shape of each call's eyes."""
+    calls = []
 
-    def counting(self, eyes):
+    def counting(cam, eyes):
         calls.append(np.shape(eyes))
-        return project(self, eyes)
+        return project_eyes(cam, eyes)
 
-    monkeypatch.setattr(FlowSimulator, "project", counting)
+    monkeypatch.setattr(harness, "project_eyes", counting)
     return calls
 
 
 def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
-    # The closed loop runs on Python floats: one project pass over the
+    # The closed loop runs on Python floats: one project_eyes pass over the
     # trace, the re-anchor's camera transform without numpy, and no
     # np.asarray inside the scheduler on any frame.
     project_calls = counting_project(monkeypatch)
@@ -493,9 +493,9 @@ def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
     assert "" in rec.reason and len(set(rec.reason.tolist())) > 1  # skips and recalculations
     assert project_calls == [(300, 2, 3)]
     # viewgen's pointing-error pass applies the display pose; the flow proxy
-    # applies the camera transform once, in project.
+    # applies the camera transform once, in project_eyes.
     assert [c for c in apply_callers if c[0] == "uprsim.tracksim"] == [
-        ("uprsim.tracksim", "project")]
+        ("uprsim.tracksim", "project_eyes")]
     assert ("uprsim.geometry", "apply") in asarray_callers  # the counter sees calls
     assert [c for c in asarray_callers if c[0] == sched.__name__] == []
 

@@ -18,6 +18,7 @@ from uprsim.tracksim import (
     TraceSpec,
     eye_points,
     generate_trace,
+    project_eyes,
     read_trace_csv,
     write_csv,
     write_trace_csv,
@@ -278,7 +279,7 @@ def test_eye_points_match_eye_state():
 
 
 def per_frame_projection(cam, eyes):
-    """The per-frame oracle for FlowSimulator.project: the two eyes' pixels
+    """The per-frame oracle for project_eyes: the two eyes' pixels
     as one row, left u, v, right u, v (None when an eye is at or behind the
     camera), and visibility."""
     pts = cam.extrinsic.apply(eyes)
@@ -289,7 +290,7 @@ def per_frame_projection(cam, eyes):
 
 
 def assert_project_matches_per_frame(cam, eyes):
-    px, visible = FlowSimulator(cam).project(eyes)
+    px, visible = project_eyes(cam, eyes)
     assert px.shape == eyes.shape[:-2] + (4,)
     assert visible.shape == eyes.shape[:-2]
     for e, p, vis in zip(eyes, px, visible):
@@ -318,7 +319,7 @@ def test_project_edges_behind_and_off_image():
     one_behind = eye_points([0.0, 0.0, 250.0], 63.0)
     one_behind[1, 2] = -1.0                       # right eye alone behind
     eyes = np.concatenate([frames, one_behind[None]])
-    _, visible = FlowSimulator(cam).project(eyes)
+    _, visible = project_eyes(cam, eyes)
     assert visible.tolist() == [True] * 5 + [False] * 5
     assert_project_matches_per_frame(cam, eyes)
 
@@ -387,7 +388,7 @@ quaternion = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.n
 def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_mm, offset,
                                           centre, quat, shift):
     # The re-anchor's one-frame projection of an estimate (the true eye plus
-    # a face-tracker offset) is project's, bit for bit, NaN and inf included,
+    # a face-tracker offset) is project_eyes', bit for bit, NaN and inf included,
     # for the front camera, a tilted translated one, a general rotation from
     # a drawn quaternion with a drawn translation (signed zeros included),
     # and all 24 axis-aligned rotations at a zero translation of either
@@ -405,7 +406,7 @@ def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_
              for r in AXIS_ROTATIONS for zero in (0.0, -0.0)]
     for cam in cams:
         sim = FlowSimulator(cam)
-        expected = sim.project(est)[0].view(np.uint64)
+        expected = project_eyes(cam, est)[0].view(np.uint64)
         for frame in (est, est.tolist()):
             got = np.array(sim.project_frame(frame))
             assert np.array_equal(got.view(np.uint64), expected), cam
@@ -413,7 +414,7 @@ def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_
 
 def test_project_frame_calls_no_apply(monkeypatch):
     # project_frame transforms on Python floats for any camera, a tilted and
-    # translated one included; project still calls RigidTransform.apply.
+    # translated one included; project_eyes still calls RigidTransform.apply.
     calls = []
     apply = RigidTransform.apply
 
@@ -427,13 +428,13 @@ def test_project_frame_calls_no_apply(monkeypatch):
     eyes = eye_points([10.0, -5.0, 250.0], 63.0)
     px = sim.project_frame(eyes.tolist())
     assert calls == []
-    assert px == tuple(sim.project(eyes)[0].tolist())
+    assert px == tuple(project_eyes(sim.front_cam, eyes)[0].tolist())
     assert calls == [(2, 3)]
 
 
 def measure_frame(sim, eye):
-    """sim.measure of one frame's (2, 3) eye points, through project."""
-    px, visible = sim.project(eye)
+    """sim.measure of one frame's (2, 3) eye points, through project_eyes."""
+    px, visible = project_eyes(sim.front_cam, eye)
     return sim.measure(px.tolist(), bool(visible))
 
 

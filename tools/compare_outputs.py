@@ -25,11 +25,14 @@ cost, the latched policy, the mean eye metric, errors also in pixels and a
 (noise_p_fail = 1), frame 0 included; `simulate` of AAUPR with noise-free
 flow pixels (noise_flow_sigma_px = 0); `simulate` of an 8-frame trace CSV
 with blank lines, a head that moves then rests, and errors_dwell_only =
-true spelled out; `sweep --param eps_max` and `sweep
---param jitter_sigma` over a random-walk trace CSV that each tree writes
-itself; `gen-trace` for all four generators; `truthtable --eps 24`, the scheduler's
-decision table on stdout; and eight bad inputs (ERROR_CONFIGS), each a
-one-line error on stderr with exit code 1.
+true spelled out; `sweep --param eps_max` and `sweep --param
+jitter_sigma` over a random-walk trace CSV that each tree writes itself;
+`sweep` of all four modes on the default config, over eps_max 12 and 24
+(cells that share one scene) and over head_displacement 0, 125 and 250
+(cells that each build their own); `gen-trace` for all four generators;
+`truthtable --eps 24`, the scheduler's decision table on stdout; and eight
+bad inputs (ERROR_CONFIGS), each a one-line error on stderr with exit code
+1.
 """
 
 from __future__ import annotations
