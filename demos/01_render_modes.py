@@ -28,12 +28,13 @@ calibration_eyes = np.tile([0.0, 0.0, 150.0], (len(laterals), 1))
 
 # UPR tracks the head perfectly here; FUPR keeps the calibration eye;
 # DPR uses the back camera and ignores the head entirely.
-errs = {mode: pointing_errors(RenderMode[mode], target, est, true_eyes, display, plane,
-                              back_cam=cam)[:, 0]
-        for mode, est in (("UPR", true_eyes), ("FUPR", calibration_eyes), ("DPR", None))}
+# One pass evaluates every mode: (mode, head offset, target) errors.
+modes = [RenderMode.DPR, RenderMode.UPR, RenderMode.FUPR]
+errs = pointing_errors(modes, target, [None, true_eyes, calibration_eyes], true_eyes,
+                       display, plane, back_cam=cam)[:, :, 0]
 
 print(f"{'head offset':>12} {'DPR':>8} {'UPR':>8} {'FUPR':>8}   (pointing error, mm)")
-for row in zip(laterals, errs["DPR"], errs["UPR"], errs["FUPR"]):
+for row in zip(laterals, *errs):
     print("{:>9.0f} mm {:>8.1f} {:>8.1f} {:>8.1f}".format(*row))
 
 print()

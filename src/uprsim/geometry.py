@@ -248,9 +248,6 @@ class PinholeCamera(Value):
     def __post_init__(self):
         check_fields(self, GeometryError)
 
-    def diagonal_px(self) -> float:
-        return float(np.hypot(self.width_px, self.height_px))
-
     def contains(self, px) -> np.ndarray:
         """Whether each (..., 2) pixel lies in the image, edges included;
         NaN pixels do not."""

@@ -8,6 +8,9 @@ trace, display, plane, back camera, fit policy, cost model, world targets,
 evaluation mask, and AAUPR's front camera and trace projection. A scene reads
 no SWEEP_PARAMS key except through the trace, so cells that share a trace can
 share one scene; the threshold config and every mode's draws are per run.
+Then a run takes three steps: each mode's sensing columns (_run_mode), one
+pointing_errors pass over every mode's evaluated frames, and each mode's
+record and summary.
 
 Face tracking is a list of request frames: none for DPR and FUPR, every
 frame for UPR, and the frames AAUPR's scheduler recalculates at. A request
@@ -268,7 +271,8 @@ class ExperimentConfig(Value):
         return FitPolicy(self.dpr_fit)
 
     def threshold_config(self) -> sched.ThresholdConfig:
-        eps = self.threshold_eps_max_px or sched.epsilon_default(self.front_cam())
+        eps = self.threshold_eps_max_px or sched.epsilon_default(self.front_cam_width_px,
+                                                                 self.front_cam_height_px)
         return checked("threshold_*", sched.ThresholdConfig, eps, self.threshold_refine_factor,
                        sched.Policy(self.threshold_policy), self.threshold_decay_rate,
                        self.threshold_eps_min_px, sched.EyeMetric(self.threshold_metric))
@@ -278,9 +282,11 @@ class ExperimentConfig(Value):
                                         "640x480": self.cost_face_track_640x480_ms},
                          flow_ms=self.cost_flow_ms, render_base_ms=self.cost_render_base_ms)
 
-    def target_points(self) -> np.ndarray:
+    def target_points(self, plane: ScenePlane | None = None) -> np.ndarray:
+        """The (T, 2) plane-frame targets, each within the bounds of plane
+        (this config's plane when None)."""
         arr = np.array(_target_pairs(self.targets), dtype=float)
-        plane = self.plane()
+        plane = plane or self.plane()
         for x, y in arr:
             if not plane.contains_2d((x, y)):
                 raise ConfigError(f"targets: ({x}, {y}) lies outside the plane bounds")
@@ -382,7 +388,7 @@ def _scene(config: ExperimentConfig, trace: HeadTrace) -> _Scene:
         flow_px, visible = project_eyes(front, eyes)
         projection = eyes, flow_px.tolist(), visible.tolist()
     return _Scene(trace, config.display(), plane, config.back_cam(), config.fit_policy(),
-                  config.cost_model(), plane.from_plane_2d(config.target_points()),
+                  config.cost_model(), plane.from_plane_2d(config.target_points(plane)),
                   trace.dwell_mask() if config.errors_dwell_only else np.ones(len(trace), bool),
                   front, projection)
 
@@ -391,20 +397,24 @@ def run(config: ExperimentConfig, scene: _Scene | None = None) -> RunResult:
     """Run every configured mode over the configured trace; deterministic for a
     fixed config and seed. A given scene (sweep's) must come from a config equal
     to this one in every key a scene reads. The threshold config, and each
-    mode's draws, closed loop, pointing errors and summary, are this run's."""
+    mode's draws, closed loop, pointing errors and summary, are this run's.
+    Three steps: each mode's sensing columns, then one pointing_errors pass
+    over every mode's evaluated frames, then each mode's record and summary."""
     trace = config.build_trace() if scene is None else scene.trace
     tcfg = config.threshold_config()  # its errors follow the trace's, precede the targets'
     scene = scene or _scene(config, trace)
+    modes = config.mode_list()
+    cols = [_run_mode(mode, config, scene, tcfg) for mode in modes]
+    evaluate, targets_world = scene.evaluate, scene.targets_world
+    errors = np.full((len(modes), len(trace), len(targets_world)), np.nan)
+    errors[:, evaluate] = pointing_errors(
+        modes, targets_world, [c["est_eye_mm"][evaluate] for c in cols],
+        trace.eye_mm[evaluate], scene.display, scene.plane, back_cam=scene.back_cam,
+        fit=scene.fit)
     records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
-    evaluate, targets_world = scene.evaluate, scene.targets_world
-    for mode in config.mode_list():
-        cols = _run_mode(mode, config, scene, tcfg)
-        errors = np.full((len(trace), len(targets_world)), np.nan)
-        errors[evaluate] = pointing_errors(mode, targets_world, cols["est_eye_mm"][evaluate],
-                                           trace.eye_mm[evaluate], scene.display, scene.plane,
-                                           back_cam=scene.back_cam, fit=scene.fit)
-        records[mode.value] = rec = ModeRecord(errors_mm=errors, **cols)
+    for mode, c, errors_mm in zip(modes, cols, errors):
+        records[mode.value] = rec = ModeRecord(errors_mm=errors_mm, **c)
         summaries[mode.value] = _summarize(mode.value, rec, config.cost_render_base_ms)
     return RunResult(records=records, summaries=summaries, trace=trace, config=config)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from math import nan, sqrt
 
-from .geometry import PinholeCamera, Value, check_fields, nonnegative, positive, within
+from .geometry import Value, check_fields, nonnegative, positive, within
 
 #: Flow-tracker failure marker that schedule() accepts in place of eye positions.
 FLOW_FAILURE = None
@@ -79,9 +79,11 @@ class ThresholdConfig(Value):
 _MAX = EyeMetric.MAX  # bound once: an enum member lookup costs a descriptor call
 
 
-def epsilon_default(front_cam: PinholeCamera) -> float:
-    """Spatial threshold default: 3% of the input image diagonal in pixels."""
-    return 0.03 * front_cam.diagonal_px()
+def epsilon_default(width_px: int, height_px: int) -> float:
+    """Spatial threshold default: 3% of the input image diagonal in pixels.
+    A complex's abs is the C library's hypot, as numpy's hypot is, so the two
+    agree bit for bit; math.hypot rounds otherwise on some sizes."""
+    return 0.03 * abs(complex(width_px, height_px))
 
 
 def eye_distance_px(a, b, metric: EyeMetric = _MAX) -> float:

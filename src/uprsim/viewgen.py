@@ -12,10 +12,11 @@ Pointing error is the on-plane Euclidean distance between a target and the
 point a user (looking from the true eye position) perceives the drawn target
 to be at. The perceived point is where the true-eye ray through the drawn
 pixel meets the plane (geometry.intersect_ray_plane, the one ray/plane hit);
-no motor noise term is added. pointing_errors evaluates frames x targets in
-one pass, once per run of consecutive frames whose eyes are unchanged bit
-for bit (every step is elementwise per frame, so the run's first frame
-gives the others' bits), and pointing_error is its one-cell form.
+no motor noise term is added. pointing_errors evaluates modes x frames x
+targets in one pass, once per run of a mode's consecutive frames whose eyes
+are unchanged bit for bit (every step is elementwise per frame, so the
+run's first frame gives the others' bits), and pointing_error is its
+one-cell form.
 """
 
 from __future__ import annotations
@@ -71,55 +72,65 @@ def perceived_points(eyes_world, display_px, display: DisplayModel,
     return plane.to_plane_2d(hits), hit
 
 
-def pointing_errors(mode: RenderMode, targets_world, estimated_eyes_mm,
-                    true_eyes_mm, display: DisplayModel, plane: ScenePlane,
+def pointing_errors(modes, targets_world, estimated_eyes_mm, true_eyes_mm,
+                    display: DisplayModel, plane: ScenePlane,
                     back_cam: PinholeCamera | None = None,
                     fit: FitPolicy = FitPolicy.STRETCH) -> np.ndarray:
     """On-plane distances (mm) between targets and where a user perceives
-    them drawn, over frames x targets in one pass.
+    them drawn, over modes x frames x targets in one pass.
 
-    targets_world is (T, 3); the eyes are (F, 3) cyclopean positions in the
-    display frame. The mode draws each target from the estimated eye (UPR,
-    FUPR, AAUPR) or from the back camera (DPR, which ignores
-    estimated_eyes_mm), and the user looks from the true eye. Returns (F, T)
-    errors, NaN in every cell where the drawing (at an infinite pixel, say)
-    or the perceived ray does not resolve. A frame whose eyes (the true eye
-    alone for DPR) equal the previous frame's bit for bit takes its errors.
+    targets_world is (T, 3). estimated_eyes_mm holds one (F, 3) array per
+    mode (DPR ignores its own, which may be None); true_eyes_mm is the (F, 3)
+    eyes every mode shares. Eyes are cyclopean positions in the display
+    frame. A mode draws each target from its estimated eye (UPR, FUPR,
+    AAUPR) or from the back camera (DPR), and the user looks from the true
+    eye. Returns (M, F, T) errors, NaN in every cell where the drawing (at an
+    infinite pixel, say) or the perceived ray does not resolve. A frame
+    whose eyes (the true eye alone for DPR) equal the same mode's previous
+    frame's bit for bit takes its errors.
     """
     targets = np.asarray(targets_world, dtype=float)
     target_disp = display.pose_world.invert().apply(targets)
     true_eyes = np.asarray(true_eyes_mm, dtype=float)
-    eyes = [true_eyes] if mode is RenderMode.DPR else [
-        np.asarray(estimated_eyes_mm, dtype=float), true_eyes]
-    # No step below mixes frames (a 3-D stack's matmul runs per frame), so
-    # the first frame of a run of bit-equal eyes gives the whole run's bits.
-    bits = np.concatenate(eyes, axis=1).view(np.int64)
-    starts = np.ones(len(bits), dtype=bool)
-    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    first = starts.nonzero()[0]
+    dpr = np.array([mode is RenderMode.DPR for mode in modes], dtype=bool)
+    # Row (m, f) is mode m's estimate and true eye at frame f; DPR's estimate
+    # stays 0, so its true eyes alone tell its rows apart.
+    eyes = np.zeros((len(dpr), len(true_eyes), 6))
+    eyes[..., 3:] = true_eyes
+    for row, mode, est in zip(eyes, modes, estimated_eyes_mm, strict=True):
+        if mode is not RenderMode.DPR:
+            if est is None:
+                raise ValueError(f"{mode.value} requires an eye estimate")
+            row[:, :3] = est
+    # No step below mixes rows (a 3-D stack's matmul runs per row), so the
+    # first row of a run of bit-equal rows within a mode gives the run's bits.
+    bits = eyes.view(np.int64)
+    starts = np.ones(bits.shape[:2], dtype=bool)
+    starts[:, 1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=2)
+    mode_of, frame_of = starts.nonzero()
+    first, drawn_dpr = eyes[mode_of, frame_of], dpr[mode_of]
+    drawn_px = np.empty((len(first), len(targets), 2))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if mode is RenderMode.DPR:
-            drawn_px = _dpr_target_px(target_disp, display, back_cam, fit)[None]
-        else:
-            drawn_px = _eye_target_px(eyes[0][first], target_disp, display)
-        eye_world = display.pose_world.apply(true_eyes[first])[:, None]
+        if drawn_dpr.any():
+            drawn_px[drawn_dpr] = _dpr_target_px(target_disp, display, back_cam, fit)
+        if not drawn_dpr.all():
+            drawn_px[~drawn_dpr] = _eye_target_px(first[~drawn_dpr, :3], target_disp, display)
+        eye_world = display.pose_world.apply(first[:, None, 3:])
         perceived, _ = perceived_points(eye_world, drawn_px, display, plane)
     errors = np.linalg.norm(perceived - plane.to_plane_2d(targets), axis=-1)
-    return errors[starts.cumsum() - 1]
+    return errors[starts.cumsum() - 1].reshape(*starts.shape, len(targets))
 
 
 def pointing_error(mode: RenderMode, target_world, estimated_eye: EyeState | None,
                    true_eye: EyeState, display: DisplayModel, plane: ScenePlane,
                    back_cam: PinholeCamera | None = None,
                    fit: FitPolicy = FitPolicy.STRETCH) -> float:
-    """pointing_errors for one target and one frame's eyes. Raises
+    """pointing_errors for one mode, one target and one frame's eyes. Raises
     GeometryError where that cell is NaN, and ValueError when the mode's
     eye estimate or back camera is missing."""
-    if mode is not RenderMode.DPR and estimated_eye is None:
-        raise ValueError(f"{mode.value} requires an eye estimate")
     est = None if estimated_eye is None else [estimated_eye.cyclopean_mm]
-    err = pointing_errors(mode, [target_world], est, [true_eye.cyclopean_mm],
-                          display, plane, back_cam, fit)[0, 0]
+    err = pointing_errors([mode], [target_world], [est], [true_eye.cyclopean_mm],
+                          display, plane, back_cam, fit)[0, 0, 0]
     if np.isnan(err):
         raise GeometryError("drawn target or perceived ray misses the scene plane")
     return float(err)

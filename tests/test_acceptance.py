@@ -14,7 +14,6 @@ from uprsim.geometry import (
     DisplayModel,
     EyeState,
     GeometryError,
-    PinholeCamera,
     RigidTransform,
     ScenePlane,
     back_camera,
@@ -91,10 +90,8 @@ def test_criterion_2_stationary_fixture():
 
 @criterion(3, "epsilon default is 3% of the front image diagonal (24.0 / 12.0 px)")
 def test_criterion_3_epsilon_default():
-    cam = lambda w, h: PinholeCamera(fx=500, fy=500, cx=w / 2, cy=h / 2,
-                                     width_px=w, height_px=h)
-    assert epsilon_default(cam(640, 480)) == 24.0
-    assert epsilon_default(cam(320, 240)) == 12.0
+    assert epsilon_default(640, 480) == 24.0
+    assert epsilon_default(320, 240) == 12.0
 
 
 @criterion(4, "timing anchor: UPR over 1000 frames accumulates 30094 ms, FUPR 0.0")
@@ -159,6 +156,28 @@ def test_jitter_crossover_bracket():
     assert aaupr > upr
     upr, aaupr = jitter_seed_means(6.25)
     assert aaupr <= upr
+
+
+#: The seeds over which README states the benchmark claims.
+CLAIM_SEEDS = range(1, 101)
+
+
+def test_benchmark_claims_over_seeds():
+    # README's benchmark claims on every seed in CLAIM_SEEDS: DPR > FUPR >
+    # AAUPR on mean error, and AAUPR's tracking time at 30-45% of UPR's
+    # (0.344-0.417 on these seeds). At the default 5 mm jitter AAUPR is not
+    # ahead of UPR on every seed: the AAUPR - UPR mean error's range and the
+    # seeds where AAUPR is behind are recorded values, pinned here.
+    gaps = []
+    for seed in CLAIM_SEEDS:
+        s = run(benchmark_config(seed=seed)).summaries
+        dpr, fupr, upr, aaupr = (s[m] for m in ("DPR", "FUPR", "UPR", "AAUPR"))
+        assert dpr.mean_error_mm > fupr.mean_error_mm > aaupr.mean_error_mm, seed
+        assert 0.30 <= aaupr.total_tracking_ms / upr.total_tracking_ms <= 0.45, seed
+        gaps.append(aaupr.mean_error_mm - upr.mean_error_mm)
+    assert min(gaps) == pytest.approx(-1.9013943923992418, abs=1e-9)
+    assert max(gaps) == pytest.approx(1.4766585076020373, abs=1e-9)
+    assert sum(gap > 0 for gap in gaps) == 42
 
 
 @criterion(8, "homography vs perceived_points: 100 random configs, 10x10 grid, 1e-6 mm",

@@ -58,13 +58,19 @@ def assert_eps(stream, c, anchors, eps):
 # ---- epsilon default ---------------------------------------------------
 
 def test_epsilon_default_640x480():
-    cam = PinholeCamera(fx=500, fy=500, cx=320, cy=240, width_px=640, height_px=480)
-    assert epsilon_default(cam) == 24.0
+    assert epsilon_default(640, 480) == 24.0
 
 
 def test_epsilon_default_320x240():
-    cam = PinholeCamera(fx=500, fy=500, cx=160, cy=120, width_px=320, height_px=240)
-    assert epsilon_default(cam) == 12.0
+    assert epsilon_default(320, 240) == 12.0
+
+
+def test_epsilon_default_is_numpy_hypot_bit_for_bit():
+    # 3% of np.hypot of the size, as when the default read a camera's
+    # diagonal; math.hypot differs from it on 21 of these 60 x 60 sizes.
+    sizes = range(101, 701, 10)
+    assert [epsilon_default(w, h) for w in sizes for h in sizes] == [
+        0.03 * float(np.hypot(w, h)) for w in sizes for h in sizes]
 
 
 def test_invalid_camera_rejected_upstream():

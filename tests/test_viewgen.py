@@ -355,8 +355,8 @@ def test_pointing_error_is_one_batch_cell(mode):
         est, true = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(2, 3))
         back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
         fit = (FitPolicy.STRETCH, FitPolicy.LETTERBOX)[k % 2]
-        cell = pointing_errors(mode, [target], [est], [true], display, plane,
-                               back_cam=back, fit=fit)[0, 0]
+        cell = pointing_errors([mode], [target], [[est]], [true], display, plane,
+                               back_cam=back, fit=fit)[0, 0, 0]
         args = (mode, target, EyeState.from_cyclopean(est), EyeState.from_cyclopean(true),
                 display, plane, back)
         if np.isnan(cell):
@@ -396,10 +396,10 @@ def test_pointing_errors_match_scalar_any_pose():
         true = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(6, 3))
         back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
         fit = (FitPolicy.STRETCH, FitPolicy.LETTERBOX)[k % 2]
-        for mode in RenderMode:
-            batch = pointing_errors(mode, targets, est, true, display, plane,
-                                    back_cam=back, fit=fit)
-            assert batch.shape == (6, 4)
+        batch = pointing_errors(list(RenderMode), targets, [est] * 4, true, display, plane,
+                                back_cam=back, fit=fit)
+        assert batch.shape == (4, 6, 4)
+        for mode, errs in zip(RenderMode, batch):
             for i in range(6):
                 est_eye = None if mode is RenderMode.DPR else EyeState.from_cyclopean(est[i])
                 for t in range(4):
@@ -408,12 +408,12 @@ def test_pointing_errors_match_scalar_any_pose():
                                                      EyeState.from_cyclopean(true[i]),
                                                      display, plane, back_cam=back, fit=fit)
                     except GeometryError:
-                        assert np.isnan(batch[i, t])
+                        assert np.isnan(errs[i, t])
                         misses += 1
                         continue
                     # Grazing rays give errors of tens of metres, where
                     # float64 holds ~1e-12 relative, not 1e-9 mm absolute.
-                    assert batch[i, t] == pytest.approx(ref, rel=1e-12, abs=1e-9)
+                    assert errs[i, t] == pytest.approx(ref, rel=1e-12, abs=1e-9)
                     hits += 1
     assert misses > 0 and hits > 0
 
@@ -430,7 +430,8 @@ def test_pointing_errors_degenerate_cells_are_nan():
     with pytest.raises(GeometryError):
         raycast.pointing_error(RenderMode.UPR, target[0], EyeState.from_cyclopean(est),
                                EyeState.from_cyclopean(true), display, plane)
-    assert np.isnan(pointing_errors(RenderMode.UPR, target, [est], [true], display, plane)).all()
+    assert np.isnan(pointing_errors([RenderMode.UPR], target, [[est]], [true], display,
+                                    plane)).all()
     # Panel below the plane, so the target is 150 mm in front of it: an eye
     # level with the target never crosses the panel; an eye behind the panel
     # is rejected even though its line to the target would cross it.
@@ -438,7 +439,7 @@ def test_pointing_errors_degenerate_cells_are_nan():
     level = EyeState.from_cyclopean([0.0, 0.0, 150.0])
     with pytest.raises(GeometryError):
         raycast.pointing_error(RenderMode.UPR, target[0], level, level, display, plane)
-    errs = pointing_errors(RenderMode.UPR, target, [[0.0, 0.0, 150.0], [0.0, 0.0, -10.0]],
+    errs = pointing_errors([RenderMode.UPR], target, [[[0.0, 0.0, 150.0], [0.0, 0.0, -10.0]]],
                            [[0.0, 0.0, 150.0], [0.0, 0.0, 200.0]], display, plane)
     assert np.isnan(errs).all()
 
@@ -460,18 +461,30 @@ def eye_runs(draw):
     return [row for row, k in runs for _ in range(k)]
 
 
+#: Modes in a batch, each with the shift that rolls the shared estimate rows
+#: into its own; repeats allowed, so equal rows can meet across a boundary.
+MODE_SHIFTS = st.lists(st.tuples(st.sampled_from(list(RenderMode)), st.integers(0, 3)),
+                       min_size=1, max_size=5)
+UPR, FUPR, DPR = RenderMode.UPR, RenderMode.FUPR, RenderMode.DPR
+ORIGIN = (0.0, 0.0, 0.0)  # an estimate equal to the 0 that DPR's rows hold
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(rows=eye_runs(), seed=st.integers(0, 2**32 - 1))
-@example(rows=[(ZERO, ZERO)] * 3 + [(NEG_ZERO, ZERO)] * 2 + [(ZERO, NEG_ZERO)], seed=5)
+@given(rows=eye_runs(), modes=MODE_SHIFTS, seed=st.integers(0, 2**32 - 1))
+@example(rows=[(ZERO, ZERO)] * 3 + [(NEG_ZERO, ZERO)] * 2 + [(ZERO, NEG_ZERO)],
+         modes=[(UPR, 0), (DPR, 0), (FUPR, 2)], seed=5)
 @example(rows=[((nan, nan, nan), ZERO)] * 2 + [(BEHIND, ZERO), (ZERO, BEHIND), (ZERO, BEHIND)],
-         seed=6)
-@example(rows=[], seed=7)
-def test_pointing_errors_rows_equal_each_row_alone(rows, seed):
+         modes=[(RenderMode.AAUPR, 0), (DPR, 1), (UPR, 3)], seed=6)
+@example(rows=[], modes=[(mode, 0) for mode in RenderMode], seed=7)
+@example(rows=[(ZERO, ZERO)] * 3, modes=[(UPR, 0), (UPR, 0), (DPR, 0), (DPR, 0)], seed=8)
+@example(rows=[(ORIGIN, ZERO)] * 2, modes=[(UPR, 0), (DPR, 0), (FUPR, 0)], seed=9)
+def test_pointing_errors_rows_equal_each_row_alone(rows, modes, seed):
     # Every step of the pointing path is elementwise per row, so evaluating
-    # a run of bit-equal rows once and expanding it changes no bit: each
-    # mode's batch equals every row evaluated alone. DPR ignores its
-    # estimate, so its rows repeat when the true eyes do, whatever the
-    # estimates. A run of identical rows reaches the ray/plane hit as one.
+    # a run of bit-equal rows once and expanding it changes no bit: a batch
+    # of modes equals every mode's every row evaluated alone. DPR ignores
+    # its estimate, so its rows repeat when the true eyes do, whatever the
+    # estimates, and it may pass None. Runs never cross a mode boundary, and
+    # every mode's runs reach the ray/plane hit in one call.
     rng = np.random.default_rng(seed)
     display = DisplayModel(109.0, 61.0, 1080, 608, from_quaternion(
         [1.0, *rng.normal(scale=0.2, size=3)],
@@ -481,24 +494,26 @@ def test_pointing_errors_rows_equal_each_row_alone(rows, seed):
     targets = plane.from_plane_2d(rng.uniform(-300.0, 300.0, size=(3, 2)))
     back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
     est, true = np.array(rows, dtype=float).reshape(len(rows), 2, 3).transpose(1, 0, 2)
+    modes, ests = [mode for mode, _ in modes], [np.roll(est, k, axis=0) for _, k in modes]
+    runs = 0
+    for mode, e in zip(modes, ests):
+        key = true if mode is DPR else np.concatenate([e, true], axis=1)
+        bits = key.view(np.int64)
+        runs += int((bits[1:] != bits[:-1]).any(axis=1).sum()) + bool(len(rows))
     intersect, hit_rows = viewgen.intersect_ray_plane, []
 
     def spy(origins, directions, plane):
         hit_rows.append(len(origins))
         return intersect(origins, directions, plane)
 
-    for mode in RenderMode:
-        key = true if mode is RenderMode.DPR else np.concatenate([est, true], axis=1)
-        bits = key.view(np.int64)
-        runs = int((bits[1:] != bits[:-1]).any(axis=1).sum()) + bool(len(rows))
-        with mock.patch.object(viewgen, "intersect_ray_plane", spy):
-            hit_rows.clear()
-            batch = pointing_errors(mode, targets, est, true, display, plane, back_cam=back)
-        assert hit_rows == [runs]
-        alone = [pointing_errors(mode, targets, est[i:i + 1], true[i:i + 1], display, plane,
-                                 back_cam=back)[0] for i in range(len(rows))]
-        assert batch.shape == (len(rows), 3)
-        assert batch.view(np.int64).tolist() == np.reshape(alone, (-1, 3)).view(np.int64).tolist()
-        if mode is RenderMode.DPR:
-            ignored = pointing_errors(mode, targets, None, true, display, plane, back_cam=back)
-            assert ignored.view(np.int64).tolist() == batch.view(np.int64).tolist()
+    with mock.patch.object(viewgen, "intersect_ray_plane", spy):
+        batch = pointing_errors(modes, targets, ests, true, display, plane, back_cam=back)
+    assert hit_rows == [runs]
+    assert batch.shape == (len(modes), len(rows), 3)
+    alone = [[pointing_errors([mode], targets, [e[i:i + 1]], true[i:i + 1], display, plane,
+                              back_cam=back)[0, 0] for i in range(len(rows))]
+             for mode, e in zip(modes, ests)]
+    assert batch.view(np.int64).tolist() == np.reshape(alone, batch.shape).view(np.int64).tolist()
+    dpr_none = [None if mode is DPR else e for mode, e in zip(modes, ests)]
+    ignored = pointing_errors(modes, targets, dpr_none, true, display, plane, back_cam=back)
+    assert ignored.view(np.int64).tolist() == batch.view(np.int64).tolist()
