@@ -15,7 +15,7 @@ from uprsim.viewgen import RenderMode, pointing_errors
 
 display = DisplayModel(109.0, 61.0, 1080, 608,
                        RigidTransform(np.eye(3), [0.0, 0.0, 300.0]))
-plane = ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], (506.0, 287.0))
+plane = ScenePlane((506.0, 287.0))
 cam = back_camera()  # corner-mounted, looking at the screen
 target = plane.from_plane_2d([[100.0, 50.0]])
 

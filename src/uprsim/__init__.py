@@ -2,7 +2,7 @@
 on handheld AR devices.
 
 Modules:
-  geometry  - rigid transforms, pinhole cameras, planes, the batch ray/plane hit.
+  geometry  - transforms, cameras, the scene plane (world z = 0), batch ray hits.
   viewgen   - the four render modes and on-plane pointing error.
   scheduler - dual thresholding of head-pose recomputation.
   tracksim  - synthetic head traces, the flow-tracker proxy, cost model.

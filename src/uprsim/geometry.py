@@ -14,6 +14,9 @@ Camera frame (standard computer vision):
 Display pixel coordinates:
   - (0, 0) is the top-left corner of the panel, u right, v down.
 
+World frame: the scene plane's frame. The plane is world z = 0, normal +z,
+and plane coordinates (u, v) are world x and y.
+
 Units: all lengths in millimeters, all image coordinates in pixels.
 No implicit unit conversion anywhere.
 
@@ -305,45 +308,23 @@ class EyeState(Value):
 class ScenePlane(Value):
     """Bounded planar scene surface (e.g. an installed interaction screen).
 
-    The plane's own 2D frame has its origin at point_world with orthonormal
-    in-plane axes derived deterministically from the normal (for a normal of
-    +z the axes coincide with world x and y). bounds_mm is the full
-    (width, height) extent centered on the origin.
+    The plane is the world z = 0 plane with normal +z, so its 2D frame is
+    world x and y: a plane point (u, v) is the world point (u, v, 0).
+    bounds_mm is the full (width, height) extent centered on the origin.
     """
 
-    point_world: np.ndarray
-    normal_world: np.ndarray
     bounds_mm: tuple[float, float] = within("positive and finite",
                                             lambda b: all(0 < x < math.inf for x in b))
 
     def __post_init__(self):
         check_fields(self, GeometryError)
-        p = _as_vec3(self.point_world, "point_world")
-        n = _as_vec3(self.normal_world, "normal_world")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-            raise GeometryError("normal_world must have unit norm")
-        object.__setattr__(self, "point_world", p)
-        object.__setattr__(self, "normal_world", n)
-        up = np.array([0.0, 1.0, 0.0])
-        if abs(n @ up) > 1.0 - 1e-9:
-            up = np.array([0.0, 0.0, 1.0])
-        u = np.cross(up, n)
-        u = u / np.linalg.norm(u)
-        v = np.cross(n, u)
-        u.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "u_axis", u)
-        object.__setattr__(self, "v_axis", v)
 
     def to_plane_2d(self, point_world) -> np.ndarray:
-        d = np.asarray(point_world, dtype=float) - self.point_world
-        return np.stack([d @ self.u_axis, d @ self.v_axis], axis=-1)
+        return np.asarray(point_world, dtype=float)[..., :2].copy()
 
     def from_plane_2d(self, uv) -> np.ndarray:
         uv = np.asarray(uv, dtype=float)
-        return (self.point_world
-                + np.multiply.outer(uv[..., 0], self.u_axis)
-                + np.multiply.outer(uv[..., 1], self.v_axis))
+        return np.concatenate([uv, np.zeros_like(uv[..., :1])], axis=-1)
 
     def contains_2d(self, uv) -> bool:
         u, v = np.asarray(uv, dtype=float)
@@ -363,18 +344,18 @@ def project_pinhole(cam: PinholeCamera, point_cam) -> np.ndarray:
     return p[..., :2] * (cam.fx, cam.fy) / p[..., 2:] + (cam.cx, cam.cy)
 
 
-def intersect_ray_plane(origins, directions, plane: ScenePlane) -> tuple[np.ndarray, np.ndarray]:
+def intersect_ray_plane(origins, directions) -> tuple[np.ndarray, np.ndarray]:
     """Forward hits of the rays origin + t * direction, t >= 0, with the
-    plane. Origins (..., 3) and directions (..., 3), which need not be unit
-    norm, broadcast. Returns the (..., 3) hit points and the (...) hit mask,
-    False where a ray is parallel to the plane, the hit lies behind its
-    origin, or an input is NaN; the points there are NaN."""
+    scene plane, world z = 0. Origins and directions (..., 3), which need not
+    be unit norm, broadcast. Returns the (..., 3) hit points and the (...) hit
+    mask, False where a ray is parallel to the plane, the hit lies behind its
+    origin, or an input is NaN or infinite; the points there are NaN."""
     origins = np.asarray(origins, dtype=float)
     d = np.asarray(directions, dtype=float)
     with np.errstate(all="ignore"):
         d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        denom = d @ plane.normal_world
-        t = ((plane.point_world - origins) @ plane.normal_world) / denom
-        hit = (np.abs(denom) >= PARALLEL_TOL) & (t >= 0)
+        denom = d[..., 2]
+        t = (0.0 - origins[..., 2]) / denom
+        hit = (np.abs(denom) >= PARALLEL_TOL) & (t >= 0) & np.isfinite(origins).all(axis=-1)
         points = origins + t[..., None] * d
     return np.where(hit[..., None], points, np.nan), hit

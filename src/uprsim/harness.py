@@ -27,10 +27,10 @@ rules across keys fail where their objects are built, under checked's label.
 
 WORLD LAYOUT
 ============
-The scene plane (installed screen) is the world z = 0 plane with normal +z;
-the handheld display hovers display_z_world_mm above it, parallel, with the
-display frame axes aligned to world axes. The user's eye lives in the
-display frame at positive z.
+The world frame is the scene plane's (installed screen's) frame: the plane
+is world z = 0 with normal +z, and plane coordinates are world x and y. The
+handheld display hovers display_z_world_mm above it, parallel, its frame's
+axes aligned to world axes. The user's eye lives in the display frame at z > 0.
 
 TIMING ACCOUNTING
 =================
@@ -255,8 +255,7 @@ class ExperimentConfig(Value):
                             self.display_width_px, self.display_height_px, pose)
 
     def plane(self) -> ScenePlane:
-        return ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                          (self.plane_width_mm, self.plane_height_mm))
+        return ScenePlane((self.plane_width_mm, self.plane_height_mm))
 
     def front_cam(self) -> PinholeCamera:
         return front_camera(self.front_cam_fx, self.front_cam_fy,

@@ -11,12 +11,12 @@ Render modes:
 Pointing error is the on-plane Euclidean distance between a target and the
 point a user (looking from the true eye position) perceives the drawn target
 to be at. The perceived point is where the true-eye ray through the drawn
-pixel meets the plane (geometry.intersect_ray_plane, the one ray/plane hit);
-no motor noise term is added. pointing_errors evaluates modes x frames x
-targets in one pass, once per run of a mode's consecutive frames whose eyes
-are unchanged bit for bit (every step is elementwise per frame, so the
-run's first frame gives the others' bits), and pointing_error is its
-one-cell form.
+pixel meets the plane, world z = 0 (geometry.intersect_ray_plane, the one
+ray/plane hit); no motor noise term is added. pointing_errors evaluates
+modes x frames x targets in one pass, once per run of a mode's consecutive
+frames whose eyes are unchanged bit for bit (every step is elementwise per
+frame, so the run's first frame gives the others' bits), and pointing_error
+is its one-cell form.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def perceived_points(eyes_world, display_px, display: DisplayModel,
     and the (...) hit mask, False (points NaN) where the ray misses the plane
     forward or the pixel is NaN. Eyes and pixels broadcast."""
     panel_world = display.pose_world.apply(display.px_to_mm(display_px))
-    hits, hit = intersect_ray_plane(eyes_world, panel_world - eyes_world, plane)
+    hits, hit = intersect_ray_plane(eyes_world, panel_world - eyes_world)
     return plane.to_plane_2d(hits), hit
 
 

@@ -48,14 +48,15 @@ class Ray:
         return self.origin + t * self.direction
 
 
-def intersect_ray_plane(ray: Ray, plane: ScenePlane) -> np.ndarray | None:
-    """Forward intersection of a ray with the plane; None when the ray is
-    parallel to the plane or the hit lies behind the origin."""
-    denom = float(ray.direction @ plane.normal_world)
-    if abs(denom) < PARALLEL_TOL:
+def intersect_ray_plane(ray: Ray) -> np.ndarray | None:
+    """Forward intersection of a ray with the scene plane, world z = 0; None
+    when the ray is parallel to the plane, the hit lies behind the origin, or
+    the direction is NaN (NaN fails both tests)."""
+    denom = float(ray.direction[2])
+    if not abs(denom) >= PARALLEL_TOL:
         return None
-    t = float((plane.point_world - ray.origin) @ plane.normal_world) / denom
-    if t < 0:
+    t = -float(ray.origin[2]) / denom
+    if not t >= 0:
         return None
     return ray.at(t)
 
@@ -71,7 +72,7 @@ def perceived_plane_point(display_px, true_eye: EyeState, display: DisplayModel,
     pixel, i.e. where the true-eye ray through the pixel's physical location
     meets the plane. None when the ray misses the plane forward."""
     eye_world = display.pose_world.apply(true_eye.cyclopean_mm)
-    hit = intersect_ray_plane(_eye_ray_through_panel(eye_world, display, display_px), plane)
+    hit = intersect_ray_plane(_eye_ray_through_panel(eye_world, display, display_px))
     if hit is None:
         return None
     return plane.to_plane_2d(hit)

@@ -1,5 +1,6 @@
 """Rigid transforms about one display axis or from a quaternion, for tilted
-test fixtures, and the axis-aligned rotations."""
+test fixtures, the move into a tilted scene plane's frame, and the
+axis-aligned rotations."""
 
 import itertools
 
@@ -32,6 +33,25 @@ def from_quaternion(q, translation=(0.0, 0.0, 0.0)) -> RigidTransform:
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
     return RigidTransform(r, translation)
+
+
+def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
+    """The transform that applies b, then a."""
+    return RigidTransform(a.rotation @ b.rotation, a.apply(b.translation))
+
+
+def plane_frame(point, normal) -> RigidTransform:
+    """The transform into the frame of the plane through point with normal
+    (normalized first), in which that plane is the world's scene plane,
+    z = 0 with normal +z. Its in-plane axes are u = up x n and v = n x u,
+    up being +y, or +z for a normal along y; a display posed in the tilted
+    frame is posed in the world by compose(plane_frame(...), pose)."""
+    n = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
+    up = np.array([0.0, 0.0, 1.0] if abs(n[1]) > 1.0 - 1e-9 else [0.0, 1.0, 0.0])
+    u = np.cross(up, n)
+    u /= np.linalg.norm(u)
+    r = np.array([u, np.cross(n, u), n])
+    return RigidTransform(r, -r @ np.asarray(point, dtype=float))
 
 
 def axis_rotations() -> list[np.ndarray]:

@@ -186,17 +186,17 @@ def test_criterion_8_homography_oracle():
     # The four-corner homography, built in the tests from scalar ray casts,
     # against the per-pixel map a run computes.
     rng = np.random.default_rng(2024)
+    plane = ScenePlane((4000.0, 4000.0))
     grid = np.stack(np.meshgrid(np.linspace(0, 1080, 10),
                                 np.linspace(0, 608, 10)), axis=-1).reshape(-1, 2)
     checked = 0
     for _ in range(1000):  # draws; a call that fails on every draw fails the test
-        display = DisplayModel(
-            109.0, 61.0, 1080, 608,
-            from_quaternion([1.0, *rng.normal(scale=0.15, size=3)],
-                            rng.normal(scale=30.0, size=3)))
-        plane = ScenePlane(
-            [*rng.normal(scale=50.0, size=2), rng.uniform(-600.0, -250.0)],
-            [0.0, 0.0, 1.0], (4000.0, 4000.0))
+        # A display posed relative to a plane at plane_at, moved by -plane_at
+        # so that the plane is world z = 0.
+        quaternion, shift = rng.normal(scale=0.15, size=3), rng.normal(scale=30.0, size=3)
+        plane_at = np.array([*rng.normal(scale=50.0, size=2), rng.uniform(-600.0, -250.0)])
+        display = DisplayModel(109.0, 61.0, 1080, 608,
+                               from_quaternion([1.0, *quaternion], shift - plane_at))
         eye = EyeState.from_cyclopean(
             [rng.uniform(-80, 80), rng.uniform(-80, 80), rng.uniform(200, 500)])
         try:
@@ -217,11 +217,13 @@ def test_criterion_8_homography_oracle():
            max_seconds=2.0)
 def test_criterion_9_exact_compensation():
     rng = np.random.default_rng(99)
-    display = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform.identity())
+    plane = ScenePlane((3000.0, 3000.0))
     done = 0
     while done < 1000:
-        plane = ScenePlane([0.0, 0.0, rng.uniform(-600.0, -200.0)],
-                           [0.0, 0.0, 1.0], (3000.0, 3000.0))
+        # The plane 200-600 mm below the display; it is world z = 0.
+        height = -rng.uniform(-600.0, -200.0)
+        display = DisplayModel(109.0, 61.0, 1080, 608,
+                               RigidTransform(np.eye(3), [0.0, 0.0, height]))
         eye = EyeState.from_cyclopean(
             [rng.uniform(-120, 120), rng.uniform(-80, 80), rng.uniform(120, 500)])
         target = plane.from_plane_2d(rng.uniform(-200, 200, size=2))
@@ -233,17 +235,17 @@ def test_criterion_9_exact_compensation():
 @criterion(10, "monotone error growth: DPR vs camera offset, FUPR vs head displacement",
            max_seconds=2.0)
 def test_criterion_10_monotonicity():
-    display = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform.identity())
-    plane = ScenePlane([0.0, 0.0, -300.0], [0.0, 0.0, 1.0], (2000.0, 2000.0))
+    display = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform(np.eye(3), [0.0, 0.0, 300.0]))
+    plane = ScenePlane((2000.0, 2000.0))
     eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
-    target = [30.0, 10.0, -300.0]
+    target = [30.0, 10.0, 0.0]
     errs = [pointing_error(RenderMode.DPR, target, None, eye, display, plane,
                            back_cam=back_camera(offset_mm=(off, 0.0, 0.0)))
             for off in np.arange(0.0, 101.0, 10.0)]
     assert all(b >= a - 1e-9 for a, b in zip(errs, errs[1:]))
 
     cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
-    errs = [pointing_error(RenderMode.FUPR, [0.0, 0.0, -300.0], cal_eye,
+    errs = [pointing_error(RenderMode.FUPR, [0.0, 0.0, 0.0], cal_eye,
                            EyeState.from_cyclopean([dx, 0.0, 150.0]), display, plane)
             for dx in np.arange(0.0, 201.0, 20.0)]
     assert all(b >= a - 1e-9 for a, b in zip(errs, errs[1:]))

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import raycast
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from rotations import from_quaternion, rotation_x, rotation_y, rotation_z
+from rotations import from_quaternion, plane_frame, rotation_x, rotation_y, rotation_z
 
 from uprsim.geometry import (
     DisplayModel,
@@ -189,119 +189,126 @@ def test_unproject_round_trip_random():
 
 
 # ---- Ray / plane -------------------------------------------------------
-
-def unit_plane(point, normal, bounds=(1000.0, 1000.0)) -> ScenePlane:
-    n = np.asarray(normal, dtype=float)
-    return ScenePlane(point, n / np.linalg.norm(n), bounds)
-
+# The scene plane is world z = 0 with normal +z; a plane elsewhere is the
+# same plane seen from rays moved into its frame (rotations.plane_frame).
 
 def test_axis_ray_perpendicular_plane():
-    plane = unit_plane([0.0, 0.0, 500.0], [0.0, 0.0, -1.0])
-    hit, ok = intersect_ray_plane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], plane)
+    hit, ok = intersect_ray_plane([0.0, 0.0, 500.0], [0.0, 0.0, -1.0])
     assert ok
-    assert np.allclose(hit, [0.0, 0.0, 500.0])
+    assert np.allclose(hit, [0.0, 0.0, 0.0])
 
 
 def test_parallel_ray_no_hit():
-    plane = unit_plane([0.0, 0.0, 500.0], [0.0, 0.0, -1.0])
-    assert not intersect_ray_plane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], plane)[1]
+    assert not intersect_ray_plane([0.0, 0.0, -500.0], [1.0, 0.0, 0.0])[1]
 
 
 def test_behind_origin_no_hit():
-    plane = unit_plane([0.0, 0.0, -10.0], [0.0, 0.0, 1.0])
-    assert not intersect_ray_plane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], plane)[1]
+    assert not intersect_ray_plane([0.0, 0.0, 10.0], [0.0, 0.0, 1.0])[1]
 
 
 def test_oblique_ray_substitution_oracle():
-    # 45-degree ray onto an offset plane; verify by substitution into the
-    # plane equation and by forwardness.
-    plane = unit_plane([10.0, -5.0, 300.0], [0.1, 0.2, -1.0])
-    origin, direction = np.zeros(3), np.array([1.0, 0.0, 1.0])
-    hit, ok = intersect_ray_plane(origin, direction, plane)
+    # 45-degree ray onto an offset, tilted plane, moved into that plane's
+    # frame; verify by substitution into the plane equation z = 0 and by
+    # forwardness.
+    to_plane = plane_frame([10.0, -5.0, 300.0], [0.1, 0.2, -1.0])
+    origin = to_plane.apply(np.zeros(3))
+    direction = np.array([1.0, 0.0, 1.0]) @ to_plane.rotation.T
+    hit, ok = intersect_ray_plane(origin, direction)
     assert ok
-    assert abs((hit - plane.point_world) @ plane.normal_world) < 1e-6
+    assert abs(hit[2]) < 1e-6
     t = (hit - origin) @ direction
     assert t > 0
 
 
 def test_frame_consistency():
-    # Transforming all inputs by a rigid transform transforms the output
-    # by the same transform.
+    # Transforming all inputs by a rigid transform that maps the plane onto
+    # itself (a turn about z and an in-plane shift) transforms the output by
+    # the same transform.
     rng = np.random.default_rng(11)
     for _ in range(50):
-        plane = unit_plane(rng.normal(scale=100, size=3), rng.normal(size=3))
         origin, direction = rng.normal(scale=50, size=3), rng.normal(size=3)
-        hit, ok = intersect_ray_plane(origin, direction, plane)
+        hit, ok = intersect_ray_plane(origin, direction)
         if not ok:
             continue
-        t = random_transform(rng)
-        plane_t = ScenePlane(t.apply(plane.point_world),
-                             plane.normal_world @ t.rotation.T, plane.bounds_mm)
-        hit_t, ok_t = intersect_ray_plane(t.apply(origin), direction @ t.rotation.T, plane_t)
+        t = rotation_z(rng.uniform(0.0, 2 * np.pi), [*rng.normal(scale=100, size=2), 0.0])
+        hit_t, ok_t = intersect_ray_plane(t.apply(origin), direction @ t.rotation.T)
         assert ok_t
         assert np.abs(hit_t - t.apply(hit)).max() < 1e-6
 
 
-units = st.floats(-1.0, 1.0)
 coords = st.floats(-100.0, 100.0)
-#: One ray relative to a plane: in-plane offset (x, y) and height h of the
-#: origin, in-plane direction (a, b), and its kind. A "free" ray leaves the
-#: plane at slope c with |c| >= 1e-3, so it hits the plane forward or behind
-#: its origin at most ~1e5 mm away; a "parallel" ray has no normal component.
+#: One ray: its origin (x, y) and height h above or below the plane, its
+#: in-plane direction (a, b) and slope c with |c| >= 1e-3 (so a hit lies at
+#: most ~1e5 mm away), and its kind. A "forward" ray's slope heads toward
+#: the plane and a "behind" ray's away from it; a "parallel" ray has no
+#: z component; a "nan_direction" ray has a NaN direction y, a "nan_origin"
+#: ray a NaN origin x and an "inf_origin" ray an infinite origin z.
+KINDS = ["forward", "behind", "parallel", "nan_direction", "nan_origin", "inf_origin"]
 rays = st.tuples(coords, coords, st.floats(1.0, 100.0) | st.floats(-100.0, -1.0),
-                 units, st.floats(0.1, 1.0),
-                 st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3),
-                 st.sampled_from(["free", "parallel", "nan"]))
+                 st.floats(-1.0, 1.0), st.floats(0.1, 1.0), st.floats(1e-3, 1.0),
+                 st.sampled_from(KINDS))
 
 
 @settings(max_examples=200, deadline=None)
-@given(point=st.tuples(coords, coords, coords),
-       normal=st.tuples(units, units, units).filter(lambda n: np.linalg.norm(n) > 0.1),
-       drawn=st.lists(rays, min_size=1, max_size=8))
-def test_intersect_matches_scalar_oracle(point, normal, drawn):
-    plane = unit_plane(point, normal)
-    u, v, n = plane.u_axis, plane.v_axis, plane.normal_world
-    origins = np.array([plane.point_world + x * u + y * v + h * n
-                        for x, y, h, *_ in drawn])
-    directions = np.array([a * u + b * v + (0.0 if kind == "parallel" else c) * n
-                           for *_, a, b, c, kind in drawn])
-    directions[[kind == "nan" for *_, kind in drawn], 1] = np.nan
-    points, hit = intersect_ray_plane(origins, directions, plane)
+@given(drawn=st.lists(rays, min_size=1, max_size=8))
+@example(drawn=[(1.0, 2.0, h, 0.5, 0.5, 0.5, kind) for kind in KINDS for h in (5.0, -5.0)])
+def test_intersect_matches_scalar_oracle(drawn):
+    origins = np.array([[x, y, h] for x, y, h, *_ in drawn])
+    slope = {"forward": -1.0, "behind": 1.0, "parallel": 0.0}
+    directions = np.array([[a, b, slope.get(kind, -1.0) * np.sign(h) * c]
+                           for _, _, h, a, b, c, kind in drawn])
+    kinds = np.array([kind for *_, kind in drawn])
+    directions[kinds == "nan_direction", 1] = np.nan
+    origins[kinds == "nan_origin", 0] = np.nan
+    origins[kinds == "inf_origin", 2] *= np.inf
+    points, hit = intersect_ray_plane(origins, directions)
     assert points.shape == (len(drawn), 3) and hit.shape == (len(drawn),)
     for i in range(len(drawn)):
-        ref = raycast.intersect_ray_plane(raycast.Ray(origins[i], directions[i]), plane)
-        # The oracle returns a NaN point for a NaN direction (NaN fails both
-        # of its tests); that is a miss.
-        ref_hit = ref is not None and np.isfinite(ref).all()
-        assert hit[i] == ref_hit
-        if ref_hit:
-            assert np.abs(points[i] - ref).max() < 1e-6
+        if kinds[i] in ("nan_origin", "inf_origin"):
+            # The oracle has no ray from a non-finite origin; the batch misses.
+            with pytest.raises(GeometryError, match="^origin: must be finite"):
+                raycast.Ray(origins[i], directions[i])
+            ref = None
         else:
+            ref = raycast.intersect_ray_plane(raycast.Ray(origins[i], directions[i]))
+        assert hit[i] == (ref is not None)
+        if ref is None:
             assert np.isnan(points[i]).all()
-    assert hit[[kind == "parallel" for *_, kind in drawn]].sum() == 0
+        else:
+            assert np.abs(points[i] - ref).max() < 1e-6
+    assert hit.tolist() == (kinds == "forward").tolist()
 
 
-def test_plane_2d_round_trip():
-    plane = unit_plane([3.0, 4.0, 5.0], [1.0, 2.0, 3.0])
-    rng = np.random.default_rng(13)
-    uv = rng.normal(scale=100, size=2)
-    assert np.allclose(plane.to_plane_2d(plane.from_plane_2d(uv)), uv, atol=1e-9)
+#: Plane coordinates, signed zeros and non-finite values among them.
+PLANE_UV = st.lists(st.tuples(st.sampled_from([0.0, -0.0]) | st.floats(), st.floats()),
+                    min_size=1, max_size=6)
 
 
-def test_plane_rejects_non_unit_normal():
-    with pytest.raises(GeometryError):
-        ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 2.0], (100.0, 100.0))
-    with pytest.raises(GeometryError, match="^normal_world: must be finite"):
-        ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, np.nan], (100.0, 100.0))
+@settings(max_examples=100, deadline=None)
+@given(uv=PLANE_UV)
+@example(uv=[(-0.0, -0.0)])
+def test_plane_2d_round_trip(uv):
+    # Plane coordinates are world x and y: from_plane_2d puts them on z = 0
+    # and to_plane_2d takes them back bit for bit, the sign of zero included.
+    plane = ScenePlane((1000.0, 1000.0))
+    uv = np.array(uv)
+    world = plane.from_plane_2d(uv)
+    assert world.shape == (len(uv), 3)
+    assert world[:, :2].view(np.int64).tolist() == uv.view(np.int64).tolist()
+    assert (world[:, 2] == 0.0).all()
+    back = plane.to_plane_2d(world)
+    assert back.view(np.int64).tolist() == uv.view(np.int64).tolist()
+    # A new array, not a view of its argument.
+    back[...] = 1.0
+    assert world[:, :2].view(np.int64).tolist() == uv.view(np.int64).tolist()
 
 
-def test_plane_rejects_nonfinite_point_and_bounds():
-    with pytest.raises(GeometryError, match="^point_world: must be finite"):
-        ScenePlane([0.0, np.inf, 0.0], [0.0, 0.0, 1.0], (100.0, 100.0))
+def test_plane_rejects_nonfinite_bounds():
     # An infinite plane would contain every target.
     for bounds in [(np.inf, 100.0), (100.0, np.nan), (0.0, 100.0)]:
         with pytest.raises(GeometryError, match="^bounds_mm: must be positive and finite"):
-            ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], bounds)
+            ScenePlane(bounds)
+    assert [f.name for f in fields(ScenePlane)] == ["bounds_mm"]
 
 
 #: A constructor per vector argument, by argument name, given one component.
@@ -343,7 +350,7 @@ def test_value_objects_reject_nonfinite(obj, name, bad):
 #: One valid instance of every value object, VALUE_OBJECTS and the rest.
 ALL_VALUE_OBJECTS = VALUE_OBJECTS + [
     RigidTransform.identity(),
-    ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], (400.0, 300.0)),
+    ScenePlane((400.0, 300.0)),
     HeadTrace([0.0, 50.0], [[0.0, 0.0, 300.0], [1.0, 0.0, 300.0]], [63.0, 63.0]),
     ExperimentConfig(),
 ]

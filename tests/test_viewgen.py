@@ -14,7 +14,7 @@ from raycast import (
     render_target_px,
     upr_homography,
 )
-from rotations import from_quaternion, rotation_x, rotation_y
+from rotations import compose, from_quaternion, plane_frame, rotation_x, rotation_y
 
 from uprsim import viewgen
 from uprsim.geometry import (
@@ -45,13 +45,13 @@ from uprsim.tracksim import eye_points
 FUPR_LATERAL_100MM_ERROR_MM = 200.0
 
 
-def flat_display(z_world=0.0) -> DisplayModel:
+def flat_display(z_world=300.0) -> DisplayModel:
+    """The panel parallel to the scene plane (world z = 0), z_world above it."""
     pose = RigidTransform(np.eye(3), [0.0, 0.0, z_world])
     return DisplayModel(109.0, 61.0, 1080, 608, pose)
 
 
-def plane_below(z_world=-300.0, bounds=(2000.0, 2000.0)) -> ScenePlane:
-    return ScenePlane([0.0, 0.0, z_world], [0.0, 0.0, 1.0], bounds)
+PLANE = ScenePlane((2000.0, 2000.0))
 
 
 def raycast_plane_point(eye_state, display, plane, display_px):
@@ -59,7 +59,7 @@ def raycast_plane_point(eye_state, display, plane, display_px):
     pixel location and intersect the plane directly."""
     eye_world = display.pose_world.apply(eye_state.cyclopean_mm)
     panel_world = display.pose_world.apply(display.px_to_mm(display_px))
-    hit = intersect_ray_plane(Ray(eye_world, panel_world - eye_world), plane)
+    hit = intersect_ray_plane(Ray(eye_world, panel_world - eye_world))
     return None if hit is None else plane.to_plane_2d(hit)
 
 
@@ -102,14 +102,14 @@ def perceived_grid(eye, display, plane, n=10):
 
 def test_upr_homography_parallel_plane_is_similarity():
     eye = EyeState.from_cyclopean([0.0, 0.0, 400.0])
-    h = upr_homography(eye, flat_display(), plane_below())  # h[2, 2] = 1
+    h = upr_homography(eye, flat_display(), PLANE)  # h[2, 2] = 1
     assert abs(h[2, 0]) < 1e-9 and abs(h[2, 1]) < 1e-9
     # Uniform scale: |h00| == |h11| in mm-per-px terms adjusted for the
     # panel's px aspect.
     sx = abs(h[0, 0]) * 1080 / 109.0
     sy = abs(h[1, 1]) * 608 / 61.0
     assert abs(sx - sy) < 1e-9
-    grid, perceived = perceived_grid(eye, flat_display(), plane_below())
+    grid, perceived = perceived_grid(eye, flat_display(), PLANE)
     assert np.abs(apply_homography(h, grid) - perceived).max() < 1e-9
 
 
@@ -117,10 +117,10 @@ def test_upr_homography_matches_independent_camera():
     # A virtual pinhole camera at the eye whose image plane coincides with
     # the display must induce the same display-to-plane map.
     display = flat_display()
-    plane = plane_below()
+    plane = PLANE
     ez = 500.0
-    eye = np.array([0.0, 0.0, ez])
-    h = upr_homography(EyeState.from_cyclopean(eye), display, plane)
+    eye = display.pose_world.apply([0.0, 0.0, ez])
+    h = upr_homography(EyeState.from_cyclopean([0.0, 0.0, ez]), display, plane)
     cam = PinholeCamera(fx=ez * 1080 / 109.0, fy=ez * 608 / 61.0,
                         cx=540.0, cy=304.0, width_px=1080, height_px=608)
     rng = np.random.default_rng(3)
@@ -131,7 +131,7 @@ def test_upr_homography_matches_independent_camera():
         # display -z).
         u, v = px
         d = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0]) * [1.0, -1.0, -1.0]
-        expected = plane.to_plane_2d(intersect_ray_plane(Ray(eye, d), plane))
+        expected = plane.to_plane_2d(intersect_ray_plane(Ray(eye, d)))
         perceived, hit = perceived_points(eye, px, display, plane)
         assert hit
         assert np.allclose(perceived, expected, atol=1e-6)
@@ -140,8 +140,8 @@ def test_upr_homography_matches_independent_camera():
 
 def test_upr_homography_oblique_raycast_oracle():
     display = DisplayModel(109.0, 61.0, 1080, 608,
-                           rotation_x(np.deg2rad(30.0), [0.0, 0.0, 0.0]))
-    plane = plane_below(-300.0)
+                           rotation_x(np.deg2rad(30.0), [0.0, 0.0, 300.0]))
+    plane = PLANE
     eye = EyeState.from_cyclopean([40.0, -20.0, 350.0])
     h = upr_homography(eye, display, plane)
     grid, perceived = perceived_grid(eye, display, plane)
@@ -152,26 +152,27 @@ def test_upr_homography_oblique_raycast_oracle():
 
 
 def test_upr_homography_corner_miss_raises_without_warnings():
-    # A plane on the eye's side of the panel: every corner ray points away.
+    # The panel 400 mm below the plane, so the plane is on the eye's side of
+    # it: every corner ray points away.
     eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
-    behind_eye = plane_below(400.0)
+    below_plane = flat_display(-400.0)
     # Panel upright (display y -> world z) with the eye level with its top
     # edge: two corner rays run exactly parallel to the plane.
     upright = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform(
-        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]), [0.0, 0.0, 0.0]))
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]), [0.0, 0.0, 300.0]))
     level = EyeState.from_cyclopean([0.0, 30.5, 1.0])
     corners = np.array([[1080.0, 0.0], [0.0, 0.0], [0.0, 608.0], [1080.0, 608.0]])
     # perceived_points marks those rays, and only those, as misses.
-    for display, plane, e, hits in ((flat_display(), behind_eye, eye, [False] * 4),
-                                    (upright, plane_below(), level, [False, False, True, True])):
+    for display, e, hits in ((below_plane, eye, [False] * 4),
+                             (upright, level, [False, False, True, True])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             uv, hit = perceived_points(display.pose_world.apply(e.cyclopean_mm), corners,
-                                       display, plane)
+                                       display, PLANE)
         assert hit.tolist() == hits
         assert np.isnan(uv[~hit]).all() and not np.isnan(uv[hit]).any()
         with pytest.raises(GeometryError, match="display corner ray misses the scene plane"):
-            upr_homography(e, display, plane)
+            upr_homography(e, display, PLANE)
 
 
 # ---- DPR mapping -------------------------------------------------------
@@ -181,7 +182,7 @@ def test_dpr_equals_upr_at_coincident_viewpoint():
     # spans the panel: DPR draws every target where UPR does for an eye at
     # the optical center.
     display = flat_display()
-    plane = plane_below()
+    plane = PLANE
     z = 50.0
     cam = PinholeCamera(fx=320.0 * z / 54.5, fy=240.0 * z / 30.5,
                         cx=320.0, cy=240.0, width_px=640, height_px=480,
@@ -197,7 +198,7 @@ def test_dpr_equals_upr_at_coincident_viewpoint():
 
 def test_dpr_corner_camera_differs_from_upr():
     display = flat_display()
-    plane = plane_below()
+    plane = PLANE
     cam = back_camera(offset_mm=(50.0, -30.0, 0.0))
     eye = EyeState.from_cyclopean([0.0, 0.0, 300.0])
     target = plane.from_plane_2d([0.0, 0.0])
@@ -235,7 +236,7 @@ def perceived_point(display_px, eye, display, plane):
 
 def test_perceived_center_collinear():
     display = flat_display()
-    plane = plane_below()
+    plane = PLANE
     eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
     assert np.allclose(perceived_point([540.0, 304.0], eye, display, plane),
                        [0.0, 0.0], atol=1e-9)
@@ -243,8 +244,8 @@ def test_perceived_center_collinear():
 
 def test_perceived_is_raycast():
     display = DisplayModel(109.0, 61.0, 1080, 608,
-                           rotation_y(0.2, [10.0, 5.0, 0.0]))
-    plane = plane_below()
+                           rotation_y(0.2, [10.0, 5.0, 300.0]))
+    plane = PLANE
     eye = EyeState.from_cyclopean([30.0, -40.0, 280.0])
     px = [200.0, 450.0]
     assert np.allclose(perceived_point(px, eye, display, plane),
@@ -252,19 +253,18 @@ def test_perceived_is_raycast():
 
 
 def test_perceived_no_hit():
-    display = flat_display()
-    plane = ScenePlane([0.0, 0.0, -300.0], [0.0, 0.0, 1.0], (100.0, 100.0))
-    # Eye below the panel looking up: the ray never reaches the plane.
+    # The panel below the plane, the eye 1 mm above the panel: the ray
+    # through the panel heads away from the plane and never reaches it.
+    display = flat_display(-300.0)
     eye = EyeState.from_cyclopean([0.0, 0.0, 1.0])
-    sideways = ScenePlane([0.0, 0.0, 300.0], [0.0, 0.0, 1.0], (100.0, 100.0))
-    assert perceived_point([540.0, 304.0], eye, display, sideways) is None
+    assert perceived_point([540.0, 304.0], eye, display, ScenePlane((100.0, 100.0))) is None
 
 
 # ---- pointing_error ----------------------------------------------------
 
 def test_upr_exact_compensation():
     display = flat_display()
-    plane = plane_below()
+    plane = PLANE
     rng = np.random.default_rng(5)
     for _ in range(50):
         eye = EyeState.from_cyclopean(
@@ -276,22 +276,22 @@ def test_upr_exact_compensation():
 
 def test_fupr_regression_constant():
     display = flat_display()
-    plane = plane_below(-300.0)
+    plane = PLANE
     cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
     true_eye = EyeState.from_cyclopean([100.0, 0.0, 150.0])
-    err = pointing_error(RenderMode.FUPR, [0.0, 0.0, -300.0], cal_eye, true_eye,
+    err = pointing_error(RenderMode.FUPR, [0.0, 0.0, 0.0], cal_eye, true_eye,
                          display, plane)
     assert abs(err - FUPR_LATERAL_100MM_ERROR_MM) < 1e-9
 
 
 def test_dpr_positive_error_with_offset_camera():
     display = flat_display()
-    plane = plane_below()
+    plane = PLANE
     cam = back_camera(offset_mm=(50.0, -30.0, 0.0))
     eye = EyeState.from_cyclopean([0.0, 0.0, 300.0])
-    err_dpr = pointing_error(RenderMode.DPR, [40.0, 20.0, -300.0], None, eye,
+    err_dpr = pointing_error(RenderMode.DPR, [40.0, 20.0, 0.0], None, eye,
                              display, plane, back_cam=cam)
-    err_upr = pointing_error(RenderMode.UPR, [40.0, 20.0, -300.0], eye, eye,
+    err_upr = pointing_error(RenderMode.UPR, [40.0, 20.0, 0.0], eye, eye,
                              display, plane)
     assert err_upr < 1e-9
     assert err_dpr > err_upr
@@ -304,7 +304,7 @@ def test_mode_coincidence_at_calibration_pose():
     eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
     rng = np.random.default_rng(9)
     for _ in range(20):
-        target = [rng.uniform(-150, 150), rng.uniform(-90, 90), -300.0]
+        target = [rng.uniform(-150, 150), rng.uniform(-90, 90), 0.0]
         px_upr = render_target_px(RenderMode.UPR, target, eye, display)
         px_fupr = render_target_px(RenderMode.FUPR, target, eye, display)
         px_aaupr = render_target_px(RenderMode.AAUPR, target, eye, display)
@@ -314,9 +314,9 @@ def test_mode_coincidence_at_calibration_pose():
 
 def test_dpr_error_monotone_in_camera_offset():
     display = flat_display()
-    plane = plane_below()
+    plane = PLANE
     eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
-    target = [30.0, 10.0, -300.0]
+    target = [30.0, 10.0, 0.0]
     errors = []
     for off in np.arange(0.0, 101.0, 10.0):
         cam = back_camera(offset_mm=(off, 0.0, 0.0))
@@ -327,9 +327,9 @@ def test_dpr_error_monotone_in_camera_offset():
 
 def test_fupr_error_monotone_in_head_displacement():
     display = flat_display()
-    plane = plane_below()
+    plane = PLANE
     cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
-    target = [0.0, 0.0, -300.0]
+    target = [0.0, 0.0, 0.0]
     errors = []
     for dx in np.arange(0.0, 201.0, 20.0):
         true_eye = EyeState.from_cyclopean([dx, 0.0, 150.0])
@@ -340,17 +340,18 @@ def test_fupr_error_monotone_in_head_displacement():
 
 @pytest.mark.parametrize("mode", list(RenderMode))
 def test_pointing_error_is_one_batch_cell(mode):
-    # Tilted, offset displays on either side of a tilted plane: the scalar
-    # call equals its batch cell bit for bit, and raises exactly where the
-    # cell is NaN.
+    # Tilted, offset displays on either side of a tilted plane (posed in
+    # the plane's frame): the scalar call equals its batch cell bit for bit,
+    # and raises exactly where the cell is NaN.
     rng = np.random.default_rng(47)
+    plane = ScenePlane((3000.0, 3000.0))
     nan = 0
     for k in range(40):
-        display = DisplayModel(109.0, 61.0, 1080, 608, from_quaternion(
-            [1.0, *rng.normal(scale=0.2, size=3)],
-            [*rng.normal(scale=30.0, size=2), rng.uniform(-400.0, 400.0)]))
-        normal = np.array([*rng.normal(scale=0.2, size=2), 1.0])
-        plane = ScenePlane([0.0, 0.0, 0.0], normal / np.linalg.norm(normal), (3000.0, 3000.0))
+        pose = from_quaternion([1.0, *rng.normal(scale=0.2, size=3)],
+                               [*rng.normal(scale=30.0, size=2), rng.uniform(-400.0, 400.0)])
+        normal = [*rng.normal(scale=0.2, size=2), 1.0]
+        display = DisplayModel(109.0, 61.0, 1080, 608,
+                               compose(plane_frame([0.0, 0.0, 0.0], normal), pose))
         target = plane.from_plane_2d(rng.uniform(-300.0, 300.0, size=2))
         est, true = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(2, 3))
         back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
@@ -370,27 +371,29 @@ def test_pointing_error_is_one_batch_cell(mode):
 
 def test_pointing_error_requires_eye_estimate_and_back_camera():
     eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
-    target = [0.0, 0.0, -300.0]
+    target = [0.0, 0.0, 0.0]
     for mode, est, message in ((RenderMode.UPR, None, "UPR requires an eye estimate"),
                                (RenderMode.DPR, eye, "DPR requires a back camera")):
         with pytest.raises(ValueError, match=message) as excinfo:
-            pointing_error(mode, target, est, eye, flat_display(), plane_below())
+            pointing_error(mode, target, est, eye, flat_display(), PLANE)
         assert excinfo.type is ValueError
 
 
 def test_pointing_errors_match_scalar_any_pose():
-    # Tilted, offset displays on either side of a tilted plane, with the
-    # estimated and true eyes drawn independently: cells cover every way
-    # the scalar path can raise, including a perceived ray that points away
-    # from the plane after the drawn point resolved.
+    # Tilted, offset displays on either side of a tilted plane (posed in
+    # the plane's frame), with the estimated and true eyes drawn
+    # independently: cells cover every way the scalar path can raise,
+    # including a perceived ray that points away from the plane after the
+    # drawn point resolved.
     rng = np.random.default_rng(31)
+    plane = ScenePlane((3000.0, 3000.0))
     misses = hits = 0
     for k in range(40):
-        display = DisplayModel(109.0, 61.0, 1080, 608, from_quaternion(
-            [1.0, *rng.normal(scale=0.2, size=3)],
-            [*rng.normal(scale=30.0, size=2), rng.uniform(-400.0, 400.0)]))
-        normal = np.array([*rng.normal(scale=0.2, size=2), 1.0])
-        plane = ScenePlane([0.0, 0.0, 0.0], normal / np.linalg.norm(normal), (3000.0, 3000.0))
+        pose = from_quaternion([1.0, *rng.normal(scale=0.2, size=3)],
+                               [*rng.normal(scale=30.0, size=2), rng.uniform(-400.0, 400.0)])
+        normal = [*rng.normal(scale=0.2, size=2), 1.0]
+        display = DisplayModel(109.0, 61.0, 1080, 608,
+                               compose(plane_frame([0.0, 0.0, 0.0], normal), pose))
         targets = plane.from_plane_2d(rng.uniform(-300.0, 300.0, size=(4, 2)))
         est = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(6, 3))
         true = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(6, 3))
@@ -419,7 +422,7 @@ def test_pointing_errors_match_scalar_any_pose():
 
 
 def test_pointing_errors_degenerate_cells_are_nan():
-    plane = ScenePlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], (3000.0, 3000.0))
+    plane = ScenePlane((3000.0, 3000.0))
     target = np.array([[0.0, 100.0, 0.0]])
     # Panel turned upright (display y -> world z): the true eye sits level
     # with the drawn point, so its ray runs parallel to the plane.
@@ -486,11 +489,12 @@ def test_pointing_errors_rows_equal_each_row_alone(rows, modes, seed):
     # estimates, and it may pass None. Runs never cross a mode boundary, and
     # every mode's runs reach the ray/plane hit in one call.
     rng = np.random.default_rng(seed)
-    display = DisplayModel(109.0, 61.0, 1080, 608, from_quaternion(
-        [1.0, *rng.normal(scale=0.2, size=3)],
-        [*rng.normal(scale=30.0, size=2), rng.uniform(-200.0, 0.0)]))
-    normal = np.array([*rng.normal(scale=0.2, size=2), 1.0])
-    plane = ScenePlane([0.0, 0.0, -300.0], normal / np.linalg.norm(normal), (3000.0, 3000.0))
+    pose = from_quaternion([1.0, *rng.normal(scale=0.2, size=3)],
+                           [*rng.normal(scale=30.0, size=2), rng.uniform(-200.0, 0.0)])
+    normal = [*rng.normal(scale=0.2, size=2), 1.0]
+    display = DisplayModel(109.0, 61.0, 1080, 608,
+                           compose(plane_frame([0.0, 0.0, -300.0], normal), pose))
+    plane = ScenePlane((3000.0, 3000.0))
     targets = plane.from_plane_2d(rng.uniform(-300.0, 300.0, size=(3, 2)))
     back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
     est, true = np.array(rows, dtype=float).reshape(len(rows), 2, 3).transpose(1, 0, 2)
@@ -502,9 +506,9 @@ def test_pointing_errors_rows_equal_each_row_alone(rows, modes, seed):
         runs += int((bits[1:] != bits[:-1]).any(axis=1).sum()) + bool(len(rows))
     intersect, hit_rows = viewgen.intersect_ray_plane, []
 
-    def spy(origins, directions, plane):
+    def spy(origins, directions):
         hit_rows.append(len(origins))
-        return intersect(origins, directions, plane)
+        return intersect(origins, directions)
 
     with mock.patch.object(viewgen, "intersect_ray_plane", spy):
         batch = pointing_errors(modes, targets, ests, true, display, plane, back_cam=back)
