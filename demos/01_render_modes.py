@@ -10,13 +10,13 @@ Run: python3 demos/01_render_modes.py
 
 import numpy as np
 
-from uprsim import DisplayModel, RigidTransform, ScenePlane, back_camera
+from uprsim import ExperimentConfig
 from uprsim.viewgen import RenderMode, pointing_errors
 
-display = DisplayModel(109.0, 61.0, 1080, 608,
-                       RigidTransform(np.eye(3), [0.0, 0.0, 300.0]))
-plane = ScenePlane((506.0, 287.0))
-cam = back_camera()  # corner-mounted, looking at the screen
+# The simulator's rig: a 109 x 61 mm panel 300 mm above a 506 x 287 mm
+# screen, and its corner-mounted back camera.
+config = ExperimentConfig()
+display, plane, cam = config.display(), config.plane(), config.back_cam()
 target = plane.from_plane_2d([[100.0, 50.0]])
 
 # One row per head offset: the user's eye, 150 mm from the display.
@@ -31,7 +31,7 @@ calibration_eyes = np.tile([0.0, 0.0, 150.0], (len(laterals), 1))
 # One pass evaluates every mode: (mode, head offset, target) errors.
 modes = [RenderMode.DPR, RenderMode.UPR, RenderMode.FUPR]
 errs = pointing_errors(modes, target, [None, true_eyes, calibration_eyes], true_eyes,
-                       display, plane, back_cam=cam)[:, :, 0]
+                       display, plane, back_cam=cam, fit=config.fit_policy())[:, :, 0]
 
 print(f"{'head offset':>12} {'DPR':>8} {'UPR':>8} {'FUPR':>8}   (pointing error, mm)")
 for row in zip(laterals, *errs):

@@ -25,7 +25,9 @@ field's bound on the field (within, positive, nonnegative) and call
 check_fields in __post_init__, which also requires every float to be finite.
 Vectors must be finite too. Each subclasses Value (frozen), or Record (the
 mutable FlowSimulator): dataclass reads their fields, and their methods are
-Record's and Value's, written once, so importing uprsim generates none.
+Record's and Value's, written once, so importing uprsim generates none. A run's
+values are its config's: no field or camera factory parameter has a default
+but ExperimentConfig's, scheduler.ThresholdConfig's, TraceSpec's and EyeState's.
 """
 
 from __future__ import annotations
@@ -177,10 +179,6 @@ class RigidTransform(Value):
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points) -> np.ndarray:
         """Apply to (..., 3) points: coordinate i of the result is
         r[i][0]*x + r[i][1]*y + r[i][2]*z + t[i], summed left to right.
@@ -210,7 +208,7 @@ class DisplayModel(Value):
     height_mm: float = positive()
     width_px: int = positive()
     height_px: int = positive()
-    pose_world: RigidTransform = field(default_factory=RigidTransform.identity)
+    pose_world: RigidTransform
 
     def __post_init__(self):
         check_fields(self, GeometryError)
@@ -246,7 +244,7 @@ class PinholeCamera(Value):
     cy: float
     width_px: int = positive()
     height_px: int = positive()
-    extrinsic: RigidTransform = field(default_factory=RigidTransform.identity)
+    extrinsic: RigidTransform
 
     def __post_init__(self):
         check_fields(self, GeometryError)
@@ -258,8 +256,7 @@ class PinholeCamera(Value):
         return ((0.0 <= p) & (p <= (self.width_px, self.height_px))).all(axis=-1)
 
 
-def front_camera(fx: float = 300.0, fy: float = 300.0,
-                 width_px: int = 640, height_px: int = 480) -> PinholeCamera:
+def front_camera(fx: float, fy: float, width_px: int, height_px: int) -> PinholeCamera:
     """Front camera at the display center looking toward the user.
 
     Camera z is the display +z axis; the 180-degree turn about z keeps the
@@ -271,12 +268,11 @@ def front_camera(fx: float = 300.0, fy: float = 300.0,
                          extrinsic=RigidTransform(r, np.zeros(3)))
 
 
-def back_camera(offset_mm=(45.0, -25.0, -8.0), fx: float = 400.0, fy: float = 400.0,
-                width_px: int = 640, height_px: int = 480) -> PinholeCamera:
+def back_camera(offset_mm, fx: float, fy: float, width_px: int, height_px: int) -> PinholeCamera:
     """Back camera looking away from the user (camera z = display -z).
 
-    offset_mm is the optical center in the display frame; the default places
-    it in a corner on the back of the device.
+    offset_mm is the optical center in the display frame; the simulator's
+    places it in a corner on the back of the device.
     """
     r = np.diag([1.0, -1.0, -1.0])  # 180-degree turn about display x
     c = _as_vec3(offset_mm, "offset_mm")

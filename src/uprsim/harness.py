@@ -36,7 +36,7 @@ TIMING ACCOUNTING
 =================
 Per front-camera frame and mode:
 
-    frame_time_ms = render_base_ms + charges arriving this frame
+    frame_time_ms = cost_render_base_ms + charges arriving this frame
 
 where the charges are flow_ms for every AAUPR frame plus a face-tracking
 cost for every invocation. A request made at frame k arrives at frame
@@ -277,9 +277,8 @@ class ExperimentConfig(Value):
                        self.threshold_eps_min_px, sched.EyeMetric(self.threshold_metric))
 
     def cost_model(self) -> CostModel:
-        return CostModel(face_track_ms={"320x240": self.cost_face_track_320x240_ms,
-                                        "640x480": self.cost_face_track_640x480_ms},
-                         flow_ms=self.cost_flow_ms, render_base_ms=self.cost_render_base_ms)
+        return CostModel({"320x240": self.cost_face_track_320x240_ms,
+                          "640x480": self.cost_face_track_640x480_ms}, self.cost_flow_ms)
 
     def target_points(self, plane: ScenePlane | None = None) -> np.ndarray:
         """The (T, 2) plane-frame targets, each within the bounds of plane
@@ -440,10 +439,10 @@ def _run_mode(mode, config, scene, tcfg) -> dict[str, np.ndarray]:
         return cols  # no sensing, no charges
 
     idx = list(RenderMode).index(mode)  # each mode draws from its own streams
-    sigma = config.noise_jitter_sigma_mm
-    # Request k's jitter, in one draw equal to n sequential size-3 draws.
-    offsets = (np.random.default_rng([config.seed, idx, 1]).normal(0.0, sigma, size=(n, 3))
-               if sigma > 0 else np.zeros((n, 3)))
+    # Request k's jitter, in one draw equal to n sequential size-3 draws; +0.0
+    # at sigma 0. abs: the key's domain admits -0.0, which normal rejects.
+    offsets = np.random.default_rng([config.seed, idx, 1]).normal(
+        0.0, abs(config.noise_jitter_sigma_mm), size=(n, 3))
     charge = cols["tracking_charge_ms"]
     if mode is RenderMode.UPR:
         requests = np.arange(n)

@@ -86,14 +86,12 @@ def epsilon_default(width_px: int, height_px: int) -> float:
     return 0.03 * abs(complex(width_px, height_px))
 
 
-def eye_distance_px(a, b, metric: EyeMetric = _MAX) -> float:
+def eye_distance_px(a, b, metric: EyeMetric) -> float:
     """Reduce per-eye pixel displacements between two eye pairs, each a
-    4-tuple (left u, v, right u, v), to a scalar.
-
-    Default is the maximum over the two eyes (conservative: triggers on
-    either eye moving). Each distance is sqrt(dx*dx + dy*dy) on Python
-    floats: np.linalg.norm's operations in its order, so the two agree bit
-    for bit at a fraction of the cost."""
+    4-tuple (left u, v, right u, v), to a scalar by metric: MAX, which
+    triggers on either eye moving, or MEAN. Each distance is
+    sqrt(dx*dx + dy*dy) on Python floats: np.linalg.norm's operations in its
+    order, so the two agree bit for bit at a fraction of the cost."""
     dx0, dy0, dx1, dy1 = a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]
     d0, d1 = sqrt(dx0 * dx0 + dy0 * dy0), sqrt(dx1 * dx1 + dy1 * dy1)
     return max(d0, d1) if metric is _MAX else (d0 + d1) / 2

@@ -8,12 +8,13 @@ floats, or None for a failure.
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
+FlowSimulator and CostModel take every value, the stream included, from
+their caller (a run, its config's); only TraceSpec has defaults.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import field
 from itertools import islice
 from math import isfinite, nan, pi
 
@@ -274,10 +275,10 @@ class FlowSimulator(Record):
     """
 
     front_cam: PinholeCamera
-    noise_sigma_px: float = nonnegative(0.0)
-    drift_px_per_frame: float = nonnegative(0.0)
-    p_fail: float = within("in [0, 1]", lambda v: 0 <= v <= 1, 0.0)
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+    noise_sigma_px: float = nonnegative()
+    drift_px_per_frame: float = nonnegative()
+    p_fail: float = within("in [0, 1]", lambda v: 0 <= v <= 1)
+    rng: np.random.Generator
 
     def __post_init__(self):
         check_fields(self)
@@ -344,10 +345,8 @@ class CostModel(Value):
     face_track_ms is keyed by front-camera resolution tier ("WxH").
     """
 
-    face_track_ms: dict[str, float] = field(
-        default_factory=lambda: {"320x240": 14.080, "640x480": 30.094})
-    flow_ms: float = nonnegative(0.5)
-    render_base_ms: float = nonnegative(20.733)
+    face_track_ms: dict[str, float]
+    flow_ms: float = nonnegative()
 
     def __post_init__(self):
         check_fields(self)

@@ -51,7 +51,7 @@ class FitPolicy(enum.Enum):
 
 
 def cam_px_to_display_px(cam_px, display: DisplayModel, cam: PinholeCamera,
-                         fit: FitPolicy = FitPolicy.STRETCH) -> np.ndarray:
+                         fit: FitPolicy) -> np.ndarray:
     p = np.asarray(cam_px, dtype=float)
     if fit is FitPolicy.STRETCH:
         return p / [cam.width_px / display.width_px, cam.height_px / display.height_px]
@@ -74,8 +74,7 @@ def perceived_points(eyes_world, display_px, display: DisplayModel,
 
 def pointing_errors(modes, targets_world, estimated_eyes_mm, true_eyes_mm,
                     display: DisplayModel, plane: ScenePlane,
-                    back_cam: PinholeCamera | None = None,
-                    fit: FitPolicy = FitPolicy.STRETCH) -> np.ndarray:
+                    back_cam: PinholeCamera | None = None, *, fit: FitPolicy) -> np.ndarray:
     """On-plane distances (mm) between targets and where a user perceives
     them drawn, over modes x frames x targets in one pass.
 
@@ -123,14 +122,13 @@ def pointing_errors(modes, targets_world, estimated_eyes_mm, true_eyes_mm,
 
 def pointing_error(mode: RenderMode, target_world, estimated_eye: EyeState | None,
                    true_eye: EyeState, display: DisplayModel, plane: ScenePlane,
-                   back_cam: PinholeCamera | None = None,
-                   fit: FitPolicy = FitPolicy.STRETCH) -> float:
+                   back_cam: PinholeCamera | None = None, *, fit: FitPolicy) -> float:
     """pointing_errors for one mode, one target and one frame's eyes. Raises
     GeometryError where that cell is NaN, and ValueError when the mode's
     eye estimate or back camera is missing."""
     est = None if estimated_eye is None else [estimated_eye.cyclopean_mm]
     err = pointing_errors([mode], [target_world], [est], [true_eye.cyclopean_mm],
-                          display, plane, back_cam, fit)[0, 0, 0]
+                          display, plane, back_cam, fit=fit)[0, 0, 0]
     if np.isnan(err):
         raise GeometryError("drawn target or perceived ray misses the scene plane")
     return float(err)

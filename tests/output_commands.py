@@ -17,6 +17,8 @@ CONFIGS = {
                     "errors_dwell_only = false\nthreshold_policy = decaying\n"),
     "sway.cfg": ("modes = UPR,AAUPR\ntrace_generator = sway\ntrace_n_frames = 3000\n"
                  "trace_amplitude_mm = 120\n"),
+    # Zero jitter, so every jitter draw is +0.0; every result arrives after
+    # the trace ends.
     "late.cfg": ("modes = UPR,AAUPR\ntrace_generator = stationary\ntrace_n_frames = 4\n"
                  "trace_base_eye_z_mm = 250\nnoise_latency_frames = 5\n"
                  "noise_jitter_sigma_mm = 0\n"),

@@ -240,7 +240,7 @@ def test_criterion_10_monotonicity():
     eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
     target = [30.0, 10.0, 0.0]
     errs = [pointing_error(RenderMode.DPR, target, None, eye, display, plane,
-                           back_cam=back_camera(offset_mm=(off, 0.0, 0.0)))
+                           back_cam=back_camera((off, 0.0, 0.0), 400.0, 400.0, 640, 480))
             for off in np.arange(0.0, 101.0, 10.0)]
     assert all(b >= a - 1e-9 for a, b in zip(errs, errs[1:]))
 

@@ -20,7 +20,9 @@ from uprsim.geometry import (
     PinholeCamera,
     RigidTransform,
     ScenePlane,
+    Value,
     back_camera,
+    check_fields,
     front_camera,
     intersect_ray_plane,
     project_pinhole,
@@ -28,13 +30,15 @@ from uprsim.geometry import (
 from uprsim.harness import ExperimentConfig
 from uprsim.scheduler import ThresholdConfig
 from uprsim.tracksim import (
-    CostModel,
     FlowSimulator,
     Generator,
     HeadTrace,
     TraceSpec,
     eye_points,
 )
+
+
+IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
 
 
 def random_transform(rng) -> RigidTransform:
@@ -56,7 +60,7 @@ def test_compose_inverse_is_identity():
 @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (2,), (4,), ()])
 def test_apply_rejects_a_last_axis_other_than_3(shape):
     with pytest.raises(ValueError, match="last axis of 3"):
-        RigidTransform.identity().apply(np.zeros(shape))
+        IDENTITY.apply(np.zeros(shape))
 
 
 def test_rotation_stays_orthonormal():
@@ -96,7 +100,7 @@ def test_from_quaternion_matches_axis_rotations():
 # ---- Display model -----------------------------------------------------
 
 def test_display_px_mm_round_trip():
-    d = DisplayModel(109.0, 61.0, 1080, 608)
+    d = DisplayModel(109.0, 61.0, 1080, 608, IDENTITY)
     px = np.array([123.0, 456.0])
     assert np.allclose(d.mm_to_px(d.px_to_mm(px)), px, atol=1e-9)
     # Convention: top-left pixel is (-w/2, +h/2) physically.
@@ -106,9 +110,9 @@ def test_display_px_mm_round_trip():
 
 def test_display_rejects_nonpositive():
     with pytest.raises(GeometryError):
-        DisplayModel(0.0, 61.0, 1080, 608)
+        DisplayModel(0.0, 61.0, 1080, 608, IDENTITY)
     with pytest.raises(GeometryError):
-        DisplayModel(109.0, 61.0, 1080, -1)
+        DisplayModel(109.0, 61.0, 1080, -1, IDENTITY)
 
 
 # ---- EyeState ----------------------------------------------------------
@@ -140,7 +144,7 @@ def test_eye_state_invariants():
 
 def cam() -> PinholeCamera:
     return PinholeCamera(fx=500.0, fy=480.0, cx=320.0, cy=240.0,
-                         width_px=640, height_px=480)
+                         width_px=640, height_px=480, extrinsic=IDENTITY)
 
 
 def test_principal_point():
@@ -315,7 +319,7 @@ def test_plane_rejects_nonfinite_bounds():
 VECTORS = {
     "translation": lambda v: RigidTransform(np.eye(3), [0.0, v, 0.0]),
     "origin": lambda v: raycast.Ray([v, 0.0, 0.0], [0.0, 0.0, 1.0]),
-    "offset_mm": lambda v: back_camera(offset_mm=(0.0, 0.0, v)),
+    "offset_mm": lambda v: back_camera((0.0, 0.0, v), 400.0, 400.0, 640, 480),
 }
 
 
@@ -328,13 +332,13 @@ def test_vectors_reject_nonfinite(name, bad):
 
 #: One valid instance of every value object with float fields.
 VALUE_OBJECTS = [
-    DisplayModel(109.0, 61.0, 1080, 608),
-    PinholeCamera(fx=500.0, fy=480.0, cx=320.0, cy=240.0, width_px=640, height_px=480),
+    DisplayModel(109.0, 61.0, 1080, 608, IDENTITY),
+    cam(),
     EyeState.from_cyclopean([0.0, 0.0, 150.0]),
     ThresholdConfig(24.0),
-    CostModel(),
+    ExperimentConfig().cost_model(),
     TraceSpec(Generator.SWAY),
-    FlowSimulator(front_camera()),
+    FlowSimulator(ExperimentConfig().front_cam(), 0.0, 0.0, 0.0, np.random.default_rng(0)),
 ]
 
 
@@ -347,12 +351,25 @@ def test_value_objects_reject_nonfinite(obj, name, bad):
         replace(obj, **{name: bad})
 
 
+class Boxed(Value):
+    """A test-local value object with a default and a default_factory, which
+    no field in src has: Record's handling of both stays checked."""
+
+    width_mm: float
+    scale: float = 1.0
+    tags: list = field(default_factory=list)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 #: One valid instance of every value object, VALUE_OBJECTS and the rest.
 ALL_VALUE_OBJECTS = VALUE_OBJECTS + [
-    RigidTransform.identity(),
+    IDENTITY,
     ScenePlane((400.0, 300.0)),
     HeadTrace([0.0, 50.0], [[0.0, 0.0, 300.0], [1.0, 0.0, 300.0]], [63.0, 63.0]),
     ExperimentConfig(),
+    Boxed(2.0),
 ]
 
 
@@ -405,8 +422,9 @@ def test_value_objects_act_as_their_dataclass_twins(obj):
     ((109.0, 61.0), {"width_px": 1080}, "missing .*argument: 'height_px'"),
     ((109.0, 61.0, 1080, 608), {"pose": None}, "got an unexpected keyword argument 'pose'"),
     ((109.0, 61.0, 1080, 608), {"width_mm": 1.0}, "got multiple values for argument 'width_mm'"),
-    ((109.0, 61.0, 1080, 608, RigidTransform.identity(), 1), {},
+    ((109.0, 61.0, 1080, 608, IDENTITY, 1), {},
      "takes .*6 positional arguments but 7 were given"),
+    ((109.0, 61.0, 1080, 608), {}, "missing .*argument: 'pose_world'"),
 ])
 def test_value_object_constructor_names_a_bad_argument(args, kwargs, message):
     # The messages of the __init__ that dataclass generates, in the parts that name.
@@ -417,9 +435,11 @@ def test_value_object_constructor_names_a_bad_argument(args, kwargs, message):
 def test_value_objects_bind_arguments_as_dataclass_does():
     """Positional then keyword arguments in field order; defaults filled,
     a default_factory called once per object."""
-    a = DisplayModel(109.0, 61.0, height_px=608, width_px=1080)
-    b = DisplayModel(109.0, 61.0, 1080, 608)
-    assert repr(a) == repr(b) and a.pose_world is not b.pose_world
+    a = DisplayModel(109.0, 61.0, height_px=608, pose_world=IDENTITY, width_px=1080)
+    assert a == DisplayModel(109.0, 61.0, 1080, 608, IDENTITY)
+    b, c = Boxed(2.0), Boxed(width_mm=2.0, scale=1.0)
+    assert repr(b) == repr(c) == "Boxed(width_mm=2.0, scale=1.0, tags=[])"
+    assert b.tags is not c.tags
     assert ThresholdConfig(24.0) == ThresholdConfig(eps_max_px=24.0, decay_rate=0.98)
 
 
@@ -445,13 +465,13 @@ def test_importing_uprsim_generates_no_dataclass_methods():
 # ---- Camera factories --------------------------------------------------
 
 def test_front_camera_sees_user():
-    c = front_camera()
+    c = front_camera(300.0, 300.0, 640, 480)
     eye = np.array([0.0, 0.0, 200.0])
     assert np.allclose(project_pinhole(c, c.extrinsic.apply(eye)), [320.0, 240.0])
 
 
 def test_back_camera_sees_scene():
-    c = back_camera(offset_mm=(0.0, 0.0, 0.0))
+    c = back_camera((0.0, 0.0, 0.0), 400.0, 400.0, 640, 480)
     # A point behind the device (display -z) is in front of the back camera.
     p = c.extrinsic.apply([0.0, 0.0, -300.0])
     assert p[2] > 0

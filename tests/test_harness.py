@@ -133,7 +133,6 @@ def test_frame_time_accounting(tmp_path):
     res = run(cfg)
     assert res.config is cfg  # write_outputs reads the render base time from it
     write_outputs(res, tmp_path)
-    cm = cfg.cost_model()
     for mode, rec in res.records.items():
         rows = frame_rows(tmp_path, mode)
         cumulative = 0.0
@@ -141,7 +140,7 @@ def test_frame_time_accounting(tmp_path):
             assert float(row["tracking_charge_ms"]) == charge
             cumulative += charge
             assert float(row["cumulative_tracking_ms"]) == pytest.approx(cumulative)
-            assert float(row["frame_time_ms"]) == pytest.approx(cm.render_base_ms + charge)
+            assert float(row["frame_time_ms"]) == pytest.approx(cfg.cost_render_base_ms + charge)
         s = res.summaries[mode]
         assert s.total_tracking_ms == float(rows[-1]["cumulative_tracking_ms"])
         assert s.mean_frame_time_ms == np.mean([float(row["frame_time_ms"]) for row in rows])
@@ -328,7 +327,7 @@ def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
     k = int(np.flatnonzero(rec.reason == "spatial")[0])
     # No earlier request is still in flight at k+1 or k+2.
     assert rec.reason[k - 2:k].tolist() == ["", ""]  # two skips
-    front = cfg.front_cam()
+    front, metric = cfg.front_cam(), sched.EyeMetric(cfg.threshold_metric)
 
     def eye_px(eye_mm):
         px = project_pinhole(front, front.extrinsic.apply(eye_points(eye_mm, cfg.ipd_mm)))
@@ -336,8 +335,9 @@ def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
 
     flow = eye_px(true_eye[k + 1])
     assert rec.e_px[k + 1] == pytest.approx(
-        sched.eye_distance_px(eye_px(true_eye[k]), flow), abs=1e-9)
-    assert abs(rec.e_px[k + 1] - sched.eye_distance_px(eye_px(rec.est_eye_mm[k + 1]), flow)) > 1.0
+        sched.eye_distance_px(eye_px(true_eye[k]), flow, metric), abs=1e-9)
+    assert abs(rec.e_px[k + 1]
+               - sched.eye_distance_px(eye_px(rec.est_eye_mm[k + 1]), flow, metric)) > 1.0
     assert np.array_equal(rec.est_eye_mm[k + 1], rec.est_eye_mm[k])
     assert np.allclose(rec.est_eye_mm[k + 2], true_eye[k], rtol=0, atol=1e-12)
     assert not np.allclose(rec.est_eye_mm[k + 1], rec.est_eye_mm[k + 2])

@@ -6,7 +6,11 @@ code only tests call does not stay in src/. Package __init__ files are
 exempt from both: their imports are the public re-exports. One function in
 src/uprsim opens files for writing, so one place decides what a CSV cell
 looks like. Every value object with a number field checks its declared
-domains through geometry.check_fields. The scheduler imports no numpy, so
+domains through geometry.check_fields. Each of a run's values has one
+source, its config: no src value object but ExperimentConfig,
+ThresholdConfig, TraceSpec and EyeState declares a field default or
+default_factory, and the camera factories' parameters and the fit and metric
+parameters have no default. The scheduler imports no numpy, so
 AAUPR's per-frame decisions stay on Python floats. perfbench's span targets
 still name the program's attributes. No test handler of Exception or
 BaseException skips re-raising, so a call that breaks fails its test rather
@@ -18,6 +22,7 @@ recorded under.
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -186,6 +191,41 @@ def test_value_objects_check_fields():
                        for name, obj in vars(module).items() if isinstance(obj, type)
                        and dataclasses.is_dataclass(obj)}
     assert [name for source in sources for name in unchecked_dataclasses(source)] == []
+
+
+#: The value objects whose fields keep defaults. ExperimentConfig's are a
+#: run's values. `uprsim truthtable` and demo 02 build a ThresholdConfig from
+#: eps_max_px alone; perfbench's trace_sweep input takes TraceSpec's frame
+#: rate and ipd; perfbench's checks build EyeStates with from_cyclopean.
+DEFAULTED = {"ExperimentConfig", "ThresholdConfig", "TraceSpec", "EyeState"}
+
+#: Parameters that a run fills from its config, by function; None is every
+#: parameter. pointing_errors' back_cam keeps its None: a run without DPR
+#: needs no back camera, and None is no config value.
+CONFIG_PARAMETERS = {
+    geometry.front_camera: None,
+    geometry.back_camera: None,
+    viewgen.cam_px_to_display_px: ["fit"],
+    viewgen.pointing_errors: ["fit"],
+    viewgen.pointing_error: ["fit"],
+    scheduler.eye_distance_px: ["metric"],
+}
+
+
+def test_a_run_value_has_one_source():
+    value_objects = {name: obj for module in (geometry, harness, scheduler, tracksim, viewgen)
+                     for name, obj in vars(module).items()
+                     if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert DEFAULTED <= value_objects.keys()
+    defaulted = [f"{name}.{f.name}" for name, cls in sorted(value_objects.items())
+                 if name not in DEFAULTED for f in dataclasses.fields(cls)
+                 if (f.default, f.default_factory) != (dataclasses.MISSING,) * 2]
+    assert defaulted == []
+    for fn, names in CONFIG_PARAMETERS.items():
+        params = inspect.signature(fn).parameters
+        assert names is None or set(names) <= params.keys()
+        assert [name for name in names or params
+                if params[name].default is not inspect.Parameter.empty] == [], fn.__name__
 
 
 def imported_modules(source: str) -> set[str]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uprsim.geometry import PinholeCamera
+from uprsim.geometry import PinholeCamera, RigidTransform
 from uprsim.scheduler import (
     FLOW_FAILURE,
     EyeMetric,
@@ -75,7 +75,8 @@ def test_epsilon_default_is_numpy_hypot_bit_for_bit():
 
 def test_invalid_camera_rejected_upstream():
     with pytest.raises(ValueError):
-        PinholeCamera(fx=500, fy=500, cx=500, cy=0, width_px=1000, height_px=0)
+        PinholeCamera(fx=500, fy=500, cx=500, cy=0, width_px=1000, height_px=0,
+                      extrinsic=RigidTransform(np.eye(3), np.zeros(3)))
 
 
 # ---- the five truth-table cases ----------------------------------------

@@ -261,6 +261,16 @@ def test_trace_csv_rejects_bad_row(tmp_path, line, old, new, message):
 
 # ---- flow simulator ----------------------------------------------------
 
+#: The simulator's front camera (ExperimentConfig's front_cam_* keys).
+FRONT_CAM = front_camera(250.0, 250.0, 640, 480)
+
+
+def exact_flow(cam) -> FlowSimulator:
+    """A flow simulator with no noise, drift or failure: each measurement is
+    the exact projection."""
+    return FlowSimulator(cam, 0.0, 0.0, 0.0, np.random.default_rng(0))
+
+
 def eye_at(pos) -> np.ndarray:
     """(2, 3) eye points, rows left, right."""
     return eye_points(pos, 63.0)
@@ -405,7 +415,7 @@ def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_
     cams += [PinholeCamera(fx, fy, cx, cy, width, height, RigidTransform(r, [zero] * 3))
              for r in AXIS_ROTATIONS for zero in (0.0, -0.0)]
     for cam in cams:
-        sim = FlowSimulator(cam)
+        sim = exact_flow(cam)
         expected = project_eyes(cam, est)[0].view(np.uint64)
         for frame in (est, est.tolist()):
             got = np.array(sim.project_frame(frame))
@@ -423,8 +433,8 @@ def test_project_frame_calls_no_apply(monkeypatch):
         return apply(self, points)
 
     monkeypatch.setattr(RigidTransform, "apply", counting_apply)
-    sim = FlowSimulator(PinholeCamera(250.0, 250.0, 320.0, 240.0, 640, 480,
-                                      rotation_y(0.3, (5.0, -3.0, 1.0))))
+    sim = exact_flow(PinholeCamera(250.0, 250.0, 320.0, 240.0, 640, 480,
+                                   rotation_y(0.3, (5.0, -3.0, 1.0))))
     eyes = eye_points([10.0, -5.0, 250.0], 63.0)
     px = sim.project_frame(eyes.tolist())
     assert calls == []
@@ -439,8 +449,8 @@ def measure_frame(sim, eye):
 
 
 def test_noise_free_flow_is_exact_projection():
-    cam = front_camera()
-    sim = FlowSimulator(cam)
+    cam = FRONT_CAM
+    sim = exact_flow(cam)
     eye = eye_at([10.0, -5.0, 250.0])
     m = measure_frame(sim, eye)
     expected = project_pinhole(cam, cam.extrinsic.apply(eye))
@@ -449,14 +459,12 @@ def test_noise_free_flow_is_exact_projection():
 
 
 def test_flow_fails_when_eye_leaves_view():
-    cam = front_camera()
-    sim = FlowSimulator(cam)
+    sim = exact_flow(FRONT_CAM)
     assert measure_frame(sim, eye_at([5000.0, 0.0, 100.0])) is None
 
 
 def test_flow_noise_sigma_statistical():
-    cam = front_camera()
-    sim = FlowSimulator(cam, noise_sigma_px=2.0, rng=np.random.default_rng(5))
+    sim = FlowSimulator(FRONT_CAM, 2.0, 0.0, 0.0, np.random.default_rng(5))
     eye = eye_at([0.0, 0.0, 300.0])
     samples = np.array([measure_frame(sim, eye) for _ in range(10_000)])
     resid = samples - samples.mean(axis=0)
@@ -465,8 +473,8 @@ def test_flow_noise_sigma_statistical():
 
 
 def test_flow_drift_accumulates_and_resets():
-    cam = front_camera()
-    sim = FlowSimulator(cam, drift_px_per_frame=0.1, rng=np.random.default_rng(7))
+    cam = FRONT_CAM
+    sim = FlowSimulator(cam, 0.0, 0.1, 0.0, np.random.default_rng(7))
     eye = eye_at([0.0, 0.0, 300.0])
     exact = project_pinhole(cam, cam.extrinsic.apply(eye))
     for i in range(1, 30):
@@ -479,8 +487,7 @@ def test_flow_drift_accumulates_and_resets():
 
 
 def test_flow_failure_probability():
-    cam = front_camera()
-    sim = FlowSimulator(cam, p_fail=0.5, rng=np.random.default_rng(9))
+    sim = FlowSimulator(FRONT_CAM, 0.0, 0.0, 0.5, np.random.default_rng(9))
     eye = eye_at([0.0, 0.0, 300.0])
     fails = sum(measure_frame(sim, eye) is None for _ in range(2000))
     assert 900 < fails < 1100
@@ -531,7 +538,7 @@ def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
     # drift resets, for any sigma: subnormal (noise that underflows to a
     # signed zero, which 0.0 + sigma * z makes +0.0, as numpy's normal does)
     # to ~1e300.
-    sim = FlowSimulator(front_camera(), sigma, drift, p_fail, np.random.default_rng(seed))
+    sim = FlowSimulator(FRONT_CAM, sigma, drift, p_fail, np.random.default_rng(seed))
     oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng(seed))
     for op in ops:
         if op == "reset":
@@ -561,7 +568,7 @@ def test_measurements_bit_equal_measure_and_numpy_formulation(sigma, drift, p_fa
     # formulation's values and draws, in their order, for a random
     # visible/invisible trace, with a reset_drift after some frames, made
     # between two frames' reads, as AAUPR's recompute makes it.
-    sim, one = (FlowSimulator(front_camera(), sigma, drift, p_fail, np.random.default_rng(seed))
+    sim, one = (FlowSimulator(FRONT_CAM, sigma, drift, p_fail, np.random.default_rng(seed))
                 for _ in range(2))
     oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng(seed))
     stream = sim.measurements([px for (px, _), _ in frames], [v for (_, v), _ in frames])
@@ -586,7 +593,7 @@ def test_measurements_bit_equal_measure_and_numpy_formulation(sigma, drift, p_fa
 def test_reset_drift_bit_equals_uniform_draw(seed, n_resets):
     # reset_drift's 2 pi * random() gives the direction and the stream
     # position of rng.uniform(0.0, 2 pi).
-    sim = FlowSimulator(front_camera(), rng=np.random.default_rng(seed))
+    sim = FlowSimulator(FRONT_CAM, 0.0, 0.0, 0.0, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     for k in range(n_resets):
         if k:
@@ -615,6 +622,18 @@ def test_face_tracker_exact_without_jitter():
     assert np.array_equal(rec.est_eye_mm, np.tile(eye, (50, 1)))
 
 
+def test_face_tracker_zero_jitter_draws_positive_zeros():
+    # Every sigma takes one draw on the mode's jitter stream. At 0.0, and at
+    # -0.0, which the key's domain admits, each offset is +0.0, so an eye
+    # coordinate of -0.0 renders as +0.0.
+    for sigma in (0.0, -0.0):
+        rec = run(benchmark_config(modes="UPR", trace_generator="stationary", trace_n_frames=3,
+                                   trace_base_eye_x_mm=-0.0, trace_base_eye_z_mm=200.0,
+                                   noise_jitter_sigma_mm=sigma)).records["UPR"]
+        expected = np.tile([0.0, 0.0, 200.0], (3, 1))
+        assert rec.est_eye_mm.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
 def test_face_tracker_cost_accumulation():
     # Each request is billed its resolution tier's face cost, and the run's
     # tracking total accumulates them.
@@ -630,7 +649,7 @@ def test_face_tracker_jitter_statistical():
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 500])
-@pytest.mark.parametrize("sigma", [1e-3, 5.0, 40.0])
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, 5.0, 40.0])
 def test_face_tracker_offsets_bit_equal_sequential_draws(n, sigma):
     # With one frame of latency, frame k + 1 renders request k's result:
     # the true eye plus the k-th of n sequential size-3 draws on UPR's
@@ -644,7 +663,7 @@ def test_face_tracker_offsets_bit_equal_sequential_draws(n, sigma):
 # ---- cost model --------------------------------------------------------
 
 def test_cost_model_defaults_ordered():
-    cm = CostModel()
+    cm = benchmark_config().cost_model()
     assert cm.face_cost("640x480") > cm.face_cost("320x240")
     with pytest.raises(ValueError):
         cm.face_cost("1280x720")
@@ -652,4 +671,4 @@ def test_cost_model_defaults_ordered():
 
 def test_cost_model_rejects_negative():
     with pytest.raises(ValueError):
-        CostModel(flow_ms=-1.0)
+        CostModel({"640x480": 30.094}, flow_ms=-1.0)

@@ -52,6 +52,13 @@ def flat_display(z_world=300.0) -> DisplayModel:
 
 
 PLANE = ScenePlane((2000.0, 2000.0))
+STRETCH = FitPolicy.STRETCH
+
+
+def offset_back_camera(offset_mm) -> PinholeCamera:
+    """The simulator's back camera (ExperimentConfig's back_cam_* intrinsics)
+    with its optical center at offset_mm."""
+    return back_camera(offset_mm, 400.0, 400.0, 640, 480)
 
 
 def raycast_plane_point(eye_state, display, plane, display_px):
@@ -122,7 +129,8 @@ def test_upr_homography_matches_independent_camera():
     eye = display.pose_world.apply([0.0, 0.0, ez])
     h = upr_homography(EyeState.from_cyclopean([0.0, 0.0, ez]), display, plane)
     cam = PinholeCamera(fx=ez * 1080 / 109.0, fy=ez * 608 / 61.0,
-                        cx=540.0, cy=304.0, width_px=1080, height_px=608)
+                        cx=540.0, cy=304.0, width_px=1080, height_px=608,
+                        extrinsic=RigidTransform(np.eye(3), np.zeros(3)))
     rng = np.random.default_rng(3)
     for _ in range(25):
         px = rng.uniform([0, 0], [1080, 608])
@@ -199,7 +207,7 @@ def test_dpr_equals_upr_at_coincident_viewpoint():
 def test_dpr_corner_camera_differs_from_upr():
     display = flat_display()
     plane = PLANE
-    cam = back_camera(offset_mm=(50.0, -30.0, 0.0))
+    cam = offset_back_camera((50.0, -30.0, 0.0))
     eye = EyeState.from_cyclopean([0.0, 0.0, 300.0])
     target = plane.from_plane_2d([0.0, 0.0])
     p_dpr = render_target_px(RenderMode.DPR, target, None, display, back_cam=cam)
@@ -211,9 +219,10 @@ def test_dpr_corner_camera_differs_from_upr():
 def test_fit_policies():
     # 4:3 camera on a 16:9 display: letterbox keeps local scale isotropic,
     # stretch does not.
-    display = DisplayModel(160.0, 90.0, 1600, 900)
+    identity = RigidTransform(np.eye(3), np.zeros(3))
+    display = DisplayModel(160.0, 90.0, 1600, 900, identity)
     cam = PinholeCamera(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
-                        width_px=640, height_px=480)
+                        width_px=640, height_px=480, extrinsic=identity)
     p = np.array([300.0, 200.0])
     for fit, isotropic in ((FitPolicy.LETTERBOX, True), (FitPolicy.STRETCH, False)):
         p0 = cam_px_to_display_px(p, display, cam, fit)
@@ -270,7 +279,7 @@ def test_upr_exact_compensation():
         eye = EyeState.from_cyclopean(
             [rng.uniform(-100, 100), rng.uniform(-60, 60), rng.uniform(150, 450)])
         target = plane.from_plane_2d(rng.uniform(-150, 150, size=2))
-        err = pointing_error(RenderMode.UPR, target, eye, eye, display, plane)
+        err = pointing_error(RenderMode.UPR, target, eye, eye, display, plane, fit=STRETCH)
         assert err < 1e-9
 
 
@@ -280,19 +289,19 @@ def test_fupr_regression_constant():
     cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
     true_eye = EyeState.from_cyclopean([100.0, 0.0, 150.0])
     err = pointing_error(RenderMode.FUPR, [0.0, 0.0, 0.0], cal_eye, true_eye,
-                         display, plane)
+                         display, plane, fit=STRETCH)
     assert abs(err - FUPR_LATERAL_100MM_ERROR_MM) < 1e-9
 
 
 def test_dpr_positive_error_with_offset_camera():
     display = flat_display()
     plane = PLANE
-    cam = back_camera(offset_mm=(50.0, -30.0, 0.0))
+    cam = offset_back_camera((50.0, -30.0, 0.0))
     eye = EyeState.from_cyclopean([0.0, 0.0, 300.0])
     err_dpr = pointing_error(RenderMode.DPR, [40.0, 20.0, 0.0], None, eye,
-                             display, plane, back_cam=cam)
+                             display, plane, back_cam=cam, fit=STRETCH)
     err_upr = pointing_error(RenderMode.UPR, [40.0, 20.0, 0.0], eye, eye,
-                             display, plane)
+                             display, plane, fit=STRETCH)
     assert err_upr < 1e-9
     assert err_dpr > err_upr
 
@@ -319,9 +328,9 @@ def test_dpr_error_monotone_in_camera_offset():
     target = [30.0, 10.0, 0.0]
     errors = []
     for off in np.arange(0.0, 101.0, 10.0):
-        cam = back_camera(offset_mm=(off, 0.0, 0.0))
+        cam = offset_back_camera((off, 0.0, 0.0))
         errors.append(pointing_error(RenderMode.DPR, target, None, eye,
-                                     display, plane, back_cam=cam))
+                                     display, plane, back_cam=cam, fit=STRETCH))
     assert all(b >= a - 1e-9 for a, b in zip(errors, errors[1:]))
 
 
@@ -334,7 +343,7 @@ def test_fupr_error_monotone_in_head_displacement():
     for dx in np.arange(0.0, 201.0, 20.0):
         true_eye = EyeState.from_cyclopean([dx, 0.0, 150.0])
         errors.append(pointing_error(RenderMode.FUPR, target, cal_eye, true_eye,
-                                     display, plane))
+                                     display, plane, fit=STRETCH))
     assert all(b >= a - 1e-9 for a, b in zip(errors, errors[1:]))
 
 
@@ -354,7 +363,7 @@ def test_pointing_error_is_one_batch_cell(mode):
                                compose(plane_frame([0.0, 0.0, 0.0], normal), pose))
         target = plane.from_plane_2d(rng.uniform(-300.0, 300.0, size=2))
         est, true = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(2, 3))
-        back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
+        back = offset_back_camera(rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
         fit = (FitPolicy.STRETCH, FitPolicy.LETTERBOX)[k % 2]
         cell = pointing_errors([mode], [target], [[est]], [true], display, plane,
                                back_cam=back, fit=fit)[0, 0, 0]
@@ -375,7 +384,7 @@ def test_pointing_error_requires_eye_estimate_and_back_camera():
     for mode, est, message in ((RenderMode.UPR, None, "UPR requires an eye estimate"),
                                (RenderMode.DPR, eye, "DPR requires a back camera")):
         with pytest.raises(ValueError, match=message) as excinfo:
-            pointing_error(mode, target, est, eye, flat_display(), PLANE)
+            pointing_error(mode, target, est, eye, flat_display(), PLANE, fit=STRETCH)
         assert excinfo.type is ValueError
 
 
@@ -397,7 +406,7 @@ def test_pointing_errors_match_scalar_any_pose():
         targets = plane.from_plane_2d(rng.uniform(-300.0, 300.0, size=(4, 2)))
         est = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(6, 3))
         true = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(6, 3))
-        back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
+        back = offset_back_camera(rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
         fit = (FitPolicy.STRETCH, FitPolicy.LETTERBOX)[k % 2]
         batch = pointing_errors(list(RenderMode), targets, [est] * 4, true, display, plane,
                                 back_cam=back, fit=fit)
@@ -434,7 +443,7 @@ def test_pointing_errors_degenerate_cells_are_nan():
         raycast.pointing_error(RenderMode.UPR, target[0], EyeState.from_cyclopean(est),
                                EyeState.from_cyclopean(true), display, plane)
     assert np.isnan(pointing_errors([RenderMode.UPR], target, [[est]], [true], display,
-                                    plane)).all()
+                                    plane, fit=STRETCH)).all()
     # Panel below the plane, so the target is 150 mm in front of it: an eye
     # level with the target never crosses the panel; an eye behind the panel
     # is rejected even though its line to the target would cross it.
@@ -443,7 +452,8 @@ def test_pointing_errors_degenerate_cells_are_nan():
     with pytest.raises(GeometryError):
         raycast.pointing_error(RenderMode.UPR, target[0], level, level, display, plane)
     errs = pointing_errors([RenderMode.UPR], target, [[[0.0, 0.0, 150.0], [0.0, 0.0, -10.0]]],
-                           [[0.0, 0.0, 150.0], [0.0, 0.0, 200.0]], display, plane)
+                           [[0.0, 0.0, 150.0], [0.0, 0.0, 200.0]], display, plane,
+                           fit=STRETCH)
     assert np.isnan(errs).all()
 
 
@@ -496,7 +506,7 @@ def test_pointing_errors_rows_equal_each_row_alone(rows, modes, seed):
                            compose(plane_frame([0.0, 0.0, -300.0], normal), pose))
     plane = ScenePlane((3000.0, 3000.0))
     targets = plane.from_plane_2d(rng.uniform(-300.0, 300.0, size=(3, 2)))
-    back = back_camera(offset_mm=rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
+    back = offset_back_camera(rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
     est, true = np.array(rows, dtype=float).reshape(len(rows), 2, 3).transpose(1, 0, 2)
     modes, ests = [mode for mode, _ in modes], [np.roll(est, k, axis=0) for _, k in modes]
     runs = 0
@@ -511,13 +521,15 @@ def test_pointing_errors_rows_equal_each_row_alone(rows, modes, seed):
         return intersect(origins, directions)
 
     with mock.patch.object(viewgen, "intersect_ray_plane", spy):
-        batch = pointing_errors(modes, targets, ests, true, display, plane, back_cam=back)
+        batch = pointing_errors(modes, targets, ests, true, display, plane, back_cam=back,
+                                fit=STRETCH)
     assert hit_rows == [runs]
     assert batch.shape == (len(modes), len(rows), 3)
     alone = [[pointing_errors([mode], targets, [e[i:i + 1]], true[i:i + 1], display, plane,
-                              back_cam=back)[0, 0] for i in range(len(rows))]
+                              back_cam=back, fit=STRETCH)[0, 0] for i in range(len(rows))]
              for mode, e in zip(modes, ests)]
     assert batch.view(np.int64).tolist() == np.reshape(alone, batch.shape).view(np.int64).tolist()
     dpr_none = [None if mode is DPR else e for mode, e in zip(modes, ests)]
-    ignored = pointing_errors(modes, targets, dpr_none, true, display, plane, back_cam=back)
+    ignored = pointing_errors(modes, targets, dpr_none, true, display, plane, back_cam=back,
+                              fit=STRETCH)
     assert ignored.view(np.int64).tolist() == batch.view(np.int64).tolist()

@@ -16,12 +16,12 @@ the same set against recorded digests): `simulate` on the default config;
 `simulate` with latency 2, letterbox fit, errors at all frames and the
 decaying policy; `simulate` on a 3000-frame sway (UPR and AAUPR);
 `simulate` of UPR and AAUPR on a 4-frame stationary trace with latency 5
-and no jitter, so no jitter is drawn, every frame renders the calibration
-eye and every charge is billed to the final frame; `simulate` with the
-back camera at a signed-zero offset, targets at (0, 0) and (-0, -0), and
-errors at all frames; `simulate` of AAUPR then FUPR with the 320x240 face
-cost, the latched policy, the mean eye metric, errors also in pixels and a
-58 mm ipd; `simulate` of AAUPR with every flow measurement failing
+and zero jitter, so every jitter draw is +0.0, every frame renders the
+calibration eye and every charge is billed to the final frame; `simulate`
+with the back camera at a signed-zero offset, targets at (0, 0) and
+(-0, -0), and errors at all frames; `simulate` of AAUPR then FUPR with the
+320x240 face cost, the latched policy, the mean eye metric, errors also in
+pixels and a 58 mm ipd; `simulate` of AAUPR with every flow measurement failing
 (noise_p_fail = 1), frame 0 included; `simulate` of AAUPR with noise-free
 flow pixels (noise_flow_sigma_px = 0); `simulate` of an 8-frame trace CSV
 with blank lines, a head that moves then rests, and errors_dwell_only =
