@@ -8,9 +8,9 @@ frame; AAUPR only when the dual-thresholding scheduler asks for it.
 Run: python3 demos/03_benchmark_run.py
 """
 
-from uprsim.harness import benchmark_config, run
+from uprsim.harness import ExperimentConfig, run
 
-result = run(benchmark_config())
+result = run(ExperimentConfig())
 
 print(f"{'mode':>6} {'mean err (mm)':>14} {'sd':>8} {'invocations':>12} "
       f"{'duty':>6} {'tracking (ms)':>14}")

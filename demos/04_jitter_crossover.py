@@ -11,9 +11,9 @@ Run: python3 demos/04_jitter_crossover.py
 import numpy as np
 from dataclasses import replace
 
-from uprsim.harness import BENCHMARK_JITTER_CROSSOVER_MM, benchmark_config, run
+from uprsim.harness import BENCHMARK_JITTER_CROSSOVER_MM, ExperimentConfig, run
 
-cfg = benchmark_config(modes="UPR,AAUPR")
+cfg = ExperimentConfig(modes="UPR,AAUPR")
 seeds = range(1, 6)
 grid = (0.0, 2.0, 5.0, 8.0, 12.0, 20.0)
 

@@ -20,7 +20,7 @@ from .geometry import (
     intersect_ray_plane,
     project_pinhole,
 )
-from .harness import ExperimentConfig, RunResult, Summary, benchmark_config, run, sweep
+from .harness import ExperimentConfig, RunResult, Summary, run, sweep
 from .scheduler import (
     Policy,
     Reason,

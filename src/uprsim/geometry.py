@@ -33,8 +33,7 @@ but ExperimentConfig's, scheduler.ThresholdConfig's, TraceSpec's and EyeState's.
 from __future__ import annotations
 
 import math
-from dataclasses import (_HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError, dataclass, field,
-                         fields)
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import partial
 from inspect import Parameter, Signature
 
@@ -79,14 +78,9 @@ class _FieldSignature:
     __init__ that dataclass generates shows, built from the fields when read."""
 
     def __get__(self, obj, cls) -> Signature:
-        def default(f):
-            if f.default is not MISSING:
-                return f.default
-            return Parameter.empty if f.default_factory is MISSING else _HAS_DEFAULT_FACTORY
-
-        return Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, default=default(f),
-                                    annotation=f.type) for f in cls.__dataclass_fields__.values()],
-                         return_annotation=None)
+        return Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                                    default=Parameter.empty if f.default is MISSING else f.default)
+                          for f in cls.__dataclass_fields__.values()], return_annotation=None)
 
 
 class Record:
@@ -100,7 +94,7 @@ class Record:
         dataclass(init=False, repr=False, eq=False)(cls)
 
     def __init__(self, *args, **kwargs):
-        """Bind args in field order, then kwargs; fill defaults; run __post_init__."""
+        """Bind args in field order, then kwargs; fill plain defaults; run __post_init__."""
         fs, name = self.__dataclass_fields__, f"{type(self).__qualname__}.__init__()"
         if len(args) > len(fs):
             raise TypeError(f"{name} takes {len(fs) + 1} positional arguments "
@@ -113,9 +107,9 @@ class Record:
         given.update(kwargs)
         for key, f in fs.items():
             if key not in given:
-                if f.default is MISSING and f.default_factory is MISSING:
+                if f.default is MISSING:
                     raise TypeError(f"{name} missing required argument: {key!r}")
-                given[key] = f.default_factory() if f.default is MISSING else f.default
+                given[key] = f.default
             # Not through self.__dict__: that gives up CPython's inline attribute
             # values, and slowed a run's attribute reads by ~30%.
             object.__setattr__(self, key, given[key])

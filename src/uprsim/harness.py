@@ -4,10 +4,11 @@ Drives a head-motion trace through the mode-specific pipelines (per-frame
 face tracking for UPR, scheduler-gated for AAUPR, none for FUPR/DPR),
 accounts time against the cost model, and evaluates pointing error against
 a target set on the scene plane. A run first builds its scene (_Scene): the
-trace, display, plane, back camera, fit policy, cost model, world targets,
-evaluation mask, and AAUPR's front camera and trace projection. A scene reads
-no SWEEP_PARAMS key except through the trace, so cells that share a trace can
-share one scene; the threshold config and every mode's draws are per run.
+trace, threshold config, display, plane, back camera, fit policy, cost model,
+world targets, evaluation mask, and AAUPR's front camera and trace projection.
+Of the SWEEP_PARAMS keys a scene reads only the trace's and the threshold's,
+so sweep cells that share a trace share one scene, each cell replacing its
+threshold config; every mode's draws are per run.
 Then a run takes three steps: each mode's sensing columns (_run_mode), one
 pointing_errors pass over every mode's evaluated frames, and each mode's
 record and summary.
@@ -257,10 +258,6 @@ class ExperimentConfig(Value):
     def plane(self) -> ScenePlane:
         return ScenePlane((self.plane_width_mm, self.plane_height_mm))
 
-    def front_cam(self) -> PinholeCamera:
-        return front_camera(self.front_cam_fx, self.front_cam_fy,
-                            self.front_cam_width_px, self.front_cam_height_px)
-
     def back_cam(self) -> PinholeCamera:
         return back_camera((self.back_cam_offset_x_mm, self.back_cam_offset_y_mm,
                             self.back_cam_offset_z_mm), self.back_cam_fx, self.back_cam_fy,
@@ -327,13 +324,6 @@ def _parse_bool(val: str) -> bool:
 _PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 
 
-def benchmark_config(**overrides) -> ExperimentConfig:
-    """The repo's benchmark large-workspace trace and default geometry:
-    two dwell positions 250 mm apart laterally and 100 mm in depth,
-    150 dwell frames each, 30 transition frames."""
-    return replace(ExperimentConfig(), **overrides)
-
-
 class ModeRecord(NamedTuple):
     """One mode's run as per-frame columns; row i is trace frame i."""
 
@@ -367,6 +357,7 @@ class _Scene(NamedTuple):
     """A run's config-derived objects (see the module doc); AAUPR's are None without it."""
 
     trace: HeadTrace
+    threshold: sched.ThresholdConfig
     display: DisplayModel
     plane: ScenePlane
     back_cam: PinholeCamera
@@ -378,15 +369,20 @@ class _Scene(NamedTuple):
     projection: tuple | None   # (F, 2, 3) eyes; their pixel rows and visibility as lists
 
 
-def _scene(config: ExperimentConfig, trace: HeadTrace) -> _Scene:
+def _scene(config: ExperimentConfig) -> _Scene:
+    # A bad config raises the trace's error first, then the threshold_* keys',
+    # then the targets'.
+    trace, threshold = config.build_trace(), config.threshold_config()
     plane, front, projection = config.plane(), None, None
     if "AAUPR" in config.modes:  # no other mode's name holds it
-        front = config.front_cam()
+        front = front_camera(config.front_cam_fx, config.front_cam_fy,
+                             config.front_cam_width_px, config.front_cam_height_px)
         eyes = eye_points(trace.eye_mm, trace.ipd_mm)
         flow_px, visible = project_eyes(front, eyes)
         projection = eyes, flow_px.tolist(), visible.tolist()
-    return _Scene(trace, config.display(), plane, config.back_cam(), config.fit_policy(),
-                  config.cost_model(), plane.from_plane_2d(config.target_points(plane)),
+    return _Scene(trace, threshold, config.display(), plane, config.back_cam(),
+                  config.fit_policy(), config.cost_model(),
+                  plane.from_plane_2d(config.target_points(plane)),
                   trace.dwell_mask() if config.errors_dwell_only else np.ones(len(trace), bool),
                   front, projection)
 
@@ -394,15 +390,13 @@ def _scene(config: ExperimentConfig, trace: HeadTrace) -> _Scene:
 def run(config: ExperimentConfig, scene: _Scene | None = None) -> RunResult:
     """Run every configured mode over the configured trace; deterministic for a
     fixed config and seed. A given scene (sweep's) must come from a config equal
-    to this one in every key a scene reads. The threshold config, and each
-    mode's draws, closed loop, pointing errors and summary, are this run's.
-    Three steps: each mode's sensing columns, then one pointing_errors pass
-    over every mode's evaluated frames, then each mode's record and summary."""
-    trace = config.build_trace() if scene is None else scene.trace
-    tcfg = config.threshold_config()  # its errors follow the trace's, precede the targets'
-    scene = scene or _scene(config, trace)
-    modes = config.mode_list()
-    cols = [_run_mode(mode, config, scene, tcfg) for mode in modes]
+    to this one in every key a scene reads. Each mode's draws, closed loop,
+    pointing errors and summary are this run's. Three steps: each mode's
+    sensing columns, then one pointing_errors pass over every mode's
+    evaluated frames, then each mode's record and summary."""
+    scene = scene or _scene(config)
+    trace, modes = scene.trace, config.mode_list()
+    cols = [_run_mode(mode, config, scene) for mode in modes]
     evaluate, targets_world = scene.evaluate, scene.targets_world
     errors = np.full((len(modes), len(trace), len(targets_world)), np.nan)
     errors[:, evaluate] = pointing_errors(
@@ -417,7 +411,7 @@ def run(config: ExperimentConfig, scene: _Scene | None = None) -> RunResult:
     return RunResult(records=records, summaries=summaries, trace=trace, config=config)
 
 
-def _run_mode(mode, config, scene, tcfg) -> dict[str, np.ndarray]:
+def _run_mode(mode, config, scene) -> dict[str, np.ndarray]:
     """One mode's sensing columns, keyed by ModeRecord field name. UPR
     requests a face-tracker result on every frame; AAUPR's closed loop
     (sched.schedule over the flow_sim.measurements generator, re-anchoring
@@ -464,7 +458,7 @@ def _run_mode(mode, config, scene, tcfg) -> dict[str, np.ndarray]:
         # Lazy, so frame i + 1's draws follow frame i's reset_drift.
         flows = flow_sim.measurements(flow_px, visible)
         reasons, cols["e_px"][:], cols["delta_e_px"][:], recalcs = sched.schedule(
-            flows, tcfg, recompute)
+            flows, scene.threshold, recompute)
         cols["reason"][:] = ["" if r is None else r._value_ for r in reasons]
         requests = np.array(recalcs, dtype=int)
 
@@ -539,8 +533,8 @@ SWEEP_PARAMS = {
 def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float, Summary]]:
     """One run per value (same seed per cell); returns (value, Summary) rows
     for every configured mode. Unless the parameter shapes the trace, every
-    cell runs in the first cell's scene. A trace that reads no amplitude
-    cannot sweep it (a ConfigError)."""
+    cell runs in the first cell's scene with its own threshold config. A
+    trace that reads no amplitude cannot sweep it (a ConfigError)."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {sorted(SWEEP_PARAMS)}")
     values = list(values)
@@ -550,18 +544,16 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float,
     source = "trace_file" if config.trace_file else config.trace_generator
     if key == "trace_amplitude_mm" and source in ("trace_file", Generator.STATIONARY.value):
         raise ConfigError(f"{parameter}: a {source} trace does not read {key}")
-    # build_trace reads only trace_* keys, ipd_mm and seed.
-    shares_scene = not key.startswith("trace_")
     scene = None
     rows: list[tuple[float, Summary]] = []
     for v in values:
         cell = replace(config, **{key: v})
-        if shares_scene and scene is None:
-            trace = cell.build_trace()
-            cell.threshold_config()  # raised before the scene's targets error, as run does
-            scene = _scene(cell, trace)
-        result = run(cell, scene)
-        for s in result.summaries.values():
+        # build_trace reads only trace_* keys, ipd_mm and seed.
+        if scene is None or key.startswith("trace_"):
+            scene = _scene(cell)
+        else:
+            scene = scene._replace(threshold=cell.threshold_config())
+        for s in run(cell, scene).summaries.values():
             rows.append((v, s))
     return rows
 

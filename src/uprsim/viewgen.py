@@ -26,6 +26,7 @@ import enum
 import numpy as np
 
 from .geometry import (
+    PARALLEL_TOL,
     DisplayModel,
     EyeState,
     GeometryError,
@@ -144,7 +145,7 @@ def _eye_target_px(eyes_mm: np.ndarray, target_disp: np.ndarray,
     t = ez / (ez - tz)
     hit = eyes_mm[:, None] + t[..., None] * (target_disp[None] - eyes_mm[:, None])
     px = display.mm_to_px(hit)
-    px[(np.abs(tz - ez) < 1e-12) | (ez <= 0) | ~(t > 0)] = np.nan
+    px[(np.abs(tz - ez) < PARALLEL_TOL) | (ez <= 0) | ~(t > 0)] = np.nan
     return px
 
 

@@ -20,7 +20,7 @@ from uprsim.geometry import (
 )
 from uprsim.harness import (
     BENCHMARK_JITTER_CROSSOVER_MM,
-    benchmark_config,
+    ExperimentConfig,
     run,
     write_outputs,
 )
@@ -75,7 +75,7 @@ def test_criterion_1_truth_table():
 
 
 def _stationary(policy):
-    return benchmark_config(modes="AAUPR", trace_generator="stationary",
+    return ExperimentConfig(modes="AAUPR", trace_generator="stationary",
                             trace_n_frames=101, threshold_policy=policy,
                             noise_flow_sigma_px=0.0, noise_drift_px_per_frame=0.0,
                             noise_p_fail=0.0, noise_jitter_sigma_mm=0.0)
@@ -96,7 +96,7 @@ def test_criterion_3_epsilon_default():
 
 @criterion(4, "timing anchor: UPR over 1000 frames accumulates 30094 ms, FUPR 0.0")
 def test_criterion_4_timing_anchor():
-    cfg = benchmark_config(modes="UPR,FUPR", trace_generator="stationary",
+    cfg = ExperimentConfig(modes="UPR,FUPR", trace_generator="stationary",
                            trace_n_frames=1000, noise_jitter_sigma_mm=0.0,
                            noise_flow_sigma_px=0.0, noise_p_fail=0.0,
                            noise_drift_px_per_frame=0.0)
@@ -109,7 +109,7 @@ def test_criterion_4_timing_anchor():
 @criterion(5, "benchmark AAUPR/UPR tracking-time ratio lies in [0.25, 0.60]",
            max_seconds=5.0)
 def test_criterion_5_tracking_ratio():
-    res = run(benchmark_config(modes="UPR,AAUPR"))
+    res = run(ExperimentConfig(modes="UPR,AAUPR"))
     ratio = (res.summaries["AAUPR"].total_tracking_ms
              / res.summaries["UPR"].total_tracking_ms)
     assert 0.25 <= ratio <= 0.60, f"ratio {ratio:.3f} outside bracket"
@@ -118,7 +118,7 @@ def test_criterion_5_tracking_ratio():
 @criterion(6, "benchmark mean error ordering DPR > FUPR > AAUPR (strict)",
            max_seconds=5.0)
 def test_criterion_6_error_ordering():
-    s = run(benchmark_config(modes="DPR,FUPR,AAUPR")).summaries
+    s = run(ExperimentConfig(modes="DPR,FUPR,AAUPR")).summaries
     assert s["DPR"].mean_error_mm > s["FUPR"].mean_error_mm > s["AAUPR"].mean_error_mm
 
 
@@ -134,7 +134,7 @@ def jitter_seed_means(sigma):
     (mm), each averaged over seeds 1..5."""
     upr, aaupr = [], []
     for seed in range(1, 6):
-        s = run(benchmark_config(modes="UPR,AAUPR", seed=seed,
+        s = run(ExperimentConfig(modes="UPR,AAUPR", seed=seed,
                                  noise_jitter_sigma_mm=sigma)).summaries
         upr.append(s["UPR"].mean_error_mm)
         aaupr.append(s["AAUPR"].mean_error_mm)
@@ -170,7 +170,7 @@ def test_benchmark_claims_over_seeds():
     # seeds where AAUPR is behind are recorded values, pinned here.
     gaps = []
     for seed in CLAIM_SEEDS:
-        s = run(benchmark_config(seed=seed)).summaries
+        s = run(ExperimentConfig(seed=seed)).summaries
         dpr, fupr, upr, aaupr = (s[m] for m in ("DPR", "FUPR", "UPR", "AAUPR"))
         assert dpr.mean_error_mm > fupr.mean_error_mm > aaupr.mean_error_mm, seed
         assert 0.30 <= aaupr.total_tracking_ms / upr.total_tracking_ms <= 0.45, seed
@@ -253,7 +253,7 @@ def test_criterion_10_monotonicity():
 
 @criterion(11, "determinism: identical config and seed produce byte-identical CSVs")
 def test_criterion_11_determinism(tmp_path):
-    cfg = benchmark_config(seed=11)
+    cfg = ExperimentConfig(seed=11)
     d1, d2 = tmp_path / "a", tmp_path / "b"
     write_outputs(run(cfg), d1)
     write_outputs(run(cfg), d2)

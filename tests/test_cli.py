@@ -193,7 +193,7 @@ def configs():
                                           for f in fields(ExperimentConfig)})
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(config=configs())
 def test_any_config_runs_or_names_its_key(tmp_path_factory, config):
     # Through cli.main, a config inside every key's domain runs with empty
@@ -232,7 +232,7 @@ def same_float(a: float, b: float) -> bool:
         a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(n_frames=st.integers(1, 30), generator=st.sampled_from(["sway", "random_walk"]),
        amplitude=st.floats(0.0, 100.0), seed=st.integers(0, 2**31 - 1),
        modes=st.lists(st.sampled_from(["DPR", "UPR", "FUPR", "AAUPR"]), min_size=1,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from raycast import pointing_error
+from test_cli import configs, field_values
 
 from uprsim import harness
 from uprsim import scheduler as sched
@@ -15,7 +16,6 @@ from uprsim.harness import (
     SWEEP_PARAMS,
     ConfigError,
     ExperimentConfig,
-    benchmark_config,
     run,
     sweep,
     write_outputs,
@@ -30,7 +30,7 @@ def quiet_config(**kw) -> ExperimentConfig:
     base = dict(noise_flow_sigma_px=0.0, noise_drift_px_per_frame=0.0,
                 noise_p_fail=0.0, noise_jitter_sigma_mm=0.0)
     base.update(kw)
-    return benchmark_config(**base)
+    return ExperimentConfig(**base)
 
 
 # ---- config parsing ----------------------------------------------------
@@ -63,23 +63,23 @@ def test_bad_value_reports_field():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ConfigError, match="render mode"):
-        benchmark_config(modes="UPR,XPR").mode_list()
+        ExperimentConfig(modes="UPR,XPR").mode_list()
 
 
 def test_target_outside_plane_rejected():
     with pytest.raises(ConfigError, match="targets"):
-        benchmark_config(targets="9999,0").target_points()
+        ExperimentConfig(targets="9999,0").target_points()
 
 
 def test_bad_targets_format_rejected():
     # The format is the field's own domain, checked when a config is built.
     with pytest.raises(ConfigError, match=r"^targets: must be one or more x,y float pairs, "
                                           r"separated by ';', got '1;2;3'$"):
-        benchmark_config(targets="1;2;3")
+        ExperimentConfig(targets="1;2;3")
 
 
 def test_threshold_defaults_from_front_camera():
-    cfg = benchmark_config()
+    cfg = ExperimentConfig()
     assert cfg.threshold_config().eps_max_px == pytest.approx(24.0)
 
 
@@ -110,7 +110,7 @@ def test_upr_tracking_total_1000_frames():
 
 
 def test_invocation_ordering():
-    res = run(benchmark_config())
+    res = run(ExperimentConfig())
     s = res.summaries
     assert s["FUPR"].invocations == 0 and s["DPR"].invocations == 0
     assert s["AAUPR"].invocations <= s["UPR"].invocations == len(res.trace)
@@ -179,7 +179,7 @@ def test_degenerate_geometry_yields_nan_not_abort():
     # The display hangs below the scene plane while the head moves 300 mm in
     # depth: in many frames the eye-to-target line does not cross the panel
     # in front of the eye. Those cells surface as NaN, not as an abort.
-    cfg = benchmark_config(modes="UPR,FUPR", display_z_world_mm=-300.0,
+    cfg = ExperimentConfig(modes="UPR,FUPR", display_z_world_mm=-300.0,
                            trace_depth_amplitude_mm=300.0, errors_dwell_only=False)
     res = run(cfg)  # must not raise
     assert len(res.records["FUPR"].tracking_charge_ms) == len(res.trace)
@@ -202,7 +202,7 @@ def random_config(case: int) -> ExperimentConfig:
     rng = np.random.default_rng(case)
     targets = ";".join(f"{x:.3f},{y:.3f}" for x, y in
                        rng.uniform([-250.0, -140.0], [250.0, 140.0], size=(4, 2)))
-    return benchmark_config(
+    return ExperimentConfig(
         seed=case + 1, trace_dwell_frames=20, trace_transition_frames=10,
         trace_base_eye_x_mm=rng.uniform(-60.0, 60.0),
         trace_base_eye_z_mm=rng.uniform(100.0, 400.0),
@@ -239,7 +239,7 @@ def scalar_errors(cfg: ExperimentConfig, res, mode: str) -> np.ndarray:
 
 @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, 5, "no_hit"])
 def test_batch_errors_match_scalar_oracle(case):
-    cfg = (benchmark_config(trace_dwell_frames=20, trace_transition_frames=10, **NO_HIT)
+    cfg = (ExperimentConfig(trace_dwell_frames=20, trace_transition_frames=10, **NO_HIT)
            if case == "no_hit" else random_config(case))
     res = run(cfg)
     for mode in ("DPR", "UPR", "FUPR", "AAUPR"):
@@ -273,13 +273,13 @@ def test_tracking_total_is_invocations_times_cost(mode, latency):
 
 @pytest.mark.parametrize("policy", ["verbatim", "latched", "decaying"])
 @pytest.mark.parametrize("latency", range(6))
-@settings(derandomize=True, deadline=None, max_examples=3)
+@settings(max_examples=3)
 @given(seed=st.integers(1, 2**31 - 1), p_fail=st.floats(0.0, 0.2),
        jitter_mm=st.floats(0.0, 20.0), amplitude_mm=st.floats(0.0, 300.0))
 def test_tracking_total_property(policy, latency, seed, p_fail, jitter_mm, amplitude_mm):
     # Total tracking time is invocations x face cost (plus flow cost on
     # every AAUPR frame), whatever the latency, policy and noise.
-    cfg = benchmark_config(modes="UPR,AAUPR", seed=seed, threshold_policy=policy,
+    cfg = ExperimentConfig(modes="UPR,AAUPR", seed=seed, threshold_policy=policy,
                            noise_latency_frames=latency, noise_p_fail=p_fail,
                            noise_jitter_sigma_mm=jitter_mm, trace_amplitude_mm=amplitude_mm,
                            trace_dwell_frames=20, trace_transition_frames=10)
@@ -298,7 +298,7 @@ def test_tracking_total_property(policy, latency, seed, p_fail, jitter_mm, ampli
 def test_invocations_are_the_request_frames(latency, policy, p_fail):
     # Each mode's request frames ascend: none for DPR and FUPR, every frame
     # for UPR, the recalculations for AAUPR; its summary counts them.
-    cfg = benchmark_config(trace_generator="sway", trace_n_frames=60, noise_p_fail=p_fail,
+    cfg = ExperimentConfig(trace_generator="sway", trace_n_frames=60, noise_p_fail=p_fail,
                            threshold_policy=policy, noise_latency_frames=latency)
     res = run(cfg)
     n = len(res.trace)
@@ -314,7 +314,7 @@ def test_estimate_behind_panel_is_config_error(mode):
     # A jitter draw that puts the face-tracker estimate at z <= 0 names the
     # config key and the frame instead of failing deep in the geometry.
     with pytest.raises(ConfigError, match=r"noise_jitter_sigma_mm: frame \d+: estimate behind"):
-        run(benchmark_config(modes=mode, noise_jitter_sigma_mm=200.0))
+        run(ExperimentConfig(modes=mode, noise_jitter_sigma_mm=200.0))
 
 
 def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
@@ -327,7 +327,7 @@ def test_latency_reanchors_scheduler_at_request_renders_at_arrival():
     k = int(np.flatnonzero(rec.reason == "spatial")[0])
     # No earlier request is still in flight at k+1 or k+2.
     assert rec.reason[k - 2:k].tolist() == ["", ""]  # two skips
-    front, metric = cfg.front_cam(), sched.EyeMetric(cfg.threshold_metric)
+    front, metric = harness._scene(cfg).front_cam, sched.EyeMetric(cfg.threshold_metric)
 
     def eye_px(eye_mm):
         px = project_pinhole(front, front.extrinsic.apply(eye_points(eye_mm, cfg.ipd_mm)))
@@ -374,7 +374,7 @@ def pending_queue_reference(cfg: ExperimentConfig, res, mode: str):
 
 
 @pytest.mark.parametrize("latency", range(7))
-@settings(derandomize=True, deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 2**31 - 1), n_frames=st.integers(1, 30),
        jitter_mm=st.one_of(st.just(0.0), st.floats(0.01, 20.0)),
        amplitude_mm=st.floats(0.0, 200.0), p_fail=st.floats(0.0, 0.3),
@@ -385,7 +385,7 @@ def test_request_events_equal_pending_queue(latency, seed, n_frames, jitter_mm, 
     # The one pass over request frames gives the sequential queue's columns
     # bit for bit, traces no longer than the latency included. Drawn costs
     # make the final frame's sum sensitive to its order.
-    cfg = benchmark_config(modes="UPR,AAUPR", seed=seed, trace_generator="sway",
+    cfg = ExperimentConfig(modes="UPR,AAUPR", seed=seed, trace_generator="sway",
                            trace_n_frames=n_frames, trace_sway_period_s=2.0,
                            trace_amplitude_mm=amplitude_mm, noise_p_fail=p_fail,
                            noise_jitter_sigma_mm=jitter_mm, threshold_policy=policy,
@@ -406,7 +406,7 @@ def bit_equal(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a, b)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**31 - 1), n_frames=st.integers(1, 30),
        walk=st.booleans(), amplitude=st.floats(0.0, 1.0),
        jitter_mm=st.one_of(st.just(0.0), st.floats(0.01, 20.0)), p_fail=st.floats(0.0, 0.3),
@@ -415,7 +415,7 @@ def test_latency_shifts_rendering_not_loop(seed, n_frames, walk, amplitude, jitt
                                            policy):
     # Latency L moves each estimate L frames later and changes nothing the
     # loop decides: requests, reasons (so skips too), E and dE stay bit-equal.
-    cfg = benchmark_config(modes="UPR,AAUPR", seed=seed, trace_n_frames=n_frames,
+    cfg = ExperimentConfig(modes="UPR,AAUPR", seed=seed, trace_n_frames=n_frames,
                            trace_generator="random_walk" if walk else "sway",
                            trace_amplitude_mm=amplitude * (5.0 if walk else 200.0),
                            noise_jitter_sigma_mm=jitter_mm, noise_p_fail=p_fail,
@@ -432,7 +432,7 @@ def test_latency_shifts_rendering_not_loop(seed, n_frames, walk, amplitude, jitt
             assert bit_equal(rec.est_eye_mm, shifted), (mode, latency)
 
 
-@settings(derandomize=True, deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 2**31 - 1), n_frames=st.integers(1, 30),
        order=st.permutations([m.value for m in RenderMode]),
        jitter_mm=st.one_of(st.just(0.0), st.floats(0.01, 20.0)), p_fail=st.floats(0.0, 0.3),
@@ -440,7 +440,7 @@ def test_latency_shifts_rendering_not_loop(seed, n_frames, walk, amplitude, jitt
 def test_modes_are_independent(seed, n_frames, order, jitter_mm, p_fail, latency, policy):
     # Each mode's record in a four-mode run, in any order, is the record of
     # a run configured with that mode alone, column for column.
-    cfg = benchmark_config(modes=",".join(order), seed=seed, trace_generator="sway",
+    cfg = ExperimentConfig(modes=",".join(order), seed=seed, trace_generator="sway",
                            trace_n_frames=n_frames, trace_sway_period_s=2.0,
                            noise_jitter_sigma_mm=jitter_mm, noise_p_fail=p_fail,
                            noise_latency_frames=latency, threshold_policy=policy,
@@ -488,7 +488,7 @@ def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
 
     monkeypatch.setattr(RigidTransform, "apply", counting_apply)
     monkeypatch.setattr(np, "asarray", counting_asarray)
-    rec = run(benchmark_config(modes="AAUPR", trace_generator="sway", trace_n_frames=300,
+    rec = run(ExperimentConfig(modes="AAUPR", trace_generator="sway", trace_n_frames=300,
                                trace_amplitude_mm=120.0)).records["AAUPR"]
     assert "" in rec.reason and len(set(rec.reason.tolist())) > 1  # skips and recalculations
     assert project_calls == [(300, 2, 3)]
@@ -504,9 +504,9 @@ def test_only_aaupr_builds_a_flow_simulator(monkeypatch):
     built = []
     monkeypatch.setattr(harness, "FlowSimulator",
                         lambda *args: built.append(args) or FlowSimulator(*args))
-    run(benchmark_config(modes="DPR,UPR,FUPR"))
+    run(ExperimentConfig(modes="DPR,UPR,FUPR"))
     assert built == []
-    run(benchmark_config(modes="AAUPR"))
+    run(ExperimentConfig(modes="AAUPR"))
     assert len(built) == 1
 
 
@@ -524,7 +524,7 @@ def test_trace_file_input(tmp_path):
 # ---- determinism and CSV output ----------------------------------------
 
 def test_byte_identical_outputs(tmp_path):
-    cfg = benchmark_config(seed=5)
+    cfg = ExperimentConfig(seed=5)
     d1, d2 = tmp_path / "run1", tmp_path / "run2"
     write_outputs(run(cfg), d1)
     write_outputs(run(cfg), d2)
@@ -535,7 +535,7 @@ def test_byte_identical_outputs(tmp_path):
 
 
 def test_csv_schemas(tmp_path):
-    cfg = benchmark_config(targets="0,0;100,50")
+    cfg = ExperimentConfig(targets="0,0;100,50")
     write_outputs(run(cfg), tmp_path)
     header = (tmp_path / "frames_UPR.csv").read_text().splitlines()[0]
     assert header.startswith("frame,mode,decision,reason,e_px,delta_e_px,"
@@ -552,18 +552,18 @@ def test_csv_schemas(tmp_path):
 @pytest.mark.parametrize("table", ["frames", "summary", "sweep", "trace"])
 def test_frame_csv_cells_are_plain_floats(tmp_path, table):
     if table in ("frames", "summary"):
-        write_outputs(run(benchmark_config(seed=3)), tmp_path)
+        write_outputs(run(ExperimentConfig(seed=3)), tmp_path)
         paths = sorted(tmp_path.glob(f"{table}*.csv"))
         assert len(paths) == (4 if table == "frames" else 1)
     elif table == "sweep":
         # A library caller may pass ints and numpy scalars as sweep values.
-        cfg = benchmark_config(modes="UPR,AAUPR", trace_dwell_frames=20,
+        cfg = ExperimentConfig(modes="UPR,AAUPR", trace_dwell_frames=20,
                                trace_transition_frames=5)
         paths = [tmp_path / "sweep.csv"]
         write_sweep_csv(sweep(cfg, "eps_max", [24, np.float64(12.5)]), "eps_max", paths[0])
     else:
         paths = [tmp_path / "trace.csv"]
-        write_trace_csv(benchmark_config(seed=3).build_trace(), paths[0])
+        write_trace_csv(ExperimentConfig(seed=3).build_trace(), paths[0])
     for path in paths:
         with open(path, newline="") as f:
             for row in csv.DictReader(f):
@@ -576,7 +576,7 @@ def test_frame_csv_cells_are_plain_floats(tmp_path, table):
 # ---- sweeps ------------------------------------------------------------
 
 def test_eps_sweep_monotone_invocations():
-    cfg = benchmark_config(modes="AAUPR", trace_generator="sway",
+    cfg = ExperimentConfig(modes="AAUPR", trace_generator="sway",
                            trace_n_frames=200, trace_amplitude_mm=120.0)
     rows = sweep(cfg, "eps_max", [12.0, 24.0, 48.0])
     fracs = [s.invocation_fraction for _, s in rows]
@@ -591,7 +591,7 @@ def test_head_displacement_sweep_fupr_error_growth():
 
 
 def test_jitter_sweep_upr_error_growth():
-    cfg = benchmark_config(modes="UPR", trace_n_frames=200,
+    cfg = ExperimentConfig(modes="UPR", trace_n_frames=200,
                            trace_dwell_frames=85, trace_transition_frames=30)
     rows = sweep(cfg, "jitter_sigma", [0.0, 2.0, 5.0, 10.0])
     errs = [s.mean_error_mm for _, s in rows]
@@ -599,7 +599,7 @@ def test_jitter_sweep_upr_error_growth():
 
 
 def test_sweep_validation():
-    cfg = benchmark_config()
+    cfg = ExperimentConfig()
     with pytest.raises(ConfigError):
         sweep(cfg, "nonsense", [1.0])
     with pytest.raises(ConfigError):
@@ -616,7 +616,7 @@ def test_sweep_validation():
 def test_library_route_rejects_nonfinite_floats(key):
     for value in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match=f"^{key}: must be finite, got {value}$"):
-            benchmark_config(**{key: value})
+            ExperimentConfig(**{key: value})
 
 
 #: perfbench's trace_sweep cells, on a generated 1 mm random walk.
@@ -635,17 +635,51 @@ def test_sweep_rows_equal_per_cell_runs(parameter, values, overrides):
     # Cells that share the first cell's trace and projection, and
     # head_displacement cells that each build their own, give exactly their
     # stand-alone runs.
-    cfg = benchmark_config(**{"modes": "DPR,UPR,FUPR,AAUPR", "trace_dwell_frames": 40,
+    cfg = ExperimentConfig(**{"modes": "DPR,UPR,FUPR,AAUPR", "trace_dwell_frames": 40,
                               "trace_transition_frames": 10, **overrides})
-    expected = [(v, s) for v in values for s in
-                run(replace(cfg, **{SWEEP_PARAMS[parameter]: v})).summaries.values()]
+    expected = per_cell_rows(cfg, SWEEP_PARAMS[parameter], values)
     assert repr(sweep(cfg, parameter, values)) == repr(expected)
+
+
+def rows_or_error(call):
+    """call()'s repr, or the message of the ConfigError it raises."""
+    try:
+        return repr(call())
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def per_cell_rows(config, key, values):
+    return [(v, s) for v in values for s in run(replace(config, **{key: v})).summaries.values()]
+
+
+CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+
+#: A 50-frame benchmark trace, on which the threshold and the jitter decide.
+SHORT_BENCHMARK = ExperimentConfig(trace_dwell_frames=20, trace_transition_frames=5)
+
+
+@settings(max_examples=20)
+@given(drawn=configs(), keys=st.sets(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=4),
+       data=st.data())
+def test_a_shared_scene_changes_no_row(drawn, keys, data):
+    # For a config with up to four keys drawn from test_cli.configs() (all of
+    # them at once rarely let a threshold decide anything), the cells that run
+    # in the first cell's scene give exactly their own runs' summaries (NaN
+    # equal to NaN), or the same error.
+    config = replace(SHORT_BENCHMARK, **{key: getattr(drawn, key) for key in keys})
+    for parameter in ("eps_max", "jitter_sigma"):
+        key = SWEEP_PARAMS[parameter]
+        values = data.draw(st.lists(field_values(CONFIG_FIELDS[key]), min_size=2, max_size=2,
+                                    unique=True))
+        assert (rows_or_error(lambda: sweep(config, parameter, values))
+                == rows_or_error(lambda: per_cell_rows(config, key, values)))
 
 
 def test_eps_sweep_reads_trace_file_once(tmp_path, monkeypatch):
     from uprsim.tracksim import read_trace_csv
     path = tmp_path / "trace.csv"
-    write_trace_csv(benchmark_config().build_trace(), path)
+    write_trace_csv(ExperimentConfig().build_trace(), path)
     calls = []
 
     def counting_read(p):
@@ -653,7 +687,7 @@ def test_eps_sweep_reads_trace_file_once(tmp_path, monkeypatch):
         return read_trace_csv(p)
 
     monkeypatch.setattr(harness, "read_trace_csv", counting_read)
-    rows = sweep(benchmark_config(modes="AAUPR", trace_file=str(path)), "eps_max",
+    rows = sweep(ExperimentConfig(modes="AAUPR", trace_file=str(path)), "eps_max",
                  [8.0, 16.0, 24.0, 32.0])
     assert len(rows) == 4
     assert calls == [str(path)]
@@ -662,7 +696,7 @@ def test_eps_sweep_reads_trace_file_once(tmp_path, monkeypatch):
 def test_sweep_projects_a_shared_trace_once(tmp_path, monkeypatch):
     # Cells that share a trace share its flow projection; a head_displacement
     # cell projects its own trace.
-    cfg = benchmark_config(modes="AAUPR", trace_dwell_frames=40, trace_transition_frames=10)
+    cfg = ExperimentConfig(modes="AAUPR", trace_dwell_frames=40, trace_transition_frames=10)
     path = tmp_path / "trace.csv"
     write_trace_csv(cfg.build_trace(), path)
     calls = counting_project(monkeypatch)

@@ -108,8 +108,7 @@ def times(a, k: float) -> list:
 LENGTH_CONFIGS = draws(LENGTHS).filter(lambda c: c.trace_generator != "random_walk").map(
     lambda c: replace(c, errors_dwell_only=False))
 
-RELATION = settings(derandomize=True, deadline=None, max_examples=30,
-                    suppress_health_check=[HealthCheck.filter_too_much])
+RELATION = settings(max_examples=30, suppress_health_check=[HealthCheck.filter_too_much])
 
 
 @RELATION

@@ -249,7 +249,7 @@ def test_recalculate_reasons_justified():
         prior_precise = reason is not None
 
 
-@settings(derandomize=True, deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(moves=st.lists(st.none() | st.floats(-6.0, 6.0), min_size=1, max_size=80),
        decay_rate=st.floats(0.01, 1.0), floor_frac=st.floats(0.01, 1.0))
 def test_decaying_eps_floor_and_reset(moves, decay_rate, floor_frac):
@@ -309,7 +309,7 @@ eye_pair = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(a=eye_pair, b=eye_pair, metric=st.sampled_from(EyeMetric))
 def test_eye_distance_bit_equals_norm(a, b, metric):
     # The float arithmetic must reproduce the np.linalg.norm formulation
@@ -455,7 +455,7 @@ def same_fields(row, decision) -> bool:
     return repr(tuple(row)) == repr(oracle) and (row[0] is None) == (decision.kind is Kind.SKIP)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(policy=st.sampled_from(Policy), metric=st.sampled_from(EyeMetric),
        eps=st.sampled_from([4.0, 8.0, 16.0]) | st.floats(0.5, 50.0),
        refine_factor=st.sampled_from([0.125, 0.25, 0.5]) | st.floats(0.01, 0.99),
@@ -507,7 +507,7 @@ def float_bits(column) -> list:
     return np.array(column, dtype=float).view(np.uint64).tolist()
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(policy=st.sampled_from(Policy), metric=st.sampled_from(EyeMetric),
        eps=st.sampled_from([4.0, 8.0, 16.0]) | st.floats(0.5, 50.0),
        refine_factor=st.sampled_from([0.125, 0.25, 0.5]) | st.floats(0.01, 0.99),

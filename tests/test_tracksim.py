@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from rotations import axis_rotations, from_quaternion, rotation_y
 
 from uprsim.geometry import EyeState, PinholeCamera, RigidTransform, front_camera, project_pinhole
-from uprsim.harness import benchmark_config, run
+from uprsim.harness import ExperimentConfig, run
 from uprsim.tracksim import (
     WRITE_BLOCK_ROWS,
     CostModel,
@@ -130,8 +130,7 @@ def test_spec_rejects_bad_base_eye(base):
 # ---- trace CSV ---------------------------------------------------------
 
 # Each example overwrites the same two files, so sharing tmp_path is safe.
-@settings(derandomize=True, deadline=None, max_examples=40,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(generator=st.sampled_from(Generator), n_frames=st.integers(1, 60),
        rate_hz=st.floats(1.0, 120.0), amplitude_mm=st.floats(0.0, 200.0),
        depth_mm=st.floats(0.0, 100.0), seed=st.integers(0, 2**32 - 1),
@@ -209,8 +208,7 @@ def block_table(n):
 
 
 # Each example overwrites the same file, so sharing tmp_path is safe.
-@settings(derandomize=True, deadline=None, max_examples=200,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(columns=csv_tables())
 @example(columns=block_table(0))
 @example(columns=block_table(1))
@@ -338,7 +336,7 @@ coord_mm = st.floats(-3000.0, 3000.0, allow_nan=False)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@settings(derandomize=True, deadline=None, max_examples=80)
+@settings(max_examples=80)
 @given(fx=st.floats(10.0, 2000.0), fy=st.floats(10.0, 2000.0),
        width=st.integers(1, 2000), height=st.integers(1, 2000),
        tilt=st.floats(-0.5, 0.5), ipd=st.floats(0.0, 80.0),
@@ -372,7 +370,7 @@ quaternion = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.n
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-@settings(derandomize=True, deadline=None, max_examples=80)
+@settings(max_examples=80)
 @given(fx=st.floats(10.0, 2000.0), fy=st.floats(10.0, 2000.0),
        width=st.integers(1, 2000), height=st.integers(1, 2000),
        tilt=st.floats(-0.5, 0.5), ipd=st.one_of(signed_zero, st.floats(0.0, 80.0)),
@@ -525,7 +523,7 @@ flow_ops = st.lists(st.one_of(
     st.just(([np.nan] * 4, False))), max_size=40)  # an eye behind the camera
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(sigma=st.just(0.0) | st.floats(1e-3, 50.0) | st.floats(5e-324, 2e-308)
        | st.floats(1e299, 1e300),
        drift=st.just(0.0) | st.floats(1e-4, 2.0),
@@ -555,7 +553,7 @@ def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
     assert sim.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(sigma=st.just(0.0) | st.floats(1e-3, 50.0), drift=st.just(0.0) | st.floats(1e-4, 2.0),
        p_fail=st.just(0.0) | st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1),
        frames=st.lists(st.tuples(
@@ -588,7 +586,7 @@ def test_measurements_bit_equal_measure_and_numpy_formulation(sigma, drift, p_fa
     assert sim.rng.bit_generator.state == one.rng.bit_generator.state == state
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2**64 - 1), n_resets=st.integers(1, 60))
 def test_reset_drift_bit_equals_uniform_draw(seed, n_resets):
     # reset_drift's 2 pi * random() gives the direction and the stream
@@ -608,7 +606,7 @@ def test_reset_drift_bit_equals_uniform_draw(seed, n_resets):
 
 def face_config(n_frames, **kw):
     """A UPR-only config on a stationary trace at (5, 5, 200)."""
-    return benchmark_config(modes="UPR", trace_generator="stationary", trace_n_frames=n_frames,
+    return ExperimentConfig(modes="UPR", trace_generator="stationary", trace_n_frames=n_frames,
                             trace_base_eye_x_mm=5.0, trace_base_eye_y_mm=5.0,
                             trace_base_eye_z_mm=200.0, **kw)
 
@@ -627,7 +625,7 @@ def test_face_tracker_zero_jitter_draws_positive_zeros():
     # -0.0, which the key's domain admits, each offset is +0.0, so an eye
     # coordinate of -0.0 renders as +0.0.
     for sigma in (0.0, -0.0):
-        rec = run(benchmark_config(modes="UPR", trace_generator="stationary", trace_n_frames=3,
+        rec = run(ExperimentConfig(modes="UPR", trace_generator="stationary", trace_n_frames=3,
                                    trace_base_eye_x_mm=-0.0, trace_base_eye_z_mm=200.0,
                                    noise_jitter_sigma_mm=sigma)).records["UPR"]
         expected = np.tile([0.0, 0.0, 200.0], (3, 1))
@@ -663,7 +661,7 @@ def test_face_tracker_offsets_bit_equal_sequential_draws(n, sigma):
 # ---- cost model --------------------------------------------------------
 
 def test_cost_model_defaults_ordered():
-    cm = benchmark_config().cost_model()
+    cm = ExperimentConfig().cost_model()
     assert cm.face_cost("640x480") > cm.face_cost("320x240")
     with pytest.raises(ValueError):
         cm.face_cost("1280x720")

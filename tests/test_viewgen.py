@@ -26,7 +26,7 @@ from uprsim.geometry import (
     ScenePlane,
     back_camera,
 )
-from uprsim.harness import ConfigError, benchmark_config, run
+from uprsim.harness import ConfigError, ExperimentConfig, run
 from uprsim.viewgen import (
     FitPolicy,
     RenderMode,
@@ -74,7 +74,7 @@ def raycast_plane_point(eye_state, display, plane, display_px):
 
 def fupr_eyes(**kw) -> np.ndarray:
     """The eyes a FUPR run renders from, one per frame."""
-    return run(benchmark_config(modes="FUPR", **kw)).records["FUPR"].est_eye_mm
+    return run(ExperimentConfig(modes="FUPR", **kw)).records["FUPR"].est_eye_mm
 
 
 def test_fupr_eye_paper_distance():
@@ -89,7 +89,7 @@ def test_fupr_eye_boundary_and_split():
     assert np.array_equal(eye_points([0.0, 0.0, 150.0], 63.0),
                           [[-31.5, 0.0, 150.0], [31.5, 0.0, 150.0]])
     with pytest.raises(ConfigError, match="^fupr_distance_mm: must be positive"):
-        benchmark_config(fupr_distance_mm=0.0)
+        ExperimentConfig(fupr_distance_mm=0.0)
 
 
 # ---- the UPR homography ------------------------------------------------
@@ -482,7 +482,7 @@ UPR, FUPR, DPR = RenderMode.UPR, RenderMode.FUPR, RenderMode.DPR
 ORIGIN = (0.0, 0.0, 0.0)  # an estimate equal to the 0 that DPR's rows hold
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(rows=eye_runs(), modes=MODE_SHIFTS, seed=st.integers(0, 2**32 - 1))
 @example(rows=[(ZERO, ZERO)] * 3 + [(NEG_ZERO, ZERO)] * 2 + [(ZERO, NEG_ZERO)],
          modes=[(UPR, 0), (DPR, 0), (FUPR, 2)], seed=5)

@@ -31,16 +31,16 @@ from pathlib import Path
 import numpy as np
 from test_harness import TRACE_SWEEP
 
-from uprsim.harness import benchmark_config, run, sweep
+from uprsim.harness import ExperimentConfig, run, sweep
 
 WORK_COUNTS = Path(__file__).with_name("work_counts.json")
 
 #: Each counted run as (function, *args); the call is what is profiled.
-RUNS = {"benchmark": (run, benchmark_config()),
-        **{f"sway_{mode}": (run, benchmark_config(modes=mode, trace_generator="sway",
+RUNS = {"benchmark": (run, ExperimentConfig()),
+        **{f"sway_{mode}": (run, ExperimentConfig(modes=mode, trace_generator="sway",
                                                   trace_n_frames=300, trace_amplitude_mm=120.0))
            for mode in ("DPR", "UPR", "FUPR", "AAUPR")},
-        "sweep_eps": (sweep, benchmark_config(**TRACE_SWEEP), "eps_max",
+        "sweep_eps": (sweep, ExperimentConfig(**TRACE_SWEEP), "eps_max",
                       [8.0, 16.0, 24.0, 32.0])}
 
 
