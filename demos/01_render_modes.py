@@ -31,7 +31,7 @@ calibration_eyes = np.tile([0.0, 0.0, 150.0], (len(laterals), 1))
 # One pass evaluates every mode: (mode, head offset, target) errors.
 modes = [RenderMode.DPR, RenderMode.UPR, RenderMode.FUPR]
 errs = pointing_errors(modes, target, [None, true_eyes, calibration_eyes], true_eyes,
-                       display, plane, back_cam=cam, fit=config.fit_policy())[:, :, 0]
+                       display, cam, fit=config.fit_policy())[:, :, 0]
 
 print(f"{'head offset':>12} {'DPR':>8} {'UPR':>8} {'FUPR':>8}   (pointing error, mm)")
 for row in zip(laterals, *errs):

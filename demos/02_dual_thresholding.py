@@ -9,7 +9,8 @@ Run: python3 demos/02_dual_thresholding.py
 
 import math
 
-from uprsim.scheduler import FLOW_FAILURE, ThresholdConfig, schedule
+from uprsim import ExperimentConfig
+from uprsim.scheduler import FLOW_FAILURE, schedule
 
 
 def eyes(x):
@@ -24,7 +25,7 @@ script = ([eyes(100.0)] * 4
           + [FLOW_FAILURE]                                 # flow tracker loses the face
           + [eyes(190.7)] * 3)
 
-cfg = ThresholdConfig(eps_max_px=24.0)  # 3% of a 640x480 diagonal
+cfg = ExperimentConfig().threshold_config()  # eps: 3% of a 640x480 diagonal
 # In the real pipeline each recomputation runs the expensive face tracker;
 # here the "recomputed" eyes are just the flow positions.
 reasons, e_px, delta_e_px, _ = schedule(

@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import scheduler as sched
 from .harness import (
@@ -78,7 +79,7 @@ _TRUTHTABLE_SCRIPT = [
 
 
 def _cmd_truthtable(args) -> int:
-    cfg = checked("--eps", sched.ThresholdConfig, eps_max_px=args.eps)
+    cfg = checked("--eps", replace, ExperimentConfig().threshold_config(), eps_max_px=args.eps)
     anchors = []
 
     def recompute(i, k):

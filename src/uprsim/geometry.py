@@ -27,7 +27,7 @@ Vectors must be finite too. Each subclasses Value (frozen), or Record (the
 mutable FlowSimulator): dataclass reads their fields, and their methods are
 Record's and Value's, written once, so importing uprsim generates none. A run's
 values are its config's: no field or camera factory parameter has a default
-but ExperimentConfig's, scheduler.ThresholdConfig's, TraceSpec's and EyeState's.
+but ExperimentConfig's and tracksim.TraceSpec's, which are the config's.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ class EyeState(Value):
     distance; tracksim.eye_points splits it into the two eyes."""
 
     cyclopean_mm: np.ndarray
-    ipd_mm: float = nonnegative(63.0)
+    ipd_mm: float = nonnegative()
 
     def __post_init__(self):
         check_fields(self, GeometryError)
@@ -290,7 +290,7 @@ class EyeState(Value):
             raise GeometryError("eye must be in front of the panel (z > 0)")
 
     @classmethod
-    def from_cyclopean(cls, cyclopean_mm, ipd_mm: float = 63.0) -> "EyeState":
+    def from_cyclopean(cls, cyclopean_mm, ipd_mm: float) -> "EyeState":
         """EyeState(cyclopean_mm, ipd_mm), by name."""
         return cls(cyclopean_mm, ipd_mm)
 
@@ -308,9 +308,6 @@ class ScenePlane(Value):
 
     def __post_init__(self):
         check_fields(self, GeometryError)
-
-    def to_plane_2d(self, point_world) -> np.ndarray:
-        return np.asarray(point_world, dtype=float)[..., :2].copy()
 
     def from_plane_2d(self, uv) -> np.ndarray:
         uv = np.asarray(uv, dtype=float)

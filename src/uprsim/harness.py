@@ -4,7 +4,7 @@ Drives a head-motion trace through the mode-specific pipelines (per-frame
 face tracking for UPR, scheduler-gated for AAUPR, none for FUPR/DPR),
 accounts time against the cost model, and evaluates pointing error against
 a target set on the scene plane. A run first builds its scene (_Scene): the
-trace, threshold config, display, plane, back camera, fit policy, cost model,
+trace, threshold config, display, back camera, fit policy, cost model,
 world targets, evaluation mask, and AAUPR's front camera and trace projection.
 Of the SWEEP_PARAMS keys a scene reads only the trace's and the threshold's,
 so sweep cells that share a trace share one scene, each cell replacing its
@@ -124,10 +124,11 @@ def _target_pairs(text: str) -> list[tuple[float, ...]]:
 
 
 def _are_target_pairs(text: str) -> bool:
-    try:
-        return set(map(len, _target_pairs(text))) == {2}  # empty for no pairs
+    try:  # no pairs is an empty set; SCALE fails NaN and inf too
+        pairs = _target_pairs(text)
     except ValueError:
         return False
+    return set(map(len, pairs)) == {2} and all(SCALE[1](v) for pair in pairs for v in pair)
 
 
 def _one_of(default, choices):
@@ -205,8 +206,8 @@ class ExperimentConfig(Value):
     cost_render_base_ms: float = nonnegative(20.733)
 
     # Plane-frame mm.
-    targets: str = within("one or more x,y float pairs, separated by ';'", _are_target_pairs,
-                          "0,0;150,80;-150,80;150,-80;-150,-80")
+    targets: str = within(f"one or more x,y float pairs, separated by ';', each {SCALE[0]}",
+                          _are_target_pairs, "0,0;150,80;-150,80;150,-80;-150,-80")
 
     errors_dwell_only: bool = True
     errors_px_per_mm: float = nonnegative(0.0)  # 0 -> report mm only
@@ -359,7 +360,6 @@ class _Scene(NamedTuple):
     trace: HeadTrace
     threshold: sched.ThresholdConfig
     display: DisplayModel
-    plane: ScenePlane
     back_cam: PinholeCamera
     fit: FitPolicy
     cost: CostModel
@@ -380,7 +380,7 @@ def _scene(config: ExperimentConfig) -> _Scene:
         eyes = eye_points(trace.eye_mm, trace.ipd_mm)
         flow_px, visible = project_eyes(front, eyes)
         projection = eyes, flow_px.tolist(), visible.tolist()
-    return _Scene(trace, threshold, config.display(), plane, config.back_cam(),
+    return _Scene(trace, threshold, config.display(), config.back_cam(),
                   config.fit_policy(), config.cost_model(),
                   plane.from_plane_2d(config.target_points(plane)),
                   trace.dwell_mask() if config.errors_dwell_only else np.ones(len(trace), bool),
@@ -401,8 +401,7 @@ def run(config: ExperimentConfig, scene: _Scene | None = None) -> RunResult:
     errors = np.full((len(modes), len(trace), len(targets_world)), np.nan)
     errors[:, evaluate] = pointing_errors(
         modes, targets_world, [c["est_eye_mm"][evaluate] for c in cols],
-        trace.eye_mm[evaluate], scene.display, scene.plane, back_cam=scene.back_cam,
-        fit=scene.fit)
+        trace.eye_mm[evaluate], scene.display, scene.back_cam, fit=scene.fit)
     records: dict[str, ModeRecord] = {}
     summaries: dict[str, Summary] = {}
     for mode, c, errors_mm in zip(modes, cols, errors):

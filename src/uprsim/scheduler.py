@@ -60,11 +60,11 @@ class ThresholdConfig(Value):
     """The scheduler's thresholds. eps_min_px floors the decaying eps; 0 is 0.1 * eps_max_px."""
 
     eps_max_px: float = positive()
-    refine_factor: float = within("in (0, 1)", lambda v: 0 < v < 1, 0.1)
-    policy: Policy = Policy.VERBATIM
-    decay_rate: float = within("in (0, 1]", lambda v: 0 < v <= 1, 0.98)
-    eps_min_px: float = nonnegative(0.0)  # 0 -> 0.1 * eps_max_px
-    metric: EyeMetric = EyeMetric.MAX
+    refine_factor: float = within("in (0, 1)", lambda v: 0 < v < 1)
+    policy: Policy
+    decay_rate: float = within("in (0, 1]", lambda v: 0 < v <= 1)
+    eps_min_px: float = nonnegative()  # 0 -> 0.1 * eps_max_px
+    metric: EyeMetric
 
     def __post_init__(self):
         check_fields(self)

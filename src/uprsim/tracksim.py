@@ -9,7 +9,8 @@ floats, or None for a failure.
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
 FlowSimulator and CostModel take every value, the stream included, from
-their caller (a run, its config's); only TraceSpec has defaults.
+their caller (a run, its config's); only TraceSpec has defaults, each its
+config key's, so a default spec draws the default config's trace.
 """
 
 from __future__ import annotations
@@ -119,14 +120,14 @@ class TraceSpec(Value):
     n_frames: int = nonnegative(0)  # derived for step_move when 0
     frame_rate_hz: float = positive(DEFAULT_FRAME_RATE_HZ)
     base_eye_mm: tuple[float, float, float] = within(
-        "three finite values", lambda v: len(v) == 3 and all(map(isfinite, v)), (0.0, 0.0, 300.0))
+        "three finite values", lambda v: len(v) == 3 and all(map(isfinite, v)), (0.0, 0.0, 150.0))
     ipd_mm: float = nonnegative(63.0)
-    amplitude_mm: float = 200.0      # lateral travel (step_move, sway) / step sigma
-    depth_amplitude_mm: float = 0.0  # additional travel along display z (step_move)
-    dwell_frames: int = within("at least 1", lambda v: v >= 1, 50)
-    transition_frames: int = within("at least 1", lambda v: v >= 1, 20)
+    amplitude_mm: float = 250.0        # lateral travel (step_move, sway) / step sigma
+    depth_amplitude_mm: float = 100.0  # additional travel along display z (step_move)
+    dwell_frames: int = within("at least 1", lambda v: v >= 1, 150)
+    transition_frames: int = within("at least 1", lambda v: v >= 1, 30)
     sway_period_s: float = positive(4.0)
-    seed: int = nonnegative(0)
+    seed: int = nonnegative(1)
 
     def __post_init__(self):
         check_fields(self)

@@ -62,20 +62,20 @@ def cam_px_to_display_px(cam_px, display: DisplayModel, cam: PinholeCamera,
     return (p - cam_c) / s + disp_c
 
 
-def perceived_points(eyes_world, display_px, display: DisplayModel,
-                     plane: ScenePlane) -> tuple[np.ndarray, np.ndarray]:
+def perceived_points(eyes_world, display_px,
+                     display: DisplayModel) -> tuple[np.ndarray, np.ndarray]:
     """Where the ray from each world-frame eye (..., 3) through its drawn
-    display pixel (..., 2) meets the plane: the (..., 2) plane points (mm)
-    and the (...) hit mask, False (points NaN) where the ray misses the plane
-    forward or the pixel is NaN. Eyes and pixels broadcast."""
+    display pixel (..., 2) meets the plane: the (..., 2) plane points (mm),
+    world x and y, and the (...) hit mask, False (points NaN) where the ray
+    misses the plane forward or the pixel is NaN. Eyes and pixels broadcast."""
     panel_world = display.pose_world.apply(display.px_to_mm(display_px))
     hits, hit = intersect_ray_plane(eyes_world, panel_world - eyes_world)
-    return plane.to_plane_2d(hits), hit
+    return hits[..., :2], hit
 
 
 def pointing_errors(modes, targets_world, estimated_eyes_mm, true_eyes_mm,
-                    display: DisplayModel, plane: ScenePlane,
-                    back_cam: PinholeCamera | None = None, *, fit: FitPolicy) -> np.ndarray:
+                    display: DisplayModel, back_cam: PinholeCamera, *,
+                    fit: FitPolicy) -> np.ndarray:
     """On-plane distances (mm) between targets and where a user perceives
     them drawn, over modes x frames x targets in one pass.
 
@@ -111,25 +111,25 @@ def pointing_errors(modes, targets_world, estimated_eyes_mm, true_eyes_mm,
     first, drawn_dpr = eyes[mode_of, frame_of], dpr[mode_of]
     drawn_px = np.empty((len(first), len(targets), 2))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if drawn_dpr.any():
-            drawn_px[drawn_dpr] = _dpr_target_px(target_disp, display, back_cam, fit)
-        if not drawn_dpr.all():
-            drawn_px[~drawn_dpr] = _eye_target_px(first[~drawn_dpr, :3], target_disp, display)
+        # An empty mask assigns nothing.
+        drawn_px[drawn_dpr] = _dpr_target_px(target_disp, display, back_cam, fit)
+        drawn_px[~drawn_dpr] = _eye_target_px(first[~drawn_dpr, :3], target_disp, display)
         eye_world = display.pose_world.apply(first[:, None, 3:])
-        perceived, _ = perceived_points(eye_world, drawn_px, display, plane)
-    errors = np.linalg.norm(perceived - plane.to_plane_2d(targets), axis=-1)
+        perceived, _ = perceived_points(eye_world, drawn_px, display)
+    errors = np.linalg.norm(perceived - targets[..., :2], axis=-1)
     return errors[starts.cumsum() - 1].reshape(*starts.shape, len(targets))
 
 
 def pointing_error(mode: RenderMode, target_world, estimated_eye: EyeState | None,
                    true_eye: EyeState, display: DisplayModel, plane: ScenePlane,
-                   back_cam: PinholeCamera | None = None, *, fit: FitPolicy) -> float:
+                   back_cam: PinholeCamera, *, fit: FitPolicy) -> float:
     """pointing_errors for one mode, one target and one frame's eyes. Raises
-    GeometryError where that cell is NaN, and ValueError when the mode's
-    eye estimate or back camera is missing."""
+    GeometryError where that cell is NaN, and ValueError when the mode's eye
+    estimate is missing. plane is not read; perfbench's checks pass it by
+    position until ROADMAP item 14 deletes this function."""
     est = None if estimated_eye is None else [estimated_eye.cyclopean_mm]
     err = pointing_errors([mode], [target_world], [est], [true_eye.cyclopean_mm],
-                          display, plane, back_cam, fit=fit)[0, 0, 0]
+                          display, back_cam, fit=fit)[0, 0, 0]
     if np.isnan(err):
         raise GeometryError("drawn target or perceived ray misses the scene plane")
     return float(err)
@@ -150,12 +150,10 @@ def _eye_target_px(eyes_mm: np.ndarray, target_disp: np.ndarray,
 
 
 def _dpr_target_px(target_disp: np.ndarray, display: DisplayModel,
-                   back_cam: PinholeCamera | None, fit: FitPolicy) -> np.ndarray:
+                   back_cam: PinholeCamera, fit: FitPolicy) -> np.ndarray:
     """(T, 2) pixels where DPR draws each display-frame target: its back
     camera projection, fitted to the display; NaN for targets at or behind
     the back camera."""
-    if back_cam is None:
-        raise ValueError("DPR requires a back camera")
     target_cam = back_cam.extrinsic.apply(target_disp)
     cam_px = project_pinhole(back_cam, target_cam)
     return cam_px_to_display_px(cam_px, display, back_cam, fit)

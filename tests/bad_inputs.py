@@ -132,6 +132,11 @@ BAD_INPUTS = [
      "error: threshold_*: eps_min_px must be in (0, eps_max_px]"),
     (FLOOR + "trace_file = nofile.csv", ["sweep", "--param", "eps_max", "--values", "8"],
      "error: trace_file: "),
+    # The config's threshold_eps_max_px = 0 means its default; --eps 0 does not.
+    ("", ["truthtable", "--eps", "0"], "--eps: eps_max_px: must be positive"),
+    # A target coordinate is a quantity: finite and within SCALE.
+    ("targets = nan,0", ["gen-trace"], "error: targets: must be one or more x,y float pairs"),
+    ("targets = inf,0", ["gen-trace"], "error: targets: must be one or more x,y float pairs"),
 ]
 
 

@@ -19,7 +19,6 @@ from uprsim.geometry import (
     EyeState,
     GeometryError,
     PinholeCamera,
-    ScenePlane,
     _as_vec3,
     project_pinhole,
 )
@@ -66,16 +65,14 @@ def _eye_ray_through_panel(eye_world: np.ndarray, display: DisplayModel, px) -> 
     return Ray(eye_world, panel_world - eye_world)
 
 
-def perceived_plane_point(display_px, true_eye: EyeState, display: DisplayModel,
-                          plane: ScenePlane) -> np.ndarray | None:
+def perceived_plane_point(display_px, true_eye: EyeState,
+                          display: DisplayModel) -> np.ndarray | None:
     """Plane point (2D, mm) a user at true_eye perceives behind a display
     pixel, i.e. where the true-eye ray through the pixel's physical location
     meets the plane. None when the ray misses the plane forward."""
     eye_world = display.pose_world.apply(true_eye.cyclopean_mm)
     hit = intersect_ray_plane(_eye_ray_through_panel(eye_world, display, display_px))
-    if hit is None:
-        return None
-    return plane.to_plane_2d(hit)
+    return None if hit is None else hit[:2]
 
 
 def _display_px_for_target_from_eye(eye_mm: np.ndarray, target_world,
@@ -116,18 +113,17 @@ def render_target_px(mode: RenderMode, target_world, estimated_eye: EyeState | N
 
 
 def pointing_error(mode: RenderMode, target_world, estimated_eye: EyeState | None,
-                   true_eye: EyeState, display: DisplayModel, plane: ScenePlane,
+                   true_eye: EyeState, display: DisplayModel,
                    back_cam: PinholeCamera | None = None,
                    fit: FitPolicy = FitPolicy.STRETCH) -> float:
     """On-plane distance (mm) between a target and where the user perceives
     the drawn target, looking from the true eye. Raises GeometryError when
     any involved ray fails to resolve."""
     p_display = render_target_px(mode, target_world, estimated_eye, display, back_cam, fit)
-    perceived = perceived_plane_point(p_display, true_eye, display, plane)
+    perceived = perceived_plane_point(p_display, true_eye, display)
     if perceived is None:
         raise GeometryError("perceived ray misses the scene plane")
-    target_2d = plane.to_plane_2d(np.asarray(target_world, dtype=float))
-    return float(np.linalg.norm(perceived - target_2d))
+    return float(np.linalg.norm(perceived - np.asarray(target_world, dtype=float)[:2]))
 
 
 def homography_from_points(src, dst) -> np.ndarray:
@@ -154,7 +150,7 @@ def apply_homography(h: np.ndarray, pts) -> np.ndarray:
     return q[..., :2] / q[..., 2:3]
 
 
-def upr_homography(eye: EyeState, display: DisplayModel, plane: ScenePlane) -> np.ndarray:
+def upr_homography(eye: EyeState, display: DisplayModel) -> np.ndarray:
     """The homography taking display pixels to 2D scene-plane points (mm)
     under user-perspective rendering from eye's cyclopean point.
 
@@ -163,7 +159,7 @@ def upr_homography(eye: EyeState, display: DisplayModel, plane: ScenePlane) -> n
     corner ray misses the plane forward."""
     w, h = display.width_px, display.height_px
     corners = np.array([[w, 0.0], [0.0, 0.0], [0.0, h], [w, h]])
-    dst = [perceived_plane_point(c, eye, display, plane) for c in corners]
+    dst = [perceived_plane_point(c, eye, display) for c in corners]
     if any(p is None for p in dst):
         raise GeometryError("display corner ray misses the scene plane")
     return homography_from_points(corners, dst)

@@ -24,7 +24,7 @@ from uprsim.harness import (
     run,
     write_outputs,
 )
-from uprsim.scheduler import FLOW_FAILURE, Reason, ThresholdConfig, epsilon_default, schedule
+from uprsim.scheduler import FLOW_FAILURE, Reason, epsilon_default, schedule
 from uprsim.viewgen import RenderMode, perceived_points
 
 
@@ -54,7 +54,7 @@ def pair(x):
 @criterion(1, "scheduler truth table (spatial / refine / precise-skip / skip / failure)",
            max_seconds=1.0)
 def test_criterion_1_truth_table():
-    cfg = ThresholdConfig(eps_max_px=24.0)
+    cfg = ExperimentConfig().threshold_config()  # eps 24 px
 
     def reasons(*xs):
         """schedule's reasons over flows pair(x), FLOW_FAILURE for None, each
@@ -186,7 +186,6 @@ def test_criterion_8_homography_oracle():
     # The four-corner homography, built in the tests from scalar ray casts,
     # against the per-pixel map a run computes.
     rng = np.random.default_rng(2024)
-    plane = ScenePlane((4000.0, 4000.0))
     grid = np.stack(np.meshgrid(np.linspace(0, 1080, 10),
                                 np.linspace(0, 608, 10)), axis=-1).reshape(-1, 2)
     checked = 0
@@ -198,13 +197,13 @@ def test_criterion_8_homography_oracle():
         display = DisplayModel(109.0, 61.0, 1080, 608,
                                from_quaternion([1.0, *quaternion], shift - plane_at))
         eye = EyeState.from_cyclopean(
-            [rng.uniform(-80, 80), rng.uniform(-80, 80), rng.uniform(200, 500)])
+            [rng.uniform(-80, 80), rng.uniform(-80, 80), rng.uniform(200, 500)], 63.0)
         try:
-            h = upr_homography(eye, display, plane)
+            h = upr_homography(eye, display)
         except GeometryError:
             continue  # degenerate draw; only non-degenerate configs count
         eye_world = display.pose_world.apply(eye.cyclopean_mm)
-        perceived, hit = perceived_points(eye_world, grid, display, plane)
+        perceived, hit = perceived_points(eye_world, grid, display)
         assert hit.all()
         assert np.abs(apply_homography(h, grid) - perceived).max() < 1e-6
         checked += 1
@@ -225,9 +224,9 @@ def test_criterion_9_exact_compensation():
         display = DisplayModel(109.0, 61.0, 1080, 608,
                                RigidTransform(np.eye(3), [0.0, 0.0, height]))
         eye = EyeState.from_cyclopean(
-            [rng.uniform(-120, 120), rng.uniform(-80, 80), rng.uniform(120, 500)])
+            [rng.uniform(-120, 120), rng.uniform(-80, 80), rng.uniform(120, 500)], 63.0)
         target = plane.from_plane_2d(rng.uniform(-200, 200, size=2))
-        err = pointing_error(RenderMode.UPR, target, eye, eye, display, plane)
+        err = pointing_error(RenderMode.UPR, target, eye, eye, display)
         assert err < 1e-9
         done += 1
 
@@ -236,17 +235,16 @@ def test_criterion_9_exact_compensation():
            max_seconds=2.0)
 def test_criterion_10_monotonicity():
     display = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform(np.eye(3), [0.0, 0.0, 300.0]))
-    plane = ScenePlane((2000.0, 2000.0))
-    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
+    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0], 63.0)
     target = [30.0, 10.0, 0.0]
-    errs = [pointing_error(RenderMode.DPR, target, None, eye, display, plane,
+    errs = [pointing_error(RenderMode.DPR, target, None, eye, display,
                            back_cam=back_camera((off, 0.0, 0.0), 400.0, 400.0, 640, 480))
             for off in np.arange(0.0, 101.0, 10.0)]
     assert all(b >= a - 1e-9 for a, b in zip(errs, errs[1:]))
 
-    cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
+    cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0], 63.0)
     errs = [pointing_error(RenderMode.FUPR, [0.0, 0.0, 0.0], cal_eye,
-                           EyeState.from_cyclopean([dx, 0.0, 150.0]), display, plane)
+                           EyeState.from_cyclopean([dx, 0.0, 150.0], 63.0), display)
             for dx in np.arange(0.0, 201.0, 20.0)]
     assert all(b >= a - 1e-9 for a, b in zip(errs, errs[1:]))
 

@@ -28,7 +28,6 @@ from uprsim.geometry import (
     project_pinhole,
 )
 from uprsim.harness import ExperimentConfig
-from uprsim.scheduler import ThresholdConfig
 from uprsim.tracksim import (
     FlowSimulator,
     Generator,
@@ -122,7 +121,8 @@ def test_eye_state_split():
     e = EyeState.from_cyclopean([0.0, 0.0, 150.0], ipd_mm=63.0)
     assert [f.name for f in fields(e)] == ["cyclopean_mm", "ipd_mm"]
     assert np.array_equal(e.cyclopean_mm, [0.0, 0.0, 150.0]) and e.ipd_mm == 63.0
-    assert EyeState([0.0, 0.0, 150.0]).ipd_mm == 63.0
+    with pytest.raises(TypeError, match="missing required argument: 'ipd_mm'"):
+        EyeState([0.0, 0.0, 150.0])
     left, right = eye_points(e.cyclopean_mm, e.ipd_mm)
     assert np.array_equal(left, [-31.5, 0.0, 150.0])
     assert np.array_equal(right, [31.5, 0.0, 150.0])
@@ -133,11 +133,11 @@ def test_eye_state_invariants():
     with pytest.raises(GeometryError, match="^ipd_mm: must be nonnegative"):
         EyeState([0.0, 0.0, 150.0], -1.0)
     with pytest.raises(GeometryError, match=r"in front of the panel \(z > 0\)"):
-        EyeState.from_cyclopean([0.0, 0.0, -10.0])
+        EyeState.from_cyclopean([0.0, 0.0, -10.0], 63.0)
     with pytest.raises(GeometryError, match="^cyclopean_mm: must be finite"):
-        EyeState.from_cyclopean([np.nan, 0.0, 150.0])
+        EyeState.from_cyclopean([np.nan, 0.0, 150.0], 63.0)
     with pytest.raises(GeometryError, match="^cyclopean_mm: must be finite"):
-        EyeState([-np.inf, 0.0, 150.0])
+        EyeState([-np.inf, 0.0, 150.0], 63.0)
 
 
 # ---- Pinhole projection ------------------------------------------------
@@ -293,18 +293,17 @@ PLANE_UV = st.lists(st.tuples(st.sampled_from([0.0, -0.0]) | st.floats(), st.flo
 @example(uv=[(-0.0, -0.0)])
 def test_plane_2d_round_trip(uv):
     # Plane coordinates are world x and y: from_plane_2d puts them on z = 0
-    # and to_plane_2d takes them back bit for bit, the sign of zero included.
+    # bit for bit, the sign of zero included, so world[..., :2] takes them back.
     plane = ScenePlane((1000.0, 1000.0))
     uv = np.array(uv)
+    bits = uv.view(np.int64).tolist()
     world = plane.from_plane_2d(uv)
     assert world.shape == (len(uv), 3)
-    assert world[:, :2].view(np.int64).tolist() == uv.view(np.int64).tolist()
+    assert world[:, :2].view(np.int64).tolist() == bits
     assert (world[:, 2] == 0.0).all()
-    back = plane.to_plane_2d(world)
-    assert back.view(np.int64).tolist() == uv.view(np.int64).tolist()
     # A new array, not a view of its argument.
-    back[...] = 1.0
-    assert world[:, :2].view(np.int64).tolist() == uv.view(np.int64).tolist()
+    world[...] = 1.0
+    assert uv.view(np.int64).tolist() == bits
 
 
 def test_plane_rejects_nonfinite_bounds():
@@ -334,8 +333,8 @@ def test_vectors_reject_nonfinite(name, bad):
 VALUE_OBJECTS = [
     DisplayModel(109.0, 61.0, 1080, 608, IDENTITY),
     cam(),
-    EyeState.from_cyclopean([0.0, 0.0, 150.0]),
-    ThresholdConfig(24.0),
+    EyeState.from_cyclopean([0.0, 0.0, 150.0], 63.0),
+    ExperimentConfig().threshold_config(),
     ExperimentConfig().cost_model(),
     TraceSpec(Generator.SWAY),
     FlowSimulator(front_camera(250.0, 250.0, 640, 480), 0.0, 0.0, 0.0, np.random.default_rng(0)),
@@ -436,7 +435,7 @@ def test_value_objects_bind_arguments_as_dataclass_does():
     assert a == DisplayModel(109.0, 61.0, 1080, 608, IDENTITY)
     b, c = Boxed(2.0), Boxed(width_mm=2.0, scale=1.0)
     assert repr(b) == repr(c) == "Boxed(width_mm=2.0, scale=1.0)"
-    assert ThresholdConfig(24.0) == ThresholdConfig(eps_max_px=24.0, decay_rate=0.98)
+    assert TraceSpec(Generator.SWAY) == TraceSpec(generator=Generator.SWAY, seed=1)
 
 
 def test_a_default_factory_is_no_default():

@@ -74,7 +74,8 @@ def test_target_outside_plane_rejected():
 def test_bad_targets_format_rejected():
     # The format is the field's own domain, checked when a config is built.
     with pytest.raises(ConfigError, match=r"^targets: must be one or more x,y float pairs, "
-                                          r"separated by ';', got '1;2;3'$"):
+                                          r"separated by ';', each at most 1e6 in magnitude, "
+                                          r"got '1;2;3'$"):
         ExperimentConfig(targets="1;2;3")
 
 
@@ -231,7 +232,7 @@ def scalar_errors(cfg: ExperimentConfig, res, mode: str) -> np.ndarray:
         for t, target in enumerate(targets):
             try:
                 out[i, t] = pointing_error(RenderMode(mode), target, est, true,
-                                           display, plane, back_cam=back, fit=fit)
+                                           display, back_cam=back, fit=fit)
             except GeometryError:
                 pass
     return out

@@ -7,9 +7,10 @@ exempt from both: their imports are the public re-exports. One function in
 src/uprsim opens files for writing, so one place decides what a CSV cell
 looks like. Every value object with a number field checks its declared
 domains through geometry.check_fields. Each of a run's values has one
-source, its config: no src value object but ExperimentConfig,
-ThresholdConfig, TraceSpec and EyeState declares a field default or
-default_factory, and the camera factories' parameters and the fit and metric
+source, its config: no src value object but ExperimentConfig and TraceSpec
+declares a field default or default_factory, a default TraceSpec draws the
+default config's trace, and the camera factories' and
+EyeState.from_cyclopean's parameters and the back camera, fit and metric
 parameters have no default. The scheduler imports no numpy, so
 AAUPR's per-frame decisions stay on Python floats. perfbench's span targets
 still name the program's attributes. No test handler of Exception or
@@ -194,20 +195,19 @@ def test_value_objects_check_fields():
 
 
 #: The value objects whose fields keep defaults. ExperimentConfig's are a
-#: run's values. `uprsim truthtable` and demo 02 build a ThresholdConfig from
-#: eps_max_px alone; perfbench's trace_sweep input takes TraceSpec's frame
-#: rate and ipd; perfbench's checks build EyeStates with from_cyclopean.
-DEFAULTED = {"ExperimentConfig", "ThresholdConfig", "TraceSpec", "EyeState"}
+#: run's values; TraceSpec's are the same keys' (perfbench's trace_sweep
+#: input takes its frame rate and ipd), as the test below checks.
+DEFAULTED = {"ExperimentConfig", "TraceSpec"}
 
 #: Parameters that a run fills from its config, by function; None is every
-#: parameter. pointing_errors' back_cam keeps its None: a run without DPR
-#: needs no back camera, and None is no config value.
+#: parameter.
 CONFIG_PARAMETERS = {
     geometry.front_camera: None,
     geometry.back_camera: None,
+    geometry.EyeState.from_cyclopean: None,
     viewgen.cam_px_to_display_px: ["fit"],
-    viewgen.pointing_errors: ["fit"],
-    viewgen.pointing_error: ["fit"],
+    viewgen.pointing_errors: ["back_cam", "fit"],
+    viewgen.pointing_error: ["back_cam", "fit"],
     scheduler.eye_distance_px: ["metric"],
 }
 
@@ -226,6 +226,17 @@ def test_a_run_value_has_one_source():
         assert names is None or set(names) <= params.keys()
         assert [name for name in names or params
                 if params[name].default is not inspect.Parameter.empty] == [], fn.__name__
+
+
+@pytest.mark.parametrize("generator", tracksim.Generator, ids=lambda g: g.value)
+def test_a_default_trace_spec_draws_the_default_config_trace(generator):
+    # step_move derives its length; the others need one.
+    n = 0 if generator is tracksim.Generator.STEP_MOVE else 60
+    spec = tracksim.generate_trace(tracksim.TraceSpec(generator, n_frames=n))
+    config = harness.ExperimentConfig(trace_generator=generator.value,
+                                      trace_n_frames=n).build_trace()
+    for name in ("t_ms", "eye_mm", "ipd_mm"):
+        assert getattr(spec, name).tobytes() == getattr(config, name).tobytes(), name
 
 
 def imported_modules(source: str) -> set[str]:

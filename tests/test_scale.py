@@ -31,7 +31,7 @@ eye under the MIN_DIVISOR floor on z).
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from test_cli import configs
 
@@ -110,9 +110,18 @@ LENGTH_CONFIGS = draws(LENGTHS).filter(lambda c: c.trace_generator != "random_wa
 
 RELATION = settings(max_examples=30, suppress_health_check=[HealthCheck.filter_too_much])
 
+#: The benchmark run with every frame evaluated, in which AAUPR skips most
+#: frames and recalculates for spatial, refine and initial reasons. Drawn
+#: configs seldom let AAUPR skip, so without these examples the relation
+#: would seldom test its decisions.
+EVERY_FRAME = ExperimentConfig(errors_dwell_only=False)
+
 
 @RELATION
 @given(config=LENGTH_CONFIGS, k=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+@example(config=EVERY_FRAME, k=0.5)
+@example(config=EVERY_FRAME, k=4.0)
+@example(config=replace(EVERY_FRAME, threshold_policy="decaying", threshold_metric="mean"), k=2.0)
 def test_lengths_scale_every_mm_output_and_no_decision(config, k):
     base, big = outcomes(config, scaled(config, LENGTHS, k, targets=True))
     if isinstance(base, str):

@@ -1,6 +1,6 @@
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uprsim.geometry import PinholeCamera, RigidTransform
+from uprsim.harness import ExperimentConfig
 from uprsim.scheduler import (
     FLOW_FAILURE,
     EyeMetric,
@@ -21,8 +22,8 @@ from uprsim.scheduler import (
 
 
 def cfg(**kw) -> ThresholdConfig:
-    kw.setdefault("eps_max_px", 24.0)
-    return ThresholdConfig(**kw)
+    """The default config's thresholds (eps 24 px) with kw replaced."""
+    return replace(ExperimentConfig().threshold_config(), **kw)
 
 
 def eyes(x: float, y: float = 100.0) -> tuple:
@@ -321,13 +322,13 @@ def test_eye_distance_bit_equals_norm(a, b, metric):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ThresholdConfig(eps_max_px=0.0)
+        cfg(eps_max_px=0.0)
     with pytest.raises(ValueError):
-        ThresholdConfig(eps_max_px=24.0, refine_factor=1.5)
+        cfg(refine_factor=1.5)
     with pytest.raises(ValueError):
-        ThresholdConfig(eps_max_px=24.0, policy=Policy.DECAYING, decay_rate=1.5)
+        cfg(policy=Policy.DECAYING, decay_rate=1.5)
     with pytest.raises(ValueError):
-        ThresholdConfig(eps_max_px=24.0, policy=Policy.DECAYING, eps_min_px=30.0)
+        cfg(policy=Policy.DECAYING, eps_min_px=30.0)
 
 
 @pytest.mark.parametrize("policy", Policy)
@@ -335,11 +336,11 @@ def test_config_validation():
                                          (-5.0, "nonnegative")])
 def test_eps_floor_checked_under_every_policy(policy, bad, domain):
     with pytest.raises(ValueError, match=f"^eps_min_px: must be {domain}"):
-        ThresholdConfig(24.0, policy=policy, eps_min_px=bad)
+        cfg(policy=policy, eps_min_px=bad)
 
 
 def test_eps_floor_zero_is_tenth_of_max():
-    assert ThresholdConfig(24.0, eps_min_px=0.0).floor_px == pytest.approx(2.4)
+    assert cfg(eps_min_px=0.0).floor_px == pytest.approx(2.4)
 
 
 # ---- schedule against a frame-by-frame oracle --------------------------

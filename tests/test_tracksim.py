@@ -249,7 +249,7 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
 ])
 def test_trace_csv_rejects_bad_row(tmp_path, line, old, new, message):
     p = tmp_path / "trace.csv"
-    write_trace_csv(generate_trace(spec(n_frames=3)), p)
+    write_trace_csv(generate_trace(spec(n_frames=3, base_eye_mm=(0.0, 0.0, 300.0))), p)
     lines = p.read_text().splitlines(keepends=True)
     lines[line - 1] = lines[line - 1].replace(old, new, 1)
     p.write_text("".join(lines))

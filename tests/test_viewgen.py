@@ -53,6 +53,8 @@ def flat_display(z_world=300.0) -> DisplayModel:
 
 PLANE = ScenePlane((2000.0, 2000.0))
 STRETCH = FitPolicy.STRETCH
+#: The simulator's back camera, for calls where no mode reads it.
+BACK = ExperimentConfig().back_cam()
 
 
 def offset_back_camera(offset_mm) -> PinholeCamera:
@@ -61,13 +63,13 @@ def offset_back_camera(offset_mm) -> PinholeCamera:
     return back_camera(offset_mm, 400.0, 400.0, 640, 480)
 
 
-def raycast_plane_point(eye_state, display, plane, display_px):
+def raycast_plane_point(eye_state, display, display_px):
     """Brute-force oracle: cast the cyclopean-eye ray through the physical
     pixel location and intersect the plane directly."""
     eye_world = display.pose_world.apply(eye_state.cyclopean_mm)
     panel_world = display.pose_world.apply(display.px_to_mm(display_px))
     hit = intersect_ray_plane(Ray(eye_world, panel_world - eye_world))
-    return None if hit is None else plane.to_plane_2d(hit)
+    return None if hit is None else hit[:2]
 
 
 # ---- FUPR's calibration eye -------------------------------------------
@@ -97,26 +99,26 @@ def test_fupr_eye_boundary_and_split():
 # tests' homography maps every pixel from four corner rays, so where both
 # resolve they must agree.
 
-def perceived_grid(eye, display, plane, n=10):
+def perceived_grid(eye, display, n=10):
     """An n x n grid of display pixels, and perceived_points on it."""
     grid = np.stack(np.meshgrid(np.linspace(0, display.width_px, n),
                                 np.linspace(0, display.height_px, n)), axis=-1).reshape(-1, 2)
     perceived, hit = perceived_points(display.pose_world.apply(eye.cyclopean_mm), grid,
-                                      display, plane)
+                                      display)
     assert hit.all()
     return grid, perceived
 
 
 def test_upr_homography_parallel_plane_is_similarity():
-    eye = EyeState.from_cyclopean([0.0, 0.0, 400.0])
-    h = upr_homography(eye, flat_display(), PLANE)  # h[2, 2] = 1
+    eye = EyeState.from_cyclopean([0.0, 0.0, 400.0], 63.0)
+    h = upr_homography(eye, flat_display())  # h[2, 2] = 1
     assert abs(h[2, 0]) < 1e-9 and abs(h[2, 1]) < 1e-9
     # Uniform scale: |h00| == |h11| in mm-per-px terms adjusted for the
     # panel's px aspect.
     sx = abs(h[0, 0]) * 1080 / 109.0
     sy = abs(h[1, 1]) * 608 / 61.0
     assert abs(sx - sy) < 1e-9
-    grid, perceived = perceived_grid(eye, flat_display(), PLANE)
+    grid, perceived = perceived_grid(eye, flat_display())
     assert np.abs(apply_homography(h, grid) - perceived).max() < 1e-9
 
 
@@ -124,10 +126,9 @@ def test_upr_homography_matches_independent_camera():
     # A virtual pinhole camera at the eye whose image plane coincides with
     # the display must induce the same display-to-plane map.
     display = flat_display()
-    plane = PLANE
     ez = 500.0
     eye = display.pose_world.apply([0.0, 0.0, ez])
-    h = upr_homography(EyeState.from_cyclopean([0.0, 0.0, ez]), display, plane)
+    h = upr_homography(EyeState.from_cyclopean([0.0, 0.0, ez], 63.0), display)
     cam = PinholeCamera(fx=ez * 1080 / 109.0, fy=ez * 608 / 61.0,
                         cx=540.0, cy=304.0, width_px=1080, height_px=608,
                         extrinsic=RigidTransform(np.eye(3), np.zeros(3)))
@@ -139,8 +140,8 @@ def test_upr_homography_matches_independent_camera():
         # display -z).
         u, v = px
         d = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0]) * [1.0, -1.0, -1.0]
-        expected = plane.to_plane_2d(intersect_ray_plane(Ray(eye, d)))
-        perceived, hit = perceived_points(eye, px, display, plane)
+        expected = intersect_ray_plane(Ray(eye, d))[:2]
+        perceived, hit = perceived_points(eye, px, display)
         assert hit
         assert np.allclose(perceived, expected, atol=1e-6)
         assert np.allclose(apply_homography(h, px), expected, atol=1e-6)
@@ -149,12 +150,11 @@ def test_upr_homography_matches_independent_camera():
 def test_upr_homography_oblique_raycast_oracle():
     display = DisplayModel(109.0, 61.0, 1080, 608,
                            rotation_x(np.deg2rad(30.0), [0.0, 0.0, 300.0]))
-    plane = PLANE
-    eye = EyeState.from_cyclopean([40.0, -20.0, 350.0])
-    h = upr_homography(eye, display, plane)
-    grid, perceived = perceived_grid(eye, display, plane)
+    eye = EyeState.from_cyclopean([40.0, -20.0, 350.0], 63.0)
+    h = upr_homography(eye, display)
+    grid, perceived = perceived_grid(eye, display)
     for px, uv in zip(grid, perceived):
-        expected = raycast_plane_point(eye, display, plane, px)
+        expected = raycast_plane_point(eye, display, px)
         assert np.abs(uv - expected).max() < 1e-6
         assert np.abs(apply_homography(h, px) - expected).max() < 1e-6
 
@@ -162,13 +162,13 @@ def test_upr_homography_oblique_raycast_oracle():
 def test_upr_homography_corner_miss_raises_without_warnings():
     # The panel 400 mm below the plane, so the plane is on the eye's side of
     # it: every corner ray points away.
-    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
+    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0], 63.0)
     below_plane = flat_display(-400.0)
     # Panel upright (display y -> world z) with the eye level with its top
     # edge: two corner rays run exactly parallel to the plane.
     upright = DisplayModel(109.0, 61.0, 1080, 608, RigidTransform(
         np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]), [0.0, 0.0, 300.0]))
-    level = EyeState.from_cyclopean([0.0, 30.5, 1.0])
+    level = EyeState.from_cyclopean([0.0, 30.5, 1.0], 63.0)
     corners = np.array([[1080.0, 0.0], [0.0, 0.0], [0.0, 608.0], [1080.0, 608.0]])
     # perceived_points marks those rays, and only those, as misses.
     for display, e, hits in ((below_plane, eye, [False] * 4),
@@ -176,11 +176,11 @@ def test_upr_homography_corner_miss_raises_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             uv, hit = perceived_points(display.pose_world.apply(e.cyclopean_mm), corners,
-                                       display, PLANE)
+                                       display)
         assert hit.tolist() == hits
         assert np.isnan(uv[~hit]).all() and not np.isnan(uv[hit]).any()
         with pytest.raises(GeometryError, match="display corner ray misses the scene plane"):
-            upr_homography(e, display, PLANE)
+            upr_homography(e, display)
 
 
 # ---- DPR mapping -------------------------------------------------------
@@ -196,7 +196,7 @@ def test_dpr_equals_upr_at_coincident_viewpoint():
                         cx=320.0, cy=240.0, width_px=640, height_px=480,
                         extrinsic=RigidTransform(np.diag([1.0, -1.0, -1.0]),
                                                  -np.diag([1.0, -1.0, -1.0]) @ np.array([0.0, 0.0, z])))
-    eye = EyeState.from_cyclopean([0.0, 0.0, z])
+    eye = EyeState.from_cyclopean([0.0, 0.0, z], 63.0)
     for uv in ([0.0, 0.0], [-150.0, 80.0], [250.0, -140.0]):
         target = plane.from_plane_2d(uv)
         p_dpr = render_target_px(RenderMode.DPR, target, None, display, back_cam=cam)
@@ -208,7 +208,7 @@ def test_dpr_corner_camera_differs_from_upr():
     display = flat_display()
     plane = PLANE
     cam = offset_back_camera((50.0, -30.0, 0.0))
-    eye = EyeState.from_cyclopean([0.0, 0.0, 300.0])
+    eye = EyeState.from_cyclopean([0.0, 0.0, 300.0], 63.0)
     target = plane.from_plane_2d([0.0, 0.0])
     p_dpr = render_target_px(RenderMode.DPR, target, None, display, back_cam=cam)
     p_upr = render_target_px(RenderMode.UPR, target, eye, display)
@@ -236,37 +236,35 @@ def test_fit_policies():
 
 # ---- perceived_points --------------------------------------------------
 
-def perceived_point(display_px, eye, display, plane):
+def perceived_point(display_px, eye, display):
     """perceived_points for one eye and one pixel; None where it misses."""
     uv, hit = perceived_points(display.pose_world.apply(eye.cyclopean_mm), display_px,
-                               display, plane)
+                               display)
     return uv if hit else None
 
 
 def test_perceived_center_collinear():
     display = flat_display()
-    plane = PLANE
-    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
-    assert np.allclose(perceived_point([540.0, 304.0], eye, display, plane),
+    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0], 63.0)
+    assert np.allclose(perceived_point([540.0, 304.0], eye, display),
                        [0.0, 0.0], atol=1e-9)
 
 
 def test_perceived_is_raycast():
     display = DisplayModel(109.0, 61.0, 1080, 608,
                            rotation_y(0.2, [10.0, 5.0, 300.0]))
-    plane = PLANE
-    eye = EyeState.from_cyclopean([30.0, -40.0, 280.0])
+    eye = EyeState.from_cyclopean([30.0, -40.0, 280.0], 63.0)
     px = [200.0, 450.0]
-    assert np.allclose(perceived_point(px, eye, display, plane),
-                       raycast_plane_point(eye, display, plane, px), atol=1e-9)
+    assert np.allclose(perceived_point(px, eye, display),
+                       raycast_plane_point(eye, display, px), atol=1e-9)
 
 
 def test_perceived_no_hit():
     # The panel below the plane, the eye 1 mm above the panel: the ray
     # through the panel heads away from the plane and never reaches it.
     display = flat_display(-300.0)
-    eye = EyeState.from_cyclopean([0.0, 0.0, 1.0])
-    assert perceived_point([540.0, 304.0], eye, display, ScenePlane((100.0, 100.0))) is None
+    eye = EyeState.from_cyclopean([0.0, 0.0, 1.0], 63.0)
+    assert perceived_point([540.0, 304.0], eye, display) is None
 
 
 # ---- pointing_error ----------------------------------------------------
@@ -277,19 +275,20 @@ def test_upr_exact_compensation():
     rng = np.random.default_rng(5)
     for _ in range(50):
         eye = EyeState.from_cyclopean(
-            [rng.uniform(-100, 100), rng.uniform(-60, 60), rng.uniform(150, 450)])
+            [rng.uniform(-100, 100), rng.uniform(-60, 60), rng.uniform(150, 450)], 63.0)
         target = plane.from_plane_2d(rng.uniform(-150, 150, size=2))
-        err = pointing_error(RenderMode.UPR, target, eye, eye, display, plane, fit=STRETCH)
+        err = pointing_error(RenderMode.UPR, target, eye, eye, display, plane, BACK,
+                             fit=STRETCH)
         assert err < 1e-9
 
 
 def test_fupr_regression_constant():
     display = flat_display()
     plane = PLANE
-    cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
-    true_eye = EyeState.from_cyclopean([100.0, 0.0, 150.0])
+    cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0], 63.0)
+    true_eye = EyeState.from_cyclopean([100.0, 0.0, 150.0], 63.0)
     err = pointing_error(RenderMode.FUPR, [0.0, 0.0, 0.0], cal_eye, true_eye,
-                         display, plane, fit=STRETCH)
+                         display, plane, BACK, fit=STRETCH)
     assert abs(err - FUPR_LATERAL_100MM_ERROR_MM) < 1e-9
 
 
@@ -297,11 +296,11 @@ def test_dpr_positive_error_with_offset_camera():
     display = flat_display()
     plane = PLANE
     cam = offset_back_camera((50.0, -30.0, 0.0))
-    eye = EyeState.from_cyclopean([0.0, 0.0, 300.0])
+    eye = EyeState.from_cyclopean([0.0, 0.0, 300.0], 63.0)
     err_dpr = pointing_error(RenderMode.DPR, [40.0, 20.0, 0.0], None, eye,
                              display, plane, back_cam=cam, fit=STRETCH)
     err_upr = pointing_error(RenderMode.UPR, [40.0, 20.0, 0.0], eye, eye,
-                             display, plane, fit=STRETCH)
+                             display, plane, cam, fit=STRETCH)
     assert err_upr < 1e-9
     assert err_dpr > err_upr
 
@@ -310,7 +309,7 @@ def test_mode_coincidence_at_calibration_pose():
     # Stationary head exactly at the calibration pose, noise-free: UPR,
     # FUPR and AAUPR draw every target at the same pixel.
     display = flat_display()
-    eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
+    eye = EyeState.from_cyclopean([0.0, 0.0, 150.0], 63.0)
     rng = np.random.default_rng(9)
     for _ in range(20):
         target = [rng.uniform(-150, 150), rng.uniform(-90, 90), 0.0]
@@ -324,7 +323,7 @@ def test_mode_coincidence_at_calibration_pose():
 def test_dpr_error_monotone_in_camera_offset():
     display = flat_display()
     plane = PLANE
-    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
+    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0], 63.0)
     target = [30.0, 10.0, 0.0]
     errors = []
     for off in np.arange(0.0, 101.0, 10.0):
@@ -337,13 +336,13 @@ def test_dpr_error_monotone_in_camera_offset():
 def test_fupr_error_monotone_in_head_displacement():
     display = flat_display()
     plane = PLANE
-    cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0])
+    cal_eye = EyeState.from_cyclopean([0.0, 0.0, 150.0], 63.0)
     target = [0.0, 0.0, 0.0]
     errors = []
     for dx in np.arange(0.0, 201.0, 20.0):
-        true_eye = EyeState.from_cyclopean([dx, 0.0, 150.0])
+        true_eye = EyeState.from_cyclopean([dx, 0.0, 150.0], 63.0)
         errors.append(pointing_error(RenderMode.FUPR, target, cal_eye, true_eye,
-                                     display, plane, fit=STRETCH))
+                                     display, plane, BACK, fit=STRETCH))
     assert all(b >= a - 1e-9 for a, b in zip(errors, errors[1:]))
 
 
@@ -365,10 +364,10 @@ def test_pointing_error_is_one_batch_cell(mode):
         est, true = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(2, 3))
         back = offset_back_camera(rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
         fit = (FitPolicy.STRETCH, FitPolicy.LETTERBOX)[k % 2]
-        cell = pointing_errors([mode], [target], [[est]], [true], display, plane,
-                               back_cam=back, fit=fit)[0, 0, 0]
-        args = (mode, target, EyeState.from_cyclopean(est), EyeState.from_cyclopean(true),
-                display, plane, back)
+        cell = pointing_errors([mode], [target], [[est]], [true], display, back,
+                               fit=fit)[0, 0, 0]
+        args = (mode, target, EyeState.from_cyclopean(est, 63.0),
+                EyeState.from_cyclopean(true, 63.0), display, plane, back)
         if np.isnan(cell):
             with pytest.raises(GeometryError):
                 pointing_error(*args, fit=fit)
@@ -379,13 +378,16 @@ def test_pointing_error_is_one_batch_cell(mode):
 
 
 def test_pointing_error_requires_eye_estimate_and_back_camera():
-    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0])
+    # Every mode's call takes a back camera; only DPR's reads it.
+    eye = EyeState.from_cyclopean([0.0, 0.0, 250.0], 63.0)
     target = [0.0, 0.0, 0.0]
-    for mode, est, message in ((RenderMode.UPR, None, "UPR requires an eye estimate"),
-                               (RenderMode.DPR, eye, "DPR requires a back camera")):
-        with pytest.raises(ValueError, match=message) as excinfo:
-            pointing_error(mode, target, est, eye, flat_display(), PLANE, fit=STRETCH)
-        assert excinfo.type is ValueError
+    with pytest.raises(ValueError, match="UPR requires an eye estimate") as excinfo:
+        pointing_error(RenderMode.UPR, target, None, eye, flat_display(), PLANE, BACK,
+                       fit=STRETCH)
+    assert excinfo.type is ValueError
+    for mode in RenderMode:
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'back_cam'"):
+            pointing_error(mode, target, eye, eye, flat_display(), PLANE, fit=STRETCH)
 
 
 def test_pointing_errors_match_scalar_any_pose():
@@ -408,17 +410,17 @@ def test_pointing_errors_match_scalar_any_pose():
         true = rng.uniform([-100.0, -100.0, 20.0], [100.0, 100.0, 600.0], size=(6, 3))
         back = offset_back_camera(rng.uniform([-50.0, -30.0, -10.0], [50.0, 30.0, 0.0]))
         fit = (FitPolicy.STRETCH, FitPolicy.LETTERBOX)[k % 2]
-        batch = pointing_errors(list(RenderMode), targets, [est] * 4, true, display, plane,
-                                back_cam=back, fit=fit)
+        batch = pointing_errors(list(RenderMode), targets, [est] * 4, true, display, back,
+                                fit=fit)
         assert batch.shape == (4, 6, 4)
         for mode, errs in zip(RenderMode, batch):
             for i in range(6):
-                est_eye = None if mode is RenderMode.DPR else EyeState.from_cyclopean(est[i])
+                est_eye = None if mode is RenderMode.DPR else EyeState.from_cyclopean(est[i], 63.0)
                 for t in range(4):
                     try:
                         ref = raycast.pointing_error(mode, targets[t], est_eye,
-                                                     EyeState.from_cyclopean(true[i]),
-                                                     display, plane, back_cam=back, fit=fit)
+                                                     EyeState.from_cyclopean(true[i], 63.0),
+                                                     display, back_cam=back, fit=fit)
                     except GeometryError:
                         assert np.isnan(errs[i, t])
                         misses += 1
@@ -431,7 +433,6 @@ def test_pointing_errors_match_scalar_any_pose():
 
 
 def test_pointing_errors_degenerate_cells_are_nan():
-    plane = ScenePlane((3000.0, 3000.0))
     target = np.array([[0.0, 100.0, 0.0]])
     # Panel turned upright (display y -> world z): the true eye sits level
     # with the drawn point, so its ray runs parallel to the plane.
@@ -440,19 +441,19 @@ def test_pointing_errors_degenerate_cells_are_nan():
     display = DisplayModel(109.0, 61.0, 1080, 608, upright)
     est, true = [0.0, 0.0, 200.0], [0.0, -200.0, 50.0]
     with pytest.raises(GeometryError):
-        raycast.pointing_error(RenderMode.UPR, target[0], EyeState.from_cyclopean(est),
-                               EyeState.from_cyclopean(true), display, plane)
+        raycast.pointing_error(RenderMode.UPR, target[0], EyeState.from_cyclopean(est, 63.0),
+                               EyeState.from_cyclopean(true, 63.0), display)
     assert np.isnan(pointing_errors([RenderMode.UPR], target, [[est]], [true], display,
-                                    plane, fit=STRETCH)).all()
+                                    BACK, fit=STRETCH)).all()
     # Panel below the plane, so the target is 150 mm in front of it: an eye
     # level with the target never crosses the panel; an eye behind the panel
     # is rejected even though its line to the target would cross it.
     display = flat_display(z_world=-150.0)
-    level = EyeState.from_cyclopean([0.0, 0.0, 150.0])
+    level = EyeState.from_cyclopean([0.0, 0.0, 150.0], 63.0)
     with pytest.raises(GeometryError):
-        raycast.pointing_error(RenderMode.UPR, target[0], level, level, display, plane)
+        raycast.pointing_error(RenderMode.UPR, target[0], level, level, display)
     errs = pointing_errors([RenderMode.UPR], target, [[[0.0, 0.0, 150.0], [0.0, 0.0, -10.0]]],
-                           [[0.0, 0.0, 150.0], [0.0, 0.0, 200.0]], display, plane,
+                           [[0.0, 0.0, 150.0], [0.0, 0.0, 200.0]], display, BACK,
                            fit=STRETCH)
     assert np.isnan(errs).all()
 
@@ -521,15 +522,13 @@ def test_pointing_errors_rows_equal_each_row_alone(rows, modes, seed):
         return intersect(origins, directions)
 
     with mock.patch.object(viewgen, "intersect_ray_plane", spy):
-        batch = pointing_errors(modes, targets, ests, true, display, plane, back_cam=back,
-                                fit=STRETCH)
+        batch = pointing_errors(modes, targets, ests, true, display, back, fit=STRETCH)
     assert hit_rows == [runs]
     assert batch.shape == (len(modes), len(rows), 3)
-    alone = [[pointing_errors([mode], targets, [e[i:i + 1]], true[i:i + 1], display, plane,
-                              back_cam=back, fit=STRETCH)[0, 0] for i in range(len(rows))]
+    alone = [[pointing_errors([mode], targets, [e[i:i + 1]], true[i:i + 1], display, back,
+                              fit=STRETCH)[0, 0] for i in range(len(rows))]
              for mode, e in zip(modes, ests)]
     assert batch.view(np.int64).tolist() == np.reshape(alone, batch.shape).view(np.int64).tolist()
     dpr_none = [None if mode is DPR else e for mode, e in zip(modes, ests)]
-    ignored = pointing_errors(modes, targets, dpr_none, true, display, plane, back_cam=back,
-                              fit=STRETCH)
+    ignored = pointing_errors(modes, targets, dpr_none, true, display, back, fit=STRETCH)
     assert ignored.view(np.int64).tolist() == batch.view(np.int64).tolist()

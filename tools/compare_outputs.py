@@ -11,28 +11,9 @@ output directories. Every output file is compared, plus each command's exit
 code, stdout and stderr. Exits 0 when the trees agree byte for byte, 1 on
 any difference.
 
-The command set, from tests/output_commands.py (tests/test_golden.py runs
-the same set against recorded digests): `simulate` on the default config;
-`simulate` with latency 2, letterbox fit, errors at all frames and the
-decaying policy; `simulate` on a 3000-frame sway (UPR and AAUPR);
-`simulate` of UPR and AAUPR on a 4-frame stationary trace with latency 5
-and zero jitter, so every jitter draw is +0.0, every frame renders the
-calibration eye and every charge is billed to the final frame; `simulate`
-with the back camera at a signed-zero offset, targets at (0, 0) and
-(-0, -0), and errors at all frames; `simulate` of AAUPR then FUPR with the
-320x240 face cost, the latched policy, the mean eye metric, errors also in
-pixels and a 58 mm ipd; `simulate` of AAUPR with every flow measurement failing
-(noise_p_fail = 1), frame 0 included; `simulate` of AAUPR with noise-free
-flow pixels (noise_flow_sigma_px = 0); `simulate` of an 8-frame trace CSV
-with blank lines, a head that moves then rests, and errors_dwell_only =
-true spelled out; `sweep --param eps_max` and `sweep --param
-jitter_sigma` over a random-walk trace CSV that each tree writes itself;
-`sweep` of all four modes on the default config, over eps_max 12 and 24
-(cells that share one scene) and over head_displacement 0, 125 and 250
-(cells that each build their own); `gen-trace` for all four generators;
-`truthtable --eps 24`, the scheduler's decision table on stdout; and eight
-bad inputs (ERROR_CONFIGS), each a one-line error on stderr with exit code
-1.
+The command set and its input files are COMMANDS and CONFIGS in
+tests/output_commands.py, which tests/test_golden.py also runs against
+recorded digests.
 """
 
 from __future__ import annotations
