@@ -18,6 +18,7 @@ import sys
 from dataclasses import replace
 
 from . import scheduler as sched
+from .geometry import check_fields
 from .harness import (
     SWEEP_PARAMS,
     ConfigError,
@@ -28,7 +29,7 @@ from .harness import (
     write_outputs,
     write_sweep_csv,
 )
-from .tracksim import write_trace_csv
+from .tracksim import SCALE, write_trace_csv
 
 
 def _file_io(flag: str, make, *args, **kwargs):
@@ -80,6 +81,7 @@ _TRUTHTABLE_SCRIPT = [
 
 def _cmd_truthtable(args) -> int:
     cfg = checked("--eps", replace, ExperimentConfig().threshold_config(), eps_max_px=args.eps)
+    checked("--eps", check_fields, cfg, ValueError, SCALE)  # as the config holds its eps key
     anchors = []
 
     def recompute(i, k):

@@ -23,11 +23,11 @@ No implicit unit conversion anywhere.
 Every module's value objects, and harness's ExperimentConfig, declare each
 field's bound on the field (within, positive, nonnegative) and call
 check_fields in __post_init__, which also requires every float to be finite.
-Vectors must be finite too. Each subclasses Value (frozen), or Record (the
-mutable FlowSimulator): dataclass reads their fields, and their methods are
-Record's and Value's, written once, so importing uprsim generates none. A run's
-values are its config's: no field or camera factory parameter has a default
-but ExperimentConfig's and tracksim.TraceSpec's, which are the config's.
+Vectors must be finite too. Each subclasses Value, the one base, frozen:
+dataclass reads their fields, and their methods are Value's, written once,
+so importing uprsim generates none. A run's values are its config's: no
+field or camera factory parameter has a default but ExperimentConfig's and
+tracksim.TraceSpec's, which are the config's.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def check_fields(obj, error=ValueError, *ranges) -> None:
 
 
 class _FieldSignature:
-    """Record.__signature__, for inspect.signature and help: the one the
+    """Value.__signature__, for inspect.signature and help: the one the
     __init__ that dataclass generates shows, built from the fields when read."""
 
     def __get__(self, obj, cls) -> Signature:
@@ -83,10 +83,11 @@ class _FieldSignature:
                           for f in cls.__dataclass_fields__.values()], return_annotation=None)
 
 
-class Record:
-    """Base of the value objects: a subclass is a dataclass for its fields
-    alone, and takes these methods, written once instead of generated per
-    class. A Record is mutable and equal only to itself."""
+class Value:
+    """Base of the value objects: a subclass is a frozen dataclass for its
+    fields alone, and takes these methods, written once instead of generated
+    per class. A Value equals one of its class with equal fields, and is
+    hashed by them; __post_init__ sets fields with object.__setattr__."""
 
     __signature__ = _FieldSignature()
 
@@ -121,11 +122,6 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, key) for key in self.__dataclass_fields__])
-
-
-class Value(Record):
-    """A frozen Record, equal to one of its class with equal fields, and
-    hashed by them; __post_init__ sets fields with object.__setattr__."""
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -179,7 +175,7 @@ class RigidTransform(Value):
 
         Written out, not as a matmul, because numpy's elementwise float64
         operations round once each and never fuse: the same expression on
-        Python floats (FlowSimulator.project_frame) gives the same bits."""
+        Python floats (a flow stream's project_frame) gives the same bits."""
         p = np.asarray(points, dtype=float)
         if p.shape[-1:] != (3,):
             raise ValueError(f"points must have a last axis of 3, got shape {p.shape}")

@@ -413,8 +413,8 @@ def run(config: ExperimentConfig, scene: _Scene | None = None) -> RunResult:
 def _run_mode(mode, config, scene) -> dict[str, np.ndarray]:
     """One mode's sensing columns, keyed by ModeRecord field name. UPR
     requests a face-tracker result on every frame; AAUPR's closed loop
-    (sched.schedule over the flow_sim.measurements generator, re-anchoring
-    with project_frame) runs on Python floats over the scene's projection,
+    (sched.schedule over the flow stream's measurements, re-anchoring with
+    its project_frame) runs on Python floats over the scene's projection,
     and chooses its request frames. One pass over the requests then builds
     the estimate and charge columns."""
     trace, cost = scene.trace, scene.cost
@@ -440,22 +440,21 @@ def _run_mode(mode, config, scene) -> dict[str, np.ndarray]:
     if mode is RenderMode.UPR:
         requests = np.arange(n)
     else:
-        flow_sim = FlowSimulator(scene.front_cam, config.noise_flow_sigma_px,
-                                 config.noise_drift_px_per_frame, config.noise_p_fail,
-                                 np.random.default_rng([config.seed, idx, 0]))
         charge[:] = cost.flow_ms
         eyes, flow_px, visible = scene.projection
-        project_frame = flow_sim.project_frame
+        # Lazy, so frame i + 1's draws follow frame i's reset_drift.
+        flows, reset_drift, project_frame = FlowSimulator(
+            scene.front_cam, config.noise_flow_sigma_px, config.noise_drift_px_per_frame,
+            config.noise_p_fail, np.random.default_rng([config.seed, idx, 0])
+        ).stream(flow_px, visible)
 
         def recompute(i, k):
             # eyes[i] + offsets[k], added on Python floats.
             (lx, ly, lz), (rx, ry, rz) = eyes[i].tolist()
             ox, oy, oz = offsets[k].tolist()
-            flow_sim.reset_drift()  # draws; project_frame does not
+            reset_drift()  # draws; project_frame does not
             return project_frame(((lx + ox, ly + oy, lz + oz), (rx + ox, ry + oy, rz + oz)))
 
-        # Lazy, so frame i + 1's draws follow frame i's reset_drift.
-        flows = flow_sim.measurements(flow_px, visible)
         reasons, cols["e_px"][:], cols["delta_e_px"][:], recalcs = sched.schedule(
             flows, scene.threshold, recompute)
         cols["reason"][:] = ["" if r is None else r._value_ for r in reasons]

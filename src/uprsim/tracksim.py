@@ -8,9 +8,11 @@ floats, or None for a failure.
 
 Everything is deterministic for a fixed seed. With all noise, drift and
 failure parameters at zero the stack reproduces ground truth exactly.
-FlowSimulator and CostModel take every value, the stream included, from
-their caller (a run, its config's); only TraceSpec has defaults, each its
-config key's, so a default spec draws the default config's trace.
+FlowSimulator is a frozen Value like the other value objects: the flow
+proxy's drift state lives in the stream that its stream() opens. It and
+CostModel take every value, the random generator included, from their
+caller (a run, its config's); only TraceSpec has defaults, each its config
+key's, so a default spec draws the default config's trace.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from math import isfinite, nan, pi
 
 import numpy as np
 
-from .geometry import (PinholeCamera, Record, Value, check_fields, nonnegative, positive,
-                       project_pinhole, within)
+from .geometry import (PinholeCamera, Value, check_fields, nonnegative, positive, project_pinhole,
+                       within)
 
 DEFAULT_FRAME_RATE_HZ = 15.0  # front-camera hardware limit
 DWELL_TOL_MM = 0.5  # eye travel per frame (mm) at or below which the head is at rest
@@ -264,16 +266,12 @@ def read_trace_csv(path) -> HeadTrace:
         raise ValueError(f"line {lines[frame]}: {reason}") from None
 
 
-class FlowSimulator(Record):
-    """Stand-in for sparse feature tracking of the two eye points.
-
-    project_frame gives one frame's project_eyes row in front_cam as four
-    floats. measurements turns each frame's exact pixels into a measurement
-    on Python floats: tracking fails with probability p_fail per frame, and
-    always fails when an eye is out of view; otherwise it adds accumulated
-    drift (a slowly growing bias in a per-segment random direction, reset
-    on every pose recomputation) and i.i.d. Gaussian pixel noise.
-    """
+class FlowSimulator(Value):
+    """Stand-in for sparse feature tracking of the two eye points. Tracking
+    fails with probability p_fail per frame, and always when an eye is out
+    of view; otherwise it adds accumulated drift (a slowly growing bias in a
+    per-segment random direction, reset on every pose recomputation) and
+    i.i.d. Gaussian pixel noise. The drift lives in a stream, the draws in rng."""
 
     front_cam: PinholeCamera
     noise_sigma_px: float = nonnegative()
@@ -283,61 +281,64 @@ class FlowSimulator(Record):
 
     def __post_init__(self):
         check_fields(self)
-        ext = self.front_cam.extrinsic
-        self._rows, self._t = ext.rotation.tolist(), ext.translation.tolist()
-        self._z = np.empty(4)  # measurements' standard-normal draws
-        self.reset_drift()
 
-    def reset_drift(self) -> None:
-        """Called when the pose recomputation re-initializes motion estimation."""
-        self._drift_frames = 0
-        # rng.uniform(0.0, 2 pi)'s bits and stream position, at a third of its cost.
-        theta = 2.0 * pi * self.rng.random()
-        # numpy's cos and sin: math's need not give the same bits.
-        self._drift_dir = (float(np.cos(theta)), float(np.sin(theta)))
-
-    def project_frame(self, left_right) -> tuple[float, float, float, float]:
-        """project_eyes' row of one frame in front_cam, bit for bit, from its
-        (2, 3) left and right eye points (rows of floats, or an array), as
-        four floats (left u, v, right u, v): the operations of
-        RigidTransform.apply and project_pinhole, in their order, on Python
-        floats, for any camera."""
-        cam = self.front_cam
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._rows
-        ta, tb, tc = self._t
-        px = []
-        for x, y, z in left_right:
-            x, y, z = (a0 * x + a1 * y + a2 * z + ta, b0 * x + b1 * y + b2 * z + tb,
-                       c0 * x + c1 * y + c2 * z + tc)
-            px += (x * cam.fx / z + cam.cx, y * cam.fy / z + cam.cy) if z > 0 else (nan, nan)
-        return tuple(px)
-
-    def measurements(self, flow_px, visible):
-        """Each frame's measurement, lazily, from its exact pixels and
-        visibility as project_eyes gives them: four floats, or None
-        (scheduler.FLOW_FAILURE). A visible frame draws the failure, then
-        four standard normals into a reused buffer, scaled as 0.0 + sigma *
-        z: the bits and stream position of normal(0.0, sigma, size=4). A
-        reset_drift between two frames takes effect from the next."""
-        random, standard_normal, z = self.rng.random, self.rng.standard_normal, self._z
+    def stream(self, flow_px, visible):
+        """Draw the first drift direction; return measurements, reset_drift
+        and project_frame, which share the drift. measurements gives each
+        frame's measurement, lazily, from its exact pixels and visibility as
+        project_eyes gives them: four floats, or None (a failure). A visible
+        frame draws the failure, then four standard normals into a reused
+        buffer, scaled as 0.0 + sigma * z: the bits and stream position of
+        normal(0.0, sigma, size=4). reset_drift() restarts the drift in a new
+        direction; one made between two frames' reads takes effect from the
+        next. project_frame gives project_eyes' row of one frame, bit for bit,
+        from its (2, 3) eye points (rows of floats, or an array) as four
+        floats: RigidTransform.apply's and project_pinhole's operations, in
+        their order, on Python floats, for any camera."""
+        cam, rng = self.front_cam, self.rng
+        random, standard_normal, normals = rng.random, rng.standard_normal, np.empty(4)
         p_fail, s, rate = self.p_fail, self.noise_sigma_px, self.drift_px_per_frame
-        for (u0, v0, u1, v1), seen in zip(flow_px, visible):
-            if not seen or p_fail > 0 and random() < p_fail:
-                yield None
-                continue
-            self._drift_frames += 1
-            (cos, sin), scale = self._drift_dir, rate * self._drift_frames
-            dx, dy = cos * scale, sin * scale
-            if s > 0:
-                z0, z1, z2, z3 = standard_normal(out=z).tolist()
-                yield ((u0 + dx) + (0.0 + s * z0), (v0 + dy) + (0.0 + s * z1),
-                       (u1 + dx) + (0.0 + s * z2), (v1 + dy) + (0.0 + s * z3))
-            else:
-                yield (u0 + dx, v0 + dy, u1 + dx, v1 + dy)
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cam.extrinsic.rotation.tolist()
+        ta, tb, tc = cam.extrinsic.translation.tolist()
+        fx, fy, cx, cy = cam.fx, cam.fy, cam.cx, cam.cy
+        frames = cos = sin = 0
+
+        def reset_drift() -> None:
+            nonlocal frames, cos, sin
+            # rng.uniform(0.0, 2 pi)'s bits and stream position, at a third of its cost.
+            theta = 2.0 * pi * random()
+            # numpy's cos and sin: math's need not give the same bits.
+            frames, cos, sin = 0, float(np.cos(theta)), float(np.sin(theta))
+
+        def project_frame(left_right) -> tuple[float, float, float, float]:
+            px = []
+            for x, y, z in left_right:
+                x, y, z = (a0 * x + a1 * y + a2 * z + ta, b0 * x + b1 * y + b2 * z + tb,
+                           c0 * x + c1 * y + c2 * z + tc)
+                px += (x * fx / z + cx, y * fy / z + cy) if z > 0 else (nan, nan)
+            return tuple(px)
+
+        def measurements():
+            nonlocal frames
+            for (u0, v0, u1, v1), seen in zip(flow_px, visible):
+                if not seen or p_fail > 0 and random() < p_fail:
+                    yield None
+                    continue
+                scale = rate * (frames := frames + 1)
+                dx, dy = cos * scale, sin * scale
+                if s > 0:
+                    z0, z1, z2, z3 = standard_normal(out=normals).tolist()
+                    yield ((u0 + dx) + (0.0 + s * z0), (v0 + dy) + (0.0 + s * z1),
+                           (u1 + dx) + (0.0 + s * z2), (v1 + dy) + (0.0 + s * z3))
+                else:
+                    yield (u0 + dx, v0 + dy, u1 + dx, v1 + dy)
+
+        reset_drift()
+        return measurements(), reset_drift, project_frame
 
     def measure(self, px, visible: bool) -> tuple[float, float, float, float] | None:
-        """measurements of one frame: four floats, or None."""
-        return next(self.measurements((px,), (visible,)))
+        """One frame of a fresh stream: four floats, or None."""
+        return next(self.stream((px,), (visible,))[0])
 
 
 class CostModel(Value):

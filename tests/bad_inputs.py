@@ -137,6 +137,9 @@ BAD_INPUTS = [
     # A target coordinate is a quantity: finite and within SCALE.
     ("targets = nan,0", ["gen-trace"], "error: targets: must be one or more x,y float pairs"),
     ("targets = inf,0", ["gen-trace"], "error: targets: must be one or more x,y float pairs"),
+    # --eps is a quantity, held to SCALE as the config's threshold_eps_max_px is.
+    ("", ["truthtable", "--eps", "1e300"],
+     "error: --eps: eps_max_px: must be at most 1e6 in magnitude, got 1e+300"),
 ]
 
 

@@ -33,10 +33,12 @@ def test_compare_takes_each_metric_direction():
     # Base quartiles: frames 95 and 100, so an IQR of 5; op_p50 10 and 10.
     assert got["frames_per_s"] == {"better": "higher", "ratio": 115.0 / 100.0,
                                    "tree_better_seeds": 3, "seeds": 5, "base_iqr": 5.0,
-                                   "claim_met": False}
+                                   "claim_met": False, "within_bound": True,
+                                   "unresolved": False}
     assert got["op_p50_ms"] == {"better": "lower", "ratio": 9.5 / 10.0,
                                 "tree_better_seeds": 3, "seeds": 5, "base_iqr": 0.0,
-                                "claim_met": False}
+                                "claim_met": False, "within_bound": True,
+                                "unresolved": False}
     assert math.isnan(got["setup_s"]["ratio"]) and got["setup_s"]["tree_better_seeds"] == 0
 
 
@@ -63,14 +65,37 @@ def test_claim_needs_nine_of_ten_pairs_and_a_median_gain_beyond_the_base_iqr():
     assert claim([b + 2.5 for b in base], "op_p50_ms") == (0, False)
 
 
+def test_within_bound_and_unresolved_answer_a_no_claim_gate():
+    tool = load_tool()
+    assert tool.BOUND["frames_per_s"] == 0.2 and tool.BOUND["peak_rss_mb"] == 0.1
+    narrow = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 99.0, 101.0]  # IQR 2
+    wide = [60.0, 140.0, 70.0, 130.0, 100.0, 100.0, 65.0, 135.0, 95.0, 105.0]  # IQR 47.5
+
+    def gate(base, tree, metric="frames_per_s"):
+        got = tool.compare(runs(**{metric: base}), runs(**{metric: tree}))[metric]
+        return got["within_bound"], got["unresolved"]
+
+    # Worse by 20% of the base's median (100) is within the bound; by more is not.
+    assert gate(narrow, [80.0] * 10) == (True, False)
+    assert gate(narrow, [79.0] * 10) == (False, False)
+    # A lower-is-better metric is worse by rising: by 10% of the median of 40.
+    assert gate([b * 0.4 for b in narrow], [44.0] * 10, "peak_rss_mb") == (True, False)
+    assert gate([b * 0.4 for b in narrow], [44.5] * 10, "peak_rss_mb") == (False, False)
+    # A base IQR over 20% of its median cannot tell, unless every tree run
+    # beats every base run.
+    assert gate(wide, wide) == (True, True)
+    assert gate(wide, [141.0] * 10) == (True, False)
+    assert gate(wide, [141.0] * 9 + [140.0]) == (True, True)
+
+
 def test_table_has_a_line_per_workload_and_metric():
     tool = load_tool()
     base = runs(frames_per_s=[100.0, 100.0], op_p50_ms=[10.0, 10.0])
     tree = runs(frames_per_s=[110.0, 90.0], op_p50_ms=[8.0, 9.0])
     lines = tool.table({"trace_sweep": tool.compare(base, tree)}).splitlines()
     assert lines[0].split() == ["workload", "metric", "better", "tree/base", "tree", "better",
-                                "base", "IQR", "claim", "met"]
+                                "base", "IQR", "claim", "met", "in", "bound", "unresolved"]
     assert lines[1].split() == ["trace_sweep", "frames_per_s", "higher", "1.0000", "1/2", "seeds",
-                                "0", "no"]
+                                "0", "no", "yes", "no"]
     assert lines[2].split() == ["trace_sweep", "op_p50_ms", "lower", "0.8500", "2/2", "seeds",
-                                "0", "yes"]
+                                "0", "yes", "yes", "no"]

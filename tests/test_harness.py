@@ -4,9 +4,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from raycast import pointing_error
+from strategies import aaupr_decides, running_configs
 from test_cli import configs, field_values
 
 from uprsim import harness
@@ -453,6 +454,40 @@ def test_modes_are_independent(seed, n_frames, order, jitter_mm, p_fail, latency
             assert bit_equal(getattr(together[mode], name), column), (mode, name)
 
 
+@settings(max_examples=40)
+@given(config=running_configs(), cut=st.floats(0.0, 1.0))
+@example(config=ExperimentConfig(trace_dwell_frames=20, trace_transition_frames=5,
+                                  noise_latency_frames=3), cut=0.0)  # N = 2
+@example(config=ExperimentConfig(trace_dwell_frames=20, trace_transition_frames=5,
+                                  noise_latency_frames=3), cut=1.0)  # N = n
+def test_a_run_on_a_prefix_is_the_full_runs_prefix(config, cut):
+    # Runs are causal. A run on the trace's first N frames (2 <= N <= n)
+    # gives each mode's record of the full run's first N rows, bit for bit:
+    # the requests below N, the reason, E, dE, estimate and error columns,
+    # and the charges of frames 0 to N - 2. Frame N - 1 is the stated
+    # exception: its charge is the full run's there plus the face cost of
+    # each request below N whose result arrives after it, as a late result
+    # is billed to the last frame. A draw made ahead of its frame (later
+    # frames' flow noise, say) changes a prefix, and fails here.
+    full = run(config)
+    assert aaupr_decides(full)
+    n = len(full.trace)
+    N = 2 + round(cut * (n - 2))
+    prefix = run(replace(config, trace_n_frames=N)).records
+    face_ms = config.cost_model().face_cost(config.cost_resolution)
+    for mode, rec in full.records.items():
+        got = prefix[mode]
+        assert bit_equal(got.requests, rec.requests[rec.requests < N]), mode
+        for name in ("reason", "e_px", "delta_e_px", "est_eye_mm", "errors_mm"):
+            assert bit_equal(getattr(got, name), getattr(rec, name)[:N]), (mode, name)
+        assert bit_equal(got.tracking_charge_ms[:-1], rec.tracking_charge_ms[:N - 1]), mode
+        last = rec.tracking_charge_ms[N - 1]
+        arrival = np.minimum(got.requests + config.noise_latency_frames, n - 1)
+        for _ in range(np.count_nonzero(arrival > N - 1)):  # in request order, as a run adds
+            last += face_ms
+        assert bit_equal(got.tracking_charge_ms[-1], last), mode
+
+
 def caller(depth=2) -> tuple[str, str]:
     """(module, function) of the code that called the caller of this."""
     frame = sys._getframe(depth)
@@ -502,13 +537,20 @@ def test_aaupr_loop_makes_no_per_frame_numpy_hop(monkeypatch):
 
 
 def test_only_aaupr_builds_a_flow_simulator(monkeypatch):
-    built = []
-    monkeypatch.setattr(harness, "FlowSimulator",
-                        lambda *args: built.append(args) or FlowSimulator(*args))
+    # AAUPR opens one flow stream per run, over the scene's projection, from
+    # a simulator of its config's noise keys; no other mode opens one.
+    opened = []
+    stream = FlowSimulator.stream
+    monkeypatch.setattr(FlowSimulator, "stream",
+                        lambda sim, *args: opened.append((sim, *args)) or stream(sim, *args))
     run(ExperimentConfig(modes="DPR,UPR,FUPR"))
-    assert built == []
-    run(ExperimentConfig(modes="AAUPR"))
-    assert len(built) == 1
+    assert opened == []
+    cfg = ExperimentConfig(modes="AAUPR")
+    n = len(run(cfg).trace)
+    ((sim, flow_px, visible),) = opened
+    assert (sim.noise_sigma_px, sim.drift_px_per_frame, sim.p_fail) == (
+        cfg.noise_flow_sigma_px, cfg.noise_drift_px_per_frame, cfg.noise_p_fail)
+    assert len(flow_px) == len(visible) == n
 
 
 def test_trace_file_input(tmp_path):
@@ -582,6 +624,18 @@ def test_eps_sweep_monotone_invocations():
     rows = sweep(cfg, "eps_max", [12.0, 24.0, 48.0])
     fracs = [s.invocation_fraction for _, s in rows]
     assert all(b <= a for a, b in zip(fracs, fracs[1:]))
+
+
+def test_eps_sweep_benchmark_trace_invocations_rise():
+    # Unlike the sway trace's above, the benchmark trace's AAUPR invocations
+    # (seed 1, verbatim) rise with eps from 12 to 48 px, and at the default
+    # 24 px refine triggers (dE < refine_factor x eps while imprecise) make
+    # most of them.
+    cfg = ExperimentConfig(modes="AAUPR", seed=1)
+    rows = sweep(cfg, "eps_max", [12.0, 24.0, 48.0])
+    assert [s.invocations for _, s in rows] == [62, 120, 157]
+    reasons = run(replace(cfg, threshold_eps_max_px=24.0)).records["AAUPR"].reason.tolist()
+    assert (reasons.count("refine"), reasons.count("spatial")) == (107, 12)
 
 
 def test_head_displacement_sweep_fupr_error_growth():

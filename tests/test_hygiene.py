@@ -6,10 +6,11 @@ code only tests call does not stay in src/. Package __init__ files are
 exempt from both: their imports are the public re-exports. One function in
 src/uprsim opens files for writing, so one place decides what a CSV cell
 looks like. Every value object with a number field checks its declared
-domains through geometry.check_fields. Each of a run's values has one
-source, its config: no src value object but ExperimentConfig and TraceSpec
-declares a field default or default_factory, a default TraceSpec draws the
-default config's trace, and the camera factories' and
+domains through geometry.check_fields, and no src method writes to self
+after construction, so src holds no mutable object. Each of a run's values
+has one source, its config: no src value object but ExperimentConfig and
+TraceSpec declares a field default or default_factory, a default TraceSpec
+draws the default config's trace, and the camera factories' and
 EyeState.from_cyclopean's parameters and the back camera, fit and metric
 parameters have no default. The scheduler imports no numpy, so
 AAUPR's per-frame decisions stay on Python floats. perfbench's span targets
@@ -146,8 +147,8 @@ def test_one_function_opens_files_for_writing():
     assert writers == ["tracksim.write_csv"]
 
 
-#: The bases whose subclasses are dataclasses (geometry.Record and its frozen kind).
-VALUE_BASES = {"Record", "Value"}
+#: The base whose subclasses are dataclasses.
+VALUE_BASES = {"Value"}
 
 
 def dataclass_defs(source: str) -> list[ast.ClassDef]:
@@ -180,7 +181,7 @@ def test_value_objects_check_fields():
               "@dataclass\nclass C:\n    x: str\n"
               "class D:\n    x: int\n"
               "class E(Value):\n    x: float\n    def __post_init__(self): pass\n"
-              "class F(Record):\n    x: int\n"
+              "class F(Value):\n    x: int\n"
               "class G(Value):\n    x: int\n"
               "    def __post_init__(self): check_fields(self)\n"
               "class H(Value):\n    x: str\n")
@@ -192,6 +193,37 @@ def test_value_objects_check_fields():
                        for name, obj in vars(module).items() if isinstance(obj, type)
                        and dataclasses.is_dataclass(obj)}
     assert [name for source in sources for name in unchecked_dataclasses(source)] == []
+
+
+def writes_to_self(source: str) -> list[str]:
+    """Functions, by name, that assign an attribute of self, or set one with
+    object.__setattr__ outside __init__ and __post_init__ (construction)."""
+    names = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        targets = [t for n in ast.walk(fn) if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                   for t in (n.targets if isinstance(n, ast.Assign) else [n.target])]
+        stores = [a for t in targets for a in ast.walk(t)
+                  if isinstance(a, ast.Attribute) and ast.unparse(a.value) == "self"]
+        sets = [c for c in ast.walk(fn) if isinstance(c, ast.Call) and c.args
+                and ast.unparse(c.func) == "object.__setattr__" and ast.unparse(c.args[0]) == "self"]
+        if stores or sets and fn.name not in ("__init__", "__post_init__"):
+            names.append(fn.name)
+    return names
+
+
+def test_no_src_method_writes_to_self():
+    # src holds no mutable object: a value sets its fields while it is
+    # built, and no method changes them after; state that changes over a
+    # run lives in locals (the scheduler's, the flow stream's).
+    source = ("class A:\n    def __init__(self): object.__setattr__(self, 'x', 1)\n"
+              "    def m(self): self.x = 1\n    def n(self): self.x += 1\n"
+              "    def o(self): object.__setattr__(self, 'x', 2)\n"
+              "    def p(self): self.y, z = 1, 2\n    def q(self): z = self.x\n")
+    assert writes_to_self(source) == ["m", "n", "o", "p"]
+    assert [name for path in sorted((ROOT / "src/uprsim").glob("*.py"))
+            for name in writes_to_self(path.read_text())] == []
 
 
 #: The value objects whose fields keep defaults. ExperimentConfig's are a

@@ -269,6 +269,11 @@ def exact_flow(cam) -> FlowSimulator:
     return FlowSimulator(cam, 0.0, 0.0, 0.0, np.random.default_rng(0))
 
 
+def project_frame_of(cam):
+    """The project_frame of an exact flow stream in cam."""
+    return exact_flow(cam).stream((), ())[2]
+
+
 def eye_at(pos) -> np.ndarray:
     """(2, 3) eye points, rows left, right."""
     return eye_points(pos, 63.0)
@@ -413,10 +418,10 @@ def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_
     cams += [PinholeCamera(fx, fy, cx, cy, width, height, RigidTransform(r, [zero] * 3))
              for r in AXIS_ROTATIONS for zero in (0.0, -0.0)]
     for cam in cams:
-        sim = exact_flow(cam)
+        project_frame = project_frame_of(cam)
         expected = project_eyes(cam, est)[0].view(np.uint64)
         for frame in (est, est.tolist()):
-            got = np.array(sim.project_frame(frame))
+            got = np.array(project_frame(frame))
             assert np.array_equal(got.view(np.uint64), expected), cam
 
 
@@ -431,12 +436,11 @@ def test_project_frame_calls_no_apply(monkeypatch):
         return apply(self, points)
 
     monkeypatch.setattr(RigidTransform, "apply", counting_apply)
-    sim = exact_flow(PinholeCamera(250.0, 250.0, 320.0, 240.0, 640, 480,
-                                   rotation_y(0.3, (5.0, -3.0, 1.0))))
+    cam = PinholeCamera(250.0, 250.0, 320.0, 240.0, 640, 480, rotation_y(0.3, (5.0, -3.0, 1.0)))
     eyes = eye_points([10.0, -5.0, 250.0], 63.0)
-    px = sim.project_frame(eyes.tolist())
+    px = project_frame_of(cam)(eyes.tolist())
     assert calls == []
-    assert px == tuple(project_eyes(sim.front_cam, eyes)[0].tolist())
+    assert px == tuple(project_eyes(cam, eyes)[0].tolist())
     assert calls == [(2, 3)]
 
 
@@ -444,6 +448,12 @@ def measure_frame(sim, eye):
     """sim.measure of one frame's (2, 3) eye points, through project_eyes."""
     px, visible = project_eyes(sim.front_cam, eye)
     return sim.measure(px.tolist(), bool(visible))
+
+
+def flow_stream(sim, eye, n):
+    """sim's stream over n frames of the same (2, 3) eye points."""
+    px, visible = project_eyes(sim.front_cam, eye)
+    return sim.stream([px.tolist()] * n, [bool(visible)] * n)
 
 
 def test_noise_free_flow_is_exact_projection():
@@ -463,8 +473,7 @@ def test_flow_fails_when_eye_leaves_view():
 
 def test_flow_noise_sigma_statistical():
     sim = FlowSimulator(FRONT_CAM, 2.0, 0.0, 0.0, np.random.default_rng(5))
-    eye = eye_at([0.0, 0.0, 300.0])
-    samples = np.array([measure_frame(sim, eye) for _ in range(10_000)])
+    samples = np.array(list(flow_stream(sim, eye_at([0.0, 0.0, 300.0]), 10_000)[0]))
     resid = samples - samples.mean(axis=0)
     sample_sigma = resid.std()
     assert abs(sample_sigma - 2.0) / 2.0 < 0.05
@@ -475,19 +484,19 @@ def test_flow_drift_accumulates_and_resets():
     sim = FlowSimulator(cam, 0.0, 0.1, 0.0, np.random.default_rng(7))
     eye = eye_at([0.0, 0.0, 300.0])
     exact = project_pinhole(cam, cam.extrinsic.apply(eye))
+    flows, reset_drift, _ = flow_stream(sim, eye, 30)
     for i in range(1, 30):
-        m = measure_frame(sim, eye)
+        m = next(flows)
         left = m[:2]
         assert np.linalg.norm(np.subtract(left, exact[0])) == pytest.approx(0.1 * i, abs=1e-9)
-    sim.reset_drift()
-    m = measure_frame(sim, eye)
+    reset_drift()
+    m = next(flows)
     assert np.linalg.norm(np.subtract(m[:2], exact[0])) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_flow_failure_probability():
     sim = FlowSimulator(FRONT_CAM, 0.0, 0.0, 0.5, np.random.default_rng(9))
-    eye = eye_at([0.0, 0.0, 300.0])
-    fails = sum(measure_frame(sim, eye) is None for _ in range(2000))
+    fails = sum(m is None for m in flow_stream(sim, eye_at([0.0, 0.0, 300.0]), 2000)[0])
     assert 900 < fails < 1100
 
 
@@ -531,25 +540,28 @@ flow_ops = st.lists(st.one_of(
 # Seed 0's drift direction has cos, sin < 0, so pixel + drift is -0.0 before the noise.
 @example(sigma=5e-324, drift=0.0, p_fail=0.0, seed=0, ops=[([-0.0] * 4, True)] * 8)
 def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
-    # The float measure makes the same draws in the same order as the numpy
-    # one and gives the same bits, through failures, invisible frames and
-    # drift resets, for any sigma: subnormal (noise that underflows to a
-    # signed zero, which 0.0 + sigma * z makes +0.0, as numpy's normal does)
-    # to ~1e300.
+    # The float stream makes the same draws in the same order as the numpy
+    # formulation and gives the same bits, through failures, invisible
+    # frames and drift resets made between any two reads, for any sigma:
+    # subnormal (noise that underflows to a signed zero, which 0.0 + sigma *
+    # z makes +0.0, as numpy's normal does) to ~1e300.
     sim = FlowSimulator(FRONT_CAM, sigma, drift, p_fail, np.random.default_rng(seed))
     oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng(seed))
+    frames = [op for op in ops if op != "reset"]
+    flows, reset_drift, _ = sim.stream([px for px, _ in frames], [v for _, v in frames])
     for op in ops:
         if op == "reset":
-            sim.reset_drift()
+            reset_drift()
             oracle.reset_drift()
             continue
         px, visible = op
-        got = sim.measure(px, visible)
+        got = next(flows)
         expected = oracle.measure(np.reshape(px, (2, 2)), visible)
         assert (got is None) == (expected is None)
         if got is not None:
             assert np.array_equal(np.array(got).view(np.uint64),
                                   expected.reshape(4).view(np.uint64))
+    assert next(flows, "end") == "end"
     assert sim.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
@@ -562,43 +574,48 @@ def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
            st.booleans()), max_size=40))
 def test_measurements_bit_equal_measure_and_numpy_formulation(sigma, drift, p_fail, seed,
                                                               frames):
-    # The lazy stream gives sequential measure calls' and the numpy
-    # formulation's values and draws, in their order, for a random
-    # visible/invisible trace, with a reset_drift after some frames, made
-    # between two frames' reads, as AAUPR's recompute makes it.
-    sim, one = (FlowSimulator(FRONT_CAM, sigma, drift, p_fail, np.random.default_rng(seed))
-                for _ in range(2))
+    # The lazy stream gives the numpy formulation's values and draws, in
+    # their order, for a random visible/invisible trace, with a reset_drift
+    # after some frames, made between two frames' reads, as AAUPR's
+    # recompute makes it. measure is one frame of a fresh stream: on each
+    # frame it gives a fresh numpy formulation's first values and draws.
+    sim = FlowSimulator(FRONT_CAM, sigma, drift, p_fail, np.random.default_rng(seed))
     oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng(seed))
-    stream = sim.measurements([px for (px, _), _ in frames], [v for (_, v), _ in frames])
-    for ((px, visible), reset), got in zip(frames, stream):
-        expected = one.measure(px, visible)
-        numpy_expected = oracle.measure(np.reshape(px, (2, 2)), visible)
-        assert (got is None) == (expected is None) == (numpy_expected is None)
-        if got is not None:
-            bits = np.array(got).view(np.uint64)
-            assert np.array_equal(bits, np.array(expected).view(np.uint64))
-            assert np.array_equal(bits, numpy_expected.reshape(4).view(np.uint64))
+    flows, reset_drift, _ = sim.stream([px for (px, _), _ in frames], [v for (_, v), _ in frames])
+    for k, (((px, visible), reset), got) in enumerate(zip(frames, flows)):
+        one = FlowSimulator(FRONT_CAM, sigma, drift, p_fail, np.random.default_rng([seed, k]))
+        one_oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng([seed, k]))
+        pair = np.reshape(px, (2, 2))
+        for value, expected in [(got, oracle.measure(pair, visible)),
+                                (one.measure(px, visible), one_oracle.measure(pair, visible))]:
+            assert (value is None) == (expected is None)
+            if value is not None:
+                assert np.array_equal(np.array(value).view(np.uint64),
+                                      expected.reshape(4).view(np.uint64))
+        assert one.rng.bit_generator.state == one_oracle.rng.bit_generator.state
         if reset:
-            for s in (sim, one, oracle):
-                s.reset_drift()
-    assert next(stream, "end") == "end"
-    state = oracle.rng.bit_generator.state
-    assert sim.rng.bit_generator.state == one.rng.bit_generator.state == state
+            reset_drift()
+            oracle.reset_drift()
+    assert next(flows, "end") == "end"
+    assert sim.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**64 - 1), n_resets=st.integers(1, 60))
 def test_reset_drift_bit_equals_uniform_draw(seed, n_resets):
     # reset_drift's 2 pi * random() gives the direction and the stream
-    # position of rng.uniform(0.0, 2 pi).
-    sim = FlowSimulator(FRONT_CAM, 0.0, 0.0, 0.0, np.random.default_rng(seed))
+    # position of rng.uniform(0.0, 2 pi). A unit drift's first frame after
+    # a draw at pixels -0.0 (-0.0 + x is x, bit for bit) reads the
+    # direction back.
+    sim = FlowSimulator(FRONT_CAM, 0.0, 1.0, 0.0, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
+    flows, reset_drift, _ = sim.stream([[-0.0] * 4] * n_resets, [True] * n_resets)
     for k in range(n_resets):
         if k:
-            sim.reset_drift()
+            reset_drift()
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        expected = np.array([np.cos(theta), np.sin(theta)])
-        assert np.array_equal(np.array(sim._drift_dir).view(np.uint64), expected.view(np.uint64))
+        expected = np.array([np.cos(theta), np.sin(theta)] * 2)
+        assert np.array_equal(np.array(next(flows)).view(np.uint64), expected.view(np.uint64))
         assert sim.rng.bit_generator.state == rng.bit_generator.state
 
 

@@ -9,7 +9,8 @@ The calls are summed over the profiler's entries, one per code object;
 pstats' total_calls would not do, as it merges the NamedTuples' __new__s,
 which collections.namedtuple compiles from one string each and so share a
 file, line and name. The value objects' __init__ is literally one code
-object, geometry.Record.__init__.
+object, geometry.Value.__init__, and AAUPR's flow proxy is one
+FlowSimulator.stream call per run, whose three closures the loop calls.
 tests/work_counts.json pins them. A change that makes a run call more (or
 fewer) functions fails here until the file is regenerated; name each
 changed count, old -> new, in CHANGES.md.

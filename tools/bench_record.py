@@ -20,7 +20,12 @@ run beat the base's run of the same seed, in the direction BENCHMARK.json
 declares better (ties count for neither), the base's IQR, and whether a gain
 may be claimed: claim_met is true when the tree wins at least 9 of every 10
 pairs and its median is better than the base's by more than the base's IQR.
-It prints that table last.
+Two more fields answer the gate of a change that claims no gain:
+within_bound is true when the tree's median is no worse than the base's by
+more than the metric's relative bound in BENCHMARK.json, and unresolved is
+true when the base's IQR over its median exceeds that bound and not every
+tree run beats every base run, so the runs spread too widely to tell. It
+prints that table last.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SEEDS = tuple(range(1, 11))  # ten pairs, of which a claimed gain must win nine
 #: Each metric's better direction, "higher" or "lower".
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
+#: Each end-to-end metric's bound: how much worse, relative to the base's
+#: median, the tree's median may be.
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def git(*args: str) -> str:
@@ -91,16 +99,21 @@ def summary(runs: list[dict]) -> dict:
 
 
 def compare(base: list[dict], tree: list[dict]) -> dict:
-    """Per metric, from two trees' runs in the same seed order: the ratio of
-    the tree's median to the base's (NaN for a base median of 0), the number
-    of seeds on which the tree is strictly better, the base's IQR, and
-    claim_met: the tree wins at least nine in ten pairs and its median is
-    better than the base's by more than the base's IQR."""
+    """Per metric, from two trees' runs in the same seed order:
+    - ratio: the tree's median over the base's (NaN for a base median of 0);
+    - tree_better_seeds: the seeds on which the tree is strictly better;
+    - base_iqr: the base's IQR;
+    - claim_met: the tree wins at least nine in ten pairs, and its median is
+      better than the base's by more than the base's IQR;
+    - within_bound: the tree's median is worse than the base's by at most
+      the metric's BOUND times the base's;
+    - unresolved: the base's IQR exceeds BOUND times its median, and some
+      tree run does not beat every base run."""
     out = {}
     for name in base[0]["metrics"]:
         b, t = ([r["metrics"][name]["value"] for r in runs] for runs in (base, tree))
         sign = 1 if BETTER[name] == "higher" else -1
-        median, spread = statistics.median(b), iqr(b)
+        median, spread, bound = statistics.median(b), iqr(b), BOUND[name]
         wins = sum(sign * (y - x) > 0 for x, y in zip(b, t))
         gain = sign * (statistics.median(t) - median)
         out[name] = {"better": BETTER[name],
@@ -108,18 +121,23 @@ def compare(base: list[dict], tree: list[dict]) -> dict:
                      "tree_better_seeds": wins,
                      "seeds": len(b),
                      "base_iqr": spread,
-                     "claim_met": 10 * wins >= 9 * len(b) and gain > spread}
+                     "claim_met": 10 * wins >= 9 * len(b) and gain > spread,
+                     "within_bound": gain >= -bound * abs(median),
+                     "unresolved": (spread > bound * abs(median)
+                                    and not min(sign * y for y in t) > max(sign * x for x in b))}
     return out
 
 
 def table(comparison: dict) -> str:
     """The comparison of every workload, one metric a line."""
+    yes = {True: "yes", False: "no"}
     lines = [f"{'workload':<14} {'metric':<13} {'better':<6} {'tree/base':>9}  "
-             f"tree better    {'base IQR':>10}  claim met"]
+             f"tree better    {'base IQR':>10}  claim met  in bound  unresolved"]
     for workload, metrics in comparison.items():
         lines += [f"{workload:<14} {name:<13} {c['better']:<6} {c['ratio']:>9.4f}  "
                   f"{c['tree_better_seeds']:>2}/{c['seeds']:<2} seeds  {c['base_iqr']:>10.4g}  "
-                  f"{'yes' if c['claim_met'] else 'no'}" for name, c in metrics.items()]
+                  f"{yes[c['claim_met']]:<9}  {yes[c['within_bound']]:<8}  "
+                  f"{yes[c['unresolved']]}" for name, c in metrics.items()]
     return "\n".join(lines)
 
 
