@@ -80,7 +80,8 @@ _TRUTHTABLE_SCRIPT = [
 
 
 def _cmd_truthtable(args) -> int:
-    cfg = checked("--eps", replace, ExperimentConfig().threshold_config(), eps_max_px=args.eps)
+    eps = checked("--eps", float, args.eps)
+    cfg = checked("--eps", replace, ExperimentConfig().threshold_config(), eps_max_px=eps)
     checked("--eps", check_fields, cfg, ValueError, SCALE)  # as the config holds its eps key
     anchors = []
 
@@ -90,7 +91,7 @@ def _cmd_truthtable(args) -> int:
         return anchors[-1]
 
     reasons, e_px, delta_e_px, _ = sched.schedule(_TRUTHTABLE_SCRIPT, cfg, recompute)
-    print(f"eps = {args.eps} px, refine factor = {cfg.refine_factor}, "
+    print(f"eps = {eps} px, refine factor = {cfg.refine_factor}, "
           f"policy = {cfg.policy.value}")
     print(f"{'frame':>5} {'E_px':>8} {'dE_px':>8} {'decision':>12} {'reason':>12}")
     for i, (reason, e, de) in enumerate(zip(reasons, e_px, delta_e_px)):
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("truthtable", help="print dual-thresholding decisions for a scripted input")
-    p.add_argument("--eps", type=float, required=True, help="spatial threshold in px")
+    p.add_argument("--eps", required=True, help="spatial threshold in px")
     p.set_defaults(func=_cmd_truthtable)
 
     p = sub.add_parser("gen-trace", help="generate a synthetic head trace CSV")
@@ -137,8 +138,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with each flag joined to its value as one --flag=value word, so
+    that a value may start with '-': argparse takes -1e3 for a flag, as its
+    negative-number pattern covers only forms like -1 and -.5. Every flag
+    but --help (or a prefix of it) takes one value."""
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and not "--help".startswith(flag):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:

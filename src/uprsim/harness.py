@@ -7,11 +7,15 @@ a target set on the scene plane. A run first builds its scene (_Scene): the
 trace, threshold config, display, back camera, fit policy, cost model,
 world targets, evaluation mask, and AAUPR's front camera and trace projection.
 Of the SWEEP_PARAMS keys a scene reads only the trace's and the threshold's,
-so sweep cells that share a trace share one scene, each cell replacing its
-threshold config; every mode's draws are per run.
-Then a run takes three steps: each mode's sensing columns (_run_mode), one
-pointing_errors pass over every mode's evaluated frames, and each mode's
-record and summary.
+so sweep cells that share a trace run as one batch (_runs) in one scene,
+each cell replacing its threshold config; run is the batch of one config.
+A batch takes three steps:
+  1. each cell's sensing columns, mode by mode (_run_mode), one cell after
+     another in value order, so a cell's error comes before a later cell's;
+  2. one pointing_errors pass over every cell's modes on the scene's
+     evaluated frames (no row mixes with another);
+  3. each cell's records and summaries, built as its run is yielded.
+Every mode's draws, closed loop and summary stay its own cell's.
 
 Face tracking is a list of request frames: none for DPR and FUPR, every
 frame for UPR, and the frames AAUPR's scheduler recalculates at. A request
@@ -60,6 +64,8 @@ at rest, not mid-motion); set errors_dwell_only = false for every frame.
 from __future__ import annotations
 
 import os
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import fields, replace
 from functools import partial
 from typing import NamedTuple
@@ -387,27 +393,38 @@ def _scene(config: ExperimentConfig) -> _Scene:
                   front, projection)
 
 
-def run(config: ExperimentConfig, scene: _Scene | None = None) -> RunResult:
+def run(config: ExperimentConfig) -> RunResult:
     """Run every configured mode over the configured trace; deterministic for a
-    fixed config and seed. A given scene (sweep's) must come from a config equal
-    to this one in every key a scene reads. Each mode's draws, closed loop,
-    pointing errors and summary are this run's. Three steps: each mode's
-    sensing columns, then one pointing_errors pass over every mode's
-    evaluated frames, then each mode's record and summary."""
-    scene = scene or _scene(config)
-    trace, modes = scene.trace, config.mode_list()
-    cols = [_run_mode(mode, config, scene) for mode in modes]
-    evaluate, targets_world = scene.evaluate, scene.targets_world
-    errors = np.full((len(modes), len(trace), len(targets_world)), np.nan)
-    errors[:, evaluate] = pointing_errors(
-        modes, targets_world, [c["est_eye_mm"][evaluate] for c in cols],
-        trace.eye_mm[evaluate], scene.display, scene.back_cam, fit=scene.fit)
-    records: dict[str, ModeRecord] = {}
-    summaries: dict[str, Summary] = {}
-    for mode, c, errors_mm in zip(modes, cols, errors):
-        records[mode.value] = rec = ModeRecord(errors_mm=errors_mm, **c)
-        summaries[mode.value] = _summarize(mode.value, rec, config.cost_render_base_ms)
-    return RunResult(records=records, summaries=summaries, trace=trace, config=config)
+    fixed config and seed. The batch of one config."""
+    return next(_runs([config]))
+
+
+def _runs(configs) -> Iterator[RunResult]:
+    """The runs of the (nonempty) configs, in order, as one batch: each
+    config after the first runs in the first one's scene with its own
+    threshold config, so all must agree in every other key a scene reads.
+    The three steps are the module doc's."""
+    cells: deque = deque()
+    for config in configs:
+        scene = scene._replace(threshold=config.threshold_config()) if cells else _scene(config)
+        modes = config.mode_list()
+        cells.append((config, modes, [_run_mode(mode, config, scene) for mode in modes]))
+    trace, evaluate, targets_world = scene.trace, scene.evaluate, scene.targets_world
+    # No row mixes with another, so each is its stand-alone run's bit for bit.
+    errors = iter(pointing_errors(
+        [mode for _, modes, _ in cells for mode in modes], targets_world,
+        [c["est_eye_mm"][evaluate] for _, _, cols in cells for c in cols],
+        trace.eye_mm[evaluate], scene.display, scene.back_cam, fit=scene.fit))
+    while cells:  # popped, so only its consumer keeps a yielded run
+        config, modes, cols = cells.popleft()
+        records: dict[str, ModeRecord] = {}
+        summaries: dict[str, Summary] = {}
+        for mode, c in zip(modes, cols):
+            errors_mm = np.full((len(trace), len(targets_world)), np.nan)
+            errors_mm[evaluate] = next(errors)
+            records[mode.value] = rec = ModeRecord(errors_mm=errors_mm, **c)
+            summaries[mode.value] = _summarize(mode.value, rec, config.cost_render_base_ms)
+        yield RunResult(records=records, summaries=summaries, trace=trace, config=config)
 
 
 def _run_mode(mode, config, scene) -> dict[str, np.ndarray]:
@@ -531,8 +548,8 @@ SWEEP_PARAMS = {
 def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float, Summary]]:
     """One run per value (same seed per cell); returns (value, Summary) rows
     for every configured mode. Unless the parameter shapes the trace, every
-    cell runs in the first cell's scene with its own threshold config. A
-    trace that reads no amplitude cannot sweep it (a ConfigError)."""
+    cell runs in one batch, in the first cell's scene with its own threshold
+    config. A trace that reads no amplitude cannot sweep it (a ConfigError)."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {sorted(SWEEP_PARAMS)}")
     values = list(values)
@@ -542,18 +559,11 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[tuple[float,
     source = "trace_file" if config.trace_file else config.trace_generator
     if key == "trace_amplitude_mm" and source in ("trace_file", Generator.STATIONARY.value):
         raise ConfigError(f"{parameter}: a {source} trace does not read {key}")
-    scene = None
-    rows: list[tuple[float, Summary]] = []
-    for v in values:
-        cell = replace(config, **{key: v})
-        # build_trace reads only trace_* keys, ipd_mm and seed.
-        if scene is None or key.startswith("trace_"):
-            scene = _scene(cell)
-        else:
-            scene = scene._replace(threshold=cell.threshold_config())
-        for s in run(cell, scene).summaries.values():
-            rows.append((v, s))
-    return rows
+    cells = (replace(config, **{key: v}) for v in values)
+    # build_trace reads only trace_* keys, ipd_mm and seed.
+    batches = ([cell] for cell in cells) if key.startswith("trace_") else [cells]
+    runs = (result for batch in batches for result in _runs(batch))
+    return [(v, s) for v, result in zip(values, runs) for s in result.summaries.values()]
 
 
 def write_sweep_csv(rows: list[tuple[float, Summary]], parameter: str, path) -> None:

@@ -140,6 +140,16 @@ BAD_INPUTS = [
     # --eps is a quantity, held to SCALE as the config's threshold_eps_max_px is.
     ("", ["truthtable", "--eps", "1e300"],
      "error: --eps: eps_max_px: must be at most 1e6 in magnitude, got 1e+300"),
+    # A flag's value may start with '-' in any float form: argparse once read
+    # -1e300 and -1e3 as flags and ended with a usage block and exit code 2.
+    ("", ["truthtable", "--eps", "-1e300"], "--eps: eps_max_px: must be positive"),
+    ("", ["truthtable", "--eps", "abc"], "error: --eps:"),
+    ("", ["sweep", "--param", "eps_max", "--values", "-1e3"],
+     "threshold_eps_max_px: must be nonnegative"),
+    # A sweep's cells are built and sensed in value order, so a later cell's
+    # bad value cannot pre-empt an earlier cell's failed run.
+    (SMALL, ["sweep", "--param", "jitter_sigma", "--values", "100000,-1"],
+     "error: noise_jitter_sigma_mm: frame 0: estimate behind the panel"),
 ]
 
 

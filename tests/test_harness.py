@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from raycast import pointing_error
 from strategies import aaupr_decides, running_configs
-from test_cli import configs, field_values
 
 from uprsim import harness
 from uprsim import scheduler as sched
@@ -23,7 +22,7 @@ from uprsim.harness import (
     write_sweep_csv,
 )
 from uprsim.tracksim import FlowSimulator, eye_points, project_eyes, write_trace_csv
-from uprsim.viewgen import RenderMode
+from uprsim.viewgen import RenderMode, pointing_errors
 
 
 def quiet_config(**kw) -> ExperimentConfig:
@@ -696,39 +695,53 @@ def test_sweep_rows_equal_per_cell_runs(parameter, values, overrides):
     assert repr(sweep(cfg, parameter, values)) == repr(expected)
 
 
-def rows_or_error(call):
-    """call()'s repr, or the message of the ConfigError it raises."""
-    try:
-        return repr(call())
-    except ConfigError as exc:
-        return f"ConfigError: {exc}"
-
-
 def per_cell_rows(config, key, values):
     return [(v, s) for v in values for s in run(replace(config, **{key: v})).summaries.values()]
 
 
-CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
-
-#: A 50-frame benchmark trace, on which the threshold and the jitter decide.
-SHORT_BENCHMARK = ExperimentConfig(trace_dwell_frames=20, trace_transition_frames=5)
+#: Swept values on which every running_configs() draw's AAUPR decides: in a
+#: probe of 300 draws, eps 16 and 96 and jitter 0 and 10 all did, while eps
+#: 8 recalculated on every frame of 16 sway and random-walk draws.
+SHARED_SCENE_VALUES = {"eps_max": st.floats(16.0, 96.0), "jitter_sigma": st.floats(0.0, 10.0)}
 
 
 @settings(max_examples=20)
-@given(drawn=configs(), keys=st.sets(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=4),
-       data=st.data())
-def test_a_shared_scene_changes_no_row(drawn, keys, data):
-    # For a config with up to four keys drawn from test_cli.configs() (all of
-    # them at once rarely let a threshold decide anything), the cells that run
-    # in the first cell's scene give exactly their own runs' summaries (NaN
-    # equal to NaN), or the same error.
-    config = replace(SHORT_BENCHMARK, **{key: getattr(drawn, key) for key in keys})
-    for parameter in ("eps_max", "jitter_sigma"):
+@given(config=running_configs(), data=st.data())
+def test_a_shared_scene_changes_no_row(config, data):
+    # The cells of an eps_max or jitter_sigma sweep share one scene and one
+    # pointing-error pass, and give exactly their own runs' summaries; each
+    # cell's AAUPR skips and recalculates, so its threshold and its draws
+    # decide its rows.
+    for parameter, strategy in SHARED_SCENE_VALUES.items():
         key = SWEEP_PARAMS[parameter]
-        values = data.draw(st.lists(field_values(CONFIG_FIELDS[key]), min_size=2, max_size=2,
-                                    unique=True))
-        assert (rows_or_error(lambda: sweep(config, parameter, values))
-                == rows_or_error(lambda: per_cell_rows(config, key, values)))
+        values = data.draw(st.lists(strategy, min_size=2, max_size=2, unique=True))
+        runs = [run(replace(config, **{key: v})) for v in values]
+        assert all(map(aaupr_decides, runs))
+        expected = [(v, s) for v, r in zip(values, runs) for s in r.summaries.values()]
+        assert repr(sweep(config, parameter, values)) == repr(expected)
+
+
+def test_eps_sweep_evaluates_errors_once(monkeypatch):
+    # An eps_max sweep's cells share one pointing_errors pass, and each
+    # cell's rows are still its own run's; a head_displacement cell has its
+    # own trace, so its own pass.
+    cfg = ExperimentConfig(trace_dwell_frames=40, trace_transition_frames=10)
+    eps, amplitudes = [8.0, 16.0, 24.0, 32.0], [50.0, 150.0]
+    expected = {"eps_max": per_cell_rows(cfg, "threshold_eps_max_px", eps),
+                "head_displacement": per_cell_rows(cfg, "trace_amplitude_mm", amplitudes)}
+    calls = []
+
+    def counting(modes, *args, **kwargs):
+        calls.append(len(modes))
+        return pointing_errors(modes, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "pointing_errors", counting)
+    assert repr(sweep(cfg, "eps_max", eps)) == repr(expected["eps_max"])
+    assert calls == [4 * 4]
+    calls.clear()
+    assert (repr(sweep(cfg, "head_displacement", amplitudes))
+            == repr(expected["head_displacement"]))
+    assert calls == [4, 4]
 
 
 def test_eps_sweep_reads_trace_file_once(tmp_path, monkeypatch):
