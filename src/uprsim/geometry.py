@@ -21,19 +21,19 @@ Units: all lengths in millimeters, all image coordinates in pixels.
 No implicit unit conversion anywhere.
 
 Every module's value objects, and harness's ExperimentConfig, declare each
-field's bound on the field (within, positive, nonnegative) and call
-check_fields in __post_init__, which also requires every float to be finite.
-Vectors must be finite too. Each subclasses Value, the one base, frozen:
-dataclass reads their fields, and their methods are Value's, written once,
-so importing uprsim generates none. A run's values are its config's: no
-field or camera factory parameter has a default but ExperimentConfig's and
-tracksim.TraceSpec's, which are the config's.
+field's bound on the field (within, positive, nonnegative), and their error
+and ranges on the class line; Value checks them (check_fields), and every
+float is finite. Vectors must be finite too. Each subclasses Value, the one
+base, frozen: dataclass reads their fields, and their methods are Value's,
+written once, so importing uprsim generates none. A run's values are its
+config's: no field or camera factory parameter has a default but
+ExperimentConfig's and tracksim.TraceSpec's, which are the config's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field
 from functools import partial
 from inspect import Parameter, Signature
 
@@ -61,13 +61,13 @@ nonnegative = partial(within, "nonnegative", lambda v: v >= 0)
 
 def check_fields(obj, error=ValueError, *ranges) -> None:
     """Raise error naming the first field of the dataclass obj that is outside
-    its declared domain; every float field must also be finite, and every
-    float and int field but a seed (a stream's key, not a quantity) within
-    each of ranges, (domain, ok) pairs."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        quantity = f.type in ("float", "int") and f.name != "seed"
-        domains = [("finite", math.isfinite)] * (f.type == "float") + list(ranges) * quantity
+    its declared domain; every float field (annotated float or "float") must
+    also be finite, and every float and int field but a seed (a stream's key,
+    not a quantity) within each of ranges, (domain, ok) pairs."""
+    for f in type(obj).__dataclass_fields__.values():
+        value, real = getattr(obj, f.name), f.type in ("float", float)
+        quantity = (real or f.type in ("int", int)) and f.name != "seed"
+        domains = [("finite", math.isfinite)] * real + list(ranges) * quantity
         for domain, ok in domains + list(f.metadata.values()):
             if not ok(value):
                 raise error(f"{f.name}: must be {domain}, got {value!r}")
@@ -86,16 +86,18 @@ class _FieldSignature:
 class Value:
     """Base of the value objects: a subclass is a frozen dataclass for its
     fields alone, and takes these methods, written once instead of generated
-    per class. A Value equals one of its class with equal fields, and is
-    hashed by them; __post_init__ sets fields with object.__setattr__."""
+    per class; its class line may name check_fields' error and ranges. A
+    Value equals one of its class with equal fields, and is hashed by them;
+    __post_init__ checks the rest and sets fields with object.__setattr__."""
 
     __signature__ = _FieldSignature()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, error=ValueError, ranges=()):
         dataclass(init=False, repr=False, eq=False)(cls)
+        cls._checks = (error, *ranges)
 
     def __init__(self, *args, **kwargs):
-        """Bind args in field order, then kwargs; fill plain defaults; run __post_init__."""
+        """Bind args in field order, then kwargs; fill plain defaults; check; run __post_init__."""
         fs, name = self.__dataclass_fields__, f"{type(self).__qualname__}.__init__()"
         if len(args) > len(fs):
             raise TypeError(f"{name} takes {len(fs) + 1} positional arguments "
@@ -114,7 +116,11 @@ class Value:
             # Not through self.__dict__: that gives up CPython's inline attribute
             # values, and slowed a run's attribute reads by ~30%.
             object.__setattr__(self, key, given[key])
+        check_fields(self, *self._checks)
         self.__post_init__()
+
+    def __post_init__(self):
+        pass
 
     def __repr__(self) -> str:
         pairs = zip(self.__dataclass_fields__, self._values())
@@ -188,7 +194,7 @@ class RigidTransform(Value):
         return RigidTransform(rt, -rt @ self.translation)
 
 
-class DisplayModel(Value):
+class DisplayModel(Value, error=GeometryError):
     """Physical display panel: metric size, pixel resolution, world pose.
 
     pose_world maps display-frame coordinates into the world frame.
@@ -199,9 +205,6 @@ class DisplayModel(Value):
     width_px: int = positive()
     height_px: int = positive()
     pose_world: RigidTransform
-
-    def __post_init__(self):
-        check_fields(self, GeometryError)
 
     def px_to_mm(self, px) -> np.ndarray:
         """Display pixel (u right, v down, origin top-left) to a 3D point on
@@ -220,7 +223,7 @@ class DisplayModel(Value):
         return np.stack([u, v], axis=-1)
 
 
-class PinholeCamera(Value):
+class PinholeCamera(Value, error=GeometryError):
     """Intrinsic + extrinsic pinhole model.
 
     extrinsic maps display-frame points into this camera's frame. The front
@@ -235,9 +238,6 @@ class PinholeCamera(Value):
     width_px: int = positive()
     height_px: int = positive()
     extrinsic: RigidTransform
-
-    def __post_init__(self):
-        check_fields(self, GeometryError)
 
     def contains(self, px) -> np.ndarray:
         """Whether each (..., 2) pixel lies in the image, edges included;
@@ -271,7 +271,7 @@ def back_camera(offset_mm, fx: float, fy: float, width_px: int, height_px: int) 
                          extrinsic=RigidTransform(r, -r @ c))
 
 
-class EyeState(Value):
+class EyeState(Value, error=GeometryError):
     """The cyclopean eye in the display frame and the interpupillary
     distance; tracksim.eye_points splits it into the two eyes."""
 
@@ -279,7 +279,6 @@ class EyeState(Value):
     ipd_mm: float = nonnegative()
 
     def __post_init__(self):
-        check_fields(self, GeometryError)
         c = _as_vec3(self.cyclopean_mm, "cyclopean_mm")
         object.__setattr__(self, "cyclopean_mm", c)
         if c[2] <= 0:
@@ -291,7 +290,7 @@ class EyeState(Value):
         return cls(cyclopean_mm, ipd_mm)
 
 
-class ScenePlane(Value):
+class ScenePlane(Value, error=GeometryError):
     """Bounded planar scene surface (e.g. an installed interaction screen).
 
     The plane is the world z = 0 plane with normal +z, so its 2D frame is
@@ -301,9 +300,6 @@ class ScenePlane(Value):
 
     bounds_mm: tuple[float, float] = within("positive and finite",
                                             lambda b: all(0 < x < math.inf for x in b))
-
-    def __post_init__(self):
-        check_fields(self, GeometryError)
 
     def from_plane_2d(self, uv) -> np.ndarray:
         uv = np.asarray(uv, dtype=float)

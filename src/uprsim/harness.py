@@ -25,10 +25,10 @@ is one ModeRecord of per-frame columns and one Summary row, keyed by mode
 name in a RunResult with the config that ran; the CSV output reads them.
 
 ExperimentConfig is a frozen geometry.Value, declared as the library's value
-objects are. A config key's own domain is declared on its field and
-checked after finiteness and SCALE (not seed), when a config is built, by
-the check_fields loop that the library's value objects use (see geometry);
-rules across keys fail where their objects are built, under checked's label.
+objects are: a key's own domain is on its field and is checked, when a
+config is built, after finiteness and SCALE (not seed), the range that the
+class line names with ConfigError. Rules across keys fail where their
+objects are built, under checked's label.
 
 WORLD LAYOUT
 ============
@@ -80,7 +80,6 @@ from .geometry import (
     ScenePlane,
     Value,
     back_camera,
-    check_fields,
     front_camera,
     nonnegative,
     positive,
@@ -142,7 +141,7 @@ def _one_of(default, choices):
     return within("one of " + ", ".join(names), names.__contains__, default)
 
 
-class ExperimentConfig(Value):
+class ExperimentConfig(Value, error=ConfigError, ranges=(SCALE,)):
     """Flat experiment configuration. Field names double as the config-file
     keys (one `key = value` per line); see README for the full schema."""
 
@@ -218,9 +217,6 @@ class ExperimentConfig(Value):
     errors_dwell_only: bool = True
     errors_px_per_mm: float = nonnegative(0.0)  # 0 -> report mm only
 
-    def __post_init__(self):
-        check_fields(self, ConfigError, SCALE)
-
     # ---- parsing -------------------------------------------------------
 
     @classmethod
@@ -284,11 +280,10 @@ class ExperimentConfig(Value):
         return CostModel({"320x240": self.cost_face_track_320x240_ms,
                           "640x480": self.cost_face_track_640x480_ms}, self.cost_flow_ms)
 
-    def target_points(self, plane: ScenePlane | None = None) -> np.ndarray:
-        """The (T, 2) plane-frame targets, each within the bounds of plane
-        (this config's plane when None)."""
+    def target_points(self) -> np.ndarray:
+        """The (T, 2) plane-frame targets, each within this config's plane."""
         arr = np.array(_target_pairs(self.targets), dtype=float)
-        plane = plane or self.plane()
+        plane = self.plane()
         for x, y in arr:
             if not plane.contains_2d((x, y)):
                 raise ConfigError(f"targets: ({x}, {y}) lies outside the plane bounds")
@@ -379,7 +374,7 @@ def _scene(config: ExperimentConfig) -> _Scene:
     # A bad config raises the trace's error first, then the threshold_* keys',
     # then the targets'.
     trace, threshold = config.build_trace(), config.threshold_config()
-    plane, front, projection = config.plane(), None, None
+    front = projection = None
     if "AAUPR" in config.modes:  # no other mode's name holds it
         front = front_camera(config.front_cam_fx, config.front_cam_fy,
                              config.front_cam_width_px, config.front_cam_height_px)
@@ -388,7 +383,7 @@ def _scene(config: ExperimentConfig) -> _Scene:
         projection = eyes, flow_px.tolist(), visible.tolist()
     return _Scene(trace, threshold, config.display(), config.back_cam(),
                   config.fit_policy(), config.cost_model(),
-                  plane.from_plane_2d(config.target_points(plane)),
+                  config.plane().from_plane_2d(config.target_points()),
                   trace.dwell_mask() if config.errors_dwell_only else np.ones(len(trace), bool),
                   front, projection)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from math import nan, sqrt
 
-from .geometry import Value, check_fields, nonnegative, positive, within
+from .geometry import Value, nonnegative, positive, within
 
 #: Flow-tracker failure marker that schedule() accepts in place of eye positions.
 FLOW_FAILURE = None
@@ -67,7 +67,6 @@ class ThresholdConfig(Value):
     metric: EyeMetric
 
     def __post_init__(self):
-        check_fields(self)
         if self.policy is Policy.DECAYING and not 0 < self.floor_px <= self.eps_max_px:
             raise ValueError("eps_min_px must be in (0, eps_max_px]")
 

@@ -23,8 +23,7 @@ from math import isfinite, nan, pi
 
 import numpy as np
 
-from .geometry import (PinholeCamera, Value, check_fields, nonnegative, positive, project_pinhole,
-                       within)
+from .geometry import PinholeCamera, Value, nonnegative, positive, project_pinhole, within
 
 DEFAULT_FRAME_RATE_HZ = 15.0  # front-camera hardware limit
 DWELL_TOL_MM = 0.5  # eye travel per frame (mm) at or below which the head is at rest
@@ -130,9 +129,6 @@ class TraceSpec(Value):
     transition_frames: int = within("at least 1", lambda v: v >= 1, 30)
     sway_period_s: float = positive(4.0)
     seed: int = nonnegative(1)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -279,9 +275,6 @@ class FlowSimulator(Value):
     p_fail: float = within("in [0, 1]", lambda v: 0 <= v <= 1)
     rng: np.random.Generator
 
-    def __post_init__(self):
-        check_fields(self)
-
     def stream(self, flow_px, visible):
         """Draw the first drift direction; return measurements, reset_drift
         and project_frame, which share the drift. measurements gives each
@@ -347,13 +340,9 @@ class CostModel(Value):
     face_track_ms is keyed by front-camera resolution tier ("WxH").
     """
 
-    face_track_ms: dict[str, float]
+    face_track_ms: dict[str, float] = within("nonnegative and finite in every entry",
+                                             lambda d: all(0 <= v < np.inf for v in d.values()))
     flow_ms: float = nonnegative()
-
-    def __post_init__(self):
-        check_fields(self)
-        if not all(0 <= v < np.inf for v in self.face_track_ms.values()):
-            raise ValueError("face_track_ms: entries must be nonnegative and finite")
 
     def face_cost(self, resolution: str) -> float:
         try:

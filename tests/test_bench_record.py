@@ -99,3 +99,17 @@ def test_table_has_a_line_per_workload_and_metric():
                                 "0", "no", "yes", "no"]
     assert lines[2].split() == ["trace_sweep", "op_p50_ms", "lower", "0.8500", "2/2", "seeds",
                                 "0", "yes", "yes", "no"]
+
+
+def test_src_size_counts_lines_and_bytes_of_the_package_modules(tmp_path):
+    tool = load_tool()
+    package = tmp_path / "src/uprsim"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts none
+    (package / "notes.txt").write_text("not a module\n")
+    (tmp_path / "src/other.py").write_text("w = 4\n")
+    assert tool.src_size(tmp_path) == {"src_lines": 2, "src_bytes": 17}
+    counted = tool.src_size(ROOT)
+    files = list((ROOT / "src/uprsim").glob("*.py"))
+    assert counted["src_lines"] == sum(len(p.read_text().splitlines()) for p in files)

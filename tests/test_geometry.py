@@ -22,9 +22,9 @@ from uprsim.geometry import (
     ScenePlane,
     Value,
     back_camera,
-    check_fields,
     front_camera,
     intersect_ray_plane,
+    positive,
     project_pinhole,
 )
 from uprsim.harness import ExperimentConfig
@@ -356,8 +356,21 @@ class Boxed(Value):
     width_mm: float
     scale: float = 1.0
 
-    def __post_init__(self):
-        check_fields(self)
+
+def test_a_value_checks_its_fields_with_its_class_error():
+    """Being a Value is enough: a class with no __post_init__ checks its
+    fields when built, raising the error its class line names, or ValueError."""
+    class Span(Value, error=GeometryError):
+        length_mm: float = positive()
+
+    with pytest.raises(GeometryError, match=r"^length_mm: must be positive, got -1.0$"):
+        Span(-1.0)
+    with pytest.raises(GeometryError, match="^length_mm: must be finite"):
+        Span(np.nan)
+    assert Span(2.0).length_mm == 2.0
+    with pytest.raises(ValueError, match="^width_mm: must be finite") as excinfo:
+        Boxed(np.inf)
+    assert type(excinfo.value) is ValueError
 
 
 #: One valid instance of every value object, VALUE_OBJECTS and the rest.

@@ -5,8 +5,8 @@ src/uprsim is reached from the simulator, demos, perfbench or tools, so
 code only tests call does not stay in src/. Package __init__ files are
 exempt from both: their imports are the public re-exports. One function in
 src/uprsim opens files for writing, so one place decides what a CSV cell
-looks like. Every value object with a number field checks its declared
-domains through geometry.check_fields, and no src method writes to self
+looks like. Every src dataclass is a geometry.Value, which checks its
+declared domains when built, and no src method writes to self
 after construction, so src holds no mutable object. Each of a run's values
 has one source, its config: no src value object but ExperimentConfig and
 TraceSpec declares a field default or default_factory, a default TraceSpec
@@ -147,52 +147,19 @@ def test_one_function_opens_files_for_writing():
     assert writers == ["tracksim.write_csv"]
 
 
-#: The base whose subclasses are dataclasses.
-VALUE_BASES = {"Value"}
-
-
-def dataclass_defs(source: str) -> list[ast.ClassDef]:
-    """Classes declared dataclasses, by a decorator or by a base in VALUE_BASES."""
-    return [cls for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef) and (
-        any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
-        or any(ast.unparse(b) in VALUE_BASES for b in cls.bases))]
-
-
-def unchecked_dataclasses(source: str) -> list[str]:
-    """Dataclasses with an int or float field whose __post_init__ does not
-    call check_fields."""
-    names = []
-    for cls in dataclass_defs(source):
-        if not any(isinstance(s, ast.AnnAssign) and ast.unparse(s.annotation) in ("int", "float")
-                   for s in cls.body):
-            continue
-        post = [f for f in cls.body if isinstance(f, ast.FunctionDef)
-                and f.name == "__post_init__"]
-        if not any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "check_fields"
-                   for f in post for c in ast.walk(f)):
-            names.append(cls.name)
-    return names
+def value_objects() -> dict[str, type]:
+    """The dataclasses that the src modules define or import, by name."""
+    return {name: obj for module in (geometry, harness, scheduler, tracksim, viewgen)
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
 
 
 def test_value_objects_check_fields():
-    source = ("@dataclass\nclass A:\n    x: int\n"
-              "@dataclass(frozen=True)\nclass B:\n    x: float\n"
-              "    def __post_init__(self): check_fields(self)\n"
-              "@dataclass\nclass C:\n    x: str\n"
-              "class D:\n    x: int\n"
-              "class E(Value):\n    x: float\n    def __post_init__(self): pass\n"
-              "class F(Value):\n    x: int\n"
-              "class G(Value):\n    x: int\n"
-              "    def __post_init__(self): check_fields(self)\n"
-              "class H(Value):\n    x: str\n")
-    assert unchecked_dataclasses(source) == ["A", "E", "F"]
-    sources = [path.read_text() for path in (ROOT / "src/uprsim").glob("*.py")]
-    # The scan sees every dataclass that importing uprsim makes, so it has a subject.
-    scanned = {cls.name for source in sources for cls in dataclass_defs(source)}
-    assert scanned == {name for module in (geometry, harness, scheduler, tracksim, viewgen)
-                       for name, obj in vars(module).items() if isinstance(obj, type)
-                       and dataclasses.is_dataclass(obj)}
-    assert [name for source in sources for name in unchecked_dataclasses(source)] == []
+    """Value.__init__ runs check_fields, so a dataclass checks its fields'
+    domains by being a Value; this test has a subject while one exists."""
+    classes = value_objects()
+    assert classes
+    assert [name for name, cls in classes.items() if not issubclass(cls, geometry.Value)] == []
 
 
 def writes_to_self(source: str) -> list[str]:
@@ -245,11 +212,9 @@ CONFIG_PARAMETERS = {
 
 
 def test_a_run_value_has_one_source():
-    value_objects = {name: obj for module in (geometry, harness, scheduler, tracksim, viewgen)
-                     for name, obj in vars(module).items()
-                     if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
-    assert DEFAULTED <= value_objects.keys()
-    defaulted = [f"{name}.{f.name}" for name, cls in sorted(value_objects.items())
+    classes = value_objects()
+    assert DEFAULTED <= classes.keys()
+    defaulted = [f"{name}.{f.name}" for name, cls in sorted(classes.items())
                  if name not in DEFAULTED for f in dataclasses.fields(cls)
                  if (f.default, f.default_factory) != (dataclasses.MISSING,) * 2]
     assert defaulted == []

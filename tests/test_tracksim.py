@@ -687,3 +687,6 @@ def test_cost_model_defaults_ordered():
 def test_cost_model_rejects_negative():
     with pytest.raises(ValueError):
         CostModel({"640x480": 30.094}, flow_ms=-1.0)
+    for bad in (-1.0, np.inf):
+        with pytest.raises(ValueError, match="^face_track_ms: must be "):
+            CostModel({"320x240": 14.08, "640x480": bad}, flow_ms=0.5)

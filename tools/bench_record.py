@@ -25,7 +25,9 @@ within_bound is true when the tree's median is no worse than the base's by
 more than the metric's relative bound in BENCHMARK.json, and unresolved is
 true when the base's IQR over its median exceeds that bound and not every
 tree run beats every base run, so the runs spread too widely to tell. It
-prints that table last.
+prints that table last, and under it each tree's src_lines and src_bytes: the
+lines and bytes of its src/uprsim/*.py, which BENCH_N.json records too, so a
+deletion shows where setup_s is too coarse to resolve it.
 """
 
 from __future__ import annotations
@@ -78,6 +80,12 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"error: perfbench failed in {tree} ({workload}, seed {seed}):\n"
                          + proc.stderr)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def src_size(tree: Path) -> dict[str, int]:
+    """The lines (as wc -l counts them) and bytes of tree's src/uprsim/*.py, summed."""
+    texts = [p.read_bytes() for p in (tree / "src/uprsim").glob("*.py")]
+    return {"src_lines": sum(t.count(b"\n") for t in texts), "src_bytes": sum(map(len, texts))}
 
 
 def iqr(values: list[float]) -> float:
@@ -156,6 +164,7 @@ def main(argv=None) -> int:
         base = Path(tmp) / "base"
         unpack(args.base, base)
         trees = {"base": base, "tree": ROOT}
+        src = {name: src_size(path) for name, path in trees.items()}
         for workload in WORKLOADS:
             for seed in SEEDS:
                 order = ["base", "tree"] if seed % 2 else ["tree", "base"]
@@ -174,6 +183,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cores": len(os.sched_getaffinity(0)),
+        "src": src,
         "workloads": {w: {name: {"summary": summary(r), "runs": r}
                           for name, r in by_tree.items()}
                       for w, by_tree in runs.items()},
@@ -184,6 +194,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     print(table(record["comparison"]))
+    for name, size in src.items():
+        print(f"{name}: src_lines {size['src_lines']}, src_bytes {size['src_bytes']}")
     return 0
 
 
