@@ -181,7 +181,7 @@ class RigidTransform(Value):
 
         Written out, not as a matmul, because numpy's elementwise float64
         operations round once each and never fuse: the same expression on
-        Python floats (a flow stream's project_frame) gives the same bits."""
+        Python floats (a flow stream's reanchor) gives the same bits."""
         p = np.asarray(points, dtype=float)
         if p.shape[-1:] != (3,):
             raise ValueError(f"points must have a last axis of 3, got shape {p.shape}")

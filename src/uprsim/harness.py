@@ -425,10 +425,10 @@ def _runs(configs) -> Iterator[RunResult]:
 def _run_mode(mode, config, scene) -> dict[str, np.ndarray]:
     """One mode's sensing columns, keyed by ModeRecord field name. UPR
     requests a face-tracker result on every frame; AAUPR's closed loop
-    (sched.schedule over the flow stream's measurements, re-anchoring with
-    its project_frame) runs on Python floats over the scene's projection,
-    and chooses its request frames. One pass over the requests then builds
-    the estimate and charge columns."""
+    (sched.schedule over the flow stream's measurements, re-anchoring the
+    stream on each recalculation's estimate) runs on Python floats over the
+    scene's projection, and chooses its request frames. One pass over the
+    requests then builds the estimate and charge columns."""
     trace, cost = scene.trace, scene.cost
     n = len(trace)
     cal_eye = (0.0, 0.0, config.fupr_distance_mm)
@@ -454,8 +454,7 @@ def _run_mode(mode, config, scene) -> dict[str, np.ndarray]:
     else:
         charge[:] = cost.flow_ms
         eyes, flow_px, visible = scene.projection
-        # Lazy, so frame i + 1's draws follow frame i's reset_drift.
-        flows, reset_drift, project_frame = FlowSimulator(
+        flows, reanchor = FlowSimulator(
             scene.front_cam, config.noise_flow_sigma_px, config.noise_drift_px_per_frame,
             config.noise_p_fail, np.random.default_rng([config.seed, idx, 0])
         ).stream(flow_px, visible)
@@ -464,8 +463,7 @@ def _run_mode(mode, config, scene) -> dict[str, np.ndarray]:
             # eyes[i] + offsets[k], added on Python floats.
             (lx, ly, lz), (rx, ry, rz) = eyes[i].tolist()
             ox, oy, oz = offsets[k].tolist()
-            reset_drift()  # draws; project_frame does not
-            return project_frame(((lx + ox, ly + oy, lz + oz), (rx + ox, ry + oy, rz + oz)))
+            return reanchor(((lx + ox, ly + oy, lz + oz), (rx + ox, ry + oy, rz + oz)))
 
         reasons, cols["e_px"][:], cols["delta_e_px"][:], recalcs = sched.schedule(
             flows, scene.threshold, recompute)

@@ -276,16 +276,16 @@ class FlowSimulator(Value):
     rng: np.random.Generator
 
     def stream(self, flow_px, visible):
-        """Draw the first drift direction; return measurements, reset_drift
-        and project_frame, which share the drift. measurements gives each
-        frame's measurement, lazily, from its exact pixels and visibility as
-        project_eyes gives them: four floats, or None (a failure). A visible
+        """Return measurements and reanchor, which share the drift, after
+        reanchor(()) has drawn the first drift direction. measurements gives
+        each frame's measurement, lazily, from its exact pixels and visibility
+        as project_eyes gives them: four floats, or None (a failure). A visible
         frame draws the failure, then four standard normals into a reused
         buffer, scaled as 0.0 + sigma * z: the bits and stream position of
-        normal(0.0, sigma, size=4). reset_drift() restarts the drift in a new
-        direction; one made between two frames' reads takes effect from the
-        next. project_frame gives project_eyes' row of one frame, bit for bit,
-        from its (2, 3) eye points (rows of floats, or an array) as four
+        normal(0.0, sigma, size=4). reanchor(left_right) draws a new drift
+        direction (one random()), which takes effect from the next frame read,
+        and gives project_eyes' row of the (2, 3) eye points left_right (rows
+        of floats, or an array; () projects nothing), bit for bit, as four
         floats: RigidTransform.apply's and project_pinhole's operations, in
         their order, on Python floats, for any camera."""
         cam, rng = self.front_cam, self.rng
@@ -296,14 +296,12 @@ class FlowSimulator(Value):
         fx, fy, cx, cy = cam.fx, cam.fy, cam.cx, cam.cy
         frames = cos = sin = 0
 
-        def reset_drift() -> None:
+        def reanchor(left_right) -> tuple[float, ...]:
             nonlocal frames, cos, sin
             # rng.uniform(0.0, 2 pi)'s bits and stream position, at a third of its cost.
             theta = 2.0 * pi * random()
             # numpy's cos and sin: math's need not give the same bits.
             frames, cos, sin = 0, float(np.cos(theta)), float(np.sin(theta))
-
-        def project_frame(left_right) -> tuple[float, float, float, float]:
             px = []
             for x, y, z in left_right:
                 x, y, z = (a0 * x + a1 * y + a2 * z + ta, b0 * x + b1 * y + b2 * z + tb,
@@ -326,8 +324,8 @@ class FlowSimulator(Value):
                 else:
                     yield (u0 + dx, v0 + dy, u1 + dx, v1 + dy)
 
-        reset_drift()
-        return measurements(), reset_drift, project_frame
+        reanchor(())
+        return measurements(), reanchor
 
     def measure(self, px, visible: bool) -> tuple[float, float, float, float] | None:
         """One frame of a fresh stream: four floats, or None."""

@@ -2,6 +2,7 @@
 The tool is not a package module, so it is loaded by path."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -113,3 +114,19 @@ def test_src_size_counts_lines_and_bytes_of_the_package_modules(tmp_path):
     counted = tool.src_size(ROOT)
     files = list((ROOT / "src/uprsim").glob("*.py"))
     assert counted["src_lines"] == sum(len(p.read_text().splitlines()) for p in files)
+
+
+def test_work_counts_of_the_repo_equal_the_pinned_counts():
+    # The counter runs the repo's own tests/test_work_counts.work_counts().
+    tool = load_tool()
+    pinned = json.loads((ROOT / "tests/work_counts.json").read_text())["counts"]
+    assert tool.work_counts(ROOT) == pinned
+
+
+def test_count_changes_name_each_changed_count():
+    tool = load_tool()
+    base = {"benchmark": 5676, "sway_DPR": 706, "gone": 1}
+    tree = {"benchmark": 5556, "sway_DPR": 706, "new": 2}
+    assert tool.count_changes(base, tree) == ["benchmark: 5676 -> 5556", "gone: 1 -> None",
+                                              "new: None -> 2"]
+    assert tool.count_changes(base, base) == []

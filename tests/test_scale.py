@@ -10,6 +10,13 @@ by it and leaves every error alone. A run of the scaled config is an oracle
 for the whole run, AAUPR's closed loop included, that needs no second
 implementation.
 
+The length relation runs over two strategies. test_cli.configs() draws
+every key across its domain, so most of its runs fail on both sides and
+few let AAUPR skip a frame. strategies.running_configs() draws runs that
+are valid and whose AAUPR skips and recalculates, which that property
+checks on every example, so the relation covers the closed loop's
+decisions.
+
 Two lengths are constants, not config keys, so they do not scale with the
 rest, and the draws stay clear of them:
 - tracksim.DWELL_TOL_MM, the eye travel at or below which a frame dwells:
@@ -33,6 +40,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from strategies import aaupr_decides, running_configs
 from test_cli import configs
 
 from uprsim.harness import ConfigError, ExperimentConfig, run
@@ -52,11 +60,12 @@ COSTS = dict.fromkeys(("cost_face_track_320x240_ms", "cost_face_track_640x480_ms
                        "cost_flow_ms", "cost_render_base_ms"), 1)
 
 
-def draws(powers):
-    """configs(), with each value of powers' keys that is nonzero but under
-    MIN_DIVISOR in magnitude drawn as its default (see the module doc)."""
+def draws(strategy, powers):
+    """strategy's configs, with each value of powers' keys that is nonzero
+    but under MIN_DIVISOR in magnitude drawn as its default (see the module
+    doc)."""
     default = ExperimentConfig()
-    return configs().map(lambda c: replace(c, **{
+    return strategy.map(lambda c: replace(c, **{
         key: getattr(default, key) for key in powers if 0 < abs(getattr(c, key)) < MIN_DIVISOR}))
 
 
@@ -104,28 +113,21 @@ def times(a, k: float) -> list:
     return bits(np.asarray(a, dtype=float) * k)
 
 
-#: Configs that stay clear of both constant lengths (see the module doc).
-LENGTH_CONFIGS = draws(LENGTHS).filter(lambda c: c.trace_generator != "random_walk").map(
-    lambda c: replace(c, errors_dwell_only=False))
-
-RELATION = settings(max_examples=30, suppress_health_check=[HealthCheck.filter_too_much])
-
-#: The benchmark run with every frame evaluated, in which AAUPR skips most
-#: frames and recalculates for spatial, refine and initial reasons. Drawn
-#: configs seldom let AAUPR skip, so without these examples the relation
-#: would seldom test its decisions.
-EVERY_FRAME = ExperimentConfig(errors_dwell_only=False)
+def clear_of_constants(strategy):
+    """strategy's configs, kept clear of both constant lengths (see the
+    module doc)."""
+    return draws(strategy, LENGTHS).filter(lambda c: c.trace_generator != "random_walk").map(
+        lambda c: replace(c, errors_dwell_only=False))
 
 
-@RELATION
-@given(config=LENGTH_CONFIGS, k=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
-@example(config=EVERY_FRAME, k=0.5)
-@example(config=EVERY_FRAME, k=4.0)
-@example(config=replace(EVERY_FRAME, threshold_policy="decaying", threshold_metric="mean"), k=2.0)
-def test_lengths_scale_every_mm_output_and_no_decision(config, k):
+def assert_lengths_scale(config: ExperimentConfig, k: float):
+    """The length relation between config's run and its run with every
+    length times k: every mm output times k, every px output and decision
+    bit for bit. Returns config's run, or the key that both runs' errors
+    name."""
     base, big = outcomes(config, scaled(config, LENGTHS, k, targets=True))
     if isinstance(base, str):
-        return  # both runs fail on the same key
+        return base
     assert bits(big.trace.t_ms) == bits(base.trace.t_ms)
     assert bits(big.trace.eye_mm) == times(base.trace.eye_mm, k)
     assert bits(big.trace.ipd_mm) == times(base.trace.ipd_mm, k)
@@ -144,10 +146,41 @@ def test_lengths_scale_every_mm_output_and_no_decision(config, k):
         # The CLI's pixel mean: errors_px_per_mm went over k.
         assert bits(t.mean_error_mm * big.config.errors_px_per_mm) == bits(
             s.mean_error_mm * config.errors_px_per_mm)
+    return base
+
+
+LENGTH_FACTORS = st.sampled_from([0.25, 0.5, 2.0, 4.0])
+
+RELATION = settings(max_examples=30, suppress_health_check=[HealthCheck.filter_too_much])
+
+#: The benchmark run with every frame evaluated, in which AAUPR skips most
+#: frames and recalculates for spatial, refine and initial reasons. Drawn
+#: configs seldom let AAUPR skip, so without these examples the relation
+#: would seldom test its decisions.
+EVERY_FRAME = ExperimentConfig(errors_dwell_only=False)
 
 
 @RELATION
-@given(config=draws(COSTS), c=st.sampled_from([0.5, 2.0]))
+@given(config=clear_of_constants(configs()), k=LENGTH_FACTORS)
+@example(config=EVERY_FRAME, k=0.5)
+@example(config=EVERY_FRAME, k=4.0)
+@example(config=replace(EVERY_FRAME, threshold_policy="decaying", threshold_metric="mean"), k=2.0)
+def test_lengths_scale_every_mm_output_and_no_decision(config, k):
+    # Over whole-domain draws, most of which fail on both sides.
+    assert_lengths_scale(config, k)
+
+
+@RELATION
+@given(config=clear_of_constants(running_configs()), k=LENGTH_FACTORS)
+def test_lengths_scale_every_mm_output_of_a_deciding_run(config, k):
+    # The same relation over running_configs(): every example runs, and its
+    # AAUPR skips and recalculates, so the relation tests its decisions.
+    base = assert_lengths_scale(config, k)
+    assert not isinstance(base, str) and aaupr_decides(base), base
+
+
+@RELATION
+@given(config=draws(configs(), COSTS), c=st.sampled_from([0.5, 2.0]))
 def test_costs_scale_every_charge_and_no_error(config, c):
     base, dear = outcomes(config, scaled(config, COSTS, c))
     if isinstance(base, str):

@@ -269,9 +269,9 @@ def exact_flow(cam) -> FlowSimulator:
     return FlowSimulator(cam, 0.0, 0.0, 0.0, np.random.default_rng(0))
 
 
-def project_frame_of(cam):
-    """The project_frame of an exact flow stream in cam."""
-    return exact_flow(cam).stream((), ())[2]
+def reanchor_of(cam):
+    """The reanchor of an exact flow stream in cam."""
+    return exact_flow(cam).stream((), ())[1]
 
 
 def eye_at(pos) -> np.ndarray:
@@ -365,7 +365,7 @@ coord_or_zero = st.one_of(signed_zero, coord_mm)
 
 def reanchor_example(eye_mm, offset, tilt=0.0, ipd=63.0, centre=(0.0, 0.0),
                      quat=(0.9, 0.3, -0.2, 0.1), shift=(5.0, -3.0, 1.0)):
-    """An explicit example of test_project_frame_bit_equals_project."""
+    """An explicit example of test_reanchor_bit_equals_project."""
     return example(fx=250.0, fy=250.0, width=640, height=480, tilt=tilt, ipd=ipd,
                    eye_mm=eye_mm, offset=offset, centre=centre, quat=quat, shift=shift)
 
@@ -398,8 +398,8 @@ quaternion = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.n
 @reanchor_example((0.0, 0.0, 1e308), (0.0, 0.0, 1e308))  # z overflows to inf
 @reanchor_example((-0.0, -0.0, 150.0), (-0.0, -0.0, 0.0), ipd=0.0, centre=(-0.0, -0.0),
                   quat=(1.0, 0.0, 0.0, 0.0), shift=(-0.0, -0.0, -0.0))  # identity, -0.0 shift
-def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_mm, offset,
-                                          centre, quat, shift):
+def test_reanchor_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_mm, offset,
+                                     centre, quat, shift):
     # The re-anchor's one-frame projection of an estimate (the true eye plus
     # a face-tracker offset) is project_eyes', bit for bit, NaN and inf included,
     # for the front camera, a tilted translated one, a general rotation from
@@ -418,15 +418,15 @@ def test_project_frame_bit_equals_project(fx, fy, width, height, tilt, ipd, eye_
     cams += [PinholeCamera(fx, fy, cx, cy, width, height, RigidTransform(r, [zero] * 3))
              for r in AXIS_ROTATIONS for zero in (0.0, -0.0)]
     for cam in cams:
-        project_frame = project_frame_of(cam)
+        reanchor = reanchor_of(cam)
         expected = project_eyes(cam, est)[0].view(np.uint64)
         for frame in (est, est.tolist()):
-            got = np.array(project_frame(frame))
+            got = np.array(reanchor(frame))
             assert np.array_equal(got.view(np.uint64), expected), cam
 
 
-def test_project_frame_calls_no_apply(monkeypatch):
-    # project_frame transforms on Python floats for any camera, a tilted and
+def test_reanchor_calls_no_apply(monkeypatch):
+    # reanchor transforms on Python floats for any camera, a tilted and
     # translated one included; project_eyes still calls RigidTransform.apply.
     calls = []
     apply = RigidTransform.apply
@@ -438,7 +438,7 @@ def test_project_frame_calls_no_apply(monkeypatch):
     monkeypatch.setattr(RigidTransform, "apply", counting_apply)
     cam = PinholeCamera(250.0, 250.0, 320.0, 240.0, 640, 480, rotation_y(0.3, (5.0, -3.0, 1.0)))
     eyes = eye_points([10.0, -5.0, 250.0], 63.0)
-    px = project_frame_of(cam)(eyes.tolist())
+    px = reanchor_of(cam)(eyes.tolist())
     assert calls == []
     assert px == tuple(project_eyes(cam, eyes)[0].tolist())
     assert calls == [(2, 3)]
@@ -451,7 +451,8 @@ def measure_frame(sim, eye):
 
 
 def flow_stream(sim, eye, n):
-    """sim's stream over n frames of the same (2, 3) eye points."""
+    """sim's stream over n frames of the same (2, 3) eye points: its
+    measurements and reanchor."""
     px, visible = project_eyes(sim.front_cam, eye)
     return sim.stream([px.tolist()] * n, [bool(visible)] * n)
 
@@ -484,12 +485,12 @@ def test_flow_drift_accumulates_and_resets():
     sim = FlowSimulator(cam, 0.0, 0.1, 0.0, np.random.default_rng(7))
     eye = eye_at([0.0, 0.0, 300.0])
     exact = project_pinhole(cam, cam.extrinsic.apply(eye))
-    flows, reset_drift, _ = flow_stream(sim, eye, 30)
+    flows, reanchor = flow_stream(sim, eye, 30)
     for i in range(1, 30):
         m = next(flows)
         left = m[:2]
         assert np.linalg.norm(np.subtract(left, exact[0])) == pytest.approx(0.1 * i, abs=1e-9)
-    reset_drift()
+    assert reanchor(()) == ()
     m = next(flows)
     assert np.linalg.norm(np.subtract(m[:2], exact[0])) == pytest.approx(0.1, abs=1e-9)
 
@@ -548,10 +549,10 @@ def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
     sim = FlowSimulator(FRONT_CAM, sigma, drift, p_fail, np.random.default_rng(seed))
     oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng(seed))
     frames = [op for op in ops if op != "reset"]
-    flows, reset_drift, _ = sim.stream([px for px, _ in frames], [v for _, v in frames])
+    flows, reanchor = sim.stream([px for px, _ in frames], [v for _, v in frames])
     for op in ops:
         if op == "reset":
-            reset_drift()
+            reanchor(())
             oracle.reset_drift()
             continue
         px, visible = op
@@ -575,13 +576,13 @@ def test_measure_bit_equals_numpy_formulation(sigma, drift, p_fail, seed, ops):
 def test_measurements_bit_equal_measure_and_numpy_formulation(sigma, drift, p_fail, seed,
                                                               frames):
     # The lazy stream gives the numpy formulation's values and draws, in
-    # their order, for a random visible/invisible trace, with a reset_drift
+    # their order, for a random visible/invisible trace, with a reanchor
     # after some frames, made between two frames' reads, as AAUPR's
     # recompute makes it. measure is one frame of a fresh stream: on each
     # frame it gives a fresh numpy formulation's first values and draws.
     sim = FlowSimulator(FRONT_CAM, sigma, drift, p_fail, np.random.default_rng(seed))
     oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng(seed))
-    flows, reset_drift, _ = sim.stream([px for (px, _), _ in frames], [v for (_, v), _ in frames])
+    flows, reanchor = sim.stream([px for (px, _), _ in frames], [v for (_, v), _ in frames])
     for k, (((px, visible), reset), got) in enumerate(zip(frames, flows)):
         one = FlowSimulator(FRONT_CAM, sigma, drift, p_fail, np.random.default_rng([seed, k]))
         one_oracle = NumpyFlowOracle(sigma, drift, p_fail, np.random.default_rng([seed, k]))
@@ -594,7 +595,7 @@ def test_measurements_bit_equal_measure_and_numpy_formulation(sigma, drift, p_fa
                                       expected.reshape(4).view(np.uint64))
         assert one.rng.bit_generator.state == one_oracle.rng.bit_generator.state
         if reset:
-            reset_drift()
+            reanchor(())
             oracle.reset_drift()
     assert next(flows, "end") == "end"
     assert sim.rng.bit_generator.state == oracle.rng.bit_generator.state
@@ -603,16 +604,21 @@ def test_measurements_bit_equal_measure_and_numpy_formulation(sigma, drift, p_fa
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**64 - 1), n_resets=st.integers(1, 60))
 def test_reset_drift_bit_equals_uniform_draw(seed, n_resets):
-    # reset_drift's 2 pi * random() gives the direction and the stream
-    # position of rng.uniform(0.0, 2 pi). A unit drift's first frame after
-    # a draw at pixels -0.0 (-0.0 + x is x, bit for bit) reads the
-    # direction back.
+    # Each reanchor, empty (the stream's first, and every even one after)
+    # or with two eyes (every odd one), advances the rng by exactly one
+    # random(), and its 2 pi * random() gives the direction and the stream
+    # position of rng.uniform(0.0, 2 pi). A unit drift's first frame after a
+    # draw at pixels -0.0 (-0.0 + x is x, bit for bit) reads the direction
+    # back.
     sim = FlowSimulator(FRONT_CAM, 0.0, 1.0, 0.0, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
-    flows, reset_drift, _ = sim.stream([[-0.0] * 4] * n_resets, [True] * n_resets)
+    rng, one_random = np.random.default_rng(seed), np.random.default_rng(seed)
+    eyes = eye_at([10.0, -5.0, 250.0]).tolist()
+    flows, reanchor = sim.stream([[-0.0] * 4] * n_resets, [True] * n_resets)
     for k in range(n_resets):
         if k:
-            reset_drift()
+            assert len(reanchor(eyes if k % 2 else ())) == (4 if k % 2 else 0)
+        one_random.random()
+        assert sim.rng.bit_generator.state == one_random.bit_generator.state
         theta = rng.uniform(0.0, 2.0 * np.pi)
         expected = np.array([np.cos(theta), np.sin(theta)] * 2)
         assert np.array_equal(np.array(next(flows)).view(np.uint64), expected.view(np.uint64))

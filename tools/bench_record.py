@@ -27,7 +27,11 @@ true when the base's IQR over its median exceeds that bound and not every
 tree run beats every base run, so the runs spread too widely to tell. It
 prints that table last, and under it each tree's src_lines and src_bytes: the
 lines and bytes of its src/uprsim/*.py, which BENCH_N.json records too, so a
-deletion shows where setup_s is too coarse to resolve it.
+deletion shows where setup_s is too coarse to resolve it. Before the runs it
+computes each tree's work counts, tests/test_work_counts.work_counts() run in
+that tree's tests/ with its src/ on the path, in a process of their own;
+BENCH_N.json records them under "work_counts", and the last lines printed
+name each count that differs, as `name: old -> new`.
 """
 
 from __future__ import annotations
@@ -86,6 +90,26 @@ def src_size(tree: Path) -> dict[str, int]:
     """The lines (as wc -l counts them) and bytes of tree's src/uprsim/*.py, summed."""
     texts = [p.read_bytes() for p in (tree / "src/uprsim").glob("*.py")]
     return {"src_lines": sum(t.count(b"\n") for t in texts), "src_bytes": sum(map(len, texts))}
+
+
+def work_counts(tree: Path) -> dict[str, int]:
+    """tree's tests/test_work_counts.work_counts(), computed in a subprocess
+    run in tree's tests/ with tree's src/ first on the path."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_work_counts; print(json.dumps(test_work_counts.work_counts()))"],
+        cwd=tree / "tests", env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"error: work counts failed in {tree}:\n" + proc.stderr)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def count_changes(base: dict[str, int], tree: dict[str, int]) -> list[str]:
+    """`name: old -> new` for each count that differs (None where a tree has none)."""
+    return [f"{name}: {base.get(name)} -> {tree.get(name)}"
+            for name in sorted(base.keys() | tree.keys()) if base.get(name) != tree.get(name)]
 
 
 def iqr(values: list[float]) -> float:
@@ -165,6 +189,7 @@ def main(argv=None) -> int:
         unpack(args.base, base)
         trees = {"base": base, "tree": ROOT}
         src = {name: src_size(path) for name, path in trees.items()}
+        counts = {name: work_counts(path) for name, path in trees.items()}
         for workload in WORKLOADS:
             for seed in SEEDS:
                 order = ["base", "tree"] if seed % 2 else ["tree", "base"]
@@ -184,6 +209,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "cores": len(os.sched_getaffinity(0)),
         "src": src,
+        "work_counts": counts,
         "workloads": {w: {name: {"summary": summary(r), "runs": r}
                           for name, r in by_tree.items()}
                       for w, by_tree in runs.items()},
@@ -196,6 +222,8 @@ def main(argv=None) -> int:
     print(table(record["comparison"]))
     for name, size in src.items():
         print(f"{name}: src_lines {size['src_lines']}, src_bytes {size['src_bytes']}")
+    for line in count_changes(counts["base"], counts["tree"]):
+        print(line)
     return 0
 
 
