@@ -28,8 +28,8 @@ script = ([eyes(100.0)] * 4
 cfg = ExperimentConfig().threshold_config()  # eps: 3% of a 640x480 diagonal
 # In the real pipeline each recomputation runs the expensive face tracker;
 # here the "recomputed" eyes are just the flow positions.
-reasons, e_px, delta_e_px, _ = schedule(
-    script, cfg, lambda i, k: script[i] if script[i] is not FLOW_FAILURE else eyes(190.7))
+reasons, e_px, delta_e_px = schedule(
+    script, cfg, lambda i: script[i] if script[i] is not FLOW_FAILURE else eyes(190.7))
 
 print(f"eps = {cfg.eps_max_px} px, refine condition: dE < {cfg.refine_factor} * eps")
 print(f"{'frame':>5} {'flow x':>8} {'E':>7} {'dE':>7}  decision")

@@ -85,12 +85,12 @@ def _cmd_truthtable(args) -> int:
     checked("--eps", check_fields, cfg, ValueError, SCALE)  # as the config holds its eps key
     anchors = []
 
-    def recompute(i, k):
+    def recompute(i):
         # The flow, else the last anchor, else zeros (failure before any anchor).
-        anchors.append(_TRUTHTABLE_SCRIPT[i] or (anchors[-1] if k else (0.0,) * 4))
+        anchors.append(_TRUTHTABLE_SCRIPT[i] or (anchors[-1] if anchors else (0.0,) * 4))
         return anchors[-1]
 
-    reasons, e_px, delta_e_px, _ = sched.schedule(_TRUTHTABLE_SCRIPT, cfg, recompute)
+    reasons, e_px, delta_e_px = sched.schedule(_TRUTHTABLE_SCRIPT, cfg, recompute)
     print(f"eps = {eps} px, refine factor = {cfg.refine_factor}, "
           f"policy = {cfg.policy.value}")
     print(f"{'frame':>5} {'E_px':>8} {'dE_px':>8} {'decision':>12} {'reason':>12}")

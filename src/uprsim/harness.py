@@ -52,10 +52,10 @@ trace ends are never rendered, but their charges are billed to the final
 frame, so totals always equal invocations x cost. Tracking time totals
 count the same charges.
 
-Latency model: an AAUPR recomputation requested at frame k is computed from
-frame k's eye, and the scheduler re-anchors on that estimate at frame k
-(schedule's recompute call), so E from frame k+1 on is measured against it. The
-renderer shows the estimate only from frame k + noise_latency_frames on.
+Latency model: AAUPR's request k, made at frame i, is frame i's eye plus
+jitter row k, and the scheduler re-anchors on it at frame i (schedule's
+recompute call), so E from frame i+1 on is measured against it. The renderer
+shows the estimate only from frame i + noise_latency_frames on.
 
 Pointing error is evaluated at dwell frames only by default (touches happen
 at rest, not mid-motion); set errors_dwell_only = false for every frame.
@@ -454,18 +454,20 @@ def _run_mode(mode, config, scene) -> dict[str, np.ndarray]:
     else:
         charge[:] = cost.flow_ms
         eyes, flow_px, visible = scene.projection
+        recalcs = []  # the request frames; request k takes jitter row k
         flows, reanchor = FlowSimulator(
             scene.front_cam, config.noise_flow_sigma_px, config.noise_drift_px_per_frame,
             config.noise_p_fail, np.random.default_rng([config.seed, idx, 0])
         ).stream(flow_px, visible)
 
-        def recompute(i, k):
-            # eyes[i] + offsets[k], added on Python floats.
+        def recompute(i):
+            # eyes[i] + offsets[k], k = len(recalcs), added on Python floats.
             (lx, ly, lz), (rx, ry, rz) = eyes[i].tolist()
-            ox, oy, oz = offsets[k].tolist()
+            ox, oy, oz = offsets[len(recalcs)].tolist()
+            recalcs.append(i)
             return reanchor(((lx + ox, ly + oy, lz + oz), (rx + ox, ry + oy, rz + oz)))
 
-        reasons, cols["e_px"][:], cols["delta_e_px"][:], recalcs = sched.schedule(
+        reasons, cols["e_px"][:], cols["delta_e_px"][:] = sched.schedule(
             flows, scene.threshold, recompute)
         cols["reason"][:] = ["" if r is None else r._value_ for r in reasons]
         requests = np.array(recalcs, dtype=int)

@@ -96,16 +96,15 @@ def eye_distance_px(a, b, metric: EyeMetric) -> float:
     return max(d0, d1) if metric is _MAX else (d0 + d1) / 2
 
 
-def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tuple, list]:
+def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tuple]:
     """A whole trace's decisions, with the state in locals: a Reason per
     recalculation, None per skip. Frame 0 has no anchor, so it recalculates
     (INITIAL, or FLOW_FAILURE, which keeps flow_last). flows yields each
     frame's eye pixels as four floats, or FLOW_FAILURE, one frame at a time,
     after the previous frame's recompute call. On a recalculation at frame i,
-    recompute(i, k), k the number of earlier recalculations, returns the
-    recomputed eyes' pixels, and the state re-anchors on them: precise, eps at
-    its max; the first also seeds flow_last. Returns the reason, E and dE
-    columns and the requests."""
+    recompute(i) returns the recomputed eyes' pixels, and the state re-anchors
+    on them: precise, eps at its max; the first also seeds flow_last. Returns
+    the reason, E and dE columns."""
     eps_max, refine_factor, metric = cfg.eps_max_px, cfg.refine_factor, cfg.metric
     floor, decay_rate = cfg.floor_px, cfg.decay_rate
     latched, decaying = cfg.policy is Policy.LATCHED, cfg.policy is Policy.DECAYING
@@ -113,7 +112,7 @@ def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tupl
     refine_max = refine_factor * eps_max
     calc = flow_last = None
     is_precise, eps, refine = False, eps_max, refine_max
-    rows, requests = [], []
+    rows = []
     append = rows.append
     for i, flow in enumerate(flows):
         if flow is FLOW_FAILURE:
@@ -136,10 +135,8 @@ def schedule(flows, cfg: ThresholdConfig, recompute) -> tuple[tuple, tuple, tupl
                     eps = max(floor, eps * decay_rate)
                     refine = refine_factor * eps
                 continue
-        calc = recompute(i, len(requests))
+        calc = recompute(i)
         if flow_last is None:
             flow_last = calc
         is_precise, eps, refine = True, eps_max, refine_max
-        requests.append(i)
-    reasons, e_px, delta_e_px = zip(*rows) if rows else ((),) * 3
-    return reasons, e_px, delta_e_px, requests
+    return tuple(zip(*rows)) if rows else ((),) * 3

@@ -61,7 +61,7 @@ def test_criterion_1_truth_table():
         recomputation reporting pair(0.0). Frame 0 anchors there, precise,
         with eps 24; a skip leaves the state imprecise."""
         flows = [FLOW_FAILURE if x is None else pair(x) for x in xs]
-        return schedule(flows, cfg, lambda i, k: pair(0.0))[0]
+        return schedule(flows, cfg, lambda i: pair(0.0))[0]
 
     assert reasons(25.0, 30.0)[1] is Reason.SPATIAL  # E = 30 > 24
     # A skip at 4 (dE = 9), then E = 5, dE = 1 < 2.4 while imprecise.

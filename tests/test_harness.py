@@ -434,23 +434,18 @@ def test_latency_shifts_rendering_not_loop(seed, n_frames, walk, amplitude, jitt
 
 
 @settings(max_examples=20)
-@given(seed=st.integers(0, 2**31 - 1), n_frames=st.integers(1, 30),
-       order=st.permutations([m.value for m in RenderMode]),
-       jitter_mm=st.one_of(st.just(0.0), st.floats(0.01, 20.0)), p_fail=st.floats(0.0, 0.3),
-       latency=st.integers(0, 3), policy=st.sampled_from(["verbatim", "latched", "decaying"]))
-def test_modes_are_independent(seed, n_frames, order, jitter_mm, p_fail, latency, policy):
+@given(config=running_configs(), order=st.permutations([m.value for m in RenderMode]))
+def test_modes_are_independent(config, order):
     # Each mode's record in a four-mode run, in any order, is the record of
-    # a run configured with that mode alone, column for column.
-    cfg = ExperimentConfig(modes=",".join(order), seed=seed, trace_generator="sway",
-                           trace_n_frames=n_frames, trace_sway_period_s=2.0,
-                           noise_jitter_sigma_mm=jitter_mm, noise_p_fail=p_fail,
-                           noise_latency_frames=latency, threshold_policy=policy,
-                           errors_dwell_only=False)
-    together = run(cfg).records
+    # a run configured with that mode alone, column for column, on runs
+    # whose AAUPR skips and recalculates.
+    cfg = replace(config, modes=",".join(order))
+    together = run(cfg)
+    assert aaupr_decides(together)
     for mode in order:
         alone = run(replace(cfg, modes=mode)).records[mode]
         for name, column in zip(alone._fields, alone):
-            assert bit_equal(getattr(together[mode], name), column), (mode, name)
+            assert bit_equal(getattr(together.records[mode], name), column), (mode, name)
 
 
 @settings(max_examples=40)

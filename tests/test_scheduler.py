@@ -38,10 +38,11 @@ def run_stream(stream, c, anchors=()):
     before any). One (reason, E, dE) row per frame; a skip's reason is None."""
     done = [eyes(0.0)]
 
-    def recompute(i, k):
+    def recompute(i):
+        k = len(done) - 1  # earlier recalculations
         done.append(anchors[k] if k < len(anchors) else stream[i] or done[-1])
         return done[-1]
-    return list(zip(*schedule(stream, c, recompute)[:3]))
+    return list(zip(*schedule(stream, c, recompute)))
 
 
 def assert_eps(stream, c, anchors, eps):
@@ -128,7 +129,7 @@ def test_flow_failure_forces_recalculation():
 
 
 def test_initial_state_forces_recalculation():
-    reasons, *_ = schedule([eyes(0.0)], cfg(), lambda i, k: eyes(0.0))
+    reasons, *_ = schedule([eyes(0.0)], cfg(), lambda i: eyes(0.0))
     assert reasons == (Reason.INITIAL,)
 
 
@@ -264,7 +265,7 @@ def test_decaying_eps_floor_and_reset(moves, decay_rate, floor_frac):
         x += move or 0.0
         xs.append(x)
         flows.append(None if move is None else eyes(x))
-    rows = zip(*schedule(flows, c, lambda i, k: eyes(xs[i]))[:3])
+    rows = zip(*schedule(flows, c, lambda i: eyes(xs[i])))
     eps = c.eps_max_px
     for reason, e, _ in rows:
         if not math.isnan(e):
@@ -433,19 +434,17 @@ frame_op = st.tuples(
 
 def step_loop(flows, c, recompute):
     """schedule's oracle: DataclassSchedulerOracle's step and
-    apply_recalculation frame by frame, as schedule's columns, the oracle's
-    kind column and the request frames."""
+    apply_recalculation frame by frame, as schedule's columns and the
+    oracle's kind column."""
     oracle = DataclassSchedulerOracle
     s = oracle.initial_state(c)
-    decisions, requests = [], []
+    decisions = []
     for i, flow in enumerate(flows):
         d, s = oracle.step(s, flow, c)
         decisions.append(d)
         if d.kind is Kind.RECALCULATE:
-            s = oracle.apply_recalculation(s, recompute(i, len(requests)), c)
-            requests.append(i)
-    columns = (tuple(getattr(d, f.name) for d in decisions) for f in fields(oracle.Decision))
-    return (*columns, requests)
+            s = oracle.apply_recalculation(s, recompute(i), c)
+    return tuple(tuple(getattr(d, f.name) for d in decisions) for f in fields(oracle.Decision))
 
 
 def same_fields(row, decision) -> bool:
@@ -488,7 +487,7 @@ def test_step_equals_dataclass_oracle(policy, metric, eps, refine_factor, decay_
         last = flow or last
         flows.append(flow)
         anchors.append(tuple(map(sum, zip(last, anchor_offset))))
-    recompute = lambda i, k: anchors[i] if i < len(anchors) else eyes(0.0)
+    recompute = lambda i: anchors[i] if i < len(anchors) else eyes(0.0)
     shift = lambda p, d: (p[0] + d, p[1], p[2] + d, p[3])
     o = oracle.initial_state(c)
     for j, flow in enumerate(flows):
@@ -498,7 +497,7 @@ def test_step_equals_dataclass_oracle(policy, metric, eps, refine_factor, decay_
         flow_last, eps_now = o.pos_eye_flow_last, o.eps_current_px
         for probe in (flow_last, shift(flow_last, c.refine_factor * eps_now),
                       shift(o.pos_eye_calc, eps_now)):
-            rows = list(zip(*schedule(flows[:j + 1] + [probe], c, recompute)[:3]))
+            rows = list(zip(*schedule(flows[:j + 1] + [probe], c, recompute)))
             assert same_fields(rows[j], od)
             assert same_fields(rows[-1], oracle.step(o, probe, c)[0])
 
@@ -532,10 +531,10 @@ def float_bits(column) -> list:
 def test_schedule_equals_step_loop(policy, metric, eps, refine_factor, decay_rate, floor_frac,
                                    ops):
     # The whole-trace driver gives the frozen-dataclass formulation's columns
-    # bit for bit and the same request frames, through failures (on frame 0
-    # too), re-anchors, all policies and metrics, and E or dE exactly on a
-    # threshold. It reads each frame's flow only after the previous frame's
-    # recompute call.
+    # bit for bit and calls recompute at the same frames, through failures
+    # (on frame 0 too), re-anchors, all policies and metrics, and E or dE
+    # exactly on a threshold. It reads each frame's flow only after the
+    # previous frame's recompute call.
     c = cfg(eps_max_px=eps, refine_factor=refine_factor, policy=policy, metric=metric,
             decay_rate=decay_rate, eps_min_px=floor_frac * eps)
     flows, last = [], eyes(0.0)
@@ -552,20 +551,25 @@ def test_schedule_equals_step_loop(policy, metric, eps, refine_factor, decay_rat
                 events.append(("flow", i))
                 yield flow
 
-        def recompute(i, k):
-            # The frame's flow plus the drawn offset and k/4 px.
-            events.append(("recompute", i, k))
+        def recompute(i):
+            # The frame's flow plus the drawn offset and k/4 px, k the number
+            # of earlier calls.
+            k = sum(kind == "recompute" for kind, _ in events)
+            events.append(("recompute", i))
             return tuple(b + o + 0.25 * k for b, o in zip(flows[i] or eyes(0.0), ops[i][1]))
         return run(read(), c, recompute), events
 
-    (reasons, e_px, delta_e_px, requests), events = driven(schedule)
-    (o_reasons, o_e_px, o_delta_e_px, o_kinds, o_requests), o_events = driven(step_loop)
+    (reasons, e_px, delta_e_px), events = driven(schedule)
+    (o_reasons, o_e_px, o_delta_e_px, o_kinds), o_events = driven(step_loop)
     assert reasons == o_reasons
     assert [r is None for r in reasons] == [k is Kind.SKIP for k in o_kinds]
     assert float_bits(e_px) == float_bits(o_e_px)
     assert float_bits(delta_e_px) == float_bits(o_delta_e_px)
-    assert requests == o_requests and events == o_events
+    assert events == o_events
+    # recompute is called at exactly the frames that recalculate.
+    calls = [i for kind, i in events if kind == "recompute"]
+    assert calls == [i for i, r in enumerate(reasons) if r is not None]
 
 
 def test_schedule_of_no_frames():
-    assert schedule(iter(()), cfg(), None) == ((), (), (), [])
+    assert schedule(iter(()), cfg(), None) == ((), (), ())
